@@ -38,10 +38,11 @@ for seed in 0xc4a00001 0xc4a00002 0xc4a00003; do
     chaos_matrix_env_seed_override
 done
 
-echo "== perf gate (identity + wire compression + encode speedup floors) =="
+echo "== perf gate (identity + wire compression + encode speedup + eviction sweep floors) =="
 # Run perf_smoke twice (wall-clock jitters; identity and compression must
-# not) plus one wire_smoke (ring-vs-legacy identity and the encode-path
-# speedup floor) and gate on the committed BENCH_wire.json floors.
+# not) plus one wire_smoke (ring-vs-legacy identity, the encode-path
+# speedup floor and the eviction-sweep throughput-ratio floor) and gate
+# on the committed BENCH_wire.json floors.
 # Artifacts go to a scratch dir so the committed BENCH_*.json stay
 # untouched.
 gate_dir=$(mktemp -d)
@@ -153,6 +154,14 @@ cargo run -q --release --offline --bin hypertpctl -- fleet --vms 3 \
   | grep -q "fifo admission"
 cargo run -q --release --offline --bin hypertpctl -- fleet --vms 3 --slo-aware \
   | grep -q "slo admission"
+
+echo "== repo benchmark checks (fmt, clippy, unit tests, --check fingerprints) =="
+# The benchmark is a package of its own (benchmark/Cargo.toml, own
+# target dir), so the workspace steps above never see it. Its --check
+# mode pins every workload's simulated metrics and per-layer counts at
+# seed 42 — a data-path change that moves a frame count, an eviction or
+# a byte fails here, in about a minute, without a timed run.
+benchmark/check.sh
 
 echo "== examples (keep them compiling *and* running) =="
 for example in quickstart migration_vs_inplace datacenter_upgrade vulnerability_response; do

@@ -27,11 +27,16 @@
 //!    `perf_smoke` artifacts, `idle_fleet.wire_reduction_pct` for
 //!    `wire_smoke` ones) falls below the committed artifact's
 //!    `reduction_floor_pct` (the content-aware path stopped earning its
-//!    keep), or
+//!    keep),
 //! 3. a run carrying an `encode` section (a `wire_smoke` artifact)
 //!    reports `encode.speedup` below the committed
 //!    `encode.speedup_floor` (the zero-copy frame ring stopped beating
-//!    the legacy per-page gather path).
+//!    the legacy per-page gather path), or
+//! 4. a run carrying an `eviction_sweep` section (a `wire_smoke`
+//!    artifact) reports `eviction_sweep.throughput_ratio` — pages/s at 4×
+//!    the dedup cap over pages/s at 0.5×, one process — below the
+//!    committed `eviction_sweep.ratio_floor` (evicting stopped being
+//!    constant-time: the cliff is back).
 //!
 //! **adaptive**: CI runs `adaptive_smoke` and hands the fresh artifact(s)
 //! here with the committed `BENCH_adaptive.json`. A run fails when:
@@ -202,11 +207,16 @@ fn gate_wire(committed: &str, runs: &[String]) -> Vec<String> {
     let Some(floor) = wire.get("reduction_floor_pct").and_then(Json::as_f64) else {
         return vec![format!("{committed}: missing reduction_floor_pct")];
     };
-    // The encode floor lives inside the committed artifact's `encode`
-    // section; older committed artifacts without one simply skip check 3.
+    // The encode and sweep floors live inside the committed artifact's
+    // `encode` and `eviction_sweep` sections; older committed artifacts
+    // without one simply skip check 3 or 4.
     let speedup_floor = wire
         .get("encode")
         .and_then(|e| e.get("speedup_floor"))
+        .and_then(Json::as_f64);
+    let sweep_floor = wire
+        .get("eviction_sweep")
+        .and_then(|e| e.get("ratio_floor"))
         .and_then(Json::as_f64);
 
     for path in runs {
@@ -245,13 +255,28 @@ fn gate_wire(committed: &str, runs: &[String]) -> Vec<String> {
                 ));
             }
         }
+        let sweep = run
+            .get("eviction_sweep")
+            .and_then(|e| e.get("throughput_ratio"))
+            .and_then(Json::as_f64);
+        if let (Some(ratio), Some(floor)) = (sweep, sweep_floor) {
+            if ratio < floor {
+                violations.push(format!(
+                    "{path}: eviction_sweep.throughput_ratio {ratio:.2} below committed floor \
+                     {floor:.2} — encoding past the dedup cap fell off the eviction cliff"
+                ));
+            }
+        }
         if violations.len() == before {
             match speedup {
                 Some(s) => println!(
                     "perf_gate: {path}: {n} identity fields ok, wire reduction {:.1}% >= \
-                     floor {floor:.1}%, encode speedup {s:.2}x >= floor {:.2}x",
+                     floor {floor:.1}%, encode speedup {s:.2}x >= floor {:.2}x, eviction \
+                     sweep ratio {:.2} >= floor {:.2}",
                     pct.unwrap_or(f64::NAN),
                     speedup_floor.unwrap_or(f64::NAN),
+                    sweep.unwrap_or(f64::NAN),
+                    sweep_floor.unwrap_or(f64::NAN),
                 ),
                 None => println!(
                     "perf_gate: {path}: {n} identity fields ok, wire reduction {:.1}% >= floor {floor:.1}%",

@@ -22,11 +22,18 @@
 //!    identical page rounds (zeros, dups, uniques, re-dirtied pages) and
 //!    reports committed pages/second; the ring must beat the per-page
 //!    `encode_page` path by at least `encode.speedup_floor`.
+//! 6. **Eviction sweep**: the ring path again, over rounds of fresh
+//!    unique pages at 0.5×, 1×, 2× and 4× `DEFAULT_CACHE_CAPACITY`. Past
+//!    the cap nearly every page evicts an entry; throughput at 4× must
+//!    stay above `eviction_sweep.ratio_floor` of throughput at 0.5× (with
+//!    a victim search that scanned the map it was under 1/90 at 1.5×).
+//!    One process, so the box's mood cancels out of the ratio.
 //!
 //! Writes `BENCH_wire.json` (in the current directory, override with
 //! `WIRE_SMOKE_OUT`). CI's `perf_gate` reads the committed copy of this
 //! artifact and fails the build if a fresh run regresses below the
-//! committed `reduction_floor_pct` or `encode.speedup_floor`.
+//! committed `reduction_floor_pct`, `encode.speedup_floor` or
+//! `eviction_sweep.ratio_floor`.
 
 use std::time::Instant;
 
@@ -35,7 +42,7 @@ use hypertp_core::{HypervisorKind, VmConfig};
 use hypertp_machine::{Extent, Gfn, Machine, MachineSpec};
 use hypertp_migrate::{
     migrate_many, FrameKind, FrameRing, MigrationConfig, MigrationReport, MigrationTp,
-    TransferCache, WireMode, WireStats,
+    TransferCache, WireMode, WireStats, DEFAULT_CACHE_CAPACITY,
 };
 use hypertp_sim::hash::digest_pages_into;
 use hypertp_sim::json::{self, Json};
@@ -53,6 +60,16 @@ const REDUCTION_FLOOR_PCT: f64 = 30.0;
 /// (measured well above 2x; the floor leaves CI-noise headroom).
 /// `perf_gate` enforces it.
 const ENCODE_SPEEDUP_FLOOR: f64 = 1.5;
+/// Committed regression floor for the eviction sweep: ring throughput at
+/// 4× the dedup cap over throughput at 0.5×. Measured 0.35–0.68 on the
+/// 2-thread CI box — at 4× slab and index outgrow the TLB, and every
+/// eviction is two random touches — against 0.01 for a victim search that
+/// scans the map. `perf_gate` enforces it.
+const SWEEP_RATIO_FLOOR: f64 = 0.1;
+/// Pages per sweep round, in halves of `DEFAULT_CACHE_CAPACITY`.
+const SWEEP_HALF_CAPS: [u64; 4] = [1, 2, 4, 8];
+/// Rounds per sweep point.
+const SWEEP_ROUNDS: u64 = 4;
 
 /// Outcome of one fleet migration: wall seconds, per-VM reports, and a
 /// destination fingerprint (serial-pool guest checksums + UISR bytes)
@@ -163,11 +180,13 @@ fn kind_json(wire: &WireStats) -> Json {
     obj
 }
 
-/// Outcome of one encode-path microbench: committed pages/second and the
-/// total accounted wire bytes (must match across paths).
+/// Outcome of one encode-path microbench: committed pages/second, the
+/// total accounted wire bytes (must match across paths) and the dedup
+/// evictions it took.
 struct EncodeBench {
     pages_per_sec: f64,
     wire_bytes: u64,
+    evictions: u64,
 }
 
 /// Pages per microbench round.
@@ -189,18 +208,31 @@ fn encode_word(round: u64, gfn: u64) -> u64 {
     }
 }
 
-/// Drives one encode path over the microbench rounds. `encode` receives
-/// (cache, gfns, words) and returns the round's accounted wire bytes;
-/// the cache round is committed around it exactly as the engine does.
-fn encode_bench(mut encode: impl FnMut(&TransferCache, &[Gfn], &[u64]) -> u64) -> EncodeBench {
+/// The sweep's word for `gfn` in `round`: non-zero and never repeated, so
+/// every page inserts a dedup entry and none hits.
+fn fresh_word(round: u64, gfn: u64) -> u64 {
+    (((round << 32) | gfn) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Drives one encode path over `rounds` rounds of `pages` pages holding
+/// `word(round, gfn)`, on a fresh default-capacity cache. `encode`
+/// receives (cache, gfns, words) and returns the round's accounted wire
+/// bytes; the cache round is committed around it exactly as the engine
+/// does.
+fn encode_bench(
+    pages: u64,
+    rounds: u64,
+    word: fn(u64, u64) -> u64,
+    mut encode: impl FnMut(&TransferCache, &[Gfn], &[u64]) -> u64,
+) -> EncodeBench {
     let cache = TransferCache::new();
-    let gfns: Vec<Gfn> = (0..ENCODE_PAGES).map(Gfn).collect();
-    let mut words = vec![0u64; ENCODE_PAGES as usize];
+    let gfns: Vec<Gfn> = (0..pages).map(Gfn).collect();
+    let mut words = vec![0u64; pages as usize];
     let mut wire_bytes = 0u64;
     let t = Instant::now();
-    for round in 0..ENCODE_ROUNDS {
+    for round in 0..rounds {
         for (w, g) in words.iter_mut().zip(&gfns) {
-            *w = encode_word(round, g.0);
+            *w = word(round, g.0);
         }
         cache.begin_round();
         wire_bytes += encode(&cache, &gfns, &words);
@@ -208,8 +240,9 @@ fn encode_bench(mut encode: impl FnMut(&TransferCache, &[Gfn], &[u64]) -> u64) -
     }
     let wall = t.elapsed().as_secs_f64();
     EncodeBench {
-        pages_per_sec: (ENCODE_PAGES * ENCODE_ROUNDS) as f64 / wall.max(1e-9),
+        pages_per_sec: (pages * rounds) as f64 / wall.max(1e-9),
         wire_bytes,
+        evictions: cache.stats().evictions,
     }
 }
 
@@ -311,20 +344,25 @@ fn main() {
 
     // 5. Encode throughput: batch encode into the reusable ring vs the
     // per-page legacy path (one lock, one frame, one gather Vec per page).
-    let legacy_enc = encode_bench(|cache, gfns, words| {
-        let mut frames = Vec::with_capacity(gfns.len());
-        let mut wb = 0u64;
-        for (&g, &w) in gfns.iter().zip(words) {
-            let f = cache.encode_page(7, g.0, w);
-            wb += f.wire_bytes();
-            frames.push(f);
-        }
-        std::hint::black_box(&frames);
-        wb
-    });
+    let legacy_enc = encode_bench(
+        ENCODE_PAGES,
+        ENCODE_ROUNDS,
+        encode_word,
+        |cache, gfns, words| {
+            let mut frames = Vec::with_capacity(gfns.len());
+            let mut wb = 0u64;
+            for (&g, &w) in gfns.iter().zip(words) {
+                let f = cache.encode_page(7, g.0, w);
+                wb += f.wire_bytes();
+                frames.push(f);
+            }
+            std::hint::black_box(&frames);
+            wb
+        },
+    );
     let mut ring = FrameRing::new();
     let mut digests = Vec::new();
-    let ring_enc = encode_bench(|cache, gfns, words| {
+    let mut ring_encode = |cache: &TransferCache, gfns: &[Gfn], words: &[u64]| {
         digest_pages_into(words, &mut digests);
         ring.restart();
         ring.begin();
@@ -332,7 +370,8 @@ fn main() {
         ring.commit();
         std::hint::black_box(ring.len_bytes());
         wb
-    });
+    };
+    let ring_enc = encode_bench(ENCODE_PAGES, ENCODE_ROUNDS, encode_word, &mut ring_encode);
     let speedup = ring_enc.pages_per_sec / legacy_enc.pages_per_sec;
     let wire_bytes_identical = ring_enc.wire_bytes == legacy_enc.wire_bytes;
     println!(
@@ -347,6 +386,36 @@ fn main() {
     assert!(
         speedup >= ENCODE_SPEEDUP_FLOOR,
         "ring encode speedup {speedup:.2}x below floor {ENCODE_SPEEDUP_FLOOR}x"
+    );
+
+    // 6. Eviction sweep: fresh unique pages per round, from half the dedup
+    // cap (the third round is the first to evict) to four times it (a
+    // round pins 4x the cap, the next one drains and refills it).
+    let sweep: Vec<(u64, EncodeBench)> = SWEEP_HALF_CAPS
+        .iter()
+        .map(|&halves| {
+            let pages = halves * DEFAULT_CACHE_CAPACITY as u64 / 2;
+            let bench = encode_bench(pages, SWEEP_ROUNDS, fresh_word, &mut ring_encode);
+            (pages, bench)
+        })
+        .collect();
+    println!("== eviction sweep == {SWEEP_ROUNDS} rounds of fresh unique pages per point");
+    for (pages, bench) in &sweep {
+        println!(
+            "  {:>6} pages/round ({:.1}x cap): {:>9.0} pages/s, {:>7} evictions",
+            pages,
+            *pages as f64 / DEFAULT_CACHE_CAPACITY as f64,
+            bench.pages_per_sec,
+            bench.evictions
+        );
+    }
+    let (smallest, largest) = (&sweep[0].1, &sweep[sweep.len() - 1].1);
+    let sweep_ratio = largest.pages_per_sec / smallest.pages_per_sec;
+    println!("  4x vs 0.5x throughput: {sweep_ratio:.2} (floor {SWEEP_RATIO_FLOOR})");
+    assert!(largest.evictions > 0, "the 4x point must evict");
+    assert!(
+        sweep_ratio >= SWEEP_RATIO_FLOOR,
+        "eviction sweep: 4x-cap throughput is {sweep_ratio:.2} of 0.5x-cap, floor {SWEEP_RATIO_FLOOR}"
     );
 
     let out = Json::obj()
@@ -394,6 +463,23 @@ fn main() {
                     "wire_bytes_identical",
                     json::s(wire_bytes_identical.to_string()),
                 ),
+        )
+        .with(
+            "eviction_sweep",
+            Json::obj()
+                .with("capacity", json::u(DEFAULT_CACHE_CAPACITY as u64))
+                .with("rounds", json::u(SWEEP_ROUNDS))
+                .with(
+                    "points",
+                    json::arr(sweep.iter().map(|(pages, bench)| {
+                        Json::obj()
+                            .with("pages_per_round", json::u(*pages))
+                            .with("pages_per_sec", json::f(bench.pages_per_sec))
+                            .with("evictions", json::u(bench.evictions))
+                    })),
+                )
+                .with("throughput_ratio", json::f(sweep_ratio))
+                .with("ratio_floor", json::f(SWEEP_RATIO_FLOOR)),
         )
         .with(
             "dirty_fleet",

@@ -36,8 +36,6 @@
 //! and content-addressed; the source's LRU evictions only downgrade
 //! future `Dup`s, so a larger mirror can never disagree.
 
-use std::collections::HashMap;
-
 use hypertp_core::{HtpError, Hypervisor, HypervisorKind, VmConfig, VmId};
 use hypertp_machine::Gfn;
 use hypertp_machine::Machine;
@@ -49,7 +47,7 @@ use crate::engine::{backoff_delay, MigrationTp};
 use crate::framing::FrameIter;
 use crate::network::{FrameKind, WireStats};
 use crate::transport::Transport;
-use crate::wire::delta_apply_word;
+use crate::wire::{delta_apply_word, DigestMap};
 
 const MSG_HELLO: u8 = 0x10;
 const MSG_HELLO_ACK: u8 = 0x11;
@@ -631,7 +629,7 @@ pub fn run_dest(
 /// during earlier VMs' sessions.
 #[derive(Debug, Default)]
 pub struct DestProxy {
-    mirror: HashMap<u128, u64>,
+    mirror: DigestMap<u64>,
 }
 
 impl DestProxy {
@@ -658,7 +656,7 @@ fn serve_one(
     machine: &mut Machine,
     hv: &mut dyn Hypervisor,
     transport: &mut dyn Transport,
-    mirror: &mut HashMap<u128, u64>,
+    mirror: &mut DigestMap<u64>,
 ) -> Result<DestReport, HtpError> {
     let mut buf = Vec::new();
     let mut reply = Vec::new();
@@ -668,6 +666,12 @@ fn serve_one(
     let mut frames = 0u64;
     let mut wire_bytes = 0u64;
     let mut warnings = Vec::new();
+    // Per-round staging, reused from round to round: the round's gfns and
+    // their current words, the guest writes to apply, the mirror inserts.
+    let mut gfns: Vec<Gfn> = Vec::new();
+    let mut current: Vec<u64> = Vec::new();
+    let mut writes: Vec<(Gfn, u64)> = Vec::new();
+    let mut inserts: DigestMap<u64> = DigestMap::default();
     let name = |cfg: &Option<VmConfig>| {
         cfg.as_ref()
             .map(|c| c.name.clone())
@@ -709,39 +713,37 @@ fn serve_one(
                 let stream = r.rest();
 
                 // Stage the whole round before touching guest RAM: a
-                // corrupt stream naks without side effects.
-                let mut staged: Vec<(Gfn, u64, u64)> = Vec::new(); // (gfn, new, cur)
-                let mut staged_mirror: Vec<(u128, u64)> = Vec::new();
-                let mut staged_lookup: HashMap<u128, u64> = HashMap::new();
+                // corrupt stream naks without side effects. The pages'
+                // current words come from one batched read: nothing is
+                // written until the round is staged, so a gfn repeated
+                // within the round sees the same word either way.
+                gfns.clear();
+                gfns.extend(FrameIter::over(stream).map(|view| Gfn(view.gfn)));
+                hv.read_guest_into(machine, id, &gfns, &mut current)?;
+                writes.clear();
+                inserts.clear();
                 let mut batch_bytes = 0u64;
                 let mut ok = true;
-                let mut seen = 0u64;
-                for view in FrameIter::over(stream) {
-                    seen += 1;
-                    let gfn = Gfn(view.gfn);
-                    let cur = hv.read_guest(machine, id, gfn)?;
+                for (view, &cur) in FrameIter::over(stream).zip(&current) {
                     let word = match view.kind {
                         FrameKind::Raw => view.raw_word(),
                         FrameKind::Zero => Some(0),
-                        FrameKind::Dup => view.dup_digest().and_then(|d| {
-                            staged_lookup
-                                .get(&d.as_u128())
-                                .copied()
-                                .or_else(|| mirror.get(&d.as_u128()).copied())
-                        }),
+                        FrameKind::Dup => view
+                            .dup_digest()
+                            .and_then(|d| inserts.get(&d).or_else(|| mirror.get(&d)).copied()),
                         FrameKind::Delta => delta_apply_word(cur, view.payload),
                     };
                     match word {
                         Some(w) => {
                             batch_bytes += view.wire_bytes();
-                            staged.push((gfn, w, cur));
+                            if w != cur {
+                                writes.push((Gfn(view.gfn), w));
+                            }
                             // Mirror what the source's cache journalled:
                             // Raw and Delta frames insert their content;
                             // Zero and Dup do not.
                             if matches!(view.kind, FrameKind::Raw | FrameKind::Delta) && w != 0 {
-                                let d = digest_words(&[w]).as_u128();
-                                staged_lookup.insert(d, w);
-                                staged_mirror.push((d, w));
+                                inserts.insert(digest_words(&[w]), w);
                             }
                         }
                         None => {
@@ -750,19 +752,16 @@ fn serve_one(
                         }
                     }
                 }
+                let seen = gfns.len() as u64;
                 if !ok || seen != count {
                     reply.clear();
                     reply.push(MSG_NAK);
                     reply.extend_from_slice(&round.to_le_bytes());
                 } else {
-                    for &(gfn, w, cur) in &staged {
-                        if w != cur {
-                            hv.write_guest(machine, id, gfn, w)?;
-                        }
+                    for &(gfn, w) in &writes {
+                        hv.write_guest(machine, id, gfn, w)?;
                     }
-                    for (d, w) in staged_mirror {
-                        mirror.insert(d, w);
-                    }
+                    mirror.extend(inserts.drain());
                     rounds += 1;
                     frames += seen;
                     wire_bytes += batch_bytes;

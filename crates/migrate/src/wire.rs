@@ -27,6 +27,7 @@
 //! destination shell is torn down, its pages gone).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use hypertp_machine::{Gfn, PAGE_SIZE};
@@ -278,18 +279,37 @@ pub fn delta_decode(old: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
 }
 
 /// Default cap on committed dedup entries (see
-/// [`TransferCache::with_capacity`]). 64 Ki entries ≈ 1.5 MiB of cache
-/// state on each side — enough to cover every distinct content word of
-/// the fig. 12 fleets while bounding a long-lived destination's memory.
+/// [`TransferCache::with_capacity`]). 64 Ki entries ≈ 5.5 MiB of index and
+/// slab on the source — enough to cover every distinct content word of
+/// the fig. 12 fleets while bounding a long-lived engine's memory.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 
-/// One committed dedup entry: the content word plus the logical tick of
-/// its last touch (insert or dup hit), the LRU eviction key.
-#[derive(Debug, Clone, Copy)]
-struct DedupEntry {
-    word: u64,
-    touched: u64,
+/// Hasher for maps keyed by [`Digest128`]. The key already is two mixed
+/// 64-bit FNV lanes, so SipHash on top buys nothing: the lanes are folded
+/// together and finished with one multiply (strong high bits, which
+/// hashbrown takes its control bytes from) and a high-to-low fold (strong
+/// low bits, which pick the bucket).
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    fn write_u64(&mut self, lane: u64) {
+        self.0 = self.0.rotate_left(32) ^ lane;
+    }
+    fn finish(&self) -> u64 {
+        let m = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        m ^ (m >> 32)
+    }
 }
+
+/// A map keyed by content digest: the dedup index here, the dedup mirror
+/// in the destination proxy.
+pub(crate) type DigestMap<V> = HashMap<Digest128, V, BuildHasherDefault<DigestHasher>>;
 
 /// Observability counters of the dedup cache (see [`TransferCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -307,24 +327,45 @@ pub struct CacheStats {
     pub dup_lookups: u64,
 }
 
-/// Committed + in-flight state of the dedup/delta cache.
-#[derive(Debug)]
-struct CacheInner {
-    /// Content the destination has materialised: digest → entry.
-    dedup: HashMap<u128, DedupEntry>,
-    /// Last word acked per (vm tag, gfn) — the destination's current
-    /// version of each page, used as the delta base.
-    sent: HashMap<(u32, u64), u64>,
-    /// Digests inserted into `dedup` since `begin_round` (rollback:
-    /// remove).
-    journal_dedup: Vec<u128>,
-    /// Previous `sent` values overwritten since `begin_round` (rollback:
-    /// restore; `None` = the key was absent).
-    journal_sent: Vec<((u32, u64), Option<u64>)>,
-    /// Max committed dedup entries before LRU eviction kicks in. A soft
-    /// cap: entries touched by the in-flight round are never evicted (a
-    /// `Dup` frame already encoded this round may reference them), so
-    /// occupancy can transiently exceed the cap by the round's footprint.
+/// One dedup entry: the content word, the logical tick of its last touch
+/// (insert or dup hit), and its neighbours in the LRU ring. Slot 0 is the
+/// ring's sentinel (`next` = least, `prev` = most recently touched); a
+/// freed slot keeps only `next`, its link in the free list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    digest: Digest128,
+    word: u64,
+    touched: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// Slot 0. Its tick is never below `round_start_tick`, so an empty ring —
+/// the sentinel its own head — reads as pinned and stops a drain.
+const SENTINEL: Slot = Slot {
+    digest: Digest128 { hi: 0, lo: 0 },
+    word: 0,
+    touched: u64::MAX,
+    prev: 0,
+    next: 0,
+};
+
+/// Content the destination has materialised: `digest → slot` into a slab
+/// threaded as an intrusive LRU ring. Ticks are unique and monotone and
+/// every touch moves its entry to the tail, so the ring is sorted by
+/// `touched` and its head *is* the minimum `(touched, digest)` a scan of
+/// all entries would find: lookup, touch, insert and eviction are O(1),
+/// and allocate nothing once slab and index have reached their size.
+#[derive(Debug, Default)]
+struct DedupLru {
+    index: DigestMap<u32>,
+    slots: Vec<Slot>,
+    /// Head of the free-slot list (0: none).
+    free: u32,
+    /// Max entries before LRU eviction kicks in. A soft cap: entries
+    /// touched by the in-flight round are pinned (a `Dup` frame already
+    /// encoded this round may reference them), so occupancy can exceed it
+    /// by a round's footprint until a later round's insert drains it.
     capacity: usize,
     /// Logical clock driving LRU order: bumps on every insert/hit.
     tick: u64,
@@ -333,56 +374,240 @@ struct CacheInner {
     round_start_tick: u64,
     /// Entries evicted so far (monotonic; never rolled back).
     evictions: u64,
+}
+
+impl DedupLru {
+    fn word(&self, digest: Digest128) -> Option<u64> {
+        self.index
+            .get(&digest)
+            .map(|&i| self.slots[i as usize].word)
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
+        self.slots[prev as usize].next = next;
+        self.slots[next as usize].prev = prev;
+    }
+
+    /// The LRU touch: stamps slot `i` with a fresh tick and links it in as
+    /// the most recently used entry.
+    fn link_newest(&mut self, i: u32) {
+        self.tick += 1;
+        let tail = std::mem::replace(&mut self.slots[0].prev, i);
+        self.slots[tail as usize].next = i;
+        let slot = &mut self.slots[i as usize];
+        (slot.touched, slot.prev, slot.next) = (self.tick, tail, 0);
+    }
+
+    /// Drops `digest`'s entry, if held, and recycles its slot.
+    fn remove(&mut self, digest: Digest128) {
+        if let Some(i) = self.index.remove(&digest) {
+            self.unlink(i);
+            self.slots[i as usize].next = std::mem::replace(&mut self.free, i);
+        }
+    }
+
+    /// Drops every entry; clock, cap and eviction count carry on.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slots.clear();
+        self.free = 0;
+    }
+
+    /// One dedup lookup. A hit refreshes the entry's LRU rank (pinning it
+    /// for the round) and returns `true`. A miss returns `false` after
+    /// inserting `digest → word`, first evicting from the head while the
+    /// cache is at its cap. A pinned head (`touched >= round_start_tick`)
+    /// means every entry is pinned, and the cap gives way instead.
+    ///
+    /// Eviction is safe by construction: losing a digest only downgrades
+    /// a *future* `Dup` to `Raw`/`Delta`; it never invalidates delta bases
+    /// (those live in the per-VM tables) or frames already on the wire.
+    fn touch_or_insert(&mut self, digest: Digest128, word: u64) -> bool {
+        if let Some(&i) = self.index.get(&digest) {
+            self.unlink(i);
+            self.link_newest(i);
+            return true;
+        }
+        if self.slots.is_empty() {
+            self.slots.push(SENTINEL);
+        }
+        while self.index.len() >= self.capacity {
+            let head = self.slots[self.slots[0].next as usize];
+            if head.touched >= self.round_start_tick {
+                break;
+            }
+            self.remove(head.digest);
+            self.evictions += 1;
+        }
+        // `link_newest` fills in the tick and the links.
+        let slot = Slot {
+            digest,
+            word,
+            ..SENTINEL
+        };
+        let i = match self.free {
+            0 => {
+                self.slots.push(slot);
+                u32::try_from(self.slots.len() - 1).expect("dedup slab outgrew its u32 links")
+            }
+            free => {
+                self.free = self.slots[free as usize].next;
+                self.slots[free as usize] = slot;
+                free
+            }
+        };
+        self.index.insert(digest, i);
+        self.link_newest(i);
+        false
+    }
+}
+
+/// One VM's delta bases: the last word acked per gfn — the destination's
+/// current version of each page — as a flat table over the gfn span sent
+/// so far, plus a presence bitmap (an untracked page ships `Raw`, a
+/// tracked zero page is a `Delta` base: the two must stay apart).
+#[derive(Debug, Default)]
+struct SentTable {
+    /// First gfn covered; a multiple of 64, so bit `i` of `present` is
+    /// always gfn `base + i`.
+    base: u64,
+    words: Vec<u64>,
+    present: Vec<u64>,
+}
+
+impl SentTable {
+    /// Tracked gfns (linear in the span; `forget_vm` only).
+    fn len(&self) -> usize {
+        self.present.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Sets (`Some`) or drops (`None`) the base of `gfn`, growing the span
+    /// to cover it, and returns the previous base.
+    fn replace(&mut self, gfn: u64, new: Option<u64>) -> Option<u64> {
+        if self.words.is_empty() {
+            self.base = gfn & !63;
+        } else if gfn < self.base {
+            let grow = (self.base - (gfn & !63)) as usize;
+            self.words.resize(self.words.len() + grow, 0);
+            self.words.rotate_right(grow);
+            self.present.resize(self.present.len() + grow / 64, 0);
+            self.present.rotate_right(grow / 64);
+            self.base -= grow as u64;
+        }
+        let i = (gfn - self.base) as usize;
+        if i >= self.words.len() {
+            self.words.resize((i | 63) + 1, 0);
+            self.present.resize(i / 64 + 1, 0);
+        }
+        let bit = 1u64 << (i % 64);
+        let old = (self.present[i / 64] & bit != 0).then_some(self.words[i]);
+        match new {
+            Some(word) => {
+                self.words[i] = word;
+                self.present[i / 64] |= bit;
+            }
+            None => self.present[i / 64] &= !bit,
+        }
+        old
+    }
+}
+
+/// One overwritten delta base (rollback: restore `prev`; `None` = the gfn
+/// was untracked).
+#[derive(Debug, Clone, Copy)]
+struct SentUndo {
+    vm: u32,
+    gfn: u64,
+    prev: Option<u64>,
+}
+
+/// How one page travels: the verdict [`TransferCache::encode_page`] and
+/// [`TransferCache::encode_batch_into`] share.
+enum PageClass {
+    Zero,
+    Dup,
+    Delta { base: u64 },
+    Raw,
+}
+
+/// Committed + in-flight state of the dedup/delta cache.
+#[derive(Debug, Default)]
+struct CacheInner {
+    dedup: DedupLru,
+    /// Delta bases, one table per VM tag.
+    sent: HashMap<u32, SentTable>,
+    /// Delta bases tracked over all VMs.
+    sent_len: usize,
+    /// Digests inserted into `dedup` since `begin_round` (rollback:
+    /// remove).
+    journal_dedup: Vec<Digest128>,
+    /// Delta bases overwritten since `begin_round`.
+    journal_sent: Vec<SentUndo>,
     /// Dedup lookups that hit (monotonic observability counter).
     dup_hits: u64,
     /// Dedup lookups performed (monotonic observability counter).
     dup_lookups: u64,
 }
 
-impl Default for CacheInner {
-    fn default() -> Self {
+impl CacheInner {
+    fn with_capacity(capacity: usize) -> Self {
         CacheInner {
-            dedup: HashMap::new(),
-            sent: HashMap::new(),
-            journal_dedup: Vec::new(),
-            journal_sent: Vec::new(),
-            capacity: DEFAULT_CACHE_CAPACITY,
-            tick: 0,
-            round_start_tick: 0,
-            evictions: 0,
-            dup_hits: 0,
-            dup_lookups: 0,
+            dedup: DedupLru {
+                capacity,
+                ..DedupLru::default()
+            },
+            ..CacheInner::default()
         }
     }
-}
 
-impl CacheInner {
-    /// Inserts `digest → word` with an LRU touch, evicting the least
-    /// recently used *evictable* entry first when at capacity. Entries
-    /// touched since `begin_round` are pinned (frames already encoded in
-    /// this round may reference them), so the cap is soft. The victim is
-    /// the minimum `(touched, digest)` pair — a set minimum, deterministic
-    /// regardless of `HashMap` iteration order.
+    /// Runs `f` with `vm`'s delta-base table resolved once, however many
+    /// pages `f` classifies: the table is lifted out of the map for the
+    /// call and put back after it.
+    fn with_table<R>(&mut self, vm: u32, f: impl FnOnce(&mut Self, &mut SentTable) -> R) -> R {
+        let mut table = std::mem::take(self.sent.entry(vm).or_default());
+        let r = f(self, &mut table);
+        self.sent.insert(vm, table);
+        r
+    }
+
+    /// Classifies one page and journals the cache mutations the
+    /// destination will perform when it applies the frame.
     ///
-    /// Eviction is safe by construction: losing a digest only downgrades
-    /// a *future* `Dup` to `Raw`/`Delta`; it never invalidates delta bases
-    /// (those live in `sent`) or frames already on the wire.
-    fn insert_dedup(&mut self, digest: u128, word: u64) {
-        self.tick += 1;
-        let touched = self.tick;
-        if !self.dedup.contains_key(&digest) && self.dedup.len() >= self.capacity {
-            let victim = self
-                .dedup
-                .iter()
-                .filter(|(_, e)| e.touched < self.round_start_tick)
-                .map(|(&k, e)| (e.touched, k))
-                .min();
-            if let Some((_, k)) = victim {
-                self.dedup.remove(&k);
-                self.evictions += 1;
-            }
+    /// Classification order: zero marker, dedup hit, delta against the
+    /// last acked version, raw. `digest` is only consulted for non-zero
+    /// words.
+    fn classify(
+        &mut self,
+        table: &mut SentTable,
+        vm: u32,
+        gfn: u64,
+        word: u64,
+        digest: Digest128,
+    ) -> PageClass {
+        // The destination materialises zeros locally, but the base is
+        // recorded all the same so a later non-zero version can delta
+        // against a zero page.
+        let prev = table.replace(gfn, Some(word));
+        self.sent_len += usize::from(prev.is_none());
+        self.journal_sent.push(SentUndo { vm, gfn, prev });
+        if word == 0 {
+            return PageClass::Zero;
         }
-        self.dedup.insert(digest, DedupEntry { word, touched });
+        self.dup_lookups += 1;
+        if self.dedup.touch_or_insert(digest, word) {
+            self.dup_hits += 1;
+            return PageClass::Dup;
+        }
+        self.journal_dedup.push(digest);
+        match prev {
+            Some(base) if base != word => PageClass::Delta { base },
+            // `base == word` reaches here only when the word's digest was
+            // evicted after `base` shipped (a dedup hit would otherwise
+            // have fired above); the re-send ships raw, which is always
+            // correct. An untracked page ships raw too.
+            _ => PageClass::Raw,
+        }
     }
 }
 
@@ -390,9 +615,15 @@ impl CacheInner {
 /// clones share state, which is exactly what `migrate_many` wants: VMs
 /// migrated through the same engine dedup against each other's pages
 /// (shared template content crosses the wire once).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TransferCache {
     inner: Arc<Mutex<CacheInner>>,
+}
+
+impl Default for TransferCache {
+    fn default() -> Self {
+        TransferCache::with_capacity(DEFAULT_CACHE_CAPACITY)
+    }
 }
 
 impl TransferCache {
@@ -403,19 +634,19 @@ impl TransferCache {
     }
 
     /// A fresh cache capped at `capacity` committed dedup entries
-    /// (minimum 1). The cap is soft — see [`CacheInner::insert_dedup`]'s
-    /// pinning rule — and eviction-only-safe: overflowing it can only
+    /// (minimum 1). The cap is soft — entries touched by the in-flight
+    /// round are pinned — and eviction-only-safe: overflowing it can only
     /// downgrade future `Dup` frames to `Raw`/`Delta`, never corrupt a
     /// transfer.
     pub fn with_capacity(capacity: usize) -> Self {
-        let cache = TransferCache::default();
-        cache.lock().capacity = capacity.max(1);
-        cache
+        TransferCache {
+            inner: Arc::new(Mutex::new(CacheInner::with_capacity(capacity.max(1)))),
+        }
     }
 
     /// The configured dedup entry cap.
     pub fn capacity(&self) -> usize {
-        self.lock().capacity
+        self.lock().dedup.capacity
     }
 
     /// Observability counters: occupancy, capacity, evictions, dup
@@ -423,9 +654,9 @@ impl TransferCache {
     pub fn stats(&self) -> CacheStats {
         let c = self.lock();
         CacheStats {
-            occupancy: c.dedup.len() as u64,
-            capacity: c.capacity as u64,
-            evictions: c.evictions,
+            occupancy: c.dedup.index.len() as u64,
+            capacity: c.dedup.capacity as u64,
+            evictions: c.dedup.evictions,
             dup_hits: c.dup_hits,
             dup_lookups: c.dup_lookups,
         }
@@ -449,7 +680,7 @@ impl TransferCache {
         // Entries touched from here on are pinned against eviction until
         // the round commits or rolls back: frames already encoded this
         // round may reference them.
-        c.round_start_tick = c.tick + 1;
+        c.dedup.round_start_tick = c.dedup.tick + 1;
     }
 
     /// The destination acked the round: in-flight state becomes committed.
@@ -463,22 +694,16 @@ impl TransferCache {
     /// [`TransferCache::begin_round`], restoring the last committed state
     /// (what the destination actually holds).
     pub fn rollback_round(&self) {
-        let mut c = self.lock();
-        let dedup_undo: Vec<u128> = c.journal_dedup.drain(..).collect();
-        for key in dedup_undo {
-            c.dedup.remove(&key);
+        let c = &mut *self.lock();
+        for digest in c.journal_dedup.drain(..) {
+            c.dedup.remove(digest);
         }
         // Restore in reverse so the oldest snapshot of a twice-written key
         // wins.
-        let sent_undo: Vec<((u32, u64), Option<u64>)> = c.journal_sent.drain(..).collect();
-        for (key, prev) in sent_undo.into_iter().rev() {
-            match prev {
-                Some(v) => {
-                    c.sent.insert(key, v);
-                }
-                None => {
-                    c.sent.remove(&key);
-                }
+        for undo in c.journal_sent.drain(..).rev() {
+            if let Some(table) = c.sent.get_mut(&undo.vm) {
+                let written = table.replace(undo.gfn, undo.prev);
+                c.sent_len -= usize::from(written.is_some() && undo.prev.is_none());
             }
         }
     }
@@ -492,84 +717,53 @@ impl TransferCache {
     /// map never claiming content the destination lacks.
     pub fn forget_vm(&self, vm: u32) {
         let mut c = self.lock();
-        c.sent.retain(|&(tag, _), _| tag != vm);
+        if let Some(table) = c.sent.remove(&vm) {
+            c.sent_len -= table.len();
+        }
         c.dedup.clear();
         c.journal_dedup.clear();
-        c.journal_sent.retain(|&((tag, _), _)| tag != vm);
+        c.journal_sent.retain(|undo| undo.vm != vm);
     }
 
     /// Wipes everything (tests; or a destination host restart). The
     /// configured capacity survives; counters restart from zero.
     pub fn clear(&self) {
         let mut c = self.lock();
-        let capacity = c.capacity;
-        *c = CacheInner {
-            capacity,
-            ..CacheInner::default()
-        };
+        *c = CacheInner::with_capacity(c.dedup.capacity);
     }
 
     /// Committed dedup entries (diagnostics).
     pub fn dedup_len(&self) -> usize {
-        self.lock().dedup.len()
+        self.lock().dedup.index.len()
     }
 
     /// Tracked (vm, gfn) delta bases (diagnostics).
     pub fn sent_len(&self) -> usize {
-        self.lock().sent.len()
+        self.lock().sent_len
     }
 
     /// Encodes one page for the wire, journalling the cache mutations the
-    /// destination will perform when it applies the frame.
-    ///
-    /// Classification order: zero marker, dedup hit, delta against the
-    /// last acked version (falling back to raw when the delta does not
-    /// pay), raw.
+    /// destination will perform when it applies the frame (see
+    /// [`CacheInner::classify`] for the classification order). A delta
+    /// that does not pay falls back to raw.
     pub fn encode_page(&self, vm: u32, gfn: u64, word: u64) -> WireFrame {
-        let mut c = self.lock();
-        let key = (vm, gfn);
-        if word == 0 {
-            // Destination materialises zeros locally; record the base so a
-            // later non-zero version can delta against a zero page.
-            let prev = c.sent.insert(key, 0);
-            c.journal_sent.push((key, prev));
-            return WireFrame::Zero;
-        }
         let digest = digest_words(&[word]);
-        c.dup_lookups += 1;
-        if c.dedup.contains_key(&digest.as_u128()) {
-            // LRU touch: a hit pins the entry for the round and refreshes
-            // its eviction rank.
-            c.dup_hits += 1;
-            c.tick += 1;
-            let tick = c.tick;
-            if let Some(e) = c.dedup.get_mut(&digest.as_u128()) {
-                e.touched = tick;
-            }
-            let prev = c.sent.insert(key, word);
-            c.journal_sent.push((key, prev));
-            return WireFrame::Dup { digest };
-        }
-        let frame = match c.sent.get(&key).copied() {
-            Some(old) if old != word => {
-                let delta = delta_encode(&expand_word(old), &expand_word(word));
+        let class = self
+            .lock()
+            .with_table(vm, |c, table| c.classify(table, vm, gfn, word, digest));
+        match class {
+            PageClass::Zero => WireFrame::Zero,
+            PageClass::Dup => WireFrame::Dup { digest },
+            PageClass::Delta { base } => {
+                let delta = delta_encode(&expand_word(base), &expand_word(word));
                 if (delta.len() as u64) + WIRE_FRAME_HEADER < WIRE_FRAME_HEADER + PAGE_SIZE {
                     WireFrame::Delta { delta }
                 } else {
                     WireFrame::Raw { word }
                 }
             }
-            // `old == word` reaches here only when the word's digest was
-            // evicted after `old` shipped (a dedup hit would otherwise
-            // have fired above); the re-send ships raw, which is always
-            // correct. An untracked page ships raw too.
-            _ => WireFrame::Raw { word },
-        };
-        c.insert_dedup(digest.as_u128(), word);
-        c.journal_dedup.push(digest.as_u128());
-        let prev = c.sent.insert(key, word);
-        c.journal_sent.push((key, prev));
-        frame
+            PageClass::Raw => WireFrame::Raw { word },
+        }
     }
 
     /// Applies a frame on the destination side, given the destination's
@@ -581,7 +775,7 @@ impl TransferCache {
         match frame {
             WireFrame::Raw { word } => Some(*word),
             WireFrame::Zero => Some(0),
-            WireFrame::Dup { digest } => self.lock().dedup.get(&digest.as_u128()).map(|e| e.word),
+            WireFrame::Dup { digest } => self.lock().dedup.word(*digest),
             WireFrame::Delta { delta } => {
                 let old = expand_word(dst_current);
                 let page = delta_decode(&old, delta)?;
@@ -602,16 +796,15 @@ impl TransferCache {
     /// acquisition, with digests precomputed by the caller (fanned over
     /// the worker pool). Returns the accounted wire bytes of the batch.
     ///
-    /// Classification, journalling and LRU mutation order are identical
-    /// to calling `encode_page` per page — `WireStats`, cache counters
-    /// and chaos-replay rollback behaviour match byte for byte. The one
-    /// shortcut is deliberate and lossless: the simulator's pages are
-    /// uniform, so a re-dirtied page's delta is the ≤11-byte word-level
-    /// stream, which always beats a raw page — the legacy size check can
-    /// never pick `Raw` there.
+    /// Both run the same [`CacheInner::classify`] per page, so
+    /// `WireStats`, cache counters and chaos-replay rollback behaviour
+    /// match byte for byte. The one shortcut is deliberate and lossless:
+    /// the simulator's pages are uniform, so a re-dirtied page's delta is
+    /// the ≤11-byte word-level stream, which always beats a raw page — the
+    /// per-page size check can never pick `Raw` there.
     ///
     /// `digests[i]` must equal `digest_words(&[words[i]])`; it is only
-    /// consulted for non-zero words, matching `encode_page`.
+    /// consulted for non-zero words.
     pub fn encode_batch_into(
         &self,
         vm: u32,
@@ -622,45 +815,19 @@ impl TransferCache {
     ) -> u64 {
         debug_assert_eq!(gfns.len(), words.len());
         debug_assert_eq!(words.len(), digests.len());
-        let mut c = self.lock();
-        let mut wire_bytes = 0u64;
-        for ((&g, &word), &digest) in gfns.iter().zip(words).zip(digests) {
-            let gfn = g.0;
-            let key = (vm, gfn);
-            if word == 0 {
-                let prev = c.sent.insert(key, 0);
-                c.journal_sent.push((key, prev));
-                wire_bytes += ring.push_zero(gfn);
-                continue;
+        self.lock().with_table(vm, |c, table| {
+            let mut wire_bytes = 0u64;
+            for ((&g, &word), &digest) in gfns.iter().zip(words).zip(digests) {
+                debug_assert!(word == 0 || digest == digest_words(&[word]));
+                wire_bytes += match c.classify(table, vm, g.0, word, digest) {
+                    PageClass::Zero => ring.push_zero(g.0),
+                    PageClass::Dup => ring.push_dup(g.0, digest),
+                    PageClass::Delta { base } => ring.push_delta_words(g.0, base, word),
+                    PageClass::Raw => ring.push_raw(g.0, word),
+                };
             }
-            debug_assert_eq!(digest, digest_words(&[word]));
-            c.dup_lookups += 1;
-            if c.dedup.contains_key(&digest.as_u128()) {
-                c.dup_hits += 1;
-                c.tick += 1;
-                let tick = c.tick;
-                if let Some(e) = c.dedup.get_mut(&digest.as_u128()) {
-                    e.touched = tick;
-                }
-                let prev = c.sent.insert(key, word);
-                c.journal_sent.push((key, prev));
-                wire_bytes += ring.push_dup(gfn, digest);
-                continue;
-            }
-            match c.sent.get(&key).copied() {
-                Some(old) if old != word => {
-                    wire_bytes += ring.push_delta_words(gfn, old, word);
-                }
-                _ => {
-                    wire_bytes += ring.push_raw(gfn, word);
-                }
-            }
-            c.insert_dedup(digest.as_u128(), word);
-            c.journal_dedup.push(digest.as_u128());
-            let prev = c.sent.insert(key, word);
-            c.journal_sent.push((key, prev));
-        }
-        wire_bytes
+            wire_bytes
+        })
     }
 
     /// Applies a borrowed serialized frame on the destination side — the
@@ -671,10 +838,7 @@ impl TransferCache {
         match view.kind {
             FrameKind::Raw => view.raw_word(),
             FrameKind::Zero => Some(0),
-            FrameKind::Dup => {
-                let digest = view.dup_digest()?;
-                self.lock().dedup.get(&digest.as_u128()).map(|e| e.word)
-            }
+            FrameKind::Dup => self.lock().dedup.word(view.dup_digest()?),
             FrameKind::Delta => delta_apply_word(dst_current, view.payload),
         }
     }
@@ -997,11 +1161,29 @@ mod tests {
         cache.commit_round();
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.stats().occupancy, 2, "soft cap overflowed by one");
-        // Next round the cap is enforced again: inserting 0xcc evicts.
+        // Next round the cap is enforced again: inserting 0xcc drains both
+        // unpinned entries before taking its slot.
         cache.begin_round();
         cache.encode_page(0, 4, 0xcc);
         cache.commit_round();
-        assert!(cache.stats().evictions >= 1);
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.stats().occupancy, 1, "back at the cap");
+    }
+
+    #[test]
+    fn sent_table_tracks_sparse_descending_and_zero_bases() {
+        let mut t = SentTable::default();
+        assert_eq!(t.replace(1000, Some(0)), None);
+        assert_eq!(t.base, 960);
+        assert_eq!(t.replace(1000, Some(7)), Some(0), "a zero base is a base");
+        // Below the span: the table grows downwards by whole bitmap words.
+        assert_eq!(t.replace(130, Some(9)), None);
+        assert_eq!((t.base, t.words.len()), (128, 1024 - 128));
+        assert_eq!(t.replace(1000, None), Some(7));
+        assert_eq!(t.replace(1000, Some(1)), None, "dropped, not zeroed");
+        assert_eq!(t.replace(5000, Some(2)), None);
+        assert_eq!(t.replace(130, Some(3)), Some(9));
+        assert_eq!(t.len(), 3);
     }
 
     #[test]
