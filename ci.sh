@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: formatting, lints, release build, full test suite.
+# CI entry point, and the only pipeline definition: formatting, lints,
+# release build, full test suite, chaos, perf gates, CLI smokes, the repo
+# benchmark's checks, examples. .github/workflows/ci.yml just runs this.
 # Everything runs offline — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -38,15 +40,23 @@ for seed in 0xc4a00001 0xc4a00002 0xc4a00003; do
     chaos_matrix_env_seed_override
 done
 
-echo "== perf gate (identity + wire compression + encode speedup + eviction sweep floors) =="
-# Run perf_smoke twice (wall-clock jitters; identity and compression must
-# not) plus one wire_smoke (ring-vs-legacy identity, the encode-path
-# speedup floor and the eviction-sweep throughput-ratio floor) and gate
-# on the committed BENCH_wire.json floors.
 # Artifacts go to a scratch dir so the committed BENCH_*.json stay
 # untouched.
 gate_dir=$(mktemp -d)
 trap 'rm -rf "${gate_dir}"' EXIT
+
+echo "== chaos smoke (recovery-cost distributions, faulted-vs-clean identity) =="
+# Every fault scenario against its clean twin over a spread of seeds; the
+# bin asserts that a faulted InPlaceTP lands the clean run's guest memory
+# and PRAM shape and that a saturated link always falls back.
+CHAOS_SMOKE_OUT="${gate_dir}/chaos.json" \
+  cargo run -q --release --offline -p hypertp-bench --bin chaos_smoke
+
+echo "== perf gate (identity + wire compression + encode speedup + eviction sweep floors) =="
+# Run perf_smoke twice (wall-clock jitters; identity and compression must
+# not) plus one wire_smoke (encode wire-byte identity, the encode-path
+# speedup floor and the eviction-sweep throughput-ratio floor) and gate
+# on the committed BENCH_wire.json floors.
 PERF_SMOKE_OUT="${gate_dir}/perf1.json" \
   cargo run -q --release --offline -p hypertp-bench --bin perf_smoke
 PERF_SMOKE_OUT="${gate_dir}/perf2.json" \
@@ -105,8 +115,7 @@ echo "== rehype gate (crash-recovery cut + state-loss bound floors) =="
 # rehype_smoke crashes the hypervisor at every warm-checkpoint phase; the
 # fresh artifact must meet the committed BENCH_rehype.json floors: warm
 # recovery beating the cold salvage-translate ablation at every phase,
-# checkpoint lag strictly below the staleness bound, deterministic rerun,
-# field-diff toggle inert.
+# checkpoint lag strictly below the staleness bound, deterministic rerun.
 REHYPE_SMOKE_OUT="${gate_dir}/rehype.json" \
   cargo run -q --release --offline -p hypertp-bench --bin rehype_smoke
 cargo run -q --release --offline -p hypertp-bench --bin perf_gate -- \

@@ -1,6 +1,6 @@
 //! Bench: framework cost of InPlaceTP under each §4.2.5 optimization
 //! configuration (the *simulated-time* ablation lives in the
-//! `exp_ablation` binary; this measures the engine itself).
+//! `exp ablation` run; this measures the engine itself).
 //!
 //! Runs on the in-tree timing harness (`hypertp_bench::harness`) so the
 //! workspace builds offline; same group/bench ids as the old Criterion

@@ -3,7 +3,7 @@
 //! The tentpole claim: the cluster layer plans and executes
 //! datacenter-sized upgrade campaigns in near-linear time. This bench
 //! sweeps synthetic fleets from 1k to 10k hosts (lazily derived — no
-//! per-VM materialization), times `plan_upgrade` + `execute_sharded`
+//! per-VM materialization), times `plan_upgrade` + `execute_sharded_with`
 //! wall-clock at each size, and fits a log-log scaling exponent that
 //! `perf_gate campaign` caps at the committed
 //! `scaling_exponent_ceiling`.

@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use hypertp_bench::registry;
-use hypertp_cluster::exec::{execute, execute_with_faults, ExecConfig};
+use hypertp_cluster::exec::{execute, execute_sharded_with, ExecConfig};
 use hypertp_cluster::planner::plan_upgrade;
 use hypertp_cluster::Cluster;
 use hypertp_core::{migrate_or_inplace, HypervisorKind, InPlaceTransplant, VmConfig};
@@ -211,7 +211,7 @@ fn main() {
     for i in 0..SEEDS {
         let faults = FaultPlan::new(BASE + 0x5000 + i);
         faults.arm(InjectionPoint::HostFailure, 0.2, u64::MAX);
-        let r = execute_with_faults(&cluster, &plan, &cfg, &faults);
+        let r = execute_sharded_with(&cluster, &plan, &cfg, &faults, 1, &WorkerPool::serial());
         exec_retries += r.host_retries as u64;
         exec_excluded += r.hosts_excluded as u64;
         exec_over.push(r.total.as_secs_f64() - clean_total);

@@ -21,8 +21,7 @@
 //!
 //! 1. any `identical`-suffixed field in any run is not `"true"` (the
 //!    worker pool or the wire codec changed results; for `wire_smoke`
-//!    runs this covers the ring-vs-legacy and encode-wire-byte identity
-//!    fields too),
+//!    runs this covers the encode-wire-byte identity field too),
 //! 2. any run's wire reduction (`migrate_many.wire_reduction_pct` for
 //!    `perf_smoke` artifacts, `idle_fleet.wire_reduction_pct` for
 //!    `wire_smoke` ones) falls below the committed artifact's
@@ -30,8 +29,8 @@
 //!    keep),
 //! 3. a run carrying an `encode` section (a `wire_smoke` artifact)
 //!    reports `encode.speedup` below the committed
-//!    `encode.speedup_floor` (the zero-copy frame ring stopped beating
-//!    the legacy per-page gather path), or
+//!    `encode.speedup_floor` (the batch encode into the frame ring
+//!    stopped beating the per-page `encode_page` path), or
 //! 4. a run carrying an `eviction_sweep` section (a `wire_smoke`
 //!    artifact) reports `eviction_sweep.throughput_ratio` — pages/s at 4×
 //!    the dedup cap over pages/s at 0.5×, one process — below the
@@ -85,9 +84,8 @@
 //! transplant matrix) and hands the fresh artifact(s) here with the
 //! committed `BENCH_rehype.json`. A run fails when:
 //!
-//! 1. any `identical`-suffixed field is not `"true"` — this covers the
-//!    deterministic crash-recovery rerun and the inertness of the
-//!    field-level UISR diff toggle,
+//! 1. any `identical`-suffixed field is not `"true"` (the crash-recovery
+//!    rerun stopped being deterministic),
 //! 2. `warm_vs_cold.min_cut_pct` falls below the committed
 //!    `recovery_cut_floor_pct` (warm checkpoints stopped beating the
 //!    cold salvage-translate ablation at some crash phase), or
@@ -251,7 +249,7 @@ fn gate_wire(committed: &str, runs: &[String]) -> Vec<String> {
             if speedup < floor {
                 violations.push(format!(
                     "{path}: encode.speedup {speedup:.2}x below committed floor {floor:.2}x \
-                     — the frame ring stopped beating the legacy gather path"
+                     — the frame ring stopped beating the per-page encode path"
                 ));
             }
         }

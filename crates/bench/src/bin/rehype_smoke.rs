@@ -22,9 +22,8 @@
 //! committed artifact: warm recovery beats the cold ablation by at least
 //! `RECOVERY_CUT_FLOOR_PCT` at *every* crash phase, and the checkpoint
 //! lag at the last completed tick stays strictly below the staleness
-//! bound (the provable half of the state-loss bound). Determinism and
-//! the inertness of the field-level-diff toggle are exported as
-//! `identical`-suffixed fields CI gates on exact equality.
+//! bound (the provable half of the state-loss bound). Determinism is
+//! exported as an `identical`-suffixed field CI gates on exact equality.
 //!
 //! Writes `BENCH_rehype.json` (override with `REHYPE_SMOKE_OUT`).
 
@@ -60,14 +59,6 @@ const RECOVERY_CUT_FLOOR_PCT: f64 = 25.0;
 /// feeds the log's replay identity).
 const SEED: u64 = 0x4e47_2021;
 
-fn checkpoint_cfg(field_diff: bool) -> CheckpointConfig {
-    CheckpointConfig {
-        staleness_bound_pages: BOUND,
-        field_diff,
-        ..CheckpointConfig::default()
-    }
-}
-
 /// Builds the host: M1 under Xen with 3 × 4 GiB seeded guests.
 fn host(reg: &HypervisorRegistry) -> (Machine, Box<dyn Hypervisor>) {
     let mut m = Machine::new(MachineSpec::m1());
@@ -94,7 +85,7 @@ fn host(reg: &HypervisorRegistry) -> (Machine, Box<dyn Hypervisor>) {
 /// gate three times per tick (warm-round, refresh, finalize), so after
 /// one clean tick ordinals 4..=6 land in the phases of tick 2; ordinal 7
 /// is consulted by the idle watchdog after both ticks complete.
-fn run_crash(reg: &HypervisorRegistry, ordinal: u64, field_diff: bool) -> (String, RecoveryReport) {
+fn run_crash(reg: &HypervisorRegistry, ordinal: u64) -> (String, RecoveryReport) {
     let faults = FaultPlan::new(SEED);
     faults.arm_calls(InjectionPoint::HypervisorCrash, &[ordinal]);
     let (mut m, mut src) = host(reg);
@@ -102,7 +93,10 @@ fn run_crash(reg: &HypervisorRegistry, ordinal: u64, field_diff: bool) -> (Strin
         &mut m,
         src.as_mut(),
         HypervisorKind::Kvm,
-        checkpoint_cfg(field_diff),
+        CheckpointConfig {
+            staleness_bound_pages: BOUND,
+            ..CheckpointConfig::default()
+        },
         CostModel::paper_calibrated(),
         faults.clone(),
         WorkerPool::from_env(),
@@ -172,7 +166,7 @@ fn main() {
     // The crash matrix: every checkpointer phase plus the idle window.
     let phases: Vec<(String, RecoveryReport)> = [4u64, 5, 6, 7]
         .into_iter()
-        .map(|ordinal| run_crash(&reg, ordinal, false))
+        .map(|ordinal| run_crash(&reg, ordinal))
         .collect();
 
     for (phase, r) in &phases {
@@ -223,17 +217,10 @@ fn main() {
 
     // Determinism: simulated time and the forced crash schedule are
     // exact, so a rerun must reproduce the report byte-for-byte.
-    let (_, rerun) = run_crash(&reg, 4, false);
+    let (_, rerun) = run_crash(&reg, 4);
     let deterministic = rerun.render() == phases[0].1.render();
     println!("  deterministic rerun identical: {deterministic}");
     assert!(deterministic, "crash recovery must be deterministic");
-
-    // Field-level UISR diffing is an encoding detail of the warm cache:
-    // switching it on must not change what recovery restores or costs.
-    let (_, fielded) = run_crash(&reg, 4, true);
-    let field_diff_identical = fielded.render() == phases[0].1.render();
-    println!("  field-diff-on identical:       {field_diff_identical}");
-    assert!(field_diff_identical, "field_diff must not change recovery");
 
     let out = Json::obj()
         .with("bench", json::s("rehype_smoke"))
@@ -263,10 +250,6 @@ fn main() {
         .with(
             "deterministic_identical",
             json::s(deterministic.to_string()),
-        )
-        .with(
-            "field_diff_identical",
-            json::s(field_diff_identical.to_string()),
         );
     let path = std::env::var("REHYPE_SMOKE_OUT").unwrap_or_else(|_| "BENCH_rehype.json".into());
     std::fs::write(&path, out.encode_pretty()).expect("write artifact");

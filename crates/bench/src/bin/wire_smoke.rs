@@ -3,7 +3,7 @@
 //! Reproduces the fig-12-style idle-VM migration workload (§5.2: mostly
 //! idle guests, near-zero dirty rate) and migrates the same 4 × 1 GiB
 //! Xen fleet to KVM twice — once with [`WireMode::Raw`], once with
-//! [`WireMode::ContentAware`] — then checks three things:
+//! [`WireMode::ContentAware`] — then checks:
 //!
 //! 1. **Equivalence**: both runs land byte-identical destination guest
 //!    memory (serial-pool checksums) and identical UISR volume.
@@ -14,15 +14,14 @@
 //! 3. **Delta coverage**: a second, dirtying run (fig-12 busy phase)
 //!    must produce at least one `Delta` frame so the codec path is
 //!    exercised end to end, not just the zero/dup fast paths.
-//! 4. **Ring identity**: the same fleet migrated with
-//!    `legacy_gather: true` (PR 3's per-round gather-`Vec` path) lands
-//!    byte-identical destinations, reports and wire stats as the
-//!    zero-copy frame ring — the default path is a pure optimization.
-//! 5. **Encode throughput**: a microbench drives both encode paths over
-//!    identical page rounds (zeros, dups, uniques, re-dirtied pages) and
-//!    reports committed pages/second; the ring must beat the per-page
-//!    `encode_page` path by at least `encode.speedup_floor`.
-//! 6. **Eviction sweep**: the ring path again, over rounds of fresh
+//! 4. **Encode throughput**: a microbench drives both encoders — the
+//!    batch `encode_batch_into` the engine's rounds use and the per-page
+//!    `encode_page` the truncated-page re-send uses — over identical
+//!    page rounds (zeros, dups, uniques, re-dirtied pages) and reports
+//!    committed pages/second; they must account identical wire bytes and
+//!    the batch path must beat the per-page one by at least
+//!    `encode.speedup_floor`.
+//! 5. **Eviction sweep**: the ring path again, over rounds of fresh
 //!    unique pages at 0.5×, 1×, 2× and 4× `DEFAULT_CACHE_CAPACITY`. Past
 //!    the cap nearly every page evicts an entry; throughput at 4× must
 //!    stay above `eviction_sweep.ratio_floor` of throughput at 0.5× (with
@@ -56,7 +55,7 @@ const MEM_GB: u64 = 1;
 /// percentage of raw page bytes off the wire. `perf_gate` enforces it.
 const REDUCTION_FLOOR_PCT: f64 = 30.0;
 /// Committed regression floor for the zero-copy encode path: ring
-/// throughput must beat the legacy per-page path by at least this factor
+/// throughput must beat the per-page path by at least this factor
 /// (measured well above 2x; the floor leaves CI-noise headroom).
 /// `perf_gate` enforces it.
 const ENCODE_SPEEDUP_FLOOR: f64 = 1.5;
@@ -88,10 +87,6 @@ struct Run {
 /// unique block; everything else stays zero, as on a freshly booted
 /// idle guest (§5.2's fig-12 shape).
 fn run_fleet(wire_mode: WireMode, dirty_rate: f64) -> Run {
-    run_fleet_with(wire_mode, dirty_rate, false)
-}
-
-fn run_fleet_with(wire_mode: WireMode, dirty_rate: f64, legacy_gather: bool) -> Run {
     let reg = registry();
     let clock = SimClock::new();
     let mut src_m = Machine::with_clock(MachineSpec::m1(), clock.clone());
@@ -124,7 +119,6 @@ fn run_fleet_with(wire_mode: WireMode, dirty_rate: f64, legacy_gather: bool) -> 
             verify_contents: true,
             dirty_rate_pages_per_sec: dirty_rate,
             wire_mode,
-            legacy_gather,
             ..MigrationConfig::default()
         })
         .with_pool(WorkerPool::from_env());
@@ -316,35 +310,9 @@ fn main() {
         "dirtying run must exercise the delta codec"
     );
 
-    // 4. Ring vs legacy: the zero-copy frame ring must be a pure
-    // optimization — same destinations, same reports, same wire stats as
-    // PR 3's gather-`Vec` path, on both the idle and the dirtying fleet
-    // (the latter exercises delta frames through both encoders).
-    let legacy = run_fleet_with(WireMode::ContentAware, 0.0, true);
-    let legacy_dirty = run_fleet_with(WireMode::ContentAware, 2000.0, true);
-    let legacy_bytes: u64 = legacy.reports.iter().map(|r| r.bytes_sent).sum();
-    let dirty_bytes: u64 = dirty.reports.iter().map(|r| r.bytes_sent).sum();
-    let legacy_dirty_bytes: u64 = legacy_dirty.reports.iter().map(|r| r.bytes_sent).sum();
-    let ring_vs_legacy = legacy.dst_checksums == ca.dst_checksums
-        && legacy.uisr_bytes == ca.uisr_bytes
-        && merged_wire(&legacy.reports) == wire
-        && legacy_bytes == ca_bytes
-        && legacy_dirty.dst_checksums == dirty.dst_checksums
-        && legacy_dirty.uisr_bytes == dirty.uisr_bytes
-        && merged_wire(&legacy_dirty.reports) == dirty_wire
-        && legacy_dirty_bytes == dirty_bytes;
-    println!(
-        "== ring vs legacy == identical: {ring_vs_legacy} (legacy idle {legacy_bytes} B in {:.3} s)",
-        legacy.wall
-    );
-    assert!(
-        ring_vs_legacy,
-        "frame ring must land byte-identical runs vs the legacy gather path"
-    );
-
-    // 5. Encode throughput: batch encode into the reusable ring vs the
-    // per-page legacy path (one lock, one frame, one gather Vec per page).
-    let legacy_enc = encode_bench(
+    // 4. Encode throughput: batch encode into the reusable ring vs the
+    // per-page path (one lock and one owned frame per page).
+    let per_page_enc = encode_bench(
         ENCODE_PAGES,
         ENCODE_ROUNDS,
         encode_word,
@@ -372,23 +340,23 @@ fn main() {
         wb
     };
     let ring_enc = encode_bench(ENCODE_PAGES, ENCODE_ROUNDS, encode_word, &mut ring_encode);
-    let speedup = ring_enc.pages_per_sec / legacy_enc.pages_per_sec;
-    let wire_bytes_identical = ring_enc.wire_bytes == legacy_enc.wire_bytes;
+    let speedup = ring_enc.pages_per_sec / per_page_enc.pages_per_sec;
+    let wire_bytes_identical = ring_enc.wire_bytes == per_page_enc.wire_bytes;
     println!(
-        "== encode throughput == {} pages x {} rounds: legacy {:.0} pages/s, ring {:.0} pages/s -> {speedup:.2}x (floor {ENCODE_SPEEDUP_FLOOR}x)",
-        ENCODE_PAGES, ENCODE_ROUNDS, legacy_enc.pages_per_sec, ring_enc.pages_per_sec
+        "== encode throughput == {} pages x {} rounds: per-page {:.0} pages/s, ring {:.0} pages/s -> {speedup:.2}x (floor {ENCODE_SPEEDUP_FLOOR}x)",
+        ENCODE_PAGES, ENCODE_ROUNDS, per_page_enc.pages_per_sec, ring_enc.pages_per_sec
     );
     assert!(
         wire_bytes_identical,
         "encode paths must account identical wire bytes ({} vs {})",
-        ring_enc.wire_bytes, legacy_enc.wire_bytes
+        ring_enc.wire_bytes, per_page_enc.wire_bytes
     );
     assert!(
         speedup >= ENCODE_SPEEDUP_FLOOR,
         "ring encode speedup {speedup:.2}x below floor {ENCODE_SPEEDUP_FLOOR}x"
     );
 
-    // 6. Eviction sweep: fresh unique pages per round, from half the dedup
+    // 5. Eviction sweep: fresh unique pages per round, from half the dedup
     // cap (the third round is the first to evict) to four times it (a
     // round pins 4x the cap, the next one drains and refills it).
     let sweep: Vec<(u64, EncodeBench)> = SWEEP_HALF_CAPS
@@ -444,18 +412,17 @@ fn main() {
                         .with("dup_lookups", json::u(wire.cache_dup_lookups()))
                         .with("hit_rate", json::f(wire.dedup_hit_rate())),
                 )
-                .with("identical", json::s(identical.to_string()))
-                .with(
-                    "ring_vs_legacy_identical",
-                    json::s(ring_vs_legacy.to_string()),
-                ),
+                .with("identical", json::s(identical.to_string())),
         )
         .with(
             "encode",
             Json::obj()
                 .with("pages_per_round", json::u(ENCODE_PAGES))
                 .with("rounds", json::u(ENCODE_ROUNDS))
-                .with("legacy_pages_per_sec", json::f(legacy_enc.pages_per_sec))
+                .with(
+                    "per_page_pages_per_sec",
+                    json::f(per_page_enc.pages_per_sec),
+                )
                 .with("ring_pages_per_sec", json::f(ring_enc.pages_per_sec))
                 .with("speedup", json::f(speedup))
                 .with("speedup_floor", json::f(ENCODE_SPEEDUP_FLOOR))

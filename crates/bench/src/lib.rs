@@ -2,10 +2,11 @@
 //! paper's evaluation (§5).
 //!
 //! Each experiment lives in [`experiments`] as a function returning the
-//! formatted rows/series the paper reports; the `src/bin/*` binaries are
-//! thin wrappers (`cargo run -p hypertp-bench --bin fig6`), and
-//! `--bin exp_all` runs the full suite in order. DESIGN.md carries the
-//! experiment index mapping each id to the modules it exercises.
+//! formatted rows/series the paper reports, registered by id in
+//! [`experiments::all`]; the `exp` binary runs one
+//! (`cargo run -p hypertp-bench --bin exp -- fig6`) or, as `exp all`, the
+//! full suite in order. DESIGN.md carries the experiment index mapping
+//! each id to the modules it exercises.
 
 pub mod experiments;
 pub mod harness;

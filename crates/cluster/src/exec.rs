@@ -14,7 +14,7 @@
 //! depend only on the group's own actions, never on the global clock. So
 //! a plan's groups are pure, independent simulations ([`run_group`]
 //! internally) whose outcomes fold in group order into the same report
-//! the sequential walk produces — bit for bit. [`execute_sharded`]
+//! the sequential walk produces — bit for bit. [`execute_sharded_with`]
 //! exploits that: contiguous group ranges run as deterministic shards on
 //! a [`WorkerPool`], and each shard memoizes cost-model evaluations per
 //! VM class (fleets with a uniform host spec repeat a handful of
@@ -55,7 +55,7 @@ pub struct ExecConfig {
     /// migrations also share link bandwidth.
     pub max_concurrent_migrations: usize,
     /// Retries granted to a host whose in-place upgrade faults before it
-    /// is dropped from the plan (see [`execute_with_faults`]).
+    /// is dropped from the plan (see [`execute_sharded_with`]).
     pub max_host_retries: u32,
     /// Wire representation used by the campaign's migrations. The
     /// executor is an analytic model, so under
@@ -170,26 +170,6 @@ impl Default for ExecConfig {
             slo: None,
             exposure: None,
         }
-    }
-}
-
-impl ExecConfig {
-    /// Calibrates the content-aware byte accounting from a measured
-    /// reference migration: switches to [`WireMode::ContentAware`] and
-    /// takes the wire/raw ratio straight from the reference's
-    /// [`hypertp_migrate::WireStats`] (e.g. an engine report, a
-    /// `proxy source` run, or the merged fleet stats behind
-    /// `BENCH_wire.json`). A reference that sent nothing keeps the
-    /// ratio at 1.0 — the raw accounting — rather than promising a
-    /// free campaign.
-    pub fn with_wire_reference(mut self, reference: &hypertp_migrate::WireStats) -> Self {
-        self.wire_mode = WireMode::ContentAware;
-        self.wire_compression_ratio = if reference.raw_equivalent_bytes() == 0 {
-            1.0
-        } else {
-            reference.compression_ratio().clamp(0.0, 1.0)
-        };
-        self
     }
 }
 
@@ -850,44 +830,6 @@ pub fn execute<V: ClusterView + ?Sized>(view: &V, plan: &Plan, cfg: &ExecConfig)
     )
 }
 
-/// [`execute`] under fault injection: an in-place upgrade hit by
-/// [`hypertp_sim::fault::InjectionPoint::HostFailure`] burns its slot
-/// time and is retried
-/// ([`hypertp_sim::fault::RecoveryAction::RequeuedHost`]); past
-/// `cfg.max_host_retries` the host is dropped from the plan
-/// ([`hypertp_sim::fault::RecoveryAction::ExcludedHost`]) and accounted
-/// in [`ExecReport::hosts_excluded`]. Faulted attempts extend the group's
-/// parallel in-place phase, so recovery cost shows up in the reported
-/// wall-clock totals.
-pub fn execute_with_faults<V: ClusterView + ?Sized>(
-    view: &V,
-    plan: &Plan,
-    cfg: &ExecConfig,
-    faults: &FaultPlan,
-) -> ExecReport {
-    execute_sharded_with(view, plan, cfg, faults, 1, &WorkerPool::serial())
-}
-
-/// [`execute`] over deterministic group shards on the default
-/// [`WorkerPool`] (respecting `HYPERTP_WORKERS`). The report is
-/// byte-identical to [`execute`]'s for every shard count and worker
-/// count.
-pub fn execute_sharded<V: ClusterView + ?Sized>(
-    view: &V,
-    plan: &Plan,
-    cfg: &ExecConfig,
-    shards: usize,
-) -> ExecReport {
-    execute_sharded_with(
-        view,
-        plan,
-        cfg,
-        &FaultPlan::disarmed(),
-        shards,
-        &WorkerPool::from_env(),
-    )
-}
-
 /// The general entry point: sharded execution with explicit faults and
 /// pool.
 ///
@@ -899,7 +841,14 @@ pub fn execute_sharded<V: ClusterView + ?Sized>(
 ///   exactly [`execute`].
 /// * Faults armed: groups run sequentially in plan order on the calling
 ///   thread (the fault plan's consultation order is part of the replay
-///   contract), identical to the pre-sharding executor.
+///   contract), identical to the pre-sharding executor. An in-place
+///   upgrade hit by [`InjectionPoint::HostFailure`] burns its slot time
+///   and is retried ([`RecoveryAction::RequeuedHost`]); past
+///   `cfg.max_host_retries` the host is dropped from the plan
+///   ([`RecoveryAction::ExcludedHost`]) and accounted in
+///   [`ExecReport::hosts_excluded`]. Faulted attempts extend the group's
+///   parallel in-place phase, so recovery cost shows up in the reported
+///   wall-clock totals.
 pub fn execute_sharded_with<V: ClusterView + ?Sized>(
     view: &V,
     plan: &Plan,
@@ -1038,7 +987,7 @@ mod tests {
         let clean = execute(&c, &plan, &cfg);
         let faults = FaultPlan::new(0xe8ec);
         faults.arm_once(InjectionPoint::HostFailure);
-        let faulted = execute_with_faults(&c, &plan, &cfg, &faults);
+        let faulted = execute_sharded_with(&c, &plan, &cfg, &faults, 1, &WorkerPool::serial());
         assert_eq!(faulted.host_retries, 1);
         assert_eq!(faulted.hosts_excluded, 0);
         assert_eq!(faulted.inplace_upgrades, clean.inplace_upgrades);
@@ -1059,7 +1008,7 @@ mod tests {
         let faults = FaultPlan::new(0xe8ed);
         // First host's upgrade fails on every attempt (1 + 2 retries).
         faults.arm_calls(InjectionPoint::HostFailure, &[1, 2, 3]);
-        let r = execute_with_faults(&c, &plan, &cfg, &faults);
+        let r = execute_sharded_with(&c, &plan, &cfg, &faults, 1, &WorkerPool::serial());
         assert_eq!(r.hosts_excluded, 1);
         assert_eq!(r.host_retries, cfg.max_host_retries as usize);
         assert_eq!(r.inplace_upgrades, plan.inplace_count() - 1);
@@ -1077,7 +1026,7 @@ mod tests {
         let run = || {
             let faults = FaultPlan::new(0xc4a5);
             faults.arm_once(InjectionPoint::HypervisorCrash);
-            let r = execute_with_faults(&c, &plan, &cfg, &faults);
+            let r = execute_sharded_with(&c, &plan, &cfg, &faults, 1, &WorkerPool::serial());
             (r, faults.log().render())
         };
         let (r, log) = run();
@@ -1101,7 +1050,7 @@ mod tests {
         let run = |seed: u64| {
             let faults = FaultPlan::new(seed);
             faults.arm(InjectionPoint::HostFailure, 0.3, u64::MAX);
-            let r = execute_with_faults(&c, &plan, &cfg, &faults);
+            let r = execute_sharded_with(&c, &plan, &cfg, &faults, 1, &WorkerPool::serial());
             (
                 r.host_retries,
                 r.hosts_excluded,
@@ -1182,7 +1131,14 @@ mod tests {
         let plan_mat = plan_upgrade(&mat, 2).unwrap();
         assert_eq!(plan_syn, plan_mat);
         let cfg = ExecConfig::default();
-        let r_syn = execute_sharded(&syn, &plan_syn, &cfg, 4);
+        let r_syn = execute_sharded_with(
+            &syn,
+            &plan_syn,
+            &cfg,
+            &FaultPlan::disarmed(),
+            4,
+            &WorkerPool::from_env(),
+        );
         let r_mat = execute(&mat, &plan_mat, &cfg);
         assert_eq!(r_syn, r_mat);
     }
@@ -1229,42 +1185,6 @@ mod tests {
         assert_eq!(unity.total, raw.total);
         assert_eq!(unity.wire_bytes_sent, raw.wire_bytes_sent);
         assert_eq!(unity.wire_bytes_saved, 0);
-    }
-
-    #[test]
-    fn wire_reference_calibrates_the_content_aware_accounting() {
-        // A measured reference migration (here: a hand-built WireStats
-        // shaped like an idle guest — mostly elided zeros) feeds the
-        // analytic executor the same ratio the page-level path earned.
-        use hypertp_migrate::{FrameKind, WireStats};
-        let mut reference = WireStats::default();
-        for _ in 0..900 {
-            reference.record_parts(FrameKind::Zero, 16);
-        }
-        for _ in 0..100 {
-            reference.record_parts(FrameKind::Raw, 24);
-        }
-        let cfg = ExecConfig::default().with_wire_reference(&reference);
-        assert_eq!(cfg.wire_mode, WireMode::ContentAware);
-        assert!(
-            (cfg.wire_compression_ratio - reference.compression_ratio()).abs() < 1e-12,
-            "ratio must come straight from the reference stats"
-        );
-        assert!(
-            cfg.wire_compression_ratio < 0.1,
-            "idle reference elides most bytes"
-        );
-
-        let c = Cluster::paper_testbed(0, 42);
-        let plan = plan_upgrade(&c, 2).unwrap();
-        let raw = execute(&c, &plan, &ExecConfig::default());
-        let calibrated = execute(&c, &plan, &cfg);
-        assert!(calibrated.migration_time < raw.migration_time);
-        assert!(calibrated.wire_bytes_saved > 0);
-
-        // An empty reference must not promise a free campaign.
-        let empty = ExecConfig::default().with_wire_reference(&WireStats::default());
-        assert_eq!(empty.wire_compression_ratio, 1.0);
     }
 
     #[test]
@@ -1557,7 +1477,7 @@ mod tests {
         };
         let faults = FaultPlan::new(0xe4_05);
         faults.arm(InjectionPoint::HostFailure, 1.0, 1);
-        let r = execute_with_faults(&c, &plan, &cfg, &faults);
+        let r = execute_sharded_with(&c, &plan, &cfg, &faults, 1, &WorkerPool::serial());
         assert_eq!(r.hosts_excluded, 1);
         // The excluded host's VMs dominate the integral: their share is
         // window seconds each, dwarfing the seconds-scale campaign.

@@ -33,8 +33,7 @@ pub mod planner;
 
 pub use campaign::{run_campaign, run_campaign_with, CampaignConfig, CampaignReport, WaveReport};
 pub use exec::{
-    execute, execute_sharded, execute_sharded_with, execute_with_faults, ExecConfig, ExecReport,
-    ExposureExecConfig, SloExecConfig,
+    execute, execute_sharded_with, ExecConfig, ExecReport, ExposureExecConfig, SloExecConfig,
 };
 pub use exposure::{
     replay_feed, EventPlan, ExposureConfig, ExposureIntegrator, ExposurePlanner, FeedReport,

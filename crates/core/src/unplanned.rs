@@ -29,7 +29,7 @@ use hypertp_pram::{PramBuilder, PramFile, PramHandle, PramImage};
 use hypertp_sim::cost::MachinePerf;
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
 use hypertp_sim::{CostModel, Ewma, SimDuration, WorkerPool};
-use hypertp_uisr::{UisrVm, VcpuState};
+use hypertp_uisr::UisrVm;
 
 use crate::error::HtpError;
 use crate::hypervisor::{Hypervisor, HypervisorKind};
@@ -59,11 +59,6 @@ pub struct CheckpointConfig {
     /// soon as its staleness plus its predicted next-tick dirt would reach
     /// the bound, instead of waiting to exceed it.
     pub ewma_alpha: f64,
-    /// Patch individual per-vCPU register blocks (regs, sregs, FPU, MSRs,
-    /// XSAVE, LAPIC, LAPIC page, MTRR) during warm refresh instead of the
-    /// whole `vcpus` section. Off by default; the result is identical
-    /// either way (see [`patch_uisr_fields`]).
-    pub field_diff: bool,
     /// Watchdog window between the hypervisor dying and the rescue kexec
     /// being taken.
     pub detection: SimDuration,
@@ -74,7 +69,6 @@ impl Default for CheckpointConfig {
         CheckpointConfig {
             staleness_bound_pages: 512,
             ewma_alpha: 0.5,
-            field_diff: false,
             detection: SimDuration::from_millis(100),
         }
     }
@@ -123,11 +117,8 @@ pub struct TickReport {
     /// Set when the `HypervisorCrash` gate fired mid-tick; the tick aborted
     /// at that phase and the caller should run recovery.
     pub crashed: Option<CrashPhase>,
-    /// Whole UISR sections patched over warm snapshots this tick
-    /// (field_diff off).
+    /// Whole UISR sections patched over warm snapshots this tick.
     pub patched_sections: u64,
-    /// Individual per-vCPU blocks patched this tick (field_diff on).
-    pub patched_fields: u64,
     /// Simulated background cost of this tick (below the time axis).
     pub duration: SimDuration,
 }
@@ -202,7 +193,6 @@ pub struct WarmCheckpointer {
     background: SimDuration,
     cadence: Vec<String>,
     patched_sections: u64,
-    patched_fields: u64,
 }
 
 impl WarmCheckpointer {
@@ -341,7 +331,6 @@ impl WarmCheckpointer {
             background: setup,
             cadence,
             patched_sections: 0,
-            patched_fields: 0,
         })
     }
 
@@ -414,7 +403,6 @@ impl WarmCheckpointer {
             persisted: false,
             crashed: None,
             patched_sections: 0,
-            patched_fields: 0,
             duration: SimDuration::ZERO,
         };
 
@@ -463,8 +451,8 @@ impl WarmCheckpointer {
             })
             .collect();
 
-        // Refresh the in-memory caches: fresh UISR (section- or
-        // field-level patched) and partials for the dirtied extents.
+        // Refresh the in-memory caches: fresh UISR (section-level
+        // patched) and partials for the dirtied extents.
         let mut delta_list = Vec::with_capacity(refresh.len());
         for &k in &refresh {
             let id = self.ids[k];
@@ -472,15 +460,9 @@ impl WarmCheckpointer {
             let fresh = source.save_uisr(machine, id)?;
             source.resume_vm(id)?;
             let vm = &mut self.vms[k];
-            if self.cfg.field_diff {
-                let (uisr, fields) = patch_uisr_fields(&vm.uisr, fresh);
-                vm.uisr = uisr;
-                report.patched_fields += fields;
-            } else {
-                let (uisr, sections) = patch_uisr(&vm.uisr, fresh);
-                vm.uisr = uisr;
-                report.patched_sections += sections;
-            }
+            let (uisr, sections) = patch_uisr(&vm.uisr, fresh);
+            vm.uisr = uisr;
+            report.patched_sections += sections;
             delta_list.push((
                 vm.gb,
                 vm.vcpus,
@@ -543,7 +525,6 @@ impl WarmCheckpointer {
             report.persisted = true;
             self.refreshes += refresh.len() as u64;
             self.patched_sections += report.patched_sections;
-            self.patched_fields += report.patched_fields;
         }
 
         // Background cost: warm delta translation plus the directory
@@ -770,104 +751,6 @@ pub fn cold_recovery_latency(
         restore_list,
     ) + cost.pram_build(perf, build_list)
         + cost.translate(perf, xlate_list)
-}
-
-/// Rebuilds a UISR from a warm snapshot by patching individual per-vCPU
-/// register blocks (plus the non-vCPU sections whole). The result equals
-/// `fresh` by construction — changed blocks are overwritten, unchanged
-/// ones are already equal — so toggling field-level diffing on or off
-/// never changes the restored state, only the patch granularity the
-/// telemetry reports. Returns the patched UISR and the number of patched
-/// blocks/sections.
-pub fn patch_uisr_fields(warm: &UisrVm, fresh: UisrVm) -> (UisrVm, u64) {
-    let mut out = warm.clone();
-    let mut patched = 0u64;
-    let UisrVm {
-        name,
-        vcpus,
-        ioapic,
-        pit,
-        devices,
-        memory,
-    } = fresh;
-    if out.name != name {
-        out.name = name;
-        patched += 1;
-    }
-    if out.vcpus.len() != vcpus.len() {
-        // Topology changed: replace the section whole.
-        if out.vcpus != vcpus {
-            patched += 1;
-        }
-        out.vcpus = vcpus;
-    } else {
-        for (cur, new) in out.vcpus.iter_mut().zip(vcpus) {
-            let VcpuState {
-                id,
-                regs,
-                sregs,
-                fpu,
-                msrs,
-                xsave,
-                lapic,
-                lapic_regs,
-                mtrr,
-            } = new;
-            if cur.id != id {
-                cur.id = id;
-                patched += 1;
-            }
-            if cur.regs != regs {
-                cur.regs = regs;
-                patched += 1;
-            }
-            if cur.sregs != sregs {
-                cur.sregs = sregs;
-                patched += 1;
-            }
-            if cur.fpu != fpu {
-                cur.fpu = fpu;
-                patched += 1;
-            }
-            if cur.msrs != msrs {
-                cur.msrs = msrs;
-                patched += 1;
-            }
-            if cur.xsave != xsave {
-                cur.xsave = xsave;
-                patched += 1;
-            }
-            if cur.lapic != lapic {
-                cur.lapic = lapic;
-                patched += 1;
-            }
-            if cur.lapic_regs != lapic_regs {
-                cur.lapic_regs = lapic_regs;
-                patched += 1;
-            }
-            if cur.mtrr != mtrr {
-                cur.mtrr = mtrr;
-                patched += 1;
-            }
-        }
-    }
-    if out.ioapic != ioapic {
-        out.ioapic = ioapic;
-        patched += 1;
-    }
-    if out.pit != pit {
-        out.pit = pit;
-        patched += 1;
-    }
-    if out.devices != devices {
-        out.devices = devices;
-        patched += 1;
-    }
-    if out.memory != memory {
-        out.memory = memory;
-        patched += 1;
-    }
-    (out, patched)
 }
 
 /// The crash-recovery engine: takes the dying hypervisor and the always-on
@@ -1297,6 +1180,10 @@ mod tests {
         .unwrap();
         let r1 = ckpt.tick(&mut m, src.as_mut(), 16).unwrap();
         assert!(r1.persisted && r1.crashed.is_none());
+        assert!(
+            r1.patched_sections > 0,
+            "the warm refresh patched something"
+        );
         let persisted_state = snapshot(src.as_mut(), &m, id);
         let r2 = ckpt.tick(&mut m, src.as_mut(), 16).unwrap();
         assert_eq!(r2.crashed, Some(CrashPhase::Finalize));
@@ -1312,72 +1199,6 @@ mod tests {
         // The tick-2 dirt counts as loss (it was refreshed in memory but
         // never persisted).
         assert!(report.losses[0].loss_pages > 0);
-    }
-
-    #[test]
-    fn field_diff_toggle_is_behavior_identical() {
-        let run = |field_diff: bool| {
-            let reg = registry();
-            let mut m = machine_gb(8);
-            let mut src: Box<dyn Hypervisor> = Box::new(SimpleHv::new(HypervisorKind::Xen));
-            let id = src
-                .create_vm(&mut m, &VmConfig::small("vm0").with_vcpus(2))
-                .unwrap();
-            src.write_guest(&mut m, id, Gfn(3), 0x33).unwrap();
-            let cfg = CheckpointConfig {
-                field_diff,
-                ..cfg_bound(8)
-            };
-            let mut ckpt =
-                WarmCheckpointer::start(&mut m, src.as_mut(), HypervisorKind::Kvm, cfg).unwrap();
-            let mut fields = 0u64;
-            let mut sections = 0u64;
-            for _ in 0..3 {
-                let r = ckpt.tick(&mut m, src.as_mut(), 16).unwrap();
-                fields += r.patched_fields;
-                sections += r.patched_sections;
-            }
-            let cadence = ckpt.cadence_render();
-            let engine = UnplannedRecovery::new(&reg);
-            let (mut hv, report) = engine.recover(&mut m, src, ckpt).unwrap();
-            let id2 = hv.find_vm("vm0").unwrap();
-            let restored = snapshot(hv.as_mut(), &m, id2);
-            (restored, report.render(), cadence, fields, sections)
-        };
-        let off = run(false);
-        let on = run(true);
-        // Identical restored state, report and cadence either way.
-        assert_eq!(off.0, on.0);
-        assert_eq!(off.1, on.1);
-        assert_eq!(off.2, on.2);
-        // Only the telemetry granularity differs: off counts whole
-        // sections, on counts individual per-vCPU blocks.
-        assert_eq!(off.3, 0, "field_diff off must not count fields");
-        assert_eq!(on.4, 0, "field_diff on must not count whole sections");
-        assert!(off.4 > 0 && on.3 > 0, "warm refreshes patched something");
-    }
-
-    #[test]
-    fn patch_uisr_fields_equals_fresh_and_counts_blocks() {
-        let mut warm = UisrVm::new("vm0");
-        warm.vcpus = vec![VcpuState::reset(0), VcpuState::reset(1)];
-        let mut fresh = warm.clone();
-        // Identity: nothing changed → zero patches.
-        let (same, n) = patch_uisr_fields(&warm, fresh.clone());
-        assert_eq!(same, warm);
-        assert_eq!(n, 0);
-        // One register block and one LAPIC page changed → exactly 2
-        // patches, result equals fresh.
-        fresh.vcpus[0].regs.rip = 0xabc;
-        fresh.vcpus[1].lapic_regs[0] = 9;
-        let (patched, n) = patch_uisr_fields(&warm, fresh.clone());
-        assert_eq!(patched, fresh);
-        assert_eq!(n, 2);
-        // vCPU count change falls back to a whole-section patch.
-        fresh.vcpus.push(VcpuState::reset(2));
-        let (patched, n) = patch_uisr_fields(&warm, fresh.clone());
-        assert_eq!(patched, fresh);
-        assert_eq!(n, 1); // topology change collapses into 1 whole-section patch
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::control::{
     MigrationPrediction, PrecopyController, PredictInput, VmSloOutcome, UISR_BYTES_ALLOWANCE,
 };
 use crate::framing::FrameRing;
-use crate::network::{Link, WireFrame, WireStats};
+use crate::network::{Link, WireStats};
 use crate::wire::TransferCache;
 
 /// Extra one-way delay modelled for an injected link latency spike
@@ -80,10 +80,6 @@ pub struct MigrationConfig {
     /// showed `migrate_many` *losing* 2 ms to pool overhead on small
     /// dirty sets before this threshold existed).
     pub parallel_threshold_pages: usize,
-    /// Bounded hand-off window of the content-aware round pipeline:
-    /// gather/hash chunks may run at most this many chunks ahead of the
-    /// encode/transmit stage.
-    pub pipeline_window: usize,
     /// Target ceiling for VM downtime. When set, the adaptive controller
     /// replaces [`MigrationConfig::stop_threshold_pages`] with the budget
     /// converted to pages at the *observed* effective throughput and
@@ -94,12 +90,6 @@ pub struct MigrationConfig {
     /// Adaptive-controller tuning ([`ControlConfig`]); defaults leave the
     /// controller disabled.
     pub control: ControlConfig,
-    /// Use PR 3's gather-`Vec` content-aware path (one `Vec<WireFrame>`
-    /// per round, one boxed delta per re-dirtied page) instead of the
-    /// zero-copy frame ring. Reports and chaos replays are byte-identical
-    /// either way — the legacy path survives purely as the benchmark
-    /// baseline the ring's speedup is measured against.
-    pub legacy_gather: bool,
 }
 
 impl Default for MigrationConfig {
@@ -114,10 +104,8 @@ impl Default for MigrationConfig {
             retry_backoff: SimDuration::from_millis(50),
             wire_mode: WireMode::Raw,
             parallel_threshold_pages: 8192,
-            pipeline_window: 8,
             downtime_budget: None,
             control: ControlConfig::default(),
-            legacy_gather: false,
         }
     }
 }
@@ -308,12 +296,6 @@ impl MigrationTp {
         self
     }
 
-    /// Selects the wire representation (sugar over editing the config).
-    pub fn with_wire_mode(mut self, mode: WireMode) -> Self {
-        self.config.wire_mode = mode;
-        self
-    }
-
     /// Snapshot of the reusable-buffer counters (allocation probe).
     pub fn scratch_stats(&self) -> ScratchStats {
         let mut s = *self.scratch.stats();
@@ -403,33 +385,19 @@ impl MigrationTp {
         let stop_set;
         loop {
             let pages = to_send.len() as u64;
-            let outcome = match self.config.wire_mode {
-                WireMode::Raw => self.send_round_raw(
-                    src_machine,
-                    src_hv,
-                    src_id,
-                    dst_machine,
-                    dst_hv,
-                    dst_id,
-                    &to_send,
-                    round,
-                    sharers,
-                    &cfg.name,
-                )?,
-                WireMode::ContentAware => self.send_round_content_aware(
-                    src_machine,
-                    src_hv,
-                    src_id,
-                    dst_machine,
-                    dst_hv,
-                    dst_id,
-                    &to_send,
-                    round,
-                    sharers,
-                    &cfg.name,
-                    &mut wire,
-                )?,
-            };
+            let outcome = self.send_round(
+                src_machine,
+                src_hv,
+                src_id,
+                dst_machine,
+                dst_hv,
+                dst_id,
+                &to_send,
+                round,
+                sharers,
+                &cfg.name,
+                &mut wire,
+            )?;
             let duration = outcome.duration;
             bytes_sent += outcome.bytes_sent;
             precopy += duration;
@@ -495,64 +463,19 @@ impl MigrationTp {
         // UISR proxies, and activate on the destination.
         precopy += src_hv.notify_prepare_transplant(src_machine, src_id)?;
         src_hv.pause_vm(src_id)?;
-        let final_bytes = match self.config.wire_mode {
-            WireMode::Raw => {
-                self.copy_pages(
-                    src_machine,
-                    src_hv,
-                    src_id,
-                    dst_machine,
-                    dst_hv,
-                    dst_id,
-                    &stop_set,
-                )?;
-                stop_set.len() as u64 * PAGE_SIZE
-            }
-            WireMode::ContentAware => {
-                self.cache.begin_round();
-                let encoded = if self.config.legacy_gather {
-                    self.gather_encode(src_machine, src_hv, src_id, &stop_set)
-                        .and_then(|(frames, wb)| {
-                            self.apply_frames(
-                                dst_machine,
-                                dst_hv,
-                                dst_id,
-                                &stop_set,
-                                &frames,
-                                &cfg.name,
-                                &mut wire,
-                            )?;
-                            Ok(wb)
-                        })
-                } else {
-                    self.gather_encode_ring(src_machine, src_hv, src_id, &stop_set)
-                        .and_then(|wb| {
-                            self.apply_ring(
-                                dst_machine,
-                                dst_hv,
-                                dst_id,
-                                &stop_set,
-                                &cfg.name,
-                                &mut wire,
-                            )?;
-                            Ok(wb)
-                        })
-                };
-                match encoded {
-                    Ok(wb) => {
-                        self.cache.commit_round();
-                        if !self.config.legacy_gather {
-                            self.scratch.round().ring.commit();
-                        }
-                        wb
-                    }
-                    Err(e) => {
-                        self.cache.rollback_round();
-                        return Err(e);
-                    }
-                }
-            }
-        };
+        let final_bytes = self.encode_round(src_machine, src_hv, src_id, &stop_set)?;
+        self.deliver_round(
+            src_machine,
+            src_hv,
+            src_id,
+            dst_machine,
+            dst_hv,
+            dst_id,
+            &stop_set,
+            &cfg.name,
+            &mut wire,
+        )?;
+        self.commit_round();
         bytes_sent += final_bytes;
 
         let uisr = src_hv.save_uisr(src_machine, src_id)?; // Source proxy.
@@ -663,13 +586,20 @@ impl MigrationTp {
         })
     }
 
-    /// Sends one pre-copy round in [`WireMode::Raw`]: the legacy path
-    /// with paper-faithful byte accounting (every page ships as a full
-    /// payload). Fault handling: link drops retry the round with backoff,
-    /// latency spikes stretch it, a truncated page is detected by the
-    /// destination echo and re-sent.
+    /// Sends one pre-copy round and owns the round fault policy for both
+    /// wire modes: a link drop retries the same round with exponential
+    /// backoff (rounds acked earlier stay acked, so the migration resumes
+    /// instead of restarting) until the retry budget is spent; a latency
+    /// spike stretches the round; a truncated page is caught by the
+    /// destination's echo and re-sent. The mode-specific steps live in
+    /// the helpers below. [`WireMode::ContentAware`] adds one step to the
+    /// drop recovery: the lost round invalidates the dedup/delta state it
+    /// would have acked, so the cache journal and the frame ring roll
+    /// back and the retry re-encodes from the last state the destination
+    /// confirmed — a `Dup` frame never references content the destination
+    /// lost with the round.
     #[allow(clippy::too_many_arguments)]
-    fn send_round_raw(
+    fn send_round(
         &self,
         src_machine: &Machine,
         src_hv: &dyn Hypervisor,
@@ -681,26 +611,31 @@ impl MigrationTp {
         round: u32,
         sharers: u32,
         vm_name: &str,
+        wire: &mut WireStats,
     ) -> Result<RoundOutcome, HtpError> {
         let perf = src_machine.spec().perf();
         let pages = to_send.len() as u64;
-        let bytes = pages * PAGE_SIZE;
-        let mut bytes_sent = 0u64;
-        let transfer = self.config.link.transfer(bytes, sharers);
-        let mut duration = transfer
-            + perf.cpu(self.cost.migrate_ghz_s_per_page * pages as f64)
-            + SimDuration::from_secs_f64(self.cost.migrate_round_overhead_s);
-
-        // Link drop: the round's transfer aborts partway. Recovery:
-        // retry the same round with exponential backoff — the pages
-        // acknowledged in earlier rounds stay acknowledged, so the
-        // migration resumes from the last acked round instead of
-        // restarting from scratch. A retry budget bounds the damage.
+        let content_aware = self.config.wire_mode == WireMode::ContentAware;
+        let mut duration = SimDuration::ZERO;
         let mut drops = 0u32;
-        while self.faults.should_inject(
-            InjectionPoint::LinkDrop,
-            &format!("{vm_name} round {round}"),
-        ) {
+        let round_bytes = loop {
+            let encoded = self.encode_round(src_machine, src_hv, src_id, to_send)?;
+            if !self.faults.should_inject(
+                InjectionPoint::LinkDrop,
+                &format!("{vm_name} round {round}"),
+            ) {
+                break encoded;
+            }
+            // The round died on the wire: nothing it shipped was acked.
+            if content_aware {
+                self.cache.rollback_round();
+                self.scratch.round().ring.rollback();
+                self.faults.record_recovery(
+                    InjectionPoint::LinkDrop,
+                    RecoveryAction::InvalidatedWireCache,
+                    &format!("{vm_name} round {round}: rolled back dedup/delta journal"),
+                );
+            }
             drops += 1;
             if drops > self.config.max_link_retries {
                 self.faults.record_recovery(
@@ -712,7 +647,13 @@ impl MigrationTp {
                     ),
                 );
                 // The source VM keeps running untouched; only the
-                // half-built destination shell is torn down.
+                // half-built destination shell is torn down — and with it
+                // every page the wire cache believed the destination
+                // held, so the VM's delta bases (and, conservatively, the
+                // dedup map) go too.
+                if content_aware {
+                    self.cache.forget_vm(src_id.0);
+                }
                 dst_hv.destroy_vm(dst_machine, dst_id)?;
                 return Err(HtpError::LinkFailure {
                     vm_name: vm_name.to_string(),
@@ -720,9 +661,9 @@ impl MigrationTp {
                 });
             }
             let wait = backoff_delay(self.config.retry_backoff, drops);
-            // Half a round was on the wire before the drop, plus the
+            // Half the round was on the wire before the drop, plus the
             // backoff before reconnecting.
-            duration += self.config.link.transfer(bytes / 2, sharers) + wait;
+            duration += self.config.link.transfer(encoded / 2, sharers) + wait;
             self.faults.record_recovery(
                 InjectionPoint::LinkDrop,
                 RecoveryAction::RetriedWithBackoff,
@@ -731,7 +672,7 @@ impl MigrationTp {
                     wait.as_millis_f64()
                 ),
             );
-        }
+        };
         if drops > 0 {
             self.faults.record_recovery(
                 InjectionPoint::LinkDrop,
@@ -739,6 +680,11 @@ impl MigrationTp {
                 &format!("{vm_name} resumed at round {round} after {drops} drop(s)"),
             );
         }
+        let transfer = self.config.link.transfer(round_bytes, sharers);
+        duration += transfer
+            + perf.cpu(self.cost.migrate_ghz_s_per_page * pages as f64)
+            + SimDuration::from_secs_f64(self.cost.migrate_round_overhead_s);
+        let mut bytes_sent = round_bytes;
 
         // Latency spike: transient congestion stretches the round; the
         // engine absorbs the extra time rather than failing over.
@@ -757,7 +703,7 @@ impl MigrationTp {
             );
         }
 
-        self.copy_pages(
+        self.deliver_round(
             src_machine,
             src_hv,
             src_id,
@@ -765,11 +711,13 @@ impl MigrationTp {
             dst_hv,
             dst_id,
             to_send,
+            vm_name,
+            wire,
         )?;
 
-        // Truncated page: one page of this round lands corrupted on
-        // the destination. The per-round content check detects the
-        // mismatch and the page is re-sent.
+        // Truncated page: one page of this round lands corrupted on the
+        // destination. The destination echoes it back; the mismatch
+        // triggers a single-page re-send.
         if let Some(&bad_gfn) = to_send.last() {
             if self.faults.should_inject(
                 InjectionPoint::TruncatedPage,
@@ -777,32 +725,24 @@ impl MigrationTp {
             ) {
                 let good = src_hv.read_guest(src_machine, src_id, bad_gfn)?;
                 dst_hv.write_guest(dst_machine, dst_id, bad_gfn, !good)?;
-                // Detection: destination echoes the page back; the
-                // mismatch triggers a single-page re-send.
                 let echoed = dst_hv.read_guest(dst_machine, dst_id, bad_gfn)?;
                 debug_assert_ne!(echoed, good, "truncation must be observable");
                 if echoed != good {
-                    self.copy_pages(
-                        src_machine,
-                        src_hv,
-                        src_id,
-                        dst_machine,
-                        dst_hv,
-                        dst_id,
-                        &[bad_gfn],
-                    )?;
-                    duration += self.config.link.transfer(2 * PAGE_SIZE, sharers);
-                    bytes_sent += PAGE_SIZE;
+                    let (word, resent_bytes, resent_as) =
+                        self.resend_page(src_id, bad_gfn, good, echoed, vm_name, wire)?;
+                    dst_hv.write_guest(dst_machine, dst_id, bad_gfn, word)?;
+                    duration += self.config.link.transfer(2 * resent_bytes, sharers);
+                    bytes_sent += resent_bytes;
                     self.faults.record_recovery(
                         InjectionPoint::TruncatedPage,
                         RecoveryAction::ResentPages,
-                        &format!("{vm_name} round {round}: re-sent gfn {}", bad_gfn.0),
+                        &format!("{vm_name} round {round}: re-sent {resent_as}"),
                     );
                 }
             }
         }
 
-        bytes_sent += bytes;
+        self.commit_round();
         Ok(RoundOutcome {
             duration,
             bytes_sent,
@@ -811,19 +751,29 @@ impl MigrationTp {
         })
     }
 
-    /// Sends one pre-copy round in [`WireMode::ContentAware`]: pages are
-    /// gathered and hashed on the pool, encoded against the
-    /// destination-synchronised cache (zero markers, dedup references,
-    /// XOR+RLE deltas) in a bounded pipeline, and applied to the
-    /// destination in GFN order.
-    ///
-    /// Fault semantics differ from the raw path in one crucial way: a
-    /// dropped round invalidates the dedup/delta state it would have
-    /// acked — the cache journal is rolled back and the retry re-encodes
-    /// from the last state the destination confirmed, so a `Dup` frame
-    /// never references content the destination lost with the round.
+    /// Source half of a round: the bytes it will put on the wire. Raw
+    /// rounds ship every page as a full payload (the paper-faithful
+    /// accounting); content-aware rounds encode into the scratch ring
+    /// inside a cache transaction, leaving the frames there for
+    /// [`MigrationTp::deliver_round`].
+    fn encode_round(
+        &self,
+        src_machine: &Machine,
+        src_hv: &dyn Hypervisor,
+        src_id: VmId,
+        gfns: &[Gfn],
+    ) -> Result<u64, HtpError> {
+        match self.config.wire_mode {
+            WireMode::Raw => Ok(gfns.len() as u64 * PAGE_SIZE),
+            WireMode::ContentAware => self.gather_encode_ring(src_machine, src_hv, src_id, gfns),
+        }
+    }
+
+    /// Destination half of a round: lands the pages of `gfns`, in order.
+    /// A content-aware round that fails to apply rolls its cache
+    /// transaction back before surfacing the error.
     #[allow(clippy::too_many_arguments)]
-    fn send_round_content_aware(
+    fn deliver_round(
         &self,
         src_machine: &Machine,
         src_hv: &dyn Hypervisor,
@@ -831,242 +781,83 @@ impl MigrationTp {
         dst_machine: &mut Machine,
         dst_hv: &mut dyn Hypervisor,
         dst_id: VmId,
-        to_send: &[Gfn],
-        round: u32,
-        sharers: u32,
+        gfns: &[Gfn],
         vm_name: &str,
         wire: &mut WireStats,
-    ) -> Result<RoundOutcome, HtpError> {
-        let perf = src_machine.spec().perf();
-        let pages = to_send.len() as u64;
-        let mut duration = SimDuration::ZERO;
-        let mut drops = 0u32;
-        let use_ring = !self.config.legacy_gather;
-        let (frames, round_wire_bytes) = loop {
-            self.cache.begin_round();
-            // Ring path: frames are serialized into the shared scratch
-            // ring (no per-round Vec); `frames` stays `None` and the
-            // apply below walks the ring's borrowed views instead.
-            let encoded: (Option<Vec<WireFrame>>, u64) = if use_ring {
-                match self.gather_encode_ring(src_machine, src_hv, src_id, to_send) {
-                    Ok(wb) => (None, wb),
-                    Err(e) => {
-                        self.cache.rollback_round();
-                        return Err(e);
-                    }
-                }
-            } else {
-                match self.gather_encode(src_machine, src_hv, src_id, to_send) {
-                    Ok((f, wb)) => (Some(f), wb),
-                    Err(e) => {
-                        self.cache.rollback_round();
-                        return Err(e);
-                    }
-                }
-            };
-            if !self.faults.should_inject(
-                InjectionPoint::LinkDrop,
-                &format!("{vm_name} round {round}"),
-            ) {
-                break encoded;
-            }
-            // The round died on the wire: nothing it shipped was acked, so
-            // every dedup/delta entry it journalled is invalid. Roll back
-            // to the last committed state and re-encode — the retry's
-            // frames are built against what the destination actually
-            // holds. The ring rolls back in lockstep with the cache
-            // journal, dropping the failed round's serialized frames.
-            self.cache.rollback_round();
-            if use_ring {
-                self.scratch.round().ring.rollback();
-            }
-            self.faults.record_recovery(
-                InjectionPoint::LinkDrop,
-                RecoveryAction::InvalidatedWireCache,
-                &format!("{vm_name} round {round}: rolled back dedup/delta journal"),
-            );
-            drops += 1;
-            if drops > self.config.max_link_retries {
-                self.faults.record_recovery(
-                    InjectionPoint::LinkDrop,
-                    RecoveryAction::GaveUp,
-                    &format!(
-                        "{vm_name} round {round}: {} retries exhausted",
-                        self.config.max_link_retries
-                    ),
-                );
-                // The destination shell (and every page it held) is torn
-                // down; drop the VM's delta bases and, conservatively,
-                // the dedup map.
-                self.cache.forget_vm(src_id.0);
-                dst_hv.destroy_vm(dst_machine, dst_id)?;
-                return Err(HtpError::LinkFailure {
-                    vm_name: vm_name.to_string(),
-                    retries: self.config.max_link_retries,
-                });
-            }
-            let wait = backoff_delay(self.config.retry_backoff, drops);
-            // Half the (compressed) round was on the wire before the
-            // drop, plus the backoff before reconnecting.
-            duration += self.config.link.transfer(encoded.1 / 2, sharers) + wait;
-            self.faults.record_recovery(
-                InjectionPoint::LinkDrop,
-                RecoveryAction::RetriedWithBackoff,
-                &format!(
-                    "{vm_name} round {round} attempt {drops} backoff {:.0}ms",
-                    wait.as_millis_f64()
-                ),
-            );
-        };
-        if drops > 0 {
-            self.faults.record_recovery(
-                InjectionPoint::LinkDrop,
-                RecoveryAction::ResumedFromRound,
-                &format!("{vm_name} resumed at round {round} after {drops} drop(s)"),
-            );
+    ) -> Result<(), HtpError> {
+        match self.config.wire_mode {
+            WireMode::Raw => self.copy_pages(
+                src_machine,
+                src_hv,
+                src_id,
+                dst_machine,
+                dst_hv,
+                dst_id,
+                gfns,
+            ),
+            WireMode::ContentAware => self
+                .apply_ring(dst_machine, dst_hv, dst_id, gfns, vm_name, wire)
+                .inspect_err(|_| self.cache.rollback_round()),
         }
-        let transfer = self.config.link.transfer(round_wire_bytes, sharers);
-        duration += transfer
-            + perf.cpu(self.cost.migrate_ghz_s_per_page * pages as f64)
-            + SimDuration::from_secs_f64(self.cost.migrate_round_overhead_s);
-        let mut bytes_sent = round_wire_bytes;
-        debug_assert_eq!(frames.is_none(), use_ring);
-
-        if self.faults.should_inject(
-            InjectionPoint::LinkLatencySpike,
-            &format!("{vm_name} round {round}"),
-        ) {
-            duration += LATENCY_SPIKE;
-            self.faults.record_recovery(
-                InjectionPoint::LinkLatencySpike,
-                RecoveryAction::AbsorbedLatency,
-                &format!(
-                    "{vm_name} round {round}: +{:.0}ms",
-                    LATENCY_SPIKE.as_millis_f64()
-                ),
-            );
-        }
-
-        match &frames {
-            Some(f) => self.apply_frames(dst_machine, dst_hv, dst_id, to_send, f, vm_name, wire)?,
-            None => self.apply_ring(dst_machine, dst_hv, dst_id, to_send, vm_name, wire)?,
-        }
-
-        // Truncated page: the echo check detects the corruption; the
-        // re-send re-encodes through the cache, which by now holds the
-        // page's content — so the correction usually ships as a
-        // digest-sized Dup frame rather than a full page.
-        if let Some(&bad_gfn) = to_send.last() {
-            if self.faults.should_inject(
-                InjectionPoint::TruncatedPage,
-                &format!("{vm_name} round {round} gfn {}", bad_gfn.0),
-            ) {
-                let good = src_hv.read_guest(src_machine, src_id, bad_gfn)?;
-                dst_hv.write_guest(dst_machine, dst_id, bad_gfn, !good)?;
-                let echoed = dst_hv.read_guest(dst_machine, dst_id, bad_gfn)?;
-                debug_assert_ne!(echoed, good, "truncation must be observable");
-                if echoed != good {
-                    let resend = self.cache.encode_page(src_id.0, bad_gfn.0, good);
-                    let word = self.cache.apply_frame(&resend, echoed).ok_or_else(|| {
-                        HtpError::IntegrityViolation {
-                            vm_name: vm_name.to_string(),
-                        }
-                    })?;
-                    dst_hv.write_guest(dst_machine, dst_id, bad_gfn, word)?;
-                    wire.record(&resend);
-                    duration += self.config.link.transfer(2 * resend.wire_bytes(), sharers);
-                    bytes_sent += resend.wire_bytes();
-                    self.faults.record_recovery(
-                        InjectionPoint::TruncatedPage,
-                        RecoveryAction::ResentPages,
-                        &format!(
-                            "{vm_name} round {round}: re-sent gfn {} as {} frame",
-                            bad_gfn.0,
-                            resend.kind().name()
-                        ),
-                    );
-                }
-            }
-        }
-
-        self.cache.commit_round();
-        if use_ring {
-            self.scratch.round().ring.commit();
-        }
-        Ok(RoundOutcome {
-            duration,
-            bytes_sent,
-            transfer,
-            drops,
-        })
     }
 
-    /// The gather/hash → encode pipeline of the content-aware path: pool
-    /// workers gather and digest source chunks while the calling thread
-    /// encodes them against the cache in strict GFN order (bounded
-    /// hand-off window, so encode back-pressure throttles the gather
-    /// instead of queueing unboundedly). Returns the frames plus their
-    /// total wire bytes. Below the parallel threshold everything runs
-    /// serially — same result, no thread spawn.
-    fn gather_encode(
+    /// Re-sends the one page whose echo came back as `echoed` instead of
+    /// `good`. Returns the word the destination reconstructs, the bytes
+    /// the correction put on the wire and how the recovery log names it.
+    /// A content-aware re-send re-encodes through the cache, which by now
+    /// holds the page's content — so the correction usually ships as a
+    /// digest-sized `Dup` frame rather than a full page.
+    fn resend_page(
         &self,
-        src_machine: &Machine,
-        src_hv: &dyn Hypervisor,
         src_id: VmId,
-        gfns: &[Gfn],
-    ) -> Result<(Vec<WireFrame>, u64), HtpError> {
-        let mut frames = Vec::with_capacity(gfns.len());
-        let mut wire_bytes = 0u64;
-        if self.pool.workers() <= 1 || gfns.len() < self.config.parallel_threshold_pages {
-            let words = src_hv.read_guest_many(src_machine, src_id, gfns)?;
-            for (&g, w) in gfns.iter().zip(words) {
-                let f = self.cache.encode_page(src_id.0, g.0, w);
-                wire_bytes += f.wire_bytes();
-                frames.push(f);
-            }
-        } else {
-            let chunk = gfns.len().div_ceil(self.pool.workers() * 4).max(1);
-            let chunks: Vec<&[Gfn]> = gfns.chunks(chunk).collect();
-            let mut first_err: Option<HtpError> = None;
-            self.pool.pipeline(
-                chunks.len(),
-                self.config.pipeline_window,
-                |i| -> Result<Vec<u64>, HtpError> {
-                    src_hv.read_guest_many(src_machine, src_id, chunks[i])
-                },
-                |i, gathered| {
-                    if first_err.is_some() {
-                        return;
+        gfn: Gfn,
+        good: u64,
+        echoed: u64,
+        vm_name: &str,
+        wire: &mut WireStats,
+    ) -> Result<(u64, u64, String), HtpError> {
+        match self.config.wire_mode {
+            WireMode::Raw => Ok((good, PAGE_SIZE, format!("gfn {}", gfn.0))),
+            WireMode::ContentAware => {
+                let frame = self.cache.encode_page(src_id.0, gfn.0, good);
+                let word = self.cache.apply_frame(&frame, echoed).ok_or_else(|| {
+                    HtpError::IntegrityViolation {
+                        vm_name: vm_name.to_string(),
                     }
-                    match gathered {
-                        Ok(words) => {
-                            for (&g, w) in chunks[i].iter().zip(words) {
-                                let f = self.cache.encode_page(src_id.0, g.0, w);
-                                wire_bytes += f.wire_bytes();
-                                frames.push(f);
-                            }
-                        }
-                        Err(e) => first_err = Some(e),
-                    }
-                },
-            );
-            if let Some(e) = first_err {
-                return Err(e);
+                })?;
+                wire.record(&frame);
+                Ok((
+                    word,
+                    frame.wire_bytes(),
+                    format!("gfn {} as {} frame", gfn.0, frame.kind().name()),
+                ))
             }
         }
-        debug_assert_eq!(frames.len(), gfns.len());
-        Ok((frames, wire_bytes))
     }
 
-    /// Zero-copy counterpart of [`MigrationTp::gather_encode`]: content
-    /// words are borrowed straight out of the source's RAM extents
+    /// The destination acked the round: whatever the round staged becomes
+    /// the state later rounds encode against.
+    fn commit_round(&self) {
+        match self.config.wire_mode {
+            WireMode::Raw => {}
+            WireMode::ContentAware => {
+                self.cache.commit_round();
+                self.scratch.round().ring.commit();
+            }
+        }
+    }
+
+    /// The content-aware gather → digest → encode stage: content words
+    /// are borrowed straight out of the source's RAM extents
     /// (`read_guest_into` walks coalesced GFN→MFN runs and memcpys whole
     /// extents), digests are batch-computed word-parallel across the
     /// worker pool, and frames are serialized into the shared scratch
     /// ring under a single cache lock. Every buffer is reused across
     /// rounds and VMs — after warm-up this path performs no heap
     /// allocations. Returns the round's accounted wire bytes; the frames
-    /// live in the ring for [`MigrationTp::apply_ring`].
+    /// live in the ring for [`MigrationTp::apply_ring`]. Opens the round's
+    /// cache and ring transaction once the gather — the only step that
+    /// can fail — has succeeded; the caller commits it or rolls it back.
     pub(crate) fn gather_encode_ring(
         &self,
         src_machine: &Machine,
@@ -1082,9 +873,10 @@ impl MigrationTp {
             ..
         } = &mut *s;
         let caps = (words.capacity(), digests.capacity());
+        src_hv.read_guest_into(src_machine, src_id, gfns, words)?;
+        self.cache.begin_round();
         ring.restart();
         ring.begin();
-        src_hv.read_guest_into(src_machine, src_id, gfns, words)?;
         digest_pages_with_pool(
             words,
             digests,
@@ -1100,11 +892,12 @@ impl MigrationTp {
         Ok(wire_bytes)
     }
 
-    /// Zero-copy counterpart of [`MigrationTp::apply_frames`]: walks the
-    /// scratch ring's borrowed frame views in GFN order, probing the
-    /// destination with one batched read into a reused buffer and eliding
-    /// no-op writes. Accounting ([`WireStats`]) and integrity semantics
-    /// are identical to the owned-frame path.
+    /// Materialises the scratch ring's frames on the destination: walks
+    /// the ring's borrowed frame views in GFN order, probing the
+    /// destination with one batched read into a reused buffer. Writes are
+    /// elided when the destination already holds the page's content (zero
+    /// pages on a fresh shell, dedup hits) — the wall-clock counterpart of
+    /// the bytes the frames kept off the wire.
     fn apply_ring(
         &self,
         dst_machine: &mut Machine,
@@ -1133,37 +926,6 @@ impl MigrationTp {
             }
         }
         self.scratch.stats().grows += u64::from(current.capacity() != cap);
-        Ok(())
-    }
-
-    /// Materialises a round's frames on the destination, in GFN order.
-    /// Writes are elided when the destination already holds the page's
-    /// content (zero pages on a fresh shell, dedup hits) — the wall-clock
-    /// counterpart of the bytes the frames kept off the wire.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_frames(
-        &self,
-        dst_machine: &mut Machine,
-        dst_hv: &mut dyn Hypervisor,
-        dst_id: VmId,
-        gfns: &[Gfn],
-        frames: &[WireFrame],
-        vm_name: &str,
-        wire: &mut WireStats,
-    ) -> Result<(), HtpError> {
-        let current = dst_hv.read_guest_many(dst_machine, dst_id, gfns)?;
-        for ((frame, &g), &cur) in frames.iter().zip(gfns).zip(&current) {
-            wire.record(frame);
-            let word =
-                self.cache
-                    .apply_frame(frame, cur)
-                    .ok_or_else(|| HtpError::IntegrityViolation {
-                        vm_name: vm_name.to_string(),
-                    })?;
-            if word != cur {
-                dst_hv.write_guest(dst_machine, dst_id, g, word)?;
-            }
-        }
         Ok(())
     }
 
@@ -1950,110 +1712,200 @@ mod tests {
         }
     }
 
+    /// Both wire representations: the round fault policy is shared, so
+    /// every fault test takes the mode as one more input.
+    const WIRE_MODES: [WireMode; 2] = [WireMode::Raw, WireMode::ContentAware];
+
     #[test]
     fn link_drop_retries_with_backoff_and_resumes() {
-        use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
-        let run = |faults: Option<FaultPlan>| {
-            let (mut src_m, mut dst_m) = pair();
-            let mut src = SimpleHv::new(HypervisorKind::Xen);
-            let mut dst = SimpleHv::new(HypervisorKind::Kvm);
-            let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
-            src.write_guest(&mut src_m, id, Gfn(9), 0xabc).unwrap();
-            let mut tp = MigrationTp::new().with_config(MigrationConfig {
+        use hypertp_sim::fault::{FaultEvent, FaultPlan, InjectionPoint, RecoveryAction};
+        for mode in WIRE_MODES {
+            let config = MigrationConfig {
                 dirty_rate_pages_per_sec: 1.0,
                 verify_contents: true,
+                wire_mode: mode,
                 ..MigrationConfig::default()
-            });
-            if let Some(f) = faults {
-                tp = tp.with_faults(f);
-            }
-            tp.migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
-                .map(|r| (r, dst.find_vm("vm0").is_some()))
-                .unwrap()
-        };
-        let (clean, _) = run(None);
+            };
+            let run = |faults: Option<FaultPlan>| {
+                let (mut src_m, mut dst_m) = pair();
+                let mut src = SimpleHv::new(HypervisorKind::Xen);
+                let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+                let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
+                src.write_guest(&mut src_m, id, Gfn(9), 0xabc).unwrap();
+                let mut tp = MigrationTp::new().with_config(config);
+                if let Some(f) = faults {
+                    tp = tp.with_faults(f);
+                }
+                tp.migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
+                    .map(|r| (r, dst.find_vm("vm0").is_some()))
+                    .unwrap()
+            };
+            let (clean, _) = run(None);
 
-        // Two drops on the first round, then success.
-        let plan = FaultPlan::new(0x11);
-        plan.arm_calls(InjectionPoint::LinkDrop, &[1, 2]);
-        let (faulted, arrived) = run(Some(plan.clone()));
-        assert!(arrived, "VM must arrive despite the drops");
-        assert!(
-            faulted.total > clean.total,
-            "retries must cost time: {:?} vs {:?}",
-            faulted.total,
-            clean.total
-        );
-        let log = plan.log();
-        assert_eq!(log.injections_at(InjectionPoint::LinkDrop), 2);
-        assert_eq!(
-            log.recoveries(InjectionPoint::LinkDrop, RecoveryAction::RetriedWithBackoff),
-            2
-        );
-        assert!(log.recovered_via(InjectionPoint::LinkDrop, RecoveryAction::ResumedFromRound));
+            // Two drops on the first round, then success.
+            let plan = FaultPlan::new(0x11);
+            plan.arm_calls(InjectionPoint::LinkDrop, &[1, 2]);
+            let (faulted, arrived) = run(Some(plan.clone()));
+            assert!(arrived, "{mode:?}: VM must arrive despite the drops");
+            // Each drop costs half the round's wire bytes plus its backoff
+            // (50 ms, then 100 ms); the retried round ships the same bytes.
+            let half_round = config.link.transfer(clean.rounds[0].wire_bytes / 2, 1);
+            assert_eq!(
+                faulted.rounds[0].duration,
+                clean.rounds[0].duration
+                    + half_round
+                    + half_round
+                    + backoff_delay(config.retry_backoff, 1)
+                    + backoff_delay(config.retry_backoff, 2),
+                "{mode:?}"
+            );
+            assert_eq!(
+                faulted.rounds[0].wire_bytes, clean.rounds[0].wire_bytes,
+                "{mode:?}"
+            );
+            let log = plan.log();
+            assert_eq!(log.injections_at(InjectionPoint::LinkDrop), 2);
+            assert_eq!(
+                log.recoveries(InjectionPoint::LinkDrop, RecoveryAction::RetriedWithBackoff),
+                2
+            );
+            assert!(log.recovered_via(InjectionPoint::LinkDrop, RecoveryAction::ResumedFromRound));
+            // Content-aware only: the lost round's dedup/delta journal is
+            // rolled back before each retry re-encodes.
+            let events = log.events();
+            let action_at = |i: usize| match &events[i] {
+                FaultEvent::Recovered { action, .. } => Some(*action),
+                FaultEvent::Injected { .. } => None,
+            };
+            let invalidations = log.recoveries(
+                InjectionPoint::LinkDrop,
+                RecoveryAction::InvalidatedWireCache,
+            );
+            match mode {
+                WireMode::Raw => assert_eq!(invalidations, 0),
+                WireMode::ContentAware => {
+                    assert_eq!(invalidations, 2);
+                    for i in 0..events.len() {
+                        if action_at(i) == Some(RecoveryAction::RetriedWithBackoff) {
+                            assert_eq!(
+                                action_at(i - 1),
+                                Some(RecoveryAction::InvalidatedWireCache),
+                                "rollback precedes retry; log:\n{}",
+                                log.render()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn link_drop_exhaustion_fails_but_source_vm_survives() {
         use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
-        let (mut src_m, mut dst_m) = pair();
-        let mut src = SimpleHv::new(HypervisorKind::Xen);
-        let mut dst = SimpleHv::new(HypervisorKind::Kvm);
-        let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
-        let plan = FaultPlan::new(0x22);
-        plan.arm(InjectionPoint::LinkDrop, 1.0, u64::MAX); // every attempt drops
-        let tp = MigrationTp::new()
-            .with_config(MigrationConfig {
-                max_link_retries: 3,
-                ..MigrationConfig::default()
-            })
-            .with_faults(plan.clone());
-        let err = tp
-            .migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            HtpError::LinkFailure {
-                vm_name: "vm0".into(),
-                retries: 3
-            }
-        );
-        // No VM lost: still running on the source, no shell left behind.
-        assert_eq!(
-            src.vm_state(id).unwrap(),
-            hypertp_core::VmState::Running,
-            "source VM must keep running after an abandoned migration"
-        );
-        assert!(dst.find_vm("vm0").is_none(), "destination shell torn down");
-        assert!(plan
-            .log()
-            .recovered_via(InjectionPoint::LinkDrop, RecoveryAction::GaveUp));
+        for mode in WIRE_MODES {
+            let (mut src_m, mut dst_m) = pair();
+            let mut src = SimpleHv::new(HypervisorKind::Xen);
+            let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+            let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
+            src.write_guest(&mut src_m, id, Gfn(9), 0xabc).unwrap();
+            // Round 0 lands (and, content-aware, commits its delta bases);
+            // every attempt of round 1 drops until the budget is spent.
+            let plan = FaultPlan::new(0x22);
+            plan.arm_calls(InjectionPoint::LinkDrop, &[2, 3, 4, 5]);
+            let tp = MigrationTp::new()
+                .with_config(MigrationConfig {
+                    max_link_retries: 3,
+                    dirty_rate_pages_per_sec: 2000.0,
+                    verify_contents: true,
+                    wire_mode: mode,
+                    ..MigrationConfig::default()
+                })
+                .with_faults(plan.clone());
+            let err = tp
+                .migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                HtpError::LinkFailure {
+                    vm_name: "vm0".into(),
+                    retries: 3
+                },
+                "{mode:?}"
+            );
+            // No VM lost: still running on the source, no shell left behind.
+            assert_eq!(
+                src.vm_state(id).unwrap(),
+                hypertp_core::VmState::Running,
+                "{mode:?}: source VM must keep running after an abandoned migration"
+            );
+            assert!(dst.find_vm("vm0").is_none(), "destination shell torn down");
+            let log = plan.log();
+            assert_eq!(log.injections_at(InjectionPoint::LinkDrop), 4);
+            assert!(log.recovered_via(InjectionPoint::LinkDrop, RecoveryAction::GaveUp));
+            // The torn-down shell took round 0's pages with it, so giving up
+            // must also forget the VM's delta bases: the guest rewrites a
+            // page round 0 shipped, and a fresh migration through the same
+            // engine (to a spare host, whose RAM holds nothing of round 0)
+            // must not delta it against content the new shell lacks.
+            src.write_guest(&mut src_m, id, Gfn(9), 0xdef).unwrap();
+            let (_, mut spare_m) = pair();
+            let mut spare = SimpleHv::new(HypervisorKind::Kvm);
+            tp.migrate(&mut src_m, &mut src, id, &mut spare_m, &mut spare)
+                .unwrap_or_else(|e| panic!("{mode:?}: retry after exhaustion failed: {e}"));
+            let new_id = spare.find_vm("vm0").unwrap();
+            assert_eq!(spare.read_guest(&spare_m, new_id, Gfn(9)).unwrap(), 0xdef);
+        }
     }
 
     #[test]
     fn truncated_page_is_detected_and_resent() {
         use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
-        let (mut src_m, mut dst_m) = pair();
-        let mut src = SimpleHv::new(HypervisorKind::Xen);
-        let mut dst = SimpleHv::new(HypervisorKind::Kvm);
-        let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
-        src.write_guest(&mut src_m, id, Gfn(42), 0x4242).unwrap();
-        let plan = FaultPlan::new(0x33);
-        plan.arm_once(InjectionPoint::TruncatedPage);
-        let tp = MigrationTp::new()
-            .with_config(MigrationConfig {
-                dirty_rate_pages_per_sec: 1.0,
-                verify_contents: true, // full check would fail without the re-send
-                ..MigrationConfig::default()
-            })
-            .with_faults(plan.clone());
-        tp.migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
-            .unwrap();
-        assert!(plan
-            .log()
-            .recovered_via(InjectionPoint::TruncatedPage, RecoveryAction::ResentPages));
-        let new_id = dst.find_vm("vm0").unwrap();
-        assert_eq!(dst.read_guest(&dst_m, new_id, Gfn(42)).unwrap(), 0x4242);
+        for mode in WIRE_MODES {
+            let run = |faults: FaultPlan| {
+                let (mut src_m, mut dst_m) = pair();
+                let mut src = SimpleHv::new(HypervisorKind::Xen);
+                let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+                let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
+                src.write_guest(&mut src_m, id, Gfn(42), 0x4242).unwrap();
+                let tp = MigrationTp::new()
+                    .with_config(MigrationConfig {
+                        dirty_rate_pages_per_sec: 1.0,
+                        verify_contents: true, // full check would fail without the re-send
+                        wire_mode: mode,
+                        ..MigrationConfig::default()
+                    })
+                    .with_faults(faults);
+                let r = tp
+                    .migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
+                    .unwrap();
+                let new_id = dst.find_vm("vm0").unwrap();
+                assert_eq!(dst.read_guest(&dst_m, new_id, Gfn(42)).unwrap(), 0x4242);
+                r
+            };
+            let clean = run(FaultPlan::disarmed());
+            let plan = FaultPlan::new(0x33);
+            plan.arm_once(InjectionPoint::TruncatedPage);
+            let faulted = run(plan.clone());
+            assert!(plan
+                .log()
+                .recovered_via(InjectionPoint::TruncatedPage, RecoveryAction::ResentPages));
+            // The re-send is real traffic: it is counted, and the round
+            // waits for the echo plus the corrected page.
+            assert!(faulted.rounds[0].duration > clean.rounds[0].duration);
+            match mode {
+                WireMode::Raw => {
+                    assert_eq!(faulted.bytes_sent, clean.bytes_sent + PAGE_SIZE);
+                    assert_eq!(faulted.wire, WireStats::new());
+                }
+                WireMode::ContentAware => {
+                    assert_eq!(faulted.wire.frames(), clean.wire.frames() + 1);
+                    let resent = faulted.wire.wire_bytes() - clean.wire.wire_bytes();
+                    assert!(resent > 0, "a frame always has a header");
+                    assert_eq!(faulted.bytes_sent, clean.bytes_sent + resent);
+                }
+            }
+        }
     }
 
     #[test]
@@ -2090,27 +1942,41 @@ mod tests {
     #[test]
     fn latency_spike_is_absorbed_into_round_time() {
         use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
-        let (mut src_m, mut dst_m) = pair();
-        let mut src = SimpleHv::new(HypervisorKind::Xen);
-        let mut dst = SimpleHv::new(HypervisorKind::Kvm);
-        let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
-        let plan = FaultPlan::new(0x55);
-        plan.arm_once(InjectionPoint::LinkLatencySpike);
-        let tp = MigrationTp::new()
-            .with_config(MigrationConfig {
-                dirty_rate_pages_per_sec: 1.0,
-                ..MigrationConfig::default()
-            })
-            .with_faults(plan.clone());
-        let r = tp
-            .migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
-            .unwrap();
-        assert!(plan.log().recovered_via(
-            InjectionPoint::LinkLatencySpike,
-            RecoveryAction::AbsorbedLatency
-        ));
-        // The spike landed in round 0's duration.
-        assert!(r.rounds[0].duration > super::LATENCY_SPIKE);
+        for mode in WIRE_MODES {
+            let run = |faults: FaultPlan| {
+                let (mut src_m, mut dst_m) = pair();
+                let mut src = SimpleHv::new(HypervisorKind::Xen);
+                let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+                let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
+                let tp = MigrationTp::new()
+                    .with_config(MigrationConfig {
+                        dirty_rate_pages_per_sec: 1.0,
+                        wire_mode: mode,
+                        ..MigrationConfig::default()
+                    })
+                    .with_faults(faults);
+                tp.migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
+                    .unwrap()
+            };
+            let clean = run(FaultPlan::disarmed());
+            let plan = FaultPlan::new(0x55);
+            plan.arm_once(InjectionPoint::LinkLatencySpike);
+            let r = run(plan.clone());
+            assert!(plan.log().recovered_via(
+                InjectionPoint::LinkLatencySpike,
+                RecoveryAction::AbsorbedLatency
+            ));
+            // The spike landed in round 0's duration, and nowhere else.
+            assert_eq!(
+                r.rounds[0].duration,
+                clean.rounds[0].duration + super::LATENCY_SPIKE,
+                "{mode:?}"
+            );
+            assert_eq!(
+                r.rounds[0].wire_bytes, clean.rounds[0].wire_bytes,
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

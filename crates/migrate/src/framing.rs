@@ -17,15 +17,15 @@
 //!
 //! Payloads by kind: `Raw` carries the page's 8-byte content word (the
 //! simulator ships the word standing in for the 4 KiB page — accounting
-//! still charges the full page, so `WireStats` match the legacy path
-//! byte for byte), `Zero` is empty, `Dup` carries the 16-byte content
-//! digest, `Delta` carries the XOR+RLE stream.
+//! still charges the full page, so `WireStats` match the per-page
+//! `encode_page` path byte for byte), `Zero` is empty, `Dup` carries the
+//! 16-byte content digest, `Delta` carries the XOR+RLE stream.
 //!
 //! **Transactional rounds.** The ring mirrors the `TransferCache`
 //! journal: [`FrameRing::begin`] records a watermark, and a link drop
 //! rolls the ring back to it in lockstep with
 //! [`TransferCache::rollback_round`], so `LinkDrop` recovery re-encodes
-//! byte-identically to the legacy path.
+//! byte-identically.
 //!
 //! [`TransferCache::rollback_round`]: crate::wire::TransferCache::rollback_round
 

@@ -462,14 +462,7 @@ fn send_round(
     let mut lost_bytes = 0u64;
     let mut msg = Vec::new();
     let wb = loop {
-        tp.cache.begin_round();
-        let wb = match tp.gather_encode_ring(machine, hv, id, to_send) {
-            Ok(w) => w,
-            Err(e) => {
-                tp.cache.rollback_round();
-                return Err(e);
-            }
-        };
+        let wb = tp.gather_encode_ring(machine, hv, id, to_send)?;
 
         // Mid-stream disconnect: the connection dies before the round is
         // acked. Nothing shipped was acked — roll the cache journal and

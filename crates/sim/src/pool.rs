@@ -27,7 +27,7 @@
 //! [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Environment variable overriding the default worker count.
@@ -258,112 +258,6 @@ impl WorkerPool {
                 .collect::<Vec<_>>(),
         )
     }
-
-    /// Pipelined execution with bounded hand-off: workers *produce* items
-    /// `0..n` concurrently while the calling thread *consumes* them in
-    /// strict index order, at most `window` items ahead of consumption.
-    ///
-    /// This is the primitive behind the content-aware migration wire path:
-    /// gather/hash stages run on the pool while the encode/transmit stage
-    /// (which needs `&mut` access to the destination and the link) runs on
-    /// the caller, overlapped instead of barrier-separated per round.
-    ///
-    /// Guarantees:
-    ///
-    /// * `consume(i, item)` is called exactly once for every `i` in
-    ///   `0..n`, in ascending order — so the consumer side is
-    ///   deterministic regardless of worker count.
-    /// * Producers never run more than `window` items ahead of the
-    ///   consumer (bounded memory; back-pressure instead of unbounded
-    ///   queueing).
-    /// * With one worker (or `n <= 1`) everything runs inline on the
-    ///   calling thread in produce→consume order, so `HYPERTP_WORKERS=1`
-    ///   remains a true serial baseline.
-    pub fn pipeline<T, P, C>(&self, n: usize, window: usize, produce: P, mut consume: C)
-    where
-        T: Send,
-        P: Fn(usize) -> T + Sync,
-        C: FnMut(usize, T),
-    {
-        if n == 0 {
-            return;
-        }
-        let window = window.max(1);
-        let workers = self.workers.min(n);
-        if workers <= 1 || n <= 1 {
-            for i in 0..n {
-                let item = produce(i);
-                consume(i, item);
-            }
-            return;
-        }
-
-        // Ring of `window` slots. A producer may claim index `i` only while
-        // `i < consumed + window`; because claims are handed out in order
-        // from `next_claim`, at most `window` in-flight indices exist at any
-        // time and they occupy distinct `i % window` slots — a produced item
-        // is never overwritten before the consumer takes it.
-        struct Shared<T> {
-            slots: Vec<Option<T>>,
-            consumed: usize,
-            next_claim: usize,
-        }
-        let shared = Mutex::new(Shared::<T> {
-            slots: (0..window).map(|_| None).collect(),
-            consumed: 0,
-            next_claim: 0,
-        });
-        let space = Condvar::new(); // signalled when `consumed` advances
-        let ready = Condvar::new(); // signalled when a slot is filled
-        let produce = &produce;
-        let shared_ref = &shared;
-        let space_ref = &space;
-        let ready_ref = &ready;
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    // Claim the next index, waiting for window space.
-                    let i = {
-                        let mut s = shared_ref.lock().expect("pipeline state poisoned");
-                        loop {
-                            if s.next_claim >= n {
-                                return;
-                            }
-                            if s.next_claim < s.consumed + window {
-                                let i = s.next_claim;
-                                s.next_claim += 1;
-                                break i;
-                            }
-                            s = space_ref.wait(s).expect("pipeline state poisoned");
-                        }
-                    };
-                    let item = produce(i);
-                    let mut s = shared_ref.lock().expect("pipeline state poisoned");
-                    debug_assert!(s.slots[i % window].is_none(), "pipeline slot clobbered");
-                    s.slots[i % window] = Some(item);
-                    drop(s);
-                    ready_ref.notify_all();
-                });
-            }
-
-            // Consumer: the calling thread drains indices in order.
-            for i in 0..n {
-                let item = {
-                    let mut s = shared.lock().expect("pipeline state poisoned");
-                    loop {
-                        if let Some(item) = s.slots[i % window].take() {
-                            s.consumed = i + 1;
-                            break item;
-                        }
-                        s = ready.wait(s).expect("pipeline state poisoned");
-                    }
-                };
-                space.notify_all();
-                consume(i, item);
-            }
-        });
-    }
 }
 
 impl Default for WorkerPool {
@@ -504,113 +398,6 @@ mod tests {
         let (batch, retried) = pool.map_indices_recovering(5, &[3, 99], |i| i + 1);
         assert_eq!(batch.results, vec![1, 2, 3, 4, 5]);
         assert_eq!(retried, vec![3]);
-    }
-
-    #[test]
-    fn pipeline_consumes_in_order_any_worker_count() {
-        for workers in [1, 2, 3, 8] {
-            for window in [1, 2, 7, 64] {
-                let pool = WorkerPool::new(workers);
-                let mut seen = Vec::new();
-                pool.pipeline(
-                    33,
-                    window,
-                    |i| (i as u64).wrapping_mul(0x9e37),
-                    |i, v| seen.push((i, v)),
-                );
-                let expected: Vec<(usize, u64)> = (0..33)
-                    .map(|i| (i, (i as u64).wrapping_mul(0x9e37)))
-                    .collect();
-                assert_eq!(seen, expected, "workers={workers} window={window}");
-            }
-        }
-    }
-
-    #[test]
-    fn pipeline_in_order_with_jittered_producers() {
-        // Producers finish out of order on purpose; consumption must not.
-        let mut rng = SimRng::new(0x91e1);
-        let delays: Vec<u64> = (0..48).map(|_| rng.gen_range(300)).collect();
-        let pool = WorkerPool::new(6);
-        let mut order = Vec::new();
-        pool.pipeline(
-            delays.len(),
-            4,
-            |i| {
-                std::thread::sleep(Duration::from_micros(delays[i]));
-                i
-            },
-            |i, v| {
-                assert_eq!(i, v);
-                order.push(i);
-            },
-        );
-        assert_eq!(order, (0..delays.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pipeline_consumer_runs_on_caller_thread() {
-        let caller = std::thread::current().id();
-        let pool = WorkerPool::new(4);
-        let mut consumer_threads = Vec::new();
-        pool.pipeline(
-            16,
-            3,
-            |i| i,
-            |_, _| consumer_threads.push(std::thread::current().id()),
-        );
-        assert!(consumer_threads.iter().all(|&id| id == caller));
-    }
-
-    #[test]
-    fn pipeline_respects_window_bound() {
-        // Track the max number of produced-but-unconsumed items.
-        let produced = AtomicUsize::new(0);
-        let consumed = AtomicUsize::new(0);
-        let max_lead = AtomicUsize::new(0);
-        let pool = WorkerPool::new(8);
-        let window = 3usize;
-        pool.pipeline(
-            64,
-            window,
-            |i| {
-                let p = produced.fetch_add(1, Ordering::SeqCst) + 1;
-                let c = consumed.load(Ordering::SeqCst);
-                let lead = p.saturating_sub(c);
-                max_lead.fetch_max(lead, Ordering::SeqCst);
-                i
-            },
-            |_, _| {
-                consumed.fetch_add(1, Ordering::SeqCst);
-            },
-        );
-        // A claim is only handed out while `claim < consumed + window`, so
-        // at most `window` items are in flight by the internal counter. The
-        // external counter observed here lags by one (the internal consumed
-        // index advances before the consume callback runs), hence `+ 1`.
-        assert!(
-            max_lead.load(Ordering::SeqCst) <= window + 1,
-            "lead {} exceeded window {window} + 1",
-            max_lead.load(Ordering::SeqCst)
-        );
-    }
-
-    #[test]
-    fn pipeline_empty_and_single() {
-        let pool = WorkerPool::new(4);
-        let mut calls = 0;
-        pool.pipeline(0, 4, |i| i, |_, _| calls += 1);
-        assert_eq!(calls, 0);
-        pool.pipeline(
-            1,
-            4,
-            |i| i * 7,
-            |i, v| {
-                assert_eq!((i, v), (0, 0));
-                calls += 1;
-            },
-        );
-        assert_eq!(calls, 1);
     }
 
     #[test]

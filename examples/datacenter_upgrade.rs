@@ -6,10 +6,12 @@
 //!
 //! Run with: `cargo run --example datacenter_upgrade`
 
-use hypertp::cluster::exec::{execute, execute_sharded, ExecConfig};
+use hypertp::cluster::exec::{execute, execute_sharded_with, ExecConfig};
 use hypertp::cluster::openstack::{pool, LibvirtDriver, NovaManager};
 use hypertp::cluster::{plan_upgrade, Cluster};
 use hypertp::prelude::*;
+use hypertp::sim::fault::FaultPlan;
+use hypertp::sim::WorkerPool;
 
 fn main() {
     // Part 1: the BtrPlace-style plan for varying InPlaceTP coverage.
@@ -44,7 +46,14 @@ fn main() {
     for hosts in [1_000usize, 10_000] {
         let fleet = Cluster::synthetic(hosts, 42).with_compat_percent(80);
         let plan = plan_upgrade(&fleet, 25).expect("plan");
-        let report = execute_sharded(&fleet, &plan, &ExecConfig::default(), 64);
+        let report = execute_sharded_with(
+            &fleet,
+            &plan,
+            &ExecConfig::default(),
+            &FaultPlan::disarmed(),
+            64,
+            &WorkerPool::from_env(),
+        );
         println!(
             "  {hosts:>6} hosts: {:>5} migrations + {:>4} in-place upgrades, \
              {:>6.1} h simulated, mean VM ready {:.0}s",

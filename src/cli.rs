@@ -38,6 +38,14 @@ pub enum CliError {
     UnknownCommand(String),
     /// A required option is missing.
     MissingOption(&'static str),
+    /// The subcommand does not read this option (a typo, or a flag that
+    /// no longer exists): rejected rather than silently ignored.
+    UnknownOption {
+        /// Subcommand name.
+        command: String,
+        /// Offending option name, without the leading `--`.
+        option: String,
+    },
     /// An option value could not be parsed.
     BadValue {
         /// Option name.
@@ -55,6 +63,9 @@ impl std::fmt::Display for CliError {
             CliError::NoCommand => write!(f, "no subcommand; try `hypertpctl help`"),
             CliError::UnknownCommand(c) => write!(f, "unknown subcommand '{c}'"),
             CliError::MissingOption(o) => write!(f, "missing required option --{o}"),
+            CliError::UnknownOption { command, option } => {
+                write!(f, "unknown option --{option} for '{command}'")
+            }
             CliError::BadValue { option, value } => {
                 write!(f, "bad value '{value}' for --{option}")
             }
@@ -179,29 +190,65 @@ pub fn help() -> String {
                                         plans surface-blind for comparison\n\
        recover    [--machine m1|m2] [--vms N] [--vcpus N] [--mem GB]\n\
                   [--from HV] [--to HV] [--ticks N] [--workload PAGES]\n\
-                  [--bound PAGES] [--field-diff]\n\
+                  [--bound PAGES]\n\
                                         crash the hypervisor after N warm-checkpoint\n\
                                         ticks and print the unplanned recovery report\n\
        help                             this text\n"
         .to_string()
 }
 
-/// Executes a parsed command, returning its printable output.
+/// Executes a parsed command, returning its printable output. Each
+/// subcommand is listed with the options it reads (space-separated); any
+/// other `--option` is an error.
 pub fn run(cmd: &Command) -> Result<String, CliError> {
-    match cmd.name.as_str() {
-        "help" => Ok(help()),
-        "analyze" => run_analyze(),
-        "decide" => run_decide(cmd),
-        "transplant" => run_transplant(cmd),
-        "migrate" => run_migrate(cmd),
-        "proxy" => run_proxy(cmd),
-        "cluster" => run_cluster(cmd),
-        "fleet" => run_fleet_cmd(cmd),
-        "campaign" => run_campaign_cmd(cmd),
-        "feed" => run_feed(cmd),
-        "recover" => run_recover(cmd),
-        other => Err(CliError::UnknownCommand(other.to_string())),
+    type Handler = fn(&Command) -> Result<String, CliError>;
+    let (options, handler): (&str, Handler) = match cmd.name.as_str() {
+        "help" => ("", |_| Ok(help())),
+        "analyze" => ("", |_| run_analyze()),
+        "decide" => ("running", run_decide),
+        "transplant" => (
+            "machine vms vcpus mem from to no-prepare no-parallel no-early-restore strict \
+             incremental",
+            run_transplant,
+        ),
+        "migrate" => ("machine mem dirty-rate to", run_migrate),
+        "proxy" => (
+            match cmd.positional.first().map(String::as_str) {
+                Some("dest") => "socket machine to",
+                _ => "socket machine mem dirty-rate",
+            },
+            run_proxy,
+        ),
+        "cluster" => ("compat group hosts shards", run_cluster),
+        "fleet" => (
+            "vms mem dirty-rate max-concurrent seed slo-aware",
+            run_fleet_cmd,
+        ),
+        "campaign" => ("hosts vms", run_campaign_cmd),
+        "feed" => (
+            "hosts seed events-per-year days budget shards blind",
+            run_feed,
+        ),
+        "recover" => (
+            "machine vms vcpus mem from to ticks workload bound",
+            run_recover,
+        ),
+        other => return Err(CliError::UnknownCommand(other.to_string())),
+    };
+    // The option map iterates in random order: name the alphabetically
+    // first offender so the error is the same on every run.
+    let unknown = cmd
+        .options
+        .keys()
+        .filter(|k| !options.split_whitespace().any(|o| o == k.as_str()))
+        .min();
+    if let Some(option) = unknown {
+        return Err(CliError::UnknownOption {
+            command: cmd.name.clone(),
+            option: option.clone(),
+        });
     }
+    handler(cmd)
 }
 
 fn run_analyze() -> Result<String, CliError> {
@@ -438,6 +485,16 @@ fn run_cluster(cmd: &Command) -> Result<String, CliError> {
     let group = opt_u64(cmd, "group", 2)? as usize;
     let shards = opt_u64(cmd, "shards", 1)? as usize;
     let cfg = hypertp_cluster::exec::ExecConfig::default();
+    let sharded = |view: &dyn hypertp_cluster::ClusterView, plan: &hypertp_cluster::Plan| {
+        hypertp_cluster::execute_sharded_with(
+            view,
+            plan,
+            &cfg,
+            &hypertp_sim::fault::FaultPlan::disarmed(),
+            shards,
+            &hypertp_sim::pool::WorkerPool::from_env(),
+        )
+    };
     // --hosts derives a synthetic fleet of that size (seed 42, like the
     // paper testbed); without it the exact 4-host paper testbed runs, and
     // sharding is identity-preserving so --shards never changes the report.
@@ -450,21 +507,13 @@ fn run_cluster(cmd: &Command) -> Result<String, CliError> {
             let view = hypertp_cluster::Cluster::synthetic(hosts, 42).with_compat_percent(compat);
             let plan = hypertp_cluster::plan_upgrade(&view, group)
                 .map_err(|e| CliError::Failed(e.to_string()))?;
-            (
-                format!("{hosts} synthetic hosts, "),
-                hypertp_cluster::execute_sharded(&view, &plan, &cfg, shards),
-            )
+            (format!("{hosts} synthetic hosts, "), sharded(&view, &plan))
         }
         None => {
             let cluster = hypertp_cluster::Cluster::paper_testbed(compat, 42);
             let plan = hypertp_cluster::plan_upgrade(&cluster, group)
                 .map_err(|e| CliError::Failed(e.to_string()))?;
-            let report = if shards > 1 {
-                hypertp_cluster::execute_sharded(&cluster, &plan, &cfg, shards)
-            } else {
-                hypertp_cluster::execute(&cluster, &plan, &cfg)
-            };
-            (String::new(), report)
+            (String::new(), sharded(&cluster, &plan))
         }
     };
     Ok(format!(
@@ -733,7 +782,6 @@ fn run_recover(cmd: &Command) -> Result<String, CliError> {
     }
     let cfg = CheckpointConfig {
         staleness_bound_pages: bound,
-        field_diff: cmd.options.contains_key("field-diff"),
         ..CheckpointConfig::default()
     };
     let mut ckpt = WarmCheckpointer::start(&mut machine, hv.as_mut(), to, cfg)
@@ -942,10 +990,77 @@ mod tests {
     }
 
     #[test]
-    fn recover_field_diff_output_matches_default() {
-        let base = run(&parse(&argv("recover --vms 1 --ticks 2")).unwrap()).unwrap();
-        let fd = run(&parse(&argv("recover --vms 1 --ticks 2 --field-diff")).unwrap()).unwrap();
-        assert_eq!(base, fd, "field-level diffing must not change behavior");
+    fn unknown_options_are_rejected_per_subcommand() {
+        // One removed flag and one typo per subcommand: none may be
+        // silently ignored.
+        for (line, option) in [
+            ("recover --vms 1 --ticks 2 --field-diff", "field-diff"),
+            ("help --verbose", "verbose"),
+            ("analyze --year 2015", "year"),
+            ("decide CVE-2016-6258 --runing xen", "runing"),
+            ("transplant --vm 2", "vm"),
+            ("migrate --dirty-rte 5", "dirty-rte"),
+            ("proxy dest --socket /tmp/s --mem 2", "mem"),
+            ("proxy source --socket /tmp/s --to kvm", "to"),
+            ("cluster --compat 80 --shard 4", "shard"),
+            ("fleet --vms 3 --slo-awar", "slo-awar"),
+            ("campaign CVE-2016-6258 --host 1", "host"),
+            ("feed --hosts 30 --blnd", "blnd"),
+            ("recover --tick 3", "tick"),
+        ] {
+            let cmd = parse(&argv(line)).unwrap();
+            assert_eq!(
+                run(&cmd),
+                Err(CliError::UnknownOption {
+                    command: cmd.name.clone(),
+                    option: option.to_string(),
+                }),
+                "{line}"
+            );
+        }
+        let err = run(&parse(&argv("recover --field-diff")).unwrap()).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --field-diff for 'recover'");
+        // Several offenders: the alphabetically first is named, every run.
+        let err = run(&parse(&argv("feed --zeta --alpha 1")).unwrap()).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --alpha for 'feed'");
+    }
+
+    #[test]
+    fn every_documented_option_is_accepted() {
+        // Each option a subcommand reads (including every flag ci.sh's
+        // smokes pass) gets past the unknown-option check. The `proxy`
+        // lines stop at a bad machine value before touching the socket —
+        // which they only reach once every option name was accepted.
+        for line in [
+            "decide CVE-2016-6258 --running kvm",
+            "transplant --machine m2 --vms 1 --vcpus 1 --mem 1 --from xen --to kvm \
+             --no-prepare --no-parallel --no-early-restore --strict --incremental",
+            "migrate --machine m1 --mem 1 --dirty-rate 5 --to kvm",
+            "cluster --compat 80 --group 2 --hosts 50 --shards 2",
+            "fleet --vms 2 --mem 1 --dirty-rate 500 --max-concurrent 1 --seed 7 --slo-aware",
+            "campaign CVE-2016-6258 --hosts 1 --vms 1",
+            "feed --hosts 30 --seed 42 --events-per-year 37 --days 90 --budget 300 \
+             --shards 2 --blind",
+            "recover --machine m1 --vms 1 --vcpus 1 --mem 1 --from xen --to kvm --ticks 2 \
+             --workload 64 --bound 512",
+        ] {
+            let r = run(&parse(&argv(line)).unwrap());
+            assert!(r.is_ok(), "{line}: {r:?}");
+        }
+        for line in [
+            "proxy dest --socket /tmp/s --machine m9 --to kvm",
+            "proxy source --socket /tmp/s --machine m9 --mem 1 --dirty-rate 5",
+        ] {
+            let r = run(&parse(&argv(line)).unwrap());
+            assert_eq!(
+                r,
+                Err(CliError::BadValue {
+                    option: "machine".to_string(),
+                    value: "m9".to_string(),
+                }),
+                "{line}"
+            );
+        }
     }
 
     #[test]

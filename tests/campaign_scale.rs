@@ -7,9 +7,7 @@
 //! and a lazily-derived [`SyntheticCluster`] must behave exactly like
 //! its materialized twin.
 
-use hypertp_cluster::exec::{
-    execute, execute_sharded, execute_sharded_with, ExecConfig, ExecReport,
-};
+use hypertp_cluster::exec::{execute, execute_sharded_with, ExecConfig, ExecReport};
 use hypertp_cluster::{plan_upgrade, Cluster, ClusterView, Plan};
 use hypertp_sim::fault::FaultPlan;
 use hypertp_sim::pool::WorkerPool;
@@ -50,25 +48,40 @@ fn hypertp_workers_env_does_not_change_the_report() {
     let (view, plan) = fleet_plan(120, 0x5ca1_e002);
     let cfg = ExecConfig::default();
     let base = execute(&view, &plan, &cfg);
-    // `execute_sharded` builds its pool from the environment; whatever
-    // HYPERTP_WORKERS says, the folded report must not move. (Identity
-    // across pool sizes is proven above; this pins the env-driven entry
-    // point specifically.)
+    // `WorkerPool::from_env` sizes the pool from the environment;
+    // whatever HYPERTP_WORKERS says, the folded report must not move.
+    // (Identity across pool sizes is proven above; this pins the
+    // env-driven pool specifically.)
+    let env_sharded = || {
+        execute_sharded_with(
+            &view,
+            &plan,
+            &cfg,
+            &FaultPlan::disarmed(),
+            16,
+            &WorkerPool::from_env(),
+        )
+    };
     for workers in ["1", "2", "5"] {
         std::env::set_var("HYPERTP_WORKERS", workers);
-        let r = execute_sharded(&view, &plan, &cfg, 16);
-        assert_eq!(r, base, "HYPERTP_WORKERS={workers}");
+        assert_eq!(env_sharded(), base, "HYPERTP_WORKERS={workers}");
     }
     std::env::remove_var("HYPERTP_WORKERS");
-    let r = execute_sharded(&view, &plan, &cfg, 16);
-    assert_eq!(r, base, "HYPERTP_WORKERS unset");
+    assert_eq!(env_sharded(), base, "HYPERTP_WORKERS unset");
 }
 
 #[test]
 fn same_seed_same_fleet_same_report() {
     let run = |seed: u64| {
         let (view, plan) = fleet_plan(150, seed);
-        let r = execute_sharded(&view, &plan, &ExecConfig::default(), 8);
+        let r = execute_sharded_with(
+            &view,
+            &plan,
+            &ExecConfig::default(),
+            &FaultPlan::disarmed(),
+            8,
+            &WorkerPool::from_env(),
+        );
         r.render()
     };
     assert_eq!(run(0xd5_0001), run(0xd5_0001));
@@ -92,7 +105,14 @@ fn synthetic_fleet_matches_its_materialization_end_to_end() {
         let plan_mat = plan_upgrade(&mat, 4).unwrap();
         assert_eq!(plan_syn, plan_mat, "seed {seed:#x}: plans diverge");
         let cfg = ExecConfig::default();
-        let r_syn: ExecReport = execute_sharded(&syn, &plan_syn, &cfg, 8);
+        let r_syn: ExecReport = execute_sharded_with(
+            &syn,
+            &plan_syn,
+            &cfg,
+            &FaultPlan::disarmed(),
+            8,
+            &WorkerPool::from_env(),
+        );
         let r_mat = execute(&mat, &plan_mat, &cfg);
         assert_eq!(r_syn, r_mat, "seed {seed:#x}: reports diverge");
         assert_eq!(r_syn.render(), r_mat.render());

@@ -31,14 +31,18 @@
 //! mid-refresh, mid-finalize, and idle between ticks — and the unplanned
 //! path must micro-reboot into the rescue hypervisor and restore every
 //! VM from the freshest persisted checkpoint within its state-loss
-//! bound. The CI chaos step pins the three seeds below; set
-//! `HYPERTP_SEED` to probe others.
+//! bound. A ninth (one plan per wire mode) re-runs scenario 1's guest
+//! through [`WireMode::Raw`] and [`WireMode::ContentAware`] under the
+//! same four armed faults: the engine has one round fault policy, so the
+//! two logs must agree on every `(point, action)` step except the
+//! content-aware cache rollback. The CI chaos step pins the three seeds
+//! below; set `HYPERTP_SEED` to probe others.
 
 use hypertp::prelude::*;
 use hypertp_cluster::campaign::{run_campaign_with, CampaignConfig};
 use hypertp_cluster::openstack::{pool, LibvirtDriver, NovaManager};
 use hypertp_core::{migrate_or_inplace, InPlaceTransplant};
-use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
+use hypertp_sim::fault::{FaultEvent, FaultLog, FaultPlan, InjectionPoint, RecoveryAction};
 use hypertp_vulndb::dataset::dataset;
 
 /// The three seeds the CI chaos step pins.
@@ -52,7 +56,7 @@ fn small_spec(ram_gb: u64) -> MachineSpec {
 
 /// Scenario 1: one migration absorbing all four migration-layer faults.
 /// Returns with the destination guest verified word-for-word.
-fn chaos_migration(seed: u64, faults: &FaultPlan) {
+fn chaos_migration(seed: u64, faults: &FaultPlan, wire_mode: WireMode) {
     let registry = default_registry();
     let clock = SimClock::new();
     let mut src_m = Machine::with_clock(small_spec(4), clock.clone());
@@ -70,6 +74,7 @@ fn chaos_migration(seed: u64, faults: &FaultPlan) {
     let tp = MigrationTp::new()
         .with_config(MigrationConfig {
             dirty_rate_pages_per_sec: 0.0,
+            wire_mode,
             ..MigrationConfig::default()
         })
         .with_faults(faults.clone());
@@ -620,6 +625,58 @@ fn chaos_crash_phases(seed: u64) -> String {
     renders
 }
 
+/// Scenario 9: wire-mode parity of the round fault policy. Scenario 1's
+/// guest migrates once per wire mode, each under its own plan (so the
+/// shared plan's schedule is not perturbed) armed once on every
+/// migration-layer point. Both guests are verified word-for-word by
+/// [`chaos_migration`], and the two logs must walk the same
+/// `(point, action)` steps — the content-aware run differing only by the
+/// [`RecoveryAction::InvalidatedWireCache`] line its dropped round adds.
+/// Returns both log renders.
+fn chaos_wire_parity(seed: u64) -> String {
+    const POINTS: [InjectionPoint; 4] = [
+        InjectionPoint::LinkDrop,
+        InjectionPoint::LinkLatencySpike,
+        InjectionPoint::TruncatedPage,
+        InjectionPoint::UisrCorruption,
+    ];
+    let run = |wire_mode: WireMode| {
+        let faults = FaultPlan::new(seed ^ 0x9a41_7e57);
+        for point in POINTS {
+            faults.arm_once(point);
+        }
+        chaos_migration(seed, &faults, wire_mode);
+        faults.log()
+    };
+    let steps = |log: &FaultLog| -> Vec<(InjectionPoint, Option<RecoveryAction>)> {
+        log.events()
+            .iter()
+            .map(|e| match e {
+                FaultEvent::Injected { point, .. } => (*point, None),
+                FaultEvent::Recovered { point, action, .. } => (*point, Some(*action)),
+            })
+            .filter(|&(_, action)| action != Some(RecoveryAction::InvalidatedWireCache))
+            .collect()
+    };
+    let raw = run(WireMode::Raw);
+    let content_aware = run(WireMode::ContentAware);
+    for point in POINTS {
+        assert_eq!(raw.injections_at(point), 1, "seed {seed:#x}: {point}");
+    }
+    assert_eq!(
+        steps(&raw),
+        steps(&content_aware),
+        "seed {seed:#x}: wire modes disagree on the fault policy;\nraw:\n{}content-aware:\n{}",
+        raw.render(),
+        content_aware.render()
+    );
+    // A raw round has no wire cache to invalidate; the content-aware run
+    // rolls it back exactly once, for its one dropped round.
+    assert_eq!(steps(&raw).len(), raw.len(), "seed {seed:#x}");
+    assert_eq!(content_aware.len(), raw.len() + 1, "seed {seed:#x}");
+    format!("{}---\n{}", raw.render(), content_aware.render())
+}
+
 /// One full chaos run: all scenarios under `seed`, every point fired,
 /// every recovery path asserted. Returns the concatenated log renders for
 /// byte-identity checks.
@@ -627,7 +684,7 @@ fn chaos_run(seed: u64) -> String {
     let faults = FaultPlan::new(seed);
     faults.arm_all_once();
 
-    chaos_migration(seed, &faults);
+    chaos_migration(seed, &faults, WireMode::Raw);
     chaos_inplace(seed, &faults);
     chaos_campaign(seed, &faults);
 
@@ -682,14 +739,16 @@ fn chaos_run(seed: u64) -> String {
     let adaptive_log = chaos_adaptive(seed);
     let sharded_log = chaos_sharded_exec(seed);
     let crash_log = chaos_crash_phases(seed);
+    let parity_log = chaos_wire_parity(seed);
     format!(
-        "{}---\n{}---\n{}---\n{}---\n{}---\n{}",
+        "{}---\n{}---\n{}---\n{}---\n{}---\n{}---\n{}",
         log.render(),
         fallback_log,
         wire_log,
         adaptive_log,
         sharded_log,
-        crash_log
+        crash_log,
+        parity_log
     )
 }
 
