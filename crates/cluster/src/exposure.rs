@@ -32,11 +32,17 @@
 //!
 //! Host remediation costs depend on the fleet, not the disclosure, so
 //! [`ExposurePlanner`] evaluates them once — sharded over a
-//! [`WorkerPool`] with per-class memoization, exactly like the executor —
-//! and each feed event re-plans against the cached table. Re-planning a
-//! 10k-host fleet is then a sort, not a cost-model sweep.
+//! [`WorkerPool`] with per-class memoization, exactly like the executor.
+//! Neither does the schedule: which path each host takes, the Smith-rule
+//! order and every completion instant are functions of the cost table and
+//! the planner's configuration alone, so construction derives them once
+//! too. A disclosure contributes only its criticality, its window and
+//! whether it is remediated at all; re-planning a 10k-host fleet for it is
+//! one linear pass over the cached schedule, feeding the integrator in
+//! drain order.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hypertp_sim::cost::MachinePerf;
 use hypertp_sim::pool::WorkerPool;
@@ -191,8 +197,10 @@ pub struct EventPlan {
     pub criticality: f64,
     /// Patch window.
     pub window: SimDuration,
-    /// Per-host verdicts, indexed by host.
-    pub actions: Vec<HostAction>,
+    /// Per-host verdicts, indexed by host. Shared, not copied: every
+    /// remediated disclosure carries the planner's one schedule, every
+    /// other one the all-[`HostAction::Defer`] slice.
+    pub actions: Arc<[HostAction]>,
     /// Whether the event was remediated at all (false ⇒ every action is
     /// [`HostAction::Defer`]: the patch cycle covers it).
     pub remediated: bool,
@@ -244,8 +252,15 @@ pub struct FeedReport {
 /// Buckets of [`FeedReport::per_event_hist`]: 20 × 5% bins of the window.
 pub const EXPOSURE_HIST_BUCKETS: usize = 20;
 
+impl Default for FeedReport {
+    fn default() -> Self {
+        FeedReport::new()
+    }
+}
+
 impl FeedReport {
-    fn new() -> FeedReport {
+    /// The report of an empty feed.
+    pub fn new() -> FeedReport {
         FeedReport {
             events: 0,
             remediated_events: 0,
@@ -256,6 +271,28 @@ impl FeedReport {
             deferred_vms: 0,
             per_event: Streaming::new(),
             per_event_hist: Histogram::new(0.0, 1.0, EXPOSURE_HIST_BUCKETS),
+        }
+    }
+
+    /// Folds one disclosure's plan into the report.
+    pub fn fold(&mut self, plan: &EventPlan) {
+        self.events += 1;
+        if plan.remediated {
+            self.remediated_events += 1;
+        }
+        if plan.escalated {
+            self.escalated_events += 1;
+        }
+        let days = plan.exposure_vm_secs / 86_400.0;
+        self.exposure_vm_days += days;
+        self.disruption += plan.makespan;
+        self.remediated_vms += plan.remediated_vms;
+        self.deferred_vms += plan.deferred_vms;
+        self.per_event.push(days);
+        let total_vms = plan.remediated_vms + plan.deferred_vms;
+        let denom = plan.criticality * plan.window.as_secs_f64() * total_vms as f64;
+        if denom > 0.0 {
+            self.per_event_hist.record(plan.exposure_vm_secs / denom);
         }
     }
 
@@ -350,13 +387,110 @@ fn host_cost<V: ClusterView + ?Sized>(
     }
 }
 
-/// The incremental exposure planner: host costs are evaluated once (the
-/// expensive, fleet-dependent part), each feed event re-plans against the
-/// cached table (a sort and a prefix walk).
+/// One host's turn in the drain.
+struct Slot {
+    /// Resident VMs remediated with the host.
+    vms: u64,
+    /// Campaign instant the host's remediation completes.
+    done: SimDuration,
+}
+
+/// The disclosure-invariant half of every plan: a function of the cost
+/// table and the planner's configuration, derived once at construction.
+struct Schedule {
+    /// Per-host verdicts of a remediated disclosure.
+    actions: Arc<[HostAction]>,
+    /// Per-host verdicts of a disclosure left to the patch cycle.
+    all_defer: Arc<[HostAction]>,
+    /// The drain in remediation order.
+    slots: Vec<Slot>,
+    /// VM counts of the populated hosts no remediation path fits, in
+    /// host order.
+    deferred: Vec<u64>,
+    /// VMs across `slots`.
+    remediated_vms: u64,
+    /// VMs across `deferred`.
+    deferred_vms: u64,
+}
+
+/// The cheapest remediation path that keeps every resident VM's blackout
+/// within `budget`, if any.
+fn verdict(c: &HostCost, budget: SimDuration) -> HostAction {
+    let inplace_fits = c.inplace_ok && c.inplace_cost <= budget;
+    let migrate_fits = c.migrate_blackout <= budget;
+    match (inplace_fits, migrate_fits) {
+        (true, true) => {
+            if c.inplace_cost <= c.migrate_cost {
+                HostAction::InPlace
+            } else {
+                HostAction::Migrate
+            }
+        }
+        (true, false) => HostAction::InPlace,
+        (false, true) => HostAction::Migrate,
+        (false, false) => HostAction::Defer,
+    }
+}
+
+impl Schedule {
+    fn new(costs: &[HostCost], cfg: &ExposureConfig) -> Schedule {
+        let mut actions = vec![HostAction::Defer; costs.len()];
+        // (cost per exposed VM, host, cost) of every host that drains.
+        let mut active: Vec<(f64, usize, SimDuration)> = Vec::new();
+        let mut deferred = Vec::new();
+        for (h, c) in costs.iter().enumerate() {
+            if c.vms == 0 {
+                continue;
+            }
+            actions[h] = verdict(c, cfg.downtime_budget);
+            let cost = match actions[h] {
+                HostAction::InPlace => c.inplace_cost,
+                HostAction::Migrate => c.migrate_cost,
+                HostAction::Defer => {
+                    deferred.push(c.vms);
+                    continue;
+                }
+            };
+            active.push((cost.as_secs_f64() / c.vms as f64, h, cost));
+        }
+        if cfg.surface_aware {
+            // Smith's rule: ascending cost per exposed VM minimizes
+            // Σ weight × completion on the fluid drain. Keys are finite
+            // and non-negative, so `total_cmp` is the numeric order; ties
+            // fall to the host index, so the schedule is deterministic.
+            active.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        }
+        let rate = cfg.concurrent_hosts.max(1) as f64;
+        let mut running = SimDuration::ZERO;
+        let slots: Vec<Slot> = active
+            .iter()
+            .map(|&(_, h, cost)| {
+                running += SimDuration::from_secs_f64(cost.as_secs_f64() / rate);
+                Slot {
+                    vms: costs[h].vms,
+                    done: running,
+                }
+            })
+            .collect();
+        Schedule {
+            actions: actions.into(),
+            all_defer: vec![HostAction::Defer; costs.len()].into(),
+            remediated_vms: slots.iter().map(|s| s.vms).sum(),
+            deferred_vms: deferred.iter().sum(),
+            slots,
+            deferred,
+        }
+    }
+}
+
+/// The incremental exposure planner: host costs and the remediation
+/// schedule are evaluated once (the fleet-dependent part); each feed
+/// event re-plans with one pass over the cached schedule.
 pub struct ExposurePlanner<'a, V: ClusterView + ?Sized> {
     view: &'a V,
     cfg: ExposureConfig,
     costs: Vec<HostCost>,
+    schedule: Schedule,
 }
 
 impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
@@ -367,8 +501,8 @@ impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
 
     /// Builds the planner with host-cost evaluation fanned over `shards`
     /// contiguous host ranges on `pool`. The cost table — and therefore
-    /// every plan and report — is byte-identical for every
-    /// `(shards, workers)` combination: each host's cost is a pure
+    /// the schedule, every plan and every report — is byte-identical for
+    /// every `(shards, workers)` combination: each host's cost is a pure
     /// function of the view and config.
     pub fn with_pool(
         view: &'a V,
@@ -403,7 +537,13 @@ impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
                 .collect::<Vec<HostCost>>()
         });
         let costs: Vec<HostCost> = batch.results.into_iter().flatten().collect();
-        ExposurePlanner { view, cfg, costs }
+        let schedule = Schedule::new(&costs, &cfg);
+        ExposurePlanner {
+            view,
+            cfg,
+            costs,
+            schedule,
+        }
     }
 
     /// The cached per-host cost table.
@@ -417,7 +557,9 @@ impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
     }
 
     /// Plans one disclosure. Pure in `(self, event)` — re-planning on the
-    /// next event needs no recomputation, only this call.
+    /// next event needs no recomputation, only this call: the integrator
+    /// is fed the cached drain in schedule order, then the deferred hosts
+    /// in host order.
     pub fn plan_event(&self, ev: &FeedEvent) -> EventPlan {
         let cfg = &self.cfg;
         let criticality = cfg.weights.criticality(&ev.vuln.cvss, ev.surface);
@@ -433,103 +575,48 @@ impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
         } else {
             raw_critical
         };
+        let s = &self.schedule;
         let mut integ = ExposureIntegrator::new(criticality, window);
-        let mut actions = vec![HostAction::Defer; self.costs.len()];
-        let mut active: Vec<(usize, SimDuration)> = Vec::new();
-        if remediated {
-            for (h, c) in self.costs.iter().enumerate() {
-                if c.vms == 0 {
-                    continue;
-                }
-                let inplace_fits = c.inplace_ok && c.inplace_cost <= cfg.downtime_budget;
-                let migrate_fits = c.migrate_blackout <= cfg.downtime_budget;
-                let action = match (inplace_fits, migrate_fits) {
-                    (true, true) => {
-                        if c.inplace_cost <= c.migrate_cost {
-                            HostAction::InPlace
-                        } else {
-                            HostAction::Migrate
-                        }
-                    }
-                    (true, false) => HostAction::InPlace,
-                    (false, true) => HostAction::Migrate,
-                    (false, false) => HostAction::Defer,
-                };
-                actions[h] = action;
-                match action {
-                    HostAction::InPlace => active.push((h, c.inplace_cost)),
-                    HostAction::Migrate => active.push((h, c.migrate_cost)),
-                    HostAction::Defer => {}
-                }
+        let (actions, makespan, remediated_vms, deferred_vms) = if remediated {
+            for slot in &s.slots {
+                integ.remediated(slot.vms as f64, slot.done);
             }
-            if cfg.surface_aware {
-                // Smith's rule: ascending cost per exposed VM minimizes
-                // Σ weight × completion on the fluid drain. Ties fall to
-                // the host index, so the schedule is deterministic.
-                active.sort_by(|a, b| {
-                    let ka = a.1.as_secs_f64() / self.costs[a.0].vms as f64;
-                    let kb = b.1.as_secs_f64() / self.costs[b.0].vms as f64;
-                    ka.partial_cmp(&kb)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
+            for &vms in &s.deferred {
+                integ.deferred(vms as f64);
             }
-        }
-        let rate = cfg.concurrent_hosts.max(1) as f64;
-        let mut running = SimDuration::ZERO;
-        let mut remediated_vms = 0u64;
-        for &(h, c) in &active {
-            running += SimDuration::from_secs_f64(c.as_secs_f64() / rate);
-            integ.remediated(self.costs[h].vms as f64, running);
-            remediated_vms += self.costs[h].vms;
-        }
-        let mut deferred_vms = 0u64;
-        for (h, c) in self.costs.iter().enumerate() {
-            if actions[h] == HostAction::Defer && c.vms > 0 {
+            let makespan = s.slots.last().map_or(SimDuration::ZERO, |slot| slot.done);
+            (&s.actions, makespan, s.remediated_vms, s.deferred_vms)
+        } else {
+            // The patch cycle covers it: every populated host sits out
+            // the window.
+            for c in self.costs.iter().filter(|c| c.vms > 0) {
                 integ.deferred(c.vms as f64);
-                deferred_vms += c.vms;
             }
-        }
+            let every_vm = s.remediated_vms + s.deferred_vms;
+            (&s.all_defer, SimDuration::ZERO, 0, every_vm)
+        };
         EventPlan {
             id: ev.vuln.id.clone(),
             criticality,
             window,
-            actions,
+            actions: Arc::clone(actions),
             remediated,
             escalated: remediated && !raw_critical,
             exposure_vm_secs: integ.integral(),
-            makespan: running,
+            makespan,
             remediated_vms,
             deferred_vms,
         }
     }
 
-    /// Replays a whole feed incrementally: one cached cost table, one
+    /// Replays a whole feed incrementally: one cached schedule, one
     /// [`plan_event`] per disclosure.
     ///
     /// [`plan_event`]: ExposurePlanner::plan_event
     pub fn replay(&self, events: &[FeedEvent]) -> FeedReport {
         let mut report = FeedReport::new();
         for ev in events {
-            let plan = self.plan_event(ev);
-            report.events += 1;
-            if plan.remediated {
-                report.remediated_events += 1;
-            }
-            if plan.escalated {
-                report.escalated_events += 1;
-            }
-            let days = plan.exposure_vm_secs / 86_400.0;
-            report.exposure_vm_days += days;
-            report.disruption += plan.makespan;
-            report.remediated_vms += plan.remediated_vms;
-            report.deferred_vms += plan.deferred_vms;
-            report.per_event.push(days);
-            let total_vms = plan.remediated_vms + plan.deferred_vms;
-            let denom = plan.criticality * plan.window.as_secs_f64() * total_vms as f64;
-            if denom > 0.0 {
-                report.per_event_hist.record(plan.exposure_vm_secs / denom);
-            }
+            report.fold(&self.plan_event(ev));
         }
         report
     }
@@ -550,11 +637,228 @@ pub fn replay_feed<V: ClusterView + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Cluster;
+    use crate::model::{Cluster, HostState};
+    use hypertp_core::HypervisorKind;
+    use hypertp_machine::MachineSpec;
     use hypertp_vulndb::{dataset::dataset, VulnFeed};
 
     fn year_feed(seed: u64) -> Vec<FeedEvent> {
         VulnFeed::new(seed).replay(SimDuration::from_secs(365 * 86_400))
+    }
+
+    /// The original per-event planner — classify every host, sort the
+    /// active ones, walk the prefix — kept verbatim as an oracle: the
+    /// cached schedule must reproduce its plans and reports bit for bit.
+    mod oracle {
+        use super::super::*;
+
+        pub fn plan_event(costs: &[HostCost], cfg: &ExposureConfig, ev: &FeedEvent) -> EventPlan {
+            let criticality = cfg.weights.criticality(&ev.vuln.cvss, ev.surface);
+            let window = ev.window();
+            let raw_critical = ev.vuln.severity() == Severity::Critical;
+            let weighted_critical =
+                cfg.weights.effective_severity(&ev.vuln.cvss, ev.surface) == Severity::Critical;
+            let remediated = if cfg.surface_aware {
+                raw_critical || weighted_critical
+            } else {
+                raw_critical
+            };
+            let mut integ = ExposureIntegrator::new(criticality, window);
+            let mut actions = vec![HostAction::Defer; costs.len()];
+            let mut active: Vec<(usize, SimDuration)> = Vec::new();
+            if remediated {
+                for (h, c) in costs.iter().enumerate() {
+                    if c.vms == 0 {
+                        continue;
+                    }
+                    let inplace_fits = c.inplace_ok && c.inplace_cost <= cfg.downtime_budget;
+                    let migrate_fits = c.migrate_blackout <= cfg.downtime_budget;
+                    let action = match (inplace_fits, migrate_fits) {
+                        (true, true) => {
+                            if c.inplace_cost <= c.migrate_cost {
+                                HostAction::InPlace
+                            } else {
+                                HostAction::Migrate
+                            }
+                        }
+                        (true, false) => HostAction::InPlace,
+                        (false, true) => HostAction::Migrate,
+                        (false, false) => HostAction::Defer,
+                    };
+                    actions[h] = action;
+                    match action {
+                        HostAction::InPlace => active.push((h, c.inplace_cost)),
+                        HostAction::Migrate => active.push((h, c.migrate_cost)),
+                        HostAction::Defer => {}
+                    }
+                }
+                if cfg.surface_aware {
+                    active.sort_by(|a, b| {
+                        let ka = a.1.as_secs_f64() / costs[a.0].vms as f64;
+                        let kb = b.1.as_secs_f64() / costs[b.0].vms as f64;
+                        ka.partial_cmp(&kb)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.0.cmp(&b.0))
+                    });
+                }
+            }
+            let rate = cfg.concurrent_hosts.max(1) as f64;
+            let mut running = SimDuration::ZERO;
+            let mut remediated_vms = 0u64;
+            for &(h, c) in &active {
+                running += SimDuration::from_secs_f64(c.as_secs_f64() / rate);
+                integ.remediated(costs[h].vms as f64, running);
+                remediated_vms += costs[h].vms;
+            }
+            let mut deferred_vms = 0u64;
+            for (h, c) in costs.iter().enumerate() {
+                if actions[h] == HostAction::Defer && c.vms > 0 {
+                    integ.deferred(c.vms as f64);
+                    deferred_vms += c.vms;
+                }
+            }
+            EventPlan {
+                id: ev.vuln.id.clone(),
+                criticality,
+                window,
+                actions: actions.into(),
+                remediated,
+                escalated: remediated && !raw_critical,
+                exposure_vm_secs: integ.integral(),
+                makespan: running,
+                remediated_vms,
+                deferred_vms,
+            }
+        }
+
+        pub fn replay(
+            costs: &[HostCost],
+            cfg: &ExposureConfig,
+            events: &[FeedEvent],
+        ) -> FeedReport {
+            let mut report = FeedReport::new();
+            for ev in events {
+                let plan = plan_event(costs, cfg, ev);
+                report.events += 1;
+                if plan.remediated {
+                    report.remediated_events += 1;
+                }
+                if plan.escalated {
+                    report.escalated_events += 1;
+                }
+                let days = plan.exposure_vm_secs / 86_400.0;
+                report.exposure_vm_days += days;
+                report.disruption += plan.makespan;
+                report.remediated_vms += plan.remediated_vms;
+                report.deferred_vms += plan.deferred_vms;
+                report.per_event.push(days);
+                let total_vms = plan.remediated_vms + plan.deferred_vms;
+                let denom = plan.criticality * plan.window.as_secs_f64() * total_vms as f64;
+                if denom > 0.0 {
+                    report.per_event_hist.record(plan.exposure_vm_secs / denom);
+                }
+            }
+            report
+        }
+    }
+
+    /// `HYPERTP_SEED` (decimal or `0x`-prefixed hex), if set.
+    fn env_seed() -> Option<u64> {
+        let s = std::env::var("HYPERTP_SEED").ok()?;
+        let s = s.trim();
+        let (digits, radix) = match s.strip_prefix("0x") {
+            Some(hex) => (hex, 16),
+            None => (s, 10),
+        };
+        Some(
+            u64::from_str_radix(digits, radix)
+                .unwrap_or_else(|e| panic!("bad HYPERTP_SEED {s:?}: {e}")),
+        )
+    }
+
+    /// Every event of `events`, under every planner configuration the
+    /// schedule depends on, against the oracle. Collects the host actions
+    /// seen, so the caller can check the sweep reached every verdict.
+    fn assert_matches_oracle(
+        view: &dyn ClusterView,
+        events: &[FeedEvent],
+        label: &str,
+        seen: &mut Vec<HostAction>,
+    ) {
+        let weights = SurfaceWeights::calibrated(&dataset());
+        for surface_aware in [true, false] {
+            for budget_secs in [0u64, 30, 300] {
+                for concurrent_hosts in [0usize, 1, 8] {
+                    let cfg = ExposureConfig {
+                        concurrent_hosts,
+                        downtime_budget: SimDuration::from_secs(budget_secs),
+                        weights,
+                        surface_aware,
+                        ..ExposureConfig::default()
+                    };
+                    let at = format!(
+                        "{label} aware={surface_aware} budget={budget_secs}s \
+                         concurrent={concurrent_hosts}"
+                    );
+                    let planner = ExposurePlanner::new(view, cfg);
+                    for ev in events {
+                        let plan = planner.plan_event(ev);
+                        let want = oracle::plan_event(&planner.costs, &planner.cfg, ev);
+                        assert_eq!(plan, want, "{at} event {}", ev.vuln.id);
+                        for &a in plan.actions.iter() {
+                            if !seen.contains(&a) {
+                                seen.push(a);
+                            }
+                        }
+                    }
+                    assert_eq!(
+                        planner.replay(events).render(),
+                        oracle::replay(&planner.costs, &planner.cfg, events).render(),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_schedule_matches_the_per_event_oracle() {
+        let mut seen = Vec::new();
+        for seed in [7u64, 42].into_iter().chain(env_seed()) {
+            let syn = Cluster::synthetic(300, seed).with_compat_percent(70);
+            let sparse = syn.clone().with_vms_per_host(3);
+            // The paper testbed plus a host that carries no VM: it must be
+            // neither scheduled nor counted as deferred.
+            let mut testbed = Cluster::paper_testbed(40, seed);
+            testbed.hosts.push(HostState {
+                spec: MachineSpec::cluster_node(),
+                hypervisor: HypervisorKind::Xen,
+                upgraded: false,
+            });
+            // Two hardware specs: no uniform-spec memo, per-host in-place
+            // costs, so Smith's order interleaves the two host kinds.
+            let mut mixed = Cluster::synthetic(40, seed)
+                .with_compat_percent(90)
+                .materialize();
+            for h in (1..mixed.hosts.len()).step_by(2) {
+                mixed.hosts[h].spec = MachineSpec::m2();
+            }
+            assert!(mixed.uniform_spec().is_none());
+
+            let events = year_feed(seed);
+            let fleets: [(&str, &dyn ClusterView); 4] = [
+                ("synthetic", &syn),
+                ("3-per-host", &sparse),
+                ("testbed", &testbed),
+                ("two-spec", &mixed),
+            ];
+            for (name, view) in fleets {
+                assert_matches_oracle(view, &events, &format!("{name} seed={seed}"), &mut seen);
+            }
+        }
+        for action in [HostAction::InPlace, HostAction::Migrate, HostAction::Defer] {
+            assert!(seen.contains(&action), "sweep never produced {action:?}");
+        }
     }
 
     #[test]

@@ -123,7 +123,8 @@ impl Cluster {
 
     /// A lazy datacenter-scale fleet: `n_hosts` G5K-class hosts with 10
     /// VMs each, derived on demand from `seed` (see [`SyntheticCluster`]).
-    /// Nothing is allocated per host or per VM until it is touched.
+    /// No host or VM is ever materialized: the view is a few words plus
+    /// the workload classes' numbers.
     pub fn synthetic(n_hosts: usize, seed: u64) -> SyntheticCluster {
         SyntheticCluster {
             hosts: n_hosts,
@@ -132,6 +133,14 @@ impl Cluster {
             seed,
             spec: MachineSpec::cluster_node(),
             host_reserve_gb: 8,
+            slots: std::array::from_fn(|slot| {
+                let profile = SyntheticCluster::profile_for_slot(slot);
+                SlotClass {
+                    dirty_rate_pages_per_sec: profile.dirty_rate_pages_per_sec,
+                    peak_qps: profile.peak_qps(),
+                    migration_degradation: profile.migration_degradation,
+                }
+            }),
         }
     }
 }
@@ -245,6 +254,12 @@ impl ClusterView for Cluster {
 /// flip at `compat_percent`. [`SyntheticCluster::materialize`] builds the
 /// equivalent `Vec`-backed [`Cluster`] for equivalence testing (don't do
 /// this at 10k hosts).
+///
+/// The planner and executor call [`ClusterView::vm`] several times per VM
+/// per campaign, so the view reads its three workload classes' numbers
+/// from the [`WorkloadProfile`] constructors once, at construction, into
+/// a table over the slot cycle, and `vm()` is two hashes and a table
+/// lookup — it never allocates.
 #[derive(Debug, Clone)]
 pub struct SyntheticCluster {
     hosts: usize,
@@ -253,6 +268,16 @@ pub struct SyntheticCluster {
     seed: u64,
     spec: MachineSpec,
     host_reserve_gb: u64,
+    /// The workload class of slot `s` is entry `s % 10`.
+    slots: [SlotClass; 10],
+}
+
+/// What a [`VmView`] takes from its slot's [`WorkloadProfile`].
+#[derive(Debug, Clone, Copy)]
+struct SlotClass {
+    dirty_rate_pages_per_sec: f64,
+    peak_qps: f64,
+    migration_degradation: f64,
 }
 
 /// SplitMix64 finalizer: the per-index hash behind the lazy derivation.
@@ -369,14 +394,14 @@ impl ClusterView for SyntheticCluster {
 
     fn vm(&self, vm: usize) -> VmView {
         debug_assert!(vm < self.vm_count());
-        let profile = Self::profile_for_slot(vm % self.vms_per_host);
+        let class = &self.slots[(vm % self.vms_per_host) % 10];
         VmView {
             memory_gb: 4,
-            dirty_rate_pages_per_sec: profile.dirty_rate_pages_per_sec * self.dirty_multiplier(vm),
+            dirty_rate_pages_per_sec: class.dirty_rate_pages_per_sec * self.dirty_multiplier(vm),
             inplace_compatible: self.is_compat(vm),
             home: vm / self.vms_per_host,
-            peak_qps: profile.peak_qps(),
-            migration_degradation: profile.migration_degradation,
+            peak_qps: class.peak_qps,
+            migration_degradation: class.migration_degradation,
         }
     }
 
@@ -498,6 +523,40 @@ mod tests {
             video_rates.iter().any(|&r| r != video_rates[0]),
             "per-VM spread missing within the video class"
         );
+    }
+
+    #[test]
+    fn synthetic_vm_matches_profile_constructors() {
+        // Every field of the lazy view, rebuilt from the `workloads`
+        // constructors: what the view caches cannot drift from that crate.
+        for per_host in [10usize, 3, 13] {
+            let syn = Cluster::synthetic(23, 0xc1a5)
+                .with_compat_percent(55)
+                .with_vms_per_host(per_host);
+            for v in 0..syn.vm_count() {
+                let slot = v % per_host;
+                let profile = match slot % 10 {
+                    0..=2 => WorkloadProfile::video_stream(),
+                    3..=5 => WorkloadProfile::cpu_mem(),
+                    _ => WorkloadProfile::idle(),
+                };
+                let want = VmView {
+                    memory_gb: 4,
+                    dirty_rate_pages_per_sec: profile.dirty_rate_pages_per_sec
+                        * syn.dirty_multiplier(v),
+                    inplace_compatible: syn.is_compat(v),
+                    home: v / per_host,
+                    peak_qps: profile.peak_qps(),
+                    migration_degradation: profile.migration_degradation,
+                };
+                let got = syn.vm(v);
+                assert_eq!(got, want, "vm {v} of {per_host}/host");
+                assert_eq!(
+                    got.dirty_rate_pages_per_sec.to_bits(),
+                    want.dirty_rate_pages_per_sec.to_bits()
+                );
+            }
+        }
     }
 
     #[test]

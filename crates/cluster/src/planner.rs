@@ -11,14 +11,17 @@
 //! The planner is generic over [`ClusterView`], so it runs unchanged over
 //! a materialized [`crate::model::Cluster`] or a lazy
 //! [`crate::model::SyntheticCluster`]. Placement state is an overlay
-//! (per-host free GiB, a current-host array, per-host arrival lists) and
-//! target selection is an ordered-set lookup, so planning is
-//! O((V + H·G⁻¹·…) log H) — near-linear in fleet size — instead of the
-//! O(H·V) full-scan-per-host shape that capped the old implementation at
-//! toy fleets. The produced [`Plan`] is byte-identical to the scan-based
-//! planner's (the test module keeps that one as an oracle).
+//! (per-host used GiB, a home-placement index, arrival lists for hosts
+//! still awaiting their turn) and the migration targets sit in two
+//! max-heaps of packed `(free GiB, host)` keys, one per tier. A pick reads
+//! the heap's top and charges the VM to it in place — one sift, no entry
+//! added — and a host going offline is a byte write: its entry is dropped
+//! when it surfaces. Planning is O(V + M log H) for M migrations, with
+//! every buffer sized up front. The produced [`Plan`] is byte-identical to
+//! the original O(H·V)-per-pick scan planner's (the test module keeps that
+//! one as an oracle).
 
-use std::collections::BTreeSet;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::model::ClusterView;
 
@@ -110,16 +113,49 @@ pub fn plan_upgrade<V: ClusterView + ?Sized>(
     plan_upgrade_excluding(view, group_size, &[])
 }
 
-/// Picks the best target in an ordered `(free_gb, host)` set: the
-/// maximal element, iff it has room. Because the set's maximum has the
-/// globally largest `(free, host)` pair, it is exactly the
-/// `max_by_key((upgraded, free))` winner restricted to this set —
+/// Where a host stands in the roll. A target heap's entry is live iff its
+/// host is still in that heap's tier.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// Excluded, or in the group that is offline right now.
+    Offline,
+    /// Not upgraded yet.
+    Fresh,
+    /// Upgraded: preferred, so the VM never has to move again.
+    Upgraded,
+}
+
+/// Bits of a target key holding the host index; the free GiB sit above
+/// them, so keys order by `(free, host)`.
+const HOST_BITS: u32 = 32;
+
+fn target_key(free_gb: u64, host: usize) -> u64 {
+    assert!(
+        free_gb >> HOST_BITS == 0 && host as u64 >> HOST_BITS == 0,
+        "free GiB and host index are packed into 32 bits each"
+    );
+    free_gb << HOST_BITS | host as u64
+}
+
+/// Places `need_gb` on the best target of one tier: the live entry with
+/// the largest `(free, host)` pair, iff it has room — exactly the
+/// `max_by_key((upgraded, free))` winner restricted to this tier,
 /// including the highest-host-index tie-break of a forward `max_by_key`
-/// scan.
-fn pick(set: &BTreeSet<(u64, usize)>, need_gb: u64) -> Option<usize> {
-    set.last()
-        .filter(|&&(free, _)| free >= need_gb)
-        .map(|&(_, host)| host)
+/// scan. The winner's key is charged in place, so a live host keeps one
+/// entry with its current free GiB.
+fn place(targets: &mut BinaryHeap<u64>, tiers: &[Tier], tier: Tier, need_gb: u64) -> Option<usize> {
+    loop {
+        let mut top = targets.peek_mut()?;
+        let host = (*top & ((1 << HOST_BITS) - 1)) as usize;
+        if tiers[host] != tier {
+            PeekMut::pop(top);
+        } else if *top >> HOST_BITS < need_gb {
+            return None;
+        } else {
+            *top -= need_gb << HOST_BITS;
+            return Some(host);
+        }
+    }
 }
 
 /// [`plan_upgrade`] over a degraded cluster: `excluded` hosts (failed or
@@ -134,66 +170,72 @@ pub fn plan_upgrade_excluding<V: ClusterView + ?Sized>(
 ) -> Result<Plan, PlanError> {
     let n_hosts = view.host_count();
     let n_vms = view.vm_count();
-    let eligible: Vec<usize> = (0..n_hosts).filter(|h| !excluded.contains(h)).collect();
+    let mut tiers = vec![Tier::Fresh; n_hosts];
+    for &h in excluded {
+        if let Some(tier) = tiers.get_mut(h) {
+            *tier = Tier::Offline;
+        }
+    }
+    let eligible: Vec<usize> = (0..n_hosts).filter(|&h| tiers[h] == Tier::Fresh).collect();
     if group_size == 0 || group_size > eligible.len() {
         return Err(PlanError::BadGroupSize);
     }
 
-    // One pass over the VMs: per-host used GiB, the current-host overlay,
-    // and a CSR index of home placements (ascending VM order per host).
+    // One pass over the VMs: per-host used GiB and a CSR index of home
+    // placements (ascending VM order per host).
     let mut used = vec![0u64; n_hosts];
-    let mut counts = vec![0u32; n_hosts];
-    let mut cur = vec![0u32; n_vms];
-    for (i, cur_home) in cur.iter_mut().enumerate() {
+    let mut offsets = vec![0usize; n_hosts + 1];
+    let mut home = vec![0u32; n_vms];
+    for (i, home) in home.iter_mut().enumerate() {
         let vm = view.vm(i);
         used[vm.home] += vm.memory_gb;
-        counts[vm.home] += 1;
-        *cur_home = vm.home as u32;
+        offsets[vm.home + 1] += 1;
+        *home = vm.home as u32;
     }
-    let mut offsets = vec![0usize; n_hosts + 1];
     for h in 0..n_hosts {
-        offsets[h + 1] = offsets[h] + counts[h] as usize;
+        offsets[h + 1] += offsets[h];
     }
     let mut home_vms = vec![0u32; n_vms];
     let mut fill = offsets.clone();
-    for (i, &home) in cur.iter().enumerate() {
+    for (i, &home) in home.iter().enumerate() {
         home_vms[fill[home as usize]] = i as u32;
         fill[home as usize] += 1;
     }
+    drop((home, fill));
 
     let free = |host: usize, used: &[u64]| view.host_capacity_gb(host).saturating_sub(used[host]);
 
-    // Target indices: every non-excluded host, keyed by (free, host), in
-    // two tiers — already-upgraded hosts are always preferred over fresh
-    // ones, matching `max_by_key((upgraded, free_gb))`.
-    let mut fresh: BTreeSet<(u64, usize)> = eligible.iter().map(|&h| (free(h, &used), h)).collect();
-    let mut upgraded: BTreeSet<(u64, usize)> = BTreeSet::new();
+    // Targets: every non-excluded host in one of two tiers —
+    // already-upgraded hosts are always preferred over fresh ones,
+    // matching `max_by_key((upgraded, free_gb))`. Every eligible host
+    // enters each heap at most once, so neither ever regrows.
+    let mut fresh: BinaryHeap<u64> = eligible
+        .iter()
+        .map(|&h| target_key(free(h, &used), h))
+        .collect();
+    let mut upgraded: BinaryHeap<u64> = BinaryHeap::with_capacity(eligible.len());
+    // A host is drained exactly once and a VM only ever leaves the host
+    // being drained. So when a host's turn comes, every home VM is still
+    // there and every VM that arrived has stayed — and arrivals at hosts
+    // that already had their turn are never read, so they are not kept.
     let mut arrivals: Vec<Vec<u32>> = vec![Vec::new(); n_hosts];
 
-    let mut plan = Plan::default();
-    let mut group_start = 0usize;
-    while group_start < eligible.len() {
-        let group = &eligible[group_start..(group_start + group_size).min(eligible.len())];
+    let mut plan = Plan {
+        groups: Vec::with_capacity(eligible.len().div_ceil(group_size)),
+    };
+    let mut actions = Vec::new();
+    let mut resident: Vec<u32> = Vec::new();
+    for group in eligible.chunks(group_size) {
         // The offline group cannot receive evacuated VMs.
         for &g in group {
-            let key = (free(g, &used), g);
-            if !fresh.remove(&key) {
-                upgraded.remove(&key);
-            }
+            tiers[g] = Tier::Offline;
         }
-        let mut actions = Vec::new();
         for &host in group {
-            // Resident snapshot: home VMs that have not moved away plus
-            // arrivals that have not moved on, in ascending VM order (an
-            // arrival can appear twice if it left and returned — dedup).
-            let mut resident: Vec<u32> = home_vms[offsets[host]..offsets[host + 1]]
-                .iter()
-                .chain(arrivals[host].iter())
-                .copied()
-                .filter(|&i| cur[i as usize] == host as u32)
-                .collect();
+            // Resident VMs in ascending order: home VMs, then arrivals.
+            resident.clear();
+            resident.extend_from_slice(&home_vms[offsets[host]..offsets[host + 1]]);
+            resident.extend_from_slice(&arrivals[host]);
             resident.sort_unstable();
-            resident.dedup();
             let mut staying = 0usize;
             for &vm32 in &resident {
                 let vm = vm32 as usize;
@@ -203,27 +245,17 @@ pub fn plan_upgrade_excluding<V: ClusterView + ?Sized>(
                     continue;
                 }
                 let need = info.memory_gb;
-                let to = pick(&upgraded, need)
-                    .or_else(|| pick(&fresh, need))
+                let to = place(&mut upgraded, &tiers, Tier::Upgraded, need)
+                    .or_else(|| place(&mut fresh, &tiers, Tier::Fresh, need))
                     .ok_or_else(|| PlanError::NoCapacity {
                         vm: view.vm_name(vm),
                     })?;
                 actions.push(Action::Migrate { vm, from: host, to });
-                let key = (free(to, &used), to);
-                let was_upgraded = upgraded.remove(&key);
-                if !was_upgraded {
-                    fresh.remove(&key);
-                }
                 used[to] += need;
                 used[host] -= need;
-                let key = (free(to, &used), to);
-                if was_upgraded {
-                    upgraded.insert(key);
-                } else {
-                    fresh.insert(key);
+                if tiers[to] == Tier::Fresh {
+                    arrivals[to].push(vm32);
                 }
-                cur[vm] = to as u32;
-                arrivals[to].push(vm32);
             }
             actions.push(Action::InPlaceUpgrade {
                 host,
@@ -232,10 +264,12 @@ pub fn plan_upgrade_excluding<V: ClusterView + ?Sized>(
         }
         // The group is back online, upgraded, with its evacuations freed.
         for &g in group {
-            upgraded.insert((free(g, &used), g));
+            tiers[g] = Tier::Upgraded;
+            upgraded.push(target_key(free(g, &used), g));
         }
-        plan.groups.push(actions);
-        group_start += group_size;
+        // An exact-size copy: the plan holds no spare capacity.
+        plan.groups.push(actions.clone());
+        actions.clear();
     }
     Ok(plan)
 }
@@ -271,8 +305,15 @@ pub fn validate_capacity<V: ClusterView + ?Sized>(view: &V, plan: &Plan) -> Resu
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use hypertp_core::{HypervisorKind, VmConfig};
+    use hypertp_machine::MachineSpec;
+    use hypertp_sim::SimRng;
+    use hypertp_workloads::WorkloadProfile;
+
     use super::*;
-    use crate::model::Cluster;
+    use crate::model::{Cluster, ClusterVm, HostState};
 
     /// The original O(H·V)-per-host scan planner, kept verbatim as an
     /// oracle: the indexed planner must reproduce its plans byte for
@@ -394,6 +435,143 @@ mod tests {
             assert_eq!(via_view, via_cluster, "hosts={hosts}");
             assert_eq!(via_view, slow, "hosts={hosts}");
             validate_capacity(&syn, &via_view).unwrap();
+        }
+    }
+
+    /// A near-full heterogeneous fleet: two host sizes, VM footprints of
+    /// 1–16 GiB packed until every host is at least 90 % used, then
+    /// `spare` empty hosts spliced in at seeded positions.
+    fn packed_fleet(seed: u64, hosts: usize, spare: usize, compat_pct: u64) -> Cluster {
+        let mut rng = SimRng::new(seed);
+        let mut c = Cluster {
+            hosts: Vec::new(),
+            vms: Vec::new(),
+            host_reserve_gb: 8,
+        };
+        let spare_at = rng.sample_indices(hosts + spare, spare);
+        for host in 0..hosts + spare {
+            let spec = if rng.gen_bool(0.5) {
+                MachineSpec::cluster_node()
+            } else {
+                MachineSpec::m2()
+            };
+            c.hosts.push(HostState {
+                spec,
+                hypervisor: HypervisorKind::Xen,
+                upgraded: false,
+            });
+            if spare_at.contains(&host) {
+                continue;
+            }
+            let capacity = c.host_capacity_gb(host);
+            let mut used = 0u64;
+            while used * 10 < capacity * 9 {
+                let gb = [1u64, 2, 4, 8, 16][rng.gen_range(5) as usize].min(capacity - used);
+                let name = format!("vm-{host}-{}", c.vms.len());
+                c.vms.push(ClusterVm {
+                    config: VmConfig::small(name.clone())
+                        .with_memory_gb(gb)
+                        .with_inplace_compatible(rng.gen_range(100) < compat_pct),
+                    name,
+                    profile: WorkloadProfile::idle(),
+                    host,
+                });
+                used += gb;
+            }
+        }
+        c
+    }
+
+    /// What a plan exercised: picks that fell through to a not-yet-upgraded
+    /// host although upgraded ones existed, and VMs that moved back onto a
+    /// host they had left.
+    fn fallthroughs_and_returns(plan: &Plan) -> (usize, usize) {
+        let mut upgraded: Vec<usize> = Vec::new();
+        let mut left: HashMap<usize, Vec<usize>> = HashMap::new();
+        let (mut fell_through, mut returned) = (0, 0);
+        for group in &plan.groups {
+            for action in group {
+                if let Action::Migrate { vm, from, to } = action {
+                    fell_through += usize::from(!upgraded.is_empty() && !upgraded.contains(to));
+                    let left = left.entry(*vm).or_default();
+                    returned += usize::from(left.contains(to));
+                    left.push(*from);
+                }
+            }
+            upgraded.extend(group.iter().filter_map(|a| match a {
+                Action::InPlaceUpgrade { host, .. } => Some(*host),
+                Action::Migrate { .. } => None,
+            }));
+        }
+        (fell_through, returned)
+    }
+
+    #[test]
+    fn indexed_planner_matches_oracle_on_near_full_mixed_fleets() {
+        let (mut planned, mut refused, mut fell_through, mut returned) = (0, 0, 0, 0);
+        for seed in [3u64, 42, 99] {
+            for spare in [0usize, 1, 3, 6] {
+                for group in [1usize, 2, 4] {
+                    let c = packed_fleet(seed, 24, spare, 60);
+                    for h in 0..c.hosts.len() {
+                        let used = c.host_used_gb(h);
+                        assert!(used == 0 || used * 10 >= c.host_capacity_gb(h) * 9);
+                    }
+                    let fast = plan_upgrade(&c, group);
+                    let slow = oracle::plan_upgrade_excluding(&c, group, &[]);
+                    assert_eq!(fast, slow, "seed={seed} spare={spare} group={group}");
+                    match fast {
+                        Ok(plan) => {
+                            validate_capacity(&c, &plan).unwrap();
+                            let (f, r) = fallthroughs_and_returns(&plan);
+                            planned += 1;
+                            fell_through += f;
+                            returned += r;
+                        }
+                        Err(PlanError::NoCapacity { .. }) => refused += 1,
+                        Err(e) => panic!("seed={seed} spare={spare} group={group}: {e}"),
+                    }
+                }
+            }
+        }
+        // The sweep must reach every regime the target index can differ in.
+        assert!(planned > 0, "no packed fleet planned");
+        assert!(refused > 0, "no packed fleet ran out of capacity");
+        assert!(fell_through > 0, "no pick fell through to the fresh tier");
+        assert!(returned > 0, "no VM returned to a host it had left");
+    }
+
+    #[test]
+    fn indexed_planner_matches_oracle_with_wide_exclusions() {
+        let hosts = 200usize;
+        let group = 8usize;
+        for seed in [7u64, 42] {
+            let syn = Cluster::synthetic(hosts, seed).with_compat_percent(60);
+            let mat = syn.materialize();
+            let one = vec![(seed as usize * 31) % hosts];
+            let half: Vec<usize> = (0..hosts).filter(|h| h % 2 == 1).rev().collect();
+            // All but one group's worth of hosts: the survivors go offline
+            // together, so anything that must move has nowhere to go.
+            let all_but_group: Vec<usize> =
+                (0..hosts).filter(|h| h % (hosts / group) != 3).collect();
+            assert_eq!(all_but_group.len(), hosts - group);
+            for excluded in [one, half, all_but_group] {
+                let at = format!("seed={seed} excluded={}", excluded.len());
+                let via_view = plan_upgrade_excluding(&syn, group, &excluded);
+                let via_cluster = plan_upgrade_excluding(&mat, group, &excluded);
+                let slow = oracle::plan_upgrade_excluding(&mat, group, &excluded);
+                assert_eq!(via_view, via_cluster, "{at}");
+                assert_eq!(via_view, slow, "{at}");
+                if let Ok(plan) = &via_view {
+                    validate_capacity(&syn, plan).unwrap();
+                    assert_eq!(plan.inplace_count(), hosts - excluded.len(), "{at}");
+                    for a in plan.actions() {
+                        if let Action::Migrate { to, .. } = a {
+                            assert!(!excluded.contains(to), "{at}: moved onto excluded {to}");
+                        }
+                    }
+                }
+            }
         }
     }
 

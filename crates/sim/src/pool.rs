@@ -40,7 +40,8 @@ pub struct Batch<T> {
     pub results: Vec<T>,
     /// Wall-clock duration of the whole batch.
     pub makespan: Duration,
-    /// Number of worker threads actually used (`min(workers, tasks)`).
+    /// Number of worker threads actually used (`min(workers, tasks)`,
+    /// the calling thread included).
     pub workers: usize,
 }
 
@@ -93,7 +94,8 @@ impl WorkerPool {
     ///
     /// With one worker (or one task) everything runs inline on the calling
     /// thread — no threads are spawned, so `HYPERTP_WORKERS=1` is a true
-    /// serial baseline.
+    /// serial baseline. Otherwise the calling thread claims tasks alongside
+    /// `workers − 1` spawned ones.
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Batch<T>
     where
         T: Send,
@@ -117,28 +119,32 @@ impl WorkerPool {
         let cursor = AtomicUsize::new(0);
         let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let task = slots[i]
-                            .lock()
-                            .expect("pool slot poisoned")
-                            .take()
-                            .expect("pool slot claimed twice");
-                        local.push((i, task()));
-                    }
-                    collected
-                        .lock()
-                        .expect("pool result vector poisoned")
-                        .extend(local);
-                });
+        let work = || {
+            let mut local: Vec<(usize, T)> = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let task = slots[i]
+                    .lock()
+                    .expect("pool slot poisoned")
+                    .take()
+                    .expect("pool slot claimed twice");
+                local.push((i, task()));
             }
+            collected
+                .lock()
+                .expect("pool result vector poisoned")
+                .extend(local);
+        };
+        // The calling thread is one of the workers: it would otherwise
+        // sit parked in the scope until the batch is done.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
 
         let mut pairs = collected.into_inner().expect("pool result vector poisoned");
@@ -353,6 +359,21 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert!(ids.len() > 1, "expected multiple worker threads");
+    }
+
+    #[test]
+    fn calling_thread_is_one_of_the_workers() {
+        // No task returns before both have started, so each runs on a
+        // thread of its own — and one of the two must be the caller.
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let batch = WorkerPool::new(2).map_indices(2, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_eq!(batch.workers, 2);
+        assert_ne!(batch.results[0], batch.results[1]);
+        assert!(batch.results.contains(&caller));
     }
 
     #[test]

@@ -154,47 +154,53 @@ fn opt_spec(cmd: &Command, key: &str) -> Result<MachineSpec, CliError> {
     }
 }
 
-/// The help text.
+/// The help text: subcommands in the left column, what they do in the
+/// right. One literal per line — a `\`-continued literal would eat the
+/// indentation the layout is made of.
 pub fn help() -> String {
-    "hypertpctl — hypervisor transplant control (simulated)\n\
-     \n\
-     subcommands:\n\
-       analyze                         regenerate the vulnerability study (Table 1)\n\
-       decide <CVE-ID> [--running HV]  policy decision for a disclosed CVE\n\
-       transplant [--machine m1|m2] [--vms N] [--vcpus N] [--mem GB]\n\
-                  [--from HV] [--to HV] [--no-prepare] [--no-parallel]\n\
-                  [--no-early-restore]  run InPlaceTP and print the breakdown\n\
-       migrate    [--machine m1|m2] [--mem GB] [--dirty-rate P/S] [--to HV]\n\
-                                        run MigrationTP and print the report\n\
-       proxy dest --socket PATH [--machine m1|m2] [--to HV]\n\
-       proxy source --socket PATH [--machine m1|m2] [--mem GB] [--dirty-rate P/S]\n\
-                                        the §4.2 migration proxy pair: run `dest`\n\
-                                        in one process, `source` in another, over\n\
-                                        a Unix-domain socket\n\
-       cluster    [--compat PCT] [--group N] [--hosts N] [--shards S]\n\
-                                        plan+execute a rolling upgrade; --hosts\n\
-                                        derives a synthetic fleet, --shards runs\n\
-                                        the sharded executor\n\
-       fleet      [--vms N] [--mem GB] [--dirty-rate P/S] [--max-concurrent N]\n\
-                  [--seed S] [--slo-aware]\n\
-                                        migrate a small fleet whose VMs serve a\n\
-                                        seeded diurnal traffic mix; --slo-aware\n\
-                                        admits by least predicted SLO harm\n\
-                                        instead of FIFO\n\
-       campaign   <CVE-ID> [--hosts N] [--vms N]  full Fig. 1(b) campaign\n\
-       feed       [--hosts N] [--seed S] [--events-per-year N] [--days D]\n\
-                  [--budget SECS] [--shards S] [--blind]\n\
-                                        replay a seeded disclosure feed through\n\
-                                        the exposure-minimizing planner: per-host\n\
-                                        InPlace/Migrate/Defer per event; --blind\n\
-                                        plans surface-blind for comparison\n\
-       recover    [--machine m1|m2] [--vms N] [--vcpus N] [--mem GB]\n\
-                  [--from HV] [--to HV] [--ticks N] [--workload PAGES]\n\
-                  [--bound PAGES]\n\
-                                        crash the hypervisor after N warm-checkpoint\n\
-                                        ticks and print the unplanned recovery report\n\
-       help                             this text\n"
-        .to_string()
+    concat!(
+        "hypertpctl — hypervisor transplant control (simulated)\n",
+        "\n",
+        "subcommands:\n",
+        "  analyze                         regenerate the vulnerability study (Table 1)\n",
+        "  decide <CVE-ID> [--running HV]  policy decision for a disclosed CVE\n",
+        "  transplant [--machine m1|m2] [--vms N] [--vcpus N] [--mem GB]\n",
+        "             [--from HV] [--to HV] [--no-prepare] [--no-parallel]\n",
+        "             [--no-early-restore]\n",
+        "                                  run InPlaceTP and print the breakdown\n",
+        "  migrate    [--machine m1|m2] [--mem GB] [--dirty-rate P/S] [--to HV]\n",
+        "                                  run MigrationTP and print the report\n",
+        "  proxy dest --socket PATH [--machine m1|m2] [--to HV]\n",
+        "  proxy source --socket PATH [--machine m1|m2] [--mem GB] [--dirty-rate P/S]\n",
+        "                                  the §4.2 migration proxy pair: run `dest`\n",
+        "                                  in one process, `source` in another, over\n",
+        "                                  a Unix-domain socket\n",
+        "  cluster    [--compat PCT] [--group N] [--hosts N] [--shards S]\n",
+        "                                  plan+execute a rolling upgrade; --hosts\n",
+        "                                  derives a synthetic fleet, --shards runs\n",
+        "                                  the sharded executor\n",
+        "  fleet      [--vms N] [--mem GB] [--dirty-rate P/S] [--max-concurrent N]\n",
+        "             [--seed S] [--slo-aware]\n",
+        "                                  migrate a small fleet whose VMs serve a\n",
+        "                                  seeded diurnal traffic mix; --slo-aware\n",
+        "                                  admits by least predicted SLO harm\n",
+        "                                  instead of FIFO\n",
+        "  campaign   <CVE-ID> [--hosts N] [--vms N]\n",
+        "                                  full Fig. 1(b) campaign\n",
+        "  feed       [--hosts N] [--seed S] [--events-per-year N] [--days D]\n",
+        "             [--budget SECS] [--shards S] [--blind]\n",
+        "                                  replay a seeded disclosure feed through\n",
+        "                                  the exposure-minimizing planner: per-host\n",
+        "                                  InPlace/Migrate/Defer per event; --blind\n",
+        "                                  plans surface-blind for comparison\n",
+        "  recover    [--machine m1|m2] [--vms N] [--vcpus N] [--mem GB]\n",
+        "             [--from HV] [--to HV] [--ticks N] [--workload PAGES]\n",
+        "             [--bound PAGES]\n",
+        "                                  crash the hypervisor after N warm-checkpoint\n",
+        "                                  ticks and print the unplanned recovery report\n",
+        "  help                            this text\n",
+    )
+    .to_string()
 }
 
 /// Executes a parsed command, returning its printable output. Each
@@ -713,8 +719,10 @@ fn run_feed(cmd: &Command) -> Result<String, CliError> {
             "surface-aware"
         },
     );
+    let mut report = hypertp_cluster::FeedReport::new();
     for ev in &events {
         let plan = planner.plan_event(ev);
+        report.fold(&plan);
         let day = ev
             .at
             .duration_since(hypertp_sim::SimTime::ZERO)
@@ -740,8 +748,13 @@ fn run_feed(cmd: &Command) -> Result<String, CliError> {
             plan.exposure_vm_secs / 86_400.0,
         ));
     }
-    let report = planner.replay(&events);
-    out.push_str(&format!(
+    out.push_str(&feed_footer(&report));
+    Ok(out)
+}
+
+/// The last line of `feed`: the whole replay's totals.
+fn feed_footer(report: &hypertp_cluster::FeedReport) -> String {
+    format!(
         "integrated exposure {:.1} VM·days over {} event(s): {} remediated \
          ({} escalated by surface weight), {} VM remediation(s), {} VM-window(s) deferred, \
          disruption {:.1} min\n",
@@ -752,8 +765,7 @@ fn run_feed(cmd: &Command) -> Result<String, CliError> {
         report.remediated_vms,
         report.deferred_vms,
         report.disruption.as_secs_f64() / 60.0,
-    ));
-    Ok(out)
+    )
 }
 
 fn run_recover(cmd: &Command) -> Result<String, CliError> {
@@ -976,6 +988,24 @@ mod tests {
     }
 
     #[test]
+    fn feed_footer_matches_a_fresh_replay() {
+        // The CLI folds the plans it prints; the totals must be the ones
+        // a replay of the same feed reports.
+        let out = run(&parse(&argv("feed --hosts 30 --days 120")).unwrap()).unwrap();
+        let view = hypertp_cluster::Cluster::synthetic(30, 42).with_compat_percent(80);
+        let events = hypertp_vulndb::VulnFeed::new(42)
+            .replay(hypertp_sim::SimDuration::from_secs(120 * 86_400));
+        let cfg = hypertp_cluster::ExposureConfig {
+            weights: hypertp_vulndb::SurfaceWeights::calibrated(&hypertp_vulndb::dataset::dataset()),
+            ..hypertp_cluster::ExposureConfig::default()
+        };
+        let report = hypertp_cluster::ExposurePlanner::new(&view, cfg).replay(&events);
+        assert!(report.events > 0);
+        assert_eq!(out.lines().count(), 2 + report.events, "{out}");
+        assert!(out.ends_with(&feed_footer(&report)), "{out}");
+    }
+
+    #[test]
     fn feed_bad_days_rejected() {
         let r = run(&parse(&argv("feed --days forever")).unwrap());
         assert!(matches!(r, Err(CliError::BadValue { .. })));
@@ -1077,6 +1107,26 @@ mod tests {
     fn recover_bad_bound_rejected() {
         let r = run(&parse(&argv("recover --bound many")).unwrap());
         assert!(matches!(r, Err(CliError::BadValue { .. })));
+    }
+
+    #[test]
+    fn help_keeps_its_two_column_layout() {
+        let out = help();
+        let (_, list) = out.split_once("subcommands:\n").expect("subcommand list");
+        let mut subcommands = 0;
+        for line in list.lines() {
+            // A line either starts a subcommand at a two-space indent or
+            // continues one: options under the first option, the
+            // description in the right column.
+            let indent = line.len() - line.trim_start().len();
+            if indent == 2 {
+                subcommands += 1;
+            } else {
+                assert!(indent == 13 || indent == 34, "flush or ragged: {line:?}");
+            }
+            assert!(line.chars().count() <= 80, "too wide: {line:?}");
+        }
+        assert_eq!(subcommands, 12, "ten subcommands, proxy twice, help");
     }
 
     #[test]

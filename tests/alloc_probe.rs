@@ -6,13 +6,20 @@
 //! probe (capacity-growth events on the shared scratch) asserts the same
 //! invariant across whole migrations, where pool threads and report
 //! construction put the raw counter out of reach.
+//!
+//! The same counter pins the control plane's two per-disclosure
+//! mechanisms: the synthetic fleet view derives a VM without allocating,
+//! and re-planning a disclosure year allocates nothing per host or per VM.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hypertp::prelude::*;
+use hypertp_cluster::{Cluster, ClusterView, ExposureConfig, ExposurePlanner};
 use hypertp_migrate::{FrameRing, TransferCache};
 use hypertp_sim::hash::{digest_pages_into, Digest128};
+use hypertp_sim::SimDuration;
+use hypertp_vulndb::VulnFeed;
 
 /// Counts every allocation and reallocation (frees are irrelevant: the
 /// invariant is that the hot path never *asks* for memory).
@@ -62,6 +69,53 @@ fn round(
     cache.commit_round();
     ring.commit();
     wb
+}
+
+/// Allocations made while `f` runs (this thread is the only one alive).
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCS.load(Ordering::Relaxed) - before, out)
+}
+
+/// Allocations of one incremental replay of a disclosure year over a
+/// `hosts`-host synthetic fleet, the planner already built.
+fn replay_allocs(hosts: usize) -> u64 {
+    let view = Cluster::synthetic(hosts, 42).with_compat_percent(70);
+    let events = VulnFeed::new(42).replay(SimDuration::from_secs(365 * 86_400));
+    assert_eq!(events.len(), 37, "the pinned disclosure year");
+    let planner = ExposurePlanner::new(&view, ExposureConfig::default());
+    let (allocs, report) = allocs_during(|| planner.replay(&events));
+    assert!(report.remediated_events > 0, "some disclosure is planned");
+    assert_eq!(
+        report.remediated_vms + report.deferred_vms,
+        (events.len() * view.vm_count()) as u64
+    );
+    allocs
+}
+
+/// Part 3 — the control plane: deriving a VM of the synthetic fleet and
+/// re-planning a disclosure touch no per-host or per-VM memory.
+fn control_plane_probe() {
+    let view = Cluster::synthetic(10_000, 42).with_compat_percent(70);
+    let (allocs, compatible) = allocs_during(|| {
+        (0..view.vm_count())
+            .filter(|&vm| view.vm(vm).inplace_compatible)
+            .count()
+    });
+    assert_eq!(view.vm_count(), 100_000);
+    assert!(compatible > 0, "views were derived");
+    assert_eq!(allocs, 0, "SyntheticCluster::vm must not allocate");
+
+    let (small, large) = (replay_allocs(1_000), replay_allocs(10_000));
+    assert_eq!(
+        small, large,
+        "a replay's allocations must not grow with the fleet"
+    );
+    println!(
+        "alloc_probe: ok (0 allocations over 100000 vm() calls, \
+         {large} per 37-event replay at 1k and 10k hosts)"
+    );
 }
 
 // Plain main(), no libtest harness (`harness = false` in Cargo.toml):
@@ -154,4 +208,6 @@ fn main() {
     );
     assert_eq!(steady.ring_capacity, warm.ring_capacity);
     println!("alloc_probe: ok (0 hot-path allocations over 100 rounds, no scratch regrowth)");
+
+    control_plane_probe();
 }
