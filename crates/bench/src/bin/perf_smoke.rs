@@ -123,8 +123,9 @@ fn pram_roundtrip(files: u64, pool: WorkerPool) -> (f64, f64, PramStats) {
 }
 
 /// Times `iters` UISR binary codec round-trips of a 10-vCPU VM and
-/// returns (total secs, blob bytes).
-fn uisr_roundtrip(iters: u32) -> (f64, usize) {
+/// returns (total secs, blob bytes, whether the decoded VM equals the
+/// encoded one — compared once, outside the timed loop).
+fn uisr_roundtrip(iters: u32) -> (f64, usize, bool) {
     use hypertp_uisr::{DeviceState, MemoryRegion, MsrEntry, UisrVm, VcpuState};
     let mut vm = UisrVm::new("perf-smoke");
     for i in 0..10 {
@@ -153,7 +154,9 @@ fn uisr_roundtrip(iters: u32) -> (f64, usize) {
         let back = hypertp_uisr::decode(&blob).expect("decode");
         std::hint::black_box(back);
     }
-    (secs(t), blob.len())
+    let total = secs(t);
+    let identical = hypertp_uisr::decode(&blob).expect("decode") == vm;
+    (total, blob.len(), identical)
 }
 
 /// Migrates 4 × 1 GiB VMs Xen→KVM with content verification on the given
@@ -239,11 +242,12 @@ fn main() {
 
     // 3. UISR codec round-trip.
     let uisr_iters = 2000u32;
-    let (uisr_s, uisr_bytes) = uisr_roundtrip(uisr_iters);
+    let (uisr_s, uisr_bytes, uisr_identical) = uisr_roundtrip(uisr_iters);
     println!(
-        "== uisr codec == {uisr_iters} round-trips of {uisr_bytes} B in {uisr_s:.3} s ({:.0}/s)",
+        "== uisr codec == {uisr_iters} round-trips of {uisr_bytes} B in {uisr_s:.3} s ({:.0}/s); identical: {uisr_identical}",
         f64::from(uisr_iters) / uisr_s.max(1e-9)
     );
+    assert!(uisr_identical, "a decoded UISR blob must equal its source");
 
     // 4. migrate_many with verification, serial vs pooled, raw vs wire.
     println!("== migrate_many (4 x 1 GiB, verify_contents) ==");
@@ -313,7 +317,8 @@ fn main() {
             Json::obj()
                 .with("round_trips", json::u(u64::from(uisr_iters)))
                 .with("blob_bytes", json::u(uisr_bytes as u64))
-                .with("total_secs", json::f(uisr_s)),
+                .with("total_secs", json::f(uisr_s))
+                .with("identical", json::s(uisr_identical.to_string())),
         )
         .with(
             "migrate_many",

@@ -91,14 +91,12 @@ pub fn load_blob(ram: &PhysicalMemory, file: &PramFile) -> Result<Vec<u8>, HtpEr
             raw.extend_from_slice(bytes);
         }
     }
-    if raw.len() < 8 {
-        return Err(HtpError::Codec(hypertp_uisr::CodecError::Truncated));
-    }
-    let len = u64::from_le_bytes(raw[0..8].try_into().expect("len 8")) as usize;
-    if raw.len() < 8 + len {
-        return Err(HtpError::Codec(hypertp_uisr::CodecError::Truncated));
-    }
-    Ok(raw[8..8 + len].to_vec())
+    // The length word was read back from RAM: compare it with what is
+    // there rather than adding to it (`u64::MAX` would wrap the sum).
+    raw.split_first_chunk::<8>()
+        .and_then(|(len, body)| body.get(..usize::try_from(u64::from_le_bytes(*len)).ok()?))
+        .map(<[u8]>::to_vec)
+        .ok_or(HtpError::Codec(hypertp_uisr::CodecError::Truncated))
 }
 
 /// Frees a UISR blob file's frames (cleanup step ❼).
@@ -180,6 +178,35 @@ mod tests {
             let back = load_blob(&ram, img.file("uisr/vm0").unwrap()).unwrap();
             assert_eq!(back, blob, "len {len}");
         }
+    }
+
+    #[test]
+    fn corrupt_length_word_is_truncation() {
+        let mut ram = PhysicalMemory::new(64);
+        let mut builder = PramBuilder::new();
+        store_blob(&mut ram, &mut builder, "vm0", b"hello").unwrap();
+        let handle = builder.write(&mut ram).unwrap();
+        let img = PramImage::parse(&ram, handle.pram_ptr).unwrap();
+        let file = img.file("uisr/vm0").unwrap();
+        let first = file.mappings[0].1.base;
+        let raw_len = PAGE_SIZE; // One page holds the length word and "hello".
+        for len in [u64::MAX, raw_len - 7] {
+            let mut page = ram.read_bytes(first).unwrap().to_vec();
+            page[0..8].copy_from_slice(&len.to_le_bytes());
+            ram.write_bytes(first, &page).unwrap();
+            assert!(
+                matches!(
+                    load_blob(&ram, file),
+                    Err(HtpError::Codec(hypertp_uisr::CodecError::Truncated))
+                ),
+                "length word {len:#x}"
+            );
+        }
+        // The largest length the page can hold still loads.
+        let mut page = ram.read_bytes(first).unwrap().to_vec();
+        page[0..8].copy_from_slice(&(raw_len - 8).to_le_bytes());
+        ram.write_bytes(first, &page).unwrap();
+        assert_eq!(load_blob(&ram, file).unwrap().len() as u64, raw_len - 8);
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!   device state and the guest memory map.
 //! * [`codec`] — a compact, versioned binary encoding (the format saved in
 //!   RAM by InPlaceTP and sent over the wire by MigrationTP) and a JSON
-//!   debug encoding. The binary sizes drive Fig. 14's "UISR formats" series
-//!   (~5 KB for a 1-vCPU VM up to ~38 KB at 10 vCPUs).
+//!   debug encoding, both derived (with the decoders and the exact size)
+//!   from one table of field names per state type. The binary sizes drive
+//!   Fig. 14's "UISR formats" series (~5 KB for a 1-vCPU VM up to ~38 KB at
+//!   10 vCPUs).
 //! * [`mapping`] — the Xen ↔ UISR ↔ KVM state-mapping registry
-//!   reproducing Table 2.
+//!   reproducing Table 2, checked against the state the codec carries.
 
 pub mod codec;
 pub mod lapic_page;

@@ -10,6 +10,9 @@
 //! The same counter pins the control plane's two per-disclosure
 //! mechanisms: the synthetic fleet view derives a VM without allocating,
 //! and re-planning a disclosure year allocates nothing per host or per VM.
+//!
+//! A byte counter beside it bounds what the UISR decoder requests on the
+//! strength of a count it has read from an untrusted blob.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,10 +29,13 @@ use hypertp_vulndb::VulnFeed;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested, over the same calls.
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -37,6 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -116,6 +123,55 @@ fn control_plane_probe() {
         "alloc_probe: ok (0 allocations over 100000 vm() calls, \
          {large} per 37-event replay at 1k and 10k hosts)"
     );
+}
+
+/// Part 4 — hostile input: a UISR blob claiming `u32::MAX` items at any
+/// of its eight sequence positions is refused without the decoder asking
+/// for memory in proportion to the claim.
+fn hostile_count_probe() {
+    use hypertp_uisr::{decode, encode, DeviceState, MemoryRegion, MsrEntry, UisrVm, VcpuState};
+    let mut vm = UisrVm::new("probe");
+    vm.vcpus.push(VcpuState::reset(0));
+    let blob = encode(&vm);
+    // A count word is where the blob first changes when its sequence
+    // grows by one item.
+    let grow: [fn(&mut UisrVm); 8] = [
+        |vm| vm.vcpus.push(VcpuState::reset(1)),
+        |vm| vm.vcpus[0].msrs.push(MsrEntry { index: 0, data: 0 }),
+        |vm| vm.vcpus[0].xsave.area.push(0),
+        |vm| vm.vcpus[0].lapic_regs.push(0),
+        |vm| vm.vcpus[0].mtrr.variable.push((0, 0)),
+        |vm| vm.ioapic.redirection.push(Default::default()),
+        |vm| vm.devices.push(DeviceState::Console { tx_buffered: 0 }),
+        |vm| {
+            vm.memory.regions.push(MemoryRegion {
+                gfn_start: 0,
+                pages: 1,
+            })
+        },
+    ];
+    let hostile: Vec<Vec<u8>> = grow
+        .iter()
+        .map(|grow| {
+            let mut grown = vm.clone();
+            grow(&mut grown);
+            let grown = encode(&grown);
+            let at = (0..blob.len()).find(|&i| blob[i] != grown[i]).unwrap();
+            let mut buf = blob.clone();
+            buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            buf
+        })
+        .collect();
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    for buf in &hostile {
+        assert!(decode(buf).is_err(), "a u32::MAX count cannot be met");
+    }
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+    assert!(
+        bytes < 1 << 20,
+        "decoding 8 hostile counts requested {bytes} bytes"
+    );
+    println!("alloc_probe: ok ({bytes} bytes requested decoding 8 blobs with u32::MAX counts)");
 }
 
 // Plain main(), no libtest harness (`harness = false` in Cargo.toml):
@@ -210,4 +266,5 @@ fn main() {
     println!("alloc_probe: ok (0 hot-path allocations over 100 rounds, no scratch regrowth)");
 
     control_plane_probe();
+    hostile_count_probe();
 }
