@@ -30,12 +30,17 @@
 //! 3. a run carrying an `encode` section (a `wire_smoke` artifact)
 //!    reports `encode.speedup` below the committed
 //!    `encode.speedup_floor` (the batch encode into the frame ring
-//!    stopped beating the per-page `encode_page` path), or
+//!    stopped beating the per-page `encode_page` path),
 //! 4. a run carrying an `eviction_sweep` section (a `wire_smoke`
 //!    artifact) reports `eviction_sweep.throughput_ratio` — pages/s at 4×
 //!    the dedup cap over pages/s at 0.5×, one process — below the
 //!    committed `eviction_sweep.ratio_floor` (evicting stopped being
-//!    constant-time: the cliff is back).
+//!    constant-time: the cliff is back), or
+//! 5. a `perf_smoke` run reports `inplace_ownership.ratio` — seconds of
+//!    frame-ownership bookkeeping over seconds of integrity checksums in
+//!    one InPlaceTP leg, one process — above the committed
+//!    `inplace_ownership.ratio_ceiling` (ownership went back to costing
+//!    more than hashing the memory it keeps).
 //!
 //! **adaptive**: CI runs `adaptive_smoke` and hands the fresh artifact(s)
 //! here with the committed `BENCH_adaptive.json`. A run fails when:
@@ -216,6 +221,15 @@ fn gate_wire(committed: &str, runs: &[String]) -> Vec<String> {
         .get("eviction_sweep")
         .and_then(|e| e.get("ratio_floor"))
         .and_then(Json::as_f64);
+    let Some(ownership_ceiling) = wire
+        .get("inplace_ownership")
+        .and_then(|e| e.get("ratio_ceiling"))
+        .and_then(Json::as_f64)
+    else {
+        return vec![format!(
+            "{committed}: missing inplace_ownership.ratio_ceiling"
+        )];
+    };
 
     for path in runs {
         let run = match load(path) {
@@ -265,6 +279,22 @@ fn gate_wire(committed: &str, runs: &[String]) -> Vec<String> {
                 ));
             }
         }
+        // Every perf_smoke artifact times the ownership leg.
+        let ownership = run
+            .get("inplace_ownership")
+            .and_then(|e| e.get("ratio"))
+            .and_then(Json::as_f64);
+        match ownership {
+            Some(ratio) if ratio > ownership_ceiling => violations.push(format!(
+                "{path}: inplace_ownership.ratio {ratio:.2} above committed ceiling \
+                 {ownership_ceiling:.2} — frame ownership costs more than hashing the memory \
+                 it keeps"
+            )),
+            None if run.get("bench").and_then(Json::as_str) == Some("perf_smoke") => {
+                violations.push(format!("{path}: missing inplace_ownership.ratio"));
+            }
+            _ => {}
+        }
         if violations.len() == before {
             match speedup {
                 Some(s) => println!(
@@ -277,8 +307,10 @@ fn gate_wire(committed: &str, runs: &[String]) -> Vec<String> {
                     sweep_floor.unwrap_or(f64::NAN),
                 ),
                 None => println!(
-                    "perf_gate: {path}: {n} identity fields ok, wire reduction {:.1}% >= floor {floor:.1}%",
-                    pct.unwrap_or(f64::NAN)
+                    "perf_gate: {path}: {n} identity fields ok, wire reduction {:.1}% >= floor \
+                     {floor:.1}%, ownership ratio {:.2} <= ceiling {ownership_ceiling:.2}",
+                    pct.unwrap_or(f64::NAN),
+                    ownership.unwrap_or(f64::NAN),
                 ),
             }
         }

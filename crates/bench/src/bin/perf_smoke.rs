@@ -12,6 +12,12 @@
 //! 3. UISR binary codec round-trip throughput.
 //! 4. `migrate_many` with content verification, serial versus pooled, plus
 //!    a content-aware wire-mode run reporting the wire-byte reduction.
+//! 5. One InPlaceTP leg at the paper's density (12 × 1 GiB, 2 MiB pages),
+//!    timed stage by stage: frame-ownership bookkeeping (kexec, PRAM
+//!    re-reservation, boot scrub, adoption, release) against the two
+//!    integrity-checksum passes over the same memory. Their ratio cancels
+//!    the speed of the box and is gated by `perf_gate wire`: bookkeeping
+//!    must cost less than hashing the memory it keeps.
 //!
 //! Writes `BENCH_parallel.json` (in the current directory, override with
 //! `PERF_SMOKE_OUT`) with the wall-clock numbers, the thread count and the
@@ -20,8 +26,8 @@
 use std::time::Instant;
 
 use hypertp_bench::registry;
-use hypertp_core::{HypervisorKind, InPlaceTransplant, VmConfig};
-use hypertp_machine::{Extent, Gfn, Machine, MachineSpec, PageOrder, PhysicalMemory};
+use hypertp_core::{uisr_store, HypervisorKind, InPlaceTransplant, VmConfig};
+use hypertp_machine::{Extent, Gfn, KexecImage, Machine, MachineSpec, PageOrder, PhysicalMemory};
 use hypertp_migrate::{migrate_many, MigrationConfig, MigrationReport, MigrationTp, WireMode};
 use hypertp_pram::{PramBuilder, PramImage, PramStats};
 use hypertp_sim::json::{self, Json};
@@ -198,6 +204,112 @@ fn migrate_batch(pool: WorkerPool, wire_mode: WireMode) -> (f64, Vec<MigrationRe
     (secs(t), reports)
 }
 
+/// Guests of the ownership leg: the paper's maximum density on M1.
+const DENSE_VMS: u32 = 12;
+
+/// Runs one Xen→KVM InPlaceTP leg over 12 × 1 GiB guests by hand, on a
+/// serial pool, and returns (seconds of frame-ownership bookkeeping,
+/// seconds of integrity checksums). Ownership is everything that decides
+/// who holds which frame: the kexec forgetting it all, `reserve_all`, the
+/// boot scrub, the per-VM adoption and the final release.
+fn ownership_leg() -> (f64, f64) {
+    let reg = registry();
+    let serial = WorkerPool::serial();
+    let mut machine = Machine::new(MachineSpec::m1());
+    let mut source = reg
+        .create(HypervisorKind::Xen, &mut machine)
+        .expect("registry has Xen");
+    for i in 0..DENSE_VMS {
+        let cfg = VmConfig::small(format!("vm{i}")).with_memory_gb(MEM_GB);
+        let pages = cfg.pages();
+        let id = source.create_vm(&mut machine, &cfg).expect("capacity");
+        for k in 0..4096u64 {
+            let gfn = Gfn((k * 61 + u64::from(i)) % pages);
+            source
+                .write_guest(&mut machine, id, gfn, k | 1)
+                .expect("seed write");
+        }
+    }
+    let extents_of = |map: &[(Gfn, Extent)]| map.iter().map(|(_, e)| *e).collect::<Vec<_>>();
+    let (mut ownership, mut checksums) = (0.0, 0.0);
+
+    // Source side: baseline checksums, UISR blobs and the PRAM image.
+    let ids = source.vm_ids();
+    for &id in &ids {
+        source
+            .notify_prepare_transplant(&mut machine, id)
+            .expect("prepare");
+        source.pause_vm(id).expect("pause");
+    }
+    let mut builder = PramBuilder::new().with_pool(serial);
+    let mut baselines = Vec::new();
+    for &id in &ids {
+        let name = source.vm_config(id).expect("config").name.clone();
+        let map = source.guest_memory_map(id).expect("map");
+        let extents = extents_of(&map);
+        let t = Instant::now();
+        let sum = machine.ram().checksum_with_pool(&extents, &serial);
+        checksums += secs(t);
+        let blob = hypertp_uisr::encode(&source.save_uisr(&machine, id).expect("save"));
+        builder.add_file(name.clone(), 0o600, map);
+        uisr_store::store_blob(machine.ram_mut(), &mut builder, &name, &blob).expect("store");
+        baselines.push((name, sum));
+    }
+    let handle = builder.write(machine.ram_mut()).expect("encode");
+
+    // Micro-reboot, then the target's early boot.
+    machine.kexec_load(KexecImage {
+        target: HypervisorKind::Kvm.boot_target(),
+        cmdline: format!("hypertp {}", handle.cmdline_arg()),
+    });
+    drop(source);
+    let t = Instant::now();
+    machine.kexec().expect("staged");
+    ownership += secs(t);
+    let image = PramImage::parse(machine.ram(), handle.pram_ptr).expect("parse");
+    image.verify().expect("verify");
+    let t = Instant::now();
+    image.reserve_all(machine.ram_mut()).expect("reserve");
+    machine.ram_mut().scrub_unreserved();
+    ownership += secs(t);
+
+    let mut target = reg
+        .create(HypervisorKind::Kvm, &mut machine)
+        .expect("registry has KVM");
+    let guest_files = || image.files.iter().filter(|f| !uisr_store::is_uisr_file(f));
+    for file in guest_files() {
+        let blob_file = image
+            .file(&uisr_store::uisr_file_name(&file.name))
+            .expect("every guest has a blob");
+        let blob = uisr_store::load_blob(machine.ram(), blob_file).expect("load");
+        let uisr = hypertp_uisr::decode(&blob).expect("decode");
+        let t = Instant::now();
+        target
+            .adopt_vm(&mut machine, &uisr, &file.mappings)
+            .expect("adopt");
+        ownership += secs(t);
+    }
+    for (name, expected) in &baselines {
+        let id = target.find_vm(name).expect("VM survived the reboot");
+        let extents = extents_of(&target.guest_memory_map(id).expect("map"));
+        let t = Instant::now();
+        let sum = machine.ram().checksum_with_pool(&extents, &serial);
+        checksums += secs(t);
+        assert_eq!(sum, *expected, "guest memory of {name} changed");
+    }
+    let t = Instant::now();
+    for file in guest_files() {
+        for (_, e) in &file.mappings {
+            machine
+                .ram_mut()
+                .unreserve_and_free(e.base, e.pages())
+                .expect("in range");
+        }
+    }
+    ownership += secs(t);
+    (ownership, checksums)
+}
+
 fn report_key(r: &MigrationReport) -> (String, usize, u64, u64) {
     (
         r.vm_name.clone(),
@@ -288,6 +400,19 @@ fn main() {
         "content-aware migration must produce the same VMs"
     );
 
+    // 5. Ownership bookkeeping vs integrity checksums, one leg. The
+    // fastest of five worlds for each side: contention only adds time.
+    println!("== inplace ownership ({DENSE_VMS} x {MEM_GB} GiB, 2 MiB pages, one leg) ==");
+    let legs: Vec<(f64, f64)> = (0..5).map(|_| ownership_leg()).collect();
+    let ownership_s = legs.iter().map(|l| l.0).fold(f64::INFINITY, f64::min);
+    let checksum_s = legs.iter().map(|l| l.1).fold(f64::INFINITY, f64::min);
+    let ownership_ratio = ownership_s / checksum_s.max(1e-9);
+    println!(
+        "  ownership {:.2} ms, checksums {:.2} ms, ratio {ownership_ratio:.2}",
+        ownership_s * 1e3,
+        checksum_s * 1e3
+    );
+
     // JSON artifact.
     let out = Json::obj()
         .with("bench", json::s("perf_smoke"))
@@ -340,6 +465,14 @@ fn main() {
                     "round_telemetry",
                     hypertp_bench::rounds_telemetry(&reports_ca),
                 ),
+        )
+        .with(
+            "inplace_ownership",
+            Json::obj()
+                .with("vms", json::u(u64::from(DENSE_VMS)))
+                .with("ownership_secs", json::f(ownership_s))
+                .with("checksum_secs", json::f(checksum_s))
+                .with("ratio", json::f(ownership_ratio)),
         );
     let path = std::env::var("PERF_SMOKE_OUT").unwrap_or_else(|_| "BENCH_parallel.json".into());
     std::fs::write(&path, out.encode_pretty()).expect("write artifact");

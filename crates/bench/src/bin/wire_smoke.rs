@@ -32,7 +32,9 @@
 //! `WIRE_SMOKE_OUT`). CI's `perf_gate` reads the committed copy of this
 //! artifact and fails the build if a fresh run regresses below the
 //! committed `reduction_floor_pct`, `encode.speedup_floor` or
-//! `eviction_sweep.ratio_floor`.
+//! `eviction_sweep.ratio_floor`, or if a `perf_smoke` run's
+//! `inplace_ownership.ratio` exceeds the `inplace_ownership.ratio_ceiling`
+//! recorded here.
 
 use std::time::Instant;
 
@@ -65,6 +67,12 @@ const ENCODE_SPEEDUP_FLOOR: f64 = 1.5;
 /// eviction is two random touches — against 0.01 for a victim search that
 /// scans the map. `perf_gate` enforces it.
 const SWEEP_RATIO_FLOOR: f64 = 0.1;
+/// Ceiling on `perf_smoke`'s `inplace_ownership.ratio` (frame-ownership
+/// bookkeeping over integrity checksums, one InPlaceTP leg). Not measured
+/// here: this artifact is where the `wire` gate keeps every committed
+/// bound, the ones on `perf_smoke` runs included. Per-frame flag passes
+/// read 1.5, the word-wise bitmaps 0.4.
+const OWNERSHIP_RATIO_CEILING: f64 = 0.75;
 /// Pages per sweep round, in halves of `DEFAULT_CACHE_CAPACITY`.
 const SWEEP_HALF_CAPS: [u64; 4] = [1, 2, 4, 8];
 /// Rounds per sweep point.
@@ -447,6 +455,10 @@ fn main() {
                 )
                 .with("throughput_ratio", json::f(sweep_ratio))
                 .with("ratio_floor", json::f(SWEEP_RATIO_FLOOR)),
+        )
+        .with(
+            "inplace_ownership",
+            Json::obj().with("ratio_ceiling", json::f(OWNERSHIP_RATIO_CEILING)),
         )
         .with(
             "dirty_fleet",

@@ -18,6 +18,7 @@
 //! Machine specs for the paper's testbed (Table 3) are in [`spec`].
 
 pub mod addr;
+mod bits;
 pub mod buddy;
 pub mod machine;
 pub mod ram;

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 
 use crate::addr::{Extent, Mfn, PageOrder, PAGE_SIZE};
+use crate::bits;
 use crate::buddy::{BuddyAllocator, BuddyError};
 
 /// Errors from physical memory operations.
@@ -49,30 +50,22 @@ impl From<BuddyError> for MemError {
     }
 }
 
-/// Per-frame ownership flags. Content words live in a separate dense
-/// array so the two concerns scale independently: the wire path borrows
-/// whole extents of contents as `&[u64]` without dragging flag bytes
-/// through the cache, and ownership sweeps (kexec, scrub) walk the
-/// 2-byte flag array instead of 16-byte AoS records.
-#[derive(Debug, Clone, Copy, Default)]
-struct FrameFlags {
-    /// True while some owner holds the frame (cleared by kexec).
-    allocated: bool,
-    /// True if the frame is protected by a parsed PRAM reservation.
-    reserved: bool,
-}
-
 /// The machine's physical RAM.
 ///
-/// Structure-of-arrays layout: `contents[i]` is frame `i`'s opaque
-/// content word (0 means scrubbed/zeroed) and `flags[i]` its ownership
-/// state. Keeping contents contiguous is what lets
+/// `contents[i]` is frame `i`'s opaque content word (0 means
+/// scrubbed/zeroed); keeping the words contiguous is what lets
 /// [`PhysicalMemory::content_slice`] hand extent-backed borrows to the
-/// migration gather path with zero copies.
+/// migration gather path with zero copies. Ownership is two bitmaps, one
+/// bit per frame, so every ownership operation on a frame range is a walk
+/// over the words it overlaps — eight for a huge page — and the sweeps over
+/// all of RAM (kexec, boot scrub) read 1 bit per frame instead of 2 bytes.
 #[derive(Debug)]
 pub struct PhysicalMemory {
     contents: Vec<u64>,
-    flags: Vec<FrameFlags>,
+    /// Bit set while some owner holds the frame (cleared by kexec).
+    allocated: Vec<u64>,
+    /// Bit set if the frame is protected by a parsed PRAM reservation.
+    reserved: Vec<u64>,
     buddy: BuddyAllocator,
     /// Optional byte-level backing for frames that tests want to inspect.
     bytes: HashMap<u64, Box<[u8]>>,
@@ -83,7 +76,8 @@ impl PhysicalMemory {
     pub fn new(total_frames: u64) -> Self {
         PhysicalMemory {
             contents: vec![0; total_frames as usize],
-            flags: vec![FrameFlags::default(); total_frames as usize],
+            allocated: vec![0; bits::words_for(total_frames)],
+            reserved: vec![0; bits::words_for(total_frames)],
             buddy: BuddyAllocator::new(total_frames),
             bytes: HashMap::new(),
         }
@@ -112,9 +106,7 @@ impl PhysicalMemory {
     /// Allocates a `2^order` run of frames and marks it owned.
     pub fn alloc(&mut self, order: PageOrder) -> Result<Extent, MemError> {
         let e = self.buddy.alloc(order)?;
-        for mfn in e.frames() {
-            self.flags[mfn.0 as usize].allocated = true;
-        }
+        bits::set_range(&mut self.allocated, e.base.0..e.base.0 + e.pages());
         Ok(e)
     }
 
@@ -124,25 +116,28 @@ impl PhysicalMemory {
     /// guards).
     pub fn free(&mut self, extent: Extent) -> Result<(), MemError> {
         self.buddy.free(extent)?;
-        for mfn in extent.frames() {
-            self.flags[mfn.0 as usize].allocated = false;
-        }
+        bits::clear_range(
+            &mut self.allocated,
+            extent.base.0..extent.base.0 + extent.pages(),
+        );
         Ok(())
     }
 
-    fn flags(&self, mfn: Mfn) -> Result<FrameFlags, MemError> {
-        self.flags
-            .get(mfn.0 as usize)
-            .copied()
-            .ok_or(MemError::OutOfRange { mfn })
+    /// The frame's index, if it is allocated.
+    fn owned(&self, mfn: Mfn) -> Result<usize, MemError> {
+        if mfn.0 >= self.total_frames() {
+            return Err(MemError::OutOfRange { mfn });
+        }
+        if !bits::test(&self.allocated, mfn.0) {
+            return Err(MemError::NotAllocated { mfn });
+        }
+        Ok(mfn.0 as usize)
     }
 
     /// Writes a content word to an allocated frame.
     pub fn write(&mut self, mfn: Mfn, content: u64) -> Result<(), MemError> {
-        if !self.flags(mfn)?.allocated {
-            return Err(MemError::NotAllocated { mfn });
-        }
-        self.contents[mfn.0 as usize] = content;
+        let i = self.owned(mfn)?;
+        self.contents[i] = content;
         self.bytes.remove(&mfn.0);
         Ok(())
     }
@@ -176,10 +171,8 @@ impl PhysicalMemory {
     /// word becomes a hash of the bytes.
     pub fn write_bytes(&mut self, mfn: Mfn, data: &[u8]) -> Result<(), MemError> {
         assert_eq!(data.len() as u64, PAGE_SIZE, "frame writes are page-sized");
-        if !self.flags(mfn)?.allocated {
-            return Err(MemError::NotAllocated { mfn });
-        }
-        self.contents[mfn.0 as usize] = fnv1a(data);
+        let i = self.owned(mfn)?;
+        self.contents[i] = fnv1a(data);
         self.bytes.insert(mfn.0, data.to_vec().into_boxed_slice());
         Ok(())
     }
@@ -198,30 +191,26 @@ impl PhysicalMemory {
             });
         }
         let got = self.buddy.reserve_range(base, pages);
-        for i in base.0..base.0 + pages {
-            self.flags[i as usize].reserved = true;
-        }
+        bits::set_range(&mut self.reserved, base.0..base.0 + pages);
         Ok(got)
     }
 
     /// Returns true if the frame is reserved.
     pub fn is_reserved(&self, mfn: Mfn) -> bool {
-        self.flags(mfn).map(|f| f.reserved).unwrap_or(false)
+        bits::test(&self.reserved, mfn.0)
     }
 
     /// Returns true if the frame is allocated.
     pub fn is_allocated(&self, mfn: Mfn) -> bool {
-        self.flags(mfn).map(|f| f.allocated).unwrap_or(false)
+        bits::test(&self.allocated, mfn.0)
     }
 
     /// Kexec semantics: all ownership and reservations are forgotten (the
     /// new kernel starts with a fresh allocator), but contents survive.
     pub fn forget_ownership(&mut self) {
-        for f in &mut self.flags {
-            f.allocated = false;
-            f.reserved = false;
-        }
-        self.buddy = BuddyAllocator::new(self.total_frames());
+        self.allocated.fill(0);
+        self.reserved.fill(0);
+        self.buddy.reset();
     }
 
     /// Boot-time scrubbing: zeroes the contents of every frame that is
@@ -232,11 +221,21 @@ impl PhysicalMemory {
     /// Returns the number of frames scrubbed.
     pub fn scrub_unreserved(&mut self) -> u64 {
         let mut scrubbed = 0;
-        for (i, f) in self.flags.iter().enumerate() {
-            if !f.reserved && !f.allocated && self.contents[i] != 0 {
-                self.contents[i] = 0;
-                self.bytes.remove(&(i as u64));
-                scrubbed += 1;
+        for (w, frames) in self.contents.chunks_mut(64).enumerate() {
+            // Neither bitmap ever has a bit past the last frame; the last
+            // chunk is as short as the frames that are left.
+            let mut unowned = !(self.allocated[w] | self.reserved[w]) & (!0 >> (64 - frames.len()));
+            if unowned == !0 && frames.iter().all(|&c| c == 0) {
+                continue;
+            }
+            while unowned != 0 {
+                let i = unowned.trailing_zeros() as usize;
+                unowned &= unowned - 1;
+                if frames[i] != 0 {
+                    frames[i] = 0;
+                    self.bytes.remove(&(w as u64 * 64 + i as u64));
+                    scrubbed += 1;
+                }
             }
         }
         scrubbed
@@ -245,35 +244,51 @@ impl PhysicalMemory {
     /// Re-adopts a reserved frame range as an allocated extent without
     /// touching contents (the PRAM filesystem handing guest memory to the
     /// new hypervisor). The range keeps its reserved marking.
+    ///
+    /// All or nothing: on an error — which names the lowest frame that is
+    /// unreserved or past the end of RAM — no frame has changed owner.
     pub fn adopt_reserved(&mut self, base: Mfn, pages: u64) -> Result<(), MemError> {
-        for i in base.0..base.0 + pages {
-            let f = self
-                .flags
-                .get_mut(i as usize)
-                .ok_or(MemError::OutOfRange { mfn: Mfn(i) })?;
-            if !f.reserved {
-                return Err(MemError::NotAllocated { mfn: Mfn(i) });
-            }
-            f.allocated = true;
+        let (in_ram, overhang) = self.clip(base, pages);
+        if let Some(i) = bits::first_clear(&self.reserved, in_ram.clone()) {
+            return Err(MemError::NotAllocated { mfn: Mfn(i) });
         }
+        overhang?;
+        bits::set_range(&mut self.allocated, in_ram);
         Ok(())
     }
 
     /// Releases a reservation (cleanup step ❼ of Fig. 3 frees ephemeral
-    /// PRAM metadata back to the allocator).
+    /// PRAM metadata back to the allocator). A range that runs past the end
+    /// of RAM is released up to the end, then reported.
     pub fn unreserve_and_free(&mut self, base: Mfn, pages: u64) -> Result<(), MemError> {
-        for i in base.0..base.0 + pages {
-            let f = self
-                .flags
-                .get_mut(i as usize)
-                .ok_or(MemError::OutOfRange { mfn: Mfn(i) })?;
-            f.reserved = false;
-            if !f.allocated {
-                // Return to the allocator frame by frame.
-                self.buddy.free(Extent::new(Mfn(i), PageOrder(0))).ok();
+        let (in_ram, overhang) = self.clip(base, pages);
+        for (w, mask) in bits::word_masks(in_ram) {
+            self.reserved[w] &= !mask;
+            // Frames no owner holds return to the allocator one by one, in
+            // address order; it refuses the ones it already has.
+            let mut unowned = mask & !self.allocated[w];
+            while unowned != 0 {
+                let mfn = Mfn(w as u64 * 64 + u64::from(unowned.trailing_zeros()));
+                unowned &= unowned - 1;
+                self.buddy.free(Extent::new(mfn, PageOrder(0))).ok();
             }
         }
-        Ok(())
+        overhang
+    }
+
+    /// The frames of `base..base + pages` that exist, and an error naming
+    /// the first frame of the range past the end of RAM if there is one.
+    fn clip(&self, base: Mfn, pages: u64) -> (std::ops::Range<u64>, Result<(), MemError>) {
+        let total = self.total_frames();
+        let end = base.0.saturating_add(pages);
+        let overhang = if pages > 0 && end > total {
+            Err(MemError::OutOfRange {
+                mfn: Mfn(base.0.max(total)),
+            })
+        } else {
+            Ok(())
+        };
+        (base.0.min(total)..end.min(total), overhang)
     }
 
     /// Sums a simple checksum over a set of extents' content words (used by
@@ -315,8 +330,14 @@ impl PhysicalMemory {
         if pool.workers() <= 1 || extents.len() <= 1 || total < PAR_THRESHOLD_FRAMES {
             extents.iter().map(|e| self.extent_partial(e)).collect()
         } else {
-            pool.map_indices(extents.len(), |i| self.extent_partial(&extents[i]))
-                .results
+            // One contiguous run of extents per worker: a 4 KiB-page guest
+            // is a quarter of a million extents, far too small to be a
+            // task each.
+            let per_worker = pool.map_chunks(extents.len(), pool.workers(), |run| {
+                let partials = extents[run].iter().map(|e| self.extent_partial(e));
+                partials.collect::<Vec<_>>()
+            });
+            per_worker.results.concat()
         }
     }
 
@@ -344,10 +365,11 @@ impl PhysicalMemory {
                 partials[i] = self.extent_partial(&extents[i]);
             }
         } else {
-            let fresh = pool
-                .map_indices(dirty.len(), |k| self.extent_partial(&extents[dirty[k]]))
-                .results;
-            for (&i, p) in dirty.iter().zip(fresh) {
+            let per_worker = pool.map_chunks(dirty.len(), pool.workers(), |run| {
+                let fresh = dirty[run].iter().map(|&i| self.extent_partial(&extents[i]));
+                fresh.collect::<Vec<_>>()
+            });
+            for (&i, p) in dirty.iter().zip(per_worker.results.into_iter().flatten()) {
                 partials[i] = p;
             }
         }
@@ -357,13 +379,33 @@ impl PhysicalMemory {
     /// parallelism for [`PhysicalMemory::checksum_with_pool`].
     pub fn extent_partial(&self, e: &Extent) -> u64 {
         let base = e.base.0 as usize;
+        let words = &self.contents[base..base + e.pages() as usize];
+        // The fold is `acc = rotl(acc, 5) ^ c·P` per word. Rotation
+        // distributes over xor, so eight steps collapse to one rotation of
+        // the accumulator by 40 and eight independent terms: the same value
+        // with one link in the dependency chain per eight words.
         let mut acc = 0xcbf2_9ce4_8422_2325u64;
-        for &c in &self.contents[base..base + e.pages() as usize] {
-            acc = acc.rotate_left(5) ^ c.wrapping_mul(0x1000_0000_01b3);
+        let mut chunks = words.chunks_exact(8);
+        for c in &mut chunks {
+            let term = |i: usize| {
+                c[i].wrapping_mul(PARTIAL_PRIME)
+                    .rotate_left(5 * (7 - i as u32))
+            };
+            acc = acc.rotate_left(40)
+                ^ (term(0) ^ term(1))
+                ^ (term(2) ^ term(3))
+                ^ (term(4) ^ term(5))
+                ^ (term(6) ^ term(7));
+        }
+        for &c in chunks.remainder() {
+            acc = acc.rotate_left(5) ^ c.wrapping_mul(PARTIAL_PRIME);
         }
         acc
     }
 }
+
+/// Multiplier of the [`PhysicalMemory::extent_partial`] fold.
+const PARTIAL_PRIME: u64 = 0x1000_0000_01b3;
 
 /// Folds per-extent partial hashes (in extent order) into the final
 /// checksum — the combining step of [`PhysicalMemory::checksum_with_pool`],
@@ -505,6 +547,39 @@ mod tests {
     }
 
     #[test]
+    fn failed_adoption_changes_no_owner() {
+        let mut ram = PhysicalMemory::new(200);
+        ram.reserve_range(Mfn(60), 70).unwrap();
+        ram.reserve_range(Mfn(190), 10).unwrap();
+        let owners = |ram: &PhysicalMemory| -> Vec<(bool, bool)> {
+            (0..200)
+                .map(|i| (ram.is_allocated(Mfn(i)), ram.is_reserved(Mfn(i))))
+                .collect()
+        };
+        let before = owners(&ram);
+        // Frames 60..130 are reserved; the range runs one frame past them,
+        // across two word boundaries.
+        assert_eq!(
+            ram.adopt_reserved(Mfn(60), 71),
+            Err(MemError::NotAllocated { mfn: Mfn(130) })
+        );
+        // Reserved to the last frame, then past the end of RAM.
+        assert_eq!(
+            ram.adopt_reserved(Mfn(190), 11),
+            Err(MemError::OutOfRange { mfn: Mfn(200) })
+        );
+        assert_eq!(
+            ram.adopt_reserved(Mfn(300), 2),
+            Err(MemError::OutOfRange { mfn: Mfn(300) })
+        );
+        assert_eq!(owners(&ram), before);
+        assert_eq!(ram.free_frames(), 120);
+        ram.adopt_reserved(Mfn(60), 70).unwrap();
+        assert!((60..130).all(|i| ram.is_allocated(Mfn(i))));
+        assert!(!ram.is_allocated(Mfn(59)) && !ram.is_allocated(Mfn(130)));
+    }
+
+    #[test]
     fn unreserve_returns_frames_to_pool() {
         let mut ram = PhysicalMemory::new(64);
         ram.forget_ownership();
@@ -552,6 +627,22 @@ mod tests {
         ram.write(e.base + 1, 999).unwrap();
         let c2 = ram.checksum(&[e]);
         assert_ne!(c1, c2);
+    }
+
+    #[test]
+    fn unrolled_partial_equals_the_one_word_fold() {
+        let mut ram = PhysicalMemory::new(2048);
+        let mut rng = hypertp_sim::SimRng::new(0xf01d_0001);
+        for order in [0u8, 1, 2, 3, 4, 9] {
+            let e = ram.alloc(PageOrder(order)).unwrap();
+            for mfn in e.frames() {
+                ram.write(mfn, rng.next_u64()).unwrap();
+            }
+            let scalar = e.frames().fold(0xcbf2_9ce4_8422_2325u64, |acc, mfn| {
+                acc.rotate_left(5) ^ ram.read(mfn).unwrap().wrapping_mul(0x1000_0000_01b3)
+            });
+            assert_eq!(ram.extent_partial(&e), scalar, "order {order}");
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! memory map, and reserves the frames before the allocator or boot
 //! scrubber can recycle them.
 
+use std::collections::HashSet;
+
 use hypertp_machine::{Extent, Gfn, MemError, Mfn, PageOrder, PhysicalMemory, PAGE_SIZE};
 use hypertp_sim::WorkerPool;
 
@@ -75,6 +77,15 @@ pub enum PramError {
         /// The offending byte address.
         addr: u64,
     },
+    /// A metadata page carries the right magic and kind but says something
+    /// no builder writes: a count beyond the page, an entry that is not a
+    /// valid extent, a chain that returns to a page already walked.
+    Malformed {
+        /// The metadata frame that failed validation.
+        mfn: Mfn,
+        /// What was wrong with it.
+        what: &'static str,
+    },
     /// A file's stored checksum does not match the checksum recomputed
     /// from its entries — the metadata was corrupted between build and
     /// parse (or a storage bit flipped).
@@ -107,6 +118,9 @@ impl std::fmt::Display for PramError {
             }
             PramError::UnalignedPointer { addr } => {
                 write!(f, "unaligned metadata pointer {addr:#x}")
+            }
+            PramError::Malformed { mfn, what } => {
+                write!(f, "malformed PRAM page at {mfn}: {what}")
             }
             PramError::ChecksumMismatch {
                 mfn,
@@ -426,30 +440,47 @@ fn write_header(page: &mut [u8], kind: u8, next: u64) {
     page[8..16].copy_from_slice(&next.to_le_bytes());
 }
 
-fn read_page(ram: &PhysicalMemory, addr: u64) -> Result<(&[u8], Mfn), PramError> {
-    if !addr.is_multiple_of(PAGE_SIZE) {
-        return Err(PramError::UnalignedPointer { addr });
-    }
-    let mfn = Mfn(addr / PAGE_SIZE);
-    let bytes = ram.read_bytes(mfn).ok_or(PramError::BadMagic { mfn })?;
-    Ok((bytes, mfn))
+/// The metadata pages a parse has walked, in walk order.
+#[derive(Default)]
+struct MetaWalk {
+    frames: Vec<Mfn>,
+    seen: HashSet<Mfn>,
 }
 
-fn check_header(page: &[u8], mfn: Mfn, kind: u8) -> Result<u64, PramError> {
-    let magic = u32::from_le_bytes(page[0..4].try_into().expect("page is 4 KiB"));
-    if magic != MAGIC || page[4] != VERSION {
-        return Err(PramError::BadMagic { mfn });
+impl MetaWalk {
+    /// Fetches the metadata page at `addr`, checks its header for `kind`
+    /// and records it; a page already walked is refused.
+    fn page<'r>(
+        &mut self,
+        ram: &'r PhysicalMemory,
+        addr: u64,
+        kind: u8,
+    ) -> Result<(&'r [u8], Mfn), PramError> {
+        if !addr.is_multiple_of(PAGE_SIZE) {
+            return Err(PramError::UnalignedPointer { addr });
+        }
+        let mfn = Mfn(addr / PAGE_SIZE);
+        let page = ram.read_bytes(mfn).ok_or(PramError::BadMagic { mfn })?;
+        let magic = u32::from_le_bytes(page[0..4].try_into().expect("page is 4 KiB"));
+        if magic != MAGIC || page[4] != VERSION {
+            return Err(PramError::BadMagic { mfn });
+        }
+        if page[5] != kind {
+            return Err(PramError::BadKind {
+                mfn,
+                expected: kind,
+                found: page[5],
+            });
+        }
+        if !self.seen.insert(mfn) {
+            return Err(PramError::Malformed {
+                mfn,
+                what: "page reached twice",
+            });
+        }
+        self.frames.push(mfn);
+        Ok((page, mfn))
     }
-    if page[5] != kind {
-        return Err(PramError::BadKind {
-            mfn,
-            expected: kind,
-            found: page[5],
-        });
-    }
-    Ok(u64::from_le_bytes(
-        page[8..16].try_into().expect("page is 4 KiB"),
-    ))
 }
 
 /// A parsed PRAM structure, as seen by the target hypervisor at early boot.
@@ -466,49 +497,56 @@ pub struct PramImage {
 
 impl PramImage {
     /// Parses the structure rooted at `pram_ptr` out of physical memory.
+    ///
+    /// The pages are whatever survived in RAM, so nothing read from them is
+    /// trusted: counts are held to the page, entries to valid extents, and
+    /// a page reached twice — pointer chains of a built image never share
+    /// a page — ends the walk instead of looping.
     pub fn parse(ram: &PhysicalMemory, pram_ptr: u64) -> Result<PramImage, PramError> {
+        let word = |page: &[u8], off: usize| {
+            u64::from_le_bytes(page[off..off + 8].try_into().expect("page is 4 KiB"))
+        };
         let mut files = Vec::new();
-        let mut meta_frames = Vec::new();
+        let mut walk = MetaWalk::default();
         let mut checksums = Vec::new();
         let mut root_addr = pram_ptr;
         while root_addr != 0 {
-            let (root, root_mfn) = read_page(ram, root_addr)?;
-            let next_root = check_header(root, root_mfn, KIND_ROOT)?;
-            meta_frames.push(root_mfn);
-            let count = u64::from_le_bytes(root[16..24].try_into().expect("page"));
+            let (root, root_mfn) = walk.page(ram, root_addr, KIND_ROOT)?;
+            let count = word(root, 16);
+            if count > ROOT_CAPACITY as u64 {
+                return Err(PramError::Malformed {
+                    mfn: root_mfn,
+                    what: "file count exceeds the root page",
+                });
+            }
             for i in 0..count as usize {
-                let off = 24 + i * 8;
-                let faddr = u64::from_le_bytes(root[off..off + 8].try_into().expect("page"));
-                let (fpage, fmfn) = read_page(ram, faddr)?;
-                check_header(fpage, fmfn, KIND_FILE)?;
-                meta_frames.push(fmfn);
-                let mut node_addr = u64::from_le_bytes(fpage[16..24].try_into().expect("page"));
+                let (fpage, fmfn) = walk.page(ram, word(root, 24 + i * 8), KIND_FILE)?;
+                let mut node_addr = word(fpage, 16);
                 let mode = u32::from_le_bytes(fpage[32..36].try_into().expect("page"));
                 let name_len = u32::from_le_bytes(fpage[36..40].try_into().expect("page")) as usize;
                 let name =
                     String::from_utf8_lossy(&fpage[40..40 + name_len.min(NAME_MAX)]).into_owned();
-                let stored_checksum = u64::from_le_bytes(
-                    fpage[CHECKSUM_OFF..CHECKSUM_OFF + 8]
-                        .try_into()
-                        .expect("page"),
-                );
-                checksums.push((fmfn, stored_checksum));
+                checksums.push((fmfn, word(fpage, CHECKSUM_OFF)));
                 let mut mappings = Vec::new();
                 while node_addr != 0 {
-                    let (node, nmfn) = read_page(ram, node_addr)?;
-                    let next = check_header(node, nmfn, KIND_NODE)?;
-                    meta_frames.push(nmfn);
-                    let base = u64::from_le_bytes(node[16..24].try_into().expect("page"));
-                    let n = u64::from_le_bytes(node[24..32].try_into().expect("page"));
-                    let mut gfn = base;
-                    for i in 0..n as usize {
-                        let off = 32 + i * 8;
-                        let e = u64::from_le_bytes(node[off..off + 8].try_into().expect("page"));
-                        let (mfn, order, _flags) = unpack_entry(e);
-                        mappings.push((Gfn(gfn), Extent::new(mfn, order)));
-                        gfn += order.pages();
+                    let (node, nmfn) = walk.page(ram, node_addr, KIND_NODE)?;
+                    let malformed = |what| PramError::Malformed { mfn: nmfn, what };
+                    let n = word(node, 24);
+                    if n > NODE_CAPACITY as u64 {
+                        return Err(malformed("entry count exceeds the node page"));
                     }
-                    node_addr = next;
+                    let mut gfn = word(node, 16);
+                    for i in 0..n as usize {
+                        let (mfn, order, _flags) = unpack_entry(word(node, 32 + i * 8));
+                        if order > PageOrder::MAX || !mfn.is_aligned(order) {
+                            return Err(malformed("entry is not an aligned extent"));
+                        }
+                        mappings.push((Gfn(gfn), Extent::new(mfn, order)));
+                        gfn = gfn
+                            .checked_add(order.pages())
+                            .ok_or_else(|| malformed("guest frame numbers overflow"))?;
+                    }
+                    node_addr = word(node, 8);
                 }
                 files.push(PramFile {
                     name,
@@ -516,11 +554,11 @@ impl PramImage {
                     mappings,
                 });
             }
-            root_addr = next_root;
+            root_addr = word(root, 8);
         }
         Ok(PramImage {
             files,
-            meta_frames,
+            meta_frames: walk.frames,
             checksums,
         })
     }
@@ -808,6 +846,183 @@ mod tests {
             PramImage::parse(&ram, 0x1001),
             Err(PramError::UnalignedPointer { .. })
         ));
+    }
+
+    /// A valid 3-file image whose metadata has every shape: a root page,
+    /// file pages, and a node chain three pages long.
+    fn three_file_image(ram: &mut PhysicalMemory) -> PramHandle {
+        let mut b = PramBuilder::new();
+        for (v, entries) in [(0u64, 1200u64), (1, 40), (2, 7)] {
+            let map: Vec<(Gfn, Extent)> = (0..entries)
+                .map(|i| {
+                    let order = PageOrder(if v > 0 && i % 3 == 0 { 2 } else { 0 });
+                    // File 0 is one contiguous run (it spills node pages on
+                    // capacity); the others have a hole every fifth entry.
+                    let gfn = if v == 0 { i } else { i * 8 + i / 5 };
+                    (Gfn(gfn), ram.alloc(order).unwrap())
+                })
+                .collect();
+            b.add_file(format!("vm{v}"), 0o600, map);
+        }
+        b.write(ram).unwrap()
+    }
+
+    /// Overwrites `bytes` at `off` in a metadata page.
+    fn poke(ram: &mut PhysicalMemory, mfn: Mfn, off: usize, bytes: &[u8]) {
+        let mut page = ram.read_bytes(mfn).unwrap().to_vec();
+        page[off..off + bytes.len()].copy_from_slice(bytes);
+        ram.write_bytes(mfn, &page).unwrap();
+    }
+
+    #[test]
+    fn hostile_metadata_is_refused_not_trusted() {
+        let mut ram = ram_mb(16);
+        let h = three_file_image(&mut ram);
+        let root = *h.meta_frames.last().unwrap();
+        // File 0's chain was written back to front: its head is the third
+        // page allocated, its file page the fourth.
+        let (tail, head, file0) = (h.meta_frames[0], h.meta_frames[2], h.meta_frames[3]);
+        let parse = |ram: &PhysicalMemory| PramImage::parse(ram, h.pram_ptr).map(|_| ());
+        let malformed = |mfn, what| Err(PramError::Malformed { mfn, what });
+        let mut check = |mfn: Mfn, off: usize, bytes: &[u8], want: Result<(), PramError>| {
+            let saved = ram.read_bytes(mfn).unwrap().to_vec();
+            poke(&mut ram, mfn, off, bytes);
+            assert_eq!(parse(&ram), want, "{mfn} +{off}");
+            ram.write_bytes(mfn, &saved).unwrap();
+            assert_eq!(parse(&ram), Ok(()));
+        };
+
+        let count = (ROOT_CAPACITY as u64 + 1).to_le_bytes();
+        check(
+            root,
+            16,
+            &count,
+            malformed(root, "file count exceeds the root page"),
+        );
+        let n = (NODE_CAPACITY as u64 + 1).to_le_bytes();
+        check(
+            head,
+            24,
+            &n,
+            malformed(head, "entry count exceeds the node page"),
+        );
+        check(
+            head,
+            24,
+            &u64::MAX.to_le_bytes(),
+            malformed(head, "entry count exceeds the node page"),
+        );
+        // Order 10, then order 2 at an odd frame.
+        let entry = (pack_entry(Mfn(0), PageOrder(0), FLAG_GUEST) | 10 << 52).to_le_bytes();
+        check(
+            head,
+            32,
+            &entry,
+            malformed(head, "entry is not an aligned extent"),
+        );
+        let entry = (pack_entry(Mfn(0), PageOrder(0), FLAG_GUEST) | 2 << 52 | 3).to_le_bytes();
+        check(
+            head,
+            32,
+            &entry,
+            malformed(head, "entry is not an aligned extent"),
+        );
+        let gfn = (u64::MAX - 5).to_le_bytes();
+        check(
+            head,
+            16,
+            &gfn,
+            malformed(head, "guest frame numbers overflow"),
+        );
+        // The last node points back at the first; the root at itself; two
+        // directory slots at one file.
+        check(
+            tail,
+            8,
+            &head.addr().to_le_bytes(),
+            malformed(head, "page reached twice"),
+        );
+        check(
+            root,
+            8,
+            &root.addr().to_le_bytes(),
+            malformed(root, "page reached twice"),
+        );
+        check(
+            root,
+            32,
+            &file0.addr().to_le_bytes(),
+            malformed(file0, "page reached twice"),
+        );
+    }
+
+    /// Seeded mutations of a valid image's metadata pages — stray bytes,
+    /// header and count fields, pointers spliced to other metadata pages —
+    /// never panic the parser or the verifier and never hang them.
+    /// `HYPERTP_SEED` (decimal or `0x` hex) probes another seed.
+    #[test]
+    fn mutated_metadata_never_panics_or_hangs() {
+        let seed = match std::env::var("HYPERTP_SEED") {
+            Ok(s) => {
+                let s = s.trim();
+                let (digits, radix) = s.strip_prefix("0x").map_or((s, 10), |hex| (hex, 16));
+                u64::from_str_radix(digits, radix).expect("HYPERTP_SEED is a number")
+            }
+            Err(_) => 0x99a8_0002,
+        };
+        let mut rng = hypertp_sim::SimRng::new(seed);
+        let mut ram = ram_mb(16);
+        let h = three_file_image(&mut ram);
+        PramImage::parse(&ram, h.pram_ptr)
+            .unwrap()
+            .verify()
+            .unwrap();
+        let (mut refused, mut accepted) = (0, 0);
+        for case in 0..10_000 {
+            let victims = 1 + rng.gen_range(2);
+            let mut saved = Vec::new();
+            for _ in 0..victims {
+                let mfn = h.meta_frames[rng.gen_range(h.meta_frames.len() as u64) as usize];
+                saved.push((mfn, ram.read_bytes(mfn).unwrap().to_vec()));
+                match rng.gen_range(4) {
+                    // A pointer field aimed at some other metadata page.
+                    0 => {
+                        let to = h.meta_frames[rng.gen_range(h.meta_frames.len() as u64) as usize];
+                        let off = [8usize, 16, 24, 32][rng.gen_range(4) as usize];
+                        poke(&mut ram, mfn, off, &to.addr().to_le_bytes());
+                    }
+                    // A whole word of the header, counts or first entries.
+                    1 => {
+                        let off = 8 * rng.gen_range(8) as usize;
+                        poke(&mut ram, mfn, off, &rng.next_u64().to_le_bytes());
+                    }
+                    // One to eight bytes, in the fields or anywhere.
+                    _ => {
+                        let span = if rng.gen_bool(0.7) { 112 } else { PAGE_SIZE };
+                        for _ in 0..1 + rng.gen_range(8) {
+                            let off = rng.gen_range(span) as usize;
+                            poke(&mut ram, mfn, off, &[rng.next_u64() as u8]);
+                        }
+                    }
+                }
+            }
+            match PramImage::parse(&ram, h.pram_ptr).and_then(|img| img.verify()) {
+                Ok(()) => accepted += 1,
+                Err(_) => refused += 1,
+            }
+            for (mfn, page) in saved.into_iter().rev() {
+                ram.write_bytes(mfn, &page).unwrap();
+            }
+            assert!(
+                PramImage::parse(&ram, h.pram_ptr).is_ok(),
+                "seed {seed:#x} case {case}: image not restored"
+            );
+        }
+        // Most mutations land in a field that matters; some in slack.
+        assert!(
+            refused > 5_000 && accepted > 100,
+            "{refused} refused, {accepted} accepted"
+        );
     }
 
     #[test]

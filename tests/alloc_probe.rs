@@ -13,6 +13,10 @@
 //!
 //! A byte counter beside it bounds what the UISR decoder requests on the
 //! strength of a count it has read from an untrusted blob.
+//!
+//! Last, frame ownership: re-reserving, scrubbing, adopting and releasing
+//! 12 GiB of guest memory, and the buddy allocator under it, allocate
+//! nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -174,6 +178,67 @@ fn hostile_count_probe() {
     println!("alloc_probe: ok ({bytes} bytes requested decoding 8 blobs with u32::MAX counts)");
 }
 
+/// Part 5 — frame ownership on the 12 × 1 GiB world: one micro-reboot's
+/// worth of bookkeeping (forget, re-reserve, scrub, adopt, unreserve) and
+/// the allocator's own alloc/free run on memory the RAM already holds.
+fn ownership_probe() {
+    use hypertp_machine::buddy::BuddyAllocator;
+    use hypertp_machine::{Extent, PageOrder, PhysicalMemory};
+    let mut ram = PhysicalMemory::with_gib(16);
+    let guests: Vec<Extent> = (0..12 * 512)
+        .map(|_| ram.alloc(PageOrder(9)).expect("16 GiB holds 12"))
+        .collect();
+    let stray = ram.alloc(PageOrder(3)).expect("room");
+    for mfn in stray.frames() {
+        ram.write(mfn, 7).expect("owned");
+    }
+    let (allocs, scrubbed) = allocs_during(|| {
+        // The kexec: the allocator is reset where it stands.
+        ram.forget_ownership();
+        for e in &guests {
+            assert_eq!(ram.reserve_range(e.base, e.pages()), Ok(e.pages()));
+        }
+        // An unaligned range, which shatters the block around it.
+        assert_eq!(ram.reserve_range(stray.base + 2, 3), Ok(3));
+        let scrubbed = ram.scrub_unreserved();
+        for e in &guests {
+            ram.adopt_reserved(e.base, e.pages()).expect("reserved");
+        }
+        for e in &guests {
+            ram.unreserve_and_free(e.base, e.pages()).expect("in range");
+        }
+        ram.unreserve_and_free(stray.base + 2, 3).expect("in range");
+        scrubbed
+    });
+    assert_eq!(scrubbed, 5, "the stray frames outside the reservation");
+    assert_eq!(ram.free_frames(), 4 * 262_144, "guests stay owned");
+    assert_eq!(allocs, 0, "frame ownership must not allocate");
+
+    let mut buddy = BuddyAllocator::new(1 << 16);
+    let mut held = [None; 64];
+    let (allocs, ()) = allocs_during(|| {
+        for round in 0..4u8 {
+            for (i, slot) in held.iter_mut().enumerate() {
+                *slot = buddy.alloc(PageOrder((i as u8 + round) % 10)).ok();
+            }
+            // Every other one first, so frees both split and coalesce.
+            for i in (0..64).step_by(2).chain((1..64).step_by(2)) {
+                let e: Extent = held[i].take().expect("64 Ki frames hold 64");
+                buddy.free(e).expect("held");
+            }
+        }
+    });
+    assert_eq!(buddy.free_frames(), 1 << 16);
+    assert_eq!(
+        allocs, 0,
+        "BuddyAllocator::{{alloc, free}} must not allocate"
+    );
+    println!(
+        "alloc_probe: ok (0 allocations over a 12 GiB forget/reserve/scrub/adopt/unreserve \
+         cycle and 256 buddy alloc/free pairs)"
+    );
+}
+
 // Plain main(), no libtest harness (`harness = false` in Cargo.toml):
 // the allocation counter is process-global and the harness's own threads
 // allocate at unpredictable points, so the probe must be the only thread
@@ -267,4 +332,5 @@ fn main() {
 
     control_plane_probe();
     hostile_count_probe();
+    ownership_probe();
 }
