@@ -11,8 +11,10 @@
 //! perf_gate rehype   <committed BENCH_rehype.json>   <rehype_smoke run 1> [...]
 //! perf_gate slo      <committed BENCH_slo.json>      <slo_smoke run 1> [...]
 //! perf_gate exposure <committed BENCH_exposure.json> <exposure_smoke run 1> [...]
-//! perf_gate <committed BENCH_wire.json> <perf_smoke run...>   # legacy = wire
 //! ```
+//!
+//! The mode is required: a missing or unknown mode is a usage error
+//! (non-zero exit), never a silent fallback to some other gate.
 //!
 //! **wire**: CI runs `perf_smoke` twice (timings jitter; identity and
 //! compression must not) plus one fresh `wire_smoke`, and hands the
@@ -698,35 +700,26 @@ fn run() -> Result<(), Vec<String>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = || {
         vec![
-            "usage: perf_gate [wire|adaptive|inplace|campaign|rehype|slo|exposure] \
+            "usage: perf_gate <wire|adaptive|inplace|campaign|rehype|slo|exposure> \
              <committed artifact> <fresh run...>"
                 .to_string(),
         ]
     };
-    let (mode, rest) = match args.first().map(String::as_str) {
-        Some("wire") => ("wire", &args[1..]),
-        Some("adaptive") => ("adaptive", &args[1..]),
-        Some("inplace") => ("inplace", &args[1..]),
-        Some("campaign") => ("campaign", &args[1..]),
-        Some("rehype") => ("rehype", &args[1..]),
-        Some("slo") => ("slo", &args[1..]),
-        Some("exposure") => ("exposure", &args[1..]),
-        // Legacy positional form: first arg is the committed wire artifact.
-        Some(_) => ("wire", &args[..]),
-        None => return Err(usage()),
+    let gate: fn(&str, &[String]) -> Vec<String> = match args.first().map(String::as_str) {
+        Some("wire") => gate_wire,
+        Some("adaptive") => gate_adaptive,
+        Some("inplace") => gate_inplace,
+        Some("campaign") => gate_campaign,
+        Some("rehype") => gate_rehype,
+        Some("slo") => gate_slo,
+        Some("exposure") => gate_exposure,
+        _ => return Err(usage()),
     };
+    let rest = &args[1..];
     if rest.len() < 2 {
         return Err(usage());
     }
-    let violations = match mode {
-        "wire" => gate_wire(&rest[0], &rest[1..]),
-        "inplace" => gate_inplace(&rest[0], &rest[1..]),
-        "campaign" => gate_campaign(&rest[0], &rest[1..]),
-        "rehype" => gate_rehype(&rest[0], &rest[1..]),
-        "slo" => gate_slo(&rest[0], &rest[1..]),
-        "exposure" => gate_exposure(&rest[0], &rest[1..]),
-        _ => gate_adaptive(&rest[0], &rest[1..]),
-    };
+    let violations = gate(&rest[0], &rest[1..]);
     if violations.is_empty() {
         Ok(())
     } else {

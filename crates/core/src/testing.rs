@@ -104,7 +104,10 @@ impl Hypervisor for SimpleHv {
                 v
             })
             .collect();
-        let name_seed = config.name.bytes().fold(7u64, |a, b| a * 31 + b as u64);
+        let name_seed = config
+            .name
+            .bytes()
+            .fold(7u64, |a, b| a.wrapping_mul(31).wrapping_add(b as u64));
         Ok(self.insert_vm(SimpleVm {
             config: config.clone(),
             state: VmState::Running,

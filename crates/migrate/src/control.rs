@@ -569,19 +569,6 @@ pub enum FleetOrder {
     /// first, which minimises mean downtime behind a sequential receiver
     /// and drains the fleet's exposure window fastest.
     ShortestPredictedFirst,
-    /// [`FleetOrder::ShortestPredictedFirst`] with feedback: after every
-    /// completed migration the scheduler folds the *observed* dirty rate
-    /// and wire compression into fleet-level EWMA estimators
-    /// ([`ControlConfig::ewma_alpha`]) and re-runs [`predict_migration`]
-    /// over the still-waiting VMs before picking the next admission. The
-    /// cold-start prediction only governs the first pick; everything after
-    /// is ordered by warmed estimates, so a mis-calibrated
-    /// [`FleetPolicy::compression_hint`] or stale dirty-rate profile
-    /// corrects itself within a couple of admissions. The admission-time
-    /// predictions are reported in
-    /// [`crate::engine::FleetReport::admission_predictions`] for
-    /// predicted-vs-actual telemetry.
-    Repredict,
     /// Least-predicted-harm-first: at every free slot the scheduler
     /// re-prices each waiting VM's migration *at the slot's current
     /// time* — contended pre-copy prediction ([`LinkContention`] from
@@ -603,7 +590,6 @@ impl FleetOrder {
         match self {
             FleetOrder::Fifo => "fifo",
             FleetOrder::ShortestPredictedFirst => "spdf",
-            FleetOrder::Repredict => "repredict",
             FleetOrder::SloAware => "slo",
         }
     }
@@ -721,16 +707,67 @@ pub struct MigrationPrediction {
     pub stop_pages: u64,
 }
 
+/// The pre-copy cost model in simulated time — what a round and the
+/// stop-and-copy cost. The engine charges it and [`predict_migration`]
+/// replays it, so the two cannot drift.
+pub(crate) struct RoundModel {
+    /// The link as this migration sees it (contended or not).
+    pub(crate) link: Link,
+    /// Concurrent streams sharing the link.
+    pub(crate) sharers: u32,
+    /// Source machine performance (per-page CPU cost scaling).
+    pub(crate) perf: MachinePerf,
+    /// CPU cost per page, GHz-seconds.
+    pub(crate) ghz_s_per_page: f64,
+    /// Per-round protocol overhead, seconds.
+    pub(crate) round_overhead_s: f64,
+}
+
+impl RoundModel {
+    /// Link time of `bytes` on this migration's share of the link.
+    pub(crate) fn transfer(&self, bytes: u64) -> SimDuration {
+        self.link.transfer(bytes, self.sharers)
+    }
+
+    /// One round shipping `pages` pages as `wire_bytes`: its nominal link
+    /// time, and its full duration (link + per-page CPU + round overhead).
+    pub(crate) fn round(&self, wire_bytes: u64, pages: u64) -> (SimDuration, SimDuration) {
+        let transfer = self.transfer(wire_bytes);
+        let duration = transfer
+            + self.perf.cpu(self.ghz_s_per_page * pages as f64)
+            + SimDuration::from_secs_f64(self.round_overhead_s);
+        (transfer, duration)
+    }
+
+    /// The stop-and-copy: the residual set's `wire_bytes` on the link plus
+    /// the `fixed` part no page count shrinks (UISR transfer, activation).
+    pub(crate) fn stop_copy(&self, wire_bytes: u64, fixed: SimDuration) -> SimDuration {
+        self.transfer(wire_bytes) + fixed
+    }
+}
+
+/// Distinct pages a guest dirtying `rate` pages/second touches in
+/// `duration` — never more than the `pages` it has.
+pub(crate) fn dirtied_pages(rate: f64, duration: SimDuration, pages: u64) -> u64 {
+    ((rate * duration.as_secs_f64()) as u64).min(pages)
+}
+
 /// Analytic pre-copy round model: replays the engine's round loop on
-/// paper (same transfer/CPU/overhead formulas, same dirtying formula,
-/// static threshold) without touching guest memory. Under
+/// paper ([`RoundModel`], [`dirtied_pages`], static threshold) without
+/// touching guest memory. Under
 /// [`WireMode::Raw`] with no controller this reproduces the engine's
 /// timings exactly; under [`WireMode::ContentAware`] page bytes scale by
 /// `compression_hint`. Used for scheduler ordering and predicted-vs-
 /// actual telemetry — a cheap model, not a promise.
 pub fn predict_migration(input: &PredictInput<'_>) -> MigrationPrediction {
     let cfg = input.config;
-    let link = input.contention.contended(&cfg.link);
+    let model = RoundModel {
+        link: input.contention.contended(&cfg.link),
+        sharers: input.sharers,
+        perf: input.perf,
+        ghz_s_per_page: input.ghz_s_per_page,
+        round_overhead_s: input.round_overhead_s,
+    };
     let page_bytes = |pages: u64| -> u64 {
         match cfg.wire_mode {
             WireMode::Raw => pages * PAGE_SIZE,
@@ -745,18 +782,16 @@ pub fn predict_migration(input: &PredictInput<'_>) -> MigrationPrediction {
     let mut precopy = SimDuration::ZERO;
     let mut rounds = 0u32;
     let stop_pages = loop {
-        let duration = link.transfer(page_bytes(to_send), input.sharers)
-            + input.perf.cpu(input.ghz_s_per_page * to_send as f64)
-            + SimDuration::from_secs_f64(input.round_overhead_s);
+        let (_, duration) = model.round(page_bytes(to_send), to_send);
         precopy += duration;
         rounds += 1;
-        let dirtied = ((input.dirty_rate * duration.as_secs_f64()) as u64).min(input.pages);
+        let dirtied = dirtied_pages(input.dirty_rate, duration, input.pages);
         if dirtied <= cfg.stop_threshold_pages || rounds >= cfg.max_rounds {
             break dirtied;
         }
         to_send = dirtied;
     };
-    let stop_copy = link.transfer(page_bytes(stop_pages), input.sharers) + input.stop_fixed;
+    let stop_copy = model.stop_copy(page_bytes(stop_pages), input.stop_fixed);
     MigrationPrediction {
         rounds,
         precopy,

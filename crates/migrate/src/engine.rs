@@ -2,18 +2,20 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use hypertp_core::{HtpError, Hypervisor, HypervisorKind, VmId};
+use hypertp_core::{HtpError, Hypervisor, HypervisorKind, VmConfig, VmId};
 use hypertp_machine::{Extent, Gfn, Machine, PAGE_SIZE};
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
 use hypertp_sim::hash::{digest_pages_with_pool, Digest128};
-use hypertp_sim::{CostModel, Ewma, SimDuration, SimTime, WorkerPool};
+use hypertp_sim::{CostModel, SimDuration, SimTime, WorkerPool};
 
 use crate::control::{
-    predict_migration, ControlConfig, FleetOrder, FleetPolicy, FleetVm, LinkContention,
-    MigrationPrediction, PrecopyController, PredictInput, VmSloOutcome, UISR_BYTES_ALLOWANCE,
+    dirtied_pages, predict_migration, ControlConfig, FleetOrder, FleetPolicy, FleetVm,
+    LinkContention, MigrationPrediction, PrecopyController, PredictInput, RoundModel, VmSloOutcome,
+    UISR_BYTES_ALLOWANCE,
 };
 use crate::framing::FrameRing;
 use crate::network::{Link, WireStats};
+use crate::proxy::RemoteDest;
 use crate::wire::TransferCache;
 
 /// Extra one-way delay modelled for an injected link latency spike
@@ -22,9 +24,61 @@ const LATENCY_SPIKE: SimDuration = SimDuration::from_millis(150);
 
 /// Exponential backoff for retry `attempt` (1-based): `base << (attempt-1)`,
 /// capped at 16 doublings so the shift cannot overflow.
-pub(crate) fn backoff_delay(base: SimDuration, attempt: u32) -> SimDuration {
+fn backoff_delay(base: SimDuration, attempt: u32) -> SimDuration {
     let doublings = attempt.saturating_sub(1).min(16);
     SimDuration::from_nanos(base.as_nanos().saturating_mul(1u64 << doublings))
+}
+
+/// Every GFN a guest memory map covers, in map order.
+pub(crate) fn map_gfns(map: &[(Gfn, Extent)]) -> impl Iterator<Item = Gfn> + '_ {
+    map.iter()
+        .flat_map(|&(gfn, e)| (gfn.0..gfn.0 + e.pages()).map(Gfn))
+}
+
+/// The error a destination that disagrees with the source raises.
+pub(crate) fn integrity(vm_name: &str) -> HtpError {
+    HtpError::IntegrityViolation {
+        vm_name: vm_name.to_string(),
+    }
+}
+
+/// Where [`MigrationTp::migrate_data`] lands a VM: the two destination
+/// kinds of the one pre-copy driver.
+pub(crate) enum Dest<'a> {
+    /// The destination machine in this process, under either
+    /// [`WireMode`]; verified by reading both sides
+    /// ([`MigrationConfig::verify_contents`]).
+    Local {
+        machine: &'a mut Machine,
+        hv: &'a mut dyn Hypervisor,
+        /// The prepared incoming shell.
+        id: VmId,
+    },
+    /// A [`crate::DestProxy`] across a transport: always content-aware
+    /// (the frame ring is its wire format), verified by the `DoneAck`
+    /// checksum.
+    Remote(RemoteDest<'a>),
+}
+
+impl Dest<'_> {
+    fn kind(&self) -> HypervisorKind {
+        match self {
+            Dest::Local { hv, .. } => hv.kind(),
+            Dest::Remote(r) => r.kind,
+        }
+    }
+
+    /// Hands the destination a UISR blob: the restore's compatibility
+    /// warnings, or `None` when its decode rejected the blob.
+    fn deliver_uisr(&mut self, blob: &[u8]) -> Result<Option<Vec<String>>, HtpError> {
+        match self {
+            Dest::Local { machine, hv, id } => match hypertp_uisr::decode(blob) {
+                Ok(vm) => Ok(Some(hv.restore_uisr(machine, *id, &vm)?.warnings)),
+                Err(_) => Ok(None),
+            },
+            Dest::Remote(r) => Ok(r.send_uisr(blob)?.then(Vec::new)),
+        }
+    }
 }
 
 /// How guest pages are represented on the migration wire.
@@ -239,11 +293,10 @@ impl MigrationReport {
 }
 
 /// Outcome of the data phase, before scheduling adjustments.
-struct DataPhase {
-    report: MigrationReport,
-    precopy: SimDuration,
-    stop_copy: SimDuration,
-    dst_id: VmId,
+pub(crate) struct DataPhase {
+    pub(crate) report: MigrationReport,
+    pub(crate) precopy: SimDuration,
+    pub(crate) stop_copy: SimDuration,
 }
 
 /// The MigrationTP engine.
@@ -309,8 +362,7 @@ impl MigrationTp {
     /// Migrates one VM from `src_hv` on `src_machine` to `dst_hv` on
     /// `dst_machine`, advancing the source clock through the whole
     /// migration. The source VM is destroyed on success, as in a normal
-    /// live migration.
-    #[allow(clippy::too_many_arguments)]
+    /// live migration. A fleet of one ([`migrate_fleet`]).
     pub fn migrate(
         &self,
         src_machine: &mut Machine,
@@ -319,82 +371,78 @@ impl MigrationTp {
         dst_machine: &mut Machine,
         dst_hv: &mut dyn Hypervisor,
     ) -> Result<MigrationReport, HtpError> {
-        let phase = self.migrate_data(
+        let fleet = migrate_fleet(
+            self,
             src_machine,
             src_hv,
-            src_id,
+            &[FleetVm::new(src_id)],
             dst_machine,
             dst_hv,
-            1,
-            SimDuration::ZERO,
-            None,
+            FleetPolicy::default(),
         )?;
-        // Critical path: pre-copy then stop-and-copy.
-        src_machine.clock().advance(phase.precopy + phase.stop_copy);
-        dst_machine.clock().advance_to(src_machine.clock().now());
-        dst_hv.resume_vm(phase.dst_id)?;
-        src_hv.destroy_vm(src_machine, src_id)?;
-        Ok(phase.report)
+        Ok(fleet.reports.into_iter().next().expect("one VM"))
     }
 
-    /// The data phase: performs every page and state transfer and computes
-    /// durations, without advancing machine clocks (the caller schedules).
-    ///
-    /// `sharers` models concurrent migrations dividing the link;
-    /// `receiver_queue_wait` is added to the downtime before destination
-    /// activation (Xen's sequential receive side, §5.2.2);
-    /// `dirty_rate_override` replaces the config's global dirty rate for
-    /// this VM (heterogeneous fleets, [`FleetVm::dirty_rate`]).
+    /// Activation on a `dst_kind` host plus a conservative UISR transfer:
+    /// the stop-and-copy cost no residual page count shrinks.
+    fn stop_fixed(&self, dst_kind: HypervisorKind, vcpus: u32, sharers: u32) -> SimDuration {
+        self.cost.activate(dst_kind.boot_target(), vcpus)
+            + self.config.link.transfer(UISR_BYTES_ALLOWANCE, sharers)
+    }
+
+    /// The pre-copy driver — the only round loop, for both destination
+    /// kinds: transfers every page and the state of `src_id` (configured
+    /// `cfg`) into `dst` and computes durations, without advancing clocks
+    /// or cutting over (the caller schedules). `sharers` concurrent
+    /// streams divide the link; `dirty_rate_override` replaces the
+    /// config's dirty rate for this VM ([`FleetVm::dirty_rate`]).
     #[allow(clippy::too_many_arguments)]
-    fn migrate_data(
+    pub(crate) fn migrate_data(
         &self,
         src_machine: &mut Machine,
         src_hv: &mut dyn Hypervisor,
         src_id: VmId,
-        dst_machine: &mut Machine,
-        dst_hv: &mut dyn Hypervisor,
+        cfg: &VmConfig,
+        dst: &mut Dest<'_>,
         sharers: u32,
-        receiver_queue_wait: SimDuration,
         dirty_rate_override: Option<f64>,
     ) -> Result<DataPhase, HtpError> {
-        let cfg = src_hv.vm_config(src_id)?.clone();
         let start = src_machine.clock().now();
-        let dst_id = dst_hv.prepare_incoming(dst_machine, &cfg)?;
         src_hv.enable_dirty_log(src_id)?;
 
+        let model = RoundModel {
+            link: self.config.link,
+            sharers,
+            perf: src_machine.spec().perf(),
+            ghz_s_per_page: self.cost.migrate_ghz_s_per_page,
+            round_overhead_s: self.cost.migrate_round_overhead_s,
+        };
         let mut rounds = Vec::new();
         let mut bytes_sent = 0u64;
         let mut precopy = SimDuration::ZERO;
         let mut wire = WireStats::new();
         let cache_before = self.cache.stats();
         let dirty_rate = dirty_rate_override.unwrap_or(self.config.dirty_rate_pages_per_sec);
-        // Fixed stop-and-copy costs the budget→pages conversion subtracts:
-        // destination activation plus a conservative UISR transfer.
-        let stop_fixed = self.cost.activate(dst_hv.kind().boot_target(), cfg.vcpus)
-            + self.config.link.transfer(UISR_BYTES_ALLOWANCE, sharers);
-        let mut controller = PrecopyController::new(&self.config, sharers, stop_fixed);
+        let mut controller = PrecopyController::new(
+            &self.config,
+            sharers,
+            self.stop_fixed(dst.kind(), cfg.vcpus, sharers),
+        );
 
         // Round 0: full copy of every mapped page.
         let map = src_hv.guest_memory_map(src_id)?;
-        let all_gfns: Vec<Gfn> = map
-            .iter()
-            .flat_map(|(gfn, e)| (gfn.0..gfn.0 + e.pages()).map(Gfn))
-            .collect();
+        let mut to_send: Vec<Gfn> = map_gfns(&map).collect();
         let mut round = 0u32;
-        let mut to_send: Vec<Gfn> = all_gfns;
-        let stop_set;
-        loop {
+        let stop_set = loop {
             let pages = to_send.len() as u64;
             let outcome = self.send_round(
                 src_machine,
                 src_hv,
                 src_id,
-                dst_machine,
-                dst_hv,
-                dst_id,
+                dst,
                 &to_send,
                 round,
-                sharers,
+                &model,
                 &cfg.name,
                 &mut wire,
             )?;
@@ -403,10 +451,8 @@ impl MigrationTp {
             precopy += duration;
             // The guest keeps running and dirtying pages during the round
             // (scaled by the controller's auto-converge throttle, 1.0 when
-            // the controller is inactive). A guest cannot dirty more
-            // distinct pages than it has.
-            let dirtied = ((dirty_rate * controller.throttle() * duration.as_secs_f64()) as u64)
-                .min(cfg.pages());
+            // the controller is inactive).
+            let dirtied = dirtied_pages(dirty_rate * controller.throttle(), duration, cfg.pages());
             if dirtied > 0 {
                 src_hv.guest_tick(src_machine, src_id, dirtied)?;
             }
@@ -451,30 +497,33 @@ impl MigrationTp {
                 || round >= self.config.max_rounds
                 || controller.force_stop()
             {
-                stop_set = dirty;
-                break;
+                break dirty;
             }
             to_send = dirty;
-        }
+        };
 
         // Stop-and-copy: quiesce devices (§4.2.3 — the guest is still
         // running, so this extends pre-copy, not downtime), then pause and
-        // send the residual dirty set, translate the VMi State through the
-        // UISR proxies, and activate on the destination.
+        // send the residual dirty set (no fault is injected into it),
+        // translate the VMi State through the UISR proxies, and activate
+        // on the destination.
         precopy += src_hv.notify_prepare_transplant(src_machine, src_id)?;
         src_hv.pause_vm(src_id)?;
         let final_bytes = self.encode_round(src_machine, src_hv, src_id, &stop_set)?;
-        self.deliver_round(
+        if !self.deliver_round(
             src_machine,
             src_hv,
             src_id,
-            dst_machine,
-            dst_hv,
-            dst_id,
+            dst,
             &stop_set,
+            round,
+            false,
             &cfg.name,
             &mut wire,
-        )?;
+        )? {
+            self.rollback_round();
+            return Err(integrity(&cfg.name));
+        }
         self.commit_round();
         bytes_sent += final_bytes;
 
@@ -491,7 +540,7 @@ impl MigrationTp {
         {
             let mut damaged = blob.clone();
             damaged[0] ^= 0xff; // magic byte flipped in flight
-            let rejected = hypertp_uisr::decode(&damaged).is_err();
+            let rejected = dst.deliver_uisr(&damaged)?.is_none();
             debug_assert!(rejected, "corrupted magic must not decode");
             if rejected {
                 uisr_sends = 2;
@@ -506,45 +555,38 @@ impl MigrationTp {
                 );
             }
         }
-        let uisr_vm = hypertp_uisr::decode(&blob)?; // Destination proxy.
-        let restored = dst_hv.restore_uisr(dst_machine, dst_id, &uisr_vm)?;
+        // Destination proxy.
+        let warnings = dst
+            .deliver_uisr(&blob)?
+            .ok_or_else(|| integrity(&cfg.name))?;
 
-        let stop_copy = self.config.link.transfer(final_bytes, sharers)
-            + self
-                .config
-                .link
-                .transfer(blob.len() as u64 * uisr_sends, sharers)
-            + receiver_queue_wait
-            + self.cost.activate(dst_hv.kind().boot_target(), cfg.vcpus);
+        let stop_copy = model.stop_copy(
+            final_bytes,
+            model.transfer(blob.len() as u64 * uisr_sends)
+                + self.cost.activate(dst.kind().boot_target(), cfg.vcpus),
+        );
 
-        if self.config.verify_contents {
+        // A remote destination is verified by its `DoneAck` checksum
+        // instead, which the proxy exchanges at cut-over.
+        if let (true, Dest::Local { machine, hv, id }) = (self.config.verify_contents, &*dst) {
             // Verification only reads both sides, so extent groups compare
             // on their own pool workers; batched reads keep the per-page
             // translation cost off the comparison loop.
-            let src_ref: &dyn Hypervisor = src_hv;
-            let dst_ref: &dyn Hypervisor = dst_hv;
-            let src_m: &Machine = src_machine;
-            let dst_m: &Machine = dst_machine;
+            let (src_m, src_ref): (&Machine, &dyn Hypervisor) = (src_machine, src_hv);
+            let (dst_m, dst_ref, dst_id): (&Machine, &dyn Hypervisor, _) = (machine, &**hv, *id);
             let per_task = map.len().div_ceil((self.pool.workers() * 4).max(1)).max(1);
             let groups: Vec<&[(Gfn, Extent)]> = map.chunks(per_task).collect();
             let verdicts = self
                 .pool
                 .map_indices(groups.len(), |i| -> Result<bool, HtpError> {
-                    let mut gfns = Vec::new();
-                    for &(gfn, e) in groups[i] {
-                        for off in 0..e.pages() {
-                            gfns.push(Gfn(gfn.0 + off));
-                        }
-                    }
+                    let gfns: Vec<Gfn> = map_gfns(groups[i]).collect();
                     Ok(src_ref.read_guest_many(src_m, src_id, &gfns)?
                         == dst_ref.read_guest_many(dst_m, dst_id, &gfns)?)
                 })
                 .results;
             for ok in verdicts {
                 if !ok? {
-                    return Err(HtpError::IntegrityViolation {
-                        vm_name: cfg.name.clone(),
-                    });
+                    return Err(integrity(&cfg.name));
                 }
             }
         }
@@ -576,100 +618,131 @@ impl MigrationTp {
             stop_pages: stop_set.len() as u64,
             forced_stop: controller.force_stop(),
             final_throttle: controller.throttle(),
-            warnings: restored.warnings,
+            warnings,
         };
         Ok(DataPhase {
             report,
             precopy,
             stop_copy,
-            dst_id,
         })
     }
 
     /// Sends one pre-copy round and owns the round fault policy for both
-    /// wire modes: a link drop retries the same round with exponential
-    /// backoff (rounds acked earlier stay acked, so the migration resumes
-    /// instead of restarting) until the retry budget is spent; a latency
-    /// spike stretches the round; a truncated page is caught by the
-    /// destination's echo and re-sent. The mode-specific steps live in
-    /// the helpers below. [`WireMode::ContentAware`] adds one step to the
-    /// drop recovery: the lost round invalidates the dedup/delta state it
-    /// would have acked, so the cache journal and the frame ring roll
-    /// back and the retry re-encodes from the last state the destination
-    /// confirmed — a `Dup` frame never references content the destination
-    /// lost with the round.
+    /// wire modes and both destination kinds: a link drop retries the
+    /// round with exponential backoff (earlier rounds stay acked, so the
+    /// migration resumes rather than restarts) until the retry budget is
+    /// spent, first rolling a content-aware round's cache journal and
+    /// frame ring back so no `Dup` references content the destination lost
+    /// with the round; a latency spike stretches the round; a truncated
+    /// page is re-sent — alone to a local destination, which echoes it
+    /// back, with its whole round to a remote one, which naks.
     #[allow(clippy::too_many_arguments)]
     fn send_round(
         &self,
         src_machine: &Machine,
         src_hv: &dyn Hypervisor,
         src_id: VmId,
-        dst_machine: &mut Machine,
-        dst_hv: &mut dyn Hypervisor,
-        dst_id: VmId,
+        dst: &mut Dest<'_>,
         to_send: &[Gfn],
         round: u32,
-        sharers: u32,
+        model: &RoundModel,
         vm_name: &str,
         wire: &mut WireStats,
     ) -> Result<RoundOutcome, HtpError> {
-        let perf = src_machine.spec().perf();
-        let pages = to_send.len() as u64;
         let content_aware = self.config.wire_mode == WireMode::ContentAware;
         let mut duration = SimDuration::ZERO;
         let mut drops = 0u32;
+        let mut naks = 0u32;
+        let mut lost_bytes = 0u64;
         let round_bytes = loop {
             let encoded = self.encode_round(src_machine, src_hv, src_id, to_send)?;
-            if !self.faults.should_inject(
+            if self.faults.should_inject(
                 InjectionPoint::LinkDrop,
                 &format!("{vm_name} round {round}"),
             ) {
-                break encoded;
-            }
-            // The round died on the wire: nothing it shipped was acked.
-            if content_aware {
-                self.cache.rollback_round();
-                self.scratch.round().ring.rollback();
+                // The round died on the wire: nothing it shipped was acked.
+                if content_aware {
+                    self.rollback_round();
+                    self.faults.record_recovery(
+                        InjectionPoint::LinkDrop,
+                        RecoveryAction::InvalidatedWireCache,
+                        &format!("{vm_name} round {round}: rolled back dedup/delta journal"),
+                    );
+                }
+                drops += 1;
+                if drops > self.config.max_link_retries {
+                    self.faults.record_recovery(
+                        InjectionPoint::LinkDrop,
+                        RecoveryAction::GaveUp,
+                        &format!(
+                            "{vm_name} round {round}: {} retries exhausted",
+                            self.config.max_link_retries
+                        ),
+                    );
+                    // The source VM keeps running untouched; only the
+                    // half-built destination shell is torn down — and with
+                    // it every page the wire cache believed the destination
+                    // held, so the VM's delta bases (and, conservatively,
+                    // the dedup map) go too.
+                    if content_aware {
+                        self.cache.forget_vm(src_id.0);
+                    }
+                    if let Dest::Local { machine, hv, id } = dst {
+                        hv.destroy_vm(machine, *id)?;
+                    }
+                    return Err(HtpError::LinkFailure {
+                        vm_name: vm_name.to_string(),
+                        retries: self.config.max_link_retries,
+                    });
+                }
+                let wait = backoff_delay(self.config.retry_backoff, drops);
+                // Half the round was on the wire before the drop, plus the
+                // backoff before reconnecting.
+                duration += model.transfer(encoded / 2) + wait;
                 self.faults.record_recovery(
                     InjectionPoint::LinkDrop,
-                    RecoveryAction::InvalidatedWireCache,
-                    &format!("{vm_name} round {round}: rolled back dedup/delta journal"),
-                );
-            }
-            drops += 1;
-            if drops > self.config.max_link_retries {
-                self.faults.record_recovery(
-                    InjectionPoint::LinkDrop,
-                    RecoveryAction::GaveUp,
+                    RecoveryAction::RetriedWithBackoff,
                     &format!(
-                        "{vm_name} round {round}: {} retries exhausted",
-                        self.config.max_link_retries
+                        "{vm_name} round {round} attempt {drops} backoff {:.0}ms",
+                        wait.as_millis_f64()
                     ),
                 );
-                // The source VM keeps running untouched; only the
-                // half-built destination shell is torn down — and with it
-                // every page the wire cache believed the destination
-                // held, so the VM's delta bases (and, conservatively, the
-                // dedup map) go too.
-                if content_aware {
-                    self.cache.forget_vm(src_id.0);
+                if let Dest::Remote(r) = dst {
+                    r.resume(round)?;
                 }
-                dst_hv.destroy_vm(dst_machine, dst_id)?;
-                return Err(HtpError::LinkFailure {
-                    vm_name: vm_name.to_string(),
-                    retries: self.config.max_link_retries,
-                });
+                continue;
             }
-            let wait = backoff_delay(self.config.retry_backoff, drops);
-            // Half the round was on the wire before the drop, plus the
-            // backoff before reconnecting.
-            duration += self.config.link.transfer(encoded / 2, sharers) + wait;
+            // A frame truncated in flight costs a remote destination the
+            // whole attempt (a local one catches it page by page, below).
+            let truncate = matches!(dst, Dest::Remote(_))
+                && self.truncated_page(vm_name, round, to_send).is_some();
+            if self.deliver_round(
+                src_machine,
+                src_hv,
+                src_id,
+                dst,
+                to_send,
+                round,
+                truncate,
+                vm_name,
+                wire,
+            )? {
+                break encoded;
+            }
+            self.rollback_round();
+            naks += 1;
+            if naks > self.config.max_link_retries {
+                return Err(integrity(vm_name));
+            }
+            // The lost attempt's bytes were on the wire.
+            lost_bytes += encoded;
+            duration += model.transfer(encoded);
             self.faults.record_recovery(
-                InjectionPoint::LinkDrop,
-                RecoveryAction::RetriedWithBackoff,
+                InjectionPoint::TruncatedPage,
+                RecoveryAction::ResentPages,
                 &format!(
-                    "{vm_name} round {round} attempt {drops} backoff {:.0}ms",
-                    wait.as_millis_f64()
+                    "{vm_name} round {round}: destination nak, re-sent {} page(s)",
+                    to_send.len()
                 ),
             );
         };
@@ -680,11 +753,9 @@ impl MigrationTp {
                 &format!("{vm_name} resumed at round {round} after {drops} drop(s)"),
             );
         }
-        let transfer = self.config.link.transfer(round_bytes, sharers);
-        duration += transfer
-            + perf.cpu(self.cost.migrate_ghz_s_per_page * pages as f64)
-            + SimDuration::from_secs_f64(self.cost.migrate_round_overhead_s);
-        let mut bytes_sent = round_bytes;
+        let (transfer, round_time) = model.round(round_bytes, to_send.len() as u64);
+        duration += round_time;
+        let mut bytes_sent = round_bytes + lost_bytes;
 
         // Latency spike: transient congestion stretches the round; the
         // engine absorbs the extra time rather than failing over.
@@ -703,35 +774,20 @@ impl MigrationTp {
             );
         }
 
-        self.deliver_round(
-            src_machine,
-            src_hv,
-            src_id,
-            dst_machine,
-            dst_hv,
-            dst_id,
-            to_send,
-            vm_name,
-            wire,
-        )?;
-
-        // Truncated page: one page of this round lands corrupted on the
-        // destination. The destination echoes it back; the mismatch
+        // Truncated page on a local destination: one page of this round
+        // lands corrupted. The destination echoes it back; the mismatch
         // triggers a single-page re-send.
-        if let Some(&bad_gfn) = to_send.last() {
-            if self.faults.should_inject(
-                InjectionPoint::TruncatedPage,
-                &format!("{vm_name} round {round} gfn {}", bad_gfn.0),
-            ) {
+        if let Dest::Local { machine, hv, id } = dst {
+            if let Some(bad_gfn) = self.truncated_page(vm_name, round, to_send) {
                 let good = src_hv.read_guest(src_machine, src_id, bad_gfn)?;
-                dst_hv.write_guest(dst_machine, dst_id, bad_gfn, !good)?;
-                let echoed = dst_hv.read_guest(dst_machine, dst_id, bad_gfn)?;
+                hv.write_guest(machine, *id, bad_gfn, !good)?;
+                let echoed = hv.read_guest(machine, *id, bad_gfn)?;
                 debug_assert_ne!(echoed, good, "truncation must be observable");
                 if echoed != good {
                     let (word, resent_bytes, resent_as) =
                         self.resend_page(src_id, bad_gfn, good, echoed, vm_name, wire)?;
-                    dst_hv.write_guest(dst_machine, dst_id, bad_gfn, word)?;
-                    duration += self.config.link.transfer(2 * resent_bytes, sharers);
+                    hv.write_guest(machine, *id, bad_gfn, word)?;
+                    duration += model.transfer(2 * resent_bytes);
                     bytes_sent += resent_bytes;
                     self.faults.record_recovery(
                         InjectionPoint::TruncatedPage,
@@ -751,54 +807,53 @@ impl MigrationTp {
         })
     }
 
-    /// Source half of a round: the bytes it will put on the wire. Raw
-    /// rounds ship every page as a full payload (the paper-faithful
-    /// accounting); content-aware rounds encode into the scratch ring
-    /// inside a cache transaction, leaving the frames there for
-    /// [`MigrationTp::deliver_round`].
-    fn encode_round(
-        &self,
-        src_machine: &Machine,
-        src_hv: &dyn Hypervisor,
-        src_id: VmId,
-        gfns: &[Gfn],
-    ) -> Result<u64, HtpError> {
-        match self.config.wire_mode {
-            WireMode::Raw => Ok(gfns.len() as u64 * PAGE_SIZE),
-            WireMode::ContentAware => self.gather_encode_ring(src_machine, src_hv, src_id, gfns),
-        }
+    /// Consults the truncated-page fault for a round: the round's last
+    /// page when it is damaged in flight.
+    fn truncated_page(&self, vm_name: &str, round: u32, to_send: &[Gfn]) -> Option<Gfn> {
+        to_send.last().copied().filter(|g| {
+            self.faults.should_inject(
+                InjectionPoint::TruncatedPage,
+                &format!("{vm_name} round {round} gfn {}", g.0),
+            )
+        })
     }
 
-    /// Destination half of a round: lands the pages of `gfns`, in order.
-    /// A content-aware round that fails to apply rolls its cache
-    /// transaction back before surfacing the error.
+    /// Destination half of a round: lands the pages of `gfns`, in order,
+    /// and returns whether the destination accepted them. A local one
+    /// always does (a content-aware round that fails to apply rolls its
+    /// cache transaction back and errors); a remote one acks or naks the
+    /// serialized round, sent with its last frame corrupted if `truncate`.
     #[allow(clippy::too_many_arguments)]
     fn deliver_round(
         &self,
         src_machine: &Machine,
         src_hv: &dyn Hypervisor,
         src_id: VmId,
-        dst_machine: &mut Machine,
-        dst_hv: &mut dyn Hypervisor,
-        dst_id: VmId,
+        dst: &mut Dest<'_>,
         gfns: &[Gfn],
+        round: u32,
+        truncate: bool,
         vm_name: &str,
         wire: &mut WireStats,
-    ) -> Result<(), HtpError> {
-        match self.config.wire_mode {
-            WireMode::Raw => self.copy_pages(
-                src_machine,
-                src_hv,
-                src_id,
-                dst_machine,
-                dst_hv,
-                dst_id,
-                gfns,
-            ),
-            WireMode::ContentAware => self
-                .apply_ring(dst_machine, dst_hv, dst_id, gfns, vm_name, wire)
-                .inspect_err(|_| self.cache.rollback_round()),
+    ) -> Result<bool, HtpError> {
+        match (dst, self.config.wire_mode) {
+            (Dest::Local { machine, hv, id }, WireMode::Raw) => {
+                self.copy_pages(src_machine, src_hv, src_id, machine, *hv, *id, gfns)?;
+            }
+            (Dest::Local { machine, hv, id }, WireMode::ContentAware) => self
+                .apply_ring(machine, *hv, *id, gfns, vm_name, wire)
+                .inspect_err(|_| self.cache.rollback_round())?,
+            (Dest::Remote(r), _) => {
+                let s = self.scratch.round();
+                if !r.send_round(&s.ring, round, truncate)? {
+                    return Ok(false);
+                }
+                for view in s.ring.iter() {
+                    wire.record_parts(view.kind, view.wire_bytes());
+                }
+            }
         }
+        Ok(true)
     }
 
     /// Re-sends the one page whose echo came back as `echoed` instead of
@@ -820,11 +875,10 @@ impl MigrationTp {
             WireMode::Raw => Ok((good, PAGE_SIZE, format!("gfn {}", gfn.0))),
             WireMode::ContentAware => {
                 let frame = self.cache.encode_page(src_id.0, gfn.0, good);
-                let word = self.cache.apply_frame(&frame, echoed).ok_or_else(|| {
-                    HtpError::IntegrityViolation {
-                        vm_name: vm_name.to_string(),
-                    }
-                })?;
+                let word = self
+                    .cache
+                    .apply_frame(&frame, echoed)
+                    .ok_or_else(|| integrity(vm_name))?;
                 wire.record(&frame);
                 Ok((
                     word,
@@ -838,33 +892,37 @@ impl MigrationTp {
     /// The destination acked the round: whatever the round staged becomes
     /// the state later rounds encode against.
     fn commit_round(&self) {
-        match self.config.wire_mode {
-            WireMode::Raw => {}
-            WireMode::ContentAware => {
-                self.cache.commit_round();
-                self.scratch.round().ring.commit();
-            }
+        if self.config.wire_mode == WireMode::ContentAware {
+            self.cache.commit_round();
+            self.scratch.round().ring.commit();
         }
     }
 
-    /// The content-aware gather → digest → encode stage: content words
-    /// are borrowed straight out of the source's RAM extents
-    /// (`read_guest_into` walks coalesced GFN→MFN runs and memcpys whole
-    /// extents), digests are batch-computed word-parallel across the
-    /// worker pool, and frames are serialized into the shared scratch
-    /// ring under a single cache lock. Every buffer is reused across
-    /// rounds and VMs — after warm-up this path performs no heap
-    /// allocations. Returns the round's accounted wire bytes; the frames
-    /// live in the ring for [`MigrationTp::apply_ring`]. Opens the round's
-    /// cache and ring transaction once the gather — the only step that
-    /// can fail — has succeeded; the caller commits it or rolls it back.
-    pub(crate) fn gather_encode_ring(
+    /// The content-aware round died unacked: drop what it staged, so the
+    /// next encode runs against what the destination last confirmed.
+    fn rollback_round(&self) {
+        self.cache.rollback_round();
+        self.scratch.round().ring.rollback();
+    }
+
+    /// Source half of a round: the bytes it will put on the wire. Raw
+    /// rounds ship every page as a full payload (the paper-faithful
+    /// accounting). Content-aware rounds gather words straight out of the
+    /// source's RAM extents, digest them across the worker pool and
+    /// serialize frames into the shared scratch ring under one cache lock,
+    /// reusing every buffer (no heap allocation once warm). The round's
+    /// cache and ring transaction opens once the gather — the only step
+    /// that can fail — has succeeded; the caller commits or rolls back.
+    fn encode_round(
         &self,
         src_machine: &Machine,
         src_hv: &dyn Hypervisor,
         src_id: VmId,
         gfns: &[Gfn],
     ) -> Result<u64, HtpError> {
+        if self.config.wire_mode == WireMode::Raw {
+            return Ok(gfns.len() as u64 * PAGE_SIZE);
+        }
         let mut s = self.scratch.round();
         let RoundScratch {
             ring,
@@ -915,12 +973,10 @@ impl MigrationTp {
         for (view, (&g, &cur)) in ring.iter().zip(gfns.iter().zip(current.iter())) {
             debug_assert_eq!(view.gfn, g.0);
             wire.record_parts(view.kind, view.wire_bytes());
-            let word =
-                self.cache
-                    .apply_view(&view, cur)
-                    .ok_or_else(|| HtpError::IntegrityViolation {
-                        vm_name: vm_name.to_string(),
-                    })?;
+            let word = self
+                .cache
+                .apply_view(&view, cur)
+                .ok_or_else(|| integrity(vm_name))?;
             if word != cur {
                 dst_hv.write_guest(dst_machine, dst_id, g, word)?;
             }
@@ -980,7 +1036,7 @@ impl MigrationTp {
     }
 }
 
-/// Per-round result of a send helper.
+/// Per-round result of [`MigrationTp::send_round`].
 struct RoundOutcome {
     /// Simulated duration of the round (transfer + CPU + fault effects).
     duration: SimDuration,
@@ -1005,9 +1061,8 @@ pub struct FleetReport {
     /// The prediction in force when each VM was actually admitted, in
     /// input order. Equal to [`FleetReport::predictions`] under
     /// [`FleetOrder::Fifo`] and [`FleetOrder::ShortestPredictedFirst`];
-    /// under [`FleetOrder::Repredict`] these are the warmed re-predictions
-    /// the scheduler ordered by, so comparing them against the actuals
-    /// shows how much the feedback loop tightened the estimates.
+    /// under [`FleetOrder::SloAware`] these are the contended predictions
+    /// priced at the slot each VM got.
     pub admission_predictions: Vec<MigrationPrediction>,
     /// Policy the fleet ran under.
     pub policy: FleetPolicy,
@@ -1063,8 +1118,7 @@ impl FleetReport {
 
     /// Per-VM signed relative error (%) of the admission-time predicted
     /// pre-copy duration against the actual one: positive means the
-    /// scheduler over-predicted. The predicted-vs-actual telemetry the
-    /// [`FleetOrder::Repredict`] feedback loop is judged by.
+    /// scheduler over-predicted.
     pub fn precopy_error_pct(&self) -> Vec<f64> {
         (0..self.reports.len())
             .map(|i| {
@@ -1157,21 +1211,24 @@ pub fn migrate_fleet(
     let sequential_receive = dst_hv.kind() == HypervisorKind::Xen;
     let perf = src_machine.spec().perf();
 
-    // Predict every VM up front (input order): ordering + telemetry.
-    // `pred_inputs` keeps the per-VM (pages, base dirty rate, stop_fixed)
-    // triple so [`FleetOrder::Repredict`] can re-run the model later.
-    let mut predictions = Vec::with_capacity(n);
-    let mut pred_inputs: Vec<(u64, f64, SimDuration)> = Vec::with_capacity(n);
-    for vm in vms {
-        let cfg = src_hv.vm_config(vm.id)?.clone();
-        let stop_fixed = tp.cost.activate(dst_hv.kind().boot_target(), cfg.vcpus)
-            + tp.config.link.transfer(UISR_BYTES_ALLOWANCE, sharers);
-        let pages = cfg.pages();
-        let base_rate = vm.dirty_rate.unwrap_or(tp.config.dirty_rate_pages_per_sec);
-        pred_inputs.push((pages, base_rate, stop_fixed));
-        predictions.push(predict_migration(&PredictInput {
+    // Per-VM model inputs, in input order: (pages, dirty rate, stop_fixed).
+    let inputs = vms
+        .iter()
+        .map(|vm| {
+            let cfg = src_hv.vm_config(vm.id)?;
+            let rate = vm.dirty_rate.unwrap_or(tp.config.dirty_rate_pages_per_sec);
+            Ok((
+                cfg.pages(),
+                rate,
+                tp.stop_fixed(dst_hv.kind(), cfg.vcpus, sharers),
+            ))
+        })
+        .collect::<Result<Vec<(u64, f64, SimDuration)>, HtpError>>()?;
+    let predict = |i: usize, contention: LinkContention| {
+        let (pages, dirty_rate, stop_fixed) = inputs[i];
+        predict_migration(&PredictInput {
             pages,
-            dirty_rate: base_rate,
+            dirty_rate,
             config: &tp.config,
             sharers,
             perf,
@@ -1179,167 +1236,71 @@ pub fn migrate_fleet(
             round_overhead_s: tp.cost.migrate_round_overhead_s,
             compression_hint: policy.compression_hint,
             stop_fixed,
-            contention: LinkContention::NONE,
-        }));
-    }
-
-    let mut admission: Vec<usize> = (0..n).collect();
+            contention,
+        })
+    };
+    // The cold-start predictions: ordering + telemetry.
+    let predictions: Vec<MigrationPrediction> =
+        (0..n).map(|i| predict(i, LinkContention::NONE)).collect();
+    let mut waiting: Vec<usize> = (0..n).collect();
     if policy.order == FleetOrder::ShortestPredictedFirst {
-        admission.sort_by_key(|&i| (predictions[i].stop_copy, i));
+        waiting.sort_by_key(|&i| (predictions[i].stop_copy, i));
     }
 
     // Run the data phases in admission order (the shared wire cache sees
     // VMs in the same order the link does), assigning each stream to the
-    // earliest-free slot.
+    // earliest-free slot. Each entry is (destination VM, phase, start).
+    let mut admission = Vec::with_capacity(n);
     let mut phases: Vec<Option<(VmId, DataPhase, SimDuration)>> = (0..n).map(|_| None).collect();
     let mut slot_free = vec![SimDuration::ZERO; slots];
     let mut admission_predictions = predictions.clone();
-    if policy.order == FleetOrder::Repredict {
-        // Feedback admission: after each completed migration fold the
-        // observed dirty rate (as a scale against the configured rate)
-        // and wire compression into fleet-level EWMAs, re-predict the
-        // waiting VMs, and admit the one with the smallest re-predicted
-        // stop-and-copy (input index breaks ties — deterministic).
-        let alpha = tp.config.control.ewma_alpha;
-        let mut rate_scale = Ewma::new(alpha);
-        let mut compression = Ewma::new(alpha);
-        let mut remaining: Vec<usize> = (0..n).collect();
-        admission.clear();
-        while !remaining.is_empty() {
-            let mut best: Option<(SimDuration, usize, MigrationPrediction)> = None;
-            for &i in &remaining {
-                let (pages, base_rate, stop_fixed) = pred_inputs[i];
-                let pred = predict_migration(&PredictInput {
-                    pages,
-                    dirty_rate: base_rate * rate_scale.get_or(1.0),
-                    config: &tp.config,
-                    sharers,
-                    perf,
-                    ghz_s_per_page: tp.cost.migrate_ghz_s_per_page,
-                    round_overhead_s: tp.cost.migrate_round_overhead_s,
-                    compression_hint: compression.get_or(policy.compression_hint),
-                    stop_fixed,
-                    contention: LinkContention::NONE,
-                });
-                let better = match &best {
-                    None => true,
-                    Some((stop, idx, _)) => (pred.stop_copy, i) < (*stop, *idx),
-                };
-                if better {
-                    best = Some((pred.stop_copy, i, pred));
-                }
-            }
-            let (_, i, pred) = best.expect("remaining is non-empty");
-            admission_predictions[i] = pred;
-            remaining.retain(|&j| j != i);
-            admission.push(i);
-            let vm = vms[i];
-            let (phase, start) = run_fleet_phase(
-                tp,
-                src_machine,
-                src_hv,
-                vm,
-                dst_machine,
-                dst_hv,
-                sharers,
-                &mut slot_free,
-            )?;
-            // Warm the estimators from the completed migration's last
-            // round (the per-migration controller observes even when
-            // inactive, so the telemetry is always populated).
-            if let Some(last) = phase.report.rounds.last() {
-                let (_, base_rate, _) = pred_inputs[i];
-                if base_rate > 0.0 && last.dirty_rate_est > 0.0 {
-                    rate_scale.observe(last.dirty_rate_est / base_rate);
-                }
-                if last.compression_est > 0.0 {
-                    compression.observe(last.compression_est);
-                }
-            }
-            phases[i] = Some((vm.id, phase, start));
-        }
-    } else if policy.order == FleetOrder::SloAware {
-        // Least-predicted-harm admission: at each free slot, re-price
-        // every waiting VM's migration *at the slot's current time* —
-        // the pre-copy prediction contended by the VM's own traffic,
-        // priced in violation-seconds by its SLO — and admit the
-        // cheapest (predicted stop-and-copy, then input index, break
-        // ties: harmless VMs drain in SPDF order). Hot-traffic VMs are
-        // pushed back and picked up when the advancing fleet clock
-        // reaches their low-QPS window. Work-conserving: a slot never
-        // idles waiting for a window.
-        let mut remaining: Vec<usize> = (0..n).collect();
-        admission.clear();
-        while !remaining.is_empty() {
-            let now = slot_free
+    while !waiting.is_empty() {
+        let next = if policy.order == FleetOrder::SloAware {
+            // Least-predicted-harm admission: at each free slot, re-price
+            // every waiting VM's migration *at the slot's current time* —
+            // the pre-copy prediction contended by the VM's own traffic,
+            // priced in violation-seconds by its SLO — and admit the
+            // cheapest (predicted stop-and-copy, then input index, break
+            // ties: harmless VMs drain in SPDF order). Hot-traffic VMs are
+            // pushed back and picked up when the advancing fleet clock
+            // reaches their low-QPS window. Work-conserving: a slot never
+            // idles waiting for a window.
+            let now = slot_free.iter().copied().min().expect("slots >= 1");
+            let (_, k, pred) = waiting
                 .iter()
-                .copied()
-                .min()
-                .expect("slots >= 1 when vms is non-empty");
-            let mut best: Option<(SimDuration, SimDuration, usize, MigrationPrediction)> = None;
-            for &i in &remaining {
-                let (pages, base_rate, stop_fixed) = pred_inputs[i];
-                let contention = match vms[i].slo {
-                    Some(s) => LinkContention::new(s.traffic.bps_at(now)),
-                    None => LinkContention::NONE,
-                };
-                let pred = predict_migration(&PredictInput {
-                    pages,
-                    dirty_rate: base_rate,
-                    config: &tp.config,
-                    sharers,
-                    perf,
-                    ghz_s_per_page: tp.cost.migrate_ghz_s_per_page,
-                    round_overhead_s: tp.cost.migrate_round_overhead_s,
-                    compression_hint: policy.compression_hint,
-                    stop_fixed,
-                    contention,
-                });
-                let harm = match vms[i].slo {
-                    Some(s) => s.outcome(now, pred.precopy, pred.stop_copy).violation,
-                    None => SimDuration::ZERO,
-                };
-                let better = match &best {
-                    None => true,
-                    Some((h, stop, idx, _)) => (harm, pred.stop_copy, i) < (*h, *stop, *idx),
-                };
-                if better {
-                    best = Some((harm, pred.stop_copy, i, pred));
-                }
-            }
-            let (_, _, i, pred) = best.expect("remaining is non-empty");
-            admission_predictions[i] = pred;
-            remaining.retain(|&j| j != i);
-            admission.push(i);
-            let vm = vms[i];
-            let (phase, start) = run_fleet_phase(
-                tp,
-                src_machine,
-                src_hv,
-                vm,
-                dst_machine,
-                dst_hv,
-                sharers,
-                &mut slot_free,
-            )?;
-            debug_assert_eq!(start, now, "admission priced at the slot it got");
-            phases[i] = Some((vm.id, phase, start));
-        }
-    } else {
-        for &i in &admission {
-            let vm = vms[i];
-            let (phase, start) = run_fleet_phase(
-                tp,
-                src_machine,
-                src_hv,
-                vm,
-                dst_machine,
-                dst_hv,
-                sharers,
-                &mut slot_free,
-            )?;
-            phases[i] = Some((vm.id, phase, start));
-        }
+                .enumerate()
+                .map(|(k, &i)| {
+                    let slo = vms[i].slo;
+                    let pred = predict(
+                        i,
+                        slo.map_or(LinkContention::NONE, |s| {
+                            LinkContention::new(s.traffic.bps_at(now))
+                        }),
+                    );
+                    let harm = slo.map_or(SimDuration::ZERO, |s| {
+                        s.outcome(now, pred.precopy, pred.stop_copy).violation
+                    });
+                    ((harm, pred.stop_copy, i), k, pred)
+                })
+                .min_by_key(|&(key, _, _)| key)
+                .expect("waiting is non-empty");
+            admission_predictions[waiting[k]] = pred;
+            k
+        } else {
+            0
+        };
+        let i = waiting.remove(next);
+        admission.push(i);
+        phases[i] = Some(run_fleet_phase(
+            tp,
+            src_machine,
+            src_hv,
+            vms[i],
+            dst_machine,
+            dst_hv,
+            sharers,
+            &mut slot_free,
+        )?);
     }
 
     // Schedule the receive side: stop-and-copies queue on a sequential
@@ -1376,10 +1337,9 @@ pub fn migrate_fleet(
     src_machine.clock().advance(makespan);
     dst_machine.clock().advance_to(src_machine.clock().now());
     for (vm, slot) in vms.iter().zip(&phases) {
-        let (id, phase, _) = slot.as_ref().expect("all scheduled");
-        debug_assert_eq!(*id, vm.id);
-        dst_hv.resume_vm(phase.dst_id)?;
-        src_hv.destroy_vm(src_machine, *id)?;
+        let (dst_id, _, _) = slot.as_ref().expect("all scheduled");
+        dst_hv.resume_vm(*dst_id)?;
+        src_hv.destroy_vm(src_machine, vm.id)?;
     }
     let reports: Vec<MigrationReport> =
         out.into_iter().map(|r| r.expect("all scheduled")).collect();
@@ -1413,10 +1373,10 @@ pub fn migrate_fleet(
 }
 
 /// Runs one fleet member's data phase on the earliest-free slot and
-/// advances that slot's clock. Shared by the static (FIFO/SPDF) and
-/// feedback ([`FleetOrder::Repredict`], [`FleetOrder::SloAware`])
-/// admission loops so all schedule identically given the same admission
-/// order.
+/// advances that slot's clock; returns the destination VM, the phase and
+/// its start. Shared by the static (FIFO/SPDF) and
+/// [`FleetOrder::SloAware`] admission loops so all schedule identically
+/// given the same admission order.
 ///
 /// **Tie-breaking rule**: among equally-early free slots the
 /// *lowest-indexed* slot wins — the key is the `(free_time, slot_index)`
@@ -1442,7 +1402,7 @@ fn run_fleet_phase(
     dst_hv: &mut dyn Hypervisor,
     sharers: u32,
     slot_free: &mut [SimDuration],
-) -> Result<(DataPhase, SimDuration), HtpError> {
+) -> Result<(VmId, DataPhase, SimDuration), HtpError> {
     let slot = slot_free
         .iter()
         .enumerate()
@@ -1460,18 +1420,24 @@ fn run_fleet_phase(
     } else {
         tp
     };
+    let cfg = src_hv.vm_config(vm.id)?.clone();
+    let dst_id = dst_hv.prepare_incoming(dst_machine, &cfg)?;
+    let mut dst = Dest::Local {
+        machine: dst_machine,
+        hv: dst_hv,
+        id: dst_id,
+    };
     let phase = tp.migrate_data(
         src_machine,
         src_hv,
         vm.id,
-        dst_machine,
-        dst_hv,
+        &cfg,
+        &mut dst,
         sharers,
-        SimDuration::ZERO,
         vm.dirty_rate,
     )?;
     slot_free[slot] = start + phase.precopy;
-    Ok((phase, start))
+    Ok((dst_id, phase, start))
 }
 
 /// Migrates several VMs from one host to another, reproducing §5.2.2's
@@ -2168,61 +2134,6 @@ mod tests {
         // VM's long pre-copy even ends, so their downtime stays small.
         assert!(fleet.reports[1].downtime < fleet.reports[0].downtime);
         assert!(fleet.reports[2].downtime < fleet.reports[0].downtime);
-    }
-
-    #[test]
-    fn fleet_repredict_orders_like_spdf_and_warms_its_predictions() {
-        // Same fleet as the SPDF test: the cold pick must agree (idle VMs
-        // first), and every admission after the first must be ordered by
-        // *re-predicted* stop-copy with estimators warmed by the finished
-        // migrations — recorded in `admission_predictions`.
-        let run = || {
-            let (mut src_m, mut dst_m) = pair();
-            let mut src = SimpleHv::new(HypervisorKind::Xen);
-            let mut dst = SimpleHv::new(HypervisorKind::Xen);
-            let ids: Vec<VmId> = (0..3)
-                .map(|i| {
-                    src.create_vm(&mut src_m, &VmConfig::small(format!("vm{i}")))
-                        .unwrap()
-                })
-                .collect();
-            let tp = MigrationTp::new();
-            let vms = vec![
-                FleetVm::with_dirty_rate(ids[0], 1e6),
-                FleetVm::with_dirty_rate(ids[1], 1.0),
-                FleetVm::with_dirty_rate(ids[2], 1.0),
-            ];
-            migrate_fleet(
-                &tp,
-                &mut src_m,
-                &mut src,
-                &vms,
-                &mut dst_m,
-                &mut dst,
-                FleetPolicy {
-                    order: FleetOrder::Repredict,
-                    max_concurrent: 0,
-                    compression_hint: 1.0,
-                },
-            )
-            .unwrap()
-        };
-        let fleet = run();
-        assert_eq!(fleet.admission, vec![1, 2, 0], "idle VMs still first");
-        assert_eq!(fleet.policy.order, FleetOrder::Repredict);
-        // The first admission ran on the cold prediction; the later ones
-        // on warmed estimates (which may differ from the cold model).
-        assert_eq!(fleet.admission_predictions[1], fleet.predictions[1]);
-        assert_eq!(fleet.admission_predictions.len(), 3);
-        // Telemetry is well-formed: one signed error per VM, finite mean.
-        let errs = fleet.precopy_error_pct();
-        assert_eq!(errs.len(), 3);
-        assert!(fleet.mean_abs_precopy_error_pct().is_finite());
-        // Deterministic: the same fleet re-runs identically.
-        let again = run();
-        assert_eq!(again.admission, fleet.admission);
-        assert_eq!(again.makespan, fleet.makespan);
-        assert_eq!(again.admission_predictions, fleet.admission_predictions);
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //!   a length-prefixed Unix-domain-socket backend for real two-process
 //!   runs.
 //! * [`proxy`] — the §4.2 source/destination proxy pair speaking the
-//!   framed protocol over any [`transport::Transport`], byte-identical to
-//!   the in-process engine in fault-free runs.
+//!   framed protocol over any [`transport::Transport`]. The source half is
+//!   the engine's own pre-copy driver landing the VM remotely, so the
+//!   pair is byte-identical to the in-process engine in fault-free runs.
 
 pub mod control;
 pub mod engine;

@@ -1,15 +1,14 @@
 //! The §4.2 source/destination proxy pair over a pluggable transport.
 //!
-//! The in-process engine ([`crate::engine::MigrationTp`]) holds both
-//! machines in one address space. The paper's deployment instead runs a
-//! *proxy* on each machine: the source proxy drives the pre-copy loop and
-//! streams serialized frames, the destination proxy materialises them and
-//! translates the VMi State through UISR. This module is that split: the
-//! exact same encode path (shared [`crate::wire::TransferCache`], shared
-//! [`crate::framing::FrameRing`] scratch, same frame classification) with
-//! a [`Transport`] in the middle — so a fault-free proxy run produces a
-//! destination RAM image and [`WireStats`] **byte-identical** to the
-//! in-process engine.
+//! The paper runs a *proxy* on each machine: the source proxy drives
+//! pre-copy and streams serialized frames, the destination proxy
+//! materialises them and translates the VMi State through UISR. Here the
+//! source proxy is the engine's own pre-copy driver
+//! ([`crate::engine::MigrationTp`]) landing the VM through a
+//! [`RemoteDest`] — same rounds, controller, stop rule, fault policy and
+//! encode path — so a fault-free proxy run produces a destination RAM
+//! image, [`WireStats`] and timings **byte-identical** to the in-process
+//! engine. This module holds only the protocol.
 //!
 //! **Protocol.** Each transport frame is one message, tag byte first:
 //!
@@ -28,23 +27,21 @@
 //! destination stages every write (and dedup-mirror insert) while
 //! validating the stream, applies atomically, then acks; the source
 //! commits its cache journal and ring watermark only on the ack. A
-//! mid-stream disconnect therefore loses the round wholesale — the
-//! destination drops its staged state, the source rolls back and
-//! re-encodes against what the destination still holds, exactly like the
-//! engine's `LinkDrop` recovery (and recorded through the same
-//! [`RecoveryAction`]s). The destination's dedup mirror is insert-only
-//! and content-addressed; the source's LRU evictions only downgrade
-//! future `Dup`s, so a larger mirror can never disagree.
+//! mid-stream disconnect therefore loses the round wholesale, and the
+//! source re-encodes against what the destination still holds.
+//!
+//! **Hostile peers.** The destination trusts nothing it receives: a
+//! malformed message, a `Hello` for a VM larger than the host's RAM or a
+//! `Done` that would overflow its clock is an [`HtpError`], never a panic.
 
 use hypertp_core::{HtpError, Hypervisor, HypervisorKind, VmConfig, VmId};
 use hypertp_machine::Gfn;
 use hypertp_machine::Machine;
-use hypertp_sim::fault::{InjectionPoint, RecoveryAction};
 use hypertp_sim::hash::digest_words;
 use hypertp_sim::SimDuration;
 
-use crate::engine::{backoff_delay, MigrationTp};
-use crate::framing::FrameIter;
+use crate::engine::{integrity, map_gfns, Dest, MigrationConfig, MigrationTp, WireMode};
+use crate::framing::{FrameIter, FrameRing};
 use crate::network::{FrameKind, WireStats};
 use crate::transport::Transport;
 use crate::wire::{delta_apply_word, DigestMap};
@@ -62,18 +59,29 @@ const MSG_DONE_ACK: u8 = 0x17;
 const UISR_ROUND: u32 = u32::MAX;
 
 /// Maps a transport failure to the engine's link-failure error.
-fn link_err(vm_name: &str, e: crate::transport::TransportError) -> HtpError {
-    let _ = e;
+fn link_err(vm_name: &str) -> HtpError {
     HtpError::LinkFailure {
         vm_name: vm_name.to_string(),
         retries: 0,
     }
 }
 
-fn integrity(vm_name: &str) -> HtpError {
-    HtpError::IntegrityViolation {
-        vm_name: vm_name.to_string(),
-    }
+/// Sends `msg` and flushes it to the peer.
+fn send(transport: &mut dyn Transport, msg: &[u8], vm_name: &str) -> Result<(), HtpError> {
+    transport
+        .send_frame(msg)
+        .and_then(|_| transport.flush())
+        .map_err(|_| link_err(vm_name))
+}
+
+/// Sends `msg`, then replaces it with the peer's reply.
+fn exchange(
+    transport: &mut dyn Transport,
+    msg: &mut Vec<u8>,
+    vm_name: &str,
+) -> Result<(), HtpError> {
+    send(transport, msg, vm_name)?;
+    transport.recv_frame(msg).map_err(|_| link_err(vm_name))
 }
 
 /// Little-endian cursor over a received message.
@@ -86,30 +94,22 @@ impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
-    fn u8(&mut self) -> Option<u8> {
-        let v = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(v)
-    }
-    fn u16(&mut self) -> Option<u16> {
-        let b = self.buf.get(self.pos..self.pos + 2)?;
-        self.pos += 2;
-        Some(u16::from_le_bytes(b.try_into().ok()?))
-    }
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.buf.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(b.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.buf.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
     fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let b = self.buf.get(self.pos..self.pos + n)?;
+        let b = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
         self.pos += n;
         Some(b)
+    }
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.bytes(N)?.try_into().ok()
+    }
+    fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_le_bytes)
+    }
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
     }
     fn rest(&mut self) -> &'a [u8] {
         let b = &self.buf[self.pos..];
@@ -118,17 +118,27 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+/// Appends `s` with its `u16` length; a string the prefix cannot describe
+/// is refused rather than sent for the peer to misparse.
+fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), HtpError> {
+    let len = u16::try_from(s.len())
+        .map_err(|_| HtpError::Unsupported("Hello string longer than 65535 bytes"))?;
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
 fn get_str(r: &mut Reader<'_>) -> Option<String> {
-    let n = r.u16()? as usize;
+    let n = u16::from_le_bytes(r.array()?) as usize;
     String::from_utf8(r.bytes(n)?.to_vec()).ok()
 }
 
-fn encode_hello(out: &mut Vec<u8>, cfg: &VmConfig, resume: bool, round: u32) {
+fn encode_hello(
+    out: &mut Vec<u8>,
+    cfg: &VmConfig,
+    resume: bool,
+    round: u32,
+) -> Result<(), HtpError> {
     out.clear();
     out.push(MSG_HELLO);
     out.push(resume as u8);
@@ -139,8 +149,8 @@ fn encode_hello(out: &mut Vec<u8>, cfg: &VmConfig, resume: bool, round: u32) {
         | ((cfg.inplace_compatible as u8) << 1)
         | ((cfg.has_network as u8) << 2);
     out.push(flags);
-    put_str(out, &cfg.name);
-    put_str(out, &cfg.storage_backend);
+    put_str(out, &cfg.name)?;
+    put_str(out, &cfg.storage_backend)
 }
 
 fn decode_hello(buf: &[u8]) -> Option<(VmConfig, bool, u32)> {
@@ -244,33 +254,24 @@ pub fn guest_checksum(
 }
 
 fn all_gfns(hv: &dyn Hypervisor, id: VmId) -> Result<Vec<Gfn>, HtpError> {
-    Ok(hv
-        .guest_memory_map(id)?
-        .iter()
-        .flat_map(|(gfn, e)| (gfn.0..gfn.0 + e.pages()).map(Gfn))
-        .collect())
+    Ok(map_gfns(&hv.guest_memory_map(id)?).collect())
 }
 
-/// Runs the source proxy: drives the pre-copy loop against the local
-/// (source) hypervisor, streaming each round's serialized frames through
-/// `transport` and committing the shared cache/ring state on the
-/// destination's acks. Advances the source clock through the migration
-/// and destroys the source VM on success, like
-/// [`crate::engine::MigrationTp::migrate`].
+/// Runs the source proxy: opens a session with the destination proxy
+/// across `transport`, lands VM `id` through the engine's pre-copy driver
+/// — rounds, stop rule, controller and fault recovery are
+/// [`MigrationTp::migrate`]'s — then cuts over: `Done` carries the
+/// source's pause-time RAM checksum, the destination resumes the VM and
+/// echoes its own, and a mismatch fails the migration. Advances the
+/// source clock and destroys the source VM on success.
 ///
-/// The proxy always speaks the serialized content-aware stream (the
-/// frame ring is the wire format) — [`crate::engine::WireMode`] does not
-/// apply — and drives the static pre-copy loop: the adaptive controller
-/// ([`crate::control::PrecopyController`]) is not replicated across the
-/// split, so equivalence against the engine holds for
-/// controller-inactive configurations.
-///
-/// Fault injection points mirror the engine's, with the same labels and
-/// [`RecoveryAction`]s: `LinkDrop` tears the transport down mid-stream
-/// (the retry re-handshakes with a resume `Hello` and re-encodes against
-/// the rolled-back cache), `TruncatedPage` corrupts a frame in flight
-/// (the destination naks, the source re-encodes and re-sends), and
-/// `UisrCorruption` damages the UISR blob (nak → re-send).
+/// The frame ring is the proxy's wire format, so it is always
+/// content-aware ([`WireMode`] does not apply), and the `DoneAck`
+/// checksum stands in for [`MigrationConfig::verify_contents`]. Faults
+/// map onto the protocol: `LinkDrop` tears the transport down (the retry
+/// re-handshakes with a resume `Hello`), `TruncatedPage` corrupts a frame
+/// in flight (the destination naks the round, the source re-encodes it),
+/// `UisrCorruption` damages the blob (nak → re-send).
 pub fn run_source(
     tp: &MigrationTp,
     machine: &mut Machine,
@@ -278,328 +279,137 @@ pub fn run_source(
     id: VmId,
     transport: &mut dyn Transport,
 ) -> Result<ProxyReport, HtpError> {
+    let tp = tp.clone().with_config(MigrationConfig {
+        wire_mode: WireMode::ContentAware,
+        ..tp.config
+    });
     let cfg = hv.vm_config(id)?.clone();
-    let vm_name = cfg.name.clone();
-    let mut msg = Vec::new();
-    encode_hello(&mut msg, &cfg, false, 0);
-    transport
-        .send_frame(&msg)
-        .and_then(|_| transport.flush())
-        .map_err(|e| link_err(&vm_name, e))?;
-    transport
-        .recv_frame(&mut msg)
-        .map_err(|e| link_err(&vm_name, e))?;
-    let dst_kind = (msg.first() == Some(&MSG_HELLO_ACK))
-        .then(|| msg.get(1).copied())
-        .flatten()
-        .and_then(kind_from_tag)
-        .ok_or_else(|| integrity(&vm_name))?;
+    let mut dst = Dest::Remote(RemoteDest::open(transport, &cfg)?);
+    let phase = tp.migrate_data(machine, hv, id, &cfg, &mut dst, 1, None)?;
+    drop(dst); // Frees the session's message buffer before the checksum pass.
+    let report = phase.report;
 
-    hv.enable_dirty_log(id)?;
-    let everything = all_gfns(&*hv, id)?;
-    let mut wire = WireStats::new();
-    let cache_before = tp.cache.stats();
-    let dirty_rate = tp.config.dirty_rate_pages_per_sec;
-    let mut round = 0u32;
-    let mut bytes_sent = 0u64;
-    let mut precopy = SimDuration::ZERO;
-    let mut to_send = everything.clone();
-    let stop_set;
-    loop {
-        let (wb, duration) = send_round(
-            tp, machine, hv, id, transport, &to_send, round, &vm_name, &mut wire,
-        )?;
-        bytes_sent += wb;
-        precopy += duration;
-        let dirtied = ((dirty_rate * duration.as_secs_f64()) as u64).min(cfg.pages());
-        if dirtied > 0 {
-            hv.guest_tick(machine, id, dirtied)?;
-        }
-        round += 1;
-        let dirty = hv.collect_dirty(id)?;
-        if dirty.len() as u64 <= tp.config.stop_threshold_pages || round >= tp.config.max_rounds {
-            stop_set = dirty;
-            break;
-        }
-        to_send = dirty;
-    }
-
-    // Stop-and-copy: quiesce, pause, ship the residual set and the UISR.
-    precopy += hv.notify_prepare_transplant(machine, id)?;
-    hv.pause_vm(id)?;
-    let (final_bytes, _stop_dur) = send_round(
-        tp, machine, hv, id, transport, &stop_set, round, &vm_name, &mut wire,
-    )?;
-    bytes_sent += final_bytes;
-
-    let uisr = hv.save_uisr(machine, id)?;
-    let blob = hypertp_uisr::encode(&uisr);
-    let mut uisr_sends = 1u64;
-    if tp
-        .faults
-        .should_inject(InjectionPoint::UisrCorruption, &vm_name)
-    {
-        // The blob is damaged in flight; the destination's decode rejects
-        // it and naks, and the source re-sends.
-        let mut damaged = blob.clone();
-        damaged[0] ^= 0xff;
-        msg.clear();
-        msg.push(MSG_UISR);
-        msg.extend_from_slice(&damaged);
-        transport
-            .send_frame(&msg)
-            .and_then(|_| transport.flush())
-            .map_err(|e| link_err(&vm_name, e))?;
-        transport
-            .recv_frame(&mut msg)
-            .map_err(|e| link_err(&vm_name, e))?;
-        let naked = msg.first() == Some(&MSG_NAK);
-        debug_assert!(naked, "corrupted magic must not decode");
-        if naked {
-            uisr_sends = 2;
-            tp.faults.record_recovery(
-                InjectionPoint::UisrCorruption,
-                RecoveryAction::ResentUisr,
-                &format!(
-                    "{vm_name}: decode rejected corrupted blob; re-sent {} bytes",
-                    blob.len()
-                ),
-            );
-        }
-    }
-    msg.clear();
-    msg.push(MSG_UISR);
-    msg.extend_from_slice(&blob);
-    transport
-        .send_frame(&msg)
-        .and_then(|_| transport.flush())
-        .map_err(|e| link_err(&vm_name, e))?;
-    transport
-        .recv_frame(&mut msg)
-        .map_err(|e| link_err(&vm_name, e))?;
-    if msg.first() != Some(&MSG_ACK) {
-        return Err(integrity(&vm_name));
-    }
-
-    let stop_copy = tp.config.link.transfer(final_bytes, 1)
-        + tp.config.link.transfer(blob.len() as u64 * uisr_sends, 1)
-        + tp.cost.activate(dst_kind.boot_target(), cfg.vcpus);
-    let total = precopy + stop_copy;
-
-    let src_checksum = guest_checksum(machine, &*hv, id, &everything)?;
-    msg.clear();
-    msg.push(MSG_DONE);
+    let src_checksum = guest_checksum(machine, &*hv, id, &all_gfns(&*hv, id)?)?;
+    let mut msg = vec![MSG_DONE];
     msg.extend_from_slice(&src_checksum.to_le_bytes());
-    msg.extend_from_slice(&total.as_nanos().to_le_bytes());
-    transport
-        .send_frame(&msg)
-        .and_then(|_| transport.flush())
-        .map_err(|e| link_err(&vm_name, e))?;
-    transport
-        .recv_frame(&mut msg)
-        .map_err(|e| link_err(&vm_name, e))?;
+    msg.extend_from_slice(&report.total.as_nanos().to_le_bytes());
+    exchange(transport, &mut msg, &cfg.name)?;
     let mut r = Reader::new(&msg);
-    if r.u8() != Some(MSG_DONE_ACK) {
-        return Err(integrity(&vm_name));
-    }
-    let dst_checksum = r.u64().ok_or_else(|| integrity(&vm_name))?;
-    let _dst_wire_bytes = r.u64().ok_or_else(|| integrity(&vm_name))?;
-    let dst_frames = r.u64().ok_or_else(|| integrity(&vm_name))?;
-    if dst_checksum != src_checksum {
-        return Err(integrity(&vm_name));
-    }
+    let (dst_checksum, dst_frames) = match (r.u8(), r.u64(), r.u64(), r.u64()) {
+        (Some(MSG_DONE_ACK), Some(sum), Some(_wire_bytes), Some(frames)) if sum == src_checksum => {
+            (sum, frames)
+        }
+        _ => return Err(integrity(&cfg.name)),
+    };
 
-    machine.clock().advance(total);
+    machine.clock().advance(report.total);
     hv.destroy_vm(machine, id)?;
-
-    let cs = tp.cache.stats();
-    wire.record_cache(
-        cs.occupancy,
-        cs.capacity,
-        cs.evictions - cache_before.evictions,
-        cs.dup_hits - cache_before.dup_hits,
-        cs.dup_lookups - cache_before.dup_lookups,
-    );
-
     Ok(ProxyReport {
-        vm_name,
-        rounds: round,
-        bytes_sent,
-        uisr_bytes: blob.len() as u64,
-        wire,
-        precopy,
-        downtime: stop_copy,
-        total,
+        vm_name: report.vm_name,
+        rounds: report.rounds.len() as u32,
+        bytes_sent: report.bytes_sent,
+        uisr_bytes: report.uisr_bytes,
+        wire: report.wire,
+        precopy: phase.precopy,
+        downtime: report.downtime,
+        total: report.total,
         src_checksum,
         dst_checksum,
         dst_frames,
     })
 }
 
-/// Encodes one round through the engine's shared ring scratch, ships it,
-/// and waits for the destination's verdict — retrying through injected
-/// link drops (transport reset + resume handshake + cache/ring rollback)
-/// and naks (re-encode + re-send). Returns (accounted wire bytes
-/// including lost attempts, simulated round duration).
-#[allow(clippy::too_many_arguments)]
-fn send_round(
-    tp: &MigrationTp,
-    machine: &Machine,
-    hv: &dyn Hypervisor,
-    id: VmId,
-    transport: &mut dyn Transport,
-    to_send: &[Gfn],
-    round: u32,
-    vm_name: &str,
-    wire: &mut WireStats,
-) -> Result<(u64, SimDuration), HtpError> {
-    let perf = machine.spec().perf();
-    let pages = to_send.len() as u64;
-    let cfg = hv.vm_config(id)?.clone();
-    let mut duration = SimDuration::ZERO;
-    let mut drops = 0u32;
-    let mut naks = 0u32;
-    let mut lost_bytes = 0u64;
-    let mut msg = Vec::new();
-    let wb = loop {
-        let wb = tp.gather_encode_ring(machine, hv, id, to_send)?;
+/// The source's end of a session with a [`DestProxy`] across a
+/// [`Transport`]: the remote destination kind of the engine's pre-copy
+/// driver. It speaks the protocol and nothing else; every decision —
+/// rounds, stop, retries, re-sends — is the driver's.
+pub(crate) struct RemoteDest<'a> {
+    transport: &'a mut dyn Transport,
+    /// The migrating VM (re-sent in resume `Hello`s).
+    cfg: VmConfig,
+    /// The destination hypervisor, from `HelloAck`.
+    pub(crate) kind: HypervisorKind,
+    /// Message scratch, reused for every exchange.
+    msg: Vec<u8>,
+}
 
-        // Mid-stream disconnect: the connection dies before the round is
-        // acked. Nothing shipped was acked — roll the cache journal and
-        // the ring back, tear the transport down, re-handshake, and
-        // re-encode against what the destination actually holds.
-        if tp.faults.should_inject(
-            InjectionPoint::LinkDrop,
-            &format!("{vm_name} round {round}"),
-        ) {
-            tp.cache.rollback_round();
-            tp.scratch.round().ring.rollback();
-            tp.faults.record_recovery(
-                InjectionPoint::LinkDrop,
-                RecoveryAction::InvalidatedWireCache,
-                &format!("{vm_name} round {round}: rolled back dedup/delta journal"),
-            );
-            drops += 1;
-            if drops > tp.config.max_link_retries {
-                tp.faults.record_recovery(
-                    InjectionPoint::LinkDrop,
-                    RecoveryAction::GaveUp,
-                    &format!(
-                        "{vm_name} round {round}: {} retries exhausted",
-                        tp.config.max_link_retries
-                    ),
-                );
-                tp.cache.forget_vm(id.0);
-                return Err(HtpError::LinkFailure {
-                    vm_name: vm_name.to_string(),
-                    retries: tp.config.max_link_retries,
-                });
-            }
-            transport.reset().map_err(|e| link_err(vm_name, e))?;
-            let wait = backoff_delay(tp.config.retry_backoff, drops);
-            duration += tp.config.link.transfer(wb / 2, 1) + wait;
-            tp.faults.record_recovery(
-                InjectionPoint::LinkDrop,
-                RecoveryAction::RetriedWithBackoff,
-                &format!(
-                    "{vm_name} round {round} attempt {drops} backoff {:.0}ms",
-                    wait.as_millis_f64()
-                ),
-            );
-            // Resume handshake: tell the destination which round we are
-            // re-sending so it drops any staged state.
-            encode_hello(&mut msg, &cfg, true, round);
-            transport
-                .send_frame(&msg)
-                .and_then(|_| transport.flush())
-                .map_err(|e| link_err(vm_name, e))?;
-            transport
-                .recv_frame(&mut msg)
-                .map_err(|e| link_err(vm_name, e))?;
-            if msg.first() != Some(&MSG_HELLO_ACK) {
-                return Err(integrity(vm_name));
-            }
-            continue;
-        }
+impl<'a> RemoteDest<'a> {
+    /// Opens a session: `Hello` → `HelloAck`, which names the
+    /// destination hypervisor.
+    pub(crate) fn open(transport: &'a mut dyn Transport, cfg: &VmConfig) -> Result<Self, HtpError> {
+        let mut dst = RemoteDest {
+            transport,
+            cfg: cfg.clone(),
+            kind: HypervisorKind::Xen, // until the `HelloAck` names it
+            msg: Vec::new(),
+        };
+        dst.kind = dst.hello(false, 0)?;
+        Ok(dst)
+    }
 
-        // Build the round message around the ring's serialized bytes.
-        let truncate = to_send.last().is_some_and(|g| {
-            tp.faults.should_inject(
-                InjectionPoint::TruncatedPage,
-                &format!("{vm_name} round {round} gfn {}", g.0),
-            )
-        });
-        {
-            let s = tp.scratch.round();
-            msg.clear();
-            msg.push(MSG_ROUND);
-            msg.push(0);
-            msg.extend_from_slice(&round.to_le_bytes());
-            msg.extend_from_slice(&s.ring.frame_count().to_le_bytes());
-            msg.extend_from_slice(s.ring.bytes());
-            if truncate {
-                // Corrupt the last frame's header in the outgoing copy
-                // (the ring itself stays intact): the destination's parse
-                // fails and it naks the whole round.
-                let last_start = msg.len() - s.ring.iter().last().map_or(0, |v| v.frame_bytes());
-                msg[last_start] ^= 0x7f;
-            }
+    fn hello(&mut self, resume: bool, round: u32) -> Result<HypervisorKind, HtpError> {
+        encode_hello(&mut self.msg, &self.cfg, resume, round)?;
+        exchange(&mut *self.transport, &mut self.msg, &self.cfg.name)?;
+        match *self.msg {
+            [MSG_HELLO_ACK, tag, ..] => kind_from_tag(tag),
+            _ => None,
         }
-        transport
-            .send_frame(&msg)
-            .and_then(|_| transport.flush())
-            .map_err(|e| link_err(vm_name, e))?;
-        transport
-            .recv_frame(&mut msg)
-            .map_err(|e| link_err(vm_name, e))?;
-        let mut r = Reader::new(&msg);
+        .ok_or_else(|| integrity(&self.cfg.name))
+    }
+
+    /// Reconnects after a mid-stream disconnect: tears the transport down
+    /// and re-establishes it, then a resume `Hello` tells the destination
+    /// which round is re-sent, so it drops any staged state.
+    pub(crate) fn resume(&mut self, round: u32) -> Result<(), HtpError> {
+        self.transport
+            .reset()
+            .map_err(|_| link_err(&self.cfg.name))?;
+        self.hello(true, round).map(drop)
+    }
+
+    /// Ships `ring` as round `round` — its last frame corrupted in the
+    /// outgoing copy when `truncate` (the ring itself stays intact) — and
+    /// returns the destination's verdict: `true` on `Ack`, `false` on
+    /// `Nak`.
+    pub(crate) fn send_round(
+        &mut self,
+        ring: &FrameRing,
+        round: u32,
+        truncate: bool,
+    ) -> Result<bool, HtpError> {
+        let msg = &mut self.msg;
+        msg.clear();
+        msg.extend_from_slice(&[MSG_ROUND, 0]);
+        msg.extend_from_slice(&round.to_le_bytes());
+        msg.extend_from_slice(&ring.frame_count().to_le_bytes());
+        msg.extend_from_slice(ring.bytes());
+        if truncate {
+            let last_start = msg.len() - ring.iter().last().map_or(0, |v| v.frame_bytes());
+            msg[last_start] ^= 0x7f;
+        }
+        self.verdict(round)
+    }
+
+    /// Ships an encoded UISR blob: `true` when the destination decoded
+    /// and restored it, `false` when its decode rejected the blob.
+    pub(crate) fn send_uisr(&mut self, blob: &[u8]) -> Result<bool, HtpError> {
+        self.msg.clear();
+        self.msg.push(MSG_UISR);
+        self.msg.extend_from_slice(blob);
+        self.verdict(UISR_ROUND)
+    }
+
+    /// Sends the message built in `msg` and reads the `Ack`/`Nak` for
+    /// `round`.
+    fn verdict(&mut self, round: u32) -> Result<bool, HtpError> {
+        exchange(&mut *self.transport, &mut self.msg, &self.cfg.name)?;
+        let mut r = Reader::new(&self.msg);
         match (r.u8(), r.u32()) {
-            (Some(MSG_ACK), Some(rr)) if rr == round => break wb,
-            (Some(MSG_NAK), Some(rr)) if rr == round => {
-                // The destination rejected the stream (corrupt frame):
-                // everything staged was dropped, so roll back and
-                // re-encode. The lost attempt's bytes were on the wire.
-                tp.cache.rollback_round();
-                tp.scratch.round().ring.rollback();
-                naks += 1;
-                if naks > tp.config.max_link_retries {
-                    return Err(integrity(vm_name));
-                }
-                lost_bytes += wb;
-                duration += tp.config.link.transfer(wb, 1);
-                tp.faults.record_recovery(
-                    InjectionPoint::TruncatedPage,
-                    RecoveryAction::ResentPages,
-                    &format!("{vm_name} round {round}: destination nak, re-sent {pages} page(s)"),
-                );
-                continue;
-            }
-            _ => return Err(integrity(vm_name)),
-        }
-    };
-    if drops > 0 {
-        tp.faults.record_recovery(
-            InjectionPoint::LinkDrop,
-            RecoveryAction::ResumedFromRound,
-            &format!("{vm_name} resumed at round {round} after {drops} drop(s)"),
-        );
-    }
-
-    duration += tp.config.link.transfer(wb, 1)
-        + perf.cpu(tp.cost.migrate_ghz_s_per_page * pages as f64)
-        + SimDuration::from_secs_f64(tp.cost.migrate_round_overhead_s);
-
-    // The destination acked: record the round's frames and seal the
-    // cache journal and ring watermark.
-    {
-        let s = tp.scratch.round();
-        for view in s.ring.iter() {
-            wire.record_parts(view.kind, view.wire_bytes());
+            (Some(MSG_ACK), Some(rr)) if rr == round => Ok(true),
+            (Some(MSG_NAK), Some(rr)) if rr == round => Ok(false),
+            _ => Err(integrity(&self.cfg.name)),
         }
     }
-    tp.cache.commit_round();
-    tp.scratch.round().ring.commit();
-    Ok((wb + lost_bytes, duration))
 }
 
 /// Runs the destination proxy for one incoming migration. Sugar over
@@ -613,6 +423,11 @@ pub fn run_dest(
     transport: &mut dyn Transport,
 ) -> Result<DestReport, HtpError> {
     DestProxy::new().serve(machine, hv, transport)
+}
+
+/// The incoming VM's name for errors: `<handshake>` before its `Hello`.
+fn session_name(vm: &Option<(VmId, VmConfig)>) -> &str {
+    vm.as_ref().map_or("<handshake>", |(_, c)| &c.name)
 }
 
 /// The destination proxy's cross-migration state: the insert-only mirror
@@ -641,179 +456,161 @@ impl DestProxy {
         hv: &mut dyn Hypervisor,
         transport: &mut dyn Transport,
     ) -> Result<DestReport, HtpError> {
-        serve_one(machine, hv, transport, &mut self.mirror)
-    }
-}
+        let mirror = &mut self.mirror;
+        let mut buf = Vec::new();
+        let mut reply = Vec::new();
+        // The incoming VM, once a `Hello` announced it.
+        let mut vm: Option<(VmId, VmConfig)> = None;
+        let mut rounds = 0u32;
+        let mut frames = 0u64;
+        let mut wire_bytes = 0u64;
+        let mut warnings = Vec::new();
+        // Per-round staging, reused from round to round: the round's gfns
+        // and their current words, the guest writes to apply, the mirror
+        // inserts.
+        let mut gfns: Vec<Gfn> = Vec::new();
+        let mut current: Vec<u64> = Vec::new();
+        let mut writes: Vec<(Gfn, u64)> = Vec::new();
+        let mut inserts: DigestMap<u64> = DigestMap::default();
 
-fn serve_one(
-    machine: &mut Machine,
-    hv: &mut dyn Hypervisor,
-    transport: &mut dyn Transport,
-    mirror: &mut DigestMap<u64>,
-) -> Result<DestReport, HtpError> {
-    let mut buf = Vec::new();
-    let mut reply = Vec::new();
-    let mut dst_id: Option<VmId> = None;
-    let mut cfg: Option<VmConfig> = None;
-    let mut rounds = 0u32;
-    let mut frames = 0u64;
-    let mut wire_bytes = 0u64;
-    let mut warnings = Vec::new();
-    // Per-round staging, reused from round to round: the round's gfns and
-    // their current words, the guest writes to apply, the mirror inserts.
-    let mut gfns: Vec<Gfn> = Vec::new();
-    let mut current: Vec<u64> = Vec::new();
-    let mut writes: Vec<(Gfn, u64)> = Vec::new();
-    let mut inserts: DigestMap<u64> = DigestMap::default();
-    let name = |cfg: &Option<VmConfig>| {
-        cfg.as_ref()
-            .map(|c| c.name.clone())
-            .unwrap_or_else(|| "<handshake>".to_string())
-    };
-
-    loop {
-        if transport.recv_frame(&mut buf).is_err() {
-            // Mid-stream disconnect: any round in flight died unacked (we
-            // stage per message, so nothing partial survives). Re-accept
-            // and wait for the source's resume handshake.
-            transport.reset().map_err(|e| link_err(&name(&cfg), e))?;
-            continue;
-        }
-        match buf.first().copied() {
-            Some(MSG_HELLO) => {
-                let (hello_cfg, resume, _round) =
-                    decode_hello(&buf).ok_or_else(|| integrity(&name(&cfg)))?;
-                if !resume {
-                    let id = hv.prepare_incoming(machine, &hello_cfg)?;
-                    dst_id = Some(id);
-                    cfg = Some(hello_cfg);
-                }
-                reply.clear();
-                reply.push(MSG_HELLO_ACK);
-                reply.push(kind_tag(hv.kind()));
-                transport
-                    .send_frame(&reply)
-                    .and_then(|_| transport.flush())
-                    .map_err(|e| link_err(&name(&cfg), e))?;
+        loop {
+            if transport.recv_frame(&mut buf).is_err() {
+                // Mid-stream disconnect: any round in flight died unacked
+                // (we stage per message, so nothing partial survives).
+                // Re-accept and wait for the source's resume handshake.
+                transport.reset().map_err(|_| link_err(session_name(&vm)))?;
+                continue;
             }
-            Some(MSG_ROUND) => {
-                let id = dst_id.ok_or_else(|| integrity(&name(&cfg)))?;
-                let mut r = Reader::new(&buf);
-                let _ = r.u8();
-                let _stop = r.u8().ok_or_else(|| integrity(&name(&cfg)))?;
-                let round = r.u32().ok_or_else(|| integrity(&name(&cfg)))?;
-                let count = r.u64().ok_or_else(|| integrity(&name(&cfg)))?;
-                let stream = r.rest();
-
-                // Stage the whole round before touching guest RAM: a
-                // corrupt stream naks without side effects. The pages'
-                // current words come from one batched read: nothing is
-                // written until the round is staged, so a gfn repeated
-                // within the round sees the same word either way.
-                gfns.clear();
-                gfns.extend(FrameIter::over(stream).map(|view| Gfn(view.gfn)));
-                hv.read_guest_into(machine, id, &gfns, &mut current)?;
-                writes.clear();
-                inserts.clear();
-                let mut batch_bytes = 0u64;
-                let mut ok = true;
-                for (view, &cur) in FrameIter::over(stream).zip(&current) {
-                    let word = match view.kind {
-                        FrameKind::Raw => view.raw_word(),
-                        FrameKind::Zero => Some(0),
-                        FrameKind::Dup => view
-                            .dup_digest()
-                            .and_then(|d| inserts.get(&d).or_else(|| mirror.get(&d)).copied()),
-                        FrameKind::Delta => delta_apply_word(cur, view.payload),
+            reply.clear();
+            match buf.first().copied() {
+                Some(MSG_HELLO) => {
+                    let (cfg, resume, _round) =
+                        decode_hello(&buf).ok_or_else(|| integrity(session_name(&vm)))?;
+                    // A VM larger than this host's RAM can never land, and
+                    // sizing its backing could overflow or abort: refuse it
+                    // before anything is allocated.
+                    if cfg.memory_gb > machine.spec().ram_gb {
+                        return Err(HtpError::Unsupported(
+                            "incoming VM larger than the destination's RAM",
+                        ));
+                    }
+                    if !resume {
+                        vm = Some((hv.prepare_incoming(machine, &cfg)?, cfg));
+                    }
+                    reply.push(MSG_HELLO_ACK);
+                    reply.push(kind_tag(hv.kind()));
+                }
+                Some(MSG_ROUND) => {
+                    let id = vm.as_ref().ok_or_else(|| integrity(session_name(&vm)))?.0;
+                    let mut r = Reader::new(&buf);
+                    let (Some(_), Some(_stop), Some(round), Some(count)) =
+                        (r.u8(), r.u8(), r.u32(), r.u64())
+                    else {
+                        return Err(integrity(session_name(&vm)));
                     };
-                    match word {
-                        Some(w) => {
-                            batch_bytes += view.wire_bytes();
-                            if w != cur {
-                                writes.push((Gfn(view.gfn), w));
-                            }
-                            // Mirror what the source's cache journalled:
-                            // Raw and Delta frames insert their content;
-                            // Zero and Dup do not.
-                            if matches!(view.kind, FrameKind::Raw | FrameKind::Delta) && w != 0 {
-                                inserts.insert(digest_words(&[w]), w);
-                            }
-                        }
-                        None => {
+                    let stream = r.rest();
+
+                    // Stage the whole round before touching guest RAM: a
+                    // corrupt stream naks without side effects. The pages'
+                    // current words come from one batched read: nothing is
+                    // written until the round is staged, so a gfn repeated
+                    // within the round sees the same word either way.
+                    gfns.clear();
+                    gfns.extend(FrameIter::over(stream).map(|view| Gfn(view.gfn)));
+                    hv.read_guest_into(machine, id, &gfns, &mut current)?;
+                    writes.clear();
+                    inserts.clear();
+                    let mut batch_bytes = 0u64;
+                    let mut ok = true;
+                    for (view, &cur) in FrameIter::over(stream).zip(&current) {
+                        let word = match view.kind {
+                            FrameKind::Raw => view.raw_word(),
+                            FrameKind::Zero => Some(0),
+                            FrameKind::Dup => view
+                                .dup_digest()
+                                .and_then(|d| inserts.get(&d).or_else(|| mirror.get(&d)).copied()),
+                            FrameKind::Delta => delta_apply_word(cur, view.payload),
+                        };
+                        let Some(w) = word else {
                             ok = false;
                             break;
+                        };
+                        batch_bytes += view.wire_bytes();
+                        if w != cur {
+                            writes.push((Gfn(view.gfn), w));
+                        }
+                        // Mirror what the source's cache journalled: Raw and
+                        // Delta frames insert their content; Zero and Dup do
+                        // not.
+                        if matches!(view.kind, FrameKind::Raw | FrameKind::Delta) && w != 0 {
+                            inserts.insert(digest_words(&[w]), w);
                         }
                     }
-                }
-                let seen = gfns.len() as u64;
-                if !ok || seen != count {
-                    reply.clear();
-                    reply.push(MSG_NAK);
-                    reply.extend_from_slice(&round.to_le_bytes());
-                } else {
-                    for &(gfn, w) in &writes {
-                        hv.write_guest(machine, id, gfn, w)?;
-                    }
-                    mirror.extend(inserts.drain());
-                    rounds += 1;
-                    frames += seen;
-                    wire_bytes += batch_bytes;
-                    reply.clear();
-                    reply.push(MSG_ACK);
-                    reply.extend_from_slice(&round.to_le_bytes());
-                }
-                transport
-                    .send_frame(&reply)
-                    .and_then(|_| transport.flush())
-                    .map_err(|e| link_err(&name(&cfg), e))?;
-            }
-            Some(MSG_UISR) => {
-                let id = dst_id.ok_or_else(|| integrity(&name(&cfg)))?;
-                reply.clear();
-                match hypertp_uisr::decode(&buf[1..]) {
-                    Ok(vm) => {
-                        let restored = hv.restore_uisr(machine, id, &vm)?;
-                        warnings = restored.warnings;
+                    let seen = gfns.len() as u64;
+                    if ok && seen == count {
+                        for &(gfn, w) in &writes {
+                            hv.write_guest(machine, id, gfn, w)?;
+                        }
+                        mirror.extend(inserts.drain());
+                        rounds += 1;
+                        frames += seen;
+                        wire_bytes += batch_bytes;
                         reply.push(MSG_ACK);
+                    } else {
+                        reply.push(MSG_NAK);
                     }
-                    Err(_) => reply.push(MSG_NAK),
+                    reply.extend_from_slice(&round.to_le_bytes());
                 }
-                reply.extend_from_slice(&UISR_ROUND.to_le_bytes());
-                transport
-                    .send_frame(&reply)
-                    .and_then(|_| transport.flush())
-                    .map_err(|e| link_err(&name(&cfg), e))?;
+                Some(MSG_UISR) => {
+                    let id = vm.as_ref().ok_or_else(|| integrity(session_name(&vm)))?.0;
+                    match hypertp_uisr::decode(&buf[1..]) {
+                        Ok(state) => {
+                            warnings = hv.restore_uisr(machine, id, &state)?.warnings;
+                            reply.push(MSG_ACK);
+                        }
+                        Err(_) => reply.push(MSG_NAK),
+                    }
+                    reply.extend_from_slice(&UISR_ROUND.to_le_bytes());
+                }
+                Some(MSG_DONE) => {
+                    let (id, cfg) = vm.take().ok_or_else(|| integrity(session_name(&vm)))?;
+                    let mut r = Reader::new(&buf);
+                    let (Some(_), Some(_src_checksum), Some(nanos)) = (r.u8(), r.u64(), r.u64())
+                    else {
+                        return Err(integrity(&cfg.name));
+                    };
+                    // A duration past the end of the clock is no
+                    // migration's: advancing by it would panic, or wrap
+                    // time backwards.
+                    if machine
+                        .clock()
+                        .now()
+                        .as_nanos()
+                        .checked_add(nanos)
+                        .is_none()
+                    {
+                        return Err(integrity(&cfg.name));
+                    }
+                    machine.clock().advance(SimDuration::from_nanos(nanos));
+                    hv.resume_vm(id)?;
+                    let checksum = guest_checksum(machine, &*hv, id, &all_gfns(&*hv, id)?)?;
+                    reply.push(MSG_DONE_ACK);
+                    reply.extend_from_slice(&checksum.to_le_bytes());
+                    reply.extend_from_slice(&wire_bytes.to_le_bytes());
+                    reply.extend_from_slice(&frames.to_le_bytes());
+                    send(transport, &reply, &cfg.name)?;
+                    return Ok(DestReport {
+                        vm_name: cfg.name,
+                        rounds,
+                        frames,
+                        wire_bytes,
+                        checksum,
+                        warnings,
+                    });
+                }
+                _ => return Err(integrity(session_name(&vm))),
             }
-            Some(MSG_DONE) => {
-                let id = dst_id.ok_or_else(|| integrity(&name(&cfg)))?;
-                let vm_cfg = cfg.clone().ok_or_else(|| integrity(&name(&cfg)))?;
-                let mut r = Reader::new(&buf);
-                let _ = r.u8();
-                let _src_checksum = r.u64().ok_or_else(|| integrity(&vm_cfg.name))?;
-                let nanos = r.u64().ok_or_else(|| integrity(&vm_cfg.name))?;
-                machine.clock().advance(SimDuration::from_nanos(nanos));
-                hv.resume_vm(id)?;
-                let gfns = all_gfns(&*hv, id)?;
-                let checksum = guest_checksum(machine, &*hv, id, &gfns)?;
-                reply.clear();
-                reply.push(MSG_DONE_ACK);
-                reply.extend_from_slice(&checksum.to_le_bytes());
-                reply.extend_from_slice(&wire_bytes.to_le_bytes());
-                reply.extend_from_slice(&frames.to_le_bytes());
-                transport
-                    .send_frame(&reply)
-                    .and_then(|_| transport.flush())
-                    .map_err(|e| link_err(&vm_cfg.name, e))?;
-                return Ok(DestReport {
-                    vm_name: vm_cfg.name,
-                    rounds,
-                    frames,
-                    wire_bytes,
-                    checksum,
-                    warnings,
-                });
-            }
-            _ => return Err(integrity(&name(&cfg))),
+            send(transport, &reply, session_name(&vm))?;
         }
     }
 }
@@ -821,11 +618,11 @@ fn serve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MigrationConfig;
     use crate::transport::InProcTransport;
     use hypertp_core::testing::SimpleHv;
+    use hypertp_core::VmState;
     use hypertp_machine::MachineSpec;
-    use hypertp_sim::fault::FaultPlan;
+    use hypertp_sim::fault::{FaultPlan, InjectionPoint};
     use hypertp_sim::SimClock;
 
     fn machine() -> Machine {
@@ -850,63 +647,197 @@ mod tests {
         id
     }
 
+    /// A 2000 pages/s guest: its steady-state dirty set stays above the
+    /// static 64-page threshold, so only the round cap or the controller
+    /// ends pre-copy.
     fn config() -> MigrationConfig {
         MigrationConfig {
-            wire_mode: crate::engine::WireMode::ContentAware,
+            wire_mode: WireMode::ContentAware,
             dirty_rate_pages_per_sec: 2000.0,
             ..MigrationConfig::default()
         }
     }
 
-    /// A fault-free proxy run over the in-process transport produces the
-    /// same wire traffic, timings, and destination RAM as the engine.
+    /// The proxy runs the engine's pre-copy driver: under every
+    /// controller setting, fault-free and with a dropped round, it makes
+    /// the same rounds, wire traffic, timings and `LinkDrop` recoveries,
+    /// and lands the same destination RAM, as the in-process engine.
     #[test]
     fn proxy_matches_engine_byte_for_byte() {
-        // In-process engine run.
-        let mut src_m = machine();
-        let mut dst_m = machine();
-        let mut src = SimpleHv::new(HypervisorKind::Xen);
-        let mut dst = SimpleHv::new(HypervisorKind::Kvm);
-        let id = seed_vm(&mut src, &mut src_m);
-        let tp = MigrationTp::new().with_config(config());
-        let engine_report = tp
-            .migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
-            .unwrap();
-        let e_id = dst.find_vm("vm0").unwrap();
-        let e_gfns = all_gfns(&dst, e_id).unwrap();
-        let engine_checksum = guest_checksum(&dst_m, &dst, e_id, &e_gfns).unwrap();
+        let budget = MigrationConfig {
+            downtime_budget: Some(SimDuration::from_millis(10)),
+            ..config()
+        };
+        let mut auto_converge = config();
+        auto_converge.control.auto_converge = true;
+        let inputs = [
+            ("default", config()),
+            ("budget", budget),
+            ("auto_converge", auto_converge),
+        ];
+        for (label, cfg) in inputs {
+            for drop in [false, true] {
+                let case = format!("{label}, drop={drop}");
+                let faults = || {
+                    let plan = FaultPlan::new(42);
+                    if drop {
+                        plan.arm_once(InjectionPoint::LinkDrop);
+                    }
+                    plan
+                };
 
-        // Proxy run over crossed in-process channels, fresh everything.
-        let mut psrc_m = machine();
-        let mut pdst_m = machine();
-        let mut psrc = SimpleHv::new(HypervisorKind::Xen);
-        let mut pdst = SimpleHv::new(HypervisorKind::Kvm);
-        let pid = seed_vm(&mut psrc, &mut psrc_m);
-        let ptp = MigrationTp::new().with_config(config());
+                // In-process engine run.
+                let mut src_m = machine();
+                let mut dst_m = machine();
+                let mut src = SimpleHv::new(HypervisorKind::Xen);
+                let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+                let id = seed_vm(&mut src, &mut src_m);
+                let tp = MigrationTp::new().with_config(cfg).with_faults(faults());
+                let engine_report = tp
+                    .migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
+                    .unwrap();
+                let e_id = dst.find_vm("vm0").unwrap();
+                let e_gfns = all_gfns(&dst, e_id).unwrap();
+                let engine_checksum = guest_checksum(&dst_m, &dst, e_id, &e_gfns).unwrap();
+                if label == "default" {
+                    assert_eq!(engine_report.rounds.len() as u32, cfg.max_rounds, "{case}");
+                }
+
+                // Proxy run over crossed in-process channels, fresh everything.
+                let mut psrc_m = machine();
+                let mut pdst_m = machine();
+                let mut psrc = SimpleHv::new(HypervisorKind::Xen);
+                let mut pdst = SimpleHv::new(HypervisorKind::Kvm);
+                let pid = seed_vm(&mut psrc, &mut psrc_m);
+                let ptp = MigrationTp::new().with_config(cfg).with_faults(faults());
+                let (mut ta, mut tb) = InProcTransport::pair();
+                let (src_report, dst_report) = std::thread::scope(|s| {
+                    let dest = s.spawn(|| run_dest(&mut pdst_m, &mut pdst, &mut tb));
+                    let srcr = run_source(&ptp, &mut psrc_m, &mut psrc, pid, &mut ta).unwrap();
+                    (srcr, dest.join().unwrap().unwrap())
+                });
+
+                assert_eq!(
+                    src_report.rounds as usize,
+                    engine_report.rounds.len(),
+                    "{case}"
+                );
+                assert_eq!(src_report.bytes_sent, engine_report.bytes_sent, "{case}");
+                assert_eq!(src_report.wire, engine_report.wire, "{case}");
+                assert_eq!(src_report.downtime, engine_report.downtime, "{case}");
+                assert_eq!(src_report.total, engine_report.total, "{case}");
+                assert_eq!(src_report.uisr_bytes, engine_report.uisr_bytes, "{case}");
+                let link_drops = |plan: &FaultPlan| -> Vec<_> {
+                    let log = plan.log();
+                    let drops = log
+                        .events()
+                        .iter()
+                        .filter(|e| e.point() == InjectionPoint::LinkDrop);
+                    drops.cloned().collect()
+                };
+                assert_eq!(link_drops(&ptp.faults), link_drops(&tp.faults), "{case}");
+                assert_eq!(link_drops(&tp.faults).is_empty(), !drop, "{case}");
+                assert_eq!(src_report.dst_checksum, engine_checksum, "{case}");
+                assert_eq!(dst_report.checksum, engine_checksum, "{case}");
+                assert_eq!(src_report.src_checksum, engine_checksum, "{case}");
+
+                // Both sides converged on the same simulated time.
+                assert_eq!(psrc_m.clock().now(), pdst_m.clock().now(), "{case}");
+                assert!(psrc.vm_ids().is_empty(), "source VM destroyed");
+                let landed = pdst.vm_state(pdst.find_vm("vm0").unwrap()).unwrap();
+                assert_eq!(landed, VmState::Running, "{case}");
+            }
+        }
+    }
+
+    /// Plays `msgs` into a destination proxy on `m`/`hv` as a hostile
+    /// source would (never reading a reply) and returns what it served.
+    fn serve_hostile(
+        m: &mut Machine,
+        hv: &mut SimpleHv,
+        msgs: &[Vec<u8>],
+    ) -> Result<DestReport, HtpError> {
         let (mut ta, mut tb) = InProcTransport::pair();
-        let (src_report, dst_report) = std::thread::scope(|s| {
-            let dest = s.spawn(|| run_dest(&mut pdst_m, &mut pdst, &mut tb));
-            let srcr = run_source(&ptp, &mut psrc_m, &mut psrc, pid, &mut ta).unwrap();
-            (srcr, dest.join().unwrap().unwrap())
-        });
+        std::thread::scope(|s| {
+            let dest = s.spawn(|| run_dest(m, hv, &mut tb));
+            for msg in msgs {
+                // The destination may already have hung up on us.
+                let _ = ta.send_frame(msg).and_then(|_| ta.flush());
+            }
+            dest.join().expect("destination proxy panicked")
+        })
+    }
 
-        assert_eq!(src_report.bytes_sent, engine_report.bytes_sent);
-        assert_eq!(src_report.wire, engine_report.wire);
-        assert_eq!(src_report.rounds as usize, engine_report.rounds.len());
-        assert_eq!(src_report.uisr_bytes, engine_report.uisr_bytes);
-        assert_eq!(src_report.downtime, engine_report.downtime);
-        assert_eq!(src_report.total, engine_report.total);
-        assert_eq!(src_report.dst_checksum, engine_checksum);
-        assert_eq!(dst_report.checksum, engine_checksum);
-        assert_eq!(src_report.src_checksum, engine_checksum);
+    fn hello(cfg: &VmConfig) -> Vec<u8> {
+        let mut msg = Vec::new();
+        encode_hello(&mut msg, cfg, false, 0).expect("test names fit the prefix");
+        msg
+    }
 
-        // Both sides converged on the same simulated time.
-        assert_eq!(psrc_m.clock().now(), pdst_m.clock().now());
-        assert!(psrc.vm_ids().is_empty(), "source VM destroyed");
-        assert_eq!(
-            pdst.vm_state(pdst.find_vm("vm0").unwrap()).unwrap(),
-            hypertp_core::VmState::Running
+    /// A `Hello` for a VM larger than the destination's RAM is refused
+    /// before anything is allocated — at 2^34 GiB sizing it would
+    /// overflow (a 1 PiB one would abort the process in the allocator).
+    #[test]
+    fn hello_larger_than_host_ram_is_refused() {
+        let mut m = machine();
+        let mut hv = SimpleHv::new(HypervisorKind::Kvm);
+        for memory_gb in [5, 1 << 20, 1 << 34, u64::MAX] {
+            let huge = VmConfig::small("huge").with_memory_gb(memory_gb);
+            let err = serve_hostile(&mut m, &mut hv, &[hello(&huge)]).unwrap_err();
+            assert!(
+                matches!(err, HtpError::Unsupported(_)),
+                "{memory_gb} GiB: {err:?}"
+            );
+            assert!(
+                hv.vm_ids().is_empty(),
+                "nothing prepared for {memory_gb} GiB"
+            );
+        }
+    }
+
+    /// A `Done` claiming a duration past the end of the destination's
+    /// clock is refused, and the clock does not move (it would panic, or
+    /// wrap time backwards).
+    #[test]
+    fn done_overflowing_the_clock_is_refused() {
+        let mut m = machine();
+        let mut hv = SimpleHv::new(HypervisorKind::Kvm);
+        m.clock().advance(SimDuration::from_secs(1));
+        let before = m.clock().now();
+        let mut done = vec![MSG_DONE];
+        done.extend_from_slice(&0u64.to_le_bytes());
+        done.extend_from_slice(&u64::MAX.to_le_bytes());
+        let msgs = [hello(&VmConfig::small("vm0")), done];
+        let err = serve_hostile(&mut m, &mut hv, &msgs).unwrap_err();
+        assert!(
+            matches!(err, HtpError::IntegrityViolation { .. }),
+            "{err:?}"
         );
+        assert_eq!(m.clock().now(), before);
+    }
+
+    /// A name or storage backend longer than `Hello`'s `u16` length prefix
+    /// is refused at the source instead of sent for the peer to misparse:
+    /// nothing reaches the transport (whose peer is gone, so a send would
+    /// fail as a link error) and the VM stays put.
+    #[test]
+    fn hello_strings_longer_than_the_length_prefix_are_refused() {
+        let long = "x".repeat(usize::from(u16::MAX) + 1);
+        let long_name = VmConfig::small(long.as_str());
+        let long_backend = VmConfig {
+            storage_backend: long.clone(),
+            ..VmConfig::small("vm0")
+        };
+        for cfg in [long_name, long_backend] {
+            let mut m = machine();
+            let mut hv = SimpleHv::new(HypervisorKind::Xen);
+            let id = hv.create_vm(&mut m, &cfg).unwrap();
+            let (mut ta, tb) = InProcTransport::pair();
+            drop(tb);
+            let err = run_source(&MigrationTp::new(), &mut m, &mut hv, id, &mut ta).unwrap_err();
+            assert!(matches!(err, HtpError::Unsupported(_)), "{err:?}");
+            assert_eq!(hv.vm_state(id).unwrap(), VmState::Running);
+        }
     }
 
     /// Chaos run: a mid-stream disconnect, a truncated frame, and a
@@ -948,7 +879,7 @@ mod tests {
         assert_eq!(src_report.src_checksum, dst_report.checksum);
         assert_eq!(
             dst.vm_state(dst.find_vm("vm0").unwrap()).unwrap(),
-            hypertp_core::VmState::Running
+            VmState::Running
         );
     }
 }
