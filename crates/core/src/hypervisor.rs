@@ -118,35 +118,21 @@ pub trait Hypervisor: Send + Sync {
     /// Reads a guest page's content word.
     fn read_guest(&self, machine: &Machine, id: VmId, gfn: Gfn) -> Result<u64, HtpError>;
 
-    /// Reads many guest pages in one call, in input order.
+    /// Reads many guest pages in one call into a caller-owned buffer, in
+    /// input order — the zero-allocation gather primitive. `out` is
+    /// cleared and refilled; steady-state callers reuse one buffer across
+    /// rounds so the gather path performs no heap allocation at all.
     ///
     /// Semantically identical to mapping [`Hypervisor::read_guest`] over
     /// `gfns` (the default implementation does exactly that), but
-    /// hypervisors override it with batched translation: migration
-    /// gathers, write-elision probes and content verification are
-    /// per-page hot loops, and resolving the VM + walking the mapping
-    /// structure once per *batch* instead of once per *page* is the
-    /// difference the `BENCH_parallel.json` migrate numbers measure.
-    /// Implementations must preserve per-page error behaviour.
-    fn read_guest_many(
-        &self,
-        machine: &Machine,
-        id: VmId,
-        gfns: &[Gfn],
-    ) -> Result<Vec<u64>, HtpError> {
-        gfns.iter()
-            .map(|&g| self.read_guest(machine, id, g))
-            .collect()
-    }
-
-    /// [`Hypervisor::read_guest_many`] into a caller-owned buffer — the
-    /// zero-allocation gather primitive. `out` is cleared and refilled in
-    /// input order; steady-state callers reuse one buffer across rounds so
-    /// the gather path performs no heap allocation at all. Hypervisors
-    /// override this to copy whole physically-contiguous runs straight
-    /// from RAM extent backing ([`content_slice`]) instead of reading one
-    /// word per page. Implementations must preserve per-page error
-    /// behaviour and must leave `out`'s contents unspecified on error.
+    /// hypervisors override it to resolve the VM and walk the mapping
+    /// structure once per *batch* instead of once per *page*, and to copy
+    /// whole physically-contiguous runs straight from RAM extent backing
+    /// ([`content_slice`]) instead of reading one word per page: migration
+    /// gathers, write-elision probes, content verification and checksums
+    /// are per-page hot loops. Implementations must preserve per-page
+    /// error behaviour and must leave `out`'s contents unspecified on
+    /// error.
     ///
     /// [`content_slice`]: hypertp_machine::ram::PhysicalMemory::content_slice
     fn read_guest_into(
@@ -172,6 +158,26 @@ pub trait Hypervisor: Send + Sync {
         gfn: Gfn,
         content: u64,
     ) -> Result<(), HtpError>;
+
+    /// Writes many guest pages in one call — the write-side twin of
+    /// [`Hypervisor::read_guest_into`]. The contract is *exactly* a loop of
+    /// [`Hypervisor::write_guest`] over `writes`, in order (the default
+    /// implementation is that loop): the same final contents (a repeated
+    /// gfn keeps its last word), the same dirty log, the same byte-backing
+    /// drops, and on error the error the loop would return at the first
+    /// failing pair, with every earlier pair written. Hypervisors override
+    /// it to resolve the VM and walk the mapping structure once per batch.
+    fn write_guest_many(
+        &mut self,
+        machine: &mut Machine,
+        id: VmId,
+        writes: &[(Gfn, u64)],
+    ) -> Result<(), HtpError> {
+        for &(gfn, content) in writes {
+            self.write_guest(machine, id, gfn, content)?;
+        }
+        Ok(())
+    }
 
     /// Simulates guest execution: advances the vCPUs' architectural state
     /// and dirties `dirty_pages` guest pages chosen by the VM's

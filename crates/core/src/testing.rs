@@ -211,10 +211,7 @@ impl Hypervisor for SimpleHv {
             v.regs.rip = v.regs.rip.wrapping_add(dirty_pages * 16 + 4);
             v.regs.rax = v.regs.rax.wrapping_add(1);
         }
-        for (gfn, val) in writes {
-            self.write_guest(machine, id, gfn, val)?;
-        }
-        Ok(())
+        self.write_guest_many(machine, id, &writes)
     }
 
     fn enable_dirty_log(&mut self, id: VmId) -> Result<(), HtpError> {

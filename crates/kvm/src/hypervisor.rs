@@ -127,24 +127,6 @@ impl Hypervisor for KvmHypervisor {
         Ok(machine.ram().read(mfn)?)
     }
 
-    fn read_guest_many(
-        &self,
-        machine: &Machine,
-        id: VmId,
-        gfns: &[Gfn],
-    ) -> Result<Vec<u64>, HtpError> {
-        // One guest lookup and one batched NPT walk per call (see
-        // `Kvm::gfn_to_mfn_many`) instead of a slot scan per page.
-        let g = self.guest(id)?;
-        let mfns = self.kvm.gfn_to_mfn_many(g.vm_fd, gfns).map_err(ioctl_err)?;
-        let ram = machine.ram();
-        let mut out = Vec::with_capacity(mfns.len());
-        for mfn in mfns {
-            out.push(ram.read(mfn)?);
-        }
-        Ok(out)
-    }
-
     fn read_guest_into(
         &self,
         machine: &Machine,
@@ -184,12 +166,36 @@ impl Hypervisor for KvmHypervisor {
         gfn: Gfn,
         content: u64,
     ) -> Result<(), HtpError> {
-        let g = self.guest(id)?;
-        let vm_fd = g.vm_fd;
-        let mfn = self.kvm.gfn_to_mfn(vm_fd, gfn).map_err(ioctl_err)?;
-        machine.ram_mut().write(mfn, content)?;
-        self.kvm.mark_dirty(vm_fd, gfn).map_err(ioctl_err)?;
-        Ok(())
+        self.write_guest_many(machine, id, &[(gfn, content)])
+    }
+
+    fn write_guest_many(
+        &mut self,
+        machine: &mut Machine,
+        id: VmId,
+        writes: &[(Gfn, u64)],
+    ) -> Result<(), HtpError> {
+        if writes.is_empty() {
+            return Ok(());
+        }
+        // One guest lookup and one NPT walk per batch (`Kvm::write_pages`);
+        // a RAM error stops the walk before the page is marked dirty.
+        let vm_fd = self.guest(id)?.vm_fd;
+        let ram = machine.ram_mut();
+        let mut mem_err: Option<hypertp_machine::MemError> = None;
+        self.kvm
+            .write_pages(vm_fd, writes, &mut |mfn, word| match ram.write(mfn, word) {
+                Ok(()) => true,
+                Err(e) => {
+                    mem_err = Some(e);
+                    false
+                }
+            })
+            .map_err(ioctl_err)?;
+        match mem_err {
+            Some(e) => Err(e.into()),
+            None => Ok(()),
+        }
     }
 
     fn guest_tick(
@@ -198,7 +204,7 @@ impl Hypervisor for KvmHypervisor {
         id: VmId,
         dirty_pages: u64,
     ) -> Result<(), HtpError> {
-        let (vm_fd, total, writes) = {
+        let (vm_fd, writes) = {
             let g = self.guest_mut(id)?;
             if g.state != VmState::Running {
                 return Err(HtpError::WrongVmState {
@@ -208,12 +214,11 @@ impl Hypervisor for KvmHypervisor {
                 });
             }
             let total = g.config.pages();
-            let writes: Vec<(u64, u64)> = (0..dirty_pages)
-                .map(|_| (g.rng.gen_range(total), g.rng.next_u64()))
+            let writes: Vec<(Gfn, u64)> = (0..dirty_pages)
+                .map(|_| (Gfn(g.rng.gen_range(total)), g.rng.next_u64()))
                 .collect();
-            (g.vm_fd, total, writes)
+            (g.vm_fd, writes)
         };
-        let _ = total;
         // Advance vCPU architectural state through the ioctl interface,
         // like a real vcpu_run exit/entry cycle would.
         for fd in self.kvm.vcpu_fds(vm_fd).map_err(ioctl_err)? {
@@ -222,10 +227,7 @@ impl Hypervisor for KvmHypervisor {
             regs.gprs[0] = regs.gprs[0].wrapping_add(1);
             self.kvm.set_regs(vm_fd, fd, regs).map_err(ioctl_err)?;
         }
-        for (gfn, val) in writes {
-            self.write_guest(machine, id, Gfn(gfn), val)?;
-        }
-        Ok(())
+        self.write_guest_many(machine, id, &writes)
     }
 
     fn enable_dirty_log(&mut self, id: VmId) -> Result<(), HtpError> {

@@ -36,6 +36,10 @@ pub struct MemSlot {
     /// Dirty bitmap (one bit per 4 KiB page), present when dirty logging
     /// is enabled for the slot.
     pub dirty_bitmap: Option<Vec<u64>>,
+    /// First slot page of each `backing` extent, ascending — recorded once
+    /// at registration so a lookup binary-searches instead of walking the
+    /// backing (512 extents for a 1 GiB guest of 2 MiB pages).
+    starts: Vec<u64>,
 }
 
 impl MemSlot {
@@ -43,16 +47,71 @@ impl MemSlot {
         self.memory_size / 4096
     }
 
-    /// Translates a page offset within the slot to a machine frame.
-    fn frame_at(&self, page_offset: u64) -> Option<Mfn> {
-        let mut remaining = page_offset;
-        for e in &self.backing {
-            if remaining < e.pages() {
-                return Some(e.base + remaining);
+    fn first_page(&self) -> u64 {
+        self.guest_phys_addr / 4096
+    }
+
+    /// Whether guest page `gfn` lies in this slot.
+    fn holds(&self, gfn: u64) -> bool {
+        gfn >= self.first_page() && gfn - self.first_page() < self.pages()
+    }
+
+    /// The span of the backing extent holding guest page `gfn` (which
+    /// must lie in this slot), and that extent's index. Extent `try_first`
+    /// is checked before a binary search over `starts` — callers pass the
+    /// extent after the previous lookup's, where an ascending walk lands
+    /// next.
+    fn span_at(&self, gfn: u64, try_first: usize) -> Option<(usize, Span)> {
+        let page_offset = gfn - self.first_page();
+        let covers = |i: usize| match (self.starts.get(i), self.backing.get(i)) {
+            (Some(&start), Some(e)) => page_offset >= start && page_offset - start < e.pages(),
+            _ => false,
+        };
+        let i = if covers(try_first) {
+            try_first
+        } else {
+            // The last extent starting at or below the page.
+            let i = self
+                .starts
+                .partition_point(|&s| s <= page_offset)
+                .checked_sub(1)?;
+            if !covers(i) {
+                return None;
             }
-            remaining -= e.pages();
-        }
-        None
+            i
+        };
+        let e = self.backing[i];
+        let span = Span {
+            first: self.first_page() + self.starts[i],
+            pages: e.pages(),
+            base: e.base,
+        };
+        Some((i, span))
+    }
+}
+
+/// One backing extent in guest terms: guest pages `first..first + pages`
+/// are machine frames `base..`. A batch walk keeps the span of the previous
+/// page, so the next page of the same extent translates with a subtraction
+/// and a compare.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    first: u64,
+    pages: u64,
+    base: Mfn,
+}
+
+impl Span {
+    /// Holds no page: a walk's state before its first lookup.
+    const NONE: Span = Span {
+        first: 0,
+        pages: 0,
+        base: Mfn(0),
+    };
+
+    fn frame(&self, gfn: u64) -> Option<Mfn> {
+        let off = gfn.wrapping_sub(self.first);
+        (off < self.pages).then(|| self.base + off)
     }
 }
 
@@ -172,6 +231,15 @@ impl Kvm {
                 return Err(Errno::EEXIST);
             }
         }
+        let mut next = 0;
+        let starts = backing
+            .iter()
+            .map(|e| {
+                let start = next;
+                next += e.pages();
+                start
+            })
+            .collect();
         vm.slots.insert(
             slot,
             MemSlot {
@@ -180,64 +248,21 @@ impl Kvm {
                 memory_size,
                 backing,
                 dirty_bitmap: None,
+                starts,
             },
         );
         Ok(())
     }
 
-    /// Batched NPT walk: translates many guest frames in one call.
-    ///
-    /// [`Kvm::gfn_to_mfn`] scans the slot list and the slot's backing
-    /// extents per page — fine for a stray access, quadratic for a
-    /// migration gather that touches every page. This flattens the
-    /// slots' backing into ascending `(first page, mfn base, pages)`
-    /// runs once per batch and then walks sorted input with a monotonic
-    /// cursor (out-of-order input restarts the cursor, costing a rescan
-    /// but never a wrong answer). Per-page results and `EFAULT`
-    /// behaviour match the single-page walk exactly.
-    pub fn gfn_to_mfn_many(&self, vm_fd: u32, gfns: &[Gfn]) -> Result<Vec<Mfn>, Errno> {
-        let vm = self.vm(vm_fd)?;
-        let mut runs: Vec<(u64, Mfn, u64)> = Vec::new();
-        for s in vm.slots.values() {
-            let mut page = s.guest_phys_addr / 4096;
-            for e in &s.backing {
-                runs.push((page, e.base, e.pages()));
-                page += e.pages();
-            }
-        }
-        // Slots are keyed by slot number, not address — order by page.
-        runs.sort_unstable_by_key(|r| r.0);
-        let mut out = Vec::with_capacity(gfns.len());
-        let mut idx = 0usize;
-        let mut prev = 0u64;
-        for &g in gfns {
-            let p = g.0;
-            if p < prev {
-                idx = 0;
-            }
-            prev = p;
-            while idx + 1 < runs.len() && runs[idx + 1].0 <= p {
-                idx += 1;
-            }
-            match runs.get(idx) {
-                Some(&(start, base, pages)) if p >= start && p < start + pages => {
-                    out.push(base + (p - start));
-                }
-                _ => return Err(Errno::EFAULT),
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`Kvm::gfn_to_mfn_many`] as a run visitor: delivers coalesced
-    /// physically-contiguous `(base MFN, pages)` runs instead of one MFN
-    /// per page. The common single-slot layout walks the slot's backing
-    /// extents directly with a monotonic cursor — no flattened run
-    /// vector, no sort, no allocation — so steady-state migration
-    /// gathers stay off the heap entirely; multi-slot guests fall back
-    /// to the flattened walk. Per-page translations and `EFAULT`
-    /// behaviour match [`Kvm::gfn_to_mfn_many`] exactly; runs before a
-    /// faulting GFN may already have been delivered.
+    /// Batched NPT walk: translates `gfns` in order and delivers
+    /// coalesced physically-contiguous `(base MFN, pages)` runs instead of
+    /// one MFN per page, allocating nothing — the zero-copy gather turns
+    /// each run into one RAM slice borrow. One VM lookup per batch; a page
+    /// in the previous page's backing extent costs a compare, one in the
+    /// next extent O(1), any other a binary search (`MemSlot::span_at`).
+    /// Per-page translations and `EFAULT` behaviour match
+    /// [`Kvm::gfn_to_mfn`] exactly; runs before a faulting GFN may
+    /// already have been delivered.
     pub fn gfn_runs(
         &self,
         vm_fd: u32,
@@ -245,68 +270,31 @@ impl Kvm {
         visit: &mut dyn FnMut(Mfn, u64),
     ) -> Result<(), Errno> {
         let vm = self.vm(vm_fd)?;
+        let mut slot: Option<&MemSlot> = None;
+        let (mut next, mut span) = (0, Span::NONE);
         let mut run: Option<(Mfn, u64)> = None;
-        let push =
-            |m: Mfn, run: &mut Option<(Mfn, u64)>, visit: &mut dyn FnMut(Mfn, u64)| match *run {
-                Some((b, n)) if b.0 + n == m.0 => *run = Some((b, n + 1)),
+        for &g in gfns {
+            let m = match span.frame(g.0) {
+                Some(m) => m,
+                None => {
+                    if !slot.is_some_and(|s| s.holds(g.0)) {
+                        slot = vm.slots.values().find(|s| s.holds(g.0));
+                        next = 0;
+                    }
+                    let s = slot.ok_or(Errno::EFAULT)?;
+                    let (i, found) = s.span_at(g.0, next).ok_or(Errno::EFAULT)?;
+                    (next, span) = (i + 1, found);
+                    span.frame(g.0).ok_or(Errno::EFAULT)?
+                }
+            };
+            run = match run {
+                Some((b, n)) if b.0 + n == m.0 => Some((b, n + 1)),
                 Some((b, n)) => {
                     visit(b, n);
-                    *run = Some((m, 1));
+                    Some((m, 1))
                 }
-                None => *run = Some((m, 1)),
+                None => Some((m, 1)),
             };
-        if vm.slots.len() == 1 {
-            let s = vm.slots.values().next().expect("one slot");
-            let start_page = s.guest_phys_addr / 4096;
-            let mut idx = 0usize;
-            let mut idx_page = start_page;
-            let mut prev = 0u64;
-            for &g in gfns {
-                let p = g.0;
-                if p < prev {
-                    idx = 0;
-                    idx_page = start_page;
-                }
-                prev = p;
-                while idx < s.backing.len() && idx_page + s.backing[idx].pages() <= p {
-                    idx_page += s.backing[idx].pages();
-                    idx += 1;
-                }
-                match s.backing.get(idx) {
-                    Some(e) if p >= idx_page => {
-                        push(e.base + (p - idx_page), &mut run, visit);
-                    }
-                    _ => return Err(Errno::EFAULT),
-                }
-            }
-        } else {
-            let mut runs: Vec<(u64, Mfn, u64)> = Vec::new();
-            for s in vm.slots.values() {
-                let mut page = s.guest_phys_addr / 4096;
-                for e in &s.backing {
-                    runs.push((page, e.base, e.pages()));
-                    page += e.pages();
-                }
-            }
-            runs.sort_unstable_by_key(|r| r.0);
-            let mut idx = 0usize;
-            let mut prev = 0u64;
-            for &g in gfns {
-                let p = g.0;
-                if p < prev {
-                    idx = 0;
-                }
-                prev = p;
-                while idx + 1 < runs.len() && runs[idx + 1].0 <= p {
-                    idx += 1;
-                }
-                match runs.get(idx) {
-                    Some(&(start, base, pages)) if p >= start && p < start + pages => {
-                        push(base + (p - start), &mut run, visit);
-                    }
-                    _ => return Err(Errno::EFAULT),
-                }
-            }
         }
         if let Some((b, n)) = run {
             visit(b, n);
@@ -317,30 +305,53 @@ impl Kvm {
     /// Translates a guest frame to a machine frame (the NPT walk).
     pub fn gfn_to_mfn(&self, vm_fd: u32, gfn: Gfn) -> Result<Mfn, Errno> {
         let vm = self.vm(vm_fd)?;
-        let addr = gfn.addr();
-        for s in vm.slots.values() {
-            if addr >= s.guest_phys_addr && addr < s.guest_phys_addr + s.memory_size {
-                let off = (addr - s.guest_phys_addr) / 4096;
-                return s.frame_at(off).ok_or(Errno::EFAULT);
-            }
-        }
-        Err(Errno::EFAULT)
+        let s = vm.slots.values().find(|s| s.holds(gfn.0));
+        s.and_then(|s| s.span_at(gfn.0, 0))
+            .and_then(|(_, span)| span.frame(gfn.0))
+            .ok_or(Errno::EFAULT)
     }
 
-    /// Marks a guest page dirty (a write fault with dirty logging on).
-    pub fn mark_dirty(&mut self, vm_fd: u32, gfn: Gfn) -> Result<(), Errno> {
+    /// Guest writes through the NPT, in order: translates each
+    /// `(gfn, word)` of `writes` like [`Kvm::gfn_runs`], hands the frame
+    /// and word to `store`, then sets the page's bit in its slot's dirty
+    /// bitmap if logging is on (a write fault). Stops with `EFAULT` at
+    /// the first unmapped gfn, or as soon as `store` returns `false`
+    /// (that page left unmarked); every earlier page is stored and marked.
+    pub fn write_pages(
+        &mut self,
+        vm_fd: u32,
+        writes: &[(Gfn, u64)],
+        store: &mut dyn FnMut(Mfn, u64) -> bool,
+    ) -> Result<(), Errno> {
         let vm = self.vm_mut(vm_fd)?;
-        let addr = gfn.addr();
-        for s in vm.slots.values_mut() {
-            if addr >= s.guest_phys_addr && addr < s.guest_phys_addr + s.memory_size {
-                if let Some(bm) = &mut s.dirty_bitmap {
-                    let bit = (addr - s.guest_phys_addr) / 4096;
-                    bm[(bit / 64) as usize] |= 1 << (bit % 64);
+        let mut slot: Option<&mut MemSlot> = None;
+        let (mut next, mut span) = (0, Span::NONE);
+        for &(g, word) in writes {
+            let mfn = match span.frame(g.0) {
+                Some(m) => m,
+                None => {
+                    if !slot.as_ref().is_some_and(|s| s.holds(g.0)) {
+                        slot = vm.slots.values_mut().find(|s| s.holds(g.0));
+                        next = 0;
+                    }
+                    let s = slot.as_deref().ok_or(Errno::EFAULT)?;
+                    let (i, found) = s.span_at(g.0, next).ok_or(Errno::EFAULT)?;
+                    (next, span) = (i + 1, found);
+                    span.frame(g.0).ok_or(Errno::EFAULT)?
                 }
+            };
+            if !store(mfn, word) {
                 return Ok(());
             }
+            // `span` came from `slot`, so the page is the slot's.
+            if let Some(s) = slot.as_deref_mut() {
+                let bit = g.0 - s.first_page();
+                if let Some(bm) = &mut s.dirty_bitmap {
+                    bm[(bit / 64) as usize] |= 1 << (bit % 64);
+                }
+            }
         }
-        Err(Errno::EFAULT)
+        Ok(())
     }
 
     /// Enables dirty logging on every slot (`KVM_MEM_LOG_DIRTY_PAGES`).
@@ -574,45 +585,48 @@ mod tests {
         assert_eq!(k.gfn_to_mfn(vm, Gfn(1024)), Err(Errno::EFAULT));
     }
 
+    /// Flattens `gfn_runs` back to one MFN per page.
+    fn flat_runs(k: &Kvm, vm: u32, gfns: &[Gfn]) -> Result<Vec<Mfn>, Errno> {
+        let mut flat = Vec::new();
+        k.gfn_runs(vm, gfns, &mut |m, n| flat.extend((0..n).map(|i| m + i)))?;
+        Ok(flat)
+    }
+
+    fn per_page(k: &Kvm, vm: u32, gfns: &[Gfn]) -> Result<Vec<Mfn>, Errno> {
+        gfns.iter().map(|&g| k.gfn_to_mfn(vm, g)).collect()
+    }
+
     #[test]
     fn batched_translate_matches_per_page_walk() {
         let mut k = Kvm::new();
         let vm = k.create_vm();
         // Two slots, the higher-addressed one registered first, each with
-        // fragmented backing — the flatten + sort must still order runs.
+        // fragmented backing.
         k.set_user_memory_region(vm, 1, 1024 * 4096, vec![ext(4096, 9), ext(8192, 9)])
             .unwrap();
         k.set_user_memory_region(vm, 0, 0, vec![ext(512, 9), ext(2048, 9)])
             .unwrap();
-        // Sorted input across both slots and both backing extents.
-        let sorted: Vec<Gfn> = [0u64, 1, 511, 512, 1023, 1024, 1536, 2047]
-            .iter()
-            .map(|&g| Gfn(g))
-            .collect();
-        let got = k.gfn_to_mfn_many(vm, &sorted).unwrap();
-        for (g, m) in sorted.iter().zip(&got) {
-            assert_eq!(k.gfn_to_mfn(vm, *g).unwrap(), *m, "mismatch at {g:?}");
-        }
-        // Out-of-order input restarts the cursor but answers identically.
-        let unsorted = vec![Gfn(2047), Gfn(0), Gfn(1024), Gfn(512), Gfn(511)];
-        let got = k.gfn_to_mfn_many(vm, &unsorted).unwrap();
-        for (g, m) in unsorted.iter().zip(&got) {
-            assert_eq!(k.gfn_to_mfn(vm, *g).unwrap(), *m, "mismatch at {g:?}");
+        // Sorted input across both slots and both backing extents, then
+        // out-of-order input: the same answers either way.
+        for gfns in [
+            vec![0u64, 1, 511, 512, 1023, 1024, 1536, 2047],
+            vec![2047, 0, 1024, 512, 511],
+        ] {
+            let gfns: Vec<Gfn> = gfns.into_iter().map(Gfn).collect();
+            assert_eq!(flat_runs(&k, vm, &gfns), per_page(&k, vm, &gfns));
+            assert!(flat_runs(&k, vm, &gfns).is_ok());
         }
         // Unmapped GFNs fault exactly like the per-page walk (the slots
         // end at page 2048).
-        assert_eq!(
-            k.gfn_to_mfn_many(vm, &[Gfn(0), Gfn(2048)]),
-            Err(Errno::EFAULT)
-        );
-        assert_eq!(k.gfn_to_mfn_many(vm, &[]), Ok(vec![]));
+        assert_eq!(flat_runs(&k, vm, &[Gfn(0), Gfn(2048)]), Err(Errno::EFAULT));
+        assert_eq!(flat_runs(&k, vm, &[]), Ok(vec![]));
     }
 
     #[test]
-    fn gfn_runs_matches_batched_walk() {
-        // Both the single-slot fast path and the multi-slot fallback must
-        // flatten to exactly gfn_to_mfn_many's answers, with runs
-        // coalesced across backing-extent boundaries when frames abut.
+    fn gfn_runs_coalesce_across_backing_extents() {
+        // One slot, and the same memory split over two slots: both must
+        // flatten to the per-page walk, with runs coalesced across
+        // backing-extent (and slot) boundaries when frames abut.
         let mut single = Kvm::new();
         let vm1 = single.create_vm();
         // 2048..2560 and 2560..3072 are physically adjacent: one run.
@@ -634,10 +648,7 @@ mod tests {
                 vec![1535, 0, 512, 511],
             ] {
                 let gfns: Vec<Gfn> = gfns.into_iter().map(Gfn).collect();
-                let mut flat = Vec::new();
-                k.gfn_runs(vm, &gfns, &mut |m, n| flat.extend((0..n).map(|i| m + i)))
-                    .unwrap();
-                assert_eq!(flat, k.gfn_to_mfn_many(vm, &gfns).unwrap());
+                assert_eq!(flat_runs(k, vm, &gfns), per_page(k, vm, &gfns));
             }
             // The adjacent extents coalesce into a single visited run.
             let gfns: Vec<Gfn> = (0..1024).map(Gfn).collect();
@@ -653,6 +664,74 @@ mod tests {
                 k.gfn_runs(vm, &[Gfn(4096)], &mut |_, _| {}),
                 Err(Errno::EFAULT)
             );
+        }
+    }
+
+    /// The binary-searched, hinted lookup answers exactly like a walk over
+    /// the backing, on seeded non-uniform backings (orders 0–9), for every
+    /// page of every slot, for pages past each slot's end, and in
+    /// ascending, descending and random order.
+    #[test]
+    fn frame_lookup_matches_a_linear_scan() {
+        let oracle = |slots: &[(u64, Vec<Extent>)], gfn: u64| -> Result<Mfn, Errno> {
+            for (first, backing) in slots {
+                let mut page = *first;
+                for e in backing {
+                    if gfn >= page && gfn < page + e.pages() {
+                        return Ok(e.base + (gfn - page));
+                    }
+                    page += e.pages();
+                }
+            }
+            Err(Errno::EFAULT)
+        };
+        let mut rng = hypertp_sim::SimRng::new(0xf4a3_e0a7);
+        for case in 0..24 {
+            let mut k = Kvm::new();
+            let vm = k.create_vm();
+            let mut slots = Vec::new();
+            let mut first = rng.gen_range(64);
+            let mut mfn = 0u64;
+            for slot in 0..1 + case % 3 {
+                let backing: Vec<Extent> = (0..1 + rng.gen_range(12))
+                    .map(|_| {
+                        let order = rng.gen_range(10) as u8;
+                        mfn = (mfn + rng.gen_range(3) * 512).next_multiple_of(1 << order);
+                        let e = ext(mfn, order);
+                        mfn += e.pages();
+                        e
+                    })
+                    .collect();
+                let pages: u64 = backing.iter().map(|e| e.pages()).sum();
+                k.set_user_memory_region(vm, slot, first * 4096, backing.clone())
+                    .unwrap();
+                slots.push((first, backing));
+                // A hole of 0–2 pages before the next slot.
+                first += pages + rng.gen_range(3);
+            }
+            let end = first + 600;
+            let ascending: Vec<u64> = (0..end).collect();
+            let descending = ascending.iter().rev().copied().collect();
+            let random = (0..end).map(|_| rng.gen_range(end)).collect();
+            for order in [ascending, descending, random] {
+                for &g in &order {
+                    assert_eq!(
+                        k.gfn_to_mfn(vm, Gfn(g)),
+                        oracle(&slots, g),
+                        "case {case} gfn {g}"
+                    );
+                    let got = flat_runs(&k, vm, &[Gfn(g)]).map(|m| m[0]);
+                    assert_eq!(got, oracle(&slots, g), "case {case} gfn {g}");
+                }
+                // One batch over the mapped pages, in this order.
+                let mapped: Vec<u64> = order
+                    .into_iter()
+                    .filter(|&g| oracle(&slots, g).is_ok())
+                    .collect();
+                let batch: Vec<Gfn> = mapped.iter().map(|&g| Gfn(g)).collect();
+                let want: Vec<Mfn> = mapped.iter().map(|&g| oracle(&slots, g).unwrap()).collect();
+                assert_eq!(flat_runs(&k, vm, &batch), Ok(want), "case {case}");
+            }
         }
     }
 
@@ -685,10 +764,12 @@ mod tests {
         let mut k = Kvm::new();
         let vm = k.create_vm();
         k.set_user_memory_region(vm, 0, 0, vec![ext(0, 9)]).unwrap();
+        let writes = [(Gfn(5), 1), (Gfn(200), 2), (Gfn(5), 3)];
+        // Not logging yet: writes leave no trace.
+        k.write_pages(vm, &writes, &mut |_, _| true).unwrap();
         k.enable_dirty_log(vm).unwrap();
-        k.mark_dirty(vm, Gfn(5)).unwrap();
-        k.mark_dirty(vm, Gfn(200)).unwrap();
-        k.mark_dirty(vm, Gfn(5)).unwrap();
+        assert!(k.get_dirty_log(vm).unwrap().is_empty());
+        k.write_pages(vm, &writes, &mut |_, _| true).unwrap();
         assert_eq!(k.get_dirty_log(vm).unwrap(), vec![Gfn(5), Gfn(200)]);
         assert!(k.get_dirty_log(vm).unwrap().is_empty());
     }

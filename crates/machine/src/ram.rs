@@ -138,7 +138,11 @@ impl PhysicalMemory {
     pub fn write(&mut self, mfn: Mfn, content: u64) -> Result<(), MemError> {
         let i = self.owned(mfn)?;
         self.contents[i] = content;
-        self.bytes.remove(&mfn.0);
+        // Almost no frame is byte-backed: skip hashing the key into an
+        // empty map on every word write.
+        if !self.bytes.is_empty() {
+            self.bytes.remove(&mfn.0);
+        }
         Ok(())
     }
 

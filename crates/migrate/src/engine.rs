@@ -129,10 +129,10 @@ pub struct MigrationConfig {
     pub retry_backoff: SimDuration,
     /// Wire representation of guest pages (raw or content-aware).
     pub wire_mode: WireMode,
-    /// Below this many pages, gathers run serially: the thread spawn +
-    /// hand-off cost of the pool exceeds the work (BENCH_parallel.json
-    /// showed `migrate_many` *losing* 2 ms to pool overhead on small
-    /// dirty sets before this threshold existed).
+    /// Below this many pages, a content-aware round's digests run
+    /// serially: the thread spawn + hand-off cost of the pool exceeds the
+    /// work (BENCH_parallel.json showed `migrate_many` *losing* 2 ms to
+    /// pool overhead on small dirty sets before this threshold existed).
     pub parallel_threshold_pages: usize,
     /// Target ceiling for VM downtime. When set, the adaptive controller
     /// replaces [`MigrationConfig::stop_threshold_pages`] with the budget
@@ -186,8 +186,9 @@ impl EngineScratch {
 }
 
 /// The buffers themselves: the serialized frame ring plus the gather /
-/// digest / destination-probe vectors. All are cleared-and-refilled per
-/// round, never shrunk.
+/// digest / destination-probe / write vectors. All are cleared-and-refilled
+/// per round, never shrunk; round 0 sizes `words` and `current` to the
+/// whole guest, which the cut-over verification then reads both sides into.
 #[derive(Debug, Default)]
 pub(crate) struct RoundScratch {
     /// Serialized frames of the in-flight round.
@@ -198,6 +199,9 @@ pub(crate) struct RoundScratch {
     pub(crate) digests: Vec<Digest128>,
     /// Destination's current words (write-elision probe).
     pub(crate) current: Vec<u64>,
+    /// The round's changed pages, landed with one
+    /// [`Hypervisor::write_guest_many`].
+    pub(crate) writes: Vec<(Gfn, u64)>,
 }
 
 /// Observability counters for the engine's reusable wire-path buffers —
@@ -429,18 +433,20 @@ impl MigrationTp {
             self.stop_fixed(dst.kind(), cfg.vcpus, sharers),
         );
 
-        // Round 0: full copy of every mapped page.
-        let map = src_hv.guest_memory_map(src_id)?;
-        let mut to_send: Vec<Gfn> = map_gfns(&map).collect();
+        // Round 0: full copy of every mapped page. The list lives on for
+        // the cut-over verification.
+        let all_gfns: Vec<Gfn> = map_gfns(&src_hv.guest_memory_map(src_id)?).collect();
+        let mut dirty_set: Option<Vec<Gfn>> = None;
         let mut round = 0u32;
         let stop_set = loop {
+            let to_send = dirty_set.as_deref().unwrap_or(&all_gfns);
             let pages = to_send.len() as u64;
             let outcome = self.send_round(
                 src_machine,
                 src_hv,
                 src_id,
                 dst,
-                &to_send,
+                to_send,
                 round,
                 &model,
                 &cfg.name,
@@ -499,7 +505,7 @@ impl MigrationTp {
             {
                 break dirty;
             }
-            to_send = dirty;
+            dirty_set = Some(dirty);
         };
 
         // Stop-and-copy: quiesce devices (§4.2.3 — the guest is still
@@ -569,25 +575,8 @@ impl MigrationTp {
         // A remote destination is verified by its `DoneAck` checksum
         // instead, which the proxy exchanges at cut-over.
         if let (true, Dest::Local { machine, hv, id }) = (self.config.verify_contents, &*dst) {
-            // Verification only reads both sides, so extent groups compare
-            // on their own pool workers; batched reads keep the per-page
-            // translation cost off the comparison loop.
-            let (src_m, src_ref): (&Machine, &dyn Hypervisor) = (src_machine, src_hv);
-            let (dst_m, dst_ref, dst_id): (&Machine, &dyn Hypervisor, _) = (machine, &**hv, *id);
-            let per_task = map.len().div_ceil((self.pool.workers() * 4).max(1)).max(1);
-            let groups: Vec<&[(Gfn, Extent)]> = map.chunks(per_task).collect();
-            let verdicts = self
-                .pool
-                .map_indices(groups.len(), |i| -> Result<bool, HtpError> {
-                    let gfns: Vec<Gfn> = map_gfns(groups[i]).collect();
-                    Ok(src_ref.read_guest_many(src_m, src_id, &gfns)?
-                        == dst_ref.read_guest_many(dst_m, dst_id, &gfns)?)
-                })
-                .results;
-            for ok in verdicts {
-                if !ok? {
-                    return Err(integrity(&cfg.name));
-                }
+            if !self.same_contents(src_machine, src_hv, src_id, machine, &**hv, *id, &all_gfns)? {
+                return Err(integrity(&cfg.name));
             }
         }
 
@@ -966,10 +955,19 @@ impl MigrationTp {
         wire: &mut WireStats,
     ) -> Result<(), HtpError> {
         let mut s = self.scratch.round();
-        let RoundScratch { ring, current, .. } = &mut *s;
-        let cap = current.capacity();
+        let RoundScratch {
+            ring,
+            current,
+            writes,
+            ..
+        } = &mut *s;
+        let caps = (current.capacity(), writes.capacity());
         dst_hv.read_guest_into(dst_machine, dst_id, gfns, current)?;
         debug_assert_eq!(ring.frame_count() as usize, gfns.len());
+        // Sized by the round, not by how many pages changed, so capacity
+        // follows the guest's shape alone.
+        writes.clear();
+        writes.reserve(gfns.len());
         for (view, (&g, &cur)) in ring.iter().zip(gfns.iter().zip(current.iter())) {
             debug_assert_eq!(view.gfn, g.0);
             wire.record_parts(view.kind, view.wire_bytes());
@@ -978,18 +976,21 @@ impl MigrationTp {
                 .apply_view(&view, cur)
                 .ok_or_else(|| integrity(vm_name))?;
             if word != cur {
-                dst_hv.write_guest(dst_machine, dst_id, g, word)?;
+                writes.push((g, word));
             }
         }
-        self.scratch.stats().grows += u64::from(current.capacity() != cap);
+        dst_hv.write_guest_many(dst_machine, dst_id, writes)?;
+        self.scratch.stats().grows +=
+            u64::from(current.capacity() != caps.0) + u64::from(writes.capacity() != caps.1);
         Ok(())
     }
 
-    /// Copies guest pages source → destination: a parallel *gather* of the
-    /// source values (read-only, chunked across the worker pool) followed
-    /// by a serial *apply* on the destination (`write_guest` needs
-    /// `&mut`). Values land in GFN-list order either way, so serial and
-    /// pooled runs are byte-identical.
+    /// Copies guest pages source → destination: one batched gather of the
+    /// source words and one of the destination's current words into the
+    /// scratch buffers, then one batched write of the pages that differ.
+    /// Write elision matters: a fresh destination shell is overwhelmingly
+    /// zero pages, and a RAM write does per-page bookkeeping a read does
+    /// not, so precopy rounds that re-send unchanged pages touch no frame.
     #[allow(clippy::too_many_arguments)]
     fn copy_pages(
         &self,
@@ -1001,38 +1002,59 @@ impl MigrationTp {
         dst_id: VmId,
         gfns: &[Gfn],
     ) -> Result<(), HtpError> {
-        // Below the threshold the serial gather wins over thread spawn
-        // (see MigrationConfig::parallel_threshold_pages).
-        let values: Vec<u64> =
-            if self.pool.workers() <= 1 || gfns.len() < self.config.parallel_threshold_pages {
-                src_hv.read_guest_many(src_machine, src_id, gfns)?
-            } else {
-                let chunk = gfns.len().div_ceil(self.pool.workers() * 4).max(1);
-                let chunks: Vec<&[Gfn]> = gfns.chunks(chunk).collect();
-                let gathered = self
-                    .pool
-                    .map_indices(chunks.len(), |i| -> Result<Vec<u64>, HtpError> {
-                        src_hv.read_guest_many(src_machine, src_id, chunks[i])
-                    })
-                    .results;
-                let mut v = Vec::with_capacity(gfns.len());
-                for c in gathered {
-                    v.extend(c?);
-                }
-                v
-            };
-        // Write elision: a fresh destination shell is overwhelmingly zero
-        // pages, and the simulator's RAM write does per-page bookkeeping a
-        // read does not — probing with one batched read and skipping no-op
-        // writes is the single biggest wall-clock win for idle-VM
-        // migrations.
-        let current = dst_hv.read_guest_many(dst_machine, dst_id, gfns)?;
-        for ((&g, &val), &cur) in gfns.iter().zip(&values).zip(&current) {
-            if cur != val {
-                dst_hv.write_guest(dst_machine, dst_id, g, val)?;
+        let mut s = self.scratch.round();
+        let RoundScratch {
+            words,
+            current,
+            writes,
+            ..
+        } = &mut *s;
+        let caps = (words.capacity(), current.capacity(), writes.capacity());
+        src_hv.read_guest_into(src_machine, src_id, gfns, words)?;
+        dst_hv.read_guest_into(dst_machine, dst_id, gfns, current)?;
+        writes.clear();
+        writes.reserve(gfns.len());
+        for (&g, (&word, &cur)) in gfns.iter().zip(words.iter().zip(current.iter())) {
+            if word != cur {
+                writes.push((g, word));
             }
         }
+        dst_hv.write_guest_many(dst_machine, dst_id, writes)?;
+        self.scratch.stats().grows += u64::from(words.capacity() != caps.0)
+            + u64::from(current.capacity() != caps.1)
+            + u64::from(writes.capacity() != caps.2);
         Ok(())
+    }
+
+    /// Whether the source and destination VMs hold the same word at every
+    /// gfn of `gfns` — the [`MigrationConfig::verify_contents`] check. Both
+    /// sides are gathered into the scratch `words` and `current`, which
+    /// round 0 sized to the whole guest, and compared in contiguous pool
+    /// chunks; the verdict does not depend on the worker count.
+    #[allow(clippy::too_many_arguments)]
+    fn same_contents(
+        &self,
+        src_machine: &Machine,
+        src_hv: &dyn Hypervisor,
+        src_id: VmId,
+        dst_machine: &Machine,
+        dst_hv: &dyn Hypervisor,
+        dst_id: VmId,
+        gfns: &[Gfn],
+    ) -> Result<bool, HtpError> {
+        let mut s = self.scratch.round();
+        let RoundScratch { words, current, .. } = &mut *s;
+        let caps = (words.capacity(), current.capacity());
+        src_hv.read_guest_into(src_machine, src_id, gfns, words)?;
+        dst_hv.read_guest_into(dst_machine, dst_id, gfns, current)?;
+        self.scratch.stats().grows +=
+            u64::from(words.capacity() != caps.0) + u64::from(current.capacity() != caps.1);
+        let (src, dst) = (&words[..], &current[..]);
+        let chunks = self.pool.workers() * 4;
+        let same = self
+            .pool
+            .map_chunks(src.len(), chunks, |r| src[r.clone()] == dst[r]);
+        Ok(same.results.into_iter().all(|same| same))
     }
 }
 

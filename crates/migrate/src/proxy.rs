@@ -37,7 +37,7 @@
 use hypertp_core::{HtpError, Hypervisor, HypervisorKind, VmConfig, VmId};
 use hypertp_machine::Gfn;
 use hypertp_machine::Machine;
-use hypertp_sim::hash::digest_words;
+use hypertp_sim::hash::{digest_words, WordDigest};
 use hypertp_sim::SimDuration;
 
 use crate::engine::{integrity, map_gfns, Dest, MigrationConfig, MigrationTp, WireMode};
@@ -248,13 +248,41 @@ pub fn guest_checksum(
     id: VmId,
     gfns: &[Gfn],
 ) -> Result<u64, HtpError> {
-    let words = hv.read_guest_many(machine, id, gfns)?;
-    let d = digest_words(&words);
-    Ok(d.hi ^ d.lo)
+    checksum_of(machine, hv, id, gfns.iter().copied())
 }
 
-fn all_gfns(hv: &dyn Hypervisor, id: VmId) -> Result<Vec<Gfn>, HtpError> {
-    Ok(map_gfns(&hv.guest_memory_map(id)?).collect())
+/// Pages per read of a streamed checksum: 32 KiB of gfns and as much of
+/// words, whatever the guest's size.
+const CHECKSUM_CHUNK: usize = 4096;
+
+/// [`guest_checksum`] over the pages `gfns` yields, gathered a bounded
+/// chunk at a time into reused buffers and folded into one resumable
+/// digest — the same value as digesting every word at once.
+fn checksum_of(
+    machine: &Machine,
+    hv: &dyn Hypervisor,
+    id: VmId,
+    mut gfns: impl Iterator<Item = Gfn>,
+) -> Result<u64, HtpError> {
+    let mut digest = WordDigest::new();
+    let mut chunk = Vec::with_capacity(CHECKSUM_CHUNK);
+    let mut words = Vec::with_capacity(CHECKSUM_CHUNK);
+    loop {
+        chunk.clear();
+        chunk.extend(gfns.by_ref().take(CHECKSUM_CHUNK));
+        if chunk.is_empty() {
+            let d = digest.finish();
+            return Ok(d.hi ^ d.lo);
+        }
+        hv.read_guest_into(machine, id, &chunk, &mut words)?;
+        digest.update(&words);
+    }
+}
+
+/// [`guest_checksum`] over every page of VM `id`, in map order — the
+/// `Done`/`DoneAck` cut-over check.
+fn vm_checksum(machine: &Machine, hv: &dyn Hypervisor, id: VmId) -> Result<u64, HtpError> {
+    checksum_of(machine, hv, id, map_gfns(&hv.guest_memory_map(id)?))
 }
 
 /// Runs the source proxy: opens a session with the destination proxy
@@ -289,7 +317,7 @@ pub fn run_source(
     drop(dst); // Frees the session's message buffer before the checksum pass.
     let report = phase.report;
 
-    let src_checksum = guest_checksum(machine, &*hv, id, &all_gfns(&*hv, id)?)?;
+    let src_checksum = vm_checksum(machine, &*hv, id)?;
     let mut msg = vec![MSG_DONE];
     msg.extend_from_slice(&src_checksum.to_le_bytes());
     msg.extend_from_slice(&report.total.as_nanos().to_le_bytes());
@@ -548,9 +576,7 @@ impl DestProxy {
                     }
                     let seen = gfns.len() as u64;
                     if ok && seen == count {
-                        for &(gfn, w) in &writes {
-                            hv.write_guest(machine, id, gfn, w)?;
-                        }
+                        hv.write_guest_many(machine, id, &writes)?;
                         mirror.extend(inserts.drain());
                         rounds += 1;
                         frames += seen;
@@ -593,7 +619,7 @@ impl DestProxy {
                     }
                     machine.clock().advance(SimDuration::from_nanos(nanos));
                     hv.resume_vm(id)?;
-                    let checksum = guest_checksum(machine, &*hv, id, &all_gfns(&*hv, id)?)?;
+                    let checksum = vm_checksum(machine, &*hv, id)?;
                     reply.push(MSG_DONE_ACK);
                     reply.extend_from_slice(&checksum.to_le_bytes());
                     reply.extend_from_slice(&wire_bytes.to_le_bytes());
@@ -697,7 +723,7 @@ mod tests {
                     .migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
                     .unwrap();
                 let e_id = dst.find_vm("vm0").unwrap();
-                let e_gfns = all_gfns(&dst, e_id).unwrap();
+                let e_gfns: Vec<Gfn> = map_gfns(&dst.guest_memory_map(e_id).unwrap()).collect();
                 let engine_checksum = guest_checksum(&dst_m, &dst, e_id, &e_gfns).unwrap();
                 if label == "default" {
                     assert_eq!(engine_report.rounds.len() as u32, cfg.max_rounds, "{case}");
@@ -814,6 +840,35 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(m.clock().now(), before);
+    }
+
+    /// A destination whose source hangs up mid-session — after its
+    /// `Hello`, before `Done` — returns a link failure instead of waiting
+    /// forever for a resume `Hello` no one can send.
+    #[test]
+    fn serve_returns_when_the_source_hangs_up() {
+        let (mut ta, mut tb) = InProcTransport::pair();
+        let (served_tx, served_rx) = std::sync::mpsc::channel();
+        // Not scoped: where `serve` spins, the thread outlives the test.
+        let dest = std::thread::spawn(move || {
+            let mut m = machine();
+            let mut hv = SimpleHv::new(HypervisorKind::Kvm);
+            let _ = served_tx.send(run_dest(&mut m, &mut hv, &mut tb));
+        });
+        ta.send_frame(&hello(&VmConfig::small("vm0"))).unwrap();
+        ta.flush().unwrap();
+        let mut reply = Vec::new();
+        ta.recv_frame(&mut reply).unwrap();
+        assert_eq!(reply.first(), Some(&MSG_HELLO_ACK));
+        drop(ta);
+        let served = served_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the destination must give up on a dropped source");
+        assert!(
+            matches!(served, Err(HtpError::LinkFailure { .. })),
+            "{served:?}"
+        );
+        dest.join().expect("destination thread panicked");
     }
 
     /// A name or storage backend longer than `Hello`'s `u16` length prefix

@@ -18,8 +18,10 @@
 //!
 //! [`Transport::reset`] models a connection teardown + re-establish: the
 //! UDS client redials (with bounded retries), the UDS server re-accepts,
-//! and the in-proc pipe — which cannot lose data — treats it as a no-op.
-//! The proxy's mid-stream-disconnect recovery drives this.
+//! and the in-proc pipe — which cannot lose data — only drops its unsent
+//! frames, or fails once its peer is gone, since nothing can reconnect
+//! to a dropped endpoint. The proxy's mid-stream-disconnect recovery
+//! drives this.
 
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -92,13 +94,19 @@ pub trait Transport: Send {
 }
 
 /// Deterministic in-process transport: a pair of crossed channels.
-/// Frames queue locally until [`Transport::flush`]; `reset` is a no-op
-/// on the channel but still discards the unflushed queue, so drop
-/// semantics match the socket backend.
+/// Frames queue locally until [`Transport::flush`]; `reset` leaves the
+/// channel as it is but still discards the unflushed queue, so drop
+/// semantics match the socket backend. Once a `flush` or `recv_frame` has
+/// found the peer endpoint dropped, `reset` fails with
+/// [`TransportError::Closed`]: a peer that is gone never comes back, and
+/// succeeding would send a destination proxy round its receive loop
+/// forever.
 pub struct InProcTransport {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
     queued: Vec<Vec<u8>>,
+    /// The peer endpoint was found dropped.
+    closed: bool,
 }
 
 impl fmt::Debug for InProcTransport {
@@ -119,11 +127,13 @@ impl InProcTransport {
                 tx: a_tx,
                 rx: a_rx,
                 queued: Vec::new(),
+                closed: false,
             },
             InProcTransport {
                 tx: b_tx,
                 rx: b_rx,
                 queued: Vec::new(),
+                closed: false,
             },
         )
     }
@@ -137,13 +147,19 @@ impl Transport for InProcTransport {
 
     fn flush(&mut self) -> Result<(), TransportError> {
         for frame in self.queued.drain(..) {
-            self.tx.send(frame).map_err(|_| TransportError::Closed)?;
+            if self.tx.send(frame).is_err() {
+                self.closed = true;
+                return Err(TransportError::Closed);
+            }
         }
         Ok(())
     }
 
     fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), TransportError> {
-        let frame = self.rx.recv().map_err(|_| TransportError::Closed)?;
+        let Ok(frame) = self.rx.recv() else {
+            self.closed = true;
+            return Err(TransportError::Closed);
+        };
         out.clear();
         out.extend_from_slice(&frame);
         Ok(())
@@ -151,6 +167,9 @@ impl Transport for InProcTransport {
 
     fn reset(&mut self) -> Result<(), TransportError> {
         self.queued.clear();
+        if self.closed {
+            return Err(TransportError::Closed);
+        }
         Ok(())
     }
 }
@@ -352,6 +371,8 @@ mod tests {
     #[test]
     fn inproc_closed_peer_reports_closed() {
         let (mut a, b) = InProcTransport::pair();
+        // A live peer: reset succeeds (the source's drop recovery).
+        a.reset().unwrap();
         drop(b);
         a.send_frame(b"x").unwrap();
         assert!(matches!(a.flush(), Err(TransportError::Closed)));
@@ -360,6 +381,8 @@ mod tests {
             a.recv_frame(&mut buf),
             Err(TransportError::Closed)
         ));
+        // A dropped peer cannot be reconnected to.
+        assert!(matches!(a.reset(), Err(TransportError::Closed)));
     }
 
     #[test]

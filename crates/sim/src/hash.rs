@@ -51,15 +51,51 @@ impl Digest128 {
 /// Digests a page given as 64-bit content words (word-at-a-time kernel,
 /// both lanes in one pass).
 pub fn digest_words(words: &[u64]) -> Digest128 {
-    let mut a = FNV_OFFSET_A;
-    let mut b = FNV_OFFSET_B;
-    for &w in words {
-        a ^= w;
-        a = a.wrapping_mul(FNV_PRIME_A);
-        b ^= w.rotate_left(23);
-        b = b.wrapping_mul(FNV_PRIME_B);
+    let mut d = WordDigest::new();
+    d.update(words);
+    d.finish()
+}
+
+/// The [`digest_words`] fold, resumable: feeding a sequence in pieces of
+/// any size gives the digest of the whole sequence, so a caller can digest
+/// a guest's memory through one small reused buffer instead of gathering
+/// all of it first.
+#[derive(Debug, Clone, Copy)]
+pub struct WordDigest {
+    a: u64,
+    b: u64,
+}
+
+impl WordDigest {
+    /// The digest of the empty sequence, ready to be fed.
+    pub fn new() -> Self {
+        WordDigest {
+            a: FNV_OFFSET_A,
+            b: FNV_OFFSET_B,
+        }
     }
-    Digest128 { hi: a, lo: b }
+
+    /// Folds `words` in after everything fed so far.
+    pub fn update(&mut self, words: &[u64]) {
+        for &w in words {
+            self.a = (self.a ^ w).wrapping_mul(FNV_PRIME_A);
+            self.b = (self.b ^ w.rotate_left(23)).wrapping_mul(FNV_PRIME_B);
+        }
+    }
+
+    /// The digest of everything fed.
+    pub fn finish(self) -> Digest128 {
+        Digest128 {
+            hi: self.a,
+            lo: self.b,
+        }
+    }
+}
+
+impl Default for WordDigest {
+    fn default() -> Self {
+        WordDigest::new()
+    }
 }
 
 /// Fingerprints a whole extent of one-word pages in a single pass:
@@ -228,6 +264,21 @@ mod tests {
             digest_pages_into(&words, &mut out);
         }
         assert_eq!(out.capacity(), cap, "steady-state calls must not regrow");
+    }
+
+    #[test]
+    fn streamed_digest_equals_the_one_shot_fold_for_any_chunking() {
+        let mut rng = SimRng::new(0x5717_ea3d);
+        let words: Vec<u64> = (0..300_000).map(|_| rng.next_u64()).collect();
+        let whole = digest_words(&words);
+        for chunk in [1usize, 7, 4096, 262_144] {
+            let mut d = WordDigest::new();
+            for piece in words.chunks(chunk) {
+                d.update(piece);
+            }
+            assert_eq!(d.finish(), whole, "chunk={chunk}");
+        }
+        assert_eq!(WordDigest::default().finish(), digest_words(&[]));
     }
 
     #[test]

@@ -176,27 +176,6 @@ impl Hypervisor for XenHypervisor {
         Ok(machine.ram().read(mfn)?)
     }
 
-    fn read_guest_many(
-        &self,
-        machine: &Machine,
-        id: VmId,
-        gfns: &[Gfn],
-    ) -> Result<Vec<u64>, HtpError> {
-        // One domain lookup and one tandem P2M walk per batch instead of
-        // a BTreeMap range query per page (see `P2m::translate_many`).
-        let d = self.dom(id)?;
-        let mfns = d
-            .p2m
-            .translate_many(gfns)
-            .map_err(|_| HtpError::UnknownVm(id))?;
-        let ram = machine.ram();
-        let mut out = Vec::with_capacity(mfns.len());
-        for mfn in mfns {
-            out.push(ram.read(mfn)?);
-        }
-        Ok(out)
-    }
-
     fn read_guest_into(
         &self,
         machine: &Machine,
@@ -237,11 +216,37 @@ impl Hypervisor for XenHypervisor {
         gfn: Gfn,
         content: u64,
     ) -> Result<(), HtpError> {
+        self.write_guest_many(machine, id, &[(gfn, content)])
+    }
+
+    fn write_guest_many(
+        &mut self,
+        machine: &mut Machine,
+        id: VmId,
+        writes: &[(Gfn, u64)],
+    ) -> Result<(), HtpError> {
+        if writes.is_empty() {
+            return Ok(());
+        }
+        // One domain lookup and one P2M cursor per batch
+        // (`P2m::write_pages`); a RAM error stops the walk before the page
+        // is logged dirty.
         let d = self.dom_mut(id)?;
-        let mfn = d.p2m.translate(gfn).map_err(|_| HtpError::UnknownVm(id))?;
-        machine.ram_mut().write(mfn, content)?;
-        d.p2m.mark_dirty(gfn);
-        Ok(())
+        let ram = machine.ram_mut();
+        let mut mem_err: Option<hypertp_machine::MemError> = None;
+        d.p2m
+            .write_pages(writes, &mut |mfn, word| match ram.write(mfn, word) {
+                Ok(()) => true,
+                Err(e) => {
+                    mem_err = Some(e);
+                    false
+                }
+            })
+            .map_err(|_| HtpError::UnknownVm(id))?;
+        match mem_err {
+            Some(e) => Err(e.into()),
+            None => Ok(()),
+        }
     }
 
     fn guest_tick(
@@ -268,10 +273,7 @@ impl Hypervisor for XenHypervisor {
             v.hw.gprs[0] = v.hw.gprs[0].wrapping_add(1);
             v.hw.tsc = v.hw.tsc.wrapping_add(1000 + dirty_pages * 50);
         }
-        for (gfn, val) in writes {
-            self.write_guest(machine, id, gfn, val)?;
-        }
-        Ok(())
+        self.write_guest_many(machine, id, &writes)
     }
 
     fn enable_dirty_log(&mut self, id: VmId) -> Result<(), HtpError> {

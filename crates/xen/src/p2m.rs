@@ -6,7 +6,10 @@
 //! frame map) are what PRAM records, while the table structure itself is
 //! rebuilt by the target hypervisor.
 
+use std::collections::btree_map::Range;
 use std::collections::{BTreeMap, BTreeSet};
+use std::iter::Peekable;
+use std::ops::Bound;
 
 use hypertp_machine::{Extent, Gfn, Mfn};
 
@@ -69,107 +72,60 @@ impl P2m {
 
     /// Translates a GFN to its machine frame.
     pub fn translate(&self, gfn: Gfn) -> Result<Mfn, P2mError> {
-        let (&base, e) = self
-            .entries
-            .range(..=gfn.0)
-            .next_back()
-            .ok_or(P2mError::NotMapped { gfn })?;
-        if gfn.0 < base + e.pages() {
-            Ok(e.base + (gfn.0 - base))
-        } else {
-            Err(P2mError::NotMapped { gfn })
-        }
+        let (base, e) = entry_of(&self.entries, gfn)?;
+        Ok(e.base + (gfn.0 - base))
     }
 
-    /// Translates a batch of GFNs, exploiting sorted input.
-    ///
-    /// Migration gathers hand in ascending GFN lists (round one walks the
-    /// address space in order; later rounds come from the `BTreeSet`
-    /// dirty log), so instead of one `O(log n)` range query per page this
-    /// walks the entry map and the input in tandem — `O(n + m)` for the
-    /// whole batch. A non-monotonic input degrades gracefully to
-    /// per-GFN [`P2m::translate`] for the out-of-order stretch; results
-    /// and errors are identical to the per-page path either way.
-    pub fn translate_many(&self, gfns: &[Gfn]) -> Result<Vec<Mfn>, P2mError> {
-        let mut out = Vec::with_capacity(gfns.len());
-        let mut iter = self.entries.iter().peekable();
-        let mut cur: Option<(u64, Extent)> = None;
-        let mut prev = 0u64;
-        for &g in gfns {
-            if g.0 < prev {
-                // Out-of-order input: the tandem cursor is already past
-                // this GFN, so answer it with a point query.
-                out.push(self.translate(g)?);
-                continue;
-            }
-            prev = g.0;
-            // Advance the cursor to the last entry starting at or below g.
-            while let Some(&(&base, &e)) = iter.peek() {
-                if base <= g.0 {
-                    cur = Some((base, e));
-                    iter.next();
-                } else {
-                    break;
-                }
-            }
-            match cur {
-                Some((base, e)) if g.0 >= base && g.0 < base + e.pages() => {
-                    out.push(e.base + (g.0 - base));
-                }
-                _ => return Err(P2mError::NotMapped { gfn: g }),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Translates a batch like [`P2m::translate_many`] but hands the
-    /// caller physically-contiguous `(base MFN, page count)` runs instead
-    /// of one MFN per page, and allocates nothing. Consecutive GFNs that
-    /// land on consecutive machine frames coalesce into one visit, so the
-    /// zero-copy gather path turns each run into a single RAM slice
-    /// borrow. Translation errors are identical to the per-page path;
-    /// runs visited before the failing GFN have already been delivered.
+    /// Translates a batch in order and hands the caller
+    /// physically-contiguous `(base MFN, page count)` runs instead of one
+    /// MFN per page, allocating nothing: consecutive GFNs that land on
+    /// consecutive machine frames coalesce into one visit, so the zero-copy
+    /// gather path turns each run into a single RAM slice borrow. One
+    /// `Cursor` serves the batch. Translation errors are identical to
+    /// [`P2m::translate`]'s; runs visited before the failing GFN have
+    /// already been delivered.
     pub fn translate_runs(
         &self,
         gfns: &[Gfn],
         visit: &mut dyn FnMut(Mfn, u64),
     ) -> Result<(), P2mError> {
-        let mut iter = self.entries.iter().peekable();
-        let mut cur: Option<(u64, Extent)> = None;
-        let mut prev = 0u64;
+        let mut cursor = Cursor::new(&self.entries);
         let mut run: Option<(Mfn, u64)> = None;
         for &g in gfns {
-            let m = if g.0 < prev {
-                // Out-of-order input: point query, same as translate_many.
-                self.translate(g)?
-            } else {
-                prev = g.0;
-                while let Some(&(&base, &e)) = iter.peek() {
-                    if base <= g.0 {
-                        cur = Some((base, e));
-                        iter.next();
-                    } else {
-                        break;
-                    }
-                }
-                match cur {
-                    Some((base, e)) if g.0 >= base && g.0 < base + e.pages() => {
-                        e.base + (g.0 - base)
-                    }
-                    _ => return Err(P2mError::NotMapped { gfn: g }),
-                }
-            };
-            match run {
-                Some((b, n)) if b.0 + n == m.0 => run = Some((b, n + 1)),
+            let m = cursor.translate(g)?;
+            run = match run {
+                Some((b, n)) if b.0 + n == m.0 => Some((b, n + 1)),
                 Some((b, n)) => {
                     visit(b, n);
-                    run = Some((m, 1));
+                    Some((m, 1))
                 }
-                None => run = Some((m, 1)),
-            }
+                None => Some((m, 1)),
+            };
         }
         if let Some((b, n)) = run {
             visit(b, n);
+        }
+        Ok(())
+    }
+
+    /// Guest writes, in order: translates each `(gfn, word)` of `writes`
+    /// with one `Cursor`, hands the frame and word to `store`, then logs
+    /// the page dirty if log-dirty mode is on. Stops with `NotMapped` at
+    /// the first unmapped GFN, or as soon as `store` returns `false` (that
+    /// page left unlogged); every earlier page is stored and logged.
+    pub fn write_pages(
+        &mut self,
+        writes: &[(Gfn, u64)],
+        store: &mut dyn FnMut(Mfn, u64) -> bool,
+    ) -> Result<(), P2mError> {
+        let mut cursor = Cursor::new(&self.entries);
+        for &(g, word) in writes {
+            if !store(cursor.translate(g)?, word) {
+                return Ok(());
+            }
+            if let Some(d) = &mut self.dirty {
+                d.insert(g.0);
+            }
         }
         Ok(())
     }
@@ -204,13 +160,6 @@ impl P2m {
         self.dirty.is_some()
     }
 
-    /// Records a write to `gfn` if log-dirty mode is active.
-    pub fn mark_dirty(&mut self, gfn: Gfn) {
-        if let Some(d) = &mut self.dirty {
-            d.insert(gfn.0);
-        }
-    }
-
     /// Returns and clears the dirty set (Xen's `XEN_DOMCTL_SHADOW_OP_CLEAN`).
     pub fn read_and_clear_dirty(&mut self) -> Vec<Gfn> {
         match &mut self.dirty {
@@ -224,6 +173,77 @@ impl P2m {
     pub fn metadata_bytes(&self) -> u64 {
         let n = self.entries.len() as u64;
         n * 8 + n.div_ceil(512) * 4096
+    }
+}
+
+/// The `(base GFN, extent)` entry covering `gfn`: one range query.
+fn entry_of(entries: &BTreeMap<u64, Extent>, gfn: Gfn) -> Result<(u64, Extent), P2mError> {
+    entries
+        .range(..=gfn.0)
+        .next_back()
+        .map(|(&base, &e)| (base, e))
+        .filter(|&(base, e)| gfn.0 - base < e.pages())
+        .ok_or(P2mError::NotMapped { gfn })
+}
+
+/// The batch translator. It keeps the entry the previous GFN landed in,
+/// so a GFN of the same entry translates with a subtraction and a compare.
+/// A GFN shortly past that entry's end — less than the entry's length
+/// past it — tries the following entry first, through an iterator kept
+/// from one such step to the next, in O(1): every page of an ascending
+/// batch but the first, and most of a sorted dirty set. Any other GFN
+/// costs one `O(log n)` range query, what a lone [`P2m::translate`] costs.
+struct Cursor<'a> {
+    entries: &'a BTreeMap<u64, Extent>,
+    /// The previous GFN's entry: GFNs `first..first + pages` are machine
+    /// frames `base..` (no pages before the first lookup).
+    first: u64,
+    pages: u64,
+    base: Mfn,
+    /// The entries after that one, once a GFN has run past its end.
+    next: Option<Peekable<Range<'a, u64, Extent>>>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(entries: &'a BTreeMap<u64, Extent>) -> Self {
+        Cursor {
+            entries,
+            first: 0,
+            pages: 0,
+            base: Mfn(0),
+            next: None,
+        }
+    }
+
+    fn translate(&mut self, gfn: Gfn) -> Result<Mfn, P2mError> {
+        let off = gfn.0.wrapping_sub(self.first);
+        if off < self.pages {
+            return Ok(self.base + off);
+        }
+        let covers = |(first, e): (u64, Extent)| gfn.0 >= first && gfn.0 - first < e.pages();
+        let mut stepped = None;
+        if gfn.0 > self.first && off < 2 * self.pages {
+            let entries = self.entries;
+            let after = self.first;
+            let next = self.next.get_or_insert_with(|| {
+                entries
+                    .range((Bound::Excluded(after), Bound::Unbounded))
+                    .peekable()
+            });
+            if let Some((&first, &e)) = next.peek().filter(|&(&f, &e)| covers((f, e))) {
+                next.next();
+                stepped = Some((first, e));
+            }
+        }
+        let (first, e) = match stepped {
+            Some(entry) => entry,
+            None => {
+                self.next = None;
+                entry_of(self.entries, gfn)?
+            }
+        };
+        (self.first, self.pages, self.base) = (first, e.pages(), e.base);
+        Ok(e.base + (gfn.0 - first))
     }
 }
 
@@ -269,46 +289,58 @@ mod tests {
     fn log_dirty_cycle() {
         let mut p = P2m::new();
         p.map(Gfn(0), ext(0, 9)).unwrap();
-        p.mark_dirty(Gfn(5)); // Not enabled: dropped.
+        let mut store = |_, _| true;
+        p.write_pages(&[(Gfn(5), 1)], &mut store).unwrap(); // Not enabled: dropped.
         p.enable_log_dirty();
-        p.mark_dirty(Gfn(1));
-        p.mark_dirty(Gfn(2));
-        p.mark_dirty(Gfn(1));
+        assert!(p.read_and_clear_dirty().is_empty());
+        p.write_pages(&[(Gfn(1), 1), (Gfn(2), 2), (Gfn(1), 3)], &mut store)
+            .unwrap();
         assert_eq!(p.read_and_clear_dirty(), vec![Gfn(1), Gfn(2)]);
         assert!(p.read_and_clear_dirty().is_empty());
         p.disable_log_dirty();
         assert!(!p.log_dirty_enabled());
     }
 
+    /// Flattens `translate_runs` back to one MFN per page.
+    fn flat_runs(p: &P2m, gfns: &[Gfn]) -> Result<Vec<Mfn>, P2mError> {
+        let mut flat = Vec::new();
+        p.translate_runs(gfns, &mut |m, n| flat.extend((0..n).map(|i| m + i)))?;
+        Ok(flat)
+    }
+
+    fn per_page(p: &P2m, gfns: &[Gfn]) -> Result<Vec<Mfn>, P2mError> {
+        gfns.iter().map(|&g| p.translate(g)).collect()
+    }
+
     #[test]
-    fn translate_many_matches_per_page_translate() {
+    fn translate_runs_matches_per_page_translate() {
         let mut p = P2m::new();
         // Two runs with a hole between them: gfns 0..512 and 1024..1536.
         p.map(Gfn(0), ext(2048, 9)).unwrap();
         p.map(Gfn(1024), ext(4096, 9)).unwrap();
-        let sorted: Vec<Gfn> = [0u64, 1, 255, 511, 1024, 1300, 1535]
-            .iter()
-            .map(|&g| Gfn(g))
-            .collect();
-        let got = p.translate_many(&sorted).unwrap();
-        for (g, m) in sorted.iter().zip(&got) {
-            assert_eq!(p.translate(*g).unwrap(), *m, "mismatch at {g:?}");
-        }
-        // Out-of-order input falls back to point queries, same answers.
-        let unsorted = vec![Gfn(1535), Gfn(0), Gfn(1024), Gfn(511), Gfn(1)];
-        let got = p.translate_many(&unsorted).unwrap();
-        for (g, m) in unsorted.iter().zip(&got) {
-            assert_eq!(p.translate(*g).unwrap(), *m, "mismatch at {g:?}");
+        // Sorted, then out-of-order input: the same answers either way.
+        for gfns in [
+            vec![0u64, 1, 255, 511, 1024, 1300, 1535],
+            vec![1535, 0, 1024, 511, 1],
+        ] {
+            let gfns: Vec<Gfn> = gfns.into_iter().map(Gfn).collect();
+            assert_eq!(flat_runs(&p, &gfns), per_page(&p, &gfns));
+            assert!(flat_runs(&p, &gfns).is_ok());
         }
         // The hole and the tail fail exactly like `translate`.
-        assert!(p.translate_many(&[Gfn(0), Gfn(512)]).is_err());
-        assert!(p.translate_many(&[Gfn(0), Gfn(700)]).is_err());
-        assert!(p.translate_many(&[Gfn(1536)]).is_err());
-        assert_eq!(p.translate_many(&[]).unwrap(), Vec::<Mfn>::new());
+        for gfns in [
+            vec![Gfn(0), Gfn(512)],
+            vec![Gfn(0), Gfn(700)],
+            vec![Gfn(1536)],
+        ] {
+            assert_eq!(flat_runs(&p, &gfns), per_page(&p, &gfns));
+            assert!(flat_runs(&p, &gfns).is_err());
+        }
+        assert_eq!(flat_runs(&p, &[]), Ok(vec![]));
     }
 
     #[test]
-    fn translate_runs_coalesces_and_matches_translate_many() {
+    fn translate_runs_coalesces_physically_contiguous_pages() {
         let mut p = P2m::new();
         p.map(Gfn(0), ext(2048, 9)).unwrap(); // gfn 0..512 -> mfn 2048..
         p.map(Gfn(512), ext(8192, 9)).unwrap(); // gfn 512..1024 -> mfn 8192..
@@ -326,14 +358,9 @@ mod tests {
             vec![1023, 0, 511, 512],
         ] {
             let gfns: Vec<Gfn> = gfns.into_iter().map(Gfn).collect();
-            let mut flat = Vec::new();
-            p.translate_runs(&gfns, &mut |m, n| {
-                flat.extend((0..n).map(|i| m + i));
-            })
-            .unwrap();
-            assert_eq!(flat, p.translate_many(&gfns).unwrap());
+            assert_eq!(flat_runs(&p, &gfns), per_page(&p, &gfns));
         }
-        // Unmapped GFNs fail like translate_many.
+        // Unmapped GFNs fail like `translate`.
         assert!(p
             .translate_runs(&[Gfn(0), Gfn(2000)], &mut |_, _| {})
             .is_err());
@@ -391,10 +418,25 @@ mod proptests {
                 gfn += order.pages();
                 mfn += order.pages();
             }
+            let mut pages: Vec<(Gfn, Mfn)> = Vec::new();
             for &(g, m, n) in &truth {
                 for off in 0..n {
                     assert_eq!(p.translate(Gfn(g + off)).unwrap(), Mfn(m + off));
+                    pages.push((Gfn(g + off), Mfn(m + off)));
                 }
+            }
+            // The batch cursor agrees in ascending, descending and random
+            // order.
+            let shuffled: Vec<(Gfn, Mfn)> = (0..pages.len())
+                .map(|_| pages[rng.gen_range(pages.len() as u64) as usize])
+                .collect();
+            let descending = pages.iter().rev().copied().collect();
+            for order in [pages, descending, shuffled] {
+                let gfns: Vec<Gfn> = order.iter().map(|&(g, _)| g).collect();
+                let mut flat = Vec::new();
+                p.translate_runs(&gfns, &mut |m, n| flat.extend((0..n).map(|i| m + i)))
+                    .unwrap();
+                assert!(flat.iter().eq(order.iter().map(|(_, m)| m)));
             }
             // A GFN beyond the layout fails.
             assert!(p.translate(Gfn(gfn + 1)).is_err());

@@ -1,11 +1,13 @@
 //! Allocation probe for the zero-copy wire path: once the reusable
-//! buffers are warm, the steady-state hot loop — gather words, digest,
-//! classify/encode into the frame ring, apply the ring's views — must
-//! not touch the allocator at all. A counting global allocator asserts
-//! this directly, and the engine's own [`hypertp_migrate::ScratchStats`]
-//! probe (capacity-growth events on the shared scratch) asserts the same
-//! invariant across whole migrations, where pool threads and report
-//! construction put the raw counter out of reach.
+//! buffers are warm, the steady-state hot loop — digest, classify/encode
+//! into the frame ring, apply the ring's views, land the changed pages on
+//! a real KVM guest with one `write_guest_many` — must not touch the
+//! allocator at all. A counting global allocator asserts this directly,
+//! and the engine's own [`hypertp_migrate::ScratchStats`] probe
+//! (capacity-growth events on the shared scratch) asserts the same
+//! invariant across whole migrations, cut-over verification included,
+//! where pool threads and report construction put the raw counter out of
+//! reach.
 //!
 //! The same counter pins the control plane's two per-disclosure
 //! mechanisms: the synthetic fleet view derives a VM without allocating,
@@ -55,28 +57,43 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Reusable buffers of the destination half of a round.
+#[derive(Default)]
+struct Landing {
+    current: Vec<u64>,
+    writes: Vec<(Gfn, u64)>,
+}
+
 /// One encode+apply round over the reusable buffers, exactly the shapes
-/// the engine's ring path uses.
+/// the engine's ring path uses: the destination half probes the guest's
+/// current words with one batched read and lands the changed pages with
+/// one `write_guest_many`, as `apply_ring` does.
 fn round(
     cache: &TransferCache,
     ring: &mut FrameRing,
     gfns: &[Gfn],
     words: &[u64],
     digests: &mut Vec<Digest128>,
-    current: &mut [u64],
+    dst: (&mut Machine, &mut dyn Hypervisor, VmId),
+    landing: &mut Landing,
 ) -> u64 {
+    let (m, hv, id) = dst;
     digest_pages_into(words, digests);
     cache.begin_round();
     ring.restart();
     ring.begin();
     let wb = cache.encode_batch_into(7, gfns, words, digests, ring);
-    // Apply side: walk the borrowed views against a reused "destination
-    // RAM" vector, as `apply_ring` does.
-    for (i, view) in ring.iter().enumerate() {
-        let cur = current[i];
+    hv.read_guest_into(m, id, gfns, &mut landing.current)
+        .expect("mapped gfns");
+    landing.writes.clear();
+    for (view, (&g, &cur)) in ring.iter().zip(gfns.iter().zip(&landing.current)) {
         let word = cache.apply_view(&view, cur).expect("self-produced frame");
-        current[i] = word;
+        if word != cur {
+            landing.writes.push((g, word));
+        }
     }
+    hv.write_guest_many(m, id, &landing.writes)
+        .expect("mapped gfns");
     cache.commit_round();
     ring.commit();
     wb
@@ -247,31 +264,63 @@ fn ownership_probe() {
 fn main() {
     println!("alloc_probe: steady-state hot path must not allocate");
     // A mixed round: zeros, a recurring word (dup fodder), unique words.
+    // Rounds alternate between two versions of the unique words, so every
+    // round changes pages the destination must write.
     let gfns: Vec<Gfn> = (0..256u64).map(|g| Gfn(g * 3)).collect();
-    let words: Vec<u64> = (0..256u64)
-        .map(|i| match i % 4 {
-            0 => 0,
-            1 => 0x5a5a_5a5a,
-            _ => i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
-        })
-        .collect();
+    let version = |v: u64| -> Vec<u64> {
+        (0..256u64)
+            .map(|i| match i % 4 {
+                0 => 0,
+                1 => 0x5a5a_5a5a,
+                _ => (i ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
+            })
+            .collect()
+    };
+    let versions = [version(0), version(0x1000)];
     let cache = TransferCache::new();
     let mut ring = FrameRing::new();
     let mut digests = Vec::new();
-    let mut current = vec![0u64; gfns.len()];
+    let mut landing = Landing::default();
+    // The destination: a KVM guest with dirty logging on, so each write
+    // also marks its slot's bitmap.
+    let mut spec = MachineSpec::m1();
+    spec.ram_gb = 2;
+    let mut m = Machine::new(spec);
+    let mut kvm = KvmHypervisor::new(&mut m);
+    let id = kvm.create_vm(&mut m, &VmConfig::small("landing")).unwrap();
+    kvm.enable_dirty_log(id).unwrap();
 
-    // Warm-up: two rounds. The first populates the dedup cache and sizes
-    // every buffer; the second settles classification (unique words now
-    // classify as dups) and journal capacities.
-    for _ in 0..2 {
-        round(&cache, &mut ring, &gfns, &words, &mut digests, &mut current);
+    // Warm-up: four rounds, two of each version. The first populates the
+    // dedup cache and sizes every buffer; the rest settle classification
+    // (unique words now classify as dups) and journal capacities.
+    for words in versions.iter().cycle().take(4) {
+        let dst = (&mut m, &mut kvm as &mut dyn Hypervisor, id);
+        round(
+            &cache,
+            &mut ring,
+            &gfns,
+            words,
+            &mut digests,
+            dst,
+            &mut landing,
+        );
     }
     let grows_before = ring.grows();
+    kvm.collect_dirty(id).unwrap();
 
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut wire_bytes = 0u64;
-    for _ in 0..100 {
-        wire_bytes += round(&cache, &mut ring, &gfns, &words, &mut digests, &mut current);
+    for words in versions.iter().cycle().take(100) {
+        let dst = (&mut m, &mut kvm as &mut dyn Hypervisor, id);
+        wire_bytes += round(
+            &cache,
+            &mut ring,
+            &gfns,
+            words,
+            &mut digests,
+            dst,
+            &mut landing,
+        );
     }
     let after = ALLOCS.load(Ordering::Relaxed);
 
@@ -282,6 +331,12 @@ fn main() {
         "steady-state encode+apply must not allocate"
     );
     assert_eq!(ring.grows(), grows_before, "ring regrew after warm-up");
+    // Round 99 landed the second version, and the rounds rewrote exactly
+    // the unique pages.
+    let mut landed = Vec::new();
+    kvm.read_guest_into(&m, id, &gfns, &mut landed).unwrap();
+    assert_eq!(landed, versions[1], "the guest holds the last round");
+    assert_eq!(kvm.collect_dirty(id).unwrap().len(), gfns.len() / 2);
 
     // Part 2 — whole-migration version of the same invariant, via the
     // engine's capacity-growth probe: a second same-shape migration
@@ -297,6 +352,7 @@ fn main() {
     let tp = MigrationTp::new().with_config(MigrationConfig {
         wire_mode: WireMode::ContentAware,
         dirty_rate_pages_per_sec: 500.0,
+        verify_contents: true,
         ..MigrationConfig::default()
     });
 
@@ -328,7 +384,10 @@ fn main() {
         "second same-shape migration must not regrow any scratch buffer"
     );
     assert_eq!(steady.ring_capacity, warm.ring_capacity);
-    println!("alloc_probe: ok (0 hot-path allocations over 100 rounds, no scratch regrowth)");
+    println!(
+        "alloc_probe: ok (0 hot-path allocations over 100 rounds landed on a KVM guest, \
+         no scratch regrowth with verification on)"
+    );
 
     control_plane_probe();
     hostile_count_probe();

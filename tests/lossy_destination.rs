@@ -1,0 +1,242 @@
+//! The cut-over checks verify: a destination that silently loses one page
+//! write fails the migration. `verify_contents` gathers both guests into
+//! the engine's reused round buffers and compares them in pool chunks, and
+//! the §4.2 proxy compares streamed checksums at `Done`/`DoneAck`; neither
+//! may report success over a destination that differs from the source.
+
+use hypertp::core::{HtpError, MemSepReport, RestoredVm};
+use hypertp::machine::Extent;
+use hypertp::migrate::{guest_checksum, run_source, DestProxy, InProcTransport};
+use hypertp::prelude::*;
+use hypertp::sim::WorkerPool;
+use hypertp::uisr::UisrVm;
+
+/// A hypervisor that forwards everything to `inner` but drops every
+/// write to one guest page, through either write entry point.
+struct LossyHv {
+    inner: Box<dyn Hypervisor>,
+    lost: Gfn,
+    dropped: u64,
+}
+
+impl LossyHv {
+    fn new(inner: Box<dyn Hypervisor>, lost: Gfn) -> Self {
+        LossyHv {
+            inner,
+            lost,
+            dropped: 0,
+        }
+    }
+}
+
+impl Hypervisor for LossyHv {
+    fn kind(&self) -> HypervisorKind {
+        self.inner.kind()
+    }
+    fn version(&self) -> &str {
+        self.inner.version()
+    }
+    fn create_vm(&mut self, m: &mut Machine, config: &VmConfig) -> Result<VmId, HtpError> {
+        self.inner.create_vm(m, config)
+    }
+    fn destroy_vm(&mut self, m: &mut Machine, id: VmId) -> Result<(), HtpError> {
+        self.inner.destroy_vm(m, id)
+    }
+    fn pause_vm(&mut self, id: VmId) -> Result<(), HtpError> {
+        self.inner.pause_vm(id)
+    }
+    fn resume_vm(&mut self, id: VmId) -> Result<(), HtpError> {
+        self.inner.resume_vm(id)
+    }
+    fn vm_state(&self, id: VmId) -> Result<VmState, HtpError> {
+        self.inner.vm_state(id)
+    }
+    fn vm_ids(&self) -> Vec<VmId> {
+        self.inner.vm_ids()
+    }
+    fn vm_config(&self, id: VmId) -> Result<&VmConfig, HtpError> {
+        self.inner.vm_config(id)
+    }
+    fn find_vm(&self, name: &str) -> Option<VmId> {
+        self.inner.find_vm(name)
+    }
+    fn guest_memory_map(&self, id: VmId) -> Result<Vec<(Gfn, Extent)>, HtpError> {
+        self.inner.guest_memory_map(id)
+    }
+    fn read_guest(&self, m: &Machine, id: VmId, gfn: Gfn) -> Result<u64, HtpError> {
+        self.inner.read_guest(m, id, gfn)
+    }
+    fn read_guest_into(
+        &self,
+        m: &Machine,
+        id: VmId,
+        gfns: &[Gfn],
+        out: &mut Vec<u64>,
+    ) -> Result<(), HtpError> {
+        self.inner.read_guest_into(m, id, gfns, out)
+    }
+    fn write_guest(
+        &mut self,
+        m: &mut Machine,
+        id: VmId,
+        gfn: Gfn,
+        content: u64,
+    ) -> Result<(), HtpError> {
+        if gfn == self.lost {
+            self.dropped += 1;
+            return Ok(());
+        }
+        self.inner.write_guest(m, id, gfn, content)
+    }
+    fn write_guest_many(
+        &mut self,
+        m: &mut Machine,
+        id: VmId,
+        writes: &[(Gfn, u64)],
+    ) -> Result<(), HtpError> {
+        let kept: Vec<(Gfn, u64)> = writes
+            .iter()
+            .copied()
+            .filter(|&(gfn, _)| gfn != self.lost)
+            .collect();
+        self.dropped += (writes.len() - kept.len()) as u64;
+        self.inner.write_guest_many(m, id, &kept)
+    }
+    fn guest_tick(&mut self, m: &mut Machine, id: VmId, dirty_pages: u64) -> Result<(), HtpError> {
+        self.inner.guest_tick(m, id, dirty_pages)
+    }
+    fn enable_dirty_log(&mut self, id: VmId) -> Result<(), HtpError> {
+        self.inner.enable_dirty_log(id)
+    }
+    fn collect_dirty(&mut self, id: VmId) -> Result<Vec<Gfn>, HtpError> {
+        self.inner.collect_dirty(id)
+    }
+    fn save_uisr(&self, m: &Machine, id: VmId) -> Result<UisrVm, HtpError> {
+        self.inner.save_uisr(m, id)
+    }
+    fn prepare_incoming(&mut self, m: &mut Machine, config: &VmConfig) -> Result<VmId, HtpError> {
+        self.inner.prepare_incoming(m, config)
+    }
+    fn restore_uisr(
+        &mut self,
+        m: &mut Machine,
+        id: VmId,
+        uisr: &UisrVm,
+    ) -> Result<RestoredVm, HtpError> {
+        self.inner.restore_uisr(m, id, uisr)
+    }
+    fn adopt_vm(
+        &mut self,
+        m: &mut Machine,
+        uisr: &UisrVm,
+        mappings: &[(Gfn, Extent)],
+    ) -> Result<RestoredVm, HtpError> {
+        self.inner.adopt_vm(m, uisr, mappings)
+    }
+    fn notify_prepare_transplant(
+        &mut self,
+        m: &mut Machine,
+        id: VmId,
+    ) -> Result<SimDuration, HtpError> {
+        self.inner.notify_prepare_transplant(m, id)
+    }
+    fn memsep_report(&self, m: &Machine) -> MemSepReport {
+        self.inner.memsep_report(m)
+    }
+}
+
+/// The page the destination loses, and the word the source puts there.
+const LOST: Gfn = Gfn(4242);
+const WORD: u64 = 0xc0ff_ee00_0000_0001;
+
+/// A Xen source with `WORD` at `LOST`, and an empty KVM destination that
+/// loses writes to `lost`.
+fn world(lost: Gfn) -> (Machine, Box<dyn Hypervisor>, VmId, Machine, LossyHv) {
+    let clock = SimClock::new();
+    let mut src_m = Machine::with_clock(MachineSpec::m1(), clock.clone());
+    let mut dst_m = Machine::with_clock(MachineSpec::m1(), clock);
+    let mut src: Box<dyn Hypervisor> = Box::new(XenHypervisor::new(&mut src_m));
+    let dst = LossyHv::new(Box::new(KvmHypervisor::new(&mut dst_m)), lost);
+    let id = src
+        .create_vm(&mut src_m, &VmConfig::small("lossy"))
+        .unwrap();
+    for k in 0..256u64 {
+        src.write_guest(&mut src_m, id, Gfn(k * 97), k | 0x5eed_0000)
+            .unwrap();
+    }
+    src.write_guest(&mut src_m, id, LOST, WORD).unwrap();
+    (src_m, src, id, dst_m, dst)
+}
+
+fn config(wire_mode: WireMode) -> MigrationConfig {
+    MigrationConfig {
+        verify_contents: true,
+        wire_mode,
+        dirty_rate_pages_per_sec: 200.0,
+        ..MigrationConfig::default()
+    }
+}
+
+#[test]
+fn verify_contents_catches_a_lost_write() {
+    for wire_mode in [WireMode::Raw, WireMode::ContentAware] {
+        for workers in [1, 4] {
+            let case = format!("{wire_mode:?}, {workers} worker(s)");
+            let tp = MigrationTp::new()
+                .with_config(config(wire_mode))
+                .with_pool(WorkerPool::new(workers));
+            let (mut src_m, mut src, id, mut dst_m, mut dst) = world(LOST);
+            let err = tp
+                .migrate(&mut src_m, src.as_mut(), id, &mut dst_m, &mut dst)
+                .unwrap_err();
+            assert!(dst.dropped > 0, "{case}: the write was never attempted");
+            assert_eq!(
+                err,
+                HtpError::IntegrityViolation {
+                    vm_name: "lossy".into()
+                },
+                "{case}"
+            );
+
+            // The same migration onto a destination that loses nothing the
+            // source holds verifies and lands.
+            let (mut src_m, mut src, id, mut dst_m, mut dst) = world(Gfn(1 << 40));
+            tp.migrate(&mut src_m, src.as_mut(), id, &mut dst_m, &mut dst)
+                .unwrap();
+            assert_eq!(dst.dropped, 0, "{case}");
+        }
+    }
+}
+
+#[test]
+fn proxy_cut_over_catches_a_lost_write() {
+    let (mut src_m, mut src, id, mut dst_m, mut dst) = world(LOST);
+    let tp = MigrationTp::new().with_config(config(WireMode::ContentAware));
+    let (mut ta, mut tb) = InProcTransport::pair();
+    let (source, dest) = std::thread::scope(|s| {
+        let dest = s.spawn(|| DestProxy::new().serve(&mut dst_m, &mut dst, &mut tb));
+        let source = run_source(&tp, &mut src_m, src.as_mut(), id, &mut ta);
+        // Hang up, so a destination still waiting gives up too.
+        drop(ta);
+        (source, dest.join().expect("destination proxy panicked"))
+    });
+    assert_eq!(
+        source.unwrap_err(),
+        HtpError::IntegrityViolation {
+            vm_name: "lossy".into()
+        }
+    );
+    // The destination resumed what it holds and reported its checksum,
+    // which is not the source's; the source destroyed nothing.
+    let report = dest.unwrap();
+    assert!(dst.dropped > 0);
+    let gfns: Vec<Gfn> = src
+        .guest_memory_map(id)
+        .unwrap()
+        .iter()
+        .flat_map(|&(g, e)| (g.0..g.0 + e.pages()).map(Gfn))
+        .collect();
+    let src_checksum = guest_checksum(&src_m, src.as_ref(), id, &gfns).unwrap();
+    assert_ne!(report.checksum, src_checksum);
+    assert_eq!(src.vm_ids(), vec![id]);
+}
