@@ -8,6 +8,11 @@
 //! machines cheaply. Small tests that need real bytes can attach a byte
 //! buffer to a frame; its content word is then a hash of the bytes, so the
 //! two views stay consistent.
+//!
+//! Most of a guest's frames hold zero words, so RAM keeps a one-bit
+//! summary per eight frames (a *line*) whose clear bits prove a line zero.
+//! The integrity fold and the boot scrub read only the lines the summary
+//! cannot prove zero, and their results are exactly those of reading all.
 
 use std::collections::HashMap;
 
@@ -59,9 +64,18 @@ impl From<BuddyError> for MemError {
 /// bit per frame, so every ownership operation on a frame range is a walk
 /// over the words it overlaps — eight for a huge page — and the sweeps over
 /// all of RAM (kexec, boot scrub) read 1 bit per frame instead of 2 bytes.
+///
+/// `contents` has three mutators — [`PhysicalMemory::write`],
+/// [`PhysicalMemory::write_bytes`] and [`PhysicalMemory::scrub_unreserved`]
+/// — and each keeps the zero-line summary `lines` true as it goes.
 #[derive(Debug)]
 pub struct PhysicalMemory {
     contents: Vec<u64>,
+    /// The zero-line summary, bit `l` for frames `8l..8l + 8`. Invariant:
+    /// a clear bit means the line's content words are all zero. Writes set
+    /// bits (a zero write leaves its bit set, which costs a skip, never a
+    /// wrong result); only the boot scrub clears them.
+    lines: Vec<u64>,
     /// Bit set while some owner holds the frame (cleared by kexec).
     allocated: Vec<u64>,
     /// Bit set if the frame is protected by a parsed PRAM reservation.
@@ -76,6 +90,7 @@ impl PhysicalMemory {
     pub fn new(total_frames: u64) -> Self {
         PhysicalMemory {
             contents: vec![0; total_frames as usize],
+            lines: vec![0; bits::words_for(total_frames.div_ceil(LINE))],
             allocated: vec![0; bits::words_for(total_frames)],
             reserved: vec![0; bits::words_for(total_frames)],
             buddy: BuddyAllocator::new(total_frames),
@@ -138,6 +153,9 @@ impl PhysicalMemory {
     pub fn write(&mut self, mfn: Mfn, content: u64) -> Result<(), MemError> {
         let i = self.owned(mfn)?;
         self.contents[i] = content;
+        // No branch: the migrations land every page through here.
+        let line = mfn.0 / LINE;
+        self.lines[(line / 64) as usize] |= u64::from(content != 0) << (line % 64);
         // Almost no frame is byte-backed: skip hashing the key into an
         // empty map on every word write.
         if !self.bytes.is_empty() {
@@ -177,6 +195,8 @@ impl PhysicalMemory {
         assert_eq!(data.len() as u64, PAGE_SIZE, "frame writes are page-sized");
         let i = self.owned(mfn)?;
         self.contents[i] = fnv1a(data);
+        let line = mfn.0 / LINE;
+        self.lines[(line / 64) as usize] |= 1 << (line % 64);
         self.bytes.insert(mfn.0, data.to_vec().into_boxed_slice());
         Ok(())
     }
@@ -223,13 +243,22 @@ impl PhysicalMemory {
     /// failure mode the paper's PRAM reservations exist to prevent.
     ///
     /// Returns the number of frames scrubbed.
+    ///
+    /// A 64-frame block is eight lines, one byte of the zero-line summary:
+    /// a block the summary proves zero is skipped unread, and a block with
+    /// unowned frames has its byte recomputed from the words just zeroed.
     pub fn scrub_unreserved(&mut self) -> u64 {
         let mut scrubbed = 0;
         for (w, frames) in self.contents.chunks_mut(64).enumerate() {
+            // A summary word covers eight blocks.
+            let (summary, shift) = (&mut self.lines[w / 8], w % 8 * 8);
+            if *summary >> shift & 0xff == 0 {
+                continue;
+            }
             // Neither bitmap ever has a bit past the last frame; the last
             // chunk is as short as the frames that are left.
             let mut unowned = !(self.allocated[w] | self.reserved[w]) & (!0 >> (64 - frames.len()));
-            if unowned == !0 && frames.iter().all(|&c| c == 0) {
+            if unowned == 0 {
                 continue;
             }
             while unowned != 0 {
@@ -241,6 +270,11 @@ impl PhysicalMemory {
                     scrubbed += 1;
                 }
             }
+            let mut live = 0u64;
+            for (l, line) in frames.chunks(LINE as usize).enumerate() {
+                live |= u64::from(line.iter().any(|&c| c != 0)) << l;
+            }
+            *summary = *summary & !(0xff << shift) | live << shift;
         }
         scrubbed
     }
@@ -301,17 +335,8 @@ impl PhysicalMemory {
     ///
     /// The checksum is defined as per-extent partial hashes combined in
     /// extent order, so partials can be computed on any number of worker
-    /// threads without changing the result. This convenience wrapper runs
-    /// on the default pool ([`hypertp_sim::WorkerPool::from_env`], i.e.
-    /// `HYPERTP_WORKERS` or the machine's available parallelism); callers
-    /// on a latency-sensitive path can pass their own pool via
-    /// [`PhysicalMemory::checksum_with_pool`].
-    pub fn checksum(&self, extents: &[Extent]) -> u64 {
-        self.checksum_with_pool(extents, &hypertp_sim::WorkerPool::from_env())
-    }
-
-    /// [`PhysicalMemory::checksum`] on an explicit worker pool. Serial and
-    /// parallel runs return identical values for the same extents.
+    /// threads without changing the result: serial and parallel runs return
+    /// identical values for the same extents.
     pub fn checksum_with_pool(&self, extents: &[Extent], pool: &hypertp_sim::WorkerPool) -> u64 {
         combine_partials(&self.extent_partials_with_pool(extents, pool))
     }
@@ -327,11 +352,7 @@ impl PhysicalMemory {
         extents: &[Extent],
         pool: &hypertp_sim::WorkerPool,
     ) -> Vec<u64> {
-        // Fan out only when the work amortizes thread spawn: below ~128 MiB
-        // of frames the serial loop wins.
-        const PAR_THRESHOLD_FRAMES: u64 = 1 << 15;
-        let total: u64 = extents.iter().map(|e| e.pages()).sum();
-        if pool.workers() <= 1 || extents.len() <= 1 || total < PAR_THRESHOLD_FRAMES {
+        if !self.fans_out(pool, extents.iter()) {
             extents.iter().map(|e| self.extent_partial(e)).collect()
         } else {
             // One contiguous run of extents per worker: a 4 KiB-page guest
@@ -362,9 +383,7 @@ impl PhysicalMemory {
             partials.len(),
             "partials cache must be indexed like extents"
         );
-        const PAR_THRESHOLD_FRAMES: u64 = 1 << 15;
-        let total: u64 = dirty.iter().map(|&i| extents[i].pages()).sum();
-        if pool.workers() <= 1 || dirty.len() <= 1 || total < PAR_THRESHOLD_FRAMES {
+        if !self.fans_out(pool, dirty.iter().map(|&i| &extents[i])) {
             for &i in dirty {
                 partials[i] = self.extent_partial(&extents[i]);
             }
@@ -379,34 +398,108 @@ impl PhysicalMemory {
         }
     }
 
+    /// Whether folding `extents` on `pool` is worth a fan-out: there is more
+    /// than one worker and one extent, and the fold's cost — the words it
+    /// will read (the marked lines and the extents too small to hold a
+    /// line) plus [`EXTENT_WORDS`] an extent — reaches
+    /// [`PAR_THRESHOLD_WORDS`]. Counting stops there.
+    fn fans_out<'a>(
+        &self,
+        pool: &hypertp_sim::WorkerPool,
+        mut extents: impl ExactSizeIterator<Item = &'a Extent>,
+    ) -> bool {
+        if pool.workers() <= 1 || extents.len() <= 1 {
+            return false;
+        }
+        let mut words = 0;
+        extents.any(|e| {
+            let lines = bits::word_masks(whole_lines(e));
+            let marked: u32 = lines.map(|(w, m)| (self.lines[w] & m).count_ones()).sum();
+            words += EXTENT_WORDS + e.pages() % LINE + LINE * u64::from(marked);
+            words >= PAR_THRESHOLD_WORDS
+        })
+    }
+
     /// Order-dependent fold over one extent's content words — the unit of
     /// parallelism for [`PhysicalMemory::checksum_with_pool`].
+    ///
+    /// The fold is `acc = rotl(acc, 5) ^ c·P` per word. Rotation
+    /// distributes over xor, so eight steps collapse to one rotation of the
+    /// accumulator by 40 and eight independent terms: the same value with
+    /// one link in the dependency chain per line. A zero word's term is
+    /// zero, so a line the summary proves zero is exactly `rotl(acc, 40)`,
+    /// and a run of `k` of them one rotation by `40k mod 64`; only the
+    /// lines the summary marks are read.
     pub fn extent_partial(&self, e: &Extent) -> u64 {
         let base = e.base.0 as usize;
         let words = &self.contents[base..base + e.pages() as usize];
-        // The fold is `acc = rotl(acc, 5) ^ c·P` per word. Rotation
-        // distributes over xor, so eight steps collapse to one rotation of
-        // the accumulator by 40 and eight independent terms: the same value
-        // with one link in the dependency chain per eight words.
+        let lines = whole_lines(e);
+        // Where line `l` starts in `words`.
+        let at = |l: u64| ((l - lines.start) * LINE) as usize;
+        let skip = |lines: u64| (40 * lines % 64) as u32;
         let mut acc = 0xcbf2_9ce4_8422_2325u64;
-        let mut chunks = words.chunks_exact(8);
-        for c in &mut chunks {
-            let term = |i: usize| {
-                c[i].wrapping_mul(PARTIAL_PRIME)
-                    .rotate_left(5 * (7 - i as u32))
-            };
-            acc = acc.rotate_left(40)
-                ^ (term(0) ^ term(1))
-                ^ (term(2) ^ term(3))
-                ^ (term(4) ^ term(5))
-                ^ (term(6) ^ term(7));
+        // An extent of under eight frames (every extent of a 4 KiB-page
+        // guest) has no line; skipping the walk's setup for it keeps its
+        // fold within 10 % of a plain loop over its words.
+        if !lines.is_empty() {
+            // The first line not yet folded.
+            let mut next = lines.start;
+            for (w, mask) in bits::word_masks(lines.clone()) {
+                // Each marked line, after the zero lines before it.
+                let mut marked = self.lines[w] & mask;
+                while marked != 0 {
+                    let l = w as u64 * 64 + u64::from(marked.trailing_zeros());
+                    marked &= marked - 1;
+                    acc = fold_line(acc, skip(l + 1 - next), &words[at(l)..][..LINE as usize]);
+                    next = l + 1;
+                }
+            }
+            acc = acc.rotate_left(skip(lines.end - next));
         }
-        for &c in chunks.remainder() {
+        for &c in &words[at(lines.end)..] {
             acc = acc.rotate_left(5) ^ c.wrapping_mul(PARTIAL_PRIME);
         }
         acc
     }
 }
+
+/// Frames per line of the zero-line summary: one unrolled fold step.
+const LINE: u64 = 8;
+
+/// One unrolled step of the [`PhysicalMemory::extent_partial`] fold:
+/// `acc` rotated by `rot`, then the eight terms of the line `c`.
+#[inline(always)]
+fn fold_line(acc: u64, rot: u32, c: &[u64]) -> u64 {
+    let term = |i: usize| {
+        c[i].wrapping_mul(PARTIAL_PRIME)
+            .rotate_left(5 * (7 - i as u32))
+    };
+    acc.rotate_left(rot)
+        ^ (term(0) ^ term(1))
+        ^ (term(2) ^ term(3))
+        ^ (term(4) ^ term(5))
+        ^ (term(6) ^ term(7))
+}
+
+/// The lines `e` covers whole. `Extent::new` aligns the base to the order,
+/// so an extent of eight or more frames is whole lines and a smaller one
+/// covers none.
+fn whole_lines(e: &Extent) -> std::ops::Range<u64> {
+    debug_assert!(e.base.is_aligned(e.order));
+    let first = e.base.0 / LINE;
+    first..first + e.pages() / LINE
+}
+
+/// Fan a checksum out only when its serial fold costs at least this many
+/// read words. Two workers first beat one at about 0.1 ms of serial fold —
+/// 96–128 Ki words of marked lines, or 8–16 Ki order-0 extents — measured
+/// on a 2-hardware-thread Xeon (EXPERIMENTS.md, "Pool fan-out").
+const PAR_THRESHOLD_WORDS: u64 = 1 << 17;
+
+/// What one extent's fold costs beyond the words it reads, in read words:
+/// an order-0 extent, one word and its setup, folds in about 8.7 ns, the
+/// time of ten marked-line words at 0.85 ns each.
+const EXTENT_WORDS: u64 = 8;
 
 /// Multiplier of the [`PhysicalMemory::extent_partial`] fold.
 const PARTIAL_PRIME: u64 = 0x1000_0000_01b3;
@@ -627,10 +720,20 @@ mod tests {
         for mfn in e.frames() {
             ram.write(mfn, mfn.0 * 3).unwrap();
         }
-        let c1 = ram.checksum(&[e]);
+        let serial = hypertp_sim::WorkerPool::serial();
+        let c1 = ram.checksum_with_pool(&[e], &serial);
         ram.write(e.base + 1, 999).unwrap();
-        let c2 = ram.checksum(&[e]);
+        let c2 = ram.checksum_with_pool(&[e], &serial);
         assert_ne!(c1, c2);
+    }
+
+    /// The fold one word at a time, reading every frame: the definition
+    /// the unrolled, line-skipping [`PhysicalMemory::extent_partial`] must
+    /// reproduce.
+    fn one_word_fold(ram: &PhysicalMemory, e: &Extent) -> u64 {
+        e.frames().fold(0xcbf2_9ce4_8422_2325u64, |acc, mfn| {
+            acc.rotate_left(5) ^ ram.read(mfn).unwrap().wrapping_mul(0x1000_0000_01b3)
+        })
     }
 
     #[test]
@@ -642,24 +745,90 @@ mod tests {
             for mfn in e.frames() {
                 ram.write(mfn, rng.next_u64()).unwrap();
             }
-            let scalar = e.frames().fold(0xcbf2_9ce4_8422_2325u64, |acc, mfn| {
-                acc.rotate_left(5) ^ ram.read(mfn).unwrap().wrapping_mul(0x1000_0000_01b3)
-            });
-            assert_eq!(ram.extent_partial(&e), scalar, "order {order}");
+            assert_eq!(
+                ram.extent_partial(&e),
+                one_word_fold(&ram, &e),
+                "order {order}"
+            );
+        }
+    }
+
+    /// Seeded layouts of every order, written at densities from none to
+    /// every frame (zero writes over live words included), then freed,
+    /// scrubbed and carried through a kexec: at each stage the checksum
+    /// equals the one-word fold over every frame, serial and fanned out
+    /// over two workers.
+    #[test]
+    fn line_skipping_checksum_equals_the_one_word_fold() {
+        let serial = hypertp_sim::WorkerPool::serial();
+        let two = hypertp_sim::WorkerPool::new(2);
+        for seed in 0..4u64 {
+            let mut rng = hypertp_sim::SimRng::new(0x5ca1_0000 + seed);
+            let mut ram = PhysicalMemory::new(1 << 20);
+            let mut extents = Vec::new();
+            while extents.iter().map(|e: &Extent| e.pages()).sum::<u64>() < 3 << 18 {
+                let e = ram.alloc(PageOrder(rng.gen_range(10) as u8)).unwrap();
+                let density = [0.0, 0.01, 0.1, 0.5, 1.0][rng.gen_range(5) as usize];
+                for mfn in e.frames() {
+                    if rng.gen_bool(density) {
+                        ram.write(mfn, rng.next_u64() | 1).unwrap();
+                    }
+                    if rng.gen_bool(0.05) {
+                        ram.write(mfn, 0).unwrap();
+                    }
+                }
+                extents.push(e);
+            }
+            let check = |ram: &PhysicalMemory, stage: &str| {
+                let want: Vec<u64> = extents.iter().map(|e| one_word_fold(ram, e)).collect();
+                let want = combine_partials(&want);
+                assert_eq!(
+                    ram.checksum_with_pool(&extents, &serial),
+                    want,
+                    "seed {seed}, {stage}"
+                );
+                assert!(ram.fans_out(&two, extents.iter()), "seed {seed}, {stage}");
+                assert_eq!(
+                    ram.checksum_with_pool(&extents, &two),
+                    want,
+                    "seed {seed}, {stage}"
+                );
+            };
+            check(&ram, "written");
+            for e in extents.iter().skip(1).step_by(2) {
+                ram.free(*e).unwrap();
+            }
+            assert!(
+                ram.scrub_unreserved() > 0,
+                "seed {seed}: free scrubbed nothing"
+            );
+            check(&ram, "freed and scrubbed");
+            ram.forget_ownership();
+            for (i, e) in extents.iter().enumerate() {
+                if i % 2 == 0 && i % 8 != 0 {
+                    ram.reserve_range(e.base, e.pages()).unwrap();
+                }
+            }
+            assert!(
+                ram.scrub_unreserved() > 0,
+                "seed {seed}: kexec scrubbed nothing"
+            );
+            check(&ram, "kexec");
         }
     }
 
     #[test]
     fn checksum_serial_and_parallel_identical() {
-        let mut ram = PhysicalMemory::new(1 << 16);
-        let extents: Vec<Extent> = (0..64).map(|_| ram.alloc(PageOrder(9)).unwrap()).collect();
+        let mut ram = PhysicalMemory::new(1 << 18);
+        let extents: Vec<Extent> = (0..300).map(|_| ram.alloc(PageOrder(9)).unwrap()).collect();
         for e in &extents {
             for mfn in e.frames() {
                 ram.write(mfn, mfn.0 ^ 0x5a5a).unwrap();
             }
         }
-        // 64 × 512 frames ≥ the parallel threshold, so worker counts > 1
-        // actually take the fan-out path.
+        // 300 × 512 written frames ≥ the parallel threshold, so worker
+        // counts > 1 actually take the fan-out path.
+        assert!(ram.fans_out(&hypertp_sim::WorkerPool::new(2), extents.iter()));
         let serial = ram.checksum_with_pool(&extents, &hypertp_sim::WorkerPool::serial());
         for w in [2usize, 4, 8, 32] {
             assert_eq!(
@@ -668,7 +837,6 @@ mod tests {
                 "workers={w}"
             );
         }
-        assert_eq!(serial, ram.checksum(&extents));
     }
 
     #[test]
@@ -720,7 +888,10 @@ mod tests {
             }
         }
         let serial = ram.extent_partials_with_pool(&extents, &hypertp_sim::WorkerPool::serial());
-        assert_eq!(combine_partials(&serial), ram.checksum(&extents));
+        assert_eq!(
+            combine_partials(&serial),
+            ram.checksum_with_pool(&extents, &hypertp_sim::WorkerPool::serial())
+        );
         for w in [2usize, 3, 8, 16] {
             let pooled = ram.extent_partials_with_pool(&extents, &hypertp_sim::WorkerPool::new(w));
             assert_eq!(serial, pooled, "workers={w}");

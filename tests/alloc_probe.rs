@@ -17,8 +17,8 @@
 //! strength of a count it has read from an untrusted blob.
 //!
 //! Last, frame ownership: re-reserving, scrubbing, adopting and releasing
-//! 12 GiB of guest memory, and the buddy allocator under it, allocate
-//! nothing.
+//! 12 GiB of guest memory, folding its integrity checksum, and the buddy
+//! allocator under it, allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -196,7 +196,8 @@ fn hostile_count_probe() {
 }
 
 /// Part 5 — frame ownership on the 12 × 1 GiB world: one micro-reboot's
-/// worth of bookkeeping (forget, re-reserve, scrub, adopt, unreserve) and
+/// worth of bookkeeping (forget, re-reserve, scrub, adopt, unreserve), the
+/// integrity fold over every guest extent on either side of the scrub, and
 /// the allocator's own alloc/free run on memory the RAM already holds.
 fn ownership_probe() {
     use hypertp_machine::buddy::BuddyAllocator;
@@ -209,7 +210,19 @@ fn ownership_probe() {
     for mfn in stray.frames() {
         ram.write(mfn, 7).expect("owned");
     }
+    // A sparse guest image, so the integrity fold has marked lines to read.
+    for (i, e) in guests.iter().enumerate() {
+        ram.write(e.base + (i as u64 * 61) % 512, i as u64 | 1)
+            .expect("owned");
+    }
     let (allocs, scrubbed) = allocs_during(|| {
+        // The integrity fold, serial, at pause and again after the scrub.
+        let fold = |ram: &PhysicalMemory| {
+            guests
+                .iter()
+                .fold(0u64, |acc, e| acc.rotate_left(17) ^ ram.extent_partial(e))
+        };
+        let at_pause = fold(&ram);
         // The kexec: the allocator is reset where it stands.
         ram.forget_ownership();
         for e in &guests {
@@ -218,6 +231,7 @@ fn ownership_probe() {
         // An unaligned range, which shatters the block around it.
         assert_eq!(ram.reserve_range(stray.base + 2, 3), Ok(3));
         let scrubbed = ram.scrub_unreserved();
+        assert_eq!(fold(&ram), at_pause, "the scrub changed guest memory");
         for e in &guests {
             ram.adopt_reserved(e.base, e.pages()).expect("reserved");
         }
@@ -251,8 +265,8 @@ fn ownership_probe() {
         "BuddyAllocator::{{alloc, free}} must not allocate"
     );
     println!(
-        "alloc_probe: ok (0 allocations over a 12 GiB forget/reserve/scrub/adopt/unreserve \
-         cycle and 256 buddy alloc/free pairs)"
+        "alloc_probe: ok (0 allocations over a 12 GiB fold/forget/reserve/scrub/fold/adopt/\
+         unreserve cycle and 256 buddy alloc/free pairs)"
     );
 }
 

@@ -18,7 +18,8 @@ fn booting_without_pram_reservation_destroys_guest_memory() {
     xen.write_guest(&mut m, id, Gfn(1), 0x600D).unwrap();
     let map = xen.guest_memory_map(id).unwrap();
     let extents: Vec<_> = map.iter().map(|(_, e)| *e).collect();
-    let sum_before = m.ram().checksum(&extents);
+    let serial = hypertp::sim::WorkerPool::serial();
+    let sum_before = m.ram().checksum_with_pool(&extents, &serial);
 
     // Kexec without building/parsing PRAM: ownership is forgotten and
     // nothing is reserved.
@@ -31,7 +32,7 @@ fn booting_without_pram_reservation_destroys_guest_memory() {
     let scrubbed = m.ram_mut().scrub_unreserved();
     assert!(scrubbed > 0);
     assert_ne!(
-        m.ram().checksum(&extents),
+        m.ram().checksum_with_pool(&extents, &serial),
         sum_before,
         "guest memory must be gone without PRAM protection"
     );

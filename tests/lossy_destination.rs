@@ -3,6 +3,9 @@
 //! the engine's reused round buffers and compares them in pool chunks, and
 //! the §4.2 proxy compares streamed checksums at `Done`/`DoneAck`; neither
 //! may report success over a destination that differs from the source.
+//! Likewise InPlaceTP's post-adoption checksum fails a target that changes
+//! one guest page as it adopts it, where the zero-line summary lets the
+//! fold skip lines and where it does not.
 
 use hypertp::core::{HtpError, MemSepReport, RestoredVm};
 use hypertp::machine::Extent;
@@ -12,11 +15,14 @@ use hypertp::sim::WorkerPool;
 use hypertp::uisr::UisrVm;
 
 /// A hypervisor that forwards everything to `inner` but drops every
-/// write to one guest page, through either write entry point.
+/// write to one guest page, through either write entry point, and can
+/// write one page of each VM it adopts.
 struct LossyHv {
     inner: Box<dyn Hypervisor>,
     lost: Gfn,
     dropped: u64,
+    /// The page and word written into every adopted VM.
+    on_adopt: Option<(Gfn, u64)>,
 }
 
 impl LossyHv {
@@ -25,6 +31,7 @@ impl LossyHv {
             inner,
             lost,
             dropped: 0,
+            on_adopt: None,
         }
     }
 }
@@ -131,7 +138,11 @@ impl Hypervisor for LossyHv {
         uisr: &UisrVm,
         mappings: &[(Gfn, Extent)],
     ) -> Result<RestoredVm, HtpError> {
-        self.inner.adopt_vm(m, uisr, mappings)
+        let restored = self.inner.adopt_vm(m, uisr, mappings)?;
+        if let Some((gfn, word)) = self.on_adopt {
+            self.inner.write_guest(m, restored.id, gfn, word)?;
+        }
+        Ok(restored)
     }
     fn notify_prepare_transplant(
         &mut self,
@@ -239,4 +250,86 @@ fn proxy_cut_over_catches_a_lost_write() {
     let src_checksum = guest_checksum(&src_m, src.as_ref(), id, &gfns).unwrap();
     assert_ne!(report.checksum, src_checksum);
     assert_eq!(src.vm_ids(), vec![id]);
+}
+
+/// A Xen host with one guest whose every eighth page, over the first
+/// 144 Ki, holds a word: enough marked lines that a two-worker pool fans the
+/// post-adoption checksum out.
+fn inplace_world() -> (Machine, Box<dyn Hypervisor>, VmId) {
+    let mut m = Machine::new(MachineSpec::m1());
+    let mut xen: Box<dyn Hypervisor> = Box::new(XenHypervisor::new(&mut m));
+    let id = xen.create_vm(&mut m, &VmConfig::small("adopted")).unwrap();
+    let writes: Vec<(Gfn, u64)> = (0..18_432u64)
+        .map(|k| (Gfn(8 * k + 3), k | 0x5eed_0000))
+        .collect();
+    xen.write_guest_many(&mut m, id, &writes).unwrap();
+    (m, xen, id)
+}
+
+/// The content words of the eight-frame line that holds `gfn`'s frame.
+fn line_of(m: &Machine, hv: &dyn Hypervisor, id: VmId, gfn: Gfn) -> Vec<u64> {
+    let (start, e) = hv
+        .guest_memory_map(id)
+        .unwrap()
+        .into_iter()
+        .find(|&(g, e)| (g.0..g.0 + e.pages()).contains(&gfn.0))
+        .unwrap();
+    let mfn = e.base.0 + (gfn.0 - start.0);
+    (mfn & !7..(mfn & !7) + 8)
+        .map(|f| m.ram().read(hypertp::machine::Mfn(f)).unwrap())
+        .collect()
+}
+
+/// Kept as one `#[test]` because the two-worker pool is chosen through the
+/// process-wide `HYPERTP_WORKERS`.
+#[test]
+fn inplace_adoption_check_catches_a_changed_page() {
+    // A word in a page that was zero at pause, in a line of zeros (one the
+    // fold skips at the baseline), and a live page zeroed.
+    let zero_line = Gfn(8 * 20_000 + 5);
+    let live = Gfn(8 * 100 + 3);
+    let (m, xen, id) = inplace_world();
+    assert_eq!(line_of(&m, xen.as_ref(), id, zero_line), [0; 8]);
+    assert_ne!(xen.read_guest(&m, id, live).unwrap(), 0);
+
+    for (what, gfn, word) in [
+        ("a word in a zero line", zero_line, 0xbad_c0de),
+        ("a live page zeroed", live, 0),
+    ] {
+        let mut registry = default_registry();
+        registry.register(HypervisorKind::Kvm, move |m| {
+            let mut kvm = LossyHv::new(Box::new(KvmHypervisor::new(m)), Gfn(1 << 40));
+            kvm.on_adopt = Some((gfn, word));
+            Box::new(kvm)
+        });
+        for workers in ["serial", "2"] {
+            let opts = if workers == "serial" {
+                Optimizations {
+                    parallel: false,
+                    ..Optimizations::default()
+                }
+            } else {
+                std::env::set_var("HYPERTP_WORKERS", workers);
+                Optimizations::default()
+            };
+            let engine = InPlaceTransplant::new(&registry).with_optimizations(opts);
+            let (mut m, xen, _) = inplace_world();
+            let err = engine.run(&mut m, xen, HypervisorKind::Kvm).err();
+            std::env::remove_var("HYPERTP_WORKERS");
+            assert_eq!(
+                err,
+                Some(HtpError::IntegrityViolation {
+                    vm_name: "adopted".into()
+                }),
+                "{what}, {workers} workers"
+            );
+        }
+    }
+
+    // Adopting without the change verifies.
+    let registry = default_registry();
+    let (mut m, xen, _) = inplace_world();
+    InPlaceTransplant::new(&registry)
+        .run(&mut m, xen, HypervisorKind::Kvm)
+        .unwrap();
 }
