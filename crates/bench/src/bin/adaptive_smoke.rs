@@ -11,9 +11,9 @@
 //! 2. **Adaptive**: auto-converge enabled. The non-convergence detector
 //!    throttles the hot guests until the dirty set fits under the
 //!    threshold — the stop set, and with it the downtime, collapses.
-//!    The gate invariant: mean downtime drops by at least
-//!    `downtime_cut_floor_pct` at equal-or-lower makespan and
-//!    equal-or-fewer wire bytes.
+//!    The gate invariant: mean downtime drops by at least the floor in
+//!    `harness::GATES` at equal-or-lower makespan and equal-or-fewer
+//!    wire bytes.
 //! 3. **Budgeted**: `downtime_budget` set; every VM (hot or idle) must
 //!    land at or under the budget.
 //! 4. **Scheduled**: the same fleet under bounded concurrency, FIFO vs
@@ -24,8 +24,8 @@
 //! The adaptive run is executed twice and compared field-by-field —
 //! simulated time is deterministic, so CI can gate on exact equality.
 //! Writes `BENCH_adaptive.json` (current directory, override with
-//! `ADAPTIVE_SMOKE_OUT`); `perf_gate adaptive` reads the committed copy
-//! and fails the build if a fresh run regresses.
+//! `ADAPTIVE_SMOKE_OUT`) through `harness::finish`, which fails the run if
+//! a bound of `harness::GATES` or an identity field does not hold.
 
 use hypertp_bench::registry;
 use hypertp_core::{HypervisorKind, VmConfig};
@@ -43,10 +43,6 @@ const MEM_GB: u64 = 1;
 /// order: the hot guests arrive first, so FIFO admission is the naive
 /// worst case the scheduler must beat.
 const RATES: [f64; 4] = [120_000.0, 60_000.0, 20.0, 20.0];
-/// Committed regression floor: adaptive mode must cut the fleet's mean
-/// downtime by at least this percentage vs. the static configuration.
-/// `perf_gate adaptive` enforces it.
-const DOWNTIME_CUT_FLOOR_PCT: f64 = 25.0;
 /// Downtime budget of the budgeted run.
 const BUDGET: SimDuration = SimDuration::from_millis(10);
 
@@ -213,13 +209,8 @@ fn main() {
         adap.makespan.as_secs_f64(),
         adap.total_bytes()
     );
-    println!("  mean downtime cut: {cut_pct:.1}% (floor {DOWNTIME_CUT_FLOOR_PCT}%)");
+    println!("  mean downtime cut: {cut_pct:.1}%");
     println!("  deterministic rerun identical: {deterministic}");
-    assert!(deterministic, "adaptive fleet must be deterministic");
-    assert!(
-        cut_pct >= DOWNTIME_CUT_FLOOR_PCT,
-        "adaptive downtime cut {cut_pct:.1}% below floor {DOWNTIME_CUT_FLOOR_PCT}%"
-    );
     assert!(
         adap.makespan <= stat.makespan,
         "adaptive must not lengthen the campaign: {:?} > {:?}",
@@ -260,10 +251,6 @@ fn main() {
         ms(max_downtime),
         ms(BUDGET)
     );
-    assert!(
-        max_downtime <= BUDGET,
-        "budget violated: {max_downtime:?} > {BUDGET:?}"
-    );
 
     // 4. Fleet scheduler: bounded concurrency, FIFO vs SPDF admission.
     // The hot guests arrive first in input order, so FIFO parks both on
@@ -287,10 +274,6 @@ fn main() {
         spdf.mean_ready().as_secs_f64(),
         spdf.admission,
     );
-    assert!(
-        spdf.mean_ready() < fifo.mean_ready(),
-        "SPDF must cut the mean VM-ready time"
-    );
     // The makespan is pinned by the hot guests under either order (they
     // merely swap slots); only shared-wire-cache encoding order shifts
     // it by microseconds. Guard against a real regression, not noise.
@@ -310,7 +293,6 @@ fn main() {
             json::arr(RATES.iter().map(|&r| json::f(r))),
         )
         .with("wire_mode", json::s("content_aware"))
-        .with("downtime_cut_floor_pct", json::f(DOWNTIME_CUT_FLOOR_PCT))
         .with("static", fleet_json(&stat))
         .with("adaptive", fleet_json(&adap))
         .with(
@@ -358,7 +340,5 @@ fn main() {
             "deterministic_identical",
             json::s(deterministic.to_string()),
         );
-    let path = std::env::var("ADAPTIVE_SMOKE_OUT").unwrap_or_else(|_| "BENCH_adaptive.json".into());
-    std::fs::write(&path, out.encode_pretty()).expect("write artifact");
-    println!("wrote {path}");
+    hypertp_bench::harness::finish(out);
 }

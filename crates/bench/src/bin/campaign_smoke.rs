@@ -5,8 +5,7 @@
 //! sweeps synthetic fleets from 1k to 10k hosts (lazily derived — no
 //! per-VM materialization), times `plan_upgrade` + `execute_sharded_with`
 //! wall-clock at each size, and fits a log-log scaling exponent that
-//! `perf_gate campaign` caps at the committed
-//! `scaling_exponent_ceiling`.
+//! `harness::GATES` caps.
 //!
 //! Alongside the sweep it pins the engine's identity contracts:
 //!
@@ -21,24 +20,18 @@
 //! * **shard_identity** — one fleet, every shard × worker combination:
 //!   one byte string.
 //! * **deterministic** — same seed, same sweep point, twice.
-//! * **campaign_shards** — a Nova-managed fleet campaign at shards 1
-//!   and 3: byte-identical [`hypertp_cluster::CampaignReport`]s.
 //!
-//! Writes `BENCH_campaign.json` (override with `CAMPAIGN_SMOKE_OUT`).
+//! Writes `BENCH_campaign.json` (override with `CAMPAIGN_SMOKE_OUT`)
+//! through `harness::finish`.
 
 use std::time::Instant;
 
-use hypertp_cluster::campaign::{run_campaign_with, CampaignConfig};
 use hypertp_cluster::exec::{execute_sharded_with, ExecConfig, ExecReport};
-use hypertp_cluster::openstack::{pool, LibvirtDriver, NovaManager};
 use hypertp_cluster::{plan_upgrade, Cluster, ClusterView, Plan, VmView};
-use hypertp_core::{HypervisorKind, VmConfig};
 use hypertp_machine::MachineSpec;
 use hypertp_sim::fault::FaultPlan;
 use hypertp_sim::json::{self, Json};
 use hypertp_sim::pool::WorkerPool;
-use hypertp_sim::SimClock;
-use hypertp_vulndb::dataset::dataset;
 
 /// Fleet sizes swept (hosts). 10 VMs per host: 10k→100k VMs.
 const SWEEP: [usize; 5] = [1000, 2000, 4000, 7000, 10_000];
@@ -48,15 +41,6 @@ const COMPAT_PCT: u32 = 80;
 const GROUP_HOSTS: usize = 25;
 /// Fleet-derivation seed.
 const SEED: u64 = 0xca3b_a16e;
-/// Committed ceiling for the fitted log-log scaling exponent of total
-/// (plan + exec) wall time. 1.0 = perfectly linear; `perf_gate campaign`
-/// enforces the ceiling.
-const EXPONENT_CEILING: f64 = 1.2;
-/// Committed floor for the 1k-host baseline/sharded wall-clock ratio.
-/// The class memo alone wins ~4× on one core, so 1.2 leaves ample noise
-/// margin; extra workers only widen it. `perf_gate campaign` enforces
-/// the floor.
-const SPEEDUP_FLOOR: f64 = 1.2;
 /// Wall-clock reps per sweep point (the minimum is recorded — scheduler
 /// noise only ever adds time).
 const REPS: usize = 3;
@@ -206,44 +190,6 @@ fn shard_identity() -> bool {
     renders.len() == 1
 }
 
-/// A Nova-managed fleet campaign at shards 1 and 3: identical reports.
-fn campaign_shards_identical() -> bool {
-    let cve = dataset()
-        .into_iter()
-        .find(|v| v.id == "CVE-2016-6258")
-        .expect("dataset has the named CVE");
-    let run = |shards: usize| {
-        let registry = pool();
-        let clock = SimClock::new();
-        let computes = (0..4)
-            .map(|i| {
-                let mut spec = MachineSpec::m1();
-                spec.ram_gb = 8;
-                LibvirtDriver::new(
-                    format!("c{i}"),
-                    spec,
-                    clock.clone(),
-                    &registry,
-                    HypervisorKind::Xen,
-                )
-                .unwrap()
-            })
-            .collect();
-        let mut nova = NovaManager::new(registry, computes);
-        for i in 0..4 {
-            nova.boot(&VmConfig::small(format!("svc{i}"))).unwrap();
-        }
-        let cfg = CampaignConfig {
-            shards,
-            ..CampaignConfig::default()
-        };
-        run_campaign_with(&mut nova, &cve, &[], &FaultPlan::disarmed(), &cfg)
-            .expect("campaign")
-            .render()
-    };
-    run(1) == run(3)
-}
-
 fn main() {
     let worker_pool = WorkerPool::from_env();
     let workers = worker_pool.workers();
@@ -280,7 +226,7 @@ fn main() {
     let exec_exponent = fit_exponent(&hosts_f, &exec_f);
     println!(
         "  fitted exponent: total {exponent:.3} (plan {plan_exponent:.3}, exec \
-         {exec_exponent:.3}), ceiling {EXPONENT_CEILING}"
+         {exec_exponent:.3})"
     );
 
     println!("== identity contracts ==");
@@ -296,8 +242,6 @@ fn main() {
     let (_, rb) = sweep_point(2000, &worker_pool, shards);
     let deterministic = ra == rb;
     println!("  deterministic rerun:      {deterministic}");
-    let campaign_id = campaign_shards_identical();
-    println!("  campaign shards identity: {campaign_id}");
 
     let out = Json::obj()
         .with("bench", json::s("campaign_smoke"))
@@ -305,8 +249,6 @@ fn main() {
         .with("compat_pct", json::u(COMPAT_PCT as u64))
         .with("group_hosts", json::u(GROUP_HOSTS as u64))
         .with("reps", json::u(REPS as u64))
-        .with("scaling_exponent_ceiling", json::f(EXPONENT_CEILING))
-        .with("speedup_floor", json::f(SPEEDUP_FLOOR))
         .with(
             "sweep",
             json::arr(points.iter().map(|p| {
@@ -344,12 +286,6 @@ fn main() {
         .with(
             "deterministic_identical",
             json::s(deterministic.to_string()),
-        )
-        .with(
-            "campaign_shards_identical",
-            json::s(campaign_id.to_string()),
         );
-    let path = std::env::var("CAMPAIGN_SMOKE_OUT").unwrap_or_else(|_| "BENCH_campaign.json".into());
-    std::fs::write(&path, out.encode_pretty()).expect("write artifact");
-    println!("wrote {path}");
+    hypertp_bench::harness::finish(out);
 }

@@ -19,7 +19,8 @@
 //! 6. MigrationTP exhaustion falling back to InPlaceTP.
 //!
 //! Writes `BENCH_chaos.json` (in the current directory, override with
-//! `CHAOS_SMOKE_OUT`).
+//! `CHAOS_SMOKE_OUT`) through `harness::finish`, which fails the run
+//! unless every faulted transplant matched its clean twin.
 
 use std::time::Instant;
 
@@ -183,19 +184,19 @@ fn main() {
     let (clean_wall, clean_sums, clean_stats) = inplace_once(FaultPlan::disarmed());
     let mut inplace_wall = Vec::new();
     let mut inplace_recoveries = 0u64;
+    let mut inplace_identical = true;
     for i in 0..SEEDS {
         let faults = FaultPlan::new(BASE + 0x4000 + i);
         faults.arm_once(InjectionPoint::PramChecksum);
         faults.arm(InjectionPoint::WorkerPanic, 0.5, 2);
         let (wall, sums, stats) = inplace_once(faults.clone());
-        assert_eq!(sums, clean_sums, "faulted transplant altered guest memory");
-        assert_eq!(stats, clean_stats, "faulted transplant altered PRAM shape");
+        inplace_identical &= sums == clean_sums && stats == clean_stats;
         inplace_recoveries += faults.log().len() as u64 / 2;
         inplace_wall.push((wall - clean_wall).max(0.0));
     }
     let inplace_dist = Dist::of(&inplace_wall);
     println!(
-        "== inplace pram+worker == {inplace_recoveries} recoveries, wall overhead mean {:.3} s, results identical",
+        "== inplace pram+worker == {inplace_recoveries} recoveries, wall overhead mean {:.3} s, results identical: {inplace_identical}",
         inplace_dist.mean
     );
 
@@ -280,7 +281,7 @@ fn main() {
             "inplace_pram_and_workers",
             Json::obj()
                 .with("recoveries", json::u(inplace_recoveries))
-                .with("results_identical", json::s("true"))
+                .with("results_identical", json::s(inplace_identical.to_string()))
                 .with("wall_overhead", inplace_dist.json()),
         )
         .with(
@@ -297,7 +298,5 @@ fn main() {
                 .with("runs", json::u(SEEDS))
                 .with("fell_back", json::u(fellback)),
         );
-    let path = std::env::var("CHAOS_SMOKE_OUT").unwrap_or_else(|_| "BENCH_chaos.json".into());
-    std::fs::write(&path, out.encode_pretty()).expect("write artifact");
-    println!("wrote {path}");
+    hypertp_bench::harness::finish(out);
 }

@@ -26,8 +26,8 @@
 //!   byte-identical to the pre-feed format), twice identically.
 //! * **empty_feed** — replaying zero events accrues nothing.
 //!
-//! `perf_gate exposure` enforces the committed exposure-cut and
-//! replan-speedup floors plus every identity field. Writes
+//! `harness::finish` enforces the exposure-cut and replan-speedup rows of
+//! `harness::GATES` plus every identity field, and writes
 //! `BENCH_exposure.json` (override with `EXPOSURE_SMOKE_OUT`).
 
 use std::time::Instant;
@@ -53,14 +53,6 @@ const COMPAT_PCT: u32 = 70;
 const SEED: u64 = 42;
 /// Replayed horizon: one year at the §2 disclosure rate.
 const HORIZON_DAYS: u64 = 365;
-/// Committed floor for the aware-vs-blind integrated-exposure cut.
-/// `perf_gate exposure` enforces the floor; the replay is deterministic,
-/// so the measured cut reproduces exactly on every machine.
-const EXPOSURE_CUT_FLOOR_PCT: f64 = 30.0;
-/// Committed floor for the incremental-vs-full re-plan wall-clock ratio.
-/// Rebuilding the 1k-host cost table for each of the 37 disclosures is
-/// ~37× the work of building it once; 5× leaves ample noise margin.
-const REPLAN_SPEEDUP_FLOOR: f64 = 5.0;
 /// Wall-clock reps (the minimum is recorded — scheduler noise only ever
 /// adds time).
 const REPS: usize = 3;
@@ -158,15 +150,7 @@ fn main() {
         "  blind: {:.0} VM-days exposure, {} remediated",
         blind.exposure_vm_days, blind.remediated_events
     );
-    println!("  exposure cut {cut_pct:.1}% (floor {EXPOSURE_CUT_FLOOR_PCT}%)");
-    assert!(
-        cut_pct >= EXPOSURE_CUT_FLOOR_PCT,
-        "exposure cut {cut_pct:.1}% below floor {EXPOSURE_CUT_FLOOR_PCT}%"
-    );
-    assert!(
-        aware.exposure_vm_days <= blind.exposure_vm_days,
-        "aware planning must never add exposure"
-    );
+    println!("  exposure cut {cut_pct:.1}%");
 
     // Incremental re-plan (one cached cost table) vs full re-plan (the
     // table rebuilt per disclosure — what a planner without the cache
@@ -186,11 +170,7 @@ fn main() {
     let per_event_ms = incremental_ms / events.len().max(1) as f64;
     println!(
         "  replan: incremental {incremental_ms:.2} ms ({per_event_ms:.3} ms/event) vs \
-         full {full_ms:.2} ms — speedup {speedup:.1}x (floor {REPLAN_SPEEDUP_FLOOR}x)"
-    );
-    assert!(
-        speedup >= REPLAN_SPEEDUP_FLOOR,
-        "replan speedup {speedup:.1}x below floor {REPLAN_SPEEDUP_FLOOR}x"
+         full {full_ms:.2} ms — speedup {speedup:.1}x"
     );
 
     // The same incremental replay over ten times the fleet: recorded, not
@@ -232,8 +212,6 @@ fn main() {
         .with("horizon_days", json::u(HORIZON_DAYS))
         .with("events", json::u(events.len() as u64))
         .with("reps", json::u(REPS as u64))
-        .with("exposure_cut_floor_pct", json::f(EXPOSURE_CUT_FLOOR_PCT))
-        .with("replan_speedup_floor", json::f(REPLAN_SPEEDUP_FLOOR))
         .with("aware", feed_section(&aware))
         .with("blind", feed_section(&blind))
         .with(
@@ -269,7 +247,5 @@ fn main() {
         .with("sharded_identical", json::s(sharded.to_string()))
         .with("feed_off_identical", json::s(feed_off.to_string()))
         .with("empty_feed_identical", json::s(empty_ok.to_string()));
-    let path = std::env::var("EXPOSURE_SMOKE_OUT").unwrap_or_else(|_| "BENCH_exposure.json".into());
-    std::fs::write(&path, out.encode_pretty()).expect("write artifact");
-    println!("wrote {path}");
+    hypertp_bench::harness::finish(out);
 }

@@ -18,10 +18,9 @@
 //! The incremental level runs over two workloads: **idle** guests (no
 //! redirtying — the warm snapshot stays valid) and **hot-but-convergent**
 //! guests (`HOT_RATE` pages/s — the warm loop must iterate until the
-//! redirty EWMA converges before pausing). The gate invariant, enforced
-//! by `perf_gate inplace` against the committed artifact: on the hot
-//! fleet, `+incremental` cuts the mean downtime by at least
-//! `DOWNTIME_CUT_FLOOR_PCT` vs `+parallel`.
+//! redirty EWMA converges before pausing). The gate invariant, a row of
+//! `harness::GATES`: on the hot fleet, `+incremental` cuts the mean
+//! downtime vs `+parallel` by at least its floor.
 //!
 //! ## Host profile
 //!
@@ -41,7 +40,8 @@
 //! are run per level; the gate compares mean downtimes. The incremental
 //! run is executed twice and compared field-by-field — simulated time is
 //! deterministic, so CI can gate on exact equality. Writes
-//! `BENCH_inplace.json` (override with `INPLACE_SMOKE_OUT`).
+//! `BENCH_inplace.json` (override with `INPLACE_SMOKE_OUT`) through
+//! `harness::finish`.
 
 use hypertp_bench::registry;
 use hypertp_core::{
@@ -61,10 +61,6 @@ const MEM_GB: u64 = 1;
 /// the warm loop needs several refresh rounds, low enough to converge
 /// under the default EWMA stop rule.
 const HOT_RATE: f64 = 150_000.0;
-/// Committed regression floor: on the hot fleet, `+incremental` must cut
-/// the mean downtime by at least this percentage vs `+parallel`.
-/// `perf_gate inplace` enforces it.
-const DOWNTIME_CUT_FLOOR_PCT: f64 = 25.0;
 /// Seeded fleet variants the means are taken over.
 const VARIANTS: u64 = 3;
 /// Guest words probed for the restored-state identity check.
@@ -256,19 +252,12 @@ fn main() {
         );
     }
 
-    // Gate: the hot-fleet downtime cut of +incremental vs +parallel.
+    // Gated: the hot- and idle-fleet downtime cuts of +incremental vs
+    // +parallel.
     let hot_cut_pct = (1.0 - mean_downtime_ms(&inc_hot) / mean_downtime_ms(&parallel)) * 100.0;
     let idle_cut_pct = (1.0 - mean_downtime_ms(&inc_idle) / mean_downtime_ms(&parallel)) * 100.0;
-    println!("  hot mean downtime cut:  {hot_cut_pct:.1}% (floor {DOWNTIME_CUT_FLOOR_PCT}%)");
+    println!("  hot mean downtime cut:  {hot_cut_pct:.1}%");
     println!("  idle mean downtime cut: {idle_cut_pct:.1}%");
-    assert!(
-        hot_cut_pct >= DOWNTIME_CUT_FLOOR_PCT,
-        "hot downtime cut {hot_cut_pct:.1}% below floor {DOWNTIME_CUT_FLOOR_PCT}%"
-    );
-    assert!(
-        idle_cut_pct >= hot_cut_pct - 1.0,
-        "idle guests must cut at least as deep as hot ones ({idle_cut_pct:.1}% vs {hot_cut_pct:.1}%)"
-    );
     // The ladder must be monotone.
     for window in [&none, &prepare, &parallel, &inc_hot].windows(2) {
         assert!(
@@ -295,14 +284,12 @@ fn main() {
     let rerun = run(&reg, 0, incremental_opts(), hot_cfg());
     let deterministic = rerun == inc_hot[0];
     println!("  deterministic rerun identical: {deterministic}");
-    assert!(deterministic, "incremental run must be deterministic");
 
     // Identity check (incremental off): an engine carrying a hot
     // IncrementalConfig but with the toggle off must be byte-identical to
     // the default engine.
     let off_identical = run(&reg, 0, lvl_parallel, hot_cfg()) == parallel[0];
     println!("  incremental-off identical:     {off_identical}");
-    assert!(off_identical, "incremental_translate: false must be inert");
 
     // Restored-state check (incremental on, idle guests so no workload
     // runs between the two transplants): guest words, PRAM stats and UISR
@@ -331,10 +318,6 @@ fn main() {
         }
     }
     println!("  incremental restored state:    identical = {state_identical}");
-    assert!(
-        state_identical,
-        "incremental path must restore byte-identical state"
-    );
 
     let profile = ablation_cost();
     let out = Json::obj()
@@ -343,7 +326,6 @@ fn main() {
         .with("mem_gb_per_vm", json::u(MEM_GB))
         .with("fleet_variants", json::u(VARIANTS))
         .with("hot_rate_pages_per_sec", json::f(HOT_RATE))
-        .with("downtime_cut_floor_pct", json::f(DOWNTIME_CUT_FLOOR_PCT))
         .with(
             "cost_profile",
             Json::obj()
@@ -400,7 +382,5 @@ fn main() {
             "incremental_state_identical",
             json::s(state_identical.to_string()),
         );
-    let path = std::env::var("INPLACE_SMOKE_OUT").unwrap_or_else(|_| "BENCH_inplace.json".into());
-    std::fs::write(&path, out.encode_pretty()).expect("write artifact");
-    println!("wrote {path}");
+    hypertp_bench::harness::finish(out);
 }

@@ -15,7 +15,6 @@ use hypertp_core::{
     RecoveryReport,
 };
 use hypertp_sim::fault::FaultPlan;
-use hypertp_sim::pool::chunk_ranges;
 use hypertp_sim::stats::{Histogram, Streaming};
 use hypertp_sim::SimDuration;
 use hypertp_vulndb::policy::{decide, Decision};
@@ -50,13 +49,6 @@ pub struct CampaignConfig {
     /// transplant-out wave: the remaining hosts patch in place and never
     /// visit the refuge hypervisor.
     pub patch_after_hosts: Option<usize>,
-    /// Number of contiguous host shards each wave is batched into. The
-    /// driver calls stay sequential (the fleet manager is a single
-    /// mutable control plane), but per-shard aggregates fold in shard
-    /// order, so the report is byte-identical for every shard count. With
-    /// faults armed the wave coerces to a single global queue — the fault
-    /// plan's consultation order is part of the replay contract.
-    pub shards: usize,
 }
 
 impl Default for CampaignConfig {
@@ -64,7 +56,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             max_host_retries: 2,
             patch_after_hosts: None,
-            shards: 1,
         }
     }
 }
@@ -143,18 +134,6 @@ impl WaveReport {
             .push((report.recovery_latency + report.background_time).as_secs_f64());
         self.downtime_hist.record(dt.as_secs_f64());
         self.worst_downtime = self.worst_downtime.max(dt);
-    }
-
-    /// Folds another shard's aggregate into this one. Must be called in
-    /// canonical shard order for bit-identical float sums.
-    pub fn merge(&mut self, other: &WaveReport) {
-        self.upgrades += other.upgrades;
-        self.crash_recoveries += other.crash_recoveries;
-        self.vms += other.vms;
-        self.downtime.merge(&other.downtime);
-        self.total.merge(&other.total);
-        self.downtime_hist.merge(&other.downtime_hist);
-        self.worst_downtime = self.worst_downtime.max(other.worst_downtime);
     }
 
     /// Number of hosts the wave upgraded.
@@ -263,8 +242,7 @@ impl CampaignReport {
     }
 
     /// Canonical byte-stable rendering: two campaigns produced the same
-    /// report iff their renders match (shard-identity checks compare
-    /// this).
+    /// report iff their renders match.
     pub fn render(&self) -> String {
         format!(
             "cve={} home={:?} refuge={:?} window_ns={} worst_ns={} hosts={} \
@@ -349,19 +327,42 @@ struct WaveOutcome {
     skipped: Vec<usize>,
 }
 
-/// Drains one shard's queue through `nova.host_live_upgrade`, folding
-/// results into `out`. Requeues go to the back of *this shard's* queue.
-#[allow(clippy::too_many_arguments)]
-fn drain_shard(
+/// Rolls `hosts` through `nova.host_live_upgrade(host, target)`, one
+/// after another in host order (the manager is one mutable control
+/// plane).
+///
+/// [`hypertp_sim::fault::InjectionPoint::HostFailure`] models a host that
+/// faults mid-upgrade before any VM state is consumed (e.g. kexec refuses
+/// to load the target kernel): the attempt is abandoned, the host's VMs
+/// keep running on the old hypervisor, and the host is requeued at the
+/// back of the wave
+/// ([`hypertp_sim::fault::RecoveryAction::RequeuedHost`]). After
+/// `max_host_retries` requeues the host is excluded
+/// ([`hypertp_sim::fault::RecoveryAction::ExcludedHost`]) and the
+/// campaign continues without it, accounting its VMs as residual
+/// exposure. The retry/exclude verdict comes from the shared
+/// [`host_failure_gate`], so the campaign's and the executor's fault
+/// logs use the same wording and off-by-one.
+///
+/// If `stop_after` is set, the wave is cut short once that many hosts
+/// have completed: the rest land in `skipped` (the patch shipped before
+/// their turn).
+fn upgrade_wave(
     nova: &mut NovaManager,
-    mut queue: VecDeque<(usize, u32)>,
+    hosts: &[usize],
     target: HypervisorKind,
     faults: &FaultPlan,
     cfg: &CampaignConfig,
     wave: &str,
     stop_after: Option<usize>,
-    out: &mut WaveOutcome,
-) -> Result<(), CampaignError> {
+) -> Result<WaveOutcome, CampaignError> {
+    let mut out = WaveOutcome {
+        report: WaveReport::new(),
+        upgraded: Vec::new(),
+        excluded: Vec::new(),
+        skipped: Vec::new(),
+    };
+    let mut queue: VecDeque<(usize, u32)> = hosts.iter().map(|&h| (h, 0)).collect();
     while let Some((host, attempts)) = queue.pop_front() {
         if stop_after.is_some_and(|k| out.upgraded.len() >= k) {
             out.skipped.push(host);
@@ -385,55 +386,6 @@ fn drain_shard(
             HostGate::Retry => queue.push_back((host, attempts + 1)),
             HostGate::Exclude => out.excluded.push(host),
         }
-    }
-    Ok(())
-}
-
-/// Rolls `hosts` through `nova.host_live_upgrade(host, target)` in
-/// `cfg.shards` contiguous batches.
-///
-/// [`hypertp_sim::fault::InjectionPoint::HostFailure`] models a host that
-/// faults mid-upgrade before any VM state is consumed (e.g. kexec refuses
-/// to load the target kernel): the attempt is abandoned, the host's VMs
-/// keep running on the old hypervisor, and the host is requeued at the
-/// back of the wave
-/// ([`hypertp_sim::fault::RecoveryAction::RequeuedHost`]). After
-/// `max_host_retries` requeues the host is excluded
-/// ([`hypertp_sim::fault::RecoveryAction::ExcludedHost`]) and the
-/// campaign continues without it, accounting its VMs as residual
-/// exposure. The retry/exclude verdict comes from the shared
-/// [`host_failure_gate`], so the campaign's and the executor's fault
-/// logs use the same wording and off-by-one.
-///
-/// Sharding batches the host list via
-/// [`hypertp_sim::pool::chunk_ranges`]; shards run sequentially in order
-/// (the manager is one mutable control plane), so a fault-free wave
-/// visits hosts in exactly the unsharded order and the folded
-/// [`WaveReport`] is byte-identical for every shard count. With faults
-/// armed, requeue order matters, so the wave coerces to one global queue.
-///
-/// If `stop_after` is set, the wave is cut short once that many hosts
-/// have completed: the rest land in `skipped` (the patch shipped before
-/// their turn).
-fn upgrade_wave(
-    nova: &mut NovaManager,
-    hosts: &[usize],
-    target: HypervisorKind,
-    faults: &FaultPlan,
-    cfg: &CampaignConfig,
-    wave: &str,
-    stop_after: Option<usize>,
-) -> Result<WaveOutcome, CampaignError> {
-    let mut out = WaveOutcome {
-        report: WaveReport::new(),
-        upgraded: Vec::new(),
-        excluded: Vec::new(),
-        skipped: Vec::new(),
-    };
-    let shards = if faults.armed() { 1 } else { cfg.shards.max(1) };
-    for range in chunk_ranges(hosts.len(), shards) {
-        let queue: VecDeque<(usize, u32)> = hosts[range].iter().map(|&h| (h, 0)).collect();
-        drain_shard(nova, queue, target, faults, cfg, wave, stop_after, &mut out)?;
     }
     Ok(out)
 }
@@ -787,31 +739,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_wave_report_is_byte_identical_for_any_shard_count() {
-        let run = |shards: usize| {
-            let mut nova = fleet(5);
-            for i in 0..6 {
-                nova.boot(&VmConfig::small(format!("svc{i}"))).unwrap();
-            }
-            let cfg = CampaignConfig {
-                shards,
-                ..CampaignConfig::default()
-            };
-            run_campaign_with(
-                &mut nova,
-                &xen_critical(),
-                &[],
-                &FaultPlan::disarmed(),
-                &cfg,
-            )
-            .unwrap()
-        };
-        let base = run(1);
-        for shards in [2usize, 3, 5, 16] {
-            let r = run(shards);
-            assert_eq!(r, base, "shards={shards}");
-            assert_eq!(r.render(), base.render());
+    fn wave_reports_aggregate_every_host() {
+        let mut nova = fleet(5);
+        for i in 0..6 {
+            nova.boot(&VmConfig::small(format!("svc{i}"))).unwrap();
         }
+        let base = run_campaign(&mut nova, &xen_critical(), &[]).unwrap();
         // The streaming aggregates are consistent with the host count.
         assert_eq!(base.out.len(), 5);
         assert_eq!(base.out.downtime.count, 5);
@@ -826,25 +759,21 @@ mod tests {
     }
 
     #[test]
-    fn armed_faults_coerce_the_wave_to_one_queue() {
-        let run = |shards: usize| {
+    fn armed_faults_replay_the_wave_exactly() {
+        let run = || {
             let mut nova = fleet(3);
             for i in 0..3 {
                 nova.boot(&VmConfig::small(format!("svc{i}"))).unwrap();
             }
             let faults = FaultPlan::new(0xc1a0_0003);
             faults.arm(InjectionPoint::HostFailure, 0.5, u64::MAX);
-            let cfg = CampaignConfig {
-                shards,
-                ..CampaignConfig::default()
-            };
+            let cfg = CampaignConfig::default();
             let r = run_campaign_with(&mut nova, &xen_critical(), &[], &faults, &cfg).unwrap();
             (r.render(), faults.log().render())
         };
-        // Fault replay order is part of the contract: any shard count
-        // must reproduce the single-queue walk exactly.
-        assert_eq!(run(1), run(4));
-        assert_eq!(run(1), run(3));
+        // Fault replay order is part of the contract: one seed, one
+        // report and one fault log.
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! byte-identical to the unsharded path.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use hypertp_core::{
     crash_gate, host_failure_gate, warm_recovery_latency, CheckpointConfig, HostGate,
@@ -37,7 +38,7 @@ use hypertp_sim::pool::WorkerPool;
 use hypertp_sim::stats::{Histogram, Streaming};
 use hypertp_sim::{CostModel, EventQueue, SimDuration, SimTime};
 
-use crate::model::ClusterView;
+use crate::model::{ClusterView, VmView};
 use crate::planner::{Action, Plan};
 
 /// Timing knobs for plan execution.
@@ -310,17 +311,31 @@ impl ExecReport {
     }
 }
 
-/// Estimates one live migration: `(duration, raw_bytes, wire_bytes)` for
-/// a VM of `memory_gb` GiB dirtying `dirty_rate` pages/s, with `sharers`
-/// flows on the fabric. Under [`WireMode::ContentAware`] the page bytes
-/// shrink by the configured compression ratio before hitting the link.
-/// Pure in its arguments — safe to memoize per VM class.
-pub(crate) fn migration_estimate(
+/// One live migration as the analytic model prices it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MigrationEstimate {
+    /// Orchestration overhead + pre-copy + stop-and-copy.
+    pub time: SimDuration,
+    /// The stop-and-copy alone: the pages dirtied during the pre-copy,
+    /// re-sent with the VM paused (§3's downtime accounting).
+    pub blackout: SimDuration,
+    /// Page bytes the migration moves, before the wire's compression.
+    pub raw_bytes: u64,
+    /// Page bytes actually put on the fabric.
+    pub wire_bytes: u64,
+}
+
+/// Estimates one live migration of a VM of `memory_gb` GiB dirtying
+/// `dirty_rate` pages/s, with `sharers` flows on the fabric. Under
+/// [`WireMode::ContentAware`] the page bytes — pre-copy and stop-and-copy
+/// alike — shrink by the configured compression ratio before hitting the
+/// link. Pure in its arguments — safe to memoize per VM class.
+fn migration_estimate(
     cfg: &ExecConfig,
     memory_gb: u64,
     dirty_rate: f64,
     sharers: u32,
-) -> (SimDuration, u64, u64) {
+) -> MigrationEstimate {
     let raw = memory_gb << 30;
     let ratio = match cfg.wire_mode {
         WireMode::Raw => 1.0,
@@ -332,12 +347,13 @@ pub(crate) fn migration_estimate(
     // tail approximated by its first round).
     let raw_dirty = (dirty_rate * copy.as_secs_f64() * 4096.0) as u64;
     let dirty_bytes = (raw_dirty as f64 * ratio) as u64;
-    let extra = cfg.link.transfer(dirty_bytes, sharers);
-    (
-        cfg.per_migration_overhead + copy + extra,
-        raw + raw_dirty,
-        bytes + dirty_bytes,
-    )
+    let blackout = cfg.link.transfer(dirty_bytes, sharers);
+    MigrationEstimate {
+        time: cfg.per_migration_overhead + copy + blackout,
+        blackout,
+        raw_bytes: raw + raw_dirty,
+        wire_bytes: bytes + dirty_bytes,
+    }
 }
 
 /// The serving VM's SLO attachment under the opt-in accounting: `None`
@@ -384,7 +400,7 @@ fn contention_stretch(cfg: &ExecConfig, estimate: SimDuration, workload_bps: f64
 /// term becomes the dirty-delta re-translation at the configured residual
 /// dirty fraction; the warm snapshot itself overlaps the group's
 /// migration drain and never shows up in the blackout.
-pub(crate) fn inplace_time(
+fn inplace_time(
     perf: &MachinePerf,
     cost: &CostModel,
     cfg: &ExecConfig,
@@ -414,49 +430,75 @@ pub(crate) fn inplace_time(
         + cost.restore(perf, &rl, true)
 }
 
-/// Shard-local memo of cost-model evaluations. Both helpers are pure
-/// functions of their keys, so memoized and recomputed runs are
-/// bit-identical; the memo just collapses a fleet's thousands of
-/// same-class evaluations into a handful.
-struct ExecMemo {
+/// Shard-local memo of cost-model evaluations per VM class, shared by the
+/// executor and the exposure planner. Both helpers are pure functions of
+/// their keys, so memoized and recomputed runs are bit-identical; the
+/// memo just collapses a fleet's thousands of same-class evaluations into
+/// a handful.
+pub(crate) struct ClassMemo {
     /// `(memory_gb, dirty_rate bits, sharers)` → migration estimate.
     /// Host-independent, so always valid.
-    migration: HashMap<(u64, u64, u32), (SimDuration, u64, u64)>,
+    migration: ClassMap<(u64, u64, u32), MigrationEstimate>,
     /// `vm_count` → upgrade time. Only consulted for fleets with a
     /// uniform host spec (the perf inputs are then host-invariant).
-    inplace: HashMap<usize, SimDuration>,
+    inplace: ClassMap<usize, SimDuration>,
 }
 
-impl ExecMemo {
-    fn new() -> ExecMemo {
-        ExecMemo {
-            migration: HashMap::new(),
-            inplace: HashMap::new(),
+/// Hasher for [`ClassMemo`]'s integer keys: each word is folded in with
+/// one rotate, xor and multiply (strong high bits, which hashbrown takes
+/// its control bytes from) and finished with a high-to-low fold (strong
+/// low bits, which pick the bucket). The keys are the fleet's own classes,
+/// not adversarial input, and SipHash would be most of a memo hit.
+#[derive(Debug, Default, Clone, Copy)]
+struct ClassHasher(u64);
+
+impl Hasher for ClassHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type ClassMap<K, V> = HashMap<K, V, BuildHasherDefault<ClassHasher>>;
+
+impl ClassMemo {
+    pub(crate) fn new() -> ClassMemo {
+        ClassMemo {
+            migration: ClassMap::default(),
+            inplace: ClassMap::default(),
         }
     }
 
-    fn migration<V: ClusterView + ?Sized>(
+    /// [`migration_estimate`] of `vm` with `sharers` flows on the fabric.
+    pub(crate) fn migration(
         &mut self,
-        view: &V,
         cfg: &ExecConfig,
-        vm: usize,
+        vm: &VmView,
         sharers: u32,
-    ) -> (SimDuration, u64, u64) {
-        let info = view.vm(vm);
-        let key = (
-            info.memory_gb,
-            info.dirty_rate_pages_per_sec.to_bits(),
-            sharers,
-        );
+    ) -> MigrationEstimate {
+        let key = (vm.memory_gb, vm.dirty_rate_pages_per_sec.to_bits(), sharers);
         if let Some(&est) = self.migration.get(&key) {
             return est;
         }
-        let est = migration_estimate(cfg, info.memory_gb, info.dirty_rate_pages_per_sec, sharers);
+        let est = migration_estimate(cfg, vm.memory_gb, vm.dirty_rate_pages_per_sec, sharers);
         self.migration.insert(key, est);
         est
     }
 
-    fn inplace<V: ClusterView + ?Sized>(
+    pub(crate) fn inplace<V: ClusterView + ?Sized>(
         &mut self,
         view: &V,
         cost: &CostModel,
@@ -523,7 +565,7 @@ struct GroupOutcome {
 fn admit_next<V: ClusterView + ?Sized>(
     view: &V,
     cfg: &ExecConfig,
-    memo: &mut ExecMemo,
+    memo: &mut ClassMemo,
     out: &mut GroupOutcome,
     queue: &mut std::collections::VecDeque<usize>,
     now: SimTime,
@@ -533,7 +575,7 @@ fn admit_next<V: ClusterView + ?Sized>(
     let pos = if cfg.fleet_order == FleetOrder::SloAware {
         let mut best: Option<(SimDuration, SimDuration, usize, usize)> = None;
         for (pos, &vm) in queue.iter().enumerate() {
-            let (time, _, _) = memo.migration(view, cfg, vm, sharers);
+            let time = memo.migration(cfg, &view.vm(vm), sharers).time;
             let (time, harm) = match cfg.slo.and_then(|s| vm_slo(view, &s, vm)) {
                 Some(slo) => {
                     let t = contention_stretch(cfg, time, slo.traffic.bps_at(start));
@@ -550,19 +592,19 @@ fn admit_next<V: ClusterView + ?Sized>(
         0
     };
     let vm = queue.remove(pos)?;
-    let (time, raw, wire) = memo.migration(view, cfg, vm, sharers);
-    out.raw_bytes += raw;
-    out.wire_bytes += wire;
+    let est = memo.migration(cfg, &view.vm(vm), sharers);
+    out.raw_bytes += est.raw_bytes;
+    out.wire_bytes += est.wire_bytes;
     let time = match cfg.slo.and_then(|s| vm_slo(view, &s, vm)) {
         Some(slo) => {
-            let stretched = contention_stretch(cfg, time, slo.traffic.bps_at(start));
+            let stretched = contention_stretch(cfg, est.time, slo.traffic.bps_at(start));
             let o = slo.outcome(start, stretched, SimDuration::ZERO);
             out.slo_vms += 1;
             out.slo_violation += o.violation;
             out.slo_burn_max = out.slo_burn_max.max(o.budget_burn);
             stretched
         }
-        None => time,
+        None => est.time,
     };
     Some((time, vm))
 }
@@ -578,7 +620,7 @@ fn run_group<V: ClusterView + ?Sized>(
     cost: &CostModel,
     group: &[Action],
     faults: Option<&FaultPlan>,
-    memo: &mut ExecMemo,
+    memo: &mut ClassMemo,
     uniform_perf: Option<&MachinePerf>,
 ) -> GroupOutcome {
     let slots = cfg.max_concurrent_migrations.max(1);
@@ -619,7 +661,7 @@ fn run_group<V: ClusterView + ?Sized>(
         // schedule is deterministic).
         let keyed: Vec<(SimDuration, usize)> = pending
             .iter()
-            .map(|&vm| (memo.migration(view, cfg, vm, sharers).0, vm))
+            .map(|&vm| (memo.migration(cfg, &view.vm(vm), sharers).time, vm))
             .collect();
         let mut keyed = keyed;
         keyed.sort_unstable();
@@ -860,7 +902,7 @@ pub fn execute_sharded_with<V: ClusterView + ?Sized>(
     let cost = CostModel::paper_calibrated();
     let uniform_perf = view.uniform_spec().map(|s| s.perf());
     if faults.armed() {
-        let mut memo = ExecMemo::new();
+        let mut memo = ClassMemo::new();
         return fold_outcomes(
             cfg,
             plan.groups.iter().map(|g| {
@@ -877,7 +919,7 @@ pub fn execute_sharded_with<V: ClusterView + ?Sized>(
         );
     }
     let batch = pool.map_chunks(plan.groups.len(), shards.max(1), |range| {
-        let mut memo = ExecMemo::new();
+        let mut memo = ClassMemo::new();
         range
             .map(|gi| {
                 run_group(

@@ -41,7 +41,6 @@
 //! one linear pass over the cached schedule, feeding the integrator in
 //! drain order.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use hypertp_sim::cost::MachinePerf;
@@ -51,7 +50,7 @@ use hypertp_sim::{CostModel, SimDuration};
 use hypertp_vulndb::feed::{FeedEvent, SurfaceWeights};
 use hypertp_vulndb::Severity;
 
-use crate::exec::{inplace_time, migration_estimate, ExecConfig};
+use crate::exec::{ClassMemo, ExecConfig};
 use crate::model::ClusterView;
 
 /// The single integrator behind every exposure figure in the workspace.
@@ -315,14 +314,8 @@ impl FeedReport {
     }
 }
 
-/// Shard-local memo for host-cost evaluation: migration keyed per VM
-/// class, in-place per VM count (uniform-spec fleets only) — the same
-/// collapse the executor's memo performs.
-struct CostMemo {
-    migration: HashMap<(u64, u64), (SimDuration, SimDuration)>,
-    inplace: HashMap<usize, SimDuration>,
-}
-
+/// One host's remediation economics; each VM migrates alone on the
+/// fabric, and the per-VM blackout is the estimate's stop-and-copy.
 fn host_cost<V: ClusterView + ?Sized>(
     view: &V,
     cfg: &ExposureConfig,
@@ -330,7 +323,7 @@ fn host_cost<V: ClusterView + ?Sized>(
     vms: &[usize],
     cost_model: &CostModel,
     uniform_perf: Option<&MachinePerf>,
-    memo: &mut CostMemo,
+    memo: &mut ClassMemo,
 ) -> HostCost {
     let mut inplace_ok = !vms.is_empty();
     let mut migrate_cost = SimDuration::ZERO;
@@ -338,43 +331,12 @@ fn host_cost<V: ClusterView + ?Sized>(
     for &vm in vms {
         let info = view.vm(vm);
         inplace_ok &= info.inplace_compatible;
-        let key = (info.memory_gb, info.dirty_rate_pages_per_sec.to_bits());
-        let (time, blackout) = match memo.migration.get(&key) {
-            Some(&v) => v,
-            None => {
-                let (time, _, _) =
-                    migration_estimate(&cfg.exec, info.memory_gb, info.dirty_rate_pages_per_sec, 1);
-                // The per-VM blackout is the stop-and-copy: the dirty
-                // pages written during the pre-copy round must be re-sent
-                // with the VM paused (§3's downtime accounting).
-                let copy = cfg.exec.link.transfer(info.memory_gb << 30, 1);
-                let dirty = (info.dirty_rate_pages_per_sec * copy.as_secs_f64() * 4096.0) as u64;
-                let blackout = cfg.exec.link.transfer(dirty, 1);
-                memo.migration.insert(key, (time, blackout));
-                (time, blackout)
-            }
-        };
-        migrate_cost += time;
-        migrate_blackout = migrate_blackout.max(blackout);
+        let est = memo.migration(&cfg.exec, &info, 1);
+        migrate_cost += est.time;
+        migrate_blackout = migrate_blackout.max(est.blackout);
     }
     let inplace_cost = if inplace_ok {
-        match uniform_perf {
-            Some(perf) => match memo.inplace.get(&vms.len()) {
-                Some(&d) => d,
-                None => {
-                    let d = inplace_time(perf, cost_model, &cfg.exec, vms.len(), cfg.exec.target);
-                    memo.inplace.insert(vms.len(), d);
-                    d
-                }
-            },
-            None => inplace_time(
-                &view.host_spec(host).perf(),
-                cost_model,
-                &cfg.exec,
-                vms.len(),
-                cfg.exec.target,
-            ),
-        }
+        memo.inplace(view, cost_model, &cfg.exec, host, vms.len(), uniform_perf)
     } else {
         SimDuration::ZERO
     };
@@ -518,10 +480,7 @@ impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
         let cost_model = CostModel::paper_calibrated();
         let uniform_perf = view.uniform_spec().map(|s| s.perf());
         let batch = pool.map_chunks(hosts, shards.max(1), |range| {
-            let mut memo = CostMemo {
-                migration: HashMap::new(),
-                inplace: HashMap::new(),
-            };
+            let mut memo = ClassMemo::new();
             range
                 .map(|h| {
                     host_cost(
@@ -858,6 +817,37 @@ mod tests {
         }
         for action in [HostAction::InPlace, HostAction::Migrate, HostAction::Defer] {
             assert!(seen.contains(&action), "sweep never produced {action:?}");
+        }
+    }
+
+    #[test]
+    fn content_aware_blackout_honours_the_compression_ratio() {
+        use hypertp_migrate::WireMode;
+        let view = Cluster::synthetic(60, 7).with_compat_percent(50);
+        let costs = |wire_mode, wire_compression_ratio| {
+            let exec = ExecConfig {
+                wire_mode,
+                wire_compression_ratio,
+                ..ExecConfig::default()
+            };
+            let cfg = ExposureConfig {
+                exec,
+                ..ExposureConfig::default()
+            };
+            ExposurePlanner::new(&view, cfg).costs().to_vec()
+        };
+        let raw = costs(WireMode::Raw, 1.0);
+        assert_eq!(costs(WireMode::ContentAware, 1.0), raw);
+        let squeezed = costs(WireMode::ContentAware, 0.3);
+        let dirty: Vec<_> = raw
+            .iter()
+            .zip(&squeezed)
+            .filter(|(r, _)| r.migrate_blackout > SimDuration::ZERO)
+            .collect();
+        assert!(!dirty.is_empty());
+        for (r, s) in dirty {
+            assert!(s.migrate_blackout < r.migrate_blackout);
+            assert!(s.migrate_cost < r.migrate_cost);
         }
     }
 
