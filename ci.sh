@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point, and the only pipeline definition: formatting, lints,
-# release build, full test suite, chaos, the gated smokes, CLI smokes, the
+# rustdoc, release build, full test suite, chaos, the gated smokes, CLI smokes, the
 # repo benchmark's checks, examples. .github/workflows/ci.yml just runs this.
 # Everything runs offline — the workspace has no external dependencies.
 set -euo pipefail
@@ -11,6 +11,11 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc (deny warnings) =="
+# A deleted or renamed item must not leave a dangling intra-doc link, and
+# public docs must not link to private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo build --release =="
 cargo build --release --workspace --offline

@@ -21,7 +21,7 @@
 //! 2. **Engine micro-fleet**: six 1 GiB VMs with staggered traffic peaks
 //!    over a compressed 10-minute "day" migrate Xen → KVM through the
 //!    real page-level engine, serialized. This exercises the
-//!    [`LinkContention`] feedback into the pre-copy controller (peak
+//!    [`hypertp_migrate::LinkContention`] feedback into the pre-copy controller (peak
 //!    traffic roughly halves the effective link) and the zero-traffic
 //!    passthrough: an SLO attachment whose curve carries zero
 //!    bytes-per-query must leave every report field byte-identical to

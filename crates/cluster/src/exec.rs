@@ -12,7 +12,7 @@
 //!
 //! Every group's simulation is *relative*: migration and upgrade times
 //! depend only on the group's own actions, never on the global clock. So
-//! a plan's groups are pure, independent simulations ([`run_group`]
+//! a plan's groups are pure, independent simulations (`run_group`
 //! internally) whose outcomes fold in group order into the same report
 //! the sequential walk produces — bit for bit. [`execute_sharded_with`]
 //! exploits that: contiguous group ranges run as deterministic shards on

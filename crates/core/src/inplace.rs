@@ -9,11 +9,12 @@
 //! The §4.2.5 optimizations are individually toggleable through
 //! [`Optimizations`]; the ablation bench measures each one's contribution.
 
-use hypertp_machine::{combine_partials, Extent, Machine, PageOrder};
-use hypertp_pram::{PramBuilder, PramError, PramHandle, PramImage, PramStats};
+use hypertp_machine::{combine_partials, Extent, Gfn, KexecImage, Machine, Mfn, PageOrder};
+use hypertp_pram::{PramBuilder, PramError, PramFile, PramHandle, PramImage, PramStats};
 use hypertp_sim::cost::MachinePerf;
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
-use hypertp_sim::{CostModel, Ewma, SimClock, SimDuration, WorkerPool};
+use hypertp_sim::{CostModel, Ewma, SimClock, SimDuration, SimTime, WorkerPool};
+use hypertp_uisr::UisrVm;
 
 use crate::vm::VmId;
 
@@ -209,8 +210,8 @@ impl InPlaceReport {
 /// the engine needs downstream of `save_uisr`, computed on one pool worker.
 struct SavedVm {
     name: String,
-    map: Vec<(hypertp_machine::Gfn, hypertp_machine::Extent)>,
-    uisr: hypertp_uisr::UisrVm,
+    map: Vec<(Gfn, Extent)>,
+    uisr: UisrVm,
     blob: Vec<u8>,
     checksum: u64,
     /// UISR sections the pause-time finalize had to patch over the warm
@@ -218,52 +219,106 @@ struct SavedVm {
     patched_sections: u64,
 }
 
-/// Per-VM warm-translate cache built while the VM was still running: the
-/// snapshot UISR plus the per-extent checksum partials the pause-time
-/// delta pass refreshes instead of rehashing every frame.
-struct WarmVm {
+/// Per-VM warm-translate cache built while the VM is still running: the
+/// snapshot UISR plus the per-extent checksum partials that later passes
+/// refresh for the dirtied extents instead of rehashing every frame. The
+/// planned warm phase and the always-on checkpointer
+/// ([`crate::unplanned::WarmCheckpointer`]) both keep one per VM.
+pub(crate) struct WarmVm {
     /// Memory map exactly as `guest_memory_map` returned it (the PRAM
     /// file mappings must be byte-identical to the full path's).
-    map: Vec<(hypertp_machine::Gfn, hypertp_machine::Extent)>,
+    pub(crate) map: Vec<(Gfn, Extent)>,
     /// Extents in map order — the checksum unit.
     extents: Vec<Extent>,
     /// `(gfn_start, pages, extent index)` sorted by `gfn_start`, for
     /// dirty-Gfn → extent lookup.
     lookup: Vec<(u64, u64, usize)>,
-    /// Cached per-extent checksum partials, refreshed each warm round.
+    /// Cached per-extent checksum partials.
     partials: Vec<u64>,
-    /// Latest warm UISR snapshot (patched at pause time).
-    uisr: hypertp_uisr::UisrVm,
+    /// Latest warm UISR snapshot.
+    pub(crate) uisr: UisrVm,
     /// Total guest pages (denominator of the dirty fraction).
-    total_pages: u64,
+    pub(crate) total_pages: u64,
 }
 
 impl WarmVm {
-    fn new(
-        map: Vec<(hypertp_machine::Gfn, hypertp_machine::Extent)>,
-        uisr: hypertp_uisr::UisrVm,
-    ) -> Self {
-        let extents: Vec<Extent> = map.iter().map(|(_, e)| *e).collect();
-        let mut lookup: Vec<(u64, u64, usize)> = map
-            .iter()
-            .enumerate()
-            .map(|(i, (g, e))| (g.0, e.pages(), i))
-            .collect();
-        lookup.sort_unstable();
-        let total_pages = extents.iter().map(|e| e.pages()).sum();
-        WarmVm {
-            map,
-            extents,
-            lookup,
-            partials: Vec::new(),
-            uisr,
-            total_pages,
+    /// Snapshots every VM in `ids`, each micro-paused on its own: memory
+    /// map, UISR, and a drained dirty log, so the log counts from the
+    /// snapshot on. The partials are then hashed on `pool`, one VM per
+    /// task, with the guests already back up.
+    pub(crate) fn snapshot(
+        machine: &Machine,
+        source: &mut dyn Hypervisor,
+        ids: &[VmId],
+        pool: &WorkerPool,
+    ) -> Result<Vec<WarmVm>, HtpError> {
+        let mut vms = Vec::with_capacity(ids.len());
+        for &id in ids {
+            source.pause_vm(id)?;
+            let map = source.guest_memory_map(id)?;
+            let uisr = source.save_uisr(machine, id)?;
+            // Discard anything dirtied before the snapshot existed.
+            let _ = source.collect_dirty(id)?;
+            source.resume_vm(id)?;
+            let extents: Vec<Extent> = map.iter().map(|(_, e)| *e).collect();
+            let mut lookup: Vec<(u64, u64, usize)> = map
+                .iter()
+                .enumerate()
+                .map(|(i, (g, e))| (g.0, e.pages(), i))
+                .collect();
+            lookup.sort_unstable();
+            vms.push(WarmVm {
+                total_pages: extents.iter().map(|e| e.pages()).sum(),
+                map,
+                extents,
+                lookup,
+                partials: Vec::new(),
+                uisr,
+            });
         }
+        // Serial inner hashing: the per-VM tasks already fill the pool.
+        let partials = pool
+            .map_indices(vms.len(), |i| {
+                machine
+                    .ram()
+                    .extent_partials_with_pool(&vms[i].extents, &WorkerPool::serial())
+            })
+            .results;
+        for (vm, p) in vms.iter_mut().zip(partials) {
+            vm.partials = p;
+        }
+        Ok(vms)
+    }
+
+    /// Rehashes the extents at `dirty_ext` into the cached partials
+    /// (serially: callers run one VM per pool task).
+    pub(crate) fn refresh(&mut self, machine: &Machine, dirty_ext: &[usize]) {
+        machine.ram().refresh_partials_with_pool(
+            &self.extents,
+            &mut self.partials,
+            dirty_ext,
+            &WorkerPool::serial(),
+        );
+    }
+
+    /// The guest checksum with the extents at `dirty_ext` rehashed; the
+    /// cache itself is left as it is.
+    pub(crate) fn checksum_after(
+        &self,
+        machine: &Machine,
+        dirty_ext: &[usize],
+        pool: &WorkerPool,
+    ) -> u64 {
+        let mut partials = self.partials.clone();
+        machine
+            .ram()
+            .refresh_partials_with_pool(&self.extents, &mut partials, dirty_ext, pool);
+        combine_partials(&partials)
     }
 
     /// Maps a sorted dirty-Gfn list to the (ascending) indices of the
     /// extents containing them.
-    fn dirty_extent_indices(&self, dirty: &[hypertp_machine::Gfn]) -> Vec<usize> {
+    pub(crate) fn dirty_extent_indices(&self, dirty: &[Gfn]) -> Vec<usize> {
         let mut hit = vec![false; self.extents.len()];
         for g in dirty {
             let pos = self.lookup.partition_point(|&(start, _, _)| start <= g.0);
@@ -292,13 +347,16 @@ struct WarmState {
 /// ones are already equal); the return also counts how many sections
 /// needed patching. The unplanned checkpointer reuses this as its
 /// section-level (default) refresh path.
-pub(crate) fn patch_uisr(
-    warm: &hypertp_uisr::UisrVm,
-    fresh: hypertp_uisr::UisrVm,
-) -> (hypertp_uisr::UisrVm, u64) {
+pub(crate) fn patch_uisr(warm: &UisrVm, fresh: UisrVm) -> (UisrVm, u64) {
+    fn patch<T: PartialEq>(section: &mut T, fresh: T) -> u64 {
+        let changed = *section != fresh;
+        if changed {
+            *section = fresh;
+        }
+        changed as u64
+    }
     let mut out = warm.clone();
-    let mut patched = 0u64;
-    let hypertp_uisr::UisrVm {
+    let UisrVm {
         name,
         vcpus,
         ioapic,
@@ -306,31 +364,162 @@ pub(crate) fn patch_uisr(
         devices,
         memory,
     } = fresh;
-    if out.name != name {
-        out.name = name;
-        patched += 1;
-    }
-    if out.vcpus != vcpus {
-        out.vcpus = vcpus;
-        patched += 1;
-    }
-    if out.ioapic != ioapic {
-        out.ioapic = ioapic;
-        patched += 1;
-    }
-    if out.pit != pit {
-        out.pit = pit;
-        patched += 1;
-    }
-    if out.devices != devices {
-        out.devices = devices;
-        patched += 1;
-    }
-    if out.memory != memory {
-        out.memory = memory;
-        patched += 1;
-    }
+    let patched = patch(&mut out.name, name)
+        + patch(&mut out.vcpus, vcpus)
+        + patch(&mut out.ioapic, ioapic)
+        + patch(&mut out.pit, pit)
+        + patch(&mut out.devices, devices)
+        + patch(&mut out.memory, memory);
     (out, patched)
+}
+
+/// What [`kexec_and_adopt`] hands back to the report builders.
+pub(crate) struct Landed {
+    /// The target hypervisor, every VM adopted and running.
+    pub(crate) hv: Box<dyn Hypervisor>,
+    /// Adopted VM names, in PRAM directory order.
+    pub(crate) names: Vec<String>,
+    /// Compatibility warnings from the target's adoptions.
+    pub(crate) warnings: Vec<String>,
+    /// Frames the target's boot scrubbed.
+    pub(crate) scrubbed: u64,
+    /// NIC re-initialization time.
+    pub(crate) network: SimDuration,
+    /// The instant every VM was running again.
+    pub(crate) resumed_at: SimTime,
+}
+
+/// Steps ❹–❼ of Fig. 3, the part of InPlaceTP that crash recovery shares:
+/// kexec into the staged image, parse, verify and reserve PRAM, scrub,
+/// boot `target`, adopt every VM from its UISR blob, check its memory
+/// against `baselines` (`(name, checksum)`), resume, and free the
+/// ephemeral metadata. The caller has staged the image and dropped the
+/// source hypervisor; `reboot` and `restore` are the simulated costs to
+/// charge for the micro-reboot and the restoration.
+pub(crate) fn kexec_and_adopt(
+    machine: &mut Machine,
+    registry: &HypervisorRegistry,
+    cost: &CostModel,
+    target: HypervisorKind,
+    (reboot, restore): (SimDuration, SimDuration),
+    baselines: &[(String, u64)],
+    pool: &WorkerPool,
+) -> Result<Landed, HtpError> {
+    let clock = machine.clock().clone();
+    let perf = machine.spec().perf();
+    machine.kexec()?;
+    clock.advance(reboot);
+
+    // Early boot of the target: parse PRAM from the command line,
+    // reserve every recorded frame, then let boot scrubbing run.
+    let pram_ptr = hypertp_pram::fs::pram_ptr_from_cmdline(machine.booted_cmdline())
+        .ok_or(HtpError::Pram(PramError::BadMagic { mfn: Mfn(0) }))?;
+    let image = PramImage::parse(machine.ram(), pram_ptr)?;
+    image.verify().map_err(HtpError::Pram)?;
+    image.reserve_all(machine.ram_mut())?;
+    let scrubbed = machine.ram_mut().scrub_unreserved();
+
+    // ❺ Boot the target hypervisor (rebuilds VM Management State).
+    let mut hv = registry.create(target, machine)?;
+
+    // ❻ Adopt each VM: decode its UISR blob and link the in-place guest
+    // memory. Blob load + decode are read-only and run per VM on the pool;
+    // the adopt step mutates the target hypervisor and stays serial, in
+    // PRAM directory order.
+    let pairs = pair_files(&image)?;
+    let machine_ref: &Machine = machine;
+    let decoded = pool
+        .map_indices(pairs.len(), |i| -> Result<UisrVm, HtpError> {
+            let blob = uisr_store::load_blob(machine_ref.ram(), pairs[i].1)?;
+            Ok(hypertp_uisr::decode(&blob)?)
+        })
+        .results;
+    let mut warnings = Vec::new();
+    let mut adopted = Vec::with_capacity(pairs.len());
+    for ((guest, _), uisr) in pairs.iter().zip(decoded) {
+        let restored = hv.adopt_vm(machine, &uisr?, &guest.mappings)?;
+        warnings.extend(restored.warnings.iter().cloned());
+        adopted.push((guest.name.clone(), restored.id));
+    }
+    clock.advance(restore);
+
+    // Integrity check: guest memory must be byte-identical.
+    for (name, expected) in baselines {
+        let violation = || HtpError::IntegrityViolation {
+            vm_name: name.clone(),
+        };
+        let id = hv.find_vm(name).ok_or_else(violation)?;
+        let map = hv.guest_memory_map(id)?;
+        let extents: Vec<_> = map.iter().map(|(_, e)| *e).collect();
+        if machine.ram().checksum_with_pool(&extents, pool) != *expected {
+            return Err(violation());
+        }
+        // The target must have re-owned every guest frame; otherwise
+        // dropping the PRAM reservations below would let the allocator
+        // recycle live guest memory.
+        if !extents.iter().all(|e| machine.ram().is_allocated(e.base)) {
+            return Err(violation());
+        }
+    }
+
+    // ❼ Resume guests and free ephemeral metadata.
+    for (_, id) in &adopted {
+        hv.resume_vm(*id)?;
+    }
+    clock.advance(perf.cpu(cost.resume_ghz_s_per_vm * adopted.len() as f64));
+    let resumed_at = clock.now();
+    for file in image.files.iter().filter(|f| uisr_store::is_uisr_file(f)) {
+        uisr_store::release_blob(machine.ram_mut(), file)?;
+    }
+    image.release_metadata(machine.ram_mut())?;
+    // Guest frames stay allocated (adopted); drop their reservations.
+    for file in image.files.iter().filter(|f| !uisr_store::is_uisr_file(f)) {
+        for (_, e) in &file.mappings {
+            machine.ram_mut().unreserve_and_free(e.base, e.pages())?;
+        }
+    }
+
+    // NIC re-initialization, reported separately (Fig. 6 "Network").
+    let network = machine.bring_up_nic();
+    Ok(Landed {
+        hv,
+        names: adopted.into_iter().map(|(name, _)| name).collect(),
+        warnings,
+        scrubbed,
+        network,
+        resumed_at,
+    })
+}
+
+/// Pairs every guest-memory file of a parsed PRAM directory with its UISR
+/// blob file, in directory order. An orphan of either kind — a guest file
+/// without a blob, or a blob without a guest file — is refused before
+/// anything is adopted: a VM's memory is never dropped for want of its
+/// state, nor its state for want of its memory.
+fn pair_files(image: &PramImage) -> Result<Vec<(&PramFile, &PramFile)>, HtpError> {
+    let mut pairs = Vec::new();
+    for file in &image.files {
+        match uisr_store::vm_name_from_uisr_file(file) {
+            Some(vm) => {
+                if image.file(vm).is_none_or(uisr_store::is_uisr_file) {
+                    return Err(HtpError::IncompatibleState {
+                        section: "PRAM",
+                        detail: format!("no guest-memory file for VM '{vm}'"),
+                    });
+                }
+            }
+            None => {
+                let blob = image
+                    .file(&uisr_store::uisr_file_name(&file.name))
+                    .ok_or_else(|| HtpError::IncompatibleState {
+                        section: "UISR",
+                        detail: format!("no UISR blob for VM '{}'", file.name),
+                    })?;
+                pairs.push((file, blob));
+            }
+        }
+    }
+    Ok(pairs)
 }
 
 /// The InPlaceTP engine.
@@ -489,6 +678,24 @@ impl<'r> InPlaceTransplant<'r> {
         }
     }
 
+    /// Decides which of a warm batch's `n` tasks lose their worker. Any
+    /// loss dooms the whole warm phase rather than one task, since a
+    /// half-warm cache cannot be trusted for a delta finalize; the fallback
+    /// is logged as `fell_back_to_full_translate`.
+    fn warm_batch_lost(&self, n: usize, site: &str) -> bool {
+        let lost = self.faults.pick_doomed_tasks(n, site).len();
+        if lost > 0 {
+            self.faults.record_recovery(
+                InjectionPoint::WorkerPanic,
+                RecoveryAction::FellBackToFullTranslate,
+                &format!(
+                    "{site} lost {lost} of {n} tasks; reverting to full pause-time translation"
+                ),
+            );
+        }
+        lost > 0
+    }
+
     /// The incremental pre-pause warm-translate phase (§4.2.5 extended):
     /// dirty logging goes on, every VM gets a full warm
     /// `save → to_uisr → encode` snapshot plus per-extent checksum
@@ -519,45 +726,11 @@ impl<'r> InPlaceTransplant<'r> {
         // Round 0: full warm snapshot. The per-VM control ops (pause /
         // save / resume) are cheap and serial; the heavy partial hashing
         // runs on the pool with the guests already back up, so worker
-        // deaths are decided before dispatch — and doom the whole warm
-        // phase rather than one task, since a half-warm cache cannot be
-        // trusted for a delta finalize.
-        let doomed = self.faults.pick_doomed_tasks(n, "warm snapshot");
-        if !doomed.is_empty() {
-            self.faults.record_recovery(
-                InjectionPoint::WorkerPanic,
-                RecoveryAction::FellBackToFullTranslate,
-                &format!(
-                    "warm snapshot lost {} of {n} tasks; reverting to full pause-time translation",
-                    doomed.len()
-                ),
-            );
+        // deaths are decided before dispatch.
+        if self.warm_batch_lost(n, "warm snapshot") {
             return Ok(None);
         }
-        let mut vms = Vec::with_capacity(n);
-        for &id in ids {
-            source.pause_vm(id)?;
-            let map = source.guest_memory_map(id)?;
-            let uisr = source.save_uisr(machine, id)?;
-            // Discard anything dirtied before the snapshot existed.
-            let _ = source.collect_dirty(id)?;
-            source.resume_vm(id)?;
-            vms.push(WarmVm::new(map, uisr));
-        }
-        {
-            let machine_ref: &Machine = machine;
-            let vms_ref = &vms;
-            let partials = wpool
-                .map_indices(n, |i| {
-                    machine_ref
-                        .ram()
-                        .extent_partials_with_pool(&vms_ref[i].extents, &WorkerPool::serial())
-                })
-                .results;
-            for (wv, p) in vms.iter_mut().zip(partials) {
-                wv.partials = p;
-            }
-        }
+        let mut vms = WarmVm::snapshot(machine, source, ids, wpool)?;
         let total_pages_all: u64 = vms.iter().map(|v| v.total_pages).sum();
         let full_list: Vec<(f64, u32, u64, f64)> = xlate_list
             .iter()
@@ -589,19 +762,7 @@ impl<'r> InPlaceTransplant<'r> {
                     source.guest_tick(machine, id, tick)?;
                 }
             }
-            let doomed = self
-                .faults
-                .pick_doomed_tasks(n, &format!("warm round {round}"));
-            if !doomed.is_empty() {
-                self.faults.record_recovery(
-                    InjectionPoint::WorkerPanic,
-                    RecoveryAction::FellBackToFullTranslate,
-                    &format!(
-                        "warm round {round} lost {} of {n} tasks; \
-                         reverting to full pause-time translation",
-                        doomed.len()
-                    ),
-                );
+            if self.warm_batch_lost(n, &format!("warm round {round}")) {
                 return Ok(None);
             }
             let mut round_dirty = 0u64;
@@ -625,27 +786,10 @@ impl<'r> InPlaceTransplant<'r> {
                 ));
             }
             // Refresh only the dirty extents' partials, on the pool.
-            {
-                let machine_ref: &Machine = machine;
-                let vms_ref = &vms;
-                let dirty_ref = &dirty_ext;
-                let refreshed = wpool
-                    .map_indices(n, |k| {
-                        let wv = &vms_ref[k];
-                        let mut p = wv.partials.clone();
-                        machine_ref.ram().refresh_partials_with_pool(
-                            &wv.extents,
-                            &mut p,
-                            &dirty_ref[k],
-                            &WorkerPool::serial(),
-                        );
-                        p
-                    })
-                    .results;
-                for (wv, p) in vms.iter_mut().zip(refreshed) {
-                    wv.partials = p;
-                }
-            }
+            let machine_ref: &Machine = machine;
+            wpool.map(vms.iter_mut().zip(dirty_ext).collect(), |(wv, ext)| {
+                wv.refresh(machine_ref, &ext)
+            });
             let smoothed = ewma.observe(round_dirty as f64);
             let fraction = round_dirty as f64 / total_pages_all.max(1) as f64;
             round_cost = self.cost.warm_translate(pool, &delta_list);
@@ -768,19 +912,12 @@ impl<'r> InPlaceTransplant<'r> {
         // With a warm cache in hand, collect the final dirty sets now
         // (dirty-log collection mutates the source, so it cannot run
         // inside the pool closure below).
-        let final_dirty: Option<(Vec<Vec<usize>>, Vec<u64>)> = match &warm {
-            Some(w) => {
-                let mut dirty_ext = Vec::with_capacity(ids.len());
-                let mut dirty_pages = Vec::with_capacity(ids.len());
-                for (k, &id) in ids.iter().enumerate() {
-                    let dirty = source.collect_dirty(id)?;
-                    dirty_ext.push(w.vms[k].dirty_extent_indices(&dirty));
-                    dirty_pages.push(dirty.len() as u64);
-                }
-                Some((dirty_ext, dirty_pages))
-            }
-            None => None,
-        };
+        // `(dirty extent indices, dirty pages)` per VM; empty without one.
+        let mut final_dirty = Vec::new();
+        for (wv, &id) in warm.iter().flat_map(|w| &w.vms).zip(&ids) {
+            let dirty = source.collect_dirty(id)?;
+            final_dirty.push((wv.dirty_extent_indices(&dirty), dirty.len() as u64));
+        }
 
         // ❸ Translate VMi State to UISR — the §4.2.5 parallelization hot
         // path. Each VM's `save → to_uisr → encode` chain (plus its
@@ -794,70 +931,45 @@ impl<'r> InPlaceTransplant<'r> {
         let doomed = self
             .faults
             .pick_doomed_tasks(ids.len(), "inplace translate");
-        let (per_vm, retried) = {
-            let source_ref: &dyn Hypervisor = source.as_ref();
-            let machine_ref: &Machine = machine;
-            let ids_ref = &ids;
-            let warm_ref = warm.as_ref();
-            let final_dirty_ref = final_dirty.as_ref();
-            let (batch, retried) = wpool.map_indices_recovering(
-                ids.len(),
-                &doomed,
-                |i| -> Result<SavedVm, HtpError> {
-                    let id = ids_ref[i];
-                    let name = source_ref.vm_config(id)?.name.clone();
-                    if let (Some(w), Some((dirty_ext, _))) = (warm_ref, final_dirty_ref) {
-                        // Dirty-delta finalize: refresh only the dirtied
-                        // extents' cached partials (instead of rehashing
-                        // every frame), recombine them into the integrity
-                        // baseline, and patch only the UISR sections the
-                        // final save shows changed over the warm snapshot.
+        let source_ref: &dyn Hypervisor = source.as_ref();
+        let machine_ref: &Machine = machine;
+        // Serial inner hashing: the per-VM tasks already saturate the
+        // pool; nesting another fan-out would only oversubscribe it.
+        let serial = WorkerPool::serial();
+        let (batch, retried) =
+            wpool.map_indices_recovering(ids.len(), &doomed, |i| -> Result<SavedVm, HtpError> {
+                let id = ids[i];
+                let name = source_ref.vm_config(id)?.name.clone();
+                let (map, checksum, uisr, patched_sections) = match &warm {
+                    // Dirty-delta finalize: rehash only the dirtied extents
+                    // into the integrity baseline, and patch only the UISR
+                    // sections the final save shows changed over the warm
+                    // snapshot.
+                    Some(w) => {
                         let wv = &w.vms[i];
-                        let mut partials = wv.partials.clone();
-                        machine_ref.ram().refresh_partials_with_pool(
-                            &wv.extents,
-                            &mut partials,
-                            &dirty_ext[i],
-                            &WorkerPool::serial(),
-                        );
-                        let checksum = combine_partials(&partials);
+                        let checksum = wv.checksum_after(machine_ref, &final_dirty[i].0, &serial);
                         let fresh = source_ref.save_uisr(machine_ref, id)?;
-                        let (uisr, patched_sections) = patch_uisr(&wv.uisr, fresh);
-                        let mut blob = Vec::new();
-                        hypertp_uisr::codec::encode_into(&uisr, &mut blob);
-                        Ok(SavedVm {
-                            name,
-                            map: wv.map.clone(),
-                            uisr,
-                            blob,
-                            checksum,
-                            patched_sections,
-                        })
-                    } else {
+                        let (uisr, patched) = patch_uisr(&wv.uisr, fresh);
+                        (wv.map.clone(), checksum, uisr, patched)
+                    }
+                    None => {
                         let map = source_ref.guest_memory_map(id)?;
                         let extents: Vec<_> = map.iter().map(|(_, e)| *e).collect();
-                        // Serial inner checksum: the per-VM tasks already
-                        // saturate the pool; nesting another fan-out here
-                        // would only oversubscribe the machine.
-                        let checksum = machine_ref
-                            .ram()
-                            .checksum_with_pool(&extents, &WorkerPool::serial());
-                        let uisr = source_ref.save_uisr(machine_ref, id)?;
-                        let mut blob = Vec::new();
-                        hypertp_uisr::codec::encode_into(&uisr, &mut blob);
-                        Ok(SavedVm {
-                            name,
-                            map,
-                            uisr,
-                            blob,
-                            checksum,
-                            patched_sections: 0,
-                        })
+                        let checksum = machine_ref.ram().checksum_with_pool(&extents, &serial);
+                        (map, checksum, source_ref.save_uisr(machine_ref, id)?, 0)
                     }
-                },
-            );
-            (batch.results, retried)
-        };
+                };
+                let mut blob = Vec::new();
+                hypertp_uisr::codec::encode_into(&uisr, &mut blob);
+                Ok(SavedVm {
+                    name,
+                    map,
+                    uisr,
+                    blob,
+                    checksum,
+                    patched_sections,
+                })
+            });
         for &i in &retried {
             self.faults.record_recovery(
                 InjectionPoint::WorkerPanic,
@@ -865,10 +977,7 @@ impl<'r> InPlaceTransplant<'r> {
                 &format!("translate task {i} re-run on orchestrator"),
             );
         }
-        let mut saved = Vec::with_capacity(per_vm.len());
-        for r in per_vm {
-            saved.push(r?);
-        }
+        let saved = batch.results.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Integrity baseline: guest memory contents at pause time.
         let baselines: Vec<(String, u64)> =
             saved.iter().map(|s| (s.name.clone(), s.checksum)).collect();
@@ -922,21 +1031,26 @@ impl<'r> InPlaceTransplant<'r> {
         // slices are re-translated (per-vCPU serialization and the
         // host-wide sweep are irreducible); otherwise the full per-VM
         // chain lands inside the pause window.
-        let (translate_cost, delta_translate, dirty_fraction) = match (&warm, &final_dirty) {
-            (Some(w), Some((_, dirty_pages))) => {
+        let (translate_cost, delta_translate, dirty_fraction) = match &warm {
+            Some(w) => {
                 let delta_list: Vec<(f64, u32, u64, f64)> = xlate_list
                     .iter()
-                    .zip(dirty_pages.iter().zip(&w.vms))
-                    .map(|(&(gb, vcpus, entries), (&dp, wv))| {
-                        (gb, vcpus, entries, dp as f64 / wv.total_pages.max(1) as f64)
+                    .zip(final_dirty.iter().zip(&w.vms))
+                    .map(|(&(gb, vcpus, entries), ((_, dp), wv))| {
+                        (
+                            gb,
+                            vcpus,
+                            entries,
+                            *dp as f64 / wv.total_pages.max(1) as f64,
+                        )
                     })
                     .collect();
                 let cost = self.cost.delta_translate(&pool, &delta_list);
-                let total_dirty: u64 = dirty_pages.iter().sum();
+                let total_dirty: u64 = final_dirty.iter().map(|(_, dp)| dp).sum();
                 let total_pages: u64 = w.vms.iter().map(|v| v.total_pages).sum();
                 (cost, cost, total_dirty as f64 / total_pages.max(1) as f64)
             }
-            _ => (
+            None => (
                 self.cost.translate(&pool, &xlate_list),
                 SimDuration::ZERO,
                 1.0,
@@ -952,119 +1066,34 @@ impl<'r> InPlaceTransplant<'r> {
             translate_cost + pram_cost
         };
 
-        // ❹ Micro-reboot into the target.
-        machine.kexec_load(hypertp_machine::KexecImage {
+        // ❹–❼ Micro-reboot into the target, adopt, verify, resume.
+        machine.kexec_load(KexecImage {
             target: target.boot_target(),
             cmdline: format!("hypertp {}", handle.cmdline_arg()),
         });
         drop(source); // HV State dies with the old kernel.
-        machine.kexec()?;
-        let total_entries = handle.stats().entries;
-        let reboot_cost = self
-            .cost
-            .reboot(&perf, target.boot_target(), total_gb, total_entries);
-        clock.advance(reboot_cost);
-
-        // Early boot of the target: parse PRAM from the command line,
-        // reserve every recorded frame, then let boot scrubbing run.
-        let pram_ptr = hypertp_pram::fs::pram_ptr_from_cmdline(machine.booted_cmdline()).ok_or(
-            HtpError::Pram(hypertp_pram::PramError::BadMagic {
-                mfn: hypertp_machine::Mfn(0),
-            }),
-        )?;
-        let image = PramImage::parse(machine.ram(), pram_ptr)?;
-        image.verify().map_err(HtpError::Pram)?;
-        image.reserve_all(machine.ram_mut())?;
-        let scrubbed = machine.ram_mut().scrub_unreserved();
-
-        // ❺ Boot the target hypervisor (rebuilds VM Management State).
-        let mut target_hv = self.registry.create(target, machine)?;
-
-        // ❻ Adopt each VM: decode its UISR blob and link the in-place
-        // guest memory. Blob load + decode are read-only and run per VM on
-        // the pool; the adopt step mutates the target hypervisor and stays
-        // serial, in PRAM directory order.
-        let guest_files: Vec<_> = image
-            .files
-            .iter()
-            .filter(|f| !uisr_store::is_uisr_file(f))
-            .collect();
-        let decoded = {
-            let machine_ref: &Machine = machine;
-            let image_ref = &image;
-            wpool
-                .map_indices(guest_files.len(), |i| -> Result<_, HtpError> {
-                    let file = guest_files[i];
-                    let blob_file = image_ref
-                        .file(&uisr_store::uisr_file_name(&file.name))
-                        .ok_or_else(|| HtpError::IncompatibleState {
-                            section: "UISR",
-                            detail: format!("no UISR blob for VM '{}'", file.name),
-                        })?;
-                    let blob = uisr_store::load_blob(machine_ref.ram(), blob_file)?;
-                    Ok(hypertp_uisr::decode(&blob)?)
-                })
-                .results
-        };
-        let mut warnings = Vec::new();
-        let mut adopted = Vec::new();
-        for (file, uisr) in guest_files.iter().zip(decoded) {
-            let restored = target_hv.adopt_vm(machine, &uisr?, &file.mappings)?;
-            warnings.extend(restored.warnings.iter().cloned());
-            adopted.push((file.name.clone(), restored.id));
-        }
+        let reboot_cost = self.cost.reboot(
+            &perf,
+            target.boot_target(),
+            total_gb,
+            handle.stats().entries,
+        );
         let restore_cost = self
             .cost
             .restore(&perf, &restore_list, self.opts.early_restoration);
-        clock.advance(restore_cost);
-
-        // Integrity check: guest memory must be byte-identical.
-        for (name, expected) in &baselines {
-            let id = target_hv
-                .find_vm(name)
-                .ok_or_else(|| HtpError::IntegrityViolation {
-                    vm_name: name.clone(),
-                })?;
-            let map = target_hv.guest_memory_map(id)?;
-            let extents: Vec<_> = map.iter().map(|(_, e)| *e).collect();
-            if machine.ram().checksum_with_pool(&extents, &wpool) != *expected {
-                return Err(HtpError::IntegrityViolation {
-                    vm_name: name.clone(),
-                });
-            }
-            // The target must have re-owned every guest frame; otherwise
-            // dropping the PRAM reservations below would let the allocator
-            // recycle live guest memory.
-            if !extents.iter().all(|e| machine.ram().is_allocated(e.base)) {
-                return Err(HtpError::IntegrityViolation {
-                    vm_name: name.clone(),
-                });
-            }
-        }
-
-        // ❼ Resume guests and free ephemeral metadata.
-        for (_, id) in &adopted {
-            target_hv.resume_vm(*id)?;
-        }
-        clock.advance(perf.cpu(self.cost.resume_ghz_s_per_vm * adopted.len() as f64));
-        let t_resumed = clock.now();
-        for file in image.files.iter().filter(|f| uisr_store::is_uisr_file(f)) {
-            uisr_store::release_blob(machine.ram_mut(), file)?;
-        }
-        image.release_metadata(machine.ram_mut())?;
-        // Guest frames stay allocated (adopted); drop their reservations.
-        for file in image.files.iter().filter(|f| !uisr_store::is_uisr_file(f)) {
-            for (_, e) in &file.mappings {
-                machine.ram_mut().unreserve_and_free(e.base, e.pages())?;
-            }
-        }
-
-        // NIC re-initialization, reported separately (Fig. 6 "Network").
-        let network = machine.bring_up_nic();
+        let landed = kexec_and_adopt(
+            machine,
+            self.registry,
+            &self.cost,
+            target,
+            (reboot_cost, restore_cost),
+            &baselines,
+            &wpool,
+        )?;
 
         // Attribute the pause→resume distance to the three downtime phases
         // (pause/resume costs fold into translation/restoration).
-        let measured_downtime = t_resumed.duration_since(t_pause);
+        let measured_downtime = landed.resumed_at.duration_since(t_pause);
         debug_assert!(measured_downtime >= translation_span + reboot_cost + restore_cost);
 
         let (warm_translate, warm_rounds, warm_carryover_pages) = match warm {
@@ -1078,11 +1107,11 @@ impl<'r> InPlaceTransplant<'r> {
             translation: translation_span,
             reboot: reboot_cost,
             restoration: measured_downtime - translation_span - reboot_cost,
-            network,
+            network: landed.network,
             pram_stats: handle.stats(),
             uisr_bytes,
-            scrubbed_frames: scrubbed,
-            warnings,
+            scrubbed_frames: landed.scrubbed,
+            warnings: landed.warnings,
             warm_translate,
             delta_translate,
             dirty_fraction,
@@ -1090,7 +1119,7 @@ impl<'r> InPlaceTransplant<'r> {
             warm_carryover_pages,
             patched_sections,
         };
-        Ok((target_hv, report))
+        Ok((landed.hv, report))
     }
 }
 
@@ -1350,6 +1379,99 @@ mod tests {
         let faulted = run(Some(plan.clone()));
         assert_eq!(clean, faulted);
         assert!(!plan.log().is_empty());
+    }
+
+    /// Builds a PRAM directory with `build`, stages it and runs the
+    /// post-kexec tail over it. Returns the tail's error and whether any
+    /// extent `build` returned was adopted before it.
+    fn land_malformed(
+        build: impl FnOnce(&mut Machine, &mut PramBuilder) -> Vec<Extent>,
+    ) -> (HtpError, bool) {
+        let reg = registry();
+        let mut m = machine_gb(4);
+        let mut builder = PramBuilder::new();
+        let watched = build(&mut m, &mut builder);
+        let handle = builder.write(m.ram_mut()).unwrap();
+        m.kexec_load(KexecImage {
+            target: HypervisorKind::Kvm.boot_target(),
+            cmdline: format!("hypertp {}", handle.cmdline_arg()),
+        });
+        let err = kexec_and_adopt(
+            &mut m,
+            &reg,
+            &CostModel::paper_calibrated(),
+            HypervisorKind::Kvm,
+            (SimDuration::ZERO, SimDuration::ZERO),
+            &[],
+            &WorkerPool::serial(),
+        )
+        .err()
+        .expect("a malformed directory must not land");
+        let adopted = watched.iter().any(|e| m.ram().is_allocated(e.base));
+        (err, adopted)
+    }
+
+    /// A guest VM's memory map and its encoded UISR, saved on a SimpleHv.
+    fn saved_guest(m: &mut Machine, name: &str) -> (Vec<(Gfn, Extent)>, Vec<u8>) {
+        let mut src = SimpleHv::new(HypervisorKind::Xen);
+        let id = src.create_vm(m, &VmConfig::small(name)).unwrap();
+        src.pause_vm(id).unwrap();
+        let blob = hypertp_uisr::encode(&src.save_uisr(m, id).unwrap());
+        (src.guest_memory_map(id).unwrap(), blob)
+    }
+
+    #[test]
+    fn guest_file_without_a_blob_is_refused_after_kexec() {
+        let (err, adopted) = land_malformed(|m, b| {
+            let (map, _) = saved_guest(m, "vm0");
+            let extents = map.iter().map(|(_, e)| *e).collect();
+            b.add_file("vm0", 0o600, map);
+            extents
+        });
+        assert_eq!(
+            err,
+            HtpError::IncompatibleState {
+                section: "UISR",
+                detail: "no UISR blob for VM 'vm0'".into()
+            }
+        );
+        assert!(!adopted);
+    }
+
+    #[test]
+    fn blob_without_a_guest_file_is_refused_after_kexec() {
+        let (err, _) = land_malformed(|m, b| {
+            uisr_store::store_blob(m.ram_mut(), b, "vm0", b"state").unwrap();
+            Vec::new()
+        });
+        assert_eq!(
+            err,
+            HtpError::IncompatibleState {
+                section: "PRAM",
+                detail: "no guest-memory file for VM 'vm0'".into()
+            }
+        );
+    }
+
+    #[test]
+    fn an_orphan_is_refused_before_any_vm_is_adopted() {
+        // vm0 is whole and comes first; vm1's blob has no memory.
+        let (err, adopted) = land_malformed(|m, b| {
+            let (map, blob) = saved_guest(m, "vm0");
+            let extents = map.iter().map(|(_, e)| *e).collect();
+            b.add_file("vm0", 0o600, map);
+            uisr_store::store_blob(m.ram_mut(), b, "vm0", &blob).unwrap();
+            uisr_store::store_blob(m.ram_mut(), b, "vm1", &blob).unwrap();
+            extents
+        });
+        assert_eq!(
+            err,
+            HtpError::IncompatibleState {
+                section: "PRAM",
+                detail: "no guest-memory file for VM 'vm1'".into()
+            }
+        );
+        assert!(!adopted, "vm0 was adopted before the orphan was seen");
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use recovery::{
 };
 pub use registry::HypervisorRegistry;
 pub use unplanned::{
-    cold_recovery_latency, crash_gate, warm_recovery_latency, CheckpointConfig, CrashPhase,
-    RecoveryReport, TickReport, UnplannedRecovery, VmLoss, WarmCheckpointer,
+    crash_gate, warm_recovery_latency, CheckpointConfig, CrashPhase, RecoveryReport, TickReport,
+    UnplannedRecovery, VmLoss, WarmCheckpointer,
 };
 pub use vm::{VmConfig, VmId, VmState};

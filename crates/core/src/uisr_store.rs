@@ -32,9 +32,9 @@ pub fn is_uisr_file(file: &PramFile) -> bool {
 }
 
 /// The VM name a UISR blob file belongs to (inverse of
-/// [`uisr_file_name`]), or `None` for guest-memory files. Unplanned
-/// recovery enumerates VMs from these names alone — after a hypervisor
-/// crash there is no live source left to ask.
+/// [`uisr_file_name`]), or `None` for guest-memory files. The post-kexec
+/// tail pairs each blob with its guest file by this name — after a
+/// hypervisor crash there is no live source left to ask.
 pub fn vm_name_from_uisr_file(file: &PramFile) -> Option<&str> {
     file.name.strip_prefix(UISR_FILE_PREFIX)
 }

@@ -24,16 +24,15 @@
 //!   crash is bounded by that plus whatever the workload dirtied since the
 //!   last completed tick.
 
-use hypertp_machine::{combine_partials, Extent, Gfn, KexecImage, Machine, PageOrder};
-use hypertp_pram::{PramBuilder, PramFile, PramHandle, PramImage};
+use hypertp_machine::{Extent, Gfn, KexecImage, Machine, PageOrder};
+use hypertp_pram::{PramBuilder, PramHandle};
 use hypertp_sim::cost::MachinePerf;
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
 use hypertp_sim::{CostModel, Ewma, SimDuration, WorkerPool};
-use hypertp_uisr::UisrVm;
 
 use crate::error::HtpError;
 use crate::hypervisor::{Hypervisor, HypervisorKind};
-use crate::inplace::patch_uisr;
+use crate::inplace::{kexec_and_adopt, patch_uisr, WarmVm};
 use crate::registry::HypervisorRegistry;
 use crate::uisr_store;
 use crate::vm::VmId;
@@ -123,24 +122,16 @@ pub struct TickReport {
     pub duration: SimDuration,
 }
 
-/// Per-VM warm checkpoint cache (the always-on analogue of the in-place
-/// engine's warm-translate cache).
+/// Per-VM checkpoint: the in-place engine's warm-translate cache plus what
+/// persisting and pacing it needs.
 struct CkptVm {
+    /// The warm cache. Its partials are refreshed with each checkpoint;
+    /// its UISR may be newer than the persisted blob if a crash hit the
+    /// finalize phase.
+    warm: WarmVm,
     name: String,
-    /// Memory map exactly as `guest_memory_map` returned it.
-    map: Vec<(Gfn, Extent)>,
-    /// Extents in map order — the checksum unit.
-    extents: Vec<Extent>,
-    /// `(gfn_start, pages, extent index)` sorted by `gfn_start`.
-    lookup: Vec<(u64, u64, usize)>,
-    /// Cached per-extent checksum partials, refreshed with each checkpoint.
-    partials: Vec<u64>,
-    /// Latest checkpointed UISR (may be newer than the persisted blob if a
-    /// crash hit the finalize phase).
-    uisr: UisrVm,
     /// PRAM chunk mappings of the currently persisted blob.
     blob_mappings: Vec<(Gfn, Extent)>,
-    total_pages: u64,
     gb: f64,
     vcpus: u32,
     entries: u64,
@@ -159,21 +150,40 @@ struct CkptVm {
 }
 
 impl CkptVm {
-    /// Maps a dirty-GFN list to the (ascending) indices of the extents
-    /// containing them.
-    fn dirty_extent_indices(&self, dirty: &[Gfn]) -> Vec<usize> {
-        let mut hit = vec![false; self.extents.len()];
-        for g in dirty {
-            let pos = self.lookup.partition_point(|&(start, _, _)| start <= g.0);
-            if pos > 0 {
-                let (start, pages, idx) = self.lookup[pos - 1];
-                if g.0 < start + pages {
-                    hit[idx] = true;
-                }
-            }
-        }
-        (0..hit.len()).filter(|&i| hit[i]).collect()
+    /// Encodes the cached UISR into freshly allocated blob frames.
+    fn write_blob(&mut self, machine: &mut Machine) -> Result<(), HtpError> {
+        let mut blob = Vec::new();
+        hypertp_uisr::codec::encode_into(&self.warm.uisr, &mut blob);
+        self.blob_mappings = uisr_store::write_blob(machine.ram_mut(), &blob)?;
+        Ok(())
     }
+}
+
+/// Writes a PRAM directory over every VM's guest memory and persisted
+/// blob, and stages the rescue kexec image at it: a crashed hypervisor
+/// cannot run `kexec_load`, so the staged image must always point at the
+/// freshest directory.
+fn stage_directory(
+    machine: &mut Machine,
+    vms: &[CkptVm],
+    pool: WorkerPool,
+    target: HypervisorKind,
+) -> Result<PramHandle, HtpError> {
+    let mut builder = PramBuilder::new().with_pool(pool);
+    for vm in vms {
+        builder.add_file(vm.name.clone(), 0o600, vm.warm.map.clone());
+        builder.add_file(
+            uisr_store::uisr_file_name(&vm.name),
+            0o400,
+            vm.blob_mappings.clone(),
+        );
+    }
+    let handle = builder.write(machine.ram_mut())?;
+    machine.kexec_load(KexecImage {
+        target: target.boot_target(),
+        cmdline: format!("hypertp {}", handle.cmdline_arg()),
+    });
+    Ok(handle)
 }
 
 /// The always-on background checkpointer: continuous incremental UISR
@@ -230,36 +240,20 @@ impl WarmCheckpointer {
         let perf = machine.spec().perf();
         let clock = machine.clock().clone();
         let ids = source.vm_ids();
-        let mut vms = Vec::with_capacity(ids.len());
         for &id in &ids {
             source.enable_dirty_log(id)?;
-            source.pause_vm(id)?;
-            let map = source.guest_memory_map(id)?;
-            let uisr = source.save_uisr(machine, id)?;
-            // Discard anything dirtied before the snapshot existed.
-            let _ = source.collect_dirty(id)?;
-            source.resume_vm(id)?;
+        }
+        let warm = WarmVm::snapshot(machine, source, &ids, &pool)?;
+        let mut vms = Vec::with_capacity(ids.len());
+        for (&id, warm) in ids.iter().zip(warm) {
             let c = source.vm_config(id)?;
-            let extents: Vec<Extent> = map.iter().map(|(_, e)| *e).collect();
-            let mut lookup: Vec<(u64, u64, usize)> = map
-                .iter()
-                .enumerate()
-                .map(|(i, (g, e))| (g.0, e.pages(), i))
-                .collect();
-            lookup.sort_unstable();
-            let total_pages = extents.iter().map(|e| e.pages()).sum();
             vms.push(CkptVm {
+                warm,
                 name: c.name.clone(),
+                blob_mappings: Vec::new(),
                 gb: c.memory_gb as f64,
                 vcpus: c.vcpus,
                 entries: c.pram_entries(),
-                map,
-                extents,
-                lookup,
-                partials: Vec::new(),
-                uisr,
-                blob_mappings: Vec::new(),
-                total_pages,
                 persisted_staleness: 0,
                 staleness_at_tick_end: 0,
                 pending: Vec::new(),
@@ -268,43 +262,11 @@ impl WarmCheckpointer {
             });
         }
 
-        // Initial per-extent partials on the pool (serial inner hashing:
-        // the per-VM tasks already saturate the workers).
-        {
-            let machine_ref: &Machine = machine;
-            let vms_ref = &vms;
-            let partials = pool
-                .map_indices(vms.len(), |i| {
-                    machine_ref
-                        .ram()
-                        .extent_partials_with_pool(&vms_ref[i].extents, &WorkerPool::serial())
-                })
-                .results;
-            for (vm, p) in vms.iter_mut().zip(partials) {
-                vm.partials = p;
-            }
-        }
-
         // Persist the initial checkpoints and arm the rescue image.
         for vm in &mut vms {
-            let mut blob = Vec::new();
-            hypertp_uisr::codec::encode_into(&vm.uisr, &mut blob);
-            vm.blob_mappings = uisr_store::write_blob(machine.ram_mut(), &blob)?;
+            vm.write_blob(machine)?;
         }
-        let mut builder = PramBuilder::new().with_pool(pool);
-        for vm in &vms {
-            builder.add_file(vm.name.clone(), 0o600, vm.map.clone());
-            builder.add_file(
-                uisr_store::uisr_file_name(&vm.name),
-                0o400,
-                vm.blob_mappings.clone(),
-            );
-        }
-        let handle = builder.write(machine.ram_mut())?;
-        machine.kexec_load(KexecImage {
-            target: target.boot_target(),
-            cmdline: format!("hypertp {}", handle.cmdline_arg()),
-        });
+        let handle = stage_directory(machine, &vms, pool, target)?;
 
         // Background cost of the initial full warm translation + directory
         // build (below the time axis: each VM was only micro-paused).
@@ -452,54 +414,33 @@ impl WarmCheckpointer {
             .collect();
 
         // Refresh the in-memory caches: fresh UISR (section-level
-        // patched) and partials for the dirtied extents.
+        // patched), then, on the pool, partials for the dirtied extents.
         let mut delta_list = Vec::with_capacity(refresh.len());
-        for &k in &refresh {
+        let mut build_list = Vec::with_capacity(refresh.len());
+        let mut jobs = Vec::with_capacity(refresh.len());
+        for (k, vm) in self.vms.iter_mut().enumerate() {
+            if !refresh.contains(&k) {
+                continue;
+            }
             let id = self.ids[k];
             source.pause_vm(id)?;
             let fresh = source.save_uisr(machine, id)?;
             source.resume_vm(id)?;
-            let vm = &mut self.vms[k];
-            let (uisr, sections) = patch_uisr(&vm.uisr, fresh);
-            vm.uisr = uisr;
+            let (uisr, sections) = patch_uisr(&vm.warm.uisr, fresh);
+            vm.warm.uisr = uisr;
             report.patched_sections += sections;
             delta_list.push((
                 vm.gb,
                 vm.vcpus,
                 vm.entries,
-                vm.persisted_staleness as f64 / vm.total_pages.max(1) as f64,
+                vm.persisted_staleness as f64 / vm.warm.total_pages.max(1) as f64,
             ));
+            build_list.push((vm.gb, vm.entries));
+            jobs.push((vm.warm.dirty_extent_indices(&vm.pending), &mut vm.warm));
         }
-        let dirty_ext: Vec<Vec<usize>> = refresh
-            .iter()
-            .map(|&k| {
-                let vm = &self.vms[k];
-                vm.dirty_extent_indices(&vm.pending)
-            })
-            .collect();
-        {
-            let machine_ref: &Machine = machine;
-            let vms_ref = &self.vms;
-            let refresh_ref = &refresh;
-            let dirty_ref = &dirty_ext;
-            let refreshed_partials = self
-                .pool
-                .map_indices(refresh.len(), |i| {
-                    let vm = &vms_ref[refresh_ref[i]];
-                    let mut p = vm.partials.clone();
-                    machine_ref.ram().refresh_partials_with_pool(
-                        &vm.extents,
-                        &mut p,
-                        &dirty_ref[i],
-                        &WorkerPool::serial(),
-                    );
-                    p
-                })
-                .results;
-            for (i, p) in refreshed_partials.into_iter().enumerate() {
-                self.vms[refresh[i]].partials = p;
-            }
-        }
+        let machine_ref: &Machine = machine;
+        self.pool
+            .map(jobs, |(ext, warm)| warm.refresh(machine_ref, &ext));
         if crash_gate(&self.faults, &format!("ckpt tick {t} finalize")) {
             // Caches are refreshed but the directory is not: the persisted
             // (older) checkpoints stay authoritative for recovery, and the
@@ -529,15 +470,11 @@ impl WarmCheckpointer {
 
         // Background cost: warm delta translation plus the directory
         // rebuild for the refreshed VMs (below the time axis).
-        let mut tick_cost = SimDuration::ZERO;
-        if !delta_list.is_empty() {
-            let build_list: Vec<(f64, u64)> = refresh
-                .iter()
-                .map(|&k| (self.vms[k].gb, self.vms[k].entries))
-                .collect();
-            tick_cost = self.cost.warm_translate(&perf, &delta_list)
-                + self.cost.pram_build(&perf, &build_list);
-        }
+        let tick_cost = if refresh.is_empty() {
+            SimDuration::ZERO
+        } else {
+            self.cost.warm_translate(&perf, &delta_list) + self.cost.pram_build(&perf, &build_list)
+        };
         clock.advance(tick_cost);
         self.background += tick_cost;
         report.duration = tick_cost;
@@ -561,35 +498,17 @@ impl WarmCheckpointer {
     /// restages the rescue kexec image.
     fn persist(&mut self, machine: &mut Machine, refresh: &[usize]) -> Result<(), HtpError> {
         for &k in refresh {
-            let old = std::mem::take(&mut self.vms[k].blob_mappings);
-            for (_, e) in &old {
+            for (_, e) in &self.vms[k].blob_mappings {
                 machine.ram_mut().free(*e)?;
             }
-            let mut blob = Vec::new();
-            hypertp_uisr::codec::encode_into(&self.vms[k].uisr, &mut blob);
-            self.vms[k].blob_mappings = uisr_store::write_blob(machine.ram_mut(), &blob)?;
+            self.vms[k].write_blob(machine)?;
         }
         // Recycle the old directory's metadata pages, then write a fresh
         // directory over the (mostly unchanged) data frames.
         for &m in &self.handle.meta_frames {
             machine.ram_mut().free(Extent::new(m, PageOrder(0)))?;
         }
-        let mut builder = PramBuilder::new().with_pool(self.pool);
-        for vm in &self.vms {
-            builder.add_file(vm.name.clone(), 0o600, vm.map.clone());
-            builder.add_file(
-                uisr_store::uisr_file_name(&vm.name),
-                0o400,
-                vm.blob_mappings.clone(),
-            );
-        }
-        self.handle = builder.write(machine.ram_mut())?;
-        // A crashed hypervisor cannot run kexec_load, so the staged rescue
-        // image must always point at the freshest directory.
-        machine.kexec_load(KexecImage {
-            target: self.target.boot_target(),
-            cmdline: format!("hypertp {}", self.handle.cmdline_arg()),
-        });
+        self.handle = stage_directory(machine, &self.vms, self.pool, self.target)?;
         Ok(())
     }
 }
@@ -726,33 +645,6 @@ pub fn warm_recovery_latency(
         + perf.cpu(cost.resume_ghz_s_per_vm * restore_list.len() as f64)
 }
 
-/// Modeled cold crash-recovery latency: the same path plus the crash-time
-/// salvage translation and PRAM construction that always-on checkpointing
-/// moves out of the critical path.
-#[allow(clippy::too_many_arguments)] // mirrors the cost-model list shapes
-pub fn cold_recovery_latency(
-    cost: &CostModel,
-    perf: &MachinePerf,
-    target: HypervisorKind,
-    detection: SimDuration,
-    total_gb: f64,
-    entries: u64,
-    restore_list: &[(f64, u32)],
-    build_list: &[(f64, u64)],
-    xlate_list: &[(f64, u32, u64)],
-) -> SimDuration {
-    warm_recovery_latency(
-        cost,
-        perf,
-        target,
-        detection,
-        total_gb,
-        entries,
-        restore_list,
-    ) + cost.pram_build(perf, build_list)
-        + cost.translate(perf, xlate_list)
-}
-
 /// The crash-recovery engine: takes the dying hypervisor and the always-on
 /// checkpointer, micro-reboots into the rescue hypervisor over the
 /// pre-staged kexec+PRAM image, and adopts every VM from its freshest
@@ -788,8 +680,9 @@ impl<'r> UnplannedRecovery<'r> {
 
     /// Recovers from a hypervisor crash: post-mortem state-loss sweep,
     /// watchdog detection, rescue kexec into the checkpointer's target,
-    /// VM discovery from the PRAM UISR blob names alone, adoption of the
-    /// in-place guest memory, and resume.
+    /// VM discovery from the PRAM directory alone (each guest-memory file
+    /// paired with its UISR blob), adoption of the in-place guest memory,
+    /// and resume.
     ///
     /// `crashed` is consumed — its HV State dies with the old kernel.
     /// Guest memory stays in place and survives byte-identical (verified
@@ -798,7 +691,7 @@ impl<'r> UnplannedRecovery<'r> {
     pub fn recover(
         &self,
         machine: &mut Machine,
-        crashed: Box<dyn Hypervisor>,
+        mut crashed: Box<dyn Hypervisor>,
         ckpt: WarmCheckpointer,
     ) -> Result<(Box<dyn Hypervisor>, RecoveryReport), HtpError> {
         let target = ckpt.target;
@@ -813,9 +706,8 @@ impl<'r> UnplannedRecovery<'r> {
         // Post-mortem sweep: ground-truth staleness at the crash instant.
         // The simulator reads the dying hypervisor's dirty logs directly;
         // a real watchdog extracts the same numbers from the crash dump.
-        let mut crashed = crashed;
         let mut losses = Vec::with_capacity(ckpt.vms.len());
-        let mut crash_checksums = Vec::with_capacity(ckpt.vms.len());
+        let mut baselines = Vec::with_capacity(ckpt.vms.len());
         for (k, vm) in ckpt.vms.iter().enumerate() {
             let tail = crashed.collect_dirty(ckpt.ids[k]).unwrap_or_default();
             losses.push(VmLoss {
@@ -829,12 +721,11 @@ impl<'r> UnplannedRecovery<'r> {
             // is exactly pending ∪ tail.
             let mut dirty = vm.pending.clone();
             dirty.extend(tail);
-            let ext = vm.dirty_extent_indices(&dirty);
-            let mut partials = vm.partials.clone();
-            machine
-                .ram()
-                .refresh_partials_with_pool(&vm.extents, &mut partials, &ext, &pool);
-            crash_checksums.push(combine_partials(&partials));
+            let ext = vm.warm.dirty_extent_indices(&dirty);
+            baselines.push((
+                vm.name.clone(),
+                vm.warm.checksum_after(machine, &ext, &pool),
+            ));
         }
         let total_loss: u64 = losses.iter().map(|l| l.loss_pages).sum();
         self.faults.record_recovery(
@@ -853,117 +744,41 @@ impl<'r> UnplannedRecovery<'r> {
 
         // Watchdog window, then the pre-staged rescue kexec — a dead
         // hypervisor cannot stage anything, so the image must already be
-        // armed (the checkpointer re-arms it on every persist).
+        // armed (the checkpointer re-arms it on every persist). Guest
+        // files map the live frames, so crash-instant memory must survive
+        // byte-identical; only registers roll back.
         clock.advance(ckpt.cfg.detection);
-        machine.kexec()?;
         let total_gb: f64 = ckpt.vms.iter().map(|v| v.gb).sum();
-        let total_entries = ckpt.handle.stats().entries;
-        let reboot_cost = self
-            .cost
-            .reboot(&perf, target.boot_target(), total_gb, total_entries);
-        clock.advance(reboot_cost);
-
-        // Early boot: locate the freshest checkpoint directory from the
-        // rescue command line.
-        let pram_ptr = hypertp_pram::fs::pram_ptr_from_cmdline(machine.booted_cmdline()).ok_or(
-            HtpError::Pram(hypertp_pram::PramError::BadMagic {
-                mfn: hypertp_machine::Mfn(0),
-            }),
-        )?;
-        let image = PramImage::parse(machine.ram(), pram_ptr)?;
-        image.verify().map_err(HtpError::Pram)?;
-        image.reserve_all(machine.ram_mut())?;
-        let scrubbed = machine.ram_mut().scrub_unreserved();
-
-        let mut target_hv = self.registry.create(target, machine)?;
-
-        // Discover the VMs from the UISR blob names alone — there is no
-        // source hypervisor left to enumerate them.
-        let blob_files: Vec<&PramFile> = image
-            .files
-            .iter()
-            .filter(|f| uisr_store::is_uisr_file(f))
-            .collect();
-        let decoded = {
-            let machine_ref: &Machine = machine;
-            let blob_ref = &blob_files;
-            pool.map_indices(blob_files.len(), |i| -> Result<UisrVm, HtpError> {
-                let blob = uisr_store::load_blob(machine_ref.ram(), blob_ref[i])?;
-                Ok(hypertp_uisr::decode(&blob)?)
-            })
-            .results
-        };
-        let mut warnings = Vec::new();
-        let mut adopted = Vec::new();
-        for (file, uisr) in blob_files.iter().zip(decoded) {
-            let name = uisr_store::vm_name_from_uisr_file(file).expect("filtered as UISR file");
-            let guest = image
-                .file(name)
-                .ok_or_else(|| HtpError::IncompatibleState {
-                    section: "PRAM",
-                    detail: format!("no guest-memory file for VM '{name}'"),
-                })?;
-            let restored = target_hv.adopt_vm(machine, &uisr?, &guest.mappings)?;
-            warnings.extend(restored.warnings.iter().cloned());
-            adopted.push((name.to_string(), restored.id));
-        }
+        let reboot_cost = self.cost.reboot(
+            &perf,
+            target.boot_target(),
+            total_gb,
+            ckpt.handle.stats().entries,
+        );
         let restore_list: Vec<(f64, u32)> = ckpt.vms.iter().map(|v| (v.gb, v.vcpus)).collect();
         let restore_cost = self.cost.restore(&perf, &restore_list, true);
-        clock.advance(restore_cost);
-
-        // Integrity: crash-instant guest memory must have survived the
-        // micro-reboot byte-identical (only registers roll back).
-        for (k, vm) in ckpt.vms.iter().enumerate() {
-            let id = target_hv
-                .find_vm(&vm.name)
-                .ok_or_else(|| HtpError::IntegrityViolation {
-                    vm_name: vm.name.clone(),
-                })?;
-            let map = target_hv.guest_memory_map(id)?;
-            let extents: Vec<_> = map.iter().map(|(_, e)| *e).collect();
-            if machine.ram().checksum_with_pool(&extents, &pool) != crash_checksums[k] {
-                return Err(HtpError::IntegrityViolation {
-                    vm_name: vm.name.clone(),
-                });
-            }
-            if !extents.iter().all(|e| machine.ram().is_allocated(e.base)) {
-                return Err(HtpError::IntegrityViolation {
-                    vm_name: vm.name.clone(),
-                });
-            }
-        }
-
-        // Resume every VM and log its restoration.
-        for (name, id) in &adopted {
-            target_hv.resume_vm(*id)?;
+        let landed = kexec_and_adopt(
+            machine,
+            self.registry,
+            &self.cost,
+            target,
+            (reboot_cost, restore_cost),
+            &baselines,
+            &pool,
+        )?;
+        for name in &landed.names {
             let loss = losses
                 .iter()
                 .find(|l| &l.name == name)
-                .map(|l| l.loss_pages)
-                .unwrap_or(0);
+                .map_or(0, |l| l.loss_pages);
             self.faults.record_recovery(
                 InjectionPoint::HypervisorCrash,
                 RecoveryAction::RestoredFromCheckpoint,
                 &format!("{name}: restored from warm checkpoint ({loss} stale pages lost)"),
             );
         }
-        clock.advance(perf.cpu(self.cost.resume_ghz_s_per_vm * adopted.len() as f64));
-        let t_resumed = clock.now();
 
-        // Cleanup: blob frames and metadata are ephemeral; guest frames
-        // stay allocated (adopted) and only drop their reservations.
-        for file in image.files.iter().filter(|f| uisr_store::is_uisr_file(f)) {
-            uisr_store::release_blob(machine.ram_mut(), file)?;
-        }
-        image.release_metadata(machine.ram_mut())?;
-        for file in image.files.iter().filter(|f| !uisr_store::is_uisr_file(f)) {
-            for (_, e) in &file.mappings {
-                machine.ram_mut().unreserve_and_free(e.base, e.pages())?;
-            }
-        }
-        let network = machine.bring_up_nic();
-
-        let recovery_latency = t_resumed.duration_since(t_crash);
+        let recovery_latency = landed.resumed_at.duration_since(t_crash);
         let build_list: Vec<(f64, u64)> = ckpt.vms.iter().map(|v| (v.gb, v.entries)).collect();
         let xlate_list: Vec<(f64, u32, u64)> = ckpt
             .vms
@@ -975,11 +790,11 @@ impl<'r> UnplannedRecovery<'r> {
             + self.cost.translate(&perf, &xlate_list);
 
         let report = RecoveryReport {
-            vm_count: adopted.len(),
+            vm_count: landed.names.len(),
             detection: ckpt.cfg.detection,
             reboot: reboot_cost,
             restoration: recovery_latency - ckpt.cfg.detection - reboot_cost,
-            network,
+            network: landed.network,
             recovery_latency,
             cold_latency,
             losses,
@@ -987,10 +802,10 @@ impl<'r> UnplannedRecovery<'r> {
             checkpoint_ticks: ckpt.ticks,
             checkpoint_refreshes: ckpt.refreshes,
             background_time: ckpt.background,
-            scrubbed_frames: scrubbed,
-            warnings,
+            scrubbed_frames: landed.scrubbed,
+            warnings: landed.warnings,
         };
-        Ok((target_hv, report))
+        Ok((landed.hv, report))
     }
 }
 
@@ -1000,6 +815,7 @@ mod tests {
     use crate::testing::SimpleHv;
     use crate::vm::{VmConfig, VmState};
     use hypertp_machine::MachineSpec;
+    use hypertp_uisr::UisrVm;
 
     fn registry() -> HypervisorRegistry {
         let mut r = HypervisorRegistry::new();

@@ -753,7 +753,7 @@ pub(crate) fn dirtied_pages(rate: f64, duration: SimDuration, pages: u64) -> u64
 }
 
 /// Analytic pre-copy round model: replays the engine's round loop on
-/// paper ([`RoundModel`], [`dirtied_pages`], static threshold) without
+/// paper (`RoundModel`, `dirtied_pages`, static threshold) without
 /// touching guest memory. Under
 /// [`WireMode::Raw`] with no controller this reproduces the engine's
 /// timings exactly; under [`WireMode::ContentAware`] page bytes scale by

@@ -5,7 +5,7 @@
 //! materialises them and translates the VMi State through UISR. Here the
 //! source proxy is the engine's own pre-copy driver
 //! ([`crate::engine::MigrationTp`]) landing the VM through a
-//! [`RemoteDest`] — same rounds, controller, stop rule, fault policy and
+//! `RemoteDest` — same rounds, controller, stop rule, fault policy and
 //! encode path — so a fault-free proxy run produces a destination RAM
 //! image, [`WireStats`] and timings **byte-identical** to the in-process
 //! engine. This module holds only the protocol.

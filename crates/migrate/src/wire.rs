@@ -744,7 +744,7 @@ impl TransferCache {
 
     /// Encodes one page for the wire, journalling the cache mutations the
     /// destination will perform when it applies the frame (see
-    /// [`CacheInner::classify`] for the classification order). A delta
+    /// `CacheInner::classify` for the classification order). A delta
     /// that does not pay falls back to raw.
     pub fn encode_page(&self, vm: u32, gfn: u64, word: u64) -> WireFrame {
         let digest = digest_words(&[word]);
@@ -796,7 +796,7 @@ impl TransferCache {
     /// acquisition, with digests precomputed by the caller (fanned over
     /// the worker pool). Returns the accounted wire bytes of the batch.
     ///
-    /// Both run the same [`CacheInner::classify`] per page, so
+    /// Both run the same `CacheInner::classify` per page, so
     /// `WireStats`, cache counters and chaos-replay rollback behaviour
     /// match byte for byte. The one shortcut is deliberate and lossless:
     /// the simulator's pages are uniform, so a re-dirtied page's delta is

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds fully offline, so instead of `serde`/`serde_json`
 //! this small module provides the only two JSON features the repo needs:
-//! a debug codec for [`UisrVm`]-like structures and experiment output files
+//! a debug codec for `UisrVm`-like structures and experiment output files
 //! (`BENCH_*.json`, figure data).
 //!
 //! Design notes:

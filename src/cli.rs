@@ -76,7 +76,7 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Parses raw arguments (without argv[0]) into a [`Command`].
+/// Parses raw arguments (without `argv[0]`) into a [`Command`].
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter();
     let name = it.next().ok_or(CliError::NoCommand)?.clone();

@@ -5,13 +5,16 @@
 //! may report success over a destination that differs from the source.
 //! Likewise InPlaceTP's post-adoption checksum fails a target that changes
 //! one guest page as it adopts it, where the zero-line summary lets the
-//! fold skip lines and where it does not.
+//! fold skip lines and where it does not, and so does crash recovery's.
 
-use hypertp::core::{HtpError, MemSepReport, RestoredVm};
+use hypertp::core::{
+    CheckpointConfig, HtpError, MemSepReport, RestoredVm, UnplannedRecovery, WarmCheckpointer,
+};
 use hypertp::machine::Extent;
 use hypertp::migrate::{guest_checksum, run_source, DestProxy, InProcTransport};
 use hypertp::prelude::*;
-use hypertp::sim::WorkerPool;
+use hypertp::sim::fault::FaultPlan;
+use hypertp::sim::{CostModel, WorkerPool};
 use hypertp::uisr::UisrVm;
 
 /// A hypervisor that forwards everything to `inner` but drops every
@@ -332,4 +335,52 @@ fn inplace_adoption_check_catches_a_changed_page() {
     InPlaceTransplant::new(&registry)
         .run(&mut m, xen, HypervisorKind::Kvm)
         .unwrap();
+}
+
+/// Crash recovery checks guest memory after adoption just as InPlaceTP
+/// does: a rescue target that changes one page as it adopts fails
+/// `recover`, whatever the checkpointer's pool.
+#[test]
+fn unplanned_recovery_check_catches_a_changed_page() {
+    let zero_line = Gfn(8 * 20_000 + 5);
+    let live = Gfn(8 * 100 + 3);
+    let recover = |registry: &HypervisorRegistry, workers: usize| {
+        let (mut m, mut xen, _) = inplace_world();
+        let ckpt = WarmCheckpointer::start_with(
+            &mut m,
+            xen.as_mut(),
+            HypervisorKind::Kvm,
+            CheckpointConfig::default(),
+            CostModel::paper_calibrated(),
+            FaultPlan::disarmed(),
+            WorkerPool::new(workers),
+        )
+        .unwrap();
+        UnplannedRecovery::new(registry)
+            .recover(&mut m, xen, ckpt)
+            .map(|_| ())
+    };
+    for (what, gfn, word) in [
+        ("a word in a zero line", zero_line, 0xbad_c0de),
+        ("a live page zeroed", live, 0),
+    ] {
+        let mut registry = default_registry();
+        registry.register(HypervisorKind::Kvm, move |m| {
+            let mut kvm = LossyHv::new(Box::new(KvmHypervisor::new(m)), Gfn(1 << 40));
+            kvm.on_adopt = Some((gfn, word));
+            Box::new(kvm)
+        });
+        for workers in [1, 4] {
+            assert_eq!(
+                recover(&registry, workers),
+                Err(HtpError::IntegrityViolation {
+                    vm_name: "adopted".into()
+                }),
+                "{what}, {workers} workers"
+            );
+        }
+    }
+
+    // Recovering without the change verifies.
+    recover(&default_registry(), 4).unwrap();
 }
