@@ -27,7 +27,7 @@ echo "== ignored-test guard =="
 # Every #[ignore] must carry a tracking note: either an inline reason
 # (`#[ignore = "..."]`) or a `tracked:` comment on the same line. A bare
 # #[ignore] silently sheds coverage, so it fails the build.
-untracked=$(grep -rn --include='*.rs' '#\[ignore' crates tests \
+untracked=$(grep -rn --include='*.rs' '#\[ignore' crates tests src examples \
   | grep -v 'ignore = "' | grep -v 'tracked:' || true)
 if [ -n "${untracked}" ]; then
   echo "error: #[ignore] without a reason string or 'tracked:' comment:" >&2

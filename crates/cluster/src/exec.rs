@@ -6,7 +6,8 @@
 //! run in parallel. Per-migration time is the sum of the per-operation
 //! orchestration overhead, the pre-copy transfer (with the workload's
 //! dirty-rate extension) and the stop-and-copy. Per-upgrade time comes
-//! from the same cost model as the single-machine InPlaceTP experiments.
+//! from [`InPlacePricer`], the pricing the single-machine InPlaceTP
+//! engine charges.
 //!
 //! # Sharded execution
 //!
@@ -28,11 +29,11 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use hypertp_core::{
-    crash_gate, host_failure_gate, warm_recovery_latency, CheckpointConfig, HostGate,
-    HypervisorKind,
+    crash_gate, host_failure_gate, CheckpointConfig, HostGate, HypervisorKind, InPlacePricer,
+    Optimizations,
 };
-use hypertp_migrate::{FleetOrder, Link, LinkContention, SloVm, TrafficCurve, WireMode};
-use hypertp_sim::cost::{BootTarget, MachinePerf};
+use hypertp_migrate::{FleetOrder, Link, LinkContention, SloVm, TrafficCurve};
+use hypertp_sim::cost::{MachinePerf, VmShape};
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
 use hypertp_sim::pool::WorkerPool;
 use hypertp_sim::stats::{Histogram, Streaming};
@@ -58,16 +59,12 @@ pub struct ExecConfig {
     /// Retries granted to a host whose in-place upgrade faults before it
     /// is dropped from the plan (see [`execute_sharded_with`]).
     pub max_host_retries: u32,
-    /// Wire representation used by the campaign's migrations. The
-    /// executor is an analytic model, so under
-    /// [`WireMode::ContentAware`] it scales page bytes by
-    /// [`ExecConfig::wire_compression_ratio`] instead of running the
-    /// page-level path; [`WireMode::Raw`] (the default) keeps the
-    /// paper-faithful fig. 13 byte accounting.
-    pub wire_mode: WireMode,
-    /// Observed wire/raw byte ratio of the content-aware path on this
-    /// workload (e.g. [`hypertp_migrate::WireStats::compression_ratio`]
-    /// from a reference migration, or BENCH_wire.json). 1.0 = no savings.
+    /// Wire/raw byte ratio of the campaign's migrations. The executor is
+    /// an analytic model, so it scales page bytes by this ratio instead
+    /// of running the page-level path: a content-aware wire's observed
+    /// ratio (e.g. [`hypertp_migrate::WireStats::compression_ratio`] from
+    /// a reference migration, or BENCH_wire.json). 1.0 (the default) is
+    /// the raw wire and the paper-faithful fig. 13 byte accounting.
     pub wire_compression_ratio: f64,
     /// Admission order of each group's migration queue.
     /// [`FleetOrder::Fifo`] (the default) keeps the planner's order;
@@ -77,21 +74,16 @@ pub struct ExecConfig {
     /// window — without changing the group's drain time on a serialized
     /// fabric.
     pub fleet_order: FleetOrder,
-    /// Run in-place upgrades with the incremental pre-pause translation
-    /// path ([`hypertp_core::Optimizations::incremental_translate`]). The
-    /// executor is an analytic model: the warm UISR snapshot happens while
-    /// the group's migrations drain (below the time axis), so the blackout
-    /// charged to each host shrinks to the dirty-delta re-translation
-    /// ([`CostModel::delta_translate`] at
-    /// [`ExecConfig::inplace_dirty_fraction`]) instead of the full
-    /// [`CostModel::translate`]. Off by default: the fig. 13 accounting is
-    /// byte-identical to the paper-faithful pause-time translation.
-    pub incremental_translate: bool,
-    /// Fraction of guest pages still dirty at the final pause when
-    /// [`ExecConfig::incremental_translate`] is on (e.g. a reference
+    /// Fraction of guest pages still dirty at each in-place upgrade's
+    /// final pause (e.g. a reference
     /// [`hypertp_core::InPlaceReport::dirty_fraction`], or the hot-guest
-    /// figure from BENCH_inplace.json). 1.0 = everything re-translated,
-    /// which degenerates exactly to the full-translate accounting.
+    /// figure from BENCH_inplace.json). Below 1.0 the upgrades run the
+    /// incremental pre-pause translation
+    /// ([`hypertp_core::Optimizations::incremental_translate`]): the warm
+    /// UISR snapshot happens while the group's migrations drain (below
+    /// the time axis), so the blackout charged to each host shrinks to
+    /// the dirty-delta re-translation at this fraction. 1.0 (the default)
+    /// is the paper-faithful pause-time translation of fig. 13.
     pub inplace_dirty_fraction: f64,
     /// Opt-in SLO accounting over the campaign's migrations. `None`
     /// (the default) keeps every report byte-identical to the
@@ -163,10 +155,8 @@ impl Default for ExecConfig {
             target: HypervisorKind::Kvm,
             max_concurrent_migrations: 1,
             max_host_retries: 2,
-            wire_mode: WireMode::Raw,
             wire_compression_ratio: 1.0,
             fleet_order: FleetOrder::Fifo,
-            incremental_translate: false,
             inplace_dirty_fraction: 1.0,
             slo: None,
             exposure: None,
@@ -207,10 +197,11 @@ pub struct ExecReport {
     /// counted in `inplace_upgrades`).
     pub crash_recoveries: usize,
     /// Page bytes actually put on the fabric by the campaign's
-    /// migrations (equals the raw byte count under [`WireMode::Raw`]).
+    /// migrations (equals the raw byte count at a
+    /// [`ExecConfig::wire_compression_ratio`] of 1.0).
     pub wire_bytes_sent: u64,
-    /// Bytes the content-aware wire path kept off the fabric (0 under
-    /// [`WireMode::Raw`]).
+    /// Bytes the content-aware wire path kept off the fabric (0 at a
+    /// ratio of 1.0).
     pub wire_bytes_saved: u64,
     /// Mean time from a group's start until each of its migrating VMs was
     /// ready on its destination (the per-VM exposure window). Zero when
@@ -326,10 +317,10 @@ pub(crate) struct MigrationEstimate {
 }
 
 /// Estimates one live migration of a VM of `memory_gb` GiB dirtying
-/// `dirty_rate` pages/s, with `sharers` flows on the fabric. Under
-/// [`WireMode::ContentAware`] the page bytes — pre-copy and stop-and-copy
-/// alike — shrink by the configured compression ratio before hitting the
-/// link. Pure in its arguments — safe to memoize per VM class.
+/// `dirty_rate` pages/s, with `sharers` flows on the fabric. The page
+/// bytes — pre-copy and stop-and-copy alike — shrink by the configured
+/// compression ratio before hitting the link. Pure in its arguments —
+/// safe to memoize per VM class.
 fn migration_estimate(
     cfg: &ExecConfig,
     memory_gb: u64,
@@ -337,10 +328,7 @@ fn migration_estimate(
     sharers: u32,
 ) -> MigrationEstimate {
     let raw = memory_gb << 30;
-    let ratio = match cfg.wire_mode {
-        WireMode::Raw => 1.0,
-        WireMode::ContentAware => cfg.wire_compression_ratio.clamp(0.0, 1.0),
-    };
+    let ratio = cfg.wire_compression_ratio.clamp(0.0, 1.0);
     let bytes = (raw as f64 * ratio) as u64;
     let copy = cfg.link.transfer(bytes, sharers);
     // Dirty pages written during the copy must be re-sent (a geometric
@@ -393,42 +381,14 @@ fn contention_stretch(cfg: &ExecConfig, estimate: SimDuration, workload_bps: f64
     cfg.per_migration_overhead + SimDuration::from_secs_f64(transfer.as_secs_f64() / share)
 }
 
-/// Time of one in-place host upgrade carrying `vm_count` 4 GiB VMs on a
-/// host with performance `perf`.
-///
-/// Under [`ExecConfig::incremental_translate`] the pause-time translation
-/// term becomes the dirty-delta re-translation at the configured residual
-/// dirty fraction; the warm snapshot itself overlaps the group's
-/// migration drain and never shows up in the blackout.
-fn inplace_time(
-    perf: &MachinePerf,
-    cost: &CostModel,
-    cfg: &ExecConfig,
-    vm_count: usize,
-    target: HypervisorKind,
-) -> SimDuration {
-    let vms: Vec<(f64, u64)> = (0..vm_count).map(|_| (4.0, 4 * 512)).collect();
-    let xl: Vec<(f64, u32, u64)> = (0..vm_count).map(|_| (4.0, 1, 4 * 512)).collect();
-    let rl: Vec<(f64, u32)> = (0..vm_count).map(|_| (4.0, 1)).collect();
-    let total_gb = vm_count as f64 * 4.0;
-    let entries = vm_count as u64 * 4 * 512;
-    let boot = match target {
-        HypervisorKind::Kvm => BootTarget::LinuxKvm,
-        HypervisorKind::Xen => BootTarget::XenDom0,
-    };
-    let translate = if cfg.incremental_translate {
-        let frac = cfg.inplace_dirty_fraction.clamp(0.0, 1.0);
-        let dl: Vec<(f64, u32, u64, f64)> =
-            (0..vm_count).map(|_| (4.0, 1, 4 * 512, frac)).collect();
-        cost.delta_translate(perf, &dl)
-    } else {
-        cost.translate(perf, &xl)
-    };
-    cost.pram_build(perf, &vms)
-        + translate
-        + cost.reboot(perf, boot, total_gb, entries)
-        + cost.restore(perf, &rl, true)
-}
+/// The executor's VM as the in-place pricer sees it: 4 GiB, one vCPU,
+/// 2 MiB pages (512 PRAM entries per GiB).
+const HOST_VM: VmShape = VmShape {
+    gb: 4.0,
+    vcpus: 1,
+    entries: 4 * 512,
+    fraction: 1.0,
+};
 
 /// Shard-local memo of cost-model evaluations per VM class, shared by the
 /// executor and the exposure planner. Both helpers are pure functions of
@@ -498,6 +458,10 @@ impl ClassMemo {
         est
     }
 
+    /// Time of one in-place upgrade of `host` carrying `vm_count`
+    /// [`HOST_VM`]s. Below an [`ExecConfig::inplace_dirty_fraction`] of
+    /// 1.0 the translation is the dirty-delta one: the warm snapshot
+    /// overlaps the group's migration drain and never shows up here.
     pub(crate) fn inplace<V: ClusterView + ?Sized>(
         &mut self,
         view: &V,
@@ -507,22 +471,19 @@ impl ClassMemo {
         vm_count: usize,
         uniform_perf: Option<&MachinePerf>,
     ) -> SimDuration {
+        let price = |perf: MachinePerf| {
+            let mut vm = HOST_VM;
+            vm.fraction = cfg.inplace_dirty_fraction.clamp(0.0, 1.0);
+            let entries = vm_count as u64 * vm.entries;
+            let pricer = InPlacePricer::new(cost, perf, Optimizations::default());
+            let warm = vm.fraction < 1.0;
+            pricer
+                .price(&vec![vm; vm_count], cfg.target, entries, warm)
+                .total()
+        };
         match uniform_perf {
-            Some(perf) => {
-                if let Some(&d) = self.inplace.get(&vm_count) {
-                    return d;
-                }
-                let d = inplace_time(perf, cost, cfg, vm_count, cfg.target);
-                self.inplace.insert(vm_count, d);
-                d
-            }
-            None => inplace_time(
-                &view.host_spec(host).perf(),
-                cost,
-                cfg,
-                vm_count,
-                cfg.target,
-            ),
+            Some(perf) => *self.inplace.entry(vm_count).or_insert_with(|| price(*perf)),
+            None => price(view.host_spec(host).perf()),
         }
     }
 }
@@ -714,28 +675,19 @@ fn run_group<V: ClusterView + ?Sized>(
                 if crash_gate(faults, &format!("{site} crash")) {
                     // The hypervisor dies as the host's slot opens: the
                     // always-on checkpointer keeps translation off the
-                    // critical path, so the host reaches the target in the
-                    // modeled warm recovery latency instead of a planned
-                    // upgrade attempt.
-                    let perf_owned;
-                    let perf = match uniform_perf {
-                        Some(p) => p,
-                        None => {
-                            perf_owned = view.host_spec(*host).perf();
-                            &perf_owned
-                        }
-                    };
-                    let rl: Vec<(f64, u32)> = (0..*vm_count).map(|_| (4.0, 1)).collect();
-                    let recovery = warm_recovery_latency(
-                        cost,
-                        perf,
-                        cfg.target,
-                        CheckpointConfig::default().detection,
-                        *vm_count as f64 * 4.0,
-                        *vm_count as u64 * 4 * 512,
-                        &rl,
-                    );
-                    host_time += recovery;
+                    // critical path, so the host reaches the target in
+                    // detection + rescue reboot + restoration + resume
+                    // instead of a planned upgrade attempt.
+                    let perf = uniform_perf
+                        .copied()
+                        .unwrap_or_else(|| view.host_spec(*host).perf());
+                    let pricer = InPlacePricer::new(cost, perf, Optimizations::default());
+                    let entries = *vm_count as u64 * HOST_VM.entries;
+                    let price = pricer.price(&vec![HOST_VM; *vm_count], cfg.target, entries, false);
+                    host_time += CheckpointConfig::default().detection
+                        + price.reboot
+                        + price.restoration
+                        + pricer.resume(*vm_count);
                     out.upgrades += 1;
                     out.vms_done += *vm_count as u64;
                     out.crash_recoveries += 1;
@@ -1197,7 +1149,6 @@ mod tests {
             &c,
             &plan,
             &ExecConfig {
-                wire_mode: WireMode::ContentAware,
                 wire_compression_ratio: 0.3,
                 ..ExecConfig::default()
             },
@@ -1213,20 +1164,6 @@ mod tests {
             ca.wire_bytes_saved > raw.wire_bytes_sent / 2,
             "a 0.3 ratio must save most of the raw bytes"
         );
-
-        // Ratio 1.0 must degenerate to the raw accounting exactly.
-        let unity = execute(
-            &c,
-            &plan,
-            &ExecConfig {
-                wire_mode: WireMode::ContentAware,
-                wire_compression_ratio: 1.0,
-                ..ExecConfig::default()
-            },
-        );
-        assert_eq!(unity.total, raw.total);
-        assert_eq!(unity.wire_bytes_sent, raw.wire_bytes_sent);
-        assert_eq!(unity.wire_bytes_saved, 0);
     }
 
     #[test]
@@ -1303,7 +1240,6 @@ mod tests {
             &c,
             &plan,
             &ExecConfig {
-                incremental_translate: true,
                 inplace_dirty_fraction: 0.05,
                 ..ExecConfig::default()
             },
@@ -1317,26 +1253,11 @@ mod tests {
         );
         assert!(inc.total < full.total);
 
-        // Fraction 1.0 must degenerate to the full-translate accounting
-        // exactly (delta cost at unity fraction equals `translate`).
-        let unity = execute(
-            &c,
-            &plan,
-            &ExecConfig {
-                incremental_translate: true,
-                inplace_dirty_fraction: 1.0,
-                ..ExecConfig::default()
-            },
-        );
-        assert_eq!(unity.total, full.total);
-        assert_eq!(unity.inplace_time, full.inplace_time);
-
         // Determinism: same config, same schedule.
         let again = execute(
             &c,
             &plan,
             &ExecConfig {
-                incremental_translate: true,
                 inplace_dirty_fraction: 0.05,
                 ..ExecConfig::default()
             },

@@ -822,11 +822,9 @@ mod tests {
 
     #[test]
     fn content_aware_blackout_honours_the_compression_ratio() {
-        use hypertp_migrate::WireMode;
         let view = Cluster::synthetic(60, 7).with_compat_percent(50);
-        let costs = |wire_mode, wire_compression_ratio| {
+        let costs = |wire_compression_ratio| {
             let exec = ExecConfig {
-                wire_mode,
                 wire_compression_ratio,
                 ..ExecConfig::default()
             };
@@ -836,9 +834,8 @@ mod tests {
             };
             ExposurePlanner::new(&view, cfg).costs().to_vec()
         };
-        let raw = costs(WireMode::Raw, 1.0);
-        assert_eq!(costs(WireMode::ContentAware, 1.0), raw);
-        let squeezed = costs(WireMode::ContentAware, 0.3);
+        let raw = costs(1.0);
+        let squeezed = costs(0.3);
         let dirty: Vec<_> = raw
             .iter()
             .zip(&squeezed)

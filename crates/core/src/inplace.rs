@@ -11,7 +11,7 @@
 
 use hypertp_machine::{combine_partials, Extent, Gfn, KexecImage, Machine, Mfn, PageOrder};
 use hypertp_pram::{PramBuilder, PramError, PramFile, PramHandle, PramImage, PramStats};
-use hypertp_sim::cost::MachinePerf;
+use hypertp_sim::cost::{MachinePerf, VmShape};
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
 use hypertp_sim::{CostModel, Ewma, SimClock, SimDuration, SimTime, WorkerPool};
 use hypertp_uisr::UisrVm;
@@ -206,6 +206,106 @@ impl InPlaceReport {
     }
 }
 
+/// The four Fig. 6 stage costs of one InPlaceTP, as
+/// [`InPlacePricer::price`] charges them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InPlacePrice {
+    /// PRAM construction.
+    pub pram: SimDuration,
+    /// Pause-time UISR translation.
+    pub translation: SimDuration,
+    /// Micro-reboot: kexec, target boot and the early-boot PRAM parse.
+    pub reboot: SimDuration,
+    /// UISR restoration, without resuming the VMs.
+    pub restoration: SimDuration,
+}
+
+impl InPlacePrice {
+    /// All four stages end to end.
+    pub fn total(&self) -> SimDuration {
+        self.pram + self.translation + self.reboot + self.restoration
+    }
+}
+
+/// Prices InPlaceTP's stages on one machine: the one place the cost
+/// model's in-place terms are charged. The planned engine, the warm
+/// checkpointer, crash recovery and the campaign executor all read their
+/// stage costs from it.
+#[derive(Debug, Clone, Copy)]
+pub struct InPlacePricer<'c> {
+    cost: &'c CostModel,
+    perf: MachinePerf,
+    /// The machine as the per-VM stages see it: a single worker when the
+    /// parallelization optimization is off.
+    pool: MachinePerf,
+    early_restoration: bool,
+}
+
+impl<'c> InPlacePricer<'c> {
+    /// A pricer for a machine of performance `perf` running with `opts`
+    /// (the `parallel` and `early_restoration` toggles change prices).
+    pub fn new(cost: &'c CostModel, perf: MachinePerf, opts: Optimizations) -> Self {
+        let threads = if opts.parallel {
+            perf.threads
+        } else {
+            perf.reserved_threads + 1
+        };
+        let pool = MachinePerf { threads, ..perf };
+        let early_restoration = opts.early_restoration;
+        InPlacePricer {
+            cost,
+            perf,
+            pool,
+            early_restoration,
+        }
+    }
+
+    /// The four stages of an InPlaceTP of `vms` into `target` whose PRAM
+    /// directory holds `pram_entries` entries. With `warm`, translation is
+    /// the dirty-delta re-translation at each VM's `fraction`; otherwise
+    /// it is the full translation.
+    pub fn price(
+        &self,
+        vms: &[VmShape],
+        target: HypervisorKind,
+        pram_entries: u64,
+        warm: bool,
+    ) -> InPlacePrice {
+        let (cost, perf) = (self.cost, &self.perf);
+        let total_gb = vms.iter().fold(0.0, |gb, v| gb + v.gb);
+        InPlacePrice {
+            pram: self.pram(vms),
+            translation: if warm {
+                cost.delta_translate(&self.pool, vms)
+            } else {
+                cost.translate(&self.pool, vms)
+            },
+            reboot: cost.reboot(perf, target.boot_target(), total_gb, pram_entries),
+            restoration: cost.restore(perf, vms, self.early_restoration),
+        }
+    }
+
+    /// CPU time to resume `vms` VMs after the restoration.
+    pub fn resume(&self, vms: usize) -> SimDuration {
+        self.perf.cpu(self.cost.resume_ghz_s_per_vm * vms as f64)
+    }
+
+    pub(crate) fn pram(&self, vms: &[VmShape]) -> SimDuration {
+        self.cost.pram_build(&self.pool, vms)
+    }
+
+    /// One warm translation pass while the VMs keep running.
+    pub(crate) fn warm_pass(&self, vms: &[VmShape]) -> SimDuration {
+        self.cost.warm_translate(&self.pool, vms)
+    }
+
+    /// One background checkpoint of `vms`: a warm pass plus the PRAM
+    /// directory build.
+    pub(crate) fn checkpoint(&self, vms: &[VmShape]) -> SimDuration {
+        self.warm_pass(vms) + self.pram(vms)
+    }
+}
+
 /// Per-VM artifacts produced by the parallel translate phase: everything
 /// the engine needs downstream of `save_uisr`, computed on one pool worker.
 struct SavedVm {
@@ -395,18 +495,18 @@ pub(crate) struct Landed {
 /// against `baselines` (`(name, checksum)`), resume, and free the
 /// ephemeral metadata. The caller has staged the image and dropped the
 /// source hypervisor; `reboot` and `restore` are the simulated costs to
-/// charge for the micro-reboot and the restoration.
+/// charge for the micro-reboot and the restoration, and `pricer` prices
+/// the resume.
 pub(crate) fn kexec_and_adopt(
     machine: &mut Machine,
     registry: &HypervisorRegistry,
-    cost: &CostModel,
+    pricer: &InPlacePricer,
     target: HypervisorKind,
     (reboot, restore): (SimDuration, SimDuration),
     baselines: &[(String, u64)],
     pool: &WorkerPool,
 ) -> Result<Landed, HtpError> {
     let clock = machine.clock().clone();
-    let perf = machine.spec().perf();
     machine.kexec()?;
     clock.advance(reboot);
 
@@ -466,7 +566,7 @@ pub(crate) fn kexec_and_adopt(
     for (_, id) in &adopted {
         hv.resume_vm(*id)?;
     }
-    clock.advance(perf.cpu(cost.resume_ghz_s_per_vm * adopted.len() as f64));
+    clock.advance(pricer.resume(adopted.len()));
     let resumed_at = clock.now();
     for file in image.files.iter().filter(|f| uisr_store::is_uisr_file(f)) {
         uisr_store::release_blob(machine.ram_mut(), file)?;
@@ -569,19 +669,6 @@ impl<'r> InPlaceTransplant<'r> {
     pub fn with_optimizations(mut self, opts: Optimizations) -> Self {
         self.opts = opts;
         self
-    }
-
-    /// Worker-pool view of the machine: a single worker when the
-    /// parallelization optimization is off.
-    fn pool_perf(&self, perf: MachinePerf) -> MachinePerf {
-        if self.opts.parallel {
-            perf
-        } else {
-            MachinePerf {
-                threads: perf.reserved_threads + 1,
-                ..perf
-            }
-        }
     }
 
     /// The real (wall-clock) worker pool matching the simulated one:
@@ -713,8 +800,8 @@ impl<'r> InPlaceTransplant<'r> {
         machine: &mut Machine,
         source: &mut dyn Hypervisor,
         ids: &[VmId],
-        xlate_list: &[(f64, u32, u64)],
-        pool: &MachinePerf,
+        shapes: &[VmShape],
+        pricer: &InPlacePricer,
         wpool: &WorkerPool,
         clock: &SimClock,
     ) -> Result<Option<WarmState>, HtpError> {
@@ -732,11 +819,7 @@ impl<'r> InPlaceTransplant<'r> {
         }
         let mut vms = WarmVm::snapshot(machine, source, ids, wpool)?;
         let total_pages_all: u64 = vms.iter().map(|v| v.total_pages).sum();
-        let full_list: Vec<(f64, u32, u64, f64)> = xlate_list
-            .iter()
-            .map(|&(gb, vcpus, entries)| (gb, vcpus, entries, 1.0))
-            .collect();
-        let mut round_cost = self.cost.warm_translate(pool, &full_list);
+        let mut round_cost = pricer.warm_pass(shapes);
         clock.advance(round_cost);
         let mut total = round_cost;
         let mut rounds = vec![WarmRound {
@@ -777,13 +860,10 @@ impl<'r> InPlaceTransplant<'r> {
                 wv.uisr = uisr;
                 dirty_ext.push(wv.dirty_extent_indices(&dirty));
                 round_dirty += dirty.len() as u64;
-                let (gb, vcpus, entries) = xlate_list[k];
-                delta_list.push((
-                    gb,
-                    vcpus,
-                    entries,
-                    dirty.len() as f64 / wv.total_pages.max(1) as f64,
-                ));
+                delta_list.push(VmShape {
+                    fraction: dirty.len() as f64 / wv.total_pages.max(1) as f64,
+                    ..shapes[k]
+                });
             }
             // Refresh only the dirty extents' partials, on the pool.
             let machine_ref: &Machine = machine;
@@ -792,7 +872,7 @@ impl<'r> InPlaceTransplant<'r> {
             });
             let smoothed = ewma.observe(round_dirty as f64);
             let fraction = round_dirty as f64 / total_pages_all.max(1) as f64;
-            round_cost = self.cost.warm_translate(pool, &delta_list);
+            round_cost = pricer.warm_pass(&delta_list);
             clock.advance(round_cost);
             total += round_cost;
             rounds.push(WarmRound {
@@ -844,22 +924,15 @@ impl<'r> InPlaceTransplant<'r> {
             return Err(HtpError::UnknownHypervisor(target.name().to_string()));
         }
         let perf = machine.spec().perf();
-        let pool = self.pool_perf(perf);
+        let pricer = InPlacePricer::new(&self.cost, perf, self.opts);
         let clock = machine.clock().clone();
 
         // Gather per-VM parameters.
         let ids = source.vm_ids();
-        let mut build_list = Vec::new(); // (gb, entries)
-        let mut xlate_list = Vec::new(); // (gb, vcpus, entries)
-        let mut restore_list = Vec::new(); // (gb, vcpus)
-        let mut total_gb = 0.0f64;
-        for &id in &ids {
-            let c = source.vm_config(id)?;
-            build_list.push((c.memory_gb as f64, c.pram_entries()));
-            xlate_list.push((c.memory_gb as f64, c.vcpus, c.pram_entries()));
-            restore_list.push((c.memory_gb as f64, c.vcpus));
-            total_gb += c.memory_gb as f64;
-        }
+        let shapes = ids
+            .iter()
+            .map(|&id| Ok(source.vm_config(id)?.shape()))
+            .collect::<Result<Vec<_>, HtpError>>()?;
 
         // ❶ Stage the target kernel ahead of time (cost-free: done in the
         // background during normal operation) — the image is completed with
@@ -875,7 +948,7 @@ impl<'r> InPlaceTransplant<'r> {
         clock.advance(device_prepare);
 
         // Pre-pause PRAM construction.
-        let pram_cost = self.cost.pram_build(&pool, &build_list);
+        let pram_cost = pricer.pram(&shapes);
         let mut pram_span = SimDuration::ZERO;
         if self.opts.prepare_before_pause {
             clock.advance(pram_cost);
@@ -893,8 +966,8 @@ impl<'r> InPlaceTransplant<'r> {
                 machine,
                 source.as_mut(),
                 &ids,
-                &xlate_list,
-                &pool,
+                &shapes,
+                &pricer,
                 &wpool,
                 &clock,
             )?
@@ -1031,39 +1104,34 @@ impl<'r> InPlaceTransplant<'r> {
         // slices are re-translated (per-vCPU serialization and the
         // host-wide sweep are irreducible); otherwise the full per-VM
         // chain lands inside the pause window.
-        let (translate_cost, delta_translate, dirty_fraction) = match &warm {
+        let (at_pause, dirty_fraction) = match &warm {
             Some(w) => {
-                let delta_list: Vec<(f64, u32, u64, f64)> = xlate_list
+                let delta_list: Vec<VmShape> = shapes
                     .iter()
                     .zip(final_dirty.iter().zip(&w.vms))
-                    .map(|(&(gb, vcpus, entries), ((_, dp), wv))| {
-                        (
-                            gb,
-                            vcpus,
-                            entries,
-                            *dp as f64 / wv.total_pages.max(1) as f64,
-                        )
+                    .map(|(v, ((_, dp), wv))| VmShape {
+                        fraction: *dp as f64 / wv.total_pages.max(1) as f64,
+                        ..*v
                     })
                     .collect();
-                let cost = self.cost.delta_translate(&pool, &delta_list);
                 let total_dirty: u64 = final_dirty.iter().map(|(_, dp)| dp).sum();
                 let total_pages: u64 = w.vms.iter().map(|v| v.total_pages).sum();
-                (cost, cost, total_dirty as f64 / total_pages.max(1) as f64)
+                (delta_list, total_dirty as f64 / total_pages.max(1) as f64)
             }
-            None => (
-                self.cost.translate(&pool, &xlate_list),
-                SimDuration::ZERO,
-                1.0,
-            ),
+            None => (shapes, 1.0),
         };
-        clock.advance(translate_cost);
+        let price = pricer.price(&at_pause, target, handle.stats().entries, warm.is_some());
+        let delta_translate = warm
+            .as_ref()
+            .map_or(SimDuration::ZERO, |_| price.translation);
+        clock.advance(price.translation);
         let translation_span = if self.opts.prepare_before_pause {
-            translate_cost
+            price.translation
         } else {
             // PRAM construction lands inside the downtime.
             clock.advance(pram_cost);
             pram_span = SimDuration::ZERO;
-            translate_cost + pram_cost
+            price.translation + pram_cost
         };
 
         // ❹–❼ Micro-reboot into the target, adopt, verify, resume.
@@ -1072,21 +1140,12 @@ impl<'r> InPlaceTransplant<'r> {
             cmdline: format!("hypertp {}", handle.cmdline_arg()),
         });
         drop(source); // HV State dies with the old kernel.
-        let reboot_cost = self.cost.reboot(
-            &perf,
-            target.boot_target(),
-            total_gb,
-            handle.stats().entries,
-        );
-        let restore_cost = self
-            .cost
-            .restore(&perf, &restore_list, self.opts.early_restoration);
         let landed = kexec_and_adopt(
             machine,
             self.registry,
-            &self.cost,
+            &pricer,
             target,
-            (reboot_cost, restore_cost),
+            (price.reboot, price.restoration),
             &baselines,
             &wpool,
         )?;
@@ -1094,7 +1153,7 @@ impl<'r> InPlaceTransplant<'r> {
         // Attribute the pause→resume distance to the three downtime phases
         // (pause/resume costs fold into translation/restoration).
         let measured_downtime = landed.resumed_at.duration_since(t_pause);
-        debug_assert!(measured_downtime >= translation_span + reboot_cost + restore_cost);
+        debug_assert!(measured_downtime >= translation_span + price.reboot + price.restoration);
 
         let (warm_translate, warm_rounds, warm_carryover_pages) = match warm {
             Some(w) => (w.total, w.rounds, w.carryover_pages),
@@ -1105,8 +1164,8 @@ impl<'r> InPlaceTransplant<'r> {
             device_prepare,
             pram: pram_span,
             translation: translation_span,
-            reboot: reboot_cost,
-            restoration: measured_downtime - translation_span - reboot_cost,
+            reboot: price.reboot,
+            restoration: measured_downtime - translation_span - price.reboot,
             network: landed.network,
             pram_stats: handle.stats(),
             uisr_bytes,
@@ -1396,10 +1455,12 @@ mod tests {
             target: HypervisorKind::Kvm.boot_target(),
             cmdline: format!("hypertp {}", handle.cmdline_arg()),
         });
+        let cost = CostModel::paper_calibrated();
+        let pricer = InPlacePricer::new(&cost, m.spec().perf(), Optimizations::default());
         let err = kexec_and_adopt(
             &mut m,
             &reg,
-            &CostModel::paper_calibrated(),
+            &pricer,
             HypervisorKind::Kvm,
             (SimDuration::ZERO, SimDuration::ZERO),
             &[],

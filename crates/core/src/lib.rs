@@ -39,7 +39,10 @@ pub mod vm;
 
 pub use error::HtpError;
 pub use hypervisor::{Hypervisor, HypervisorKind, RestoredVm};
-pub use inplace::{InPlaceReport, InPlaceTransplant, IncrementalConfig, Optimizations, WarmRound};
+pub use inplace::{
+    InPlacePrice, InPlacePricer, InPlaceReport, InPlaceTransplant, IncrementalConfig,
+    Optimizations, WarmRound,
+};
 pub use memsep::{MemSepReport, StateCategory};
 pub use recovery::{
     host_failure_gate, migrate_or_inplace, migration_error_is_recoverable, FallbackOutcome,
@@ -47,7 +50,7 @@ pub use recovery::{
 };
 pub use registry::HypervisorRegistry;
 pub use unplanned::{
-    crash_gate, warm_recovery_latency, CheckpointConfig, CrashPhase, RecoveryReport, TickReport,
-    UnplannedRecovery, VmLoss, WarmCheckpointer,
+    crash_gate, CheckpointConfig, CrashPhase, RecoveryReport, TickReport, UnplannedRecovery,
+    VmLoss, WarmCheckpointer,
 };
 pub use vm::{VmConfig, VmId, VmState};

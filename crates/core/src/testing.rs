@@ -201,6 +201,8 @@ impl Hypervisor for SimpleHv {
             });
         }
         let total_pages = vm.config.pages();
+        // A guest with no memory has no page to dirty (and no draw to take).
+        let dirty_pages = if total_pages == 0 { 0 } else { dirty_pages };
         let mut writes = Vec::with_capacity(dirty_pages as usize);
         for _ in 0..dirty_pages {
             let gfn = Gfn(vm.rng.gen_range(total_pages));

@@ -26,13 +26,13 @@
 
 use hypertp_machine::{Extent, Gfn, KexecImage, Machine, PageOrder};
 use hypertp_pram::{PramBuilder, PramHandle};
-use hypertp_sim::cost::MachinePerf;
+use hypertp_sim::cost::VmShape;
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
 use hypertp_sim::{CostModel, Ewma, SimDuration, WorkerPool};
 
 use crate::error::HtpError;
 use crate::hypervisor::{Hypervisor, HypervisorKind};
-use crate::inplace::{kexec_and_adopt, patch_uisr, WarmVm};
+use crate::inplace::{kexec_and_adopt, patch_uisr, InPlacePricer, Optimizations, WarmVm};
 use crate::registry::HypervisorRegistry;
 use crate::uisr_store;
 use crate::vm::VmId;
@@ -132,9 +132,8 @@ struct CkptVm {
     name: String,
     /// PRAM chunk mappings of the currently persisted blob.
     blob_mappings: Vec<(Gfn, Extent)>,
-    gb: f64,
-    vcpus: u32,
-    entries: u64,
+    /// The VM as the stage costs see it (`fraction` 1.0).
+    shape: VmShape,
     /// Dirty pages observed since this VM's checkpoint was last *persisted*
     /// (an in-memory refresh without a persist does not reset it).
     persisted_staleness: u64,
@@ -251,9 +250,7 @@ impl WarmCheckpointer {
                 warm,
                 name: c.name.clone(),
                 blob_mappings: Vec::new(),
-                gb: c.memory_gb as f64,
-                vcpus: c.vcpus,
-                entries: c.pram_entries(),
+                shape: c.shape(),
                 persisted_staleness: 0,
                 staleness_at_tick_end: 0,
                 pending: Vec::new(),
@@ -270,12 +267,8 @@ impl WarmCheckpointer {
 
         // Background cost of the initial full warm translation + directory
         // build (below the time axis: each VM was only micro-paused).
-        let full_list: Vec<(f64, u32, u64, f64)> = vms
-            .iter()
-            .map(|v| (v.gb, v.vcpus, v.entries, 1.0))
-            .collect();
-        let build_list: Vec<(f64, u64)> = vms.iter().map(|v| (v.gb, v.entries)).collect();
-        let setup = cost.warm_translate(&perf, &full_list) + cost.pram_build(&perf, &build_list);
+        let shapes: Vec<VmShape> = vms.iter().map(|v| v.shape).collect();
+        let setup = InPlacePricer::new(&cost, perf, Optimizations::default()).checkpoint(&shapes);
         clock.advance(setup);
 
         let cadence = vec![format!("start: {} vms checkpointed", vms.len())];
@@ -416,7 +409,6 @@ impl WarmCheckpointer {
         // Refresh the in-memory caches: fresh UISR (section-level
         // patched), then, on the pool, partials for the dirtied extents.
         let mut delta_list = Vec::with_capacity(refresh.len());
-        let mut build_list = Vec::with_capacity(refresh.len());
         let mut jobs = Vec::with_capacity(refresh.len());
         for (k, vm) in self.vms.iter_mut().enumerate() {
             if !refresh.contains(&k) {
@@ -429,13 +421,10 @@ impl WarmCheckpointer {
             let (uisr, sections) = patch_uisr(&vm.warm.uisr, fresh);
             vm.warm.uisr = uisr;
             report.patched_sections += sections;
-            delta_list.push((
-                vm.gb,
-                vm.vcpus,
-                vm.entries,
-                vm.persisted_staleness as f64 / vm.warm.total_pages.max(1) as f64,
-            ));
-            build_list.push((vm.gb, vm.entries));
+            delta_list.push(VmShape {
+                fraction: vm.persisted_staleness as f64 / vm.warm.total_pages.max(1) as f64,
+                ..vm.shape
+            });
             jobs.push((vm.warm.dirty_extent_indices(&vm.pending), &mut vm.warm));
         }
         let machine_ref: &Machine = machine;
@@ -473,7 +462,7 @@ impl WarmCheckpointer {
         let tick_cost = if refresh.is_empty() {
             SimDuration::ZERO
         } else {
-            self.cost.warm_translate(&perf, &delta_list) + self.cost.pram_build(&perf, &build_list)
+            InPlacePricer::new(&self.cost, perf, Optimizations::default()).checkpoint(&delta_list)
         };
         clock.advance(tick_cost);
         self.background += tick_cost;
@@ -626,25 +615,6 @@ impl RecoveryReport {
     }
 }
 
-/// Modeled warm (checkpointed) crash-recovery latency: detection + rescue
-/// reboot + restore + resume. Translation is absent — the checkpoints are
-/// already translated. Used by fleet planners that account for crashes
-/// without simulating full hosts.
-pub fn warm_recovery_latency(
-    cost: &CostModel,
-    perf: &MachinePerf,
-    target: HypervisorKind,
-    detection: SimDuration,
-    total_gb: f64,
-    entries: u64,
-    restore_list: &[(f64, u32)],
-) -> SimDuration {
-    detection
-        + cost.reboot(perf, target.boot_target(), total_gb, entries)
-        + cost.restore(perf, restore_list, true)
-        + perf.cpu(cost.resume_ghz_s_per_vm * restore_list.len() as f64)
-}
-
 /// The crash-recovery engine: takes the dying hypervisor and the always-on
 /// checkpointer, micro-reboots into the rescue hypervisor over the
 /// pre-staged kexec+PRAM image, and adopts every VM from its freshest
@@ -748,21 +718,17 @@ impl<'r> UnplannedRecovery<'r> {
         // files map the live frames, so crash-instant memory must survive
         // byte-identical; only registers roll back.
         clock.advance(ckpt.cfg.detection);
-        let total_gb: f64 = ckpt.vms.iter().map(|v| v.gb).sum();
-        let reboot_cost = self.cost.reboot(
-            &perf,
-            target.boot_target(),
-            total_gb,
-            ckpt.handle.stats().entries,
-        );
-        let restore_list: Vec<(f64, u32)> = ckpt.vms.iter().map(|v| (v.gb, v.vcpus)).collect();
-        let restore_cost = self.cost.restore(&perf, &restore_list, true);
+        // Translation and the PRAM build are priced only for the cold
+        // ablation: the warm checkpoints already paid for them.
+        let shapes: Vec<VmShape> = ckpt.vms.iter().map(|v| v.shape).collect();
+        let pricer = InPlacePricer::new(&self.cost, perf, Optimizations::default());
+        let price = pricer.price(&shapes, target, ckpt.handle.stats().entries, false);
         let landed = kexec_and_adopt(
             machine,
             self.registry,
-            &self.cost,
+            &pricer,
             target,
-            (reboot_cost, restore_cost),
+            (price.reboot, price.restoration),
             &baselines,
             &pool,
         )?;
@@ -779,21 +745,13 @@ impl<'r> UnplannedRecovery<'r> {
         }
 
         let recovery_latency = landed.resumed_at.duration_since(t_crash);
-        let build_list: Vec<(f64, u64)> = ckpt.vms.iter().map(|v| (v.gb, v.entries)).collect();
-        let xlate_list: Vec<(f64, u32, u64)> = ckpt
-            .vms
-            .iter()
-            .map(|v| (v.gb, v.vcpus, v.entries))
-            .collect();
-        let cold_latency = recovery_latency
-            + self.cost.pram_build(&perf, &build_list)
-            + self.cost.translate(&perf, &xlate_list);
+        let cold_latency = recovery_latency + price.pram + price.translation;
 
         let report = RecoveryReport {
             vm_count: landed.names.len(),
             detection: ckpt.cfg.detection,
-            reboot: reboot_cost,
-            restoration: recovery_latency - ckpt.cfg.detection - reboot_cost,
+            reboot: price.reboot,
+            restoration: recovery_latency - ckpt.cfg.detection - price.reboot,
             network: landed.network,
             recovery_latency,
             cold_latency,

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use hypertp_sim::cost::VmShape;
+
 /// A hypervisor-local VM identifier (Xen calls these domids; KVM models
 /// them as VM file descriptors — both are small integers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -106,6 +108,16 @@ impl VmConfig {
             self.memory_gb * 512
         } else {
             self.pages()
+        }
+    }
+
+    /// This VM as the in-place stage costs see it, all of it to translate.
+    pub fn shape(&self) -> VmShape {
+        VmShape {
+            gb: self.memory_gb as f64,
+            vcpus: self.vcpus,
+            entries: self.pram_entries(),
+            fraction: 1.0,
         }
     }
 }

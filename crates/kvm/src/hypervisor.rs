@@ -214,6 +214,9 @@ impl Hypervisor for KvmHypervisor {
                 });
             }
             let total = g.config.pages();
+            // A guest with no memory has no page to dirty (and no draw to
+            // take).
+            let dirty_pages = if total == 0 { 0 } else { dirty_pages };
             let writes: Vec<(Gfn, u64)> = (0..dirty_pages)
                 .map(|_| (Gfn(g.rng.gen_range(total)), g.rng.next_u64()))
                 .collect();

@@ -754,9 +754,12 @@ pub(crate) fn dirtied_pages(rate: f64, duration: SimDuration, pages: u64) -> u64
 
 /// Analytic pre-copy round model: replays the engine's round loop on
 /// paper (`RoundModel`, `dirtied_pages`, static threshold) without
-/// touching guest memory. Under
-/// [`WireMode::Raw`] with no controller this reproduces the engine's
-/// timings exactly; under [`WireMode::ContentAware`] page bytes scale by
+/// touching guest memory. It counts dirtying draws, while the engine
+/// re-sends the distinct pages they hit, so under [`WireMode::Raw`] with
+/// no controller it is exact for an idle guest and otherwise never under
+/// the engine: within 1 % at up to 3 000 pages/s on 1–2 GiB guests, up
+/// to 90 % over for guests that redirty most of their memory each round.
+/// Under [`WireMode::ContentAware`] page bytes scale by
 /// `compression_hint`. Used for scheduler ordering and predicted-vs-
 /// actual telemetry — a cheap model, not a promise.
 pub fn predict_migration(input: &PredictInput<'_>) -> MigrationPrediction {

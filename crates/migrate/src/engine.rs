@@ -2198,6 +2198,88 @@ mod tests {
     }
 
     #[test]
+    fn precopy_prediction_error_is_bounded() {
+        // Seeded fault-free fleets, controller off: 1–4 VMs of 1–2 GiB at
+        // idle to hot dirty rates behind 1–4 slots, six rounds at most.
+        //
+        // Raw: the prediction replays the engine's round loop, except that
+        // it counts dirtying draws while the engine re-sends the distinct
+        // pages they hit. It is exact for an idle guest and never under
+        // the engine. Measured on this sweep: ≤ 0.58 % at ≤ 3 000
+        // pages/s, ≤ 87 % for guests redirtying most of their memory each
+        // round; the bounds below are 1 % and 90 %.
+        //
+        // Content-aware: the scheduler is fed the wire ratio a first run
+        // observed (`FleetPolicy::compression_hint`). Measured: ≤ 5.63 %
+        // either way; the bound below is 6 %.
+        let mut rng = hypertp_sim::SimRng::new(0x9ec0_b0d5);
+        for case in 0..8 {
+            let n = 1 + rng.gen_range(4) as usize;
+            let slots = 1 + rng.gen_range(4) as usize;
+            let shapes: Vec<(u64, f64)> = (0..n)
+                .map(|_| {
+                    let gb = 1 + rng.gen_range(2);
+                    let rate = [0.0, 300.0, 3_000.0, 30_000.0][rng.gen_range(4) as usize];
+                    (gb, rate)
+                })
+                .collect();
+            let run = |mode: WireMode, hint: f64| {
+                let clock = SimClock::new();
+                let mut spec = MachineSpec::m1();
+                spec.ram_gb = shapes.iter().map(|s| s.0).sum::<u64>() + 2;
+                let mut src_m = Machine::with_clock(spec.clone(), clock.clone());
+                let mut dst_m = Machine::with_clock(spec, clock);
+                let mut src = SimpleHv::new(HypervisorKind::Xen);
+                let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+                let vms: Vec<FleetVm> = shapes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(gb, rate))| {
+                        let cfg = VmConfig::small(format!("vm{i}")).with_memory_gb(gb);
+                        FleetVm::with_dirty_rate(src.create_vm(&mut src_m, &cfg).unwrap(), rate)
+                    })
+                    .collect();
+                let tp = MigrationTp::new().with_config(MigrationConfig {
+                    wire_mode: mode,
+                    max_rounds: 6,
+                    ..MigrationConfig::default()
+                });
+                let policy = FleetPolicy {
+                    order: FleetOrder::Fifo,
+                    max_concurrent: slots,
+                    compression_hint: hint,
+                };
+                migrate_fleet(
+                    &tp, &mut src_m, &mut src, &vms, &mut dst_m, &mut dst, policy,
+                )
+                .unwrap()
+            };
+            let raw = run(WireMode::Raw, 1.0);
+            for (i, err) in raw.precopy_error_pct().into_iter().enumerate() {
+                let (p, r) = (raw.admission_predictions[i], &raw.reports[i]);
+                let c = format!("case {case} vm{i}: {:?}, {slots} slots", shapes[i]);
+                if shapes[i].1 == 0.0 {
+                    assert_eq!(p.precopy, raw.actual_precopy(i), "{c}");
+                    assert_eq!((p.rounds, p.stop_pages), (1, r.stop_pages), "{c}");
+                }
+                assert!(p.stop_pages >= r.stop_pages, "{c}");
+                let bound = if shapes[i].1 <= 3_000.0 { 1.0 } else { 90.0 };
+                assert!((0.0..bound).contains(&err), "{c}: raw error {err} %");
+            }
+            let observed = run(WireMode::ContentAware, 1.0);
+            let mut wire = WireStats::new();
+            for r in &observed.reports {
+                wire.merge(&r.wire);
+            }
+            let ca = run(WireMode::ContentAware, wire.compression_ratio());
+            for (i, err) in ca.precopy_error_pct().into_iter().enumerate() {
+                let c = format!("case {case} vm{i}: {:?}, {slots} slots", shapes[i]);
+                assert!(err.abs() < 6.0, "{c}: content-aware error {err} %");
+            }
+        }
+    }
+
+    #[test]
     fn bounded_concurrency_reduces_dirty_amplification() {
         // Unbounded: 4 streams share the link, rounds stretch 4×, the
         // guests dirty 4× more per round. Two slots halve the sharing;

@@ -51,6 +51,22 @@ impl MachinePerf {
     }
 }
 
+/// One VM as the in-place stage costs see it. Every per-VM cost below
+/// reads the fields it needs from this one shape.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VmShape {
+    /// Guest memory in GiB.
+    pub gb: f64,
+    /// Virtual CPUs.
+    pub vcpus: u32,
+    /// 8-byte PRAM page entries mapping the guest's memory.
+    pub entries: u64,
+    /// Share of the VM's translation work a warm or delta pass redoes
+    /// (1.0 = all of it). The full translation, the PRAM build and the
+    /// restoration ignore it.
+    pub fraction: f64,
+}
+
 /// Which hypervisor kernel a micro-reboot boots into.
 ///
 /// A type-1 target (Xen) boots two kernels — the hypervisor and the dom0
@@ -200,42 +216,32 @@ impl CostModel {
 
     /// Elapsed time to build PRAM structures for a set of VMs, run on the
     /// machine's worker pool (one task per VM — the §4.2.5 parallelization).
-    ///
-    /// `vms` is a list of `(guest_gb, entries)` pairs; `entries` is the
-    /// actual number of 8-byte page entries the PRAM encoder produced.
-    pub fn pram_build(&self, perf: &MachinePerf, vms: &[(f64, u64)]) -> SimDuration {
+    pub fn pram_build(&self, perf: &MachinePerf, vms: &[VmShape]) -> SimDuration {
         let tasks: Vec<SimDuration> = vms
             .iter()
-            .map(|&(gb, entries)| self.pram_build_one(perf, gb, entries))
+            .map(|v| {
+                SimDuration::from_secs_f64(self.pram_build_s_per_gb * v.gb)
+                    + perf.cpu(
+                        self.pram_build_ghz_s_per_gb * v.gb
+                            + self.pram_build_ghz_s_per_entry * v.entries as f64,
+                    )
+            })
             .collect();
         par::makespan(&tasks, perf.worker_threads())
-    }
-
-    /// Cost of building one VM's PRAM structure on one core.
-    pub fn pram_build_one(&self, perf: &MachinePerf, gb: f64, entries: u64) -> SimDuration {
-        let mem = SimDuration::from_secs_f64(self.pram_build_s_per_gb * gb);
-        let cpu = perf.cpu(
-            self.pram_build_ghz_s_per_gb * gb + self.pram_build_ghz_s_per_entry * entries as f64,
-        );
-        mem + cpu
     }
 
     /// Elapsed time of the UISR translation phase (VMs paused).
     ///
     /// Per-VM translation tasks run on the worker pool; the host-wide sweep
     /// is serial.
-    pub fn translate(
-        &self,
-        perf: &MachinePerf,
-        vms: &[(f64, u32, u64)], // (guest_gb, vcpus, entries)
-    ) -> SimDuration {
+    pub fn translate(&self, perf: &MachinePerf, vms: &[VmShape]) -> SimDuration {
         let tasks: Vec<SimDuration> = vms
             .iter()
-            .map(|&(gb, vcpus, entries)| {
+            .map(|v| {
                 perf.cpu(
-                    self.translate_ghz_s_per_vcpu * vcpus as f64
-                        + self.translate_ghz_s_per_gb * gb
-                        + self.translate_ghz_s_per_entry * entries as f64,
+                    self.translate_ghz_s_per_vcpu * v.vcpus as f64
+                        + self.translate_ghz_s_per_gb * v.gb
+                        + self.translate_ghz_s_per_entry * v.entries as f64,
                 )
             })
             .collect();
@@ -248,21 +254,21 @@ impl CostModel {
     /// Elapsed time of one *warm* translation pass over a set of VMs while
     /// they keep running (the incremental-translate pre-pause phase).
     ///
-    /// `vms` is `(guest_gb, vcpus, entries, fraction)` where `fraction` is
-    /// the share of the VM's state this pass re-translates (1.0 for the
-    /// initial snapshot, the redirty ratio for refresh rounds). The work is
-    /// the same per-VM translation task as [`CostModel::translate`] scaled
-    /// by `fraction` — but it runs *below the time axis*: no host-wide
-    /// serial sweep (that only happens once, at pause) and no guest pause.
-    pub fn warm_translate(&self, perf: &MachinePerf, vms: &[(f64, u32, u64, f64)]) -> SimDuration {
+    /// Each VM's `fraction` is the share of its state this pass
+    /// re-translates (1.0 for the initial snapshot, the redirty ratio for
+    /// refresh rounds). The work is the same per-VM translation task as
+    /// [`CostModel::translate`] scaled by `fraction` — but it runs *below
+    /// the time axis*: no host-wide serial sweep (that only happens once,
+    /// at pause) and no guest pause.
+    pub fn warm_translate(&self, perf: &MachinePerf, vms: &[VmShape]) -> SimDuration {
         let tasks: Vec<SimDuration> = vms
             .iter()
-            .map(|&(gb, vcpus, entries, fraction)| {
+            .map(|v| {
                 perf.cpu(
-                    self.translate_ghz_s_per_vcpu * vcpus as f64
-                        + (self.translate_ghz_s_per_gb * gb
-                            + self.translate_ghz_s_per_entry * entries as f64)
-                            * fraction.clamp(0.0, 1.0),
+                    self.translate_ghz_s_per_vcpu * v.vcpus as f64
+                        + (self.translate_ghz_s_per_gb * v.gb
+                            + self.translate_ghz_s_per_entry * v.entries as f64)
+                            * v.fraction.clamp(0.0, 1.0),
                 )
             })
             .collect();
@@ -273,23 +279,23 @@ impl CostModel {
     /// incremental warm phase left per-VM UISR snapshots and per-extent
     /// checksum partials behind.
     ///
-    /// `vms` is `(guest_gb, vcpus, entries, dirty_fraction)`: only the
-    /// dirtied fraction of the per-GB and per-entry work is redone inside
-    /// the blackout, and the host-wide serial sweep (final P2M pass)
-    /// skips clean ranges whose warm-cached translations are still valid,
-    /// so it scales with the memory-weighted mean dirty share. Only the
-    /// per-vCPU platform serialization and the fixed base cost are
-    /// irreducible. With `dirty_fraction = 1.0` for every VM this equals
-    /// [`CostModel::translate`] exactly — the fallback path.
-    pub fn delta_translate(&self, perf: &MachinePerf, vms: &[(f64, u32, u64, f64)]) -> SimDuration {
+    /// Each VM's `fraction` is its dirty share: only that fraction of the
+    /// per-GB and per-entry work is redone inside the blackout, and the
+    /// host-wide serial sweep (final P2M pass) skips clean ranges whose
+    /// warm-cached translations are still valid, so it scales with the
+    /// memory-weighted mean dirty share. Only the per-vCPU platform
+    /// serialization and the fixed base cost are irreducible. With
+    /// `fraction = 1.0` for every VM this equals [`CostModel::translate`]
+    /// exactly — the fallback path.
+    pub fn delta_translate(&self, perf: &MachinePerf, vms: &[VmShape]) -> SimDuration {
         let tasks: Vec<SimDuration> = vms
             .iter()
-            .map(|&(gb, vcpus, entries, dirty)| {
+            .map(|v| {
                 perf.cpu(
-                    self.translate_ghz_s_per_vcpu * vcpus as f64
-                        + (self.translate_ghz_s_per_gb * gb
-                            + self.translate_ghz_s_per_entry * entries as f64)
-                            * dirty.clamp(0.0, 1.0),
+                    self.translate_ghz_s_per_vcpu * v.vcpus as f64
+                        + (self.translate_ghz_s_per_gb * v.gb
+                            + self.translate_ghz_s_per_entry * v.entries as f64)
+                            * v.fraction.clamp(0.0, 1.0),
                 )
             })
             .collect();
@@ -297,10 +303,10 @@ impl CostModel {
         // The sweep walks per-frame metadata; dirty logging lets it skip
         // every clean frame, so it scales with the overall dirty share of
         // guest memory (gb-weighted across VMs).
-        let total_gb: f64 = vms.iter().map(|v| v.0).sum();
+        let total_gb: f64 = vms.iter().map(|v| v.gb).sum();
         let mean_dirty = if total_gb > 0.0 {
             vms.iter()
-                .map(|&(gb, _, _, d)| gb * d.clamp(0.0, 1.0))
+                .map(|v| v.gb * v.fraction.clamp(0.0, 1.0))
                 .sum::<f64>()
                 / total_gb
         } else {
@@ -343,14 +349,14 @@ impl CostModel {
     pub fn restore(
         &self,
         perf: &MachinePerf,
-        vms: &[(f64, u32)], // (guest_gb, vcpus)
+        vms: &[VmShape],
         early_restoration: bool,
     ) -> SimDuration {
         let tasks: Vec<SimDuration> = vms
             .iter()
-            .map(|&(gb, vcpus)| {
+            .map(|v| {
                 perf.cpu(
-                    self.restore_ghz_s_per_vcpu * vcpus as f64 + self.restore_ghz_s_per_gb * gb,
+                    self.restore_ghz_s_per_vcpu * v.vcpus as f64 + self.restore_ghz_s_per_gb * v.gb,
                 )
             })
             .collect();
@@ -419,6 +425,14 @@ mod tests {
     /// 1 GB VM with 2 MiB pages -> 512 PRAM entries.
     const ENTRIES_1GB: u64 = 512;
 
+    /// The Fig. 6 VM: 1 vCPU, 1 GB, 2 MiB pages.
+    const VM_1GB: VmShape = VmShape {
+        gb: 1.0,
+        vcpus: 1,
+        entries: ENTRIES_1GB,
+        fraction: 1.0,
+    };
+
     fn close(d: SimDuration, target: f64, tol: f64) -> bool {
         (d.as_secs_f64() - target).abs() <= tol
     }
@@ -426,22 +440,22 @@ mod tests {
     #[test]
     fn fig6_m1_pram_phase() {
         let m = CostModel::paper_calibrated();
-        let d = m.pram_build(&m1(), &[(1.0, ENTRIES_1GB)]);
+        let d = m.pram_build(&m1(), &[VM_1GB]);
         assert!(close(d, 0.45, 0.03), "PRAM M1 = {d}");
     }
 
     #[test]
     fn fig6_m2_pram_phase() {
         let m = CostModel::paper_calibrated();
-        let d = m.pram_build(&m2(), &[(1.0, ENTRIES_1GB)]);
+        let d = m.pram_build(&m2(), &[VM_1GB]);
         assert!(close(d, 0.50, 0.03), "PRAM M2 = {d}");
     }
 
     #[test]
     fn fig6_translation() {
         let m = CostModel::paper_calibrated();
-        let d1 = m.translate(&m1(), &[(1.0, 1, ENTRIES_1GB)]);
-        let d2 = m.translate(&m2(), &[(1.0, 1, ENTRIES_1GB)]);
+        let d1 = m.translate(&m1(), &[VM_1GB]);
+        let d2 = m.translate(&m2(), &[VM_1GB]);
         assert!(close(d1, 0.08, 0.02), "Translation M1 = {d1}");
         assert!(close(d2, 0.24, 0.04), "Translation M2 = {d2}");
     }
@@ -458,8 +472,8 @@ mod tests {
     #[test]
     fn fig6_restoration() {
         let m = CostModel::paper_calibrated();
-        let d1 = m.restore(&m1(), &[(1.0, 1)], true);
-        let d2 = m.restore(&m2(), &[(1.0, 1)], true);
+        let d1 = m.restore(&m1(), &[VM_1GB], true);
+        let d2 = m.restore(&m2(), &[VM_1GB], true);
         assert!(close(d1, 0.12, 0.03), "Restoration M1 = {d1}");
         assert!(close(d2, 0.34, 0.05), "Restoration M2 = {d2}");
     }
@@ -470,9 +484,9 @@ mod tests {
         // 3.01 s (M2).
         let m = CostModel::paper_calibrated();
         for (perf, target, tol) in [(m1(), 1.7, 0.12), (m2(), 3.01, 0.2)] {
-            let d = m.translate(&perf, &[(1.0, 1, ENTRIES_1GB)])
+            let d = m.translate(&perf, &[VM_1GB])
                 + m.reboot(&perf, BootTarget::LinuxKvm, 1.0, ENTRIES_1GB)
-                + m.restore(&perf, &[(1.0, 1)], true);
+                + m.restore(&perf, &[VM_1GB], true);
             assert!(close(d, target, tol), "downtime = {d}, want {target}");
         }
     }
@@ -480,8 +494,8 @@ mod tests {
     #[test]
     fn delta_translate_full_dirty_equals_translate() {
         let m = CostModel::paper_calibrated();
-        let full = m.translate(&m1(), &[(1.0, 1, ENTRIES_1GB)]);
-        let delta = m.delta_translate(&m1(), &[(1.0, 1, ENTRIES_1GB, 1.0)]);
+        let full = m.translate(&m1(), &[VM_1GB]);
+        let delta = m.delta_translate(&m1(), &[VM_1GB]);
         assert_eq!(full, delta);
     }
 
@@ -490,9 +504,17 @@ mod tests {
         let m = CostModel::paper_calibrated();
         // A large VM with a small dirty set must translate much faster than
         // from scratch, but never below the irreducible base + vCPU terms.
-        let full = m.delta_translate(&m1(), &[(12.0, 4, 512 * 12, 1.0)]);
-        let dirty10 = m.delta_translate(&m1(), &[(12.0, 4, 512 * 12, 0.1)]);
-        let clean = m.delta_translate(&m1(), &[(12.0, 4, 512 * 12, 0.0)]);
+        let big = |fraction| {
+            [VmShape {
+                gb: 12.0,
+                vcpus: 4,
+                entries: 512 * 12,
+                fraction,
+            }]
+        };
+        let full = m.delta_translate(&m1(), &big(1.0));
+        let dirty10 = m.delta_translate(&m1(), &big(0.1));
+        let clean = m.delta_translate(&m1(), &big(0.0));
         assert!(dirty10 < full, "10% dirty {dirty10} vs full {full}");
         assert!(clean < dirty10);
         // The host-wide sweep skips clean frames, but the base cost and
@@ -516,8 +538,8 @@ mod tests {
         let m = CostModel::paper_calibrated();
         // A warm pass at the same fraction is strictly cheaper than the
         // paused delta pass: it skips the host-wide serial term.
-        let warm = m.warm_translate(&m1(), &[(1.0, 1, ENTRIES_1GB, 1.0)]);
-        let paused = m.delta_translate(&m1(), &[(1.0, 1, ENTRIES_1GB, 1.0)]);
+        let warm = m.warm_translate(&m1(), &[VM_1GB]);
+        let paused = m.delta_translate(&m1(), &[VM_1GB]);
         assert!(warm < paused);
         assert_eq!(
             paused - warm,
@@ -550,8 +572,12 @@ mod tests {
     #[test]
     fn fig7a_vcpus_have_negligible_impact() {
         let m = CostModel::paper_calibrated();
-        let d1 = m.translate(&m1(), &[(1.0, 1, 512)]) + m.restore(&m1(), &[(1.0, 1)], true);
-        let d10 = m.translate(&m1(), &[(1.0, 10, 512)]) + m.restore(&m1(), &[(1.0, 10)], true);
+        let ten = [VmShape {
+            vcpus: 10,
+            ..VM_1GB
+        }];
+        let d1 = m.translate(&m1(), &[VM_1GB]) + m.restore(&m1(), &[VM_1GB], true);
+        let d10 = m.translate(&m1(), &ten) + m.restore(&m1(), &ten, true);
         assert!((d10.as_secs_f64() - d1.as_secs_f64()) < 0.05);
     }
 
@@ -560,7 +586,7 @@ mod tests {
         // 12 VMs: M1 has 6 workers, M2 has 26, so M1's PRAM phase grows
         // much faster than M2's (§5.2.2).
         let m = CostModel::paper_calibrated();
-        let vms: Vec<(f64, u64)> = (0..12).map(|_| (1.0, ENTRIES_1GB)).collect();
+        let vms = [VM_1GB; 12];
         let one = m.pram_build(&m1(), &vms[..1]);
         let m1_12 = m.pram_build(&m1(), &vms);
         let m2_12 = m.pram_build(&m2(), &vms);
@@ -588,8 +614,14 @@ mod tests {
         // Without huge pages a 1 GB VM has 262 144 entries instead of 512;
         // build and parse must get measurably slower.
         let m = CostModel::paper_calibrated();
-        let small = m.pram_build_one(&m1(), 1.0, 512);
-        let large = m.pram_build_one(&m1(), 1.0, 262_144);
+        let small = m.pram_build(&m1(), &[VM_1GB]);
+        let large = m.pram_build(
+            &m1(),
+            &[VmShape {
+                entries: 262_144,
+                ..VM_1GB
+            }],
+        );
         assert!(large.as_secs_f64() > small.as_secs_f64() + 0.1);
         let p_small = m.reboot(&m1(), BootTarget::LinuxKvm, 1.0, 512);
         let p_large = m.reboot(&m1(), BootTarget::LinuxKvm, 1.0, 262_144);
@@ -599,8 +631,8 @@ mod tests {
     #[test]
     fn late_restoration_penalty() {
         let m = CostModel::paper_calibrated();
-        let early = m.restore(&m1(), &[(1.0, 1)], true);
-        let late = m.restore(&m1(), &[(1.0, 1)], false);
+        let early = m.restore(&m1(), &[VM_1GB], true);
+        let late = m.restore(&m1(), &[VM_1GB], false);
         assert!(close(late - early, m.late_restore_wait_s, 1e-9));
     }
 

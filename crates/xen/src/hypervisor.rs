@@ -264,6 +264,8 @@ impl Hypervisor for XenHypervisor {
             });
         }
         let total = d.config.pages();
+        // A guest with no memory has no page to dirty (and no draw to take).
+        let dirty_pages = if total == 0 { 0 } else { dirty_pages };
         let mut writes = Vec::with_capacity(dirty_pages as usize);
         for _ in 0..dirty_pages {
             writes.push((Gfn(d.rng.gen_range(total)), d.rng.next_u64()));

@@ -110,24 +110,35 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     })
 }
 
-fn opt_u64(cmd: &Command, key: &str, default: u64) -> Result<u64, CliError> {
-    match cmd.options.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| CliError::BadValue {
+/// Reads `--key` as a `T`, or `default` when it is absent. A value that
+/// does not parse as a `T` (`4294967297` for a `u32`) or that `valid`
+/// rejects is a [`CliError::BadValue`].
+fn opt_where<T: std::str::FromStr>(
+    cmd: &Command,
+    key: &str,
+    default: T,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    let Some(v) = cmd.options.get(key) else {
+        return Ok(default);
+    };
+    match v.parse() {
+        Ok(x) if valid(&x) => Ok(x),
+        _ => Err(CliError::BadValue {
             option: key.to_string(),
             value: v.clone(),
         }),
     }
 }
 
-fn opt_f64(cmd: &Command, key: &str, default: f64) -> Result<f64, CliError> {
-    match cmd.options.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| CliError::BadValue {
-            option: key.to_string(),
-            value: v.clone(),
-        }),
-    }
+/// Reads `--key` as any value of `T`.
+fn opt<T: std::str::FromStr>(cmd: &Command, key: &str, default: T) -> Result<T, CliError> {
+    opt_where(cmd, key, default, |_| true)
+}
+
+/// Reads `--key` as a rate or a budget: finite and non-negative.
+fn opt_amount(cmd: &Command, key: &str, default: f64) -> Result<f64, CliError> {
+    opt_where(cmd, key, default, |x: &f64| x.is_finite() && *x >= 0.0)
 }
 
 fn opt_hv(cmd: &Command, key: &str, default: HypervisorKind) -> Result<HypervisorKind, CliError> {
@@ -313,9 +324,9 @@ fn run_decide(cmd: &Command) -> Result<String, CliError> {
 
 fn run_transplant(cmd: &Command) -> Result<String, CliError> {
     let spec = opt_spec(cmd, "machine")?;
-    let n_vms = opt_u64(cmd, "vms", 1)? as u32;
-    let vcpus = opt_u64(cmd, "vcpus", 1)? as u32;
-    let mem = opt_u64(cmd, "mem", 1)?;
+    let n_vms: u32 = opt(cmd, "vms", 1)?;
+    let vcpus: u32 = opt(cmd, "vcpus", 1)?;
+    let mem: u64 = opt(cmd, "mem", 1)?;
     let from = opt_hv(cmd, "from", HypervisorKind::Xen)?;
     let to = opt_hv(cmd, "to", HypervisorKind::Kvm)?;
     let opts = Optimizations {
@@ -371,8 +382,8 @@ fn run_transplant(cmd: &Command) -> Result<String, CliError> {
 
 fn run_migrate(cmd: &Command) -> Result<String, CliError> {
     let spec = opt_spec(cmd, "machine")?;
-    let mem = opt_u64(cmd, "mem", 1)?;
-    let rate = opt_f64(cmd, "dirty-rate", 10.0)?;
+    let mem: u64 = opt(cmd, "mem", 1)?;
+    let rate = opt_amount(cmd, "dirty-rate", 10.0)?;
     let to = opt_hv(cmd, "to", HypervisorKind::Kvm)?;
     let registry = crate::default_registry();
     let clock = SimClock::new();
@@ -447,8 +458,8 @@ fn run_proxy(cmd: &Command) -> Result<String, CliError> {
             Ok(out)
         }
         "source" => {
-            let mem = opt_u64(cmd, "mem", 1)?;
-            let rate = opt_f64(cmd, "dirty-rate", 10.0)?;
+            let mem: u64 = opt(cmd, "mem", 1)?;
+            let rate = opt_amount(cmd, "dirty-rate", 10.0)?;
             let mut machine = Machine::with_clock(spec, SimClock::new());
             let mut hv = registry
                 .create(HypervisorKind::Xen, &mut machine)
@@ -487,9 +498,9 @@ fn run_proxy(cmd: &Command) -> Result<String, CliError> {
 }
 
 fn run_cluster(cmd: &Command) -> Result<String, CliError> {
-    let compat = opt_u64(cmd, "compat", 80)? as u32;
-    let group = opt_u64(cmd, "group", 2)? as usize;
-    let shards = opt_u64(cmd, "shards", 1)? as usize;
+    let compat: u32 = opt_where(cmd, "compat", 80, |pct| *pct <= 100)?;
+    let group: usize = opt(cmd, "group", 2)?;
+    let shards: usize = opt(cmd, "shards", 1)?;
     let cfg = hypertp_cluster::exec::ExecConfig::default();
     let sharded = |view: &dyn hypertp_cluster::ClusterView, plan: &hypertp_cluster::Plan| {
         hypertp_cluster::execute_sharded_with(
@@ -504,12 +515,13 @@ fn run_cluster(cmd: &Command) -> Result<String, CliError> {
     // --hosts derives a synthetic fleet of that size (seed 42, like the
     // paper testbed); without it the exact 4-host paper testbed runs, and
     // sharding is identity-preserving so --shards never changes the report.
-    let (fleet, report) = match cmd.options.get("hosts") {
-        Some(v) => {
-            let hosts: usize = v.parse().map_err(|_| CliError::BadValue {
-                option: "hosts".to_string(),
-                value: v.clone(),
-            })?;
+    let hosts: Option<usize> = cmd
+        .options
+        .contains_key("hosts")
+        .then(|| opt(cmd, "hosts", 0))
+        .transpose()?;
+    let (fleet, report) = match hosts {
+        Some(hosts) => {
             let view = hypertp_cluster::Cluster::synthetic(hosts, 42).with_compat_percent(compat);
             let plan = hypertp_cluster::plan_upgrade(&view, group)
                 .map_err(|e| CliError::Failed(e.to_string()))?;
@@ -541,11 +553,11 @@ fn run_cluster(cmd: &Command) -> Result<String, CliError> {
 /// plain and once with `--slo-aware` compares admission policies under
 /// identical conditions.
 fn run_fleet_cmd(cmd: &Command) -> Result<String, CliError> {
-    let n_vms = opt_u64(cmd, "vms", 4)? as usize;
-    let mem = opt_u64(cmd, "mem", 1)?;
-    let rate = opt_f64(cmd, "dirty-rate", 1_000.0)?;
-    let max_concurrent = opt_u64(cmd, "max-concurrent", 1)? as usize;
-    let seed = opt_u64(cmd, "seed", 42)?;
+    let n_vms: usize = opt(cmd, "vms", 4)?;
+    let mem: u64 = opt(cmd, "mem", 1)?;
+    let rate = opt_amount(cmd, "dirty-rate", 1_000.0)?;
+    let max_concurrent: usize = opt(cmd, "max-concurrent", 1)?;
+    let seed: u64 = opt(cmd, "seed", 42)?;
     let slo_aware = cmd.options.contains_key("slo-aware");
     let order = if slo_aware {
         hypertp_migrate::FleetOrder::SloAware
@@ -636,8 +648,8 @@ fn run_campaign_cmd(cmd: &Command) -> Result<String, CliError> {
         .positional
         .first()
         .ok_or(CliError::MissingOption("<CVE-ID>"))?;
-    let hosts = opt_u64(cmd, "hosts", 2)? as usize;
-    let vms = opt_u64(cmd, "vms", 4)? as u32;
+    let hosts: usize = opt(cmd, "hosts", 2)?;
+    let vms: u32 = opt(cmd, "vms", 4)?;
     let ds = hypertp_vulndb::dataset::dataset();
     let cve = ds
         .iter()
@@ -685,12 +697,12 @@ fn run_campaign_cmd(cmd: &Command) -> Result<String, CliError> {
 /// exposure the chosen schedule leaves on the table; the footer totals
 /// the integrated exposure in VM·criticality·days.
 fn run_feed(cmd: &Command) -> Result<String, CliError> {
-    let hosts = opt_u64(cmd, "hosts", 100)? as usize;
-    let seed = opt_u64(cmd, "seed", 42)?;
-    let rate = opt_u64(cmd, "events-per-year", 37)? as u32;
-    let days = opt_u64(cmd, "days", 365)?;
-    let budget = opt_f64(cmd, "budget", 300.0)?;
-    let shards = opt_u64(cmd, "shards", 1)? as usize;
+    let hosts: usize = opt(cmd, "hosts", 100)?;
+    let seed: u64 = opt(cmd, "seed", 42)?;
+    let rate: u32 = opt(cmd, "events-per-year", 37)?;
+    let days = opt_where(cmd, "days", 365, |d: &u64| d.checked_mul(86_400).is_some())?;
+    let budget = opt_amount(cmd, "budget", 300.0)?;
+    let shards: usize = opt(cmd, "shards", 1)?;
     let blind = cmd.options.contains_key("blind");
     let view = hypertp_cluster::Cluster::synthetic(hosts, seed).with_compat_percent(80);
     let ds = hypertp_vulndb::dataset::dataset();
@@ -770,14 +782,14 @@ fn feed_footer(report: &hypertp_cluster::FeedReport) -> String {
 
 fn run_recover(cmd: &Command) -> Result<String, CliError> {
     let spec = opt_spec(cmd, "machine")?;
-    let n_vms = opt_u64(cmd, "vms", 1)? as u32;
-    let vcpus = opt_u64(cmd, "vcpus", 1)? as u32;
-    let mem = opt_u64(cmd, "mem", 1)?;
+    let n_vms: u32 = opt(cmd, "vms", 1)?;
+    let vcpus: u32 = opt(cmd, "vcpus", 1)?;
+    let mem: u64 = opt(cmd, "mem", 1)?;
     let from = opt_hv(cmd, "from", HypervisorKind::Xen)?;
     let to = opt_hv(cmd, "to", HypervisorKind::Kvm)?;
-    let ticks = opt_u64(cmd, "ticks", 4)?;
-    let workload = opt_u64(cmd, "workload", 64)?;
-    let bound = opt_u64(cmd, "bound", 512)?;
+    let ticks: u64 = opt(cmd, "ticks", 4)?;
+    let workload: u64 = opt(cmd, "workload", 64)?;
+    let bound: u64 = opt(cmd, "bound", 512)?;
     let registry = crate::default_registry();
     let mut machine = Machine::new(spec);
     let mut hv = registry
@@ -1107,6 +1119,49 @@ mod tests {
     fn recover_bad_bound_rejected() {
         let r = run(&parse(&argv("recover --bound many")).unwrap());
         assert!(matches!(r, Err(CliError::BadValue { .. })));
+    }
+
+    #[test]
+    fn recover_carries_memoryless_guests() {
+        // A guest with no pages dirties nothing on either source.
+        for line in ["recover --mem 0", "recover --mem 0 --from kvm --to xen"] {
+            let out = run(&parse(&argv(line)).unwrap()).unwrap();
+            assert!(out.contains("bound held: true"), "{line}: {out}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected() {
+        // Each value parses as some number, but not as the option's type
+        // and range: none may wrap, saturate or be echoed back.
+        for (line, option, value) in [
+            ("transplant --vms 4294967297", "vms", "4294967297"),
+            ("recover --vcpus 4294967296", "vcpus", "4294967296"),
+            ("campaign CVE-2016-6258 --vms -1", "vms", "-1"),
+            ("migrate --dirty-rate NaN", "dirty-rate", "NaN"),
+            ("migrate --dirty-rate -1", "dirty-rate", "-1"),
+            ("fleet --dirty-rate inf", "dirty-rate", "inf"),
+            ("feed --budget NaN", "budget", "NaN"),
+            ("feed --budget -5", "budget", "-5"),
+            ("feed --days 213503982334602", "days", "213503982334602"),
+            (
+                "feed --events-per-year 4294967296",
+                "events-per-year",
+                "4294967296",
+            ),
+            ("cluster --compat 200", "compat", "200"),
+            ("cluster --compat 101", "compat", "101"),
+            ("cluster --group 2.5", "group", "2.5"),
+        ] {
+            assert_eq!(
+                run(&parse(&argv(line)).unwrap()),
+                Err(CliError::BadValue {
+                    option: option.to_string(),
+                    value: value.to_string(),
+                }),
+                "{line}"
+            );
+        }
     }
 
     #[test]
