@@ -15,7 +15,7 @@
 //!    must produce at least one `Delta` frame so the codec path is
 //!    exercised end to end, not just the zero/dup fast paths.
 //! 4. **Encode throughput**: a microbench drives both encoders — the
-//!    batch `encode_batch_into` the engine's rounds use and the per-page
+//!    batch `encode_words_into` the engine's rounds use and the per-page
 //!    `encode_page` the truncated-page re-send uses — over identical
 //!    page rounds (zeros, dups, uniques, re-dirtied pages) and reports
 //!    committed pages/second; they must account identical wire bytes and
@@ -41,7 +41,6 @@ use hypertp_migrate::{
     migrate_many, FrameKind, FrameRing, MigrationConfig, MigrationReport, MigrationTp,
     TransferCache, WireMode, WireStats, DEFAULT_CACHE_CAPACITY,
 };
-use hypertp_sim::hash::digest_pages_into;
 use hypertp_sim::json::{self, Json};
 use hypertp_sim::{SimClock, WorkerPool};
 
@@ -308,12 +307,10 @@ fn main() {
         },
     );
     let mut ring = FrameRing::new();
-    let mut digests = Vec::new();
     let mut ring_encode = |cache: &TransferCache, gfns: &[Gfn], words: &[u64]| {
-        digest_pages_into(words, &mut digests);
         ring.restart();
         ring.begin();
-        let wb = cache.encode_batch_into(7, gfns, words, &digests, &mut ring);
+        let wb = cache.encode_words_into(7, gfns, words, &mut ring);
         ring.commit();
         std::hint::black_box(ring.len_bytes());
         wb

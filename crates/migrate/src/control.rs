@@ -746,8 +746,11 @@ impl RoundModel {
     }
 }
 
-/// Distinct pages a guest dirtying `rate` pages/second touches in
-/// `duration` — never more than the `pages` it has.
+/// Dirtying draws of a guest writing `rate` pages/second for `duration`
+/// (`rate × duration`), capped at the `pages` it has. Draws are not
+/// distinct pages: two draws can hit the same page, so the engine
+/// re-sends at most this many (see [`predict_migration`] on what the
+/// difference costs the prediction).
 pub(crate) fn dirtied_pages(rate: f64, duration: SimDuration, pages: u64) -> u64 {
     ((rate * duration.as_secs_f64()) as u64).min(pages)
 }

@@ -5,7 +5,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use hypertp_core::{HtpError, Hypervisor, HypervisorKind, VmConfig, VmId};
 use hypertp_machine::{Extent, Gfn, Machine, PAGE_SIZE};
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
-use hypertp_sim::hash::{digest_pages_with_pool, Digest128};
 use hypertp_sim::{CostModel, SimDuration, SimTime, WorkerPool};
 
 use crate::control::{
@@ -129,11 +128,6 @@ pub struct MigrationConfig {
     pub retry_backoff: SimDuration,
     /// Wire representation of guest pages (raw or content-aware).
     pub wire_mode: WireMode,
-    /// Below this many pages, a content-aware round's digests run
-    /// serially: the thread spawn + hand-off cost of the pool exceeds the
-    /// work (BENCH_parallel.json showed `migrate_many` *losing* 2 ms to
-    /// pool overhead on small dirty sets before this threshold existed).
-    pub parallel_threshold_pages: usize,
     /// Target ceiling for VM downtime. When set, the adaptive controller
     /// replaces [`MigrationConfig::stop_threshold_pages`] with the budget
     /// converted to pages at the *observed* effective throughput and
@@ -157,7 +151,6 @@ impl Default for MigrationConfig {
             max_link_retries: 4,
             retry_backoff: SimDuration::from_millis(50),
             wire_mode: WireMode::Raw,
-            parallel_threshold_pages: 8192,
             downtime_budget: None,
             control: ControlConfig::default(),
         }
@@ -186,7 +179,7 @@ impl EngineScratch {
 }
 
 /// The buffers themselves: the serialized frame ring plus the gather /
-/// digest / destination-probe / write vectors. All are cleared-and-refilled
+/// destination-probe / write vectors. All are cleared-and-refilled
 /// per round, never shrunk; round 0 sizes `words` and `current` to the
 /// whole guest, which the cut-over verification then reads both sides into.
 #[derive(Debug, Default)]
@@ -195,8 +188,6 @@ pub(crate) struct RoundScratch {
     pub(crate) ring: FrameRing,
     /// Source content words, in GFN-list order.
     pub(crate) words: Vec<u64>,
-    /// Content digests, parallel to `words`.
-    pub(crate) digests: Vec<Digest128>,
     /// Destination's current words (write-elision probe).
     pub(crate) current: Vec<u64>,
     /// The round's changed pages, landed with one
@@ -310,9 +301,10 @@ pub struct MigrationTp {
     pub cost: CostModel,
     /// Pre-copy configuration.
     pub config: MigrationConfig,
-    /// Worker pool for the wall-clock hot paths (page gather, content
-    /// verification). Defaults to [`WorkerPool::from_env`]; reports are
-    /// identical for any worker count.
+    /// Worker pool for the cut-over content verification
+    /// ([`MigrationConfig::verify_contents`]). Defaults to
+    /// [`WorkerPool::from_env`]; reports are identical for any worker
+    /// count.
     pub pool: WorkerPool,
     /// Fault plan consulted at the engine's injection points (link drop,
     /// latency spike, truncated page, UISR corruption). Defaults to a
@@ -897,11 +889,12 @@ impl MigrationTp {
     /// Source half of a round: the bytes it will put on the wire. Raw
     /// rounds ship every page as a full payload (the paper-faithful
     /// accounting). Content-aware rounds gather words straight out of the
-    /// source's RAM extents, digest them across the worker pool and
-    /// serialize frames into the shared scratch ring under one cache lock,
-    /// reusing every buffer (no heap allocation once warm). The round's
-    /// cache and ring transaction opens once the gather — the only step
-    /// that can fail — has succeeded; the caller commits or rolls back.
+    /// source's RAM extents and serialize frames into the shared scratch
+    /// ring under one cache lock, which digests each non-zero word as it
+    /// classifies it, reusing every buffer (no heap allocation once warm).
+    /// The round's cache and ring transaction opens once the gather — the
+    /// only step that can fail — has succeeded; the caller commits or
+    /// rolls back.
     fn encode_round(
         &self,
         src_machine: &Machine,
@@ -913,29 +906,16 @@ impl MigrationTp {
             return Ok(gfns.len() as u64 * PAGE_SIZE);
         }
         let mut s = self.scratch.round();
-        let RoundScratch {
-            ring,
-            words,
-            digests,
-            ..
-        } = &mut *s;
-        let caps = (words.capacity(), digests.capacity());
+        let RoundScratch { ring, words, .. } = &mut *s;
+        let cap = words.capacity();
         src_hv.read_guest_into(src_machine, src_id, gfns, words)?;
         self.cache.begin_round();
         ring.restart();
         ring.begin();
-        digest_pages_with_pool(
-            words,
-            digests,
-            &self.pool,
-            self.config.parallel_threshold_pages,
-        );
-        let wire_bytes = self
-            .cache
-            .encode_batch_into(src_id.0, gfns, words, digests, ring);
+        let wire_bytes = self.cache.encode_words_into(src_id.0, gfns, words, ring);
         let mut st = self.scratch.stats();
         st.rounds += 1;
-        st.grows += u64::from(words.capacity() != caps.0) + u64::from(digests.capacity() != caps.1);
+        st.grows += u64::from(words.capacity() != cap);
         Ok(wire_bytes)
     }
 
@@ -1612,7 +1592,7 @@ mod tests {
     #[test]
     fn migrate_many_pooled_matches_serial() {
         // Reports (rounds, downtime, totals, bytes) must be identical
-        // whether the engine gathers pages serially or on a wide pool.
+        // whether the engine runs on a serial or a wide pool.
         let run = |pool: WorkerPool| {
             let (mut src_m, mut dst_m) = pair();
             let mut src = SimpleHv::new(HypervisorKind::Xen);

@@ -18,13 +18,16 @@
 //!
 //! **Transactional rounds.** The destination only acks a round as a whole;
 //! if the link drops mid-round, nothing the round shipped can be assumed
-//! present on the other side. The cache therefore journals every mutation
-//! between [`TransferCache::begin_round`] and
-//! [`TransferCache::commit_round`]; a drop triggers
-//! [`TransferCache::rollback_round`], which restores the last committed
-//! state so the retry re-encodes against what the destination *actually*
-//! holds. An abandoned migration calls [`TransferCache::forget_vm`] (the
-//! destination shell is torn down, its pages gone).
+//! present on the other side. The cache therefore journals what a round
+//! changes between [`TransferCache::begin_round`] and
+//! [`TransferCache::commit_round`], in proportion to what changed: an
+//! overwritten committed delta base as an undo record, a newly tracked
+//! base as one bit of a per-VM bitmap, a dedup insert as its digest. A
+//! drop triggers [`TransferCache::rollback_round`], which restores the
+//! last committed state so the retry re-encodes against what the
+//! destination *actually* holds. An abandoned migration calls
+//! [`TransferCache::forget_vm`] (the destination shell is torn down, its
+//! pages gone).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -414,6 +417,17 @@ impl DedupLru {
         self.free = 0;
     }
 
+    /// Sizes index and slab once for `inserts` more entries, capped where
+    /// every further insert evicts one first: a batch then rehashes at
+    /// most once instead of doubling its way up.
+    fn reserve(&mut self, inserts: usize) {
+        let room = inserts.min(self.capacity.saturating_sub(self.index.len()));
+        self.index.reserve(room);
+        // The slab recycles its free slots first; slot 0 is the sentinel.
+        let slots = self.index.len() + 1 + room;
+        self.slots.reserve(slots.saturating_sub(self.slots.len()));
+    }
+
     /// One dedup lookup. A hit refreshes the entry's LRU rank (pinning it
     /// for the round) and returns `true`. A miss returns `false` after
     /// inserting `digest → word`, first evicting from the head while the
@@ -469,11 +483,25 @@ impl DedupLru {
 /// tracked zero page is a `Delta` base: the two must stay apart).
 #[derive(Debug, Default)]
 struct SentTable {
-    /// First gfn covered; a multiple of 64, so bit `i` of `present` is
-    /// always gfn `base + i`.
+    /// First gfn covered; a multiple of 64, so bit `i` of `present` and
+    /// `fresh` is always gfn `base + i`.
     base: u64,
     words: Vec<u64>,
     present: Vec<u64>,
+    /// The gfns the in-flight round started tracking, a subset of
+    /// `present`: rollback untracks them, commit clears the bits.
+    fresh: Vec<u64>,
+}
+
+/// What [`SentTable::track`] found at a gfn.
+#[derive(Debug, PartialEq)]
+enum Prior {
+    /// Untracked: the gfn is now tracked, and `fresh`.
+    Untracked,
+    /// A base the in-flight round wrote; rollback untracks the gfn anyway.
+    Staged(u64),
+    /// A base committed before the round; rollback must restore it.
+    Committed(u64),
 }
 
 impl SentTable {
@@ -482,51 +510,76 @@ impl SentTable {
         self.present.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Sets (`Some`) or drops (`None`) the base of `gfn`, growing the span
-    /// to cover it, and returns the previous base.
-    fn replace(&mut self, gfn: u64, new: Option<u64>) -> Option<u64> {
+    /// The index of `gfn`, growing the span to cover it.
+    fn slot(&mut self, gfn: u64) -> usize {
         if self.words.is_empty() {
             self.base = gfn & !63;
         } else if gfn < self.base {
             let grow = (self.base - (gfn & !63)) as usize;
             self.words.resize(self.words.len() + grow, 0);
             self.words.rotate_right(grow);
-            self.present.resize(self.present.len() + grow / 64, 0);
-            self.present.rotate_right(grow / 64);
+            for bits in [&mut self.present, &mut self.fresh] {
+                bits.resize(bits.len() + grow / 64, 0);
+                bits.rotate_right(grow / 64);
+            }
             self.base -= grow as u64;
         }
         let i = (gfn - self.base) as usize;
         if i >= self.words.len() {
             self.words.resize((i | 63) + 1, 0);
             self.present.resize(i / 64 + 1, 0);
+            self.fresh.resize(i / 64 + 1, 0);
         }
-        let bit = 1u64 << (i % 64);
-        let old = (self.present[i / 64] & bit != 0).then_some(self.words[i]);
-        match new {
-            Some(word) => {
-                self.words[i] = word;
-                self.present[i / 64] |= bit;
-            }
-            None => self.present[i / 64] &= !bit,
+        i
+    }
+
+    /// Sets the base of `gfn` to `word` and says what it replaced.
+    fn track(&mut self, gfn: u64, word: u64) -> Prior {
+        let i = self.slot(gfn);
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let prior = if self.present[w] & bit == 0 {
+            self.present[w] |= bit;
+            self.fresh[w] |= bit;
+            Prior::Untracked
+        } else if self.fresh[w] & bit != 0 {
+            Prior::Staged(self.words[i])
+        } else {
+            Prior::Committed(self.words[i])
+        };
+        self.words[i] = word;
+        prior
+    }
+
+    /// Rollback of one overwrite: `gfn`'s committed base was `word`.
+    fn restore(&mut self, gfn: u64, word: u64) {
+        self.words[(gfn - self.base) as usize] = word;
+    }
+
+    /// Rollback: untracks every gfn the round started tracking and returns
+    /// how many there were.
+    fn drop_fresh(&mut self) -> usize {
+        let mut dropped = 0;
+        for (present, fresh) in self.present.iter_mut().zip(&mut self.fresh) {
+            dropped += (*present & *fresh).count_ones() as usize;
+            *present &= !std::mem::take(fresh);
         }
-        old
+        dropped
     }
 }
 
-/// One overwritten delta base (rollback: restore `prev`; `None` = the gfn
-/// was untracked).
+/// One overwritten committed delta base (rollback: restore `prev`).
 #[derive(Debug, Clone, Copy)]
 struct SentUndo {
     vm: u32,
     gfn: u64,
-    prev: Option<u64>,
+    prev: u64,
 }
 
 /// How one page travels: the verdict [`TransferCache::encode_page`] and
-/// [`TransferCache::encode_batch_into`] share.
+/// [`TransferCache::encode_words_into`] share.
 enum PageClass {
     Zero,
-    Dup,
+    Dup(Digest128),
     Delta { base: u64 },
     Raw,
 }
@@ -542,8 +595,13 @@ struct CacheInner {
     /// Digests inserted into `dedup` since `begin_round` (rollback:
     /// remove).
     journal_dedup: Vec<Digest128>,
-    /// Delta bases overwritten since `begin_round`.
+    /// Committed delta bases overwritten since `begin_round` (rollback:
+    /// restore). A gfn the round starts tracking is journaled by its
+    /// table's `fresh` bit instead.
     journal_sent: Vec<SentUndo>,
+    /// VMs whose tables the round has encoded into, so may hold `fresh`
+    /// bits (rollback: untrack them; commit: clear them).
+    journal_fresh: Vec<u32>,
     /// Dedup lookups that hit (monotonic observability counter).
     dup_hits: u64,
     /// Dedup lookups performed (monotonic observability counter).
@@ -563,19 +621,35 @@ impl CacheInner {
 
     /// Runs `f` with `vm`'s delta-base table resolved once, however many
     /// pages `f` classifies: the table is lifted out of the map for the
-    /// call and put back after it.
+    /// call and put back after it. Lists `vm` in `journal_fresh`, since
+    /// `f` may start tracking gfns.
     fn with_table<R>(&mut self, vm: u32, f: impl FnOnce(&mut Self, &mut SentTable) -> R) -> R {
+        if !self.journal_fresh.contains(&vm) {
+            self.journal_fresh.push(vm);
+        }
         let mut table = std::mem::take(self.sent.entry(vm).or_default());
         let r = f(self, &mut table);
         self.sent.insert(vm, table);
         r
     }
 
+    /// The round's state becomes committed: the journals empty, and the
+    /// bases it started tracking stop being `fresh`.
+    fn commit(&mut self) {
+        self.journal_dedup.clear();
+        self.journal_sent.clear();
+        for vm in self.journal_fresh.drain(..) {
+            if let Some(table) = self.sent.get_mut(&vm) {
+                table.fresh.fill(0);
+            }
+        }
+    }
+
     /// Classifies one page and journals the cache mutations the
     /// destination will perform when it applies the frame.
     ///
     /// Classification order: zero marker, dedup hit, delta against the
-    /// last acked version, raw. `digest` is only consulted for non-zero
+    /// last acked version, raw. `digest` is only called for non-zero
     /// words.
     fn classify(
         &mut self,
@@ -583,21 +657,34 @@ impl CacheInner {
         vm: u32,
         gfn: u64,
         word: u64,
-        digest: Digest128,
+        digest: impl FnOnce() -> Digest128,
     ) -> PageClass {
         // The destination materialises zeros locally, but the base is
         // recorded all the same so a later non-zero version can delta
         // against a zero page.
-        let prev = table.replace(gfn, Some(word));
-        self.sent_len += usize::from(prev.is_none());
-        self.journal_sent.push(SentUndo { vm, gfn, prev });
+        let prev = match table.track(gfn, word) {
+            Prior::Untracked => {
+                self.sent_len += 1;
+                None
+            }
+            Prior::Staged(base) => Some(base),
+            Prior::Committed(base) => {
+                self.journal_sent.push(SentUndo {
+                    vm,
+                    gfn,
+                    prev: base,
+                });
+                Some(base)
+            }
+        };
         if word == 0 {
             return PageClass::Zero;
         }
+        let digest = digest();
         self.dup_lookups += 1;
         if self.dedup.touch_or_insert(digest, word) {
             self.dup_hits += 1;
-            return PageClass::Dup;
+            return PageClass::Dup(digest);
         }
         self.journal_dedup.push(digest);
         match prev {
@@ -672,11 +759,10 @@ impl TransferCache {
     pub fn begin_round(&self) {
         let mut c = self.lock();
         debug_assert!(
-            c.journal_dedup.is_empty() && c.journal_sent.is_empty(),
+            c.journal_dedup.is_empty() && c.journal_sent.is_empty() && c.journal_fresh.is_empty(),
             "previous round neither committed nor rolled back"
         );
-        c.journal_dedup.clear();
-        c.journal_sent.clear();
+        c.commit();
         // Entries touched from here on are pinned against eviction until
         // the round commits or rolls back: frames already encoded this
         // round may reference them.
@@ -685,9 +771,7 @@ impl TransferCache {
 
     /// The destination acked the round: in-flight state becomes committed.
     pub fn commit_round(&self) {
-        let mut c = self.lock();
-        c.journal_dedup.clear();
-        c.journal_sent.clear();
+        self.lock().commit();
     }
 
     /// The round was lost on the wire: undo every mutation since
@@ -698,12 +782,16 @@ impl TransferCache {
         for digest in c.journal_dedup.drain(..) {
             c.dedup.remove(digest);
         }
+        for vm in c.journal_fresh.drain(..) {
+            if let Some(table) = c.sent.get_mut(&vm) {
+                c.sent_len -= table.drop_fresh();
+            }
+        }
         // Restore in reverse so the oldest snapshot of a twice-written key
         // wins.
         for undo in c.journal_sent.drain(..).rev() {
             if let Some(table) = c.sent.get_mut(&undo.vm) {
-                let written = table.replace(undo.gfn, undo.prev);
-                c.sent_len -= usize::from(written.is_some() && undo.prev.is_none());
+                table.restore(undo.gfn, undo.prev);
             }
         }
     }
@@ -723,6 +811,7 @@ impl TransferCache {
         c.dedup.clear();
         c.journal_dedup.clear();
         c.journal_sent.retain(|undo| undo.vm != vm);
+        c.journal_fresh.retain(|&tag| tag != vm);
     }
 
     /// Wipes everything (tests; or a destination host restart). The
@@ -747,13 +836,12 @@ impl TransferCache {
     /// `CacheInner::classify` for the classification order). A delta
     /// that does not pay falls back to raw.
     pub fn encode_page(&self, vm: u32, gfn: u64, word: u64) -> WireFrame {
-        let digest = digest_words(&[word]);
-        let class = self
-            .lock()
-            .with_table(vm, |c, table| c.classify(table, vm, gfn, word, digest));
+        let class = self.lock().with_table(vm, |c, table| {
+            c.classify(table, vm, gfn, word, || digest_words(&[word]))
+        });
         match class {
             PageClass::Zero => WireFrame::Zero,
-            PageClass::Dup => WireFrame::Dup { digest },
+            PageClass::Dup(digest) => WireFrame::Dup { digest },
             PageClass::Delta { base } => {
                 let delta = delta_encode(&expand_word(base), &expand_word(word));
                 if (delta.len() as u64) + WIRE_FRAME_HEADER < WIRE_FRAME_HEADER + PAGE_SIZE {
@@ -793,8 +881,8 @@ impl TransferCache {
 
     /// Batch counterpart of [`TransferCache::encode_page`]: encodes a
     /// whole extent of pages straight into `ring` under **one** lock
-    /// acquisition, with digests precomputed by the caller (fanned over
-    /// the worker pool). Returns the accounted wire bytes of the batch.
+    /// acquisition, digesting each non-zero word as it classifies it.
+    /// Returns the accounted wire bytes of the batch.
     ///
     /// Both run the same `CacheInner::classify` per page, so
     /// `WireStats`, cache counters and chaos-replay rollback behaviour
@@ -802,9 +890,20 @@ impl TransferCache {
     /// the simulator's pages are uniform, so a re-dirtied page's delta is
     /// the ≤11-byte word-level stream, which always beats a raw page — the
     /// per-page size check can never pick `Raw` there.
-    ///
-    /// `digests[i]` must equal `digest_words(&[words[i]])`; it is only
-    /// consulted for non-zero words.
+    pub fn encode_words_into(
+        &self,
+        vm: u32,
+        gfns: &[Gfn],
+        words: &[u64],
+        ring: &mut FrameRing,
+    ) -> u64 {
+        self.encode_extent(vm, gfns, words, ring, |_, word| digest_words(&[word]))
+    }
+
+    /// [`TransferCache::encode_words_into`] with the digests precomputed
+    /// by the caller: `digests[i]` must equal `digest_words(&[words[i]])`
+    /// and is only read for non-zero words. Frames, bytes and cache state
+    /// are identical.
     pub fn encode_batch_into(
         &self,
         vm: u32,
@@ -813,15 +912,28 @@ impl TransferCache {
         digests: &[Digest128],
         ring: &mut FrameRing,
     ) -> u64 {
+        self.encode_extent(vm, gfns, words, ring, |i, _| digests[i])
+    }
+
+    /// The loop both batch entries share; `digest(i, word)` fingerprints
+    /// page `i`, and is only called when `word` is non-zero.
+    fn encode_extent(
+        &self,
+        vm: u32,
+        gfns: &[Gfn],
+        words: &[u64],
+        ring: &mut FrameRing,
+        digest: impl Fn(usize, u64) -> Digest128,
+    ) -> u64 {
         debug_assert_eq!(gfns.len(), words.len());
-        debug_assert_eq!(words.len(), digests.len());
-        self.lock().with_table(vm, |c, table| {
+        let mut c = self.lock();
+        c.dedup.reserve(words.iter().filter(|&&w| w != 0).count());
+        c.with_table(vm, |c, table| {
             let mut wire_bytes = 0u64;
-            for ((&g, &word), &digest) in gfns.iter().zip(words).zip(digests) {
-                debug_assert!(word == 0 || digest == digest_words(&[word]));
-                wire_bytes += match c.classify(table, vm, g.0, word, digest) {
+            for (i, (&g, &word)) in gfns.iter().zip(words).enumerate() {
+                wire_bytes += match c.classify(table, vm, g.0, word, || digest(i, word)) {
                     PageClass::Zero => ring.push_zero(g.0),
-                    PageClass::Dup => ring.push_dup(g.0, digest),
+                    PageClass::Dup(digest) => ring.push_dup(g.0, digest),
                     PageClass::Delta { base } => ring.push_delta_words(g.0, base, word),
                     PageClass::Raw => ring.push_raw(g.0, word),
                 };
@@ -1173,17 +1285,145 @@ mod tests {
     #[test]
     fn sent_table_tracks_sparse_descending_and_zero_bases() {
         let mut t = SentTable::default();
-        assert_eq!(t.replace(1000, Some(0)), None);
+        assert_eq!(t.track(1000, 0), Prior::Untracked);
         assert_eq!(t.base, 960);
-        assert_eq!(t.replace(1000, Some(7)), Some(0), "a zero base is a base");
-        // Below the span: the table grows downwards by whole bitmap words.
-        assert_eq!(t.replace(130, Some(9)), None);
+        assert_eq!(t.track(1000, 7), Prior::Staged(0), "a zero base is a base");
+        // Below the span: the table grows downwards by whole bitmap words,
+        // and `fresh` moves with `present`.
+        assert_eq!(t.track(130, 9), Prior::Untracked);
         assert_eq!((t.base, t.words.len()), (128, 1024 - 128));
-        assert_eq!(t.replace(1000, None), Some(7));
-        assert_eq!(t.replace(1000, Some(1)), None, "dropped, not zeroed");
-        assert_eq!(t.replace(5000, Some(2)), None);
-        assert_eq!(t.replace(130, Some(3)), Some(9));
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.fresh, t.present);
+        t.fresh.fill(0);
+        assert_eq!(t.track(1000, 1), Prior::Committed(7));
+        assert_eq!(t.track(5000, 2), Prior::Untracked);
+        assert_eq!(t.drop_fresh(), 1, "only gfn 5000 is new since the commit");
+        t.restore(1000, 7);
+        assert_eq!(t.track(1000, 7), Prior::Committed(7));
+        assert_eq!(t.track(130, 3), Prior::Committed(9));
+        assert_eq!(t.len(), 2);
+    }
+
+    /// `vm`'s delta base at `gfn`, read straight from its table.
+    fn base_of(cache: &TransferCache, vm: u32, gfn: u64) -> Option<u64> {
+        let c = cache.lock();
+        let t = c.sent.get(&vm)?;
+        let i = usize::try_from(gfn.checked_sub(t.base)?).ok()?;
+        (i < t.words.len() && t.present[i / 64] & (1 << (i % 64)) != 0).then(|| t.words[i])
+    }
+
+    /// A round over gfns `0..pages` shaped like a busy guest's round 0:
+    /// three pages in four zero, the rest unique.
+    fn busy_round(pages: u64) -> (Vec<Gfn>, Vec<u64>) {
+        let gfns = (0..pages).map(Gfn).collect();
+        let words = (0..pages)
+            .map(|g| match g % 4 {
+                0 => (g | 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                _ => 0,
+            })
+            .collect();
+        (gfns, words)
+    }
+
+    #[test]
+    fn a_fresh_round_journals_no_undo_records() {
+        let cache = TransferCache::new();
+        let (gfns, words) = busy_round(1 << 16);
+        cache.begin_round();
+        cache.encode_words_into(0, &gfns, &words, &mut FrameRing::new());
+        let c = cache.lock();
+        assert!(
+            c.journal_sent.is_empty(),
+            "{} undo records",
+            c.journal_sent.len()
+        );
+        assert_eq!(c.journal_fresh, [0]);
+        assert_eq!(c.journal_dedup.len(), 1 << 14);
+        assert_eq!(c.sent_len, 1 << 16);
+    }
+
+    #[test]
+    fn rollback_of_a_fresh_round_restores_sent_len_and_presence() {
+        let cache = TransferCache::new();
+        // Committed first: every third gfn of the low 3 Ki.
+        cache.begin_round();
+        for gfn in (0..3072).step_by(3) {
+            cache.encode_page(0, gfn, gfn ^ 0x55);
+        }
+        cache.commit_round();
+        let (gfns, words) = busy_round(1 << 16);
+        let committed: Vec<Option<u64>> = gfns.iter().map(|g| base_of(&cache, 0, g.0)).collect();
+        cache.begin_round();
+        cache.encode_words_into(0, &gfns, &words, &mut FrameRing::new());
+        assert_eq!(cache.sent_len(), 1 << 16);
+        cache.rollback_round();
+        assert_eq!(cache.sent_len(), 1024);
+        let after: Vec<Option<u64>> = gfns.iter().map(|g| base_of(&cache, 0, g.0)).collect();
+        assert!(
+            after == committed,
+            "a presence bit or base survived rollback"
+        );
+        assert!(cache.lock().sent[&0].fresh.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn gfn_tracked_and_overwritten_in_one_round_rolls_back_to_untracked() {
+        let cache = TransferCache::new();
+        cache.begin_round();
+        cache.encode_page(0, 7, 0x11);
+        assert_eq!(cache.encode_page(0, 7, 0x22).kind(), FrameKind::Delta);
+        assert!(
+            cache.lock().journal_sent.is_empty(),
+            "a staged base needs no undo"
+        );
+        cache.rollback_round();
+        assert_eq!(base_of(&cache, 0, 7), None);
+        assert_eq!(cache.sent_len(), 0);
+        cache.begin_round();
+        assert_eq!(cache.encode_page(0, 7, 0x22).kind(), FrameKind::Raw);
+        cache.commit_round();
+    }
+
+    #[test]
+    fn committed_gfn_overwritten_twice_rolls_back_to_its_committed_word() {
+        let cache = TransferCache::new();
+        cache.begin_round();
+        cache.encode_page(0, 5, 0x11);
+        cache.commit_round();
+        cache.begin_round();
+        cache.encode_page(0, 5, 0x22);
+        cache.encode_page(0, 5, 0x33);
+        assert_eq!(cache.lock().journal_sent.len(), 2);
+        cache.rollback_round();
+        assert_eq!(base_of(&cache, 0, 5), Some(0x11));
+        assert_eq!(cache.sent_len(), 1);
+    }
+
+    #[test]
+    fn round_growing_the_span_downwards_rolls_back_cleanly() {
+        let cache = TransferCache::new();
+        cache.begin_round();
+        cache.encode_page(0, 1000, 0xaa);
+        cache.commit_round();
+        cache.begin_round();
+        let gfns = [Gfn(1000), Gfn(5), Gfn(70)];
+        cache.encode_words_into(0, &gfns, &[0xbb, 0xcc, 0], &mut FrameRing::new());
+        assert_eq!(
+            cache.lock().sent[&0].base,
+            0,
+            "the span grew below its base"
+        );
+        cache.rollback_round();
+        assert_eq!(base_of(&cache, 0, 1000), Some(0xaa));
+        assert_eq!(
+            (base_of(&cache, 0, 5), base_of(&cache, 0, 70)),
+            (None, None)
+        );
+        assert_eq!(cache.sent_len(), 1);
+        cache.begin_round();
+        assert_eq!(cache.encode_page(0, 5, 0xcc).kind(), FrameKind::Raw);
+        let f = cache.encode_page(0, 1000, 0xab);
+        assert_eq!(cache.apply_frame(&f, 0xaa), Some(0xab));
+        cache.commit_round();
     }
 
     #[test]
@@ -1274,8 +1514,11 @@ mod tests {
                 ring.restart();
                 ring.begin();
                 ring_cache.begin_round();
-                let ring_bytes =
-                    ring_cache.encode_batch_into(vm, &gfns, &words, &digests, &mut ring);
+                let ring_bytes = if round % 2 == 0 {
+                    ring_cache.encode_words_into(vm, &gfns, &words, &mut ring)
+                } else {
+                    ring_cache.encode_batch_into(vm, &gfns, &words, &digests, &mut ring)
+                };
 
                 assert_eq!(ring_bytes, legacy_bytes, "round {round} wire accounting");
                 assert_eq!(ring.frame_count() as usize, legacy_frames.len());

@@ -50,6 +50,7 @@ impl Digest128 {
 
 /// Digests a page given as 64-bit content words (word-at-a-time kernel,
 /// both lanes in one pass).
+#[inline]
 pub fn digest_words(words: &[u64]) -> Digest128 {
     let mut d = WordDigest::new();
     d.update(words);
@@ -68,6 +69,7 @@ pub struct WordDigest {
 
 impl WordDigest {
     /// The digest of the empty sequence, ready to be fed.
+    #[inline]
     pub fn new() -> Self {
         WordDigest {
             a: FNV_OFFSET_A,
@@ -76,6 +78,7 @@ impl WordDigest {
     }
 
     /// Folds `words` in after everything fed so far.
+    #[inline]
     pub fn update(&mut self, words: &[u64]) {
         for &w in words {
             self.a = (self.a ^ w).wrapping_mul(FNV_PRIME_A);
@@ -84,6 +87,7 @@ impl WordDigest {
     }
 
     /// The digest of everything fed.
+    #[inline]
     pub fn finish(self) -> Digest128 {
         Digest128 {
             hi: self.a,
@@ -111,40 +115,6 @@ pub fn digest_pages_into(words: &[u64], out: &mut Vec<Digest128>) {
         let b = (FNV_OFFSET_B ^ w.rotate_left(23)).wrapping_mul(FNV_PRIME_B);
         out.push(Digest128 { hi: a, lo: b });
     }
-}
-
-/// [`digest_pages_into`] fanned word-parallel over a worker pool: the
-/// output is resized to `words.len()` and disjoint chunks are filled on
-/// pool workers. Results are byte-identical to the serial pass for any
-/// worker count. Small batches (or a serial pool) run inline — same
-/// threshold reasoning as the migration gather paths.
-pub fn digest_pages_with_pool(
-    words: &[u64],
-    out: &mut Vec<Digest128>,
-    pool: &crate::WorkerPool,
-    par_threshold: usize,
-) {
-    if pool.workers() <= 1 || words.len() < par_threshold.max(1) {
-        digest_pages_into(words, out);
-        return;
-    }
-    out.clear();
-    out.resize(words.len(), Digest128 { hi: 0, lo: 0 });
-    let chunk = words.len().div_ceil(pool.workers() * 4).max(1);
-    let tasks: Vec<_> = out
-        .chunks_mut(chunk)
-        .zip(words.chunks(chunk))
-        .map(|(o, w)| {
-            move || {
-                for (d, &word) in o.iter_mut().zip(w) {
-                    let a = (FNV_OFFSET_A ^ word).wrapping_mul(FNV_PRIME_A);
-                    let b = (FNV_OFFSET_B ^ word.rotate_left(23)).wrapping_mul(FNV_PRIME_B);
-                    *d = Digest128 { hi: a, lo: b };
-                }
-            }
-        })
-        .collect();
-    pool.run(tasks);
 }
 
 /// Digests raw page bytes. Whole 8-byte words go through the
@@ -233,25 +203,6 @@ mod tests {
         for (i, &w) in words.iter().enumerate() {
             assert_eq!(out[i], digest_words(&[w]), "page {i}");
         }
-    }
-
-    #[test]
-    fn pooled_digests_are_worker_count_invariant() {
-        let mut rng = SimRng::new(0x9001);
-        let words: Vec<u64> = (0..10_000).map(|_| rng.next_u64()).collect();
-        let mut serial = Vec::new();
-        digest_pages_into(&words, &mut serial);
-        for workers in [1, 2, 3, 7] {
-            let pool = crate::WorkerPool::new(workers);
-            let mut out = Vec::new();
-            digest_pages_with_pool(&words, &mut out, &pool, 64);
-            assert_eq!(out, serial, "workers={workers}");
-        }
-        // Below the threshold the pooled call must fall back inline.
-        let pool = crate::WorkerPool::new(4);
-        let mut out = Vec::new();
-        digest_pages_with_pool(&words[..16], &mut out, &pool, 64);
-        assert_eq!(out, serial[..16]);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use cost::CostModel;
 pub use events::EventQueue;
 pub use ewma::Ewma;
 pub use fault::{FaultEvent, FaultLog, FaultPlan, InjectionPoint, RecoveryAction};
-pub use hash::{digest_bytes, digest_pages_into, digest_pages_with_pool, digest_words, Digest128};
+pub use hash::{digest_bytes, digest_pages_into, digest_words, Digest128};
 pub use json::Json;
 pub use par::{lpt_loads, makespan};
 pub use pool::WorkerPool;

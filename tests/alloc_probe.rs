@@ -1,5 +1,5 @@
 //! Allocation probe for the zero-copy wire path: once the reusable
-//! buffers are warm, the steady-state hot loop — digest, classify/encode
+//! buffers are warm, the steady-state hot loop — digest and classify/encode
 //! into the frame ring, apply the ring's views, land the changed pages on
 //! a real KVM guest with one `write_guest_many` — must not touch the
 //! allocator at all. A counting global allocator asserts this directly,
@@ -7,7 +7,8 @@
 //! (capacity-growth events on the shared scratch) asserts the same
 //! invariant across whole migrations, cut-over verification included,
 //! where pool threads and report construction put the raw counter out of
-//! reach.
+//! reach. A cold round 0 of a busy 1 GiB guest, counted in bytes, bounds
+//! what a round's bookkeeping costs before anything is warm.
 //!
 //! The same counter pins the control plane's two per-disclosure
 //! mechanisms: the synthetic fleet view derives a VM without allocating,
@@ -26,7 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use hypertp::prelude::*;
 use hypertp_cluster::{Cluster, ClusterView, ExposureConfig, ExposurePlanner};
 use hypertp_migrate::{FrameRing, TransferCache};
-use hypertp_sim::hash::{digest_pages_into, Digest128};
 use hypertp_sim::SimDuration;
 use hypertp_vulndb::VulnFeed;
 
@@ -73,16 +73,14 @@ fn round(
     ring: &mut FrameRing,
     gfns: &[Gfn],
     words: &[u64],
-    digests: &mut Vec<Digest128>,
     dst: (&mut Machine, &mut dyn Hypervisor, VmId),
     landing: &mut Landing,
 ) -> u64 {
     let (m, hv, id) = dst;
-    digest_pages_into(words, digests);
     cache.begin_round();
     ring.restart();
     ring.begin();
-    let wb = cache.encode_batch_into(7, gfns, words, digests, ring);
+    let wb = cache.encode_words_into(7, gfns, words, ring);
     hv.read_guest_into(m, id, gfns, &mut landing.current)
         .expect("mapped gfns");
     landing.writes.clear();
@@ -97,6 +95,54 @@ fn round(
     cache.commit_round();
     ring.commit();
     wb
+}
+
+/// Bytes one cold content-aware round 0 may request: midway between the
+/// 50.2 MiB it took when the cache journaled an undo record per page,
+/// digested every page up front and grew its dedup index by doubling, and
+/// the 27.8 MiB it takes now. Half of what remains is the frame ring.
+const ROUND0_BYTES_BOUND: u64 = 39 << 20;
+
+/// Part 1b — footprint: round 0 of a busy 1 GiB guest (262 144 pages, one
+/// in four non-zero, one in four of those a shared template word) through
+/// a cold cache, ring and landing buffers. What it asks the allocator for
+/// must scale with what the round changed, not with the guest.
+fn footprint_probe() {
+    const PAGES: u64 = 262_144;
+    let gfns: Vec<Gfn> = (0..PAGES).map(Gfn).collect();
+    let words: Vec<u64> = (0..PAGES)
+        .map(|g| match g % 16 {
+            0 => 0x7e3a_91c0_0000_0001,
+            4 | 8 | 12 => g.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
+            _ => 0,
+        })
+        .collect();
+    let mut spec = MachineSpec::m1();
+    spec.ram_gb = 2;
+    let mut m = Machine::new(spec);
+    let mut kvm = KvmHypervisor::new(&mut m);
+    let id = kvm
+        .create_vm(&mut m, &VmConfig::small("busy").with_memory_gb(1))
+        .unwrap();
+    let cache = TransferCache::new();
+    let mut ring = FrameRing::new();
+    let mut landing = Landing::default();
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let dst = (&mut m, &mut kvm as &mut dyn Hypervisor, id);
+    let wire_bytes = round(&cache, &mut ring, &gfns, &words, dst, &mut landing);
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+    assert!(wire_bytes > 0, "the round ran");
+    assert_eq!(cache.sent_len(), PAGES as usize);
+    assert_eq!(cache.dedup_len(), PAGES as usize / 16 * 3 + 1);
+    assert!(
+        bytes < ROUND0_BYTES_BOUND,
+        "a cold round 0 requested {bytes} bytes (bound {ROUND0_BYTES_BOUND})"
+    );
+    println!(
+        "alloc_probe: ok (cold round 0 of 262144 pages requested {:.1} MiB, bound {:.1} MiB)",
+        bytes as f64 / (1 << 20) as f64,
+        ROUND0_BYTES_BOUND as f64 / (1 << 20) as f64
+    );
 }
 
 /// Allocations made while `f` runs (this thread is the only one alive).
@@ -293,7 +339,6 @@ fn main() {
     let versions = [version(0), version(0x1000)];
     let cache = TransferCache::new();
     let mut ring = FrameRing::new();
-    let mut digests = Vec::new();
     let mut landing = Landing::default();
     // The destination: a KVM guest with dirty logging on, so each write
     // also marks its slot's bitmap.
@@ -309,15 +354,7 @@ fn main() {
     // (unique words now classify as dups) and journal capacities.
     for words in versions.iter().cycle().take(4) {
         let dst = (&mut m, &mut kvm as &mut dyn Hypervisor, id);
-        round(
-            &cache,
-            &mut ring,
-            &gfns,
-            words,
-            &mut digests,
-            dst,
-            &mut landing,
-        );
+        round(&cache, &mut ring, &gfns, words, dst, &mut landing);
     }
     let grows_before = ring.grows();
     kvm.collect_dirty(id).unwrap();
@@ -326,15 +363,7 @@ fn main() {
     let mut wire_bytes = 0u64;
     for words in versions.iter().cycle().take(100) {
         let dst = (&mut m, &mut kvm as &mut dyn Hypervisor, id);
-        wire_bytes += round(
-            &cache,
-            &mut ring,
-            &gfns,
-            words,
-            &mut digests,
-            dst,
-            &mut landing,
-        );
+        wire_bytes += round(&cache, &mut ring, &gfns, words, dst, &mut landing);
     }
     let after = ALLOCS.load(Ordering::Relaxed);
 
@@ -403,6 +432,7 @@ fn main() {
          no scratch regrowth with verification on)"
     );
 
+    footprint_probe();
     control_plane_probe();
     hostile_count_probe();
     ownership_probe();

@@ -220,9 +220,16 @@ fn run_script(seed: u64, script: u64, rng: &mut SimRng, cov: &mut Coverage) {
                 let pages: Vec<(u64, u64)> = (0..rng.gen_range(48)).map(|_| page(rng)).collect();
                 let gfns: Vec<Gfn> = pages.iter().map(|&(g, _)| Gfn(g)).collect();
                 let words: Vec<u64> = pages.iter().map(|&(_, w)| w).collect();
-                let digests: Vec<Digest128> = words.iter().map(|&w| digest_words(&[w])).collect();
                 ring.restart();
-                let wire_bytes = cache.encode_batch_into(vm, &gfns, &words, &digests, &mut ring);
+                // Both batch entries, the digesting one and the one handed
+                // digests, must meet the same model.
+                let wire_bytes = if rng.gen_bool(0.5) {
+                    cache.encode_words_into(vm, &gfns, &words, &mut ring)
+                } else {
+                    let digests: Vec<Digest128> =
+                        words.iter().map(|&w| digest_words(&[w])).collect();
+                    cache.encode_batch_into(vm, &gfns, &words, &digests, &mut ring)
+                };
                 assert_eq!(ring.frame_count() as usize, pages.len(), "{ctx}");
                 let mut want_bytes = 0;
                 for (view, &(gfn, word)) in ring.iter().zip(&pages) {

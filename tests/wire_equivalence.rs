@@ -28,7 +28,6 @@ fn run_fleet(
     wire_mode: WireMode,
     pool: WorkerPool,
     dirty_rate: f64,
-    threshold: usize,
 ) -> (Destination, Vec<MigrationReport>) {
     let registry = default_registry();
     let clock = SimClock::new();
@@ -58,7 +57,6 @@ fn run_fleet(
             verify_contents: true,
             dirty_rate_pages_per_sec: dirty_rate,
             wire_mode,
-            parallel_threshold_pages: threshold,
             ..MigrationConfig::default()
         })
         .with_pool(pool);
@@ -110,8 +108,8 @@ fn merged(reports: &[MigrationReport]) -> WireStats {
 
 #[test]
 fn content_aware_lands_byte_identical_destination() {
-    let (raw_dst, raw_reports) = run_fleet(WireMode::Raw, WorkerPool::serial(), 0.0, 8192);
-    let (ca_dst, ca_reports) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0, 8192);
+    let (raw_dst, raw_reports) = run_fleet(WireMode::Raw, WorkerPool::serial(), 0.0);
+    let (ca_dst, ca_reports) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0);
     assert_eq!(ca_dst, raw_dst, "wire codec altered the destination");
 
     // The raw path reports no frames; the content-aware path must both
@@ -134,12 +132,12 @@ fn content_aware_lands_byte_identical_destination() {
 
 #[test]
 fn content_aware_outcome_is_identical_for_any_worker_count() {
-    // threshold 1 forces every round through the pipelined gather→encode
-    // path even on small dirty sets.
+    // The pool splits the cut-over verification; every other step of a
+    // round is serial, and nothing may depend on the worker count.
     let (baseline_dst, baseline_reports) =
-        run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0, 1);
+        run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0);
     for workers in [2usize, 8] {
-        let (dst, reports) = run_fleet(WireMode::ContentAware, WorkerPool::new(workers), 0.0, 1);
+        let (dst, reports) = run_fleet(WireMode::ContentAware, WorkerPool::new(workers), 0.0);
         assert_eq!(
             dst, baseline_dst,
             "destination diverged with {workers} workers"
@@ -157,7 +155,7 @@ fn cross_vm_dedup_suppresses_duplicate_pages() {
     // migrate_many shares one TransferCache across the fleet: the shared
     // seed block travels raw once (first VM) and as 32-byte dup frames
     // afterwards.
-    let (_, reports) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0, 8192);
+    let (_, reports) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0);
     assert_eq!(reports.len(), VMS as usize);
     let first_dups = reports[0].wire.count(FrameKind::Dup);
     for r in &reports[1..] {
@@ -183,7 +181,7 @@ fn dirty_guest_pages_travel_as_deltas() {
     // previous round; those must go as XOR+RLE deltas, and the migration
     // still verifies contents at pause time (verify_contents is on inside
     // run_fleet, so a codec bug fails the migrate_many call itself).
-    let (_, reports) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 2000.0, 8192);
+    let (_, reports) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 2000.0);
     let wire = merged(&reports);
     assert!(
         wire.count(FrameKind::Delta) > 0,
