@@ -37,14 +37,14 @@
 use hypertp_core::{HtpError, Hypervisor, HypervisorKind, VmConfig, VmId};
 use hypertp_machine::Gfn;
 use hypertp_machine::Machine;
-use hypertp_sim::hash::{digest_words, WordDigest};
+use hypertp_sim::hash::{digest_words, Digest128, WordDigest};
 use hypertp_sim::SimDuration;
 
 use crate::engine::{integrity, map_gfns, Dest, MigrationConfig, MigrationTp, WireMode};
 use crate::framing::{FrameIter, FrameRing};
 use crate::network::{FrameKind, WireStats};
 use crate::transport::Transport;
-use crate::wire::{delta_apply_word, DigestMap};
+use crate::wire::{delta_apply_word, SlotIndex};
 
 const MSG_HELLO: u8 = 0x10;
 const MSG_HELLO_ACK: u8 = 0x11;
@@ -192,6 +192,21 @@ fn kind_from_tag(tag: u8) -> Option<HypervisorKind> {
         0 => Some(HypervisorKind::Xen),
         1 => Some(HypervisorKind::Kvm),
         _ => None,
+    }
+}
+
+/// Builds the `Round` message shipping `ring` as round `round`, its last
+/// frame corrupted in the message when `truncate` (the ring itself stays
+/// intact).
+fn encode_round(out: &mut Vec<u8>, ring: &FrameRing, round: u32, truncate: bool) {
+    out.clear();
+    out.extend_from_slice(&[MSG_ROUND, 0]);
+    out.extend_from_slice(&round.to_le_bytes());
+    out.extend_from_slice(&ring.frame_count().to_le_bytes());
+    out.extend_from_slice(ring.bytes());
+    if truncate {
+        let last_start = out.len() - ring.iter().last().map_or(0, |v| v.frame_bytes());
+        out[last_start] ^= 0x7f;
     }
 }
 
@@ -405,16 +420,7 @@ impl<'a> RemoteDest<'a> {
         round: u32,
         truncate: bool,
     ) -> Result<bool, HtpError> {
-        let msg = &mut self.msg;
-        msg.clear();
-        msg.extend_from_slice(&[MSG_ROUND, 0]);
-        msg.extend_from_slice(&round.to_le_bytes());
-        msg.extend_from_slice(&ring.frame_count().to_le_bytes());
-        msg.extend_from_slice(ring.bytes());
-        if truncate {
-            let last_start = msg.len() - ring.iter().last().map_or(0, |v| v.frame_bytes());
-            msg[last_start] ^= 0x7f;
-        }
+        encode_round(&mut self.msg, ring, round, truncate);
         self.verdict(round)
     }
 
@@ -458,14 +464,77 @@ fn session_name(vm: &Option<(VmId, VmConfig)>) -> &str {
     vm.as_ref().map_or("<handshake>", |(_, c)| &c.name)
 }
 
-/// The destination proxy's cross-migration state: the insert-only mirror
-/// of the source's dedup map. Evictions on the source only downgrade
-/// future `Dup`s to `Raw`, so keeping more than the source can never
-/// disagree — and a fleet's later VMs reference content first shipped
-/// during earlier VMs' sessions.
+/// The destination's copy of the content the source's dedup cache
+/// believes it holds: entries `(digest, word)` in arrival order, entry
+/// `i` indexed under slot id `i + 1` (0 marks an empty bucket). Entries
+/// from `committed` on are the in-flight round's staging: a `Dup` later
+/// in the round already resolves them, `Ack` commits them and `Nak`
+/// drops them. A digest already held keeps its first word, as the
+/// source's cache does.
+#[derive(Debug, Default)]
+struct ContentMirror {
+    entries: Vec<(Digest128, u64)>,
+    index: SlotIndex,
+    /// Entries below this belong to acked rounds.
+    committed: usize,
+}
+
+/// The index's `key`: the digest of the entry slot id `id` names.
+fn entry_digest(entries: &[(Digest128, u64)]) -> impl Fn(u32) -> Digest128 + '_ {
+    move |id| entries[id as usize - 1].0
+}
+
+impl ContentMirror {
+    /// The word held under `digest`, committed or staged.
+    fn get(&self, digest: Digest128) -> Option<u64> {
+        let id = self.index.find(digest, entry_digest(&self.entries))?;
+        Some(self.entries[id as usize - 1].1)
+    }
+
+    /// Opens a round. Staging an earlier round left uncommitted — it
+    /// returned an error before its verdict — is dropped first, so it can
+    /// neither resolve this round's `Dup`s nor a later session's.
+    fn begin_round(&mut self) {
+        self.rollback();
+    }
+
+    /// Stages `digest → word` for the round. `false` when the mirror has
+    /// no slot id left to give: the round must be naked.
+    fn stage(&mut self, digest: Digest128, word: u64) -> bool {
+        if self.get(digest).is_some() {
+            return true;
+        }
+        let Ok(id) = u32::try_from(self.entries.len() + 1) else {
+            return false;
+        };
+        self.entries.push((digest, word));
+        self.index.insert(digest, id, entry_digest(&self.entries));
+        true
+    }
+
+    /// The round was acked: its staging becomes committed.
+    fn commit(&mut self) {
+        self.committed = self.entries.len();
+    }
+
+    /// Drops the round's staging, newest first.
+    fn rollback(&mut self) {
+        while self.entries.len() > self.committed {
+            let digest = self.entries[self.entries.len() - 1].0;
+            self.index.remove(digest, entry_digest(&self.entries));
+            self.entries.pop();
+        }
+    }
+}
+
+/// The destination proxy's cross-migration state: a `ContentMirror`
+/// of the source's dedup cache, insert-only across acked rounds.
+/// Evictions on the source only downgrade future `Dup`s to `Raw`, so
+/// keeping more than the source can never disagree — and a fleet's later
+/// VMs reference content first shipped during earlier VMs' sessions.
 #[derive(Debug, Default)]
 pub struct DestProxy {
-    mirror: DigestMap<u64>,
+    mirror: ContentMirror,
 }
 
 impl DestProxy {
@@ -494,12 +563,11 @@ impl DestProxy {
         let mut wire_bytes = 0u64;
         let mut warnings = Vec::new();
         // Per-round staging, reused from round to round: the round's gfns
-        // and their current words, the guest writes to apply, the mirror
-        // inserts.
+        // and their current words, the guest writes to apply. The mirror
+        // stages its own inserts.
         let mut gfns: Vec<Gfn> = Vec::new();
         let mut current: Vec<u64> = Vec::new();
         let mut writes: Vec<(Gfn, u64)> = Vec::new();
-        let mut inserts: DigestMap<u64> = DigestMap::default();
 
         loop {
             if transport.recv_frame(&mut buf).is_err() {
@@ -547,16 +615,14 @@ impl DestProxy {
                     gfns.extend(FrameIter::over(stream).map(|view| Gfn(view.gfn)));
                     hv.read_guest_into(machine, id, &gfns, &mut current)?;
                     writes.clear();
-                    inserts.clear();
+                    mirror.begin_round();
                     let mut batch_bytes = 0u64;
                     let mut ok = true;
                     for (view, &cur) in FrameIter::over(stream).zip(&current) {
                         let word = match view.kind {
                             FrameKind::Raw => view.raw_word(),
                             FrameKind::Zero => Some(0),
-                            FrameKind::Dup => view
-                                .dup_digest()
-                                .and_then(|d| inserts.get(&d).or_else(|| mirror.get(&d)).copied()),
+                            FrameKind::Dup => view.dup_digest().and_then(|d| mirror.get(d)),
                             FrameKind::Delta => delta_apply_word(cur, view.payload),
                         };
                         let Some(w) = word else {
@@ -570,19 +636,24 @@ impl DestProxy {
                         // Mirror what the source's cache journalled: Raw and
                         // Delta frames insert their content; Zero and Dup do
                         // not.
-                        if matches!(view.kind, FrameKind::Raw | FrameKind::Delta) && w != 0 {
-                            inserts.insert(digest_words(&[w]), w);
+                        if matches!(view.kind, FrameKind::Raw | FrameKind::Delta)
+                            && w != 0
+                            && !mirror.stage(digest_words(&[w]), w)
+                        {
+                            ok = false;
+                            break;
                         }
                     }
                     let seen = gfns.len() as u64;
                     if ok && seen == count {
                         hv.write_guest_many(machine, id, &writes)?;
-                        mirror.extend(inserts.drain());
+                        mirror.commit();
                         rounds += 1;
                         frames += seen;
                         wire_bytes += batch_bytes;
                         reply.push(MSG_ACK);
                     } else {
+                        mirror.rollback();
                         reply.push(MSG_NAK);
                     }
                     reply.extend_from_slice(&round.to_le_bytes());
@@ -776,22 +847,174 @@ mod tests {
         }
     }
 
-    /// Plays `msgs` into a destination proxy on `m`/`hv` as a hostile
-    /// source would (never reading a reply) and returns what it served.
-    fn serve_hostile(
+    /// Plays `msgs` into `dest` on `m`/`hv` as a hostile source would
+    /// (never waiting for a reply) and returns what it served, with every
+    /// reply it sent. The script must end the session — with `Done` or a
+    /// message the destination rejects — or `serve` waits for more.
+    fn serve_scripted(
+        dest: &mut DestProxy,
         m: &mut Machine,
         hv: &mut SimpleHv,
         msgs: &[Vec<u8>],
-    ) -> Result<DestReport, HtpError> {
+    ) -> (Result<DestReport, HtpError>, Vec<Vec<u8>>) {
         let (mut ta, mut tb) = InProcTransport::pair();
-        std::thread::scope(|s| {
-            let dest = s.spawn(|| run_dest(m, hv, &mut tb));
+        let served = std::thread::scope(|s| {
+            // `tb` moves in, so the replies end where the session does.
+            let dest = s.spawn(move || dest.serve(m, hv, &mut tb));
             for msg in msgs {
                 // The destination may already have hung up on us.
                 let _ = ta.send_frame(msg).and_then(|_| ta.flush());
             }
             dest.join().expect("destination proxy panicked")
-        })
+        });
+        let (mut replies, mut reply) = (Vec::new(), Vec::new());
+        while ta.recv_frame(&mut reply).is_ok() {
+            replies.push(reply.clone());
+        }
+        (served, replies)
+    }
+
+    /// A `Round` message carrying `frames`, built by pushing them onto a
+    /// ring; its last frame is corrupted when `corrupt`.
+    fn round_msg(round: u32, corrupt: bool, frames: impl FnOnce(&mut FrameRing)) -> Vec<u8> {
+        let mut ring = FrameRing::new();
+        frames(&mut ring);
+        let mut msg = Vec::new();
+        encode_round(&mut msg, &ring, round, corrupt);
+        msg
+    }
+
+    /// A `Done` with a zero checksum and duration (the destination
+    /// echoes its own checksum whatever the source's).
+    fn done() -> Vec<u8> {
+        let mut msg = vec![MSG_DONE];
+        msg.extend_from_slice(&[0; 16]);
+        msg
+    }
+
+    /// The tag and round of each `Ack`/`Nak` among `replies`.
+    fn verdicts(replies: &[Vec<u8>]) -> Vec<(u8, u32)> {
+        replies
+            .iter()
+            .filter(|r| matches!(r.first(), Some(&MSG_ACK | &MSG_NAK)))
+            .map(|r| (r[0], u32::from_le_bytes(r[1..5].try_into().unwrap())))
+            .collect()
+    }
+
+    /// `gfn`'s word in the landed VM `name`.
+    fn landed(m: &Machine, hv: &SimpleHv, name: &str, gfn: u64) -> u64 {
+        hv.read_guest(m, hv.find_vm(name).unwrap(), Gfn(gfn))
+            .unwrap()
+    }
+
+    /// Content staged by a round that is naked never reaches the mirror:
+    /// a later round's `Dup` of it is naked too, until an acked round
+    /// carries the content itself.
+    #[test]
+    fn naked_rounds_leave_nothing_in_the_mirror() {
+        let (a, b) = (0xaaaa_0001u64, 0xbbbb_0002u64);
+        let dup_a = |r: &mut FrameRing| {
+            r.push_dup(3, digest_words(&[a]));
+        };
+        let msgs = [
+            hello(&VmConfig::small("vm0")),
+            // Stages `a`, then its last frame fails to parse.
+            round_msg(0, true, |r| {
+                r.push_raw(1, a);
+                r.push_raw(2, b);
+            }),
+            round_msg(1, false, dup_a),
+            round_msg(2, false, |r| {
+                r.push_raw(1, a);
+            }),
+            round_msg(3, false, dup_a),
+            done(),
+        ];
+        let mut m = machine();
+        let mut hv = SimpleHv::new(HypervisorKind::Kvm);
+        let (served, replies) = serve_scripted(&mut DestProxy::new(), &mut m, &mut hv, &msgs);
+        let report = served.unwrap();
+        assert_eq!(
+            verdicts(&replies),
+            [(MSG_NAK, 0), (MSG_NAK, 1), (MSG_ACK, 2), (MSG_ACK, 3)]
+        );
+        assert_eq!((report.rounds, report.frames), (2, 2));
+        let page = |gfn| landed(&m, &hv, "vm0", gfn);
+        assert_eq!(
+            (page(1), page(2), page(3)),
+            (a, 0, a),
+            "naked rounds wrote nothing"
+        );
+    }
+
+    /// The mirror outlives a session: content an acked round shipped to
+    /// one VM resolves a `Dup` in the next VM's session on the same
+    /// `DestProxy` — and only there.
+    #[test]
+    fn acked_content_resolves_dups_in_a_later_session() {
+        let word = 0x5eed_0003u64;
+        let first = [
+            hello(&VmConfig::small("vm0")),
+            round_msg(0, false, |r| {
+                r.push_raw(1, word);
+            }),
+            done(),
+        ];
+        let second = [
+            hello(&VmConfig::small("vm1")),
+            round_msg(0, false, |r| {
+                r.push_dup(5, digest_words(&[word]));
+            }),
+            done(),
+        ];
+        let mut m = machine();
+        let mut hv = SimpleHv::new(HypervisorKind::Kvm);
+        let mut dest = DestProxy::new();
+        let (served, _) = serve_scripted(&mut dest, &mut m, &mut hv, &first);
+        served.unwrap();
+        let (served, replies) = serve_scripted(&mut dest, &mut m, &mut hv, &second);
+        served.unwrap();
+        assert_eq!(verdicts(&replies), [(MSG_ACK, 0)]);
+        assert_eq!(landed(&m, &hv, "vm1", 5), word);
+
+        let mut fresh_m = machine();
+        let mut fresh_hv = SimpleHv::new(HypervisorKind::Kvm);
+        let (_, replies) =
+            serve_scripted(&mut DestProxy::new(), &mut fresh_m, &mut fresh_hv, &second);
+        assert_eq!(
+            verdicts(&replies),
+            [(MSG_NAK, 0)],
+            "a fresh mirror lacks it"
+        );
+    }
+
+    /// Staging a round left uncommitted — it returned an error before its
+    /// verdict — is gone once the next round begins; commit and rollback
+    /// keep exactly the acked entries.
+    #[test]
+    fn content_mirror_drops_leftover_staging_before_a_round() {
+        let d = |w: u64| digest_words(&[w]);
+        let mut mirror = ContentMirror::default();
+        mirror.begin_round();
+        assert!(mirror.stage(d(1), 1));
+        mirror.commit();
+        mirror.begin_round();
+        for w in 2..40 {
+            assert!(mirror.stage(d(w), w));
+        }
+        assert!(mirror.stage(d(1), 1), "already held");
+        assert_eq!(mirror.get(d(39)), Some(39), "staged content resolves");
+        // No verdict: the round errored out. The next one starts clean.
+        mirror.begin_round();
+        assert_eq!(mirror.get(d(2)), None);
+        assert_eq!((mirror.entries.len(), mirror.index.len()), (1, 1));
+        assert!(mirror.stage(d(7), 7));
+        mirror.rollback();
+        assert!(mirror.stage(d(8), 8));
+        mirror.commit();
+        mirror.begin_round();
+        let held: Vec<_> = (1..40).filter(|&w| mirror.get(d(w)).is_some()).collect();
+        assert_eq!(held, [1, 8]);
     }
 
     fn hello(cfg: &VmConfig) -> Vec<u8> {
@@ -809,7 +1032,9 @@ mod tests {
         let mut hv = SimpleHv::new(HypervisorKind::Kvm);
         for memory_gb in [5, 1 << 20, 1 << 34, u64::MAX] {
             let huge = VmConfig::small("huge").with_memory_gb(memory_gb);
-            let err = serve_hostile(&mut m, &mut hv, &[hello(&huge)]).unwrap_err();
+            let err = serve_scripted(&mut DestProxy::new(), &mut m, &mut hv, &[hello(&huge)])
+                .0
+                .unwrap_err();
             assert!(
                 matches!(err, HtpError::Unsupported(_)),
                 "{memory_gb} GiB: {err:?}"
@@ -834,7 +1059,9 @@ mod tests {
         done.extend_from_slice(&0u64.to_le_bytes());
         done.extend_from_slice(&u64::MAX.to_le_bytes());
         let msgs = [hello(&VmConfig::small("vm0")), done];
-        let err = serve_hostile(&mut m, &mut hv, &msgs).unwrap_err();
+        let err = serve_scripted(&mut DestProxy::new(), &mut m, &mut hv, &msgs)
+            .0
+            .unwrap_err();
         assert!(
             matches!(err, HtpError::IntegrityViolation { .. }),
             "{err:?}"

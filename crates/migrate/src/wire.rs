@@ -30,7 +30,6 @@
 //! pages gone).
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use hypertp_machine::{Gfn, PAGE_SIZE};
@@ -282,37 +281,133 @@ pub fn delta_decode(old: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
 }
 
 /// Default cap on committed dedup entries (see
-/// [`TransferCache::with_capacity`]). 64 Ki entries ≈ 5.5 MiB of index and
-/// slab on the source — enough to cover every distinct content word of
-/// the fig. 12 fleets while bounding a long-lived engine's memory.
+/// [`TransferCache::with_capacity`]). 64 Ki entries ≈ 3 MiB on the source:
+/// a 2.5 MiB slab and a 512 KiB index — enough to cover every distinct
+/// content word of the fig. 12 fleets while bounding a long-lived
+/// engine's memory.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 
-/// Hasher for maps keyed by [`Digest128`]. The key already is two mixed
-/// 64-bit FNV lanes, so SipHash on top buys nothing: the lanes are folded
-/// together and finished with one multiply (strong high bits, which
-/// hashbrown takes its control bytes from) and a high-to-low fold (strong
-/// low bits, which pick the bucket).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct DigestHasher(u64);
+/// Smallest bucket array a [`SlotIndex`] allocates.
+const MIN_BUCKETS: usize = 16;
 
-impl Hasher for DigestHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, lane: u64) {
-        self.0 = self.0.rotate_left(32) ^ lane;
-    }
-    fn finish(&self) -> u64 {
-        let m = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        m ^ (m >> 32)
-    }
+/// An open-addressed index from content digest to a non-zero `u32` slot
+/// id: the dedup index here, the dedup mirror in the destination proxy.
+/// The digest itself lives once, in the owner's storage, and every call
+/// passes `key`, which reads the digest of an id back from there.
+///
+/// A power-of-two bucket array holds the ids; 0 marks an empty bucket.
+/// Probing is linear from the digest's home bucket, and the table is kept
+/// at most half full, so a probe run always ends at an empty bucket.
+/// Removal shifts the rest of the run back instead of leaving a
+/// tombstone. At 4 bytes a bucket, a 64 Ki-entry index is 512 KiB.
+#[derive(Debug, Default)]
+pub(crate) struct SlotIndex {
+    buckets: Vec<u32>,
+    len: usize,
 }
 
-/// A map keyed by content digest: the dedup index here, the dedup mirror
-/// in the destination proxy.
-pub(crate) type DigestMap<V> = HashMap<Digest128, V, BuildHasherDefault<DigestHasher>>;
+impl SlotIndex {
+    /// Ids held.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `digest`'s home bucket under `mask`. The key already is two mixed
+    /// 64-bit FNV lanes: they are folded together, finished with one
+    /// multiply and a high-to-low fold, and masked.
+    fn home(digest: Digest128, mask: usize) -> usize {
+        let m = (digest.hi.rotate_left(32) ^ digest.lo).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (m ^ (m >> 32)) as usize & mask
+    }
+
+    /// The bucket holding `digest`'s id, if any.
+    fn position(&self, digest: Digest128, key: impl Fn(u32) -> Digest128) -> Option<usize> {
+        let mask = self.buckets.len().checked_sub(1)?;
+        let mut b = Self::home(digest, mask);
+        loop {
+            match self.buckets[b] {
+                0 => return None,
+                id if key(id) == digest => return Some(b),
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    /// The id indexed under `digest`.
+    pub(crate) fn find(&self, digest: Digest128, key: impl Fn(u32) -> Digest128) -> Option<u32> {
+        self.position(digest, key).map(|b| self.buckets[b])
+    }
+
+    /// Sizes the table once for `additional` more ids, so that many
+    /// inserts rehash at most once.
+    pub(crate) fn reserve(&mut self, additional: usize, key: impl Fn(u32) -> Digest128) {
+        let need = (self.len + additional).saturating_mul(2);
+        if need <= self.buckets.len() {
+            return;
+        }
+        let size = need.next_power_of_two().max(MIN_BUCKETS);
+        let old = std::mem::replace(&mut self.buckets, vec![0; size]);
+        let mask = size - 1;
+        for id in old.into_iter().filter(|&id| id != 0) {
+            let mut b = Self::home(key(id), mask);
+            while self.buckets[b] != 0 {
+                b = (b + 1) & mask;
+            }
+            self.buckets[b] = id;
+        }
+    }
+
+    /// Indexes `id` (non-zero) under `digest`, which must not be indexed
+    /// yet.
+    pub(crate) fn insert(&mut self, digest: Digest128, id: u32, key: impl Fn(u32) -> Digest128) {
+        debug_assert!(id != 0, "slot id 0 marks an empty bucket");
+        self.reserve(1, key);
+        let mask = self.buckets.len() - 1;
+        let mut b = Self::home(digest, mask);
+        while self.buckets[b] != 0 {
+            b = (b + 1) & mask;
+        }
+        self.buckets[b] = id;
+        self.len += 1;
+    }
+
+    /// Drops `digest`'s id, if indexed, and returns it. Backward-shift
+    /// deletion: each later id of the probe run whose home does not lie
+    /// in the cyclic span (hole, its bucket] moves back into the hole, so
+    /// every run stays unbroken without tombstones. `key` must still
+    /// resolve every indexed id, the removed one included.
+    pub(crate) fn remove(
+        &mut self,
+        digest: Digest128,
+        key: impl Fn(u32) -> Digest128,
+    ) -> Option<u32> {
+        let mut hole = self.position(digest, &key)?;
+        let id = self.buckets[hole];
+        let mask = self.buckets.len() - 1;
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let next = self.buckets[b];
+            if next == 0 {
+                break;
+            }
+            let home = Self::home(key(next), mask);
+            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
+                self.buckets[hole] = next;
+                hole = b;
+            }
+        }
+        self.buckets[hole] = 0;
+        self.len -= 1;
+        Some(id)
+    }
+
+    /// Drops every id; the table keeps its size.
+    pub(crate) fn clear(&mut self) {
+        self.buckets.fill(0);
+        self.len = 0;
+    }
+}
 
 /// Observability counters of the dedup cache (see [`TransferCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -353,15 +448,17 @@ const SENTINEL: Slot = Slot {
     next: 0,
 };
 
-/// Content the destination has materialised: `digest → slot` into a slab
-/// threaded as an intrusive LRU ring. Ticks are unique and monotone and
-/// every touch moves its entry to the tail, so the ring is sorted by
-/// `touched` and its head *is* the minimum `(touched, digest)` a scan of
-/// all entries would find: lookup, touch, insert and eviction are O(1),
-/// and allocate nothing once slab and index have reached their size.
+/// Content the destination has materialised: a [`SlotIndex`] from digest
+/// to slot, over a slab threaded as an intrusive LRU ring. Ticks are
+/// unique and monotone and every touch moves its entry to the tail, so
+/// the ring is sorted by `touched` and its head *is* the minimum
+/// `(touched, digest)` a scan of all entries would find: lookup, touch,
+/// insert and eviction are O(1), and allocate nothing once slab and index
+/// have reached their size.
 #[derive(Debug, Default)]
 struct DedupLru {
-    index: DigestMap<u32>,
+    /// Slab slot ids by digest; slot 0, the sentinel, is never indexed.
+    index: SlotIndex,
     slots: Vec<Slot>,
     /// Head of the free-slot list (0: none).
     free: u32,
@@ -379,11 +476,15 @@ struct DedupLru {
     evictions: u64,
 }
 
+/// The index's `key`: the digest slab slot `i` holds.
+fn slot_digest(slots: &[Slot]) -> impl Fn(u32) -> Digest128 + '_ {
+    move |i| slots[i as usize].digest
+}
+
 impl DedupLru {
     fn word(&self, digest: Digest128) -> Option<u64> {
-        self.index
-            .get(&digest)
-            .map(|&i| self.slots[i as usize].word)
+        let i = self.index.find(digest, slot_digest(&self.slots))?;
+        Some(self.slots[i as usize].word)
     }
 
     fn unlink(&mut self, i: u32) {
@@ -404,7 +505,7 @@ impl DedupLru {
 
     /// Drops `digest`'s entry, if held, and recycles its slot.
     fn remove(&mut self, digest: Digest128) {
-        if let Some(i) = self.index.remove(&digest) {
+        if let Some(i) = self.index.remove(digest, slot_digest(&self.slots)) {
             self.unlink(i);
             self.slots[i as usize].next = std::mem::replace(&mut self.free, i);
         }
@@ -422,7 +523,7 @@ impl DedupLru {
     /// most once instead of doubling its way up.
     fn reserve(&mut self, inserts: usize) {
         let room = inserts.min(self.capacity.saturating_sub(self.index.len()));
-        self.index.reserve(room);
+        self.index.reserve(room, slot_digest(&self.slots));
         // The slab recycles its free slots first; slot 0 is the sentinel.
         let slots = self.index.len() + 1 + room;
         self.slots.reserve(slots.saturating_sub(self.slots.len()));
@@ -438,7 +539,7 @@ impl DedupLru {
     /// a *future* `Dup` to `Raw`/`Delta`; it never invalidates delta bases
     /// (those live in the per-VM tables) or frames already on the wire.
     fn touch_or_insert(&mut self, digest: Digest128, word: u64) -> bool {
-        if let Some(&i) = self.index.get(&digest) {
+        if let Some(i) = self.index.find(digest, slot_digest(&self.slots)) {
             self.unlink(i);
             self.link_newest(i);
             return true;
@@ -471,7 +572,7 @@ impl DedupLru {
                 free
             }
         };
-        self.index.insert(digest, i);
+        self.index.insert(digest, i, slot_digest(&self.slots));
         self.link_newest(i);
         false
     }
@@ -961,6 +1062,132 @@ mod tests {
     use super::*;
     use crate::network::FrameKind;
     use hypertp_sim::SimRng;
+
+    /// Checks `index` against `model` (digest → id) with `keys[id]` the
+    /// digest of `id`: the same ids are found, nothing else is, the table
+    /// is at most half full, and every id sits on an unbroken probe run
+    /// from its home bucket.
+    fn assert_index_matches(
+        index: &SlotIndex,
+        keys: &[Digest128],
+        model: &HashMap<Digest128, u32>,
+        step: &str,
+    ) {
+        let key = |id: u32| keys[id as usize];
+        assert_eq!(index.len(), model.len(), "{step}: len");
+        assert!(
+            index.len() * 2 <= index.buckets.len(),
+            "{step}: over half full"
+        );
+        for (&digest, &id) in model {
+            assert_eq!(index.find(digest, key), Some(id), "{step}: lost {id}");
+        }
+        let mask = index.buckets.len().wrapping_sub(1);
+        for (b, &id) in index.buckets.iter().enumerate().filter(|(_, &id)| id != 0) {
+            assert_eq!(
+                model.get(&keys[id as usize]),
+                Some(&id),
+                "{step}: stray {id}"
+            );
+            let mut at = SlotIndex::home(keys[id as usize], mask);
+            while at != b {
+                assert_ne!(index.buckets[at], 0, "{step}: run of {id} broken at {at}");
+                at = (at + 1) & mask;
+            }
+        }
+    }
+
+    /// Seeded insert/find/remove scripts over a small digest pool (so
+    /// removals hit, ids churn and probe runs collide) against a
+    /// `HashMap` reference.
+    #[test]
+    fn slot_index_matches_a_hash_map_model() {
+        let pool: Vec<Digest128> = (1..=96u64).map(|w| digest_words(&[w])).collect();
+        let absent = digest_words(&[1000]);
+        for seed in 0..32 {
+            let mut rng = SimRng::new(0x5107 + seed);
+            let mut index = SlotIndex::default();
+            // `keys[id]` is id's digest; id 0 is never handed out.
+            let mut keys = vec![Digest128 { hi: 0, lo: 0 }];
+            let mut model: HashMap<Digest128, u32> = HashMap::new();
+            for step in 0..600 {
+                let digest = pool[rng.gen_range(pool.len() as u64) as usize];
+                let step = format!("seed {seed} step {step}");
+                match rng.gen_range(3) {
+                    0 | 1 if !model.contains_key(&digest) => {
+                        let id = keys.len() as u32;
+                        keys.push(digest);
+                        index.insert(digest, id, |id| keys[id as usize]);
+                        model.insert(digest, id);
+                    }
+                    0 | 1 => {}
+                    _ => assert_eq!(
+                        index.remove(digest, |id| keys[id as usize]),
+                        model.remove(&digest),
+                        "{step}: remove"
+                    ),
+                }
+                assert_eq!(index.find(absent, |id| keys[id as usize]), None);
+                assert_index_matches(&index, &keys, &model, &step);
+            }
+            index.clear();
+            model.clear();
+            assert_index_matches(&index, &keys, &model, "cleared");
+        }
+    }
+
+    /// A probe run that wraps from the last bucket to bucket 0 of a
+    /// 16-bucket table, emptied from the middle: backward shift must move
+    /// exactly the ids whose home lies at or before the hole, across the
+    /// wrap, and leave the others where they are.
+    #[test]
+    fn slot_index_removal_shifts_back_across_the_wrap() {
+        let mask = MIN_BUCKETS - 1;
+        let homed = |home: usize, n: usize| -> Vec<Digest128> {
+            (1u64..)
+                .map(|w| digest_words(&[w]))
+                .filter(|&d| SlotIndex::home(d, mask) == home)
+                .take(n)
+                .collect()
+        };
+        // Three ids homed at 15 (buckets 15, 0, 1), one homed at 0
+        // (bucket 2), one at 2 (bucket 3), and one at 5, off the run.
+        let mut digests = homed(15, 3);
+        digests.extend(homed(0, 1));
+        digests.extend(homed(2, 1));
+        digests.extend(homed(5, 1));
+        let mut keys = vec![Digest128 { hi: 0, lo: 0 }];
+        keys.extend(&digests);
+        let key = |id: u32| keys[id as usize];
+        let mut index = SlotIndex::default();
+        let mut model = HashMap::new();
+        for (i, &digest) in digests.iter().enumerate() {
+            index.insert(digest, i as u32 + 1, key);
+            model.insert(digest, i as u32 + 1);
+        }
+        assert_eq!(index.buckets.len(), MIN_BUCKETS);
+        assert_eq!(
+            index.buckets,
+            [2, 3, 4, 5, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+            "the run wraps from bucket 15 to bucket 0"
+        );
+        assert_index_matches(&index, &keys, &model, "filled");
+        // Remove from the middle of the wrapped run, then the rest.
+        for (n, i) in [1usize, 3, 0, 4, 2, 5].into_iter().enumerate() {
+            assert_eq!(index.remove(digests[i], key), Some(i as u32 + 1));
+            model.remove(&digests[i]);
+            assert_index_matches(&index, &keys, &model, &format!("removal {n}"));
+            if n == 0 {
+                // Bucket 0's id went; 3 (home 15) and 4 (home 0) shift
+                // back, and 5 (home 2) follows into bucket 2.
+                assert_eq!(
+                    index.buckets,
+                    [3, 4, 5, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+                );
+            }
+        }
+        assert!(index.buckets.iter().all(|&id| id == 0));
+    }
 
     #[test]
     fn expand_word_shape() {

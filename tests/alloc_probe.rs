@@ -98,10 +98,10 @@ fn round(
 }
 
 /// Bytes one cold content-aware round 0 may request: midway between the
-/// 50.2 MiB it took when the cache journaled an undo record per page,
-/// digested every page up front and grew its dedup index by doubling, and
-/// the 27.8 MiB it takes now. Half of what remains is the frame ring.
-const ROUND0_BYTES_BOUND: u64 = 39 << 20;
+/// 27.7 MiB it took when the dedup index was a hash map holding a second
+/// copy of every digest in 24-byte buckets, and the 25.1 MiB it takes
+/// with a 4-byte slot index. Half of what remains is the frame ring.
+const ROUND0_BYTES_BOUND: u64 = (264 << 20) / 10;
 
 /// Part 1b — footprint: round 0 of a busy 1 GiB guest (262 144 pages, one
 /// in four non-zero, one in four of those a shared template word) through
