@@ -14,7 +14,7 @@ use crate::control::{
 };
 use crate::framing::FrameRing;
 use crate::network::{Link, WireStats};
-use crate::proxy::RemoteDest;
+use crate::proxy::{RemoteDest, PART_PAGES};
 use crate::wire::TransferCache;
 
 /// Extra one-way delay modelled for an injected link latency spike
@@ -186,7 +186,8 @@ impl EngineScratch {
 pub(crate) struct RoundScratch {
     /// Serialized frames of the in-flight round.
     pub(crate) ring: FrameRing,
-    /// Source content words, in GFN-list order.
+    /// Source content words of the part being encoded, in GFN-list
+    /// order (a local destination's part is the whole round).
     pub(crate) words: Vec<u64>,
     /// Destination's current words (write-elision probe).
     pub(crate) current: Vec<u64>,
@@ -507,7 +508,7 @@ impl MigrationTp {
         // on the destination.
         precopy += src_hv.notify_prepare_transplant(src_machine, src_id)?;
         src_hv.pause_vm(src_id)?;
-        let final_bytes = self.encode_round(src_machine, src_hv, src_id, &stop_set)?;
+        let final_bytes = self.encode_round(src_machine, src_hv, src_id, dst, round, &stop_set)?;
         if !self.deliver_round(
             src_machine,
             src_hv,
@@ -636,7 +637,7 @@ impl MigrationTp {
         let mut naks = 0u32;
         let mut lost_bytes = 0u64;
         let round_bytes = loop {
-            let encoded = self.encode_round(src_machine, src_hv, src_id, to_send)?;
+            let encoded = self.encode_round(src_machine, src_hv, src_id, dst, round, to_send)?;
             if self.faults.should_inject(
                 InjectionPoint::LinkDrop,
                 &format!("{vm_name} round {round}"),
@@ -888,31 +889,60 @@ impl MigrationTp {
 
     /// Source half of a round: the bytes it will put on the wire. Raw
     /// rounds ship every page as a full payload (the paper-faithful
-    /// accounting). Content-aware rounds gather words straight out of the
-    /// source's RAM extents and serialize frames into the shared scratch
-    /// ring under one cache lock, which digests each non-zero word as it
-    /// classifies it, reusing every buffer (no heap allocation once warm).
-    /// The round's cache and ring transaction opens once the gather — the
-    /// only step that can fail — has succeeded; the caller commits or
+    /// accounting). Content-aware rounds run one loop over parts of
+    /// `gfns`: gather a part's words straight out of the source's RAM
+    /// extents, serialize its frames into the shared scratch ring under
+    /// one cache lock, which digests each non-zero word as it classifies
+    /// it, then hand the new ring bytes to the destination. A remote one
+    /// takes every part but the last as a `RoundPart` of round `round`
+    /// ([`crate::proxy`]), staging it while the next is encoded; the last
+    /// closes the round in [`MigrationTp::deliver_round`]. A local one
+    /// takes the round as one part, since nothing could overlap it. Every
+    /// buffer is reused (no heap allocation once warm). The round's cache
+    /// and ring transaction opens before the first gather; a gather or
+    /// hand-off that fails rolls it back, otherwise the caller commits or
     /// rolls back.
+    #[allow(clippy::too_many_arguments)]
     fn encode_round(
         &self,
         src_machine: &Machine,
         src_hv: &dyn Hypervisor,
         src_id: VmId,
+        dst: &mut Dest<'_>,
+        round: u32,
         gfns: &[Gfn],
     ) -> Result<u64, HtpError> {
         if self.config.wire_mode == WireMode::Raw {
             return Ok(gfns.len() as u64 * PAGE_SIZE);
         }
+        let part_pages = match dst {
+            Dest::Local { .. } => gfns.len().max(1),
+            Dest::Remote(_) => PART_PAGES,
+        };
         let mut s = self.scratch.round();
         let RoundScratch { ring, words, .. } = &mut *s;
         let cap = words.capacity();
-        src_hv.read_guest_into(src_machine, src_id, gfns, words)?;
         self.cache.begin_round();
         ring.restart();
         ring.begin();
-        let wire_bytes = self.cache.encode_words_into(src_id.0, gfns, words, ring);
+        let mut wire_bytes = 0u64;
+        let mut parts = gfns.chunks(part_pages).peekable();
+        while let Some(part) = parts.next() {
+            let handed = src_hv
+                .read_guest_into(src_machine, src_id, part, words)
+                .and_then(|()| {
+                    wire_bytes += self.cache.encode_words_into(src_id.0, part, words, ring);
+                    match (&mut *dst, parts.peek()) {
+                        (Dest::Remote(r), Some(_)) => r.send_part(ring, round),
+                        _ => Ok(()),
+                    }
+                });
+            if let Err(e) = handed {
+                self.cache.rollback_round();
+                ring.rollback();
+                return Err(e);
+            }
+        }
         let mut st = self.scratch.stats();
         st.rounds += 1;
         st.grows += u64::from(words.capacity() != cap);

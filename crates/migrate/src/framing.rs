@@ -292,13 +292,8 @@ impl FrameRing {
         self.push_delta(gfn, &stream[..len])
     }
 
-    /// Serialized bytes currently in the ring (the physical stream a
-    /// transport ships).
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Serialized bytes pushed since byte offset `from`.
+    /// Serialized bytes pushed since byte offset `from` (the physical
+    /// stream a transport ships, from the last part on).
     pub fn bytes_from(&self, from: usize) -> &[u8] {
         &self.buf[from..]
     }
@@ -435,7 +430,7 @@ mod tests {
     fn parse_rejects_corruption() {
         let mut ring = FrameRing::new();
         ring.push_raw(1, 42);
-        let good = ring.bytes().to_vec();
+        let good = ring.bytes_from(0).to_vec();
         assert!(FrameView::parse(&good).is_some());
         // Truncated header / payload.
         assert!(FrameView::parse(&good[..10]).is_none());

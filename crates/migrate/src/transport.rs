@@ -13,8 +13,9 @@
 //!
 //! The wire encoding is one `u32` little-endian length prefix per frame,
 //! followed by the frame's bytes. A frame here is one *protocol message*
-//! (see [`crate::proxy`]) — a whole serialized round rides in a single
-//! frame, so the ring's bytes go on the socket with one write.
+//! (see [`crate::proxy`]) — a serialized round rides in bounded parts, one
+//! frame each. Both socket ends queue frames until [`Transport::flush`]
+//! and put the queue on the socket with one write.
 //!
 //! [`Transport::reset`] models a connection teardown + re-establish: the
 //! UDS client redials (with bounded retries), the UDS server re-accepts,
@@ -174,13 +175,23 @@ impl Transport for InProcTransport {
     }
 }
 
-/// Writes one length-prefixed frame to a stream.
-fn write_frame(stream: &mut impl Write, bytes: &[u8]) -> Result<(), TransportError> {
+/// Appends one length-prefixed frame to a socket end's send queue.
+fn queue_frame(queued: &mut Vec<u8>, bytes: &[u8]) -> Result<(), TransportError> {
     if bytes.len() as u64 > MAX_FRAME_BYTES as u64 {
         return Err(TransportError::FrameTooLarge(bytes.len() as u32));
     }
-    stream.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    stream.write_all(bytes)?;
+    queued.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    queued.extend_from_slice(bytes);
+    Ok(())
+}
+
+/// Puts a socket end's send queue on the stream with one write.
+fn flush_queue(stream: &mut impl Write, queued: &mut Vec<u8>) -> Result<(), TransportError> {
+    if !queued.is_empty() {
+        stream.write_all(queued)?;
+        queued.clear();
+    }
+    stream.flush()?;
     Ok(())
 }
 
@@ -251,22 +262,11 @@ impl UdsTransport {
 
 impl Transport for UdsTransport {
     fn send_frame(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        if bytes.len() as u64 > MAX_FRAME_BYTES as u64 {
-            return Err(TransportError::FrameTooLarge(bytes.len() as u32));
-        }
-        self.queued
-            .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        self.queued.extend_from_slice(bytes);
-        Ok(())
+        queue_frame(&mut self.queued, bytes)
     }
 
     fn flush(&mut self) -> Result<(), TransportError> {
-        if !self.queued.is_empty() {
-            self.stream.write_all(&self.queued)?;
-            self.queued.clear();
-        }
-        self.stream.flush()?;
-        Ok(())
+        flush_queue(&mut self.stream, &mut self.queued)
     }
 
     fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), TransportError> {
@@ -293,6 +293,8 @@ impl Transport for UdsTransport {
 pub struct UdsServerTransport {
     listener: UnixListener,
     stream: UnixStream,
+    /// Length-prefixed frames queued until `flush`, as on the client end.
+    queued: Vec<u8>,
 }
 
 impl UdsServerTransport {
@@ -305,18 +307,21 @@ impl UdsServerTransport {
         }
         let listener = UnixListener::bind(path)?;
         let (stream, _) = listener.accept()?;
-        Ok(UdsServerTransport { listener, stream })
+        Ok(UdsServerTransport {
+            listener,
+            stream,
+            queued: Vec::new(),
+        })
     }
 }
 
 impl Transport for UdsServerTransport {
     fn send_frame(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        write_frame(&mut self.stream, bytes)
+        queue_frame(&mut self.queued, bytes)
     }
 
     fn flush(&mut self) -> Result<(), TransportError> {
-        self.stream.flush()?;
-        Ok(())
+        flush_queue(&mut self.stream, &mut self.queued)
     }
 
     fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), TransportError> {
@@ -324,6 +329,7 @@ impl Transport for UdsServerTransport {
     }
 
     fn reset(&mut self) -> Result<(), TransportError> {
+        self.queued.clear();
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
         let (stream, _) = self.listener.accept()?;
         self.stream = stream;
@@ -448,6 +454,36 @@ mod tests {
         let mut buf = Vec::new();
         cli.recv_frame(&mut buf).unwrap();
         assert_eq!(buf, b"ack");
+        server.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The server end honours the `Transport` contract the client end
+    /// does: a frame queued but not flushed never reaches the socket, and
+    /// `reset` discards it.
+    #[test]
+    fn uds_server_reset_discards_unflushed_frames() {
+        let dir = std::env::temp_dir().join(format!("htp-uds-srv-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("server-reset.sock");
+        let sock2 = sock.clone();
+        let server = std::thread::spawn(move || {
+            let mut srv = UdsServerTransport::bind(&sock2).unwrap();
+            srv.send_frame(b"lost").unwrap();
+            srv.reset().unwrap();
+            srv.send_frame(b"kept").unwrap();
+            srv.flush().unwrap();
+        });
+        let mut cli = UdsTransport::connect(&sock).unwrap();
+        let mut buf = Vec::new();
+        // The first connection ends without a frame on it.
+        assert!(matches!(
+            cli.recv_frame(&mut buf),
+            Err(TransportError::Closed)
+        ));
+        cli.reset().unwrap();
+        cli.recv_frame(&mut buf).unwrap();
+        assert_eq!(buf, b"kept");
         server.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

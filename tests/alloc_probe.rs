@@ -8,7 +8,8 @@
 //! invariant across whole migrations, cut-over verification included,
 //! where pool threads and report construction put the raw counter out of
 //! reach. A cold round 0 of a busy 1 GiB guest, counted in bytes, bounds
-//! what a round's bookkeeping costs before anything is warm.
+//! what a round's bookkeeping costs before anything is warm, and a whole
+//! proxy session, counted the same way, what its messages cost.
 //!
 //! The same counter pins the control plane's two per-disclosure
 //! mechanisms: the synthetic fleet view derives a VM without allocating,
@@ -26,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use hypertp::prelude::*;
 use hypertp_cluster::{Cluster, ClusterView, ExposureConfig, ExposurePlanner};
-use hypertp_migrate::{FrameRing, TransferCache};
+use hypertp_migrate::{run_dest, run_source, FrameRing, InProcTransport, TransferCache};
 use hypertp_sim::SimDuration;
 use hypertp_vulndb::VulnFeed;
 
@@ -142,6 +143,54 @@ fn footprint_probe() {
         "alloc_probe: ok (cold round 0 of 262144 pages requested {:.1} MiB, bound {:.1} MiB)",
         bytes as f64 / (1 << 20) as f64,
         ROUND0_BYTES_BOUND as f64 / (1 << 20) as f64
+    );
+}
+
+/// Bytes one proxy session may request: midway between the 46.4 MiB it
+/// took when every round travelled as one message (copied whole into
+/// transport buffers on both sides) and the 31.2 MiB it takes in parts.
+const PROXY_SESSION_BYTES_BOUND: u64 = (388 << 20) / 10;
+
+/// Part 1c — a proxy session's footprint: one `run_source` ↔ `run_dest`
+/// session over the in-process transport, a 1 GiB guest with 16 384
+/// unique resident pages, 2 000 pages/s. Every message buffer is bounded
+/// by one part of a round, so what the pair asks the allocator for must
+/// not come back to whole-round messages.
+fn proxy_session_probe() {
+    let registry = default_registry();
+    let clock = SimClock::new();
+    let mut src_m = Machine::with_clock(MachineSpec::m1(), clock.clone());
+    let mut dst_m = Machine::with_clock(MachineSpec::m1(), clock);
+    let mut src = registry.create(HypervisorKind::Xen, &mut src_m).unwrap();
+    let mut dst = registry.create(HypervisorKind::Kvm, &mut dst_m).unwrap();
+    let id = src
+        .create_vm(&mut src_m, &VmConfig::small("proxy").with_memory_gb(1))
+        .unwrap();
+    for k in 0..16_384u64 {
+        let word = k.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        src.write_guest(&mut src_m, id, Gfn(k * 16), word).unwrap();
+    }
+    let tp = MigrationTp::new().with_config(MigrationConfig {
+        dirty_rate_pages_per_sec: 2_000.0,
+        ..MigrationConfig::default()
+    });
+    let (mut ta, mut tb) = InProcTransport::pair();
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let (src_report, dst_report) = std::thread::scope(|s| {
+        let dest = s.spawn(|| run_dest(&mut dst_m, dst.as_mut(), &mut tb));
+        let source = run_source(&tp, &mut src_m, src.as_mut(), id, &mut ta).unwrap();
+        (source, dest.join().unwrap().unwrap())
+    });
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(src_report.dst_checksum, dst_report.checksum);
+    assert!(
+        bytes < PROXY_SESSION_BYTES_BOUND,
+        "a proxy session requested {bytes} bytes (bound {PROXY_SESSION_BYTES_BOUND})"
+    );
+    println!(
+        "alloc_probe: ok (a proxy session of a 1 GiB guest requested {:.1} MiB, bound {:.1} MiB)",
+        bytes as f64 / (1 << 20) as f64,
+        PROXY_SESSION_BYTES_BOUND as f64 / (1 << 20) as f64
     );
 }
 
@@ -433,6 +482,7 @@ fn main() {
     );
 
     footprint_probe();
+    proxy_session_probe();
     control_plane_probe();
     hostile_count_probe();
     ownership_probe();
