@@ -77,6 +77,15 @@ proxy_dest_pid=$!
 cargo run -q --release --offline --bin hypertpctl -- \
   proxy source --socket "${proxy_sock}"
 wait "${proxy_dest_pid}"
+# A 4 GiB guest: its round 0 is more frame bytes than the 16 MiB cap on
+# one message (MAX_FRAME_BYTES), so only the part stream can carry it.
+proxy_sock="${gate_dir}/proxy4.sock"
+cargo run -q --release --offline --bin hypertpctl -- \
+  proxy dest --socket "${proxy_sock}" &
+proxy_dest_pid=$!
+cargo run -q --release --offline --bin hypertpctl -- \
+  proxy source --socket "${proxy_sock}" --mem 4
+wait "${proxy_dest_pid}"
 
 echo "== hypertpctl feed smoke (surface-aware vs blind planning) =="
 # The operator-facing feed replay: the --blind flag must switch the

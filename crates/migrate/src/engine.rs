@@ -13,7 +13,7 @@ use crate::control::{
     UISR_BYTES_ALLOWANCE,
 };
 use crate::framing::FrameRing;
-use crate::network::{Link, WireStats};
+use crate::network::{FrameKind, Link, WireStats};
 use crate::proxy::{RemoteDest, PART_PAGES};
 use crate::wire::TransferCache;
 
@@ -302,10 +302,10 @@ pub struct MigrationTp {
     pub cost: CostModel,
     /// Pre-copy configuration.
     pub config: MigrationConfig,
-    /// Worker pool for the cut-over content verification
-    /// ([`MigrationConfig::verify_contents`]). Defaults to
-    /// [`WorkerPool::from_env`]; reports are identical for any worker
-    /// count.
+    /// Worker pool. Defaults to [`WorkerPool::from_env`]. The engine
+    /// schedules nothing on it: rounds and the cut-over content
+    /// verification ([`MigrationConfig::verify_contents`]) run on the
+    /// calling thread, so reports are identical for any worker count.
     pub pool: WorkerPool,
     /// Fault plan consulted at the engine's injection points (link drop,
     /// latency spike, truncated page, UISR corruption). Defaults to a
@@ -426,9 +426,10 @@ impl MigrationTp {
             self.stop_fixed(dst.kind(), cfg.vcpus, sharers),
         );
 
-        // Round 0: full copy of every mapped page. The list lives on for
+        // Round 0: full copy of every mapped page. The map lives on for
         // the cut-over verification.
-        let all_gfns: Vec<Gfn> = map_gfns(&src_hv.guest_memory_map(src_id)?).collect();
+        let src_map = src_hv.guest_memory_map(src_id)?;
+        let all_gfns: Vec<Gfn> = map_gfns(&src_map).collect();
         let mut dirty_set: Option<Vec<Gfn>> = None;
         let mut round = 0u32;
         let stop_set = loop {
@@ -568,7 +569,7 @@ impl MigrationTp {
         // A remote destination is verified by its `DoneAck` checksum
         // instead, which the proxy exchanges at cut-over.
         if let (true, Dest::Local { machine, hv, id }) = (self.config.verify_contents, &*dst) {
-            if !self.same_contents(src_machine, src_hv, src_id, machine, &**hv, *id, &all_gfns)? {
+            if !same_contents(src_machine, &src_map, machine, &**hv, *id)? {
                 return Err(integrity(&cfg.name));
             }
         }
@@ -981,10 +982,13 @@ impl MigrationTp {
         for (view, (&g, &cur)) in ring.iter().zip(gfns.iter().zip(current.iter())) {
             debug_assert_eq!(view.gfn, g.0);
             wire.record_parts(view.kind, view.wire_bytes());
-            let word = self
-                .cache
-                .apply_view(&view, cur)
-                .ok_or_else(|| integrity(vm_name))?;
+            let word = match view.kind {
+                FrameKind::Zero => 0,
+                _ => self
+                    .cache
+                    .apply_view(&view, cur)
+                    .ok_or_else(|| integrity(vm_name))?,
+            };
             if word != cur {
                 writes.push((g, word));
             }
@@ -1035,37 +1039,50 @@ impl MigrationTp {
             + u64::from(writes.capacity() != caps.2);
         Ok(())
     }
+}
 
-    /// Whether the source and destination VMs hold the same word at every
-    /// gfn of `gfns` — the [`MigrationConfig::verify_contents`] check. Both
-    /// sides are gathered into the scratch `words` and `current`, which
-    /// round 0 sized to the whole guest, and compared in contiguous pool
-    /// chunks; the verdict does not depend on the worker count.
-    #[allow(clippy::too_many_arguments)]
-    fn same_contents(
-        &self,
-        src_machine: &Machine,
-        src_hv: &dyn Hypervisor,
-        src_id: VmId,
-        dst_machine: &Machine,
-        dst_hv: &dyn Hypervisor,
-        dst_id: VmId,
-        gfns: &[Gfn],
-    ) -> Result<bool, HtpError> {
-        let mut s = self.scratch.round();
-        let RoundScratch { words, current, .. } = &mut *s;
-        let caps = (words.capacity(), current.capacity());
-        src_hv.read_guest_into(src_machine, src_id, gfns, words)?;
-        dst_hv.read_guest_into(dst_machine, dst_id, gfns, current)?;
-        self.scratch.stats().grows +=
-            u64::from(words.capacity() != caps.0) + u64::from(current.capacity() != caps.1);
-        let (src, dst) = (&words[..], &current[..]);
-        let chunks = self.pool.workers() * 4;
-        let same = self
-            .pool
-            .map_chunks(src.len(), chunks, |r| src[r.clone()] == dst[r]);
-        Ok(same.results.into_iter().all(|same| same))
+/// Whether the destination VM `dst_id` holds the source's word at every
+/// gfn the source's memory map `src_map` covers — the
+/// [`MigrationConfig::verify_contents`] check. Walks the source's extents
+/// and, for each, the destination extents over the same gfns (the two
+/// maps' boundaries need not line up), comparing the RAM backing slice
+/// by slice; a gfn the destination's map does not cover is read through
+/// its hypervisor, which fails as a gather of it would.
+fn same_contents(
+    src_machine: &Machine,
+    src_map: &[(Gfn, Extent)],
+    dst_machine: &Machine,
+    dst_hv: &dyn Hypervisor,
+    dst_id: VmId,
+) -> Result<bool, HtpError> {
+    let mut dst_map = dst_hv.guest_memory_map(dst_id)?;
+    dst_map.sort_unstable_by_key(|&(g, _)| g.0);
+    let (src_ram, dst_ram) = (src_machine.ram(), dst_machine.ram());
+    for &(gfn, e) in src_map {
+        let mut src = src_ram.content_slice(e.base, e.pages())?;
+        let mut at = gfn.0;
+        while let Some((&word, _)) = src.split_first() {
+            // The destination extent holding `at`, if any.
+            let k = dst_map.partition_point(|&(g, d)| g.0 + d.pages() <= at);
+            let n = match dst_map.get(k).filter(|(g, _)| g.0 <= at) {
+                Some(&(g, d)) => {
+                    let off = at - g.0;
+                    let n = (d.pages() - off).min(src.len() as u64);
+                    if src[..n as usize] != *dst_ram.content_slice(d.base + off, n)? {
+                        return Ok(false);
+                    }
+                    n
+                }
+                None if dst_hv.read_guest(dst_machine, dst_id, Gfn(at))? != word => {
+                    return Ok(false)
+                }
+                None => 1,
+            };
+            src = &src[n as usize..];
+            at += n;
+        }
     }
+    Ok(true)
 }
 
 /// Per-round result of [`MigrationTp::send_round`].
@@ -1478,11 +1495,10 @@ fn run_fleet_phase(
 /// stop-and-copy queues behind the previous one, inflating later VMs'
 /// downtime) and parallel when it is kvmtool.
 ///
-/// Wall-clock execution: each VM's page gathers and verification fan out
-/// over `tp`'s worker pool (see [`MigrationTp::with_pool`]), while the
-/// destination applies — and therefore the Xen receive queue — stay
-/// serial. The simulated schedule and every report are identical for any
-/// worker count.
+/// Wall-clock execution: each VM's rounds, applies and verification run
+/// on the calling thread, so the Xen receive queue stays serial. The
+/// simulated schedule and every report are identical for any worker
+/// count.
 ///
 /// This is [`migrate_fleet`] under the legacy default policy (FIFO
 /// admission, unlimited concurrency); the schedule is byte-identical to

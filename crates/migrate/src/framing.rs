@@ -166,6 +166,23 @@ impl<'a> Iterator for FrameIter<'a> {
     }
 }
 
+/// Makes room in `v` for `total` elements the way appending them one at a
+/// time would: the capacity doubles until it fits, rather than growing to
+/// `total` in one step, so the capacity a batched append leaves does not
+/// depend on how the appends were batched. Returns whether it grew.
+pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>, total: usize) -> bool {
+    let cap = v.capacity();
+    if total <= cap {
+        return false;
+    }
+    let mut target = cap.max(1);
+    while target < total {
+        target *= 2;
+    }
+    v.reserve_exact(target - v.len());
+    true
+}
+
 /// A reusable serialized-frame buffer with begin/commit watermarks.
 ///
 /// The engine owns one ring (shared across rounds and across the VMs of
@@ -254,9 +271,29 @@ impl FrameRing {
 
     /// Appends a `Zero` marker; returns its accounted wire bytes.
     pub fn push_zero(&mut self, gfn: u64) -> u64 {
-        self.header(FrameKind::Zero, gfn, 0);
+        self.push_zeros(gfn, 1)
+    }
+
+    /// Appends `pages` `Zero` markers for the gfns from `gfn` on, after one
+    /// reserve — the bytes `pages` [`FrameRing::push_zero`] calls append.
+    /// Returns their accounted wire bytes.
+    pub(crate) fn push_zeros(&mut self, gfn: u64, pages: usize) -> u64 {
+        let mut frame = [0u8; WIRE_FRAME_HEADER as usize];
+        let total = self.buf.len() + pages * frame.len();
+        if reserve_doubling(&mut self.buf, total) {
+            self.grows += 1;
+        }
+        // One 16-byte append per frame. Zero-filling the whole run and then
+        // patching it wrote faster, but left a long run slower to read
+        // back (a whole-round batch's apply pass).
+        frame[0] = FrameKind::Zero.tag();
+        for k in 0..pages as u64 {
+            frame[4..12].copy_from_slice(&gfn.wrapping_add(k).to_le_bytes());
+            self.buf.extend_from_slice(&frame);
+        }
+        self.frames += pages as u64;
         self.finish();
-        WIRE_FRAME_HEADER
+        pages as u64 * WIRE_FRAME_HEADER
     }
 
     /// Appends a `Dup` frame; returns its accounted wire bytes.
@@ -369,6 +406,24 @@ mod tests {
     use crate::wire::{delta_encode, delta_encode_words_into, expand_word};
     use hypertp_sim::hash::digest_words;
     use hypertp_sim::SimRng;
+
+    /// A run of `Zero` markers is byte for byte the frames one header each
+    /// would write, after a raw frame and across a capacity growth.
+    #[test]
+    fn push_zeros_writes_one_header_per_page() {
+        let (mut bulk, mut paged) = (FrameRing::new(), FrameRing::new());
+        for ring in [&mut bulk, &mut paged] {
+            ring.push_raw(3, 0xbeef);
+        }
+        assert_eq!(bulk.push_zeros(62, 300), 300 * WIRE_FRAME_HEADER);
+        for gfn in 62..362 {
+            paged.header(FrameKind::Zero, gfn, 0);
+        }
+        assert_eq!(bulk.bytes_from(0), paged.bytes_from(0));
+        assert_eq!(bulk.frame_count(), 301);
+        assert_eq!(bulk.high_water(), bulk.len_bytes());
+        assert!(bulk.iter().skip(1).all(|v| v.kind == FrameKind::Zero));
+    }
 
     #[test]
     fn push_parse_roundtrip_all_kinds() {

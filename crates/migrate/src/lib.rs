@@ -56,7 +56,9 @@ pub use engine::{
 };
 pub use framing::{FrameIter, FrameRing, FrameView};
 pub use network::{FrameKind, Link, WireFrame, WireStats};
-pub use proxy::{guest_checksum, run_dest, run_source, DestProxy, DestReport, ProxyReport};
+pub use proxy::{
+    guest_checksum, run_dest, run_source, vm_checksum, DestProxy, DestReport, ProxyReport,
+};
 pub use transport::{
     InProcTransport, Transport, TransportError, UdsServerTransport, UdsTransport, MAX_FRAME_BYTES,
 };

@@ -52,7 +52,7 @@ use hypertp_machine::Machine;
 use hypertp_sim::hash::{digest_words, Digest128, WordDigest};
 use hypertp_sim::SimDuration;
 
-use crate::engine::{integrity, map_gfns, Dest, MigrationConfig, MigrationTp, WireMode};
+use crate::engine::{integrity, Dest, MigrationConfig, MigrationTp, WireMode};
 use crate::framing::{FrameIter, FrameRing};
 use crate::network::{FrameKind, WireStats};
 use crate::transport::Transport;
@@ -289,48 +289,40 @@ pub struct DestReport {
 }
 
 /// Folds a VM's guest pages into a 64-bit checksum (two-lane FNV over
-/// the content words; both proxies compute it the same way).
+/// the content words; both proxies compute it the same way), gathered a
+/// bounded chunk of `gfns` at a time into one reused buffer.
 pub fn guest_checksum(
     machine: &Machine,
     hv: &dyn Hypervisor,
     id: VmId,
     gfns: &[Gfn],
 ) -> Result<u64, HtpError> {
-    checksum_of(machine, hv, id, gfns.iter().copied())
-}
-
-/// Pages per read of a streamed checksum: 32 KiB of gfns and as much of
-/// words, whatever the guest's size.
-const CHECKSUM_CHUNK: usize = 4096;
-
-/// [`guest_checksum`] over the pages `gfns` yields, gathered a bounded
-/// chunk at a time into reused buffers and folded into one resumable
-/// digest — the same value as digesting every word at once.
-fn checksum_of(
-    machine: &Machine,
-    hv: &dyn Hypervisor,
-    id: VmId,
-    mut gfns: impl Iterator<Item = Gfn>,
-) -> Result<u64, HtpError> {
     let mut digest = WordDigest::new();
-    let mut chunk = Vec::with_capacity(CHECKSUM_CHUNK);
-    let mut words = Vec::with_capacity(CHECKSUM_CHUNK);
-    loop {
-        chunk.clear();
-        chunk.extend(gfns.by_ref().take(CHECKSUM_CHUNK));
-        if chunk.is_empty() {
-            let d = digest.finish();
-            return Ok(d.hi ^ d.lo);
-        }
-        hv.read_guest_into(machine, id, &chunk, &mut words)?;
+    let mut words = Vec::with_capacity(CHECKSUM_CHUNK.min(gfns.len()));
+    for chunk in gfns.chunks(CHECKSUM_CHUNK) {
+        hv.read_guest_into(machine, id, chunk, &mut words)?;
         digest.update(&words);
     }
+    let d = digest.finish();
+    Ok(d.hi ^ d.lo)
 }
 
+/// Pages per read of [`guest_checksum`]: 32 KiB of words, whatever the
+/// guest's size.
+const CHECKSUM_CHUNK: usize = 4096;
+
 /// [`guest_checksum`] over every page of VM `id`, in map order — the
-/// `Done`/`DoneAck` cut-over check.
-fn vm_checksum(machine: &Machine, hv: &dyn Hypervisor, id: VmId) -> Result<u64, HtpError> {
-    checksum_of(machine, hv, id, map_gfns(&hv.guest_memory_map(id)?))
+/// `Done`/`DoneAck` cut-over check. It folds the RAM backing of each
+/// memory-map extent in turn, which is the word sequence a gather of the
+/// map's gfns yields, without listing or translating a gfn.
+pub fn vm_checksum(machine: &Machine, hv: &dyn Hypervisor, id: VmId) -> Result<u64, HtpError> {
+    let ram = machine.ram();
+    let mut digest = WordDigest::new();
+    for (_, e) in hv.guest_memory_map(id)? {
+        digest.update(ram.content_slice(e.base, e.pages())?);
+    }
+    let d = digest.finish();
+    Ok(d.hi ^ d.lo)
 }
 
 /// Runs the source proxy: opens a session with the destination proxy
@@ -860,6 +852,7 @@ impl DestProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::map_gfns;
     use crate::network::{WIRE_DIGEST_BYTES, WIRE_FRAME_HEADER};
     use crate::transport::{InProcTransport, TransportError};
     use hypertp_core::testing::SimpleHv;

@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use hypertp_machine::{Gfn, PAGE_SIZE};
 use hypertp_sim::hash::{digest_words, Digest128};
 
-use crate::framing::{FrameRing, FrameView};
+use crate::framing::{reserve_doubling, FrameRing, FrameView};
 use crate::network::{FrameKind, WireFrame, WIRE_FRAME_HEADER};
 
 /// RLE opcode: a run of zero bytes in the XOR image (`[0x00, len: u16le]`).
@@ -627,9 +627,14 @@ impl SentTable {
         }
         let i = (gfn - self.base) as usize;
         if i >= self.words.len() {
+            // Doubling, so a run's one step leaves the capacity that
+            // page-by-page growth would.
+            reserve_doubling(&mut self.words, (i | 63) + 1);
             self.words.resize((i | 63) + 1, 0);
-            self.present.resize(i / 64 + 1, 0);
-            self.fresh.resize(i / 64 + 1, 0);
+            for bits in [&mut self.present, &mut self.fresh] {
+                reserve_doubling(bits, i / 64 + 1);
+                bits.resize(i / 64 + 1, 0);
+            }
         }
         i
     }
@@ -649,6 +654,41 @@ impl SentTable {
         };
         self.words[i] = word;
         prior
+    }
+
+    /// [`SentTable::track`] with word 0 over the `pages` gfns from `gfn`
+    /// on, one bitmap word at a time: grows the span once, hands each
+    /// overwritten committed base to `committed` in ascending gfn order
+    /// (what per-page `track` calls report as [`Prior::Committed`]), and
+    /// returns how many gfns it started tracking.
+    fn track_zeros(
+        &mut self,
+        gfn: u64,
+        pages: usize,
+        mut committed: impl FnMut(u64, u64),
+    ) -> usize {
+        let first = self.slot(gfn);
+        let end = self.slot(gfn + pages as u64 - 1) + 1;
+        let mut tracked = 0;
+        let mut i = first;
+        while i < end {
+            let w = i / 64;
+            let stop = end.min((w + 1) * 64);
+            let mask = (!0u64 >> (64 - (stop - i))) << (i % 64);
+            let mut old = mask & self.present[w] & !self.fresh[w];
+            while old != 0 {
+                let at = w * 64 + old.trailing_zeros() as usize;
+                committed(self.base + at as u64, self.words[at]);
+                old &= old - 1;
+            }
+            let new = mask & !self.present[w];
+            tracked += new.count_ones() as usize;
+            self.present[w] |= new;
+            self.fresh[w] |= new;
+            i = stop;
+        }
+        self.words[first..end].fill(0);
+        tracked
     }
 
     /// Rollback of one overwrite: `gfn`'s committed base was `word`.
@@ -746,6 +786,16 @@ impl CacheInner {
         }
     }
 
+    /// Classifies the `pages` zero words at the gfns from `gfn` on, as
+    /// that many [`CacheInner::classify`] calls would: every one is a
+    /// `Zero` frame and a zero delta base.
+    fn classify_zeros(&mut self, table: &mut SentTable, vm: u32, gfn: u64, pages: usize) {
+        let journal = &mut self.journal_sent;
+        self.sent_len += table.track_zeros(gfn, pages, |gfn, prev| {
+            journal.push(SentUndo { vm, gfn, prev });
+        });
+    }
+
     /// Classifies one page and journals the cache mutations the
     /// destination will perform when it applies the frame.
     ///
@@ -797,6 +847,16 @@ impl CacheInner {
             _ => PageClass::Raw,
         }
     }
+}
+
+/// How many of `words` from the first on are zero at the consecutive gfns
+/// from `first` on (at least one: `words[0]` must be zero).
+fn zero_run(first: u64, gfns: &[Gfn], words: &[u64]) -> usize {
+    gfns.iter()
+        .zip(words)
+        .zip(0u64..)
+        .take_while(|&((g, &w), k)| w == 0 && first.checked_add(k) == Some(g.0))
+        .count()
 }
 
 /// The destination-synchronised dedup/delta cache. Cheap to clone —
@@ -985,7 +1045,9 @@ impl TransferCache {
     /// acquisition, digesting each non-zero word as it classifies it.
     /// Returns the accounted wire bytes of the batch.
     ///
-    /// Both run the same `CacheInner::classify` per page, so
+    /// Both run the same `CacheInner::classify` per non-zero page, and a
+    /// run of zero words at consecutive gfns makes the cache and ring
+    /// changes the per-page calls would, a bitmap word at a time, so
     /// `WireStats`, cache counters and chaos-replay rollback behaviour
     /// match byte for byte. The one shortcut is deliberate and lossless:
     /// the simulator's pages are uniform, so a re-dirtied page's delta is
@@ -1031,13 +1093,25 @@ impl TransferCache {
         c.dedup.reserve(words.iter().filter(|&&w| w != 0).count());
         c.with_table(vm, |c, table| {
             let mut wire_bytes = 0u64;
-            for (i, (&g, &word)) in gfns.iter().zip(words).enumerate() {
-                wire_bytes += match c.classify(table, vm, g.0, word, || digest(i, word)) {
-                    PageClass::Zero => ring.push_zero(g.0),
-                    PageClass::Dup(digest) => ring.push_dup(g.0, digest),
-                    PageClass::Delta { base } => ring.push_delta_words(g.0, base, word),
-                    PageClass::Raw => ring.push_raw(g.0, word),
+            let mut i = 0;
+            while i < gfns.len() {
+                let (g, word) = (gfns[i].0, words[i]);
+                if word == 0 {
+                    // A run of zero words at consecutive gfns is booked a
+                    // bitmap word and a ring reserve at a time.
+                    let run = zero_run(g, &gfns[i..], &words[i..]);
+                    c.classify_zeros(table, vm, g, run);
+                    wire_bytes += ring.push_zeros(g, run);
+                    i += run;
+                    continue;
+                }
+                wire_bytes += match c.classify(table, vm, g, word, || digest(i, word)) {
+                    PageClass::Zero => ring.push_zero(g),
+                    PageClass::Dup(digest) => ring.push_dup(g, digest),
+                    PageClass::Delta { base } => ring.push_delta_words(g, base, word),
+                    PageClass::Raw => ring.push_raw(g, word),
                 };
+                i += 1;
             }
             wire_bytes
         })
@@ -1528,6 +1602,52 @@ mod tests {
         assert_eq!(t.track(1000, 7), Prior::Committed(7));
         assert_eq!(t.track(130, 3), Prior::Committed(9));
         assert_eq!(t.len(), 2);
+    }
+
+    /// `track_zeros` is a loop of `track(gfn, 0)`: the same table, the
+    /// same committed bases reported in the same order, and the same count
+    /// of newly tracked gfns — for runs inside one bitmap word, across
+    /// several, left of the span, right of it and over staged, committed
+    /// and untracked gfns.
+    #[test]
+    fn track_zeros_equals_a_loop_of_track() {
+        let state = |t: &SentTable| (t.base, t.words.clone(), t.present.clone(), t.fresh.clone());
+        for seed in 0..64 {
+            let mut rng = SimRng::new(0x2e60 + seed);
+            let (mut bulk, mut looped) = (SentTable::default(), SentTable::default());
+            for step in 0..40 {
+                let gfn = 1000 + rng.gen_range(400);
+                let pages = 1 + rng.gen_range(150) as usize;
+                match rng.gen_range(4) {
+                    0 => {
+                        for g in gfn..gfn + pages as u64 {
+                            let word = rng.gen_range(3) * 0x51;
+                            assert_eq!(bulk.track(g, word), looped.track(g, word));
+                        }
+                    }
+                    1 => {
+                        bulk.fresh.fill(0);
+                        looped.fresh.fill(0);
+                    }
+                    _ => {
+                        let mut want = Vec::new();
+                        let mut tracked = 0;
+                        for g in gfn..gfn + pages as u64 {
+                            match looped.track(g, 0) {
+                                Prior::Untracked => tracked += 1,
+                                Prior::Committed(prev) => want.push((g, prev)),
+                                Prior::Staged(_) => {}
+                            }
+                        }
+                        let mut got = Vec::new();
+                        let n = bulk.track_zeros(gfn, pages, |g, prev| got.push((g, prev)));
+                        let ctx = format!("seed {seed} step {step}: {pages} from {gfn}");
+                        assert_eq!((n, got), (tracked, want), "{ctx}");
+                    }
+                }
+                assert_eq!(state(&bulk), state(&looped), "seed {seed} step {step}");
+            }
+        }
     }
 
     /// `vm`'s delta base at `gfn`, read straight from its table.

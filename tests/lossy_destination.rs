@@ -1,20 +1,24 @@
 //! The cut-over checks verify: a destination that silently loses one page
-//! write fails the migration. `verify_contents` gathers both guests into
-//! the engine's reused round buffers and compares them in pool chunks, and
-//! the §4.2 proxy compares streamed checksums at `Done`/`DoneAck`; neither
-//! may report success over a destination that differs from the source.
+//! write fails the migration. `verify_contents` walks both guests' memory
+//! maps and compares their RAM extent by extent, and the §4.2 proxy
+//! compares extent-walk checksums at `Done`/`DoneAck`; neither may report
+//! success over a destination that differs from the source — also where
+//! the two sides' extents do not line up, and in a guest's last extent.
+//! The extent-walk checksum is the gathered one, on guests with many
+//! extents and holes in guest-physical space.
 //! Likewise InPlaceTP's post-adoption checksum fails a target that changes
 //! one guest page as it adopts it, where the zero-line summary lets the
 //! fold skip lines and where it does not, and so does crash recovery's.
 
+use hypertp::core::testing::SimpleHv;
 use hypertp::core::{
     CheckpointConfig, HtpError, MemSepReport, RestoredVm, UnplannedRecovery, WarmCheckpointer,
 };
-use hypertp::machine::Extent;
-use hypertp::migrate::{guest_checksum, run_source, DestProxy, InProcTransport};
+use hypertp::machine::{Extent, PageOrder};
+use hypertp::migrate::{guest_checksum, run_source, vm_checksum, DestProxy, InProcTransport};
 use hypertp::prelude::*;
 use hypertp::sim::fault::FaultPlan;
-use hypertp::sim::{CostModel, WorkerPool};
+use hypertp::sim::{CostModel, SimRng, WorkerPool};
 use hypertp::uisr::UisrVm;
 
 /// A hypervisor that forwards everything to `inner` but drops every
@@ -253,6 +257,200 @@ fn proxy_cut_over_catches_a_lost_write() {
     let src_checksum = guest_checksum(&src_m, src.as_ref(), id, &gfns).unwrap();
     assert_ne!(report.checksum, src_checksum);
     assert_eq!(src.vm_ids(), vec![id]);
+}
+
+/// Builds a hypervisor on a machine.
+type MakeHv = fn(&mut Machine) -> Box<dyn Hypervisor>;
+
+/// The hypervisors the extent walks run on: Xen's P2M, KVM's memory
+/// slots, and `SimpleHv`'s default gather.
+const TARGETS: [(&str, MakeHv); 3] = [
+    ("xen", |m| Box::new(XenHypervisor::new(m))),
+    ("kvm", |m| Box::new(KvmHypervisor::new(m))),
+    ("simple", |_| Box::new(SimpleHv::new(HypervisorKind::Kvm))),
+];
+
+/// Every gfn `id`'s memory map covers, in map order.
+fn map_gfns(hv: &dyn Hypervisor, id: VmId) -> Vec<Gfn> {
+    hv.guest_memory_map(id)
+        .unwrap()
+        .iter()
+        .flat_map(|&(g, e)| (g.0..g.0 + e.pages()).map(Gfn))
+        .collect()
+}
+
+/// A running guest adopted onto a fragmented layout: 40 extents of orders
+/// 0–9 from hole-punched machine memory, mapped in shuffled order at
+/// ascending gfns, with a hole before about one in four when `holes`.
+/// Two pages in three hold a word.
+fn fragmented(make: MakeHv, holes: bool, seed: u64) -> (Machine, Box<dyn Hypervisor>, VmId) {
+    let mut m = Machine::new(MachineSpec::m1());
+    let mut hv = make(&mut m);
+    let uisr = {
+        let mut scratch = Machine::new(MachineSpec::m1());
+        let mut donor = make(&mut scratch);
+        let id = donor
+            .create_vm(&mut scratch, &VmConfig::small("fragmented"))
+            .unwrap();
+        donor.pause_vm(id).unwrap();
+        donor.save_uisr(&scratch, id).unwrap()
+    };
+    let mut rng = SimRng::new(seed);
+    let mut extents = Vec::new();
+    for i in 0..40 {
+        extents.push(
+            m.ram_mut()
+                .alloc(PageOrder(rng.gen_range(10) as u8))
+                .unwrap(),
+        );
+        if i % 3 == 0 {
+            let hole = m
+                .ram_mut()
+                .alloc(PageOrder(rng.gen_range(4) as u8))
+                .unwrap();
+            m.ram_mut().free(hole).unwrap();
+        }
+    }
+    for i in (1..extents.len()).rev() {
+        extents.swap(i, rng.gen_range(i as u64 + 1) as usize);
+    }
+    let mut mappings = Vec::new();
+    let mut gfn = 0;
+    for e in extents {
+        if holes && rng.gen_range(4) == 0 {
+            gfn += 1 + rng.gen_range(700);
+        }
+        // Adoption takes over frames a PRAM reservation holds.
+        m.ram_mut().free(e).unwrap();
+        m.ram_mut().reserve_range(e.base, e.pages()).unwrap();
+        mappings.push((Gfn(gfn), e));
+        gfn += e.pages();
+    }
+    let id = hv.adopt_vm(&mut m, &uisr, &mappings).unwrap().id;
+    let writes: Vec<(Gfn, u64)> = map_gfns(hv.as_ref(), id)
+        .into_iter()
+        .map(|g| (g, if g.0 % 3 == 0 { 0 } else { rng.next_u64() }))
+        .collect();
+    hv.write_guest_many(&mut m, id, &writes).unwrap();
+    hv.resume_vm(id).unwrap();
+    (m, hv, id)
+}
+
+/// The cut-over checksum folds each memory-map extent's RAM in map order:
+/// the same value as gathering every gfn of the map, on guests with many
+/// extents and holes, and on freshly created ones.
+#[test]
+fn extent_walk_checksum_equals_the_gathered_checksum() {
+    for (name, make) in TARGETS {
+        for seed in 0..4 {
+            let (m, hv, id) = fragmented(make, seed % 2 == 0, seed);
+            let map = hv.guest_memory_map(id).unwrap();
+            assert!(map.len() >= 2, "{name} seed {seed}: one extent");
+            if seed % 2 == 0 {
+                let gapless = map
+                    .windows(2)
+                    .all(|w| w[0].0 .0 + w[0].1.pages() == w[1].0 .0);
+                assert!(!gapless, "{name} seed {seed}: no hole");
+            }
+            let gathered = guest_checksum(&m, hv.as_ref(), id, &map_gfns(hv.as_ref(), id));
+            assert_eq!(vm_checksum(&m, hv.as_ref(), id).unwrap(), gathered.unwrap());
+        }
+        let mut m = Machine::new(MachineSpec::m1());
+        let mut hv = make(&mut m);
+        let id = hv.create_vm(&mut m, &VmConfig::small("created")).unwrap();
+        hv.guest_tick(&mut m, id, 500).unwrap();
+        let gathered = guest_checksum(&m, hv.as_ref(), id, &map_gfns(hv.as_ref(), id));
+        assert_eq!(vm_checksum(&m, hv.as_ref(), id).unwrap(), gathered.unwrap());
+    }
+}
+
+/// A destination that loses the write to the guest's last page — the end
+/// of its last extent — fails `run_source`'s `DoneAck` comparison, on
+/// every destination kind; one that loses nothing lands.
+#[test]
+fn proxy_cut_over_catches_a_lost_write_in_the_last_extent() {
+    for (name, make) in TARGETS {
+        for lost in [Gfn(VmConfig::small("lossy").pages() - 1), Gfn(1 << 40)] {
+            let clock = SimClock::new();
+            let mut src_m = Machine::with_clock(MachineSpec::m1(), clock.clone());
+            let mut dst_m = Machine::with_clock(MachineSpec::m1(), clock);
+            let mut src: Box<dyn Hypervisor> = Box::new(XenHypervisor::new(&mut src_m));
+            let id = src
+                .create_vm(&mut src_m, &VmConfig::small("lossy"))
+                .unwrap();
+            let last = Gfn(VmConfig::small("lossy").pages() - 1);
+            src.write_guest(&mut src_m, id, last, WORD).unwrap();
+            let mut dst = LossyHv::new(make(&mut dst_m), lost);
+            let tp = MigrationTp::new().with_config(config(WireMode::ContentAware));
+            let (mut ta, mut tb) = InProcTransport::pair();
+            let (source, dest) = std::thread::scope(|s| {
+                let dest = s.spawn(|| DestProxy::new().serve(&mut dst_m, &mut dst, &mut tb));
+                let source = run_source(&tp, &mut src_m, src.as_mut(), id, &mut ta);
+                drop(ta);
+                (source, dest.join().expect("destination proxy panicked"))
+            });
+            let dest = dest.unwrap();
+            if lost == last {
+                assert!(dst.dropped > 0, "{name}: the write was never attempted");
+                assert_eq!(
+                    source.unwrap_err(),
+                    HtpError::IntegrityViolation {
+                        vm_name: "lossy".into()
+                    },
+                    "{name}"
+                );
+            } else {
+                assert_eq!(source.unwrap().dst_checksum, dest.checksum, "{name}");
+            }
+        }
+    }
+}
+
+/// `verify_contents` compares the guests where the two sides' extents do
+/// not line up — a fragmented Xen or KVM source (extents of orders 0–9)
+/// against 2 MiB destination extents — and finds one lost word on either
+/// side of a source extent boundary that is no destination boundary.
+#[test]
+fn verify_contents_catches_a_lost_write_at_a_misaligned_boundary() {
+    let [(_, xen), (_, kvm), _] = TARGETS;
+    for (case, src_make, dst_make) in [("xen -> kvm", xen, kvm), ("kvm -> xen", kvm, xen)] {
+        let (_, probe, probe_id) = fragmented(src_make, false, 7);
+        let map = probe.guest_memory_map(probe_id).unwrap();
+        let boundary = map
+            .iter()
+            .map(|(g, _)| g.0)
+            .find(|&g| g % 512 != 0)
+            .expect("a misaligned extent boundary");
+        for lost in [Gfn(boundary - 1), Gfn(boundary), Gfn(1 << 40)] {
+            for wire_mode in [WireMode::Raw, WireMode::ContentAware] {
+                let ctx = format!("{case}, {wire_mode:?}, lost {lost:?}");
+                let (mut src_m, mut src, id) = fragmented(src_make, false, 7);
+                for gfn in [boundary - 1, boundary] {
+                    src.write_guest(&mut src_m, id, Gfn(gfn), WORD ^ gfn)
+                        .unwrap();
+                }
+                let mut dst_m = Machine::with_clock(MachineSpec::m1(), src_m.clock().clone());
+                let mut dst = LossyHv::new(dst_make(&mut dst_m), lost);
+                let tp = MigrationTp::new().with_config(MigrationConfig {
+                    dirty_rate_pages_per_sec: 0.0,
+                    ..config(wire_mode)
+                });
+                let landed = tp.migrate(&mut src_m, src.as_mut(), id, &mut dst_m, &mut dst);
+                if lost.0 < 1 << 40 {
+                    assert!(dst.dropped > 0, "{ctx}: the write was never attempted");
+                    assert_eq!(
+                        landed.unwrap_err(),
+                        HtpError::IntegrityViolation {
+                            vm_name: "fragmented".into()
+                        },
+                        "{ctx}"
+                    );
+                } else {
+                    landed.unwrap();
+                }
+            }
+        }
+    }
 }
 
 /// A Xen host with one guest whose every eighth page, over the first

@@ -8,7 +8,11 @@
 //! after every step the two must agree on each frame (kind and bytes), on
 //! `CacheStats` field by field, and on `dedup_len` / `sent_len`. Every
 //! frame is also applied to a model destination, which must reconstruct
-//! the page.
+//! the page. Batches are either scattered pages or a contiguous gfn range
+//! of mostly zero words, whose zero runs the cache books a bitmap word at
+//! a time; coverage floors make sure those runs cross bitmap words,
+//! overwrite committed bases, grow a table's span leftward and are rolled
+//! back.
 //!
 //! Set `HYPERTP_SEED` (decimal or `0x`-prefixed hex) to probe a fresh
 //! seed; every assertion prints the seed and script in effect.
@@ -137,6 +141,17 @@ impl Model {
         }
     }
 
+    /// Whether `(vm, gfn)` holds a non-zero delta base committed before
+    /// the round in flight (its first encode this round overwrote a base,
+    /// not added one) — a base a rollback must put back.
+    fn committed_nonzero(&self, vm: u32, gfn: u64) -> bool {
+        self.sent.get(&(vm, gfn)).is_some_and(|&w| w != 0)
+            && !self
+                .journal_sent
+                .iter()
+                .any(|&(key, prev)| key == (vm, gfn) && prev.is_none())
+    }
+
     fn stats(&self) -> CacheStats {
         CacheStats {
             occupancy: self.dedup.len() as u64,
@@ -170,6 +185,52 @@ struct Coverage {
     resent_equal: u64,
     rollbacks: u64,
     overshoots: u64,
+    /// Zero runs — zero words at consecutive gfns — that span two or more
+    /// 64-gfn bitmap words.
+    runs_across_words: u64,
+    /// Zero runs over at least one non-zero delta base committed before
+    /// the round.
+    runs_over_committed: u64,
+    /// Zero runs that start left of their VM's table span.
+    runs_growing_left: u64,
+    /// Rollbacks whose round ended with a contiguous-range batch.
+    rollbacks_after_runs: u64,
+}
+
+/// Counts `pages`' zero runs into `cov` before they are encoded for `vm`:
+/// `low` is the first gfn of each VM's table span (a multiple of 64, as
+/// the cache keeps it), which the batch moves left as it goes.
+fn count_runs(
+    pages: &[(u64, u64)],
+    vm: u32,
+    model: &Model,
+    low: &mut HashMap<u32, u64>,
+    cov: &mut Coverage,
+) {
+    let mut i = 0;
+    while i < pages.len() {
+        let (first, word) = pages[i];
+        let len = if word == 0 {
+            pages[i..]
+                .iter()
+                .zip(first..)
+                .take_while(|&(&(g, w), want)| w == 0 && g == want)
+                .count()
+        } else {
+            1
+        };
+        let run = &pages[i..i + len];
+        if word == 0 {
+            let last = first + len as u64 - 1;
+            cov.runs_across_words += u64::from(first / 64 != last / 64);
+            cov.runs_over_committed +=
+                u64::from(run.iter().any(|&(g, _)| model.committed_nonzero(vm, g)));
+            cov.runs_growing_left += u64::from(low.get(&vm).is_some_and(|&l| first < l));
+        }
+        let l = low.entry(vm).or_insert(first & !63);
+        *l = (*l).min(first & !63);
+        i += len;
+    }
 }
 
 fn run_script(seed: u64, script: u64, rng: &mut SimRng, cov: &mut Coverage) {
@@ -197,6 +258,10 @@ fn run_script(seed: u64, script: u64, rng: &mut SimRng, cov: &mut Coverage) {
     let mut dst = Destination::default();
     let mut ring = FrameRing::new();
     let mut in_round = false;
+    // Each VM's table span start, and whether the round's last step was a
+    // contiguous-range batch.
+    let mut low: HashMap<u32, u64> = HashMap::new();
+    let mut after_run = false;
 
     for step in 0..40 + rng.gen_range(120) {
         let ctx = format!("{ctx} step {step}");
@@ -206,9 +271,12 @@ fn run_script(seed: u64, script: u64, rng: &mut SimRng, cov: &mut Coverage) {
             in_round = true;
         }
         let vm = rng.gen_range(u64::from(vms)) as u32;
+        let last_was_run = std::mem::replace(&mut after_run, false);
         match rng.gen_range(100) {
             0..=39 => {
                 let (gfn, word) = page(rng);
+                let l = low.entry(vm).or_insert(gfn & !63);
+                *l = (*l).min(gfn & !63);
                 let got = cache.encode_page(vm, gfn, word);
                 assert_eq!(got, model.encode(vm, gfn, word), "{ctx} page {gfn:#x}");
                 let applied = cache.apply_frame(&got, dst.current((vm, gfn)));
@@ -217,7 +285,22 @@ fn run_script(seed: u64, script: u64, rng: &mut SimRng, cov: &mut Coverage) {
                 cov.frames.record(&got);
             }
             40..=69 => {
-                let pages: Vec<(u64, u64)> = (0..rng.gen_range(48)).map(|_| page(rng)).collect();
+                let pages: Vec<(u64, u64)> = if rng.gen_bool(0.4) {
+                    // A contiguous gfn range, three words in four zero:
+                    // the zero runs cross bitmap words, overwrite earlier
+                    // bases and start left of the span.
+                    after_run = true;
+                    let start = offset + rng.gen_range(192);
+                    (start..start + 1 + rng.gen_range(130))
+                        .map(|gfn| match rng.gen_range(4) {
+                            0 => (gfn, page(rng).1),
+                            _ => (gfn, 0),
+                        })
+                        .collect()
+                } else {
+                    (0..rng.gen_range(48)).map(|_| page(rng)).collect()
+                };
+                count_runs(&pages, vm, &model, &mut low, cov);
                 let gfns: Vec<Gfn> = pages.iter().map(|&(g, _)| Gfn(g)).collect();
                 let words: Vec<u64> = pages.iter().map(|&(_, w)| w).collect();
                 ring.restart();
@@ -255,6 +338,7 @@ fn run_script(seed: u64, script: u64, rng: &mut SimRng, cov: &mut Coverage) {
                 model.rollback_round();
                 dst.staged.clear();
                 cov.rollbacks += 1;
+                cov.rollbacks_after_runs += u64::from(last_was_run);
                 in_round = false;
             }
             96..=98 => {
@@ -269,12 +353,14 @@ fn run_script(seed: u64, script: u64, rng: &mut SimRng, cov: &mut Coverage) {
                 }
                 cache.forget_vm(vm);
                 model.forget_vm(vm);
+                low.remove(&vm);
                 dst.staged.retain(|&(tag, _), _| tag != vm);
                 dst.committed.retain(|&(tag, _), _| tag != vm);
             }
             _ => {
                 cache.clear();
                 model.clear();
+                low.clear();
                 dst = Destination::default();
                 in_round = false;
             }
@@ -315,6 +401,17 @@ fn cache_matches_reference_model_on_seeded_scripts() {
     );
     assert!(cov.rollbacks > 100, "seed {seed:#x}: {}", cov.rollbacks);
     assert!(cov.overshoots > 100, "seed {seed:#x}: {}", cov.overshoots);
+    // The zero-run bookkeeping's corners: a run booked over several
+    // bitmap words, over bases a rollback must put back, left of the
+    // span, and a rollback straight after one.
+    for (what, n, floor) in [
+        ("runs across bitmap words", cov.runs_across_words, 900),
+        ("runs over committed bases", cov.runs_over_committed, 4000),
+        ("runs growing the span left", cov.runs_growing_left, 130),
+        ("rollbacks right after a run", cov.rollbacks_after_runs, 120),
+    ] {
+        assert!(n > floor, "seed {seed:#x}: only {n} {what}");
+    }
 }
 
 /// The pinned regression for the permanent-overshoot bug: one round pins
