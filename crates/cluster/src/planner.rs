@@ -10,18 +10,18 @@
 //!
 //! The planner is generic over [`ClusterView`], so it runs unchanged over
 //! a materialized [`crate::model::Cluster`] or a lazy
-//! [`crate::model::SyntheticCluster`]. Placement state is an overlay
-//! (per-host used GiB, a home-placement index, arrival lists for hosts
-//! still awaiting their turn) and the migration targets sit in two
-//! max-heaps of packed `(free GiB, host)` keys, one per tier. A pick reads
-//! the heap's top and charges the VM to it in place — one sift, no entry
-//! added — and a host going offline is a byte write: its entry is dropped
-//! when it surfaces. Planning is O(V + M log H) for M migrations, with
-//! every buffer sized up front. The produced [`Plan`] is byte-identical to
-//! the original O(H·V)-per-pick scan planner's (the test module keeps that
-//! one as an oracle).
-
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+//! [`crate::model::SyntheticCluster`]. Placement state is an overlay:
+//! per-host used GiB, a CSR index of the VMs each host must evacuate, and
+//! arrival lists for hosts still awaiting their turn. The migration targets
+//! sit in two bucket queues, one per tier: hosts grouped by free GiB, each
+//! bucket a bitset of hosts. A pick takes the highest host of the highest
+//! bucket with room, and a charge moves it `need` buckets down. Planning is
+//! one pass over the VMs, a sort of those that move (one pass when the view
+//! lists VMs host by host), a pick per migration that reads the top
+//! bucket's highest word (O(H/64) at worst), and O(C) per group for C GiB
+//! of the largest host. The produced [`Plan`] is byte-identical to the
+//! original O(H·V)-per-pick scan planner's (the test module keeps that one
+//! as an oracle).
 
 use crate::model::ClusterView;
 
@@ -113,48 +113,94 @@ pub fn plan_upgrade<V: ClusterView + ?Sized>(
     plan_upgrade_excluding(view, group_size, &[])
 }
 
-/// Where a host stands in the roll. A target heap's entry is live iff its
-/// host is still in that heap's tier.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    /// Excluded, or in the group that is offline right now.
-    Offline,
-    /// Not upgraded yet.
-    Fresh,
-    /// Upgraded: preferred, so the VM never has to move again.
-    Upgraded,
+/// One tier's migration targets: its hosts bucketed by free GiB, each
+/// bucket a bitset over host indices. The highest host of the highest
+/// bucket is the largest `(free, host)` pair: the forward-scan
+/// `max_by_key((upgraded, free))` winner within the tier, ties included.
+struct Targets {
+    /// `u64` words per bucket.
+    stride: usize,
+    /// Bucket `b`'s bitset is `bits[b * stride..(b + 1) * stride]`.
+    bits: Vec<u64>,
+    /// Hosts per bucket.
+    len: Vec<u32>,
+    /// Per bucket, a word no set bit lies above.
+    high: Vec<u32>,
+    /// No bucket above this one holds a host.
+    top: usize,
 }
 
-/// Bits of a target key holding the host index; the free GiB sit above
-/// them, so keys order by `(free, host)`.
-const HOST_BITS: u32 = 32;
-
-fn target_key(free_gb: u64, host: usize) -> u64 {
-    assert!(
-        free_gb >> HOST_BITS == 0 && host as u64 >> HOST_BITS == 0,
-        "free GiB and host index are packed into 32 bits each"
-    );
-    free_gb << HOST_BITS | host as u64
-}
-
-/// Places `need_gb` on the best target of one tier: the live entry with
-/// the largest `(free, host)` pair, iff it has room — exactly the
-/// `max_by_key((upgraded, free))` winner restricted to this tier,
-/// including the highest-host-index tie-break of a forward `max_by_key`
-/// scan. The winner's key is charged in place, so a live host keeps one
-/// entry with its current free GiB.
-fn place(targets: &mut BinaryHeap<u64>, tiers: &[Tier], tier: Tier, need_gb: u64) -> Option<usize> {
-    loop {
-        let mut top = targets.peek_mut()?;
-        let host = (*top & ((1 << HOST_BITS) - 1)) as usize;
-        if tiers[host] != tier {
-            PeekMut::pop(top);
-        } else if *top >> HOST_BITS < need_gb {
-            return None;
-        } else {
-            *top -= need_gb << HOST_BITS;
-            return Some(host);
+impl Targets {
+    /// Buckets `0..=max_gb` over hosts `0..hosts`, all empty.
+    fn new(max_gb: u64, hosts: usize) -> Self {
+        let (buckets, stride) = (max_gb as usize + 1, hosts.div_ceil(64));
+        Targets {
+            stride,
+            bits: vec![0; buckets * stride],
+            len: vec![0; buckets],
+            high: vec![0; buckets],
+            top: 0,
         }
+    }
+
+    fn insert(&mut self, host: usize, free_gb: u64) {
+        let (b, w) = (free_gb as usize, host / 64);
+        self.bits[b * self.stride + w] |= 1 << (host % 64);
+        self.len[b] += 1;
+        self.high[b] = self.high[b].max(w as u32);
+        self.top = self.top.max(b);
+    }
+
+    /// `free_gb` must be the host's bucket: its free GiB when last moved.
+    fn remove(&mut self, host: usize, free_gb: u64) {
+        let b = free_gb as usize;
+        self.bits[b * self.stride + host / 64] &= !(1 << (host % 64));
+        self.len[b] -= 1;
+    }
+
+    /// Charges `need_gb` to the best host of the tier, iff it has room.
+    fn place(&mut self, need_gb: u64) -> Option<usize> {
+        while self.len[self.top] == 0 {
+            self.top = self.top.checked_sub(1)?;
+        }
+        let free = self.top as u64;
+        if free < need_gb {
+            return None;
+        }
+        let row = &self.bits[self.top * self.stride..][..self.stride];
+        let mut w = self.high[self.top] as usize;
+        while row[w] == 0 {
+            w -= 1;
+        }
+        self.high[self.top] = w as u32;
+        let host = w * 64 + 63 - row[w].leading_zeros() as usize;
+        self.remove(host, free);
+        self.insert(host, free - need_gb);
+        Some(host)
+    }
+}
+
+/// VMs that migrated onto hosts still awaiting their turn: one
+/// `(vm, next)` list per host, threaded through one arena.
+struct Arrivals {
+    first: Vec<u32>,
+    links: Vec<(u32, u32)>,
+}
+
+impl Arrivals {
+    fn push(&mut self, host: usize, vm: u32) {
+        self.links.push((vm, self.first[host]));
+        self.first[host] = (self.links.len() - 1) as u32;
+    }
+
+    /// The host's arrivals, newest first.
+    fn of(&self, host: usize) -> impl Iterator<Item = u32> + '_ {
+        let mut at = self.first[host];
+        std::iter::from_fn(move || {
+            let (vm, next) = *self.links.get(at as usize)?;
+            at = next;
+            Some(vm)
+        })
     }
 }
 
@@ -170,137 +216,130 @@ pub fn plan_upgrade_excluding<V: ClusterView + ?Sized>(
 ) -> Result<Plan, PlanError> {
     let n_hosts = view.host_count();
     let n_vms = view.vm_count();
-    let mut tiers = vec![Tier::Fresh; n_hosts];
+    assert!(
+        n_hosts.max(n_vms) <= u32::MAX as usize,
+        "indices are kept in 32 bits"
+    );
+    let mut is_eligible = vec![true; n_hosts];
     for &h in excluded {
-        if let Some(tier) = tiers.get_mut(h) {
-            *tier = Tier::Offline;
+        if let Some(e) = is_eligible.get_mut(h) {
+            *e = false;
         }
     }
-    let eligible: Vec<usize> = (0..n_hosts).filter(|&h| tiers[h] == Tier::Fresh).collect();
+    let mut eligible = Vec::with_capacity(n_hosts);
+    eligible.extend((0..n_hosts).filter(|&h| is_eligible[h]));
     if group_size == 0 || group_size > eligible.len() {
         return Err(PlanError::BadGroupSize);
     }
 
-    // One pass over the VMs: per-host used GiB and a CSR index of home
-    // placements (ascending VM order per host).
+    // Per-host used GiB and staying count, and a CSR index of the VMs each
+    // host must evacuate at its turn: `(home, vm)` keys, sorted. A
+    // compatible VM never moves, so only its count is kept. The keys are
+    // compacted without branching on the (coin-flip) compatibility bit,
+    // and sorting them is one pass when the view lists VMs host by host,
+    // as both views in this crate do.
     let mut used = vec![0u64; n_hosts];
-    let mut offsets = vec![0usize; n_hosts + 1];
-    let mut home = vec![0u32; n_vms];
-    for (i, home) in home.iter_mut().enumerate() {
+    let mut staying = vec![0u32; n_hosts];
+    let mut offsets = vec![0u32; n_hosts + 1];
+    let mut leaving = vec![0u64; n_vms];
+    let mut n_leaving = 0;
+    for i in 0..n_vms {
         let vm = view.vm(i);
+        let moves = !vm.inplace_compatible;
         used[vm.home] += vm.memory_gb;
-        offsets[vm.home + 1] += 1;
-        *home = vm.home as u32;
+        staying[vm.home] += u32::from(!moves);
+        offsets[vm.home + 1] += u32::from(moves);
+        leaving[n_leaving] = (vm.home as u64) << 32 | i as u64;
+        n_leaving += usize::from(moves);
     }
+    leaving.truncate(n_leaving);
+    leaving.sort_unstable();
     for h in 0..n_hosts {
         offsets[h + 1] += offsets[h];
     }
-    let mut home_vms = vec![0u32; n_vms];
-    let mut fill = offsets.clone();
-    for (i, &home) in home.iter().enumerate() {
-        home_vms[fill[home as usize]] = i as u32;
-        fill[home as usize] += 1;
-    }
-    drop((home, fill));
 
-    let free = |host: usize, used: &[u64]| view.host_capacity_gb(host).saturating_sub(used[host]);
+    let capacity = |host: usize| view.host_capacity_gb(host);
+    let free = |host: usize, used: &[u64]| capacity(host).saturating_sub(used[host]);
+    let max_gb = eligible.iter().map(|&h| capacity(h)).max().unwrap_or(0);
 
     // Targets: every non-excluded host in one of two tiers —
     // already-upgraded hosts are always preferred over fresh ones,
-    // matching `max_by_key((upgraded, free_gb))`. Every eligible host
-    // enters each heap at most once, so neither ever regrows.
-    let mut fresh: BinaryHeap<u64> = eligible
-        .iter()
-        .map(|&h| target_key(free(h, &used), h))
-        .collect();
-    let mut upgraded: BinaryHeap<u64> = BinaryHeap::with_capacity(eligible.len());
+    // matching `max_by_key((upgraded, free_gb))`.
+    let mut fresh = Targets::new(max_gb, n_hosts);
+    for &h in &eligible {
+        fresh.insert(h, free(h, &used));
+    }
+    let mut upgraded = Targets::new(max_gb, n_hosts);
     // A host is drained exactly once and a VM only ever leaves the host
     // being drained. So when a host's turn comes, every home VM is still
     // there and every VM that arrived has stayed — and arrivals at hosts
-    // that already had their turn are never read, so they are not kept.
-    let mut arrivals: Vec<Vec<u32>> = vec![Vec::new(); n_hosts];
+    // that already had their turn are never read.
+    let mut arrivals = Arrivals {
+        first: vec![u32::MAX; n_hosts],
+        links: Vec::new(),
+    };
 
     let mut plan = Plan {
         groups: Vec::with_capacity(eligible.len().div_ceil(group_size)),
     };
-    let mut actions = Vec::new();
-    let mut resident: Vec<u32> = Vec::new();
+    let mut movers: Vec<u64> = Vec::new();
     for group in eligible.chunks(group_size) {
         // The offline group cannot receive evacuated VMs.
         for &g in group {
-            tiers[g] = Tier::Offline;
+            fresh.remove(g, free(g, &used));
         }
+        let n_actions = group.len()
+            + group
+                .iter()
+                .map(|&h| (offsets[h + 1] - offsets[h]) as usize + arrivals.of(h).count())
+                .sum::<usize>();
+        let mut actions = Vec::with_capacity(n_actions);
         for &host in group {
-            // Resident VMs in ascending order: home VMs, then arrivals.
-            resident.clear();
-            resident.extend_from_slice(&home_vms[offsets[host]..offsets[host + 1]]);
-            resident.extend_from_slice(&arrivals[host]);
-            resident.sort_unstable();
-            let mut staying = 0usize;
-            for &vm32 in &resident {
-                let vm = vm32 as usize;
-                let info = view.vm(vm);
-                if info.inplace_compatible {
-                    staying += 1;
-                    continue;
-                }
-                let need = info.memory_gb;
-                let to = place(&mut upgraded, &tiers, Tier::Upgraded, need)
-                    .or_else(|| place(&mut fresh, &tiers, Tier::Fresh, need))
-                    .ok_or_else(|| PlanError::NoCapacity {
-                        vm: view.vm_name(vm),
-                    })?;
+            // Leaving VMs in ascending order: home VMs, then arrivals.
+            let home = &leaving[offsets[host] as usize..offsets[host + 1] as usize];
+            let ordered = if arrivals.of(host).next().is_none() {
+                home
+            } else {
+                movers.clear();
+                movers.extend_from_slice(home);
+                movers.extend(
+                    arrivals
+                        .of(host)
+                        .map(|vm| (host as u64) << 32 | u64::from(vm)),
+                );
+                movers.sort_unstable();
+                &movers
+            };
+            for &key in ordered {
+                let vm = key as u32 as usize;
+                let need = view.vm(vm).memory_gb;
+                let to = match upgraded.place(need) {
+                    Some(to) => to,
+                    None => {
+                        let to = fresh.place(need).ok_or_else(|| PlanError::NoCapacity {
+                            vm: view.vm_name(vm),
+                        })?;
+                        arrivals.push(to, vm as u32);
+                        to
+                    }
+                };
                 actions.push(Action::Migrate { vm, from: host, to });
                 used[to] += need;
                 used[host] -= need;
-                if tiers[to] == Tier::Fresh {
-                    arrivals[to].push(vm32);
-                }
             }
             actions.push(Action::InPlaceUpgrade {
                 host,
-                vm_count: staying,
+                vm_count: staying[host] as usize,
             });
         }
         // The group is back online, upgraded, with its evacuations freed.
         for &g in group {
-            tiers[g] = Tier::Upgraded;
-            upgraded.push(target_key(free(g, &used), g));
+            upgraded.insert(g, free(g, &used));
         }
-        // An exact-size copy: the plan holds no spare capacity.
-        plan.groups.push(actions.clone());
-        actions.clear();
+        debug_assert_eq!(actions.len(), n_actions);
+        plan.groups.push(actions);
     }
     Ok(plan)
-}
-
-/// Checks that a plan never overflows any host's capacity when executed
-/// step by step (test support).
-pub fn validate_capacity<V: ClusterView + ?Sized>(view: &V, plan: &Plan) -> Result<(), PlanError> {
-    let n_hosts = view.host_count();
-    let n_vms = view.vm_count();
-    let mut used = vec![0u64; n_hosts];
-    let mut cur = vec![0usize; n_vms];
-    for (i, cur_home) in cur.iter_mut().enumerate() {
-        let vm = view.vm(i);
-        used[vm.home] += vm.memory_gb;
-        *cur_home = vm.home;
-    }
-    for action in plan.actions() {
-        if let Action::Migrate { vm, from, to } = action {
-            assert_eq!(cur[*vm], *from, "plan is self-consistent");
-            let need = view.vm(*vm).memory_gb;
-            if view.host_capacity_gb(*to).saturating_sub(used[*to]) < need {
-                return Err(PlanError::NoCapacity {
-                    vm: view.vm_name(*vm),
-                });
-            }
-            used[*from] -= need;
-            used[*to] += need;
-            cur[*vm] = *to;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -379,6 +418,35 @@ mod tests {
                 .filter(|&h| cluster.host_free_gb(h) >= need_gb)
                 .max_by_key(|&h| (cluster.hosts[h].upgraded, cluster.host_free_gb(h)))
         }
+    }
+
+    /// Checks that a plan never overflows any host's capacity when executed
+    /// step by step.
+    fn validate_capacity<V: ClusterView + ?Sized>(view: &V, plan: &Plan) -> Result<(), PlanError> {
+        let n_hosts = view.host_count();
+        let n_vms = view.vm_count();
+        let mut used = vec![0u64; n_hosts];
+        let mut cur = vec![0usize; n_vms];
+        for (i, cur_home) in cur.iter_mut().enumerate() {
+            let vm = view.vm(i);
+            used[vm.home] += vm.memory_gb;
+            *cur_home = vm.home;
+        }
+        for action in plan.actions() {
+            if let Action::Migrate { vm, from, to } = action {
+                assert_eq!(cur[*vm], *from, "plan is self-consistent");
+                let need = view.vm(*vm).memory_gb;
+                if view.host_capacity_gb(*to).saturating_sub(used[*to]) < need {
+                    return Err(PlanError::NoCapacity {
+                        vm: view.vm_name(*vm),
+                    });
+                }
+                used[*from] -= need;
+                used[*to] += need;
+                cur[*vm] = *to;
+            }
+        }
+        Ok(())
     }
 
     #[test]
@@ -573,6 +641,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A fleet of degenerate capacities: hosts whose RAM the reserve
+    /// covers exactly (capacity 0, so the VMs homed there over-commit
+    /// them), VMs of 0 GiB, and one host of far more capacity than the
+    /// rest, alone in the top buckets.
+    fn degenerate_fleet(seed: u64, hosts: usize) -> Cluster {
+        let mut rng = SimRng::new(seed);
+        let mut c = Cluster {
+            hosts: Vec::new(),
+            vms: Vec::new(),
+            host_reserve_gb: 8,
+        };
+        let giant = rng.gen_range(hosts as u64) as usize;
+        for host in 0..hosts {
+            let mut spec = MachineSpec::cluster_node();
+            spec.ram_gb = if host == giant {
+                4096
+            } else {
+                [8u64, 8, 16, 24][rng.gen_range(4) as usize]
+            };
+            c.hosts.push(HostState {
+                spec,
+                hypervisor: HypervisorKind::Xen,
+                upgraded: false,
+            });
+            for _ in 0..rng.gen_range(6) {
+                let gb = [0u64, 0, 1, 2, 4, 8][rng.gen_range(6) as usize];
+                let name = format!("vm-{host}-{}", c.vms.len());
+                c.vms.push(ClusterVm {
+                    config: VmConfig::small(name.clone())
+                        .with_memory_gb(gb)
+                        .with_inplace_compatible(rng.gen_range(100) < 40),
+                    name,
+                    profile: WorkloadProfile::idle(),
+                    host,
+                });
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn indexed_planner_matches_oracle_on_degenerate_capacities() {
+        let (mut planned, mut refused) = (0, 0);
+        let (mut onto_zero_capacity, mut onto_giant, mut without_giant) = (0, 0, 0);
+        for seed in [1u64, 5, 42, 77] {
+            let c = degenerate_fleet(seed, 40);
+            let giant = (0..c.hosts.len())
+                .max_by_key(|&h| c.host_capacity_gb(h))
+                .unwrap();
+            let zero: Vec<usize> = (0..c.hosts.len())
+                .filter(|&h| c.host_capacity_gb(h) == 0)
+                .collect();
+            assert!(!zero.is_empty(), "seed={seed}: no zero-capacity host");
+            assert!(c.vms.iter().any(|v| v.config.memory_gb == 0));
+            let exclusions = [vec![], vec![giant], zero[..zero.len() / 2].to_vec()];
+            for excluded in exclusions {
+                for group in [1usize, 3, 8] {
+                    let at = format!("seed={seed} excluded={excluded:?} group={group}");
+                    let fast = plan_upgrade_excluding(&c, group, &excluded);
+                    let slow = oracle::plan_upgrade_excluding(&c, group, &excluded);
+                    assert_eq!(fast, slow, "{at}");
+                    let plan = match fast {
+                        Ok(plan) => plan,
+                        Err(PlanError::NoCapacity { .. }) => {
+                            refused += 1;
+                            continue;
+                        }
+                        Err(e) => panic!("{at}: {e}"),
+                    };
+                    validate_capacity(&c, &plan).unwrap();
+                    planned += 1;
+                    without_giant += usize::from(excluded.contains(&giant));
+                    for a in plan.actions() {
+                        if let Action::Migrate { to, .. } = *a {
+                            onto_zero_capacity += usize::from(zero.contains(&to));
+                            onto_giant += usize::from(to == giant);
+                        }
+                    }
+                }
+            }
+        }
+        // The sweep must reach every degenerate regime it is named for.
+        assert!(
+            planned > 0 && refused > 0,
+            "{planned} planned, {refused} refused"
+        );
+        assert!(onto_zero_capacity > 0, "no 0 GiB VM landed on a full host");
+        assert!(onto_giant > 0, "no VM landed on the sparse top bucket");
+        assert!(without_giant > 0, "no plan succeeded without the giant");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! The same counter pins the control plane's two per-disclosure
 //! mechanisms: the synthetic fleet view derives a VM without allocating,
 //! and re-planning a disclosure year allocates nothing per host or per VM.
+//! A rolling-upgrade plan allocates per offline group, not per host.
 //!
 //! A byte counter beside it bounds what the UISR decoder requests on the
 //! strength of a count it has read from an untrusted blob.
@@ -26,7 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hypertp::prelude::*;
-use hypertp_cluster::{Cluster, ClusterView, ExposureConfig, ExposurePlanner};
+use hypertp_cluster::{plan_upgrade, Cluster, ClusterView, ExposureConfig, ExposurePlanner};
 use hypertp_migrate::{run_dest, run_source, FrameRing, InProcTransport, TransferCache};
 use hypertp_sim::SimDuration;
 use hypertp_vulndb::VulnFeed;
@@ -238,6 +239,42 @@ fn control_plane_probe() {
     println!(
         "alloc_probe: ok (0 allocations over 100000 vm() calls, \
          {large} per 37-event replay at 1k and 10k hosts)"
+    );
+}
+
+/// Allocations one rolling plan of the 10 000-host fleet may make beyond
+/// one per offline group: it makes 23 — the planner's index buffers, two
+/// small lists that grow by doubling, and the plan's group list. At the
+/// heap-indexed planner it was 106, among them one list per host that
+/// received a VM before its own turn.
+const PLAN_ALLOCS_SLACK: u64 = 32;
+/// Bytes that plan may request: 2.49 MiB, of which the plan's actions are
+/// half (2.88 MiB at the heap-indexed planner).
+const PLAN_BYTES_BOUND: u64 = (27 << 20) / 10;
+
+/// Part 3b — the rolling planner: one `plan_upgrade` of the
+/// `campaign_feed` fleet (10 000 hosts, groups of 25) allocates once per
+/// offline group and a few times overall, never per host or per VM.
+fn planner_probe() {
+    let view = Cluster::synthetic(10_000, 42).with_compat_percent(70);
+    let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let (allocs, plan) = allocs_during(|| plan_upgrade(&view, 25).expect("the feed fleet plans"));
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before;
+    let groups = plan.groups.len() as u64;
+    assert_eq!(groups, 400);
+    assert!(
+        allocs <= groups + PLAN_ALLOCS_SLACK,
+        "a 10k-host plan made {allocs} allocations for {groups} groups"
+    );
+    assert!(
+        bytes < PLAN_BYTES_BOUND,
+        "a 10k-host plan requested {bytes} bytes (bound {PLAN_BYTES_BOUND})"
+    );
+    println!(
+        "alloc_probe: ok (a 10k-host plan made {allocs} allocations for {groups} groups \
+         and requested {:.2} MiB, bound {:.2} MiB)",
+        bytes as f64 / (1 << 20) as f64,
+        PLAN_BYTES_BOUND as f64 / (1 << 20) as f64
     );
 }
 
@@ -484,6 +521,7 @@ fn main() {
     footprint_probe();
     proxy_session_probe();
     control_plane_probe();
+    planner_probe();
     hostile_count_probe();
     ownership_probe();
 }

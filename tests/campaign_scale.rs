@@ -7,8 +7,9 @@
 //! [`SyntheticCluster`] must behave exactly like its materialized twin.
 
 use hypertp_cluster::exec::{execute, execute_sharded_with, ExecConfig, ExecReport};
-use hypertp_cluster::{plan_upgrade, Cluster, ClusterView, Plan};
+use hypertp_cluster::{plan_upgrade, Action, Cluster, ClusterView, Plan};
 use hypertp_sim::fault::FaultPlan;
+use hypertp_sim::hash::digest_bytes;
 use hypertp_sim::pool::WorkerPool;
 
 fn fleet_plan(hosts: usize, seed: u64) -> (impl ClusterView, Plan) {
@@ -137,4 +138,42 @@ fn paper_testbed_still_reports_identically_through_the_sharded_path() {
     );
     assert_eq!(sequential, sharded_one);
     assert_eq!(sequential.render(), sharded_one.render());
+}
+
+/// Digest of the `campaign_feed` fleet's rolling plan, recorded before the
+/// planner's target index was rewritten: at 10 000 hosts the scan oracle
+/// is too slow to compare against, so this pin is what holds the plan
+/// byte for byte at scale.
+const FEED_PLAN_DIGEST: u128 = 0xbc3a_3e12_9bac_572f_bc8c_90c2_ed62_53f0;
+
+/// Every action as little-endian words, with a marker closing each group.
+fn plan_bytes(plan: &Plan) -> Vec<u8> {
+    let mut words: Vec<u64> = Vec::new();
+    for group in &plan.groups {
+        for action in group {
+            match *action {
+                Action::Migrate { vm, from, to } => {
+                    words.extend([0, vm as u64, from as u64, to as u64])
+                }
+                Action::InPlaceUpgrade { host, vm_count } => {
+                    words.extend([1, host as u64, vm_count as u64])
+                }
+            }
+        }
+        words.push(u64::MAX);
+    }
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+#[test]
+fn campaign_feed_fleet_plan_is_pinned() {
+    // The benchmark's `campaign_feed` fleet: 10 000 hosts of 10 VMs, 70 %
+    // InPlaceTP-compatible, rolled in offline groups of 25.
+    let view = Cluster::synthetic(10_000, 42).with_compat_percent(70);
+    let plan = plan_upgrade(&view, 25).expect("the feed fleet plans");
+    assert_eq!(plan.groups.len(), 400);
+    assert_eq!(plan.migration_count(), 30_044);
+    assert_eq!(plan.inplace_count(), 10_000);
+    let digest = digest_bytes(&plan_bytes(&plan)).as_u128();
+    assert_eq!(digest, FEED_PLAN_DIGEST, "plan digest {digest:#034x}");
 }
