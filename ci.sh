@@ -86,6 +86,9 @@ proxy_dest_pid=$!
 cargo run -q --release --offline --bin hypertpctl -- \
   proxy source --socket "${proxy_sock}" --mem 4
 wait "${proxy_dest_pid}"
+# The same 4 GiB guest in process: round 0 is 512 parts, through the one
+# part loop both destinations share.
+cargo run -q --release --offline --bin hypertpctl -- migrate --mem 4
 
 echo "== hypertpctl feed smoke (surface-aware vs blind planning) =="
 # The operator-facing feed replay: the --blind flag must switch the

@@ -94,11 +94,6 @@ impl Cluster {
         }
     }
 
-    /// VM slots (by GiB) available on a host.
-    pub fn host_capacity_gb(&self, host: usize) -> u64 {
-        self.hosts[host].spec.ram_gb - self.host_reserve_gb
-    }
-
     /// GiB currently used by VMs on a host.
     pub fn host_used_gb(&self, host: usize) -> u64 {
         self.vms
@@ -108,7 +103,8 @@ impl Cluster {
             .sum()
     }
 
-    /// Free GiB on a host.
+    /// Free GiB on a host: [`ClusterView::host_capacity_gb`] (0 for a host
+    /// with less RAM than the reserve) less what its VMs use.
     pub fn host_free_gb(&self, host: usize) -> u64 {
         self.host_capacity_gb(host)
             .saturating_sub(self.host_used_gb(host))
@@ -437,6 +433,17 @@ mod tests {
         let cpu = c.vms.iter().filter(|v| v.profile.name == "cpu-mem").count();
         let idle = c.vms.iter().filter(|v| v.profile.name == "idle").count();
         assert_eq!((streaming, cpu, idle), (30, 30, 40));
+    }
+
+    /// A host with less RAM than the reserve has no capacity and no free
+    /// GiB, rather than an underflow.
+    #[test]
+    fn host_below_the_reserve_has_no_capacity() {
+        let mut c = Cluster::paper_testbed(0, 1);
+        c.hosts[3].spec.ram_gb = c.host_reserve_gb - 1;
+        assert_eq!(c.host_capacity_gb(3), 0);
+        assert_eq!(c.host_free_gb(3), 0);
+        assert_eq!(c.host_capacity_gb(4), 88);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::control::{
     LinkContention, MigrationPrediction, PrecopyController, PredictInput, RoundModel, VmSloOutcome,
     UISR_BYTES_ALLOWANCE,
 };
-use crate::framing::FrameRing;
+use crate::framing::{reserve_doubling, FrameRing};
 use crate::network::{FrameKind, Link, WireStats};
 use crate::proxy::{RemoteDest, PART_PAGES};
 use crate::wire::TransferCache;
@@ -32,6 +32,39 @@ fn backoff_delay(base: SimDuration, attempt: u32) -> SimDuration {
 pub(crate) fn map_gfns(map: &[(Gfn, Extent)]) -> impl Iterator<Item = Gfn> + '_ {
     map.iter()
         .flat_map(|&(gfn, e)| (gfn.0..gfn.0 + e.pages()).map(Gfn))
+}
+
+/// The pages one round sends, in order: round 0's every mapped gfn, read
+/// off the source memory map a part at a time, or a later round's dirty
+/// set.
+#[derive(Debug, Clone, Copy)]
+enum RoundPages<'a> {
+    Map(&'a [(Gfn, Extent)]),
+    Dirty(&'a [Gfn]),
+}
+
+impl<'a> RoundPages<'a> {
+    fn len(self) -> u64 {
+        match self {
+            RoundPages::Map(map) => map.iter().map(|(_, e)| e.pages()).sum(),
+            RoundPages::Dirty(gfns) => gfns.len() as u64,
+        }
+    }
+
+    fn last(self) -> Option<Gfn> {
+        match self {
+            RoundPages::Map(map) => map.last().map(|&(g, e)| Gfn(g.0 + e.pages() - 1)),
+            RoundPages::Dirty(gfns) => gfns.last().copied(),
+        }
+    }
+
+    fn gfns(self) -> impl Iterator<Item = Gfn> + 'a {
+        let (map, dirty) = match self {
+            RoundPages::Map(map) => (map, &[][..]),
+            RoundPages::Dirty(gfns) => (&[][..], gfns),
+        };
+        map_gfns(map).chain(dirty.iter().copied())
+    }
 }
 
 /// The error a destination that disagrees with the source raises.
@@ -117,8 +150,10 @@ pub struct MigrationConfig {
     /// Guest write rate while migrating, in pages/second (drives pre-copy
     /// convergence; idle VMs in §5.2 have a near-zero rate).
     pub dirty_rate_pages_per_sec: f64,
-    /// Verify that destination guest memory equals the source at pause
-    /// time (tests; costs a full extra pass).
+    /// After the stop-and-copy set lands on a local destination, compare
+    /// its guest memory with the paused source's, walking both sides'
+    /// memory-map extents (one read of each guest's RAM). A remote
+    /// destination is verified by its `DoneAck` checksum instead.
     pub verify_contents: bool,
     /// Maximum consecutive link-failure retries per round before the
     /// migration is abandoned with [`HtpError::LinkFailure`].
@@ -178,22 +213,40 @@ impl EngineScratch {
     }
 }
 
-/// The buffers themselves: the serialized frame ring plus the gather /
-/// destination-probe / write vectors. All are cleared-and-refilled
-/// per round, never shrunk; round 0 sizes `words` and `current` to the
-/// whole guest, which the cut-over verification then reads both sides into.
+/// The buffers themselves, cleared and refilled per round, never shrunk.
+/// The ring and the gfn, gather and probe vectors hold one part of a
+/// round ([`PART_PAGES`] pages) whatever the guest's size; `writes` holds
+/// the pages a round changes on a local destination.
 #[derive(Debug, Default)]
 pub(crate) struct RoundScratch {
-    /// Serialized frames of the in-flight round.
-    pub(crate) ring: FrameRing,
-    /// Source content words of the part being encoded, in GFN-list
-    /// order (a local destination's part is the whole round).
-    pub(crate) words: Vec<u64>,
-    /// Destination's current words (write-elision probe).
-    pub(crate) current: Vec<u64>,
-    /// The round's changed pages, landed with one
-    /// [`Hypervisor::write_guest_many`].
-    pub(crate) writes: Vec<(Gfn, u64)>,
+    /// Serialized frames of the part in flight; its frame count spans the
+    /// round.
+    ring: FrameRing,
+    /// The part's gfns, in round order.
+    gfns: Vec<Gfn>,
+    /// Source content words of the part's gfns.
+    words: Vec<u64>,
+    /// A local destination's current words at the part's gfns (write
+    /// elision and delta bases).
+    current: Vec<u64>,
+    /// The round's changed pages on a local destination, landed with one
+    /// [`Hypervisor::write_guest_many`] once the round is accepted.
+    writes: Vec<(Gfn, u64)>,
+    /// The round's wire accounting, merged into the report once the round
+    /// is accepted.
+    stats: WireStats,
+}
+
+impl RoundScratch {
+    /// Capacities of the vectors; a change is a growth event.
+    fn capacities(&self) -> [usize; 4] {
+        [
+            self.gfns.capacity(),
+            self.words.capacity(),
+            self.current.capacity(),
+            self.writes.capacity(),
+        ]
+    }
 }
 
 /// Observability counters for the engine's reusable wire-path buffers —
@@ -205,13 +258,13 @@ pub(crate) struct RoundScratch {
 /// an implementation detail, not wire accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchStats {
-    /// Batches encoded through the ring path.
+    /// Rounds encoded, in either wire mode.
     pub rounds: u64,
     /// Capacity-growth events across the ring and every scratch vector.
     pub grows: u64,
     /// Current ring backing capacity, bytes.
     pub ring_capacity: u64,
-    /// Largest serialized round the ring ever held, bytes.
+    /// Largest part the ring ever held, bytes.
     pub ring_high_water: u64,
 }
 
@@ -429,12 +482,13 @@ impl MigrationTp {
         // Round 0: full copy of every mapped page. The map lives on for
         // the cut-over verification.
         let src_map = src_hv.guest_memory_map(src_id)?;
-        let all_gfns: Vec<Gfn> = map_gfns(&src_map).collect();
         let mut dirty_set: Option<Vec<Gfn>> = None;
         let mut round = 0u32;
         let stop_set = loop {
-            let to_send = dirty_set.as_deref().unwrap_or(&all_gfns);
-            let pages = to_send.len() as u64;
+            let to_send = dirty_set
+                .as_deref()
+                .map_or(RoundPages::Map(&src_map), RoundPages::Dirty);
+            let pages = to_send.len();
             let outcome = self.send_round(
                 src_machine,
                 src_hv,
@@ -509,18 +563,16 @@ impl MigrationTp {
         // on the destination.
         precopy += src_hv.notify_prepare_transplant(src_machine, src_id)?;
         src_hv.pause_vm(src_id)?;
-        let final_bytes = self.encode_round(src_machine, src_hv, src_id, dst, round, &stop_set)?;
-        if !self.deliver_round(
+        let final_bytes = self.encode_round(
             src_machine,
             src_hv,
             src_id,
             dst,
-            &stop_set,
             round,
-            false,
+            RoundPages::Dirty(&stop_set),
             &cfg.name,
-            &mut wire,
-        )? {
+        )?;
+        if !self.deliver_round(dst, round, false, &mut wire)? {
             self.rollback_round();
             return Err(integrity(&cfg.name));
         }
@@ -626,7 +678,7 @@ impl MigrationTp {
         src_hv: &dyn Hypervisor,
         src_id: VmId,
         dst: &mut Dest<'_>,
-        to_send: &[Gfn],
+        to_send: RoundPages<'_>,
         round: u32,
         model: &RoundModel,
         vm_name: &str,
@@ -638,7 +690,8 @@ impl MigrationTp {
         let mut naks = 0u32;
         let mut lost_bytes = 0u64;
         let round_bytes = loop {
-            let encoded = self.encode_round(src_machine, src_hv, src_id, dst, round, to_send)?;
+            let encoded =
+                self.encode_round(src_machine, src_hv, src_id, dst, round, to_send, vm_name)?;
             if self.faults.should_inject(
                 InjectionPoint::LinkDrop,
                 &format!("{vm_name} round {round}"),
@@ -699,17 +752,7 @@ impl MigrationTp {
             // whole attempt (a local one catches it page by page, below).
             let truncate = matches!(dst, Dest::Remote(_))
                 && self.truncated_page(vm_name, round, to_send).is_some();
-            if self.deliver_round(
-                src_machine,
-                src_hv,
-                src_id,
-                dst,
-                to_send,
-                round,
-                truncate,
-                vm_name,
-                wire,
-            )? {
+            if self.deliver_round(dst, round, truncate, wire)? {
                 break encoded;
             }
             self.rollback_round();
@@ -736,7 +779,7 @@ impl MigrationTp {
                 &format!("{vm_name} resumed at round {round} after {drops} drop(s)"),
             );
         }
-        let (transfer, round_time) = model.round(round_bytes, to_send.len() as u64);
+        let (transfer, round_time) = model.round(round_bytes, to_send.len());
         duration += round_time;
         let mut bytes_sent = round_bytes + lost_bytes;
 
@@ -792,8 +835,8 @@ impl MigrationTp {
 
     /// Consults the truncated-page fault for a round: the round's last
     /// page when it is damaged in flight.
-    fn truncated_page(&self, vm_name: &str, round: u32, to_send: &[Gfn]) -> Option<Gfn> {
-        to_send.last().copied().filter(|g| {
+    fn truncated_page(&self, vm_name: &str, round: u32, to_send: RoundPages<'_>) -> Option<Gfn> {
+        to_send.last().filter(|g| {
             self.faults.should_inject(
                 InjectionPoint::TruncatedPage,
                 &format!("{vm_name} round {round} gfn {}", g.0),
@@ -801,41 +844,32 @@ impl MigrationTp {
         })
     }
 
-    /// Destination half of a round: lands the pages of `gfns`, in order,
-    /// and returns whether the destination accepted them. A local one
-    /// always does (a content-aware round that fails to apply rolls its
-    /// cache transaction back and errors); a remote one acks or naks the
-    /// serialized round, sent with its last frame corrupted if `truncate`.
-    #[allow(clippy::too_many_arguments)]
+    /// Destination half of a round, after [`MigrationTp::encode_round`]:
+    /// returns whether the destination accepted the round. A local one
+    /// always does, and lands the round's changed pages with one
+    /// [`Hypervisor::write_guest_many`], the round's first write to its
+    /// guest memory. A remote one acks or naks the round's closing part,
+    /// sent with its last frame corrupted if `truncate`. An accepted
+    /// round's wire accounting joins `wire`.
     fn deliver_round(
         &self,
-        src_machine: &Machine,
-        src_hv: &dyn Hypervisor,
-        src_id: VmId,
         dst: &mut Dest<'_>,
-        gfns: &[Gfn],
         round: u32,
         truncate: bool,
-        vm_name: &str,
         wire: &mut WireStats,
     ) -> Result<bool, HtpError> {
-        match (dst, self.config.wire_mode) {
-            (Dest::Local { machine, hv, id }, WireMode::Raw) => {
-                self.copy_pages(src_machine, src_hv, src_id, machine, *hv, *id, gfns)?;
-            }
-            (Dest::Local { machine, hv, id }, WireMode::ContentAware) => self
-                .apply_ring(machine, *hv, *id, gfns, vm_name, wire)
+        let s = self.scratch.round();
+        match dst {
+            Dest::Local { machine, hv, id } => hv
+                .write_guest_many(machine, *id, &s.writes)
                 .inspect_err(|_| self.cache.rollback_round())?,
-            (Dest::Remote(r), _) => {
-                let s = self.scratch.round();
+            Dest::Remote(r) => {
                 if !r.send_round(&s.ring, round, truncate)? {
                     return Ok(false);
                 }
-                for view in s.ring.iter() {
-                    wire.record_parts(view.kind, view.wire_bytes());
-                }
             }
         }
+        wire.merge(&s.stats);
         Ok(true)
     }
 
@@ -888,21 +922,25 @@ impl MigrationTp {
         self.scratch.round().ring.rollback();
     }
 
-    /// Source half of a round: the bytes it will put on the wire. Raw
-    /// rounds ship every page as a full payload (the paper-faithful
-    /// accounting). Content-aware rounds run one loop over parts of
-    /// `gfns`: gather a part's words straight out of the source's RAM
-    /// extents, serialize its frames into the shared scratch ring under
-    /// one cache lock, which digests each non-zero word as it classifies
-    /// it, then hand the new ring bytes to the destination. A remote one
-    /// takes every part but the last as a `RoundPart` of round `round`
-    /// ([`crate::proxy`]), staging it while the next is encoded; the last
-    /// closes the round in [`MigrationTp::deliver_round`]. A local one
-    /// takes the round as one part, since nothing could overlap it. Every
-    /// buffer is reused (no heap allocation once warm). The round's cache
-    /// and ring transaction opens before the first gather; a gather or
-    /// hand-off that fails rolls it back, otherwise the caller commits or
-    /// rolls back.
+    /// Source half of a round, and the one loop both destinations take it
+    /// through: returns the bytes the round puts on the wire. The round's
+    /// gfns go in parts of [`PART_PAGES`], each gathered straight out of
+    /// the source's RAM extents. A content-aware part is serialized into
+    /// the shared scratch ring under one cache lock, which digests each
+    /// non-zero word as it classifies it, and its frames are tallied into
+    /// the round's [`WireStats`]; a Raw part ships every page as a full
+    /// payload (the paper-faithful accounting). The destination then takes
+    /// the part. A remote one takes every part but the last as a
+    /// `RoundPart` of round `round` ([`crate::proxy`]), staging it while
+    /// the next is encoded; the last closes the round in
+    /// [`MigrationTp::deliver_round`]. A local one resolves the part at
+    /// once against its current words and keeps the pages that change for
+    /// [`MigrationTp::deliver_round`] to land: nothing here writes a
+    /// destination's guest memory. A handed-off part leaves the ring, so
+    /// every buffer but `writes` holds one part and is reused (no heap
+    /// allocation once warm). The round's cache and ring transaction opens
+    /// before the first gather; a part that fails rolls it back, otherwise
+    /// the caller commits or rolls back.
     #[allow(clippy::too_many_arguments)]
     fn encode_round(
         &self,
@@ -911,133 +949,87 @@ impl MigrationTp {
         src_id: VmId,
         dst: &mut Dest<'_>,
         round: u32,
-        gfns: &[Gfn],
+        pages: RoundPages<'_>,
+        vm_name: &str,
     ) -> Result<u64, HtpError> {
-        if self.config.wire_mode == WireMode::Raw {
-            return Ok(gfns.len() as u64 * PAGE_SIZE);
-        }
-        let part_pages = match dst {
-            Dest::Local { .. } => gfns.len().max(1),
-            Dest::Remote(_) => PART_PAGES,
-        };
+        let content_aware = self.config.wire_mode == WireMode::ContentAware;
         let mut s = self.scratch.round();
-        let RoundScratch { ring, words, .. } = &mut *s;
-        let cap = words.capacity();
-        self.cache.begin_round();
+        let caps = s.capacities();
+        let RoundScratch {
+            ring,
+            gfns,
+            words,
+            current,
+            writes,
+            stats,
+        } = &mut *s;
+        if content_aware {
+            self.cache.begin_round();
+        }
         ring.restart();
         ring.begin();
-        let mut wire_bytes = 0u64;
-        let mut parts = gfns.chunks(part_pages).peekable();
-        while let Some(part) = parts.next() {
+        writes.clear();
+        *stats = WireStats::new();
+        let (total, mut round_gfns) = (pages.len(), pages.gfns());
+        let (mut taken, mut wire_bytes) = (0u64, 0u64);
+        while taken < total {
+            gfns.clear();
+            gfns.extend(round_gfns.by_ref().take(PART_PAGES));
+            taken += gfns.len() as u64;
             let handed = src_hv
-                .read_guest_into(src_machine, src_id, part, words)
+                .read_guest_into(src_machine, src_id, gfns, words)
                 .and_then(|()| {
-                    wire_bytes += self.cache.encode_words_into(src_id.0, part, words, ring);
-                    match (&mut *dst, parts.peek()) {
-                        (Dest::Remote(r), Some(_)) => r.send_part(ring, round),
-                        _ => Ok(()),
+                    if content_aware {
+                        wire_bytes += self.cache.encode_words_into(src_id.0, gfns, words, ring);
+                        for view in ring.iter() {
+                            stats.record_parts(view.kind, view.wire_bytes());
+                        }
+                    } else {
+                        wire_bytes += gfns.len() as u64 * PAGE_SIZE;
                     }
+                    match &mut *dst {
+                        Dest::Remote(r) if taken < total => r.send_part(ring, round)?,
+                        Dest::Remote(_) => return Ok(()),
+                        Dest::Local { machine, hv, id } => {
+                            hv.read_guest_into(machine, *id, gfns, current)?;
+                            // Room for the whole part, so the capacity moves
+                            // only a part at a time, not with each change.
+                            reserve_doubling(writes, writes.len() + gfns.len());
+                            let mut views = ring.iter();
+                            for ((&g, &word), &cur) in gfns.iter().zip(&*words).zip(&*current) {
+                                let word = match (content_aware, views.next()) {
+                                    (false, _) => word,
+                                    (true, Some(view)) if view.kind == FrameKind::Zero => 0,
+                                    (true, view) => view
+                                        .and_then(|view| self.cache.apply_view(&view, cur))
+                                        .ok_or_else(|| integrity(vm_name))?,
+                                };
+                                if word != cur {
+                                    writes.push((g, word));
+                                }
+                            }
+                        }
+                    }
+                    ring.drain();
+                    Ok(())
                 });
             if let Err(e) = handed {
-                self.cache.rollback_round();
+                if content_aware {
+                    self.cache.rollback_round();
+                }
                 ring.rollback();
                 return Err(e);
             }
         }
+        let grown = caps
+            .iter()
+            .zip(s.capacities())
+            .filter(|&(a, b)| *a != b)
+            .count();
         let mut st = self.scratch.stats();
         st.rounds += 1;
-        st.grows += u64::from(words.capacity() != cap);
+        st.grows += grown as u64;
         Ok(wire_bytes)
-    }
-
-    /// Materialises the scratch ring's frames on the destination: walks
-    /// the ring's borrowed frame views in GFN order, probing the
-    /// destination with one batched read into a reused buffer. Writes are
-    /// elided when the destination already holds the page's content (zero
-    /// pages on a fresh shell, dedup hits) — the wall-clock counterpart of
-    /// the bytes the frames kept off the wire.
-    fn apply_ring(
-        &self,
-        dst_machine: &mut Machine,
-        dst_hv: &mut dyn Hypervisor,
-        dst_id: VmId,
-        gfns: &[Gfn],
-        vm_name: &str,
-        wire: &mut WireStats,
-    ) -> Result<(), HtpError> {
-        let mut s = self.scratch.round();
-        let RoundScratch {
-            ring,
-            current,
-            writes,
-            ..
-        } = &mut *s;
-        let caps = (current.capacity(), writes.capacity());
-        dst_hv.read_guest_into(dst_machine, dst_id, gfns, current)?;
-        debug_assert_eq!(ring.frame_count() as usize, gfns.len());
-        // Sized by the round, not by how many pages changed, so capacity
-        // follows the guest's shape alone.
-        writes.clear();
-        writes.reserve(gfns.len());
-        for (view, (&g, &cur)) in ring.iter().zip(gfns.iter().zip(current.iter())) {
-            debug_assert_eq!(view.gfn, g.0);
-            wire.record_parts(view.kind, view.wire_bytes());
-            let word = match view.kind {
-                FrameKind::Zero => 0,
-                _ => self
-                    .cache
-                    .apply_view(&view, cur)
-                    .ok_or_else(|| integrity(vm_name))?,
-            };
-            if word != cur {
-                writes.push((g, word));
-            }
-        }
-        dst_hv.write_guest_many(dst_machine, dst_id, writes)?;
-        self.scratch.stats().grows +=
-            u64::from(current.capacity() != caps.0) + u64::from(writes.capacity() != caps.1);
-        Ok(())
-    }
-
-    /// Copies guest pages source → destination: one batched gather of the
-    /// source words and one of the destination's current words into the
-    /// scratch buffers, then one batched write of the pages that differ.
-    /// Write elision matters: a fresh destination shell is overwhelmingly
-    /// zero pages, and a RAM write does per-page bookkeeping a read does
-    /// not, so precopy rounds that re-send unchanged pages touch no frame.
-    #[allow(clippy::too_many_arguments)]
-    fn copy_pages(
-        &self,
-        src_machine: &Machine,
-        src_hv: &dyn Hypervisor,
-        src_id: VmId,
-        dst_machine: &mut Machine,
-        dst_hv: &mut dyn Hypervisor,
-        dst_id: VmId,
-        gfns: &[Gfn],
-    ) -> Result<(), HtpError> {
-        let mut s = self.scratch.round();
-        let RoundScratch {
-            words,
-            current,
-            writes,
-            ..
-        } = &mut *s;
-        let caps = (words.capacity(), current.capacity(), writes.capacity());
-        src_hv.read_guest_into(src_machine, src_id, gfns, words)?;
-        dst_hv.read_guest_into(dst_machine, dst_id, gfns, current)?;
-        writes.clear();
-        writes.reserve(gfns.len());
-        for (&g, (&word, &cur)) in gfns.iter().zip(words.iter().zip(current.iter())) {
-            if word != cur {
-                writes.push((g, word));
-            }
-        }
-        dst_hv.write_guest_many(dst_machine, dst_id, writes)?;
-        self.scratch.stats().grows += u64::from(words.capacity() != caps.0)
-            + u64::from(current.capacity() != caps.1)
-            + u64::from(writes.capacity() != caps.2);
-        Ok(())
     }
 }
 
@@ -2577,5 +2569,117 @@ mod tests {
         );
         // The deferred hot VM starts after both quiet VMs finished.
         assert!(aware.starts[0] >= aware.starts[1].max(aware.starts[2]));
+    }
+    /// A 1 GiB guest whose `resident` non-zero pages sit at an even
+    /// stride, every `template_every`-th of them one shared word and the
+    /// rest unique.
+    fn seeded_guest(
+        m: &mut Machine,
+        hv: &mut SimpleHv,
+        resident: u64,
+        template_every: u64,
+    ) -> VmId {
+        let id = hv.create_vm(m, &VmConfig::small("vm0")).unwrap();
+        let stride = VmConfig::small("vm0").pages() / resident;
+        for k in 0..resident {
+            let word = match k % template_every {
+                0 => 0x7e3a_91c0_0000_0001,
+                _ => k.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
+            };
+            hv.write_guest(m, id, Gfn(k * stride), word).unwrap();
+        }
+        id
+    }
+
+    /// Round buffers are sized by the part, not the guest: after a cold
+    /// content-aware migration of a busy 1 GiB guest to a local
+    /// destination, and after a proxy session of a 1 GiB guest, the frame
+    /// ring never held more than one part of its largest frames.
+    #[test]
+    fn the_ring_holds_one_part_on_both_destinations() {
+        let part_bytes = (PART_PAGES * 32) as u64;
+        let config = MigrationConfig {
+            wire_mode: WireMode::ContentAware,
+            verify_contents: true,
+            dirty_rate_pages_per_sec: 5_000.0,
+            ..MigrationConfig::default()
+        };
+
+        let (mut src_m, mut dst_m) = pair();
+        let mut src = SimpleHv::new(HypervisorKind::Xen);
+        let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+        let id = seeded_guest(&mut src_m, &mut src, 65_536, 4);
+        let tp = MigrationTp::new().with_config(config);
+        tp.migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
+            .unwrap();
+        let local = tp.scratch_stats().ring_high_water;
+        assert!(local <= part_bytes, "local: {local} bytes");
+
+        let (mut src_m, mut dst_m) = pair();
+        let mut src = SimpleHv::new(HypervisorKind::Xen);
+        let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+        let id = seeded_guest(&mut src_m, &mut src, 16_384, u64::MAX);
+        let tp = MigrationTp::new().with_config(MigrationConfig {
+            dirty_rate_pages_per_sec: 2_000.0,
+            ..config
+        });
+        let (mut ta, mut tb) = crate::transport::InProcTransport::pair();
+        std::thread::scope(|s| {
+            let dest = s.spawn(|| crate::proxy::run_dest(&mut dst_m, &mut dst, &mut tb));
+            crate::proxy::run_source(&tp, &mut src_m, &mut src, id, &mut ta).unwrap();
+            dest.join().unwrap().unwrap();
+        });
+        let remote = tp.scratch_stats().ring_high_water;
+        assert!(remote <= part_bytes, "remote: {remote} bytes");
+    }
+
+    /// A local destination's guest memory is untouched until its round is
+    /// accepted: encoding a round of several parts resolves them without
+    /// writing, a rollback as a `LinkDrop` makes leaves nothing behind,
+    /// and the re-encoded round lands whole when it is delivered.
+    #[test]
+    fn a_local_round_writes_nothing_before_it_is_accepted() {
+        let (mut src_m, mut dst_m) = pair();
+        let mut src = SimpleHv::new(HypervisorKind::Xen);
+        let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+        let id = seeded_guest(&mut src_m, &mut src, 16_384, 4);
+        let dst_id = dst
+            .prepare_incoming(&mut dst_m, &src.vm_config(id).unwrap().clone())
+            .unwrap();
+        let tp = MigrationTp::new().with_config(MigrationConfig {
+            wire_mode: WireMode::ContentAware,
+            ..MigrationConfig::default()
+        });
+        let map = src.guest_memory_map(id).unwrap();
+        let pages = RoundPages::Map(&map);
+        assert!(pages.len() >= 3 * PART_PAGES as u64);
+        let fresh = crate::proxy::vm_checksum(&dst_m, &dst, dst_id).unwrap();
+        let mut to = Dest::Local {
+            machine: &mut dst_m,
+            hv: &mut dst,
+            id: dst_id,
+        };
+        tp.encode_round(&src_m, &src, id, &mut to, 0, pages, "vm0")
+            .unwrap();
+        let encoded = crate::proxy::vm_checksum(&dst_m, &dst, dst_id).unwrap();
+        assert_eq!(encoded, fresh, "encoding wrote the destination");
+        tp.rollback_round();
+
+        let mut to = Dest::Local {
+            machine: &mut dst_m,
+            hv: &mut dst,
+            id: dst_id,
+        };
+        tp.encode_round(&src_m, &src, id, &mut to, 0, pages, "vm0")
+            .unwrap();
+        let mut wire = WireStats::new();
+        assert!(tp.deliver_round(&mut to, 0, false, &mut wire).unwrap());
+        tp.commit_round();
+        assert_eq!(
+            wire.frames(),
+            pages.len(),
+            "the dropped attempt is not counted"
+        );
+        assert!(same_contents(&src_m, &map, &dst_m, &dst, dst_id).unwrap());
     }
 }

@@ -198,7 +198,7 @@ pub struct FrameRing {
     /// Byte watermark recorded by [`FrameRing::begin`]; rollback
     /// truncates to it.
     watermark: usize,
-    /// Frames currently in the ring.
+    /// Frames pushed since the last restart, drained ones included.
     frames: u64,
     /// Frames at the last watermark (restored on rollback).
     watermark_frames: u64,
@@ -244,6 +244,14 @@ impl FrameRing {
         self.frames = self.watermark_frames;
     }
 
+    /// Drops the bytes of the frames in the ring, which the caller handed
+    /// off, and keeps [`FrameRing::frame_count`], which then spans a round
+    /// held a part at a time. A rollback still drops the whole round.
+    pub(crate) fn drain(&mut self) {
+        self.buf.clear();
+        self.watermark = 0;
+    }
+
     fn header(&mut self, kind: FrameKind, gfn: u64, len: u32) {
         let need = WIRE_FRAME_HEADER as usize + len as usize;
         if self.buf.capacity() - self.buf.len() < need {
@@ -285,7 +293,7 @@ impl FrameRing {
         }
         // One 16-byte append per frame. Zero-filling the whole run and then
         // patching it wrote faster, but left a long run slower to read
-        // back (a whole-round batch's apply pass).
+        // back (a local destination's apply pass).
         frame[0] = FrameKind::Zero.tag();
         for k in 0..pages as u64 {
             frame[4..12].copy_from_slice(&gfn.wrapping_add(k).to_le_bytes());
@@ -341,7 +349,7 @@ impl FrameRing {
         self.buf.len()
     }
 
-    /// Frames currently in the ring.
+    /// Frames pushed since the last restart, drained ones included.
     pub fn frame_count(&self) -> u64 {
         self.frames
     }
@@ -349,13 +357,6 @@ impl FrameRing {
     /// Iterates every frame currently in the ring.
     pub fn iter(&self) -> FrameIter<'_> {
         FrameIter { buf: &self.buf }
-    }
-
-    /// Iterates the frames pushed since byte offset `from`.
-    pub fn iter_from(&self, from: usize) -> FrameIter<'_> {
-        FrameIter {
-            buf: &self.buf[from..],
-        }
     }
 
     /// Capacity growth events since creation — flat in steady state.
@@ -541,16 +542,20 @@ mod tests {
         assert!(ring.high_water() >= ring.len_bytes());
     }
 
+    /// A drained part's bytes leave the ring and its frames still count
+    /// toward the round; a rollback drops the whole round.
     #[test]
-    fn iter_from_walks_sub_batches() {
+    fn drain_keeps_the_round_frame_count() {
         let mut ring = FrameRing::new();
-        ring.push_zero(1);
-        let mid = ring.len_bytes();
-        ring.push_raw(2, 5);
-        ring.push_zero(3);
-        let tail: Vec<u64> = ring.iter_from(mid).map(|v| v.gfn).collect();
-        assert_eq!(tail, vec![2, 3]);
-        let all: Vec<u64> = ring.iter().map(|v| v.gfn).collect();
-        assert_eq!(all, vec![1, 2, 3]);
+        ring.restart();
+        ring.begin();
+        ring.push_zeros(0, 3);
+        ring.drain();
+        ring.push_raw(3, 9);
+        assert_eq!(ring.frame_count(), 4);
+        let tail: Vec<u64> = ring.iter().map(|v| v.gfn).collect();
+        assert_eq!(tail, vec![3], "only the part after the drain");
+        ring.rollback();
+        assert_eq!((ring.frame_count(), ring.len_bytes()), (0, 0));
     }
 }

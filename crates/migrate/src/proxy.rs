@@ -68,14 +68,15 @@ const MSG_DONE: u8 = 0x16;
 const MSG_DONE_ACK: u8 = 0x17;
 const MSG_ROUND_PART: u8 = 0x18;
 
-/// Pages per `RoundPart`: the unit the source hands the destination while
-/// it encodes the rest of a round, so encode, transfer and staging
-/// overlap, and the bound on every message buffer (≈ 50 KB of `Raw`
-/// frames). On the benchmark's `proxy_raw_uds` (a 1 GiB guest, every
-/// resident page unique, a Unix socket, 2 hardware threads), parts of
-/// 1 024 to 8 192 pages ran within ≈ 1 ms of each other per op, 16 384
-/// and 32 768 about 1.5 ms slower, whole-round messages ≈ 10 ms slower;
-/// 2 048 beat 4 096 in six of six alternating pairs, by 0.6 ms.
+/// Pages per part of a round: the unit either destination takes while
+/// the source encodes the rest (a remote one as a `RoundPart`, so encode,
+/// transfer and staging overlap), and the bound on every message and
+/// round buffer (≈ 50 KB of `Raw` frames). On the benchmark's
+/// `proxy_raw_uds` (a 1 GiB guest, every resident page unique, a Unix
+/// socket, 2 hardware threads), parts of 1 024 to 8 192 pages ran within
+/// ≈ 1 ms of each other per op, 16 384 and 32 768 about 1.5 ms slower,
+/// whole-round messages ≈ 10 ms slower; 2 048 beat 4 096 in six of six
+/// alternating pairs, by 0.6 ms.
 pub(crate) const PART_PAGES: usize = 2048;
 
 /// Round number that acks/naks the UISR blob instead of a page round.
@@ -218,26 +219,26 @@ fn kind_from_tag(tag: u8) -> Option<HypervisorKind> {
     }
 }
 
-/// Builds a `RoundPart` message of round `round`: the frames of `ring`
-/// from byte `from` on.
-fn encode_part(out: &mut Vec<u8>, ring: &FrameRing, from: usize, round: u32) {
+/// Builds a `RoundPart` message of round `round`: the frames in `ring`.
+fn encode_part(out: &mut Vec<u8>, ring: &FrameRing, round: u32) {
     out.clear();
     out.push(MSG_ROUND_PART);
     out.extend_from_slice(&round.to_le_bytes());
-    out.extend_from_slice(ring.bytes_from(from));
+    out.extend_from_slice(ring.bytes_from(0));
 }
 
 /// Builds the `Round` message closing round `round`: the frame count of
-/// the whole round in `ring`, then its frames from byte `from` on — the
-/// tail no `RoundPart` carried — the last of them corrupted in the
-/// message when `truncate` (the ring itself stays intact).
-fn encode_round(out: &mut Vec<u8>, ring: &FrameRing, from: usize, round: u32, truncate: bool) {
+/// the whole round, which `ring` keeps across the parts it handed off,
+/// then the frames it still holds — the tail no `RoundPart` carried — the
+/// last of them corrupted in the message when `truncate` (the ring itself
+/// stays intact).
+fn encode_round(out: &mut Vec<u8>, ring: &FrameRing, round: u32, truncate: bool) {
     out.clear();
     out.extend_from_slice(&[MSG_ROUND, 0]);
     out.extend_from_slice(&round.to_le_bytes());
     out.extend_from_slice(&ring.frame_count().to_le_bytes());
-    out.extend_from_slice(ring.bytes_from(from));
-    if let (true, Some(last)) = (truncate, ring.iter_from(from).last()) {
+    out.extend_from_slice(ring.bytes_from(0));
+    if let (true, Some(last)) = (truncate, ring.iter().last()) {
         let last_start = out.len() - last.frame_bytes();
         out[last_start] ^= 0x7f;
     }
@@ -399,8 +400,6 @@ pub(crate) struct RemoteDest<'a> {
     pub(crate) kind: HypervisorKind,
     /// Message scratch, reused for every exchange.
     msg: Vec<u8>,
-    /// Ring bytes of the round in flight already sent as `RoundPart`s.
-    shipped: usize,
 }
 
 impl<'a> RemoteDest<'a> {
@@ -412,7 +411,6 @@ impl<'a> RemoteDest<'a> {
             cfg: cfg.clone(),
             kind: HypervisorKind::Xen, // until the `HelloAck` names it
             msg: Vec::new(),
-            shipped: 0,
         };
         dst.kind = dst.hello(false, 0)?;
         Ok(dst)
@@ -432,34 +430,30 @@ impl<'a> RemoteDest<'a> {
     /// and re-establishes it, then a resume `Hello` tells the destination
     /// which round is re-sent, so it drops any staged state.
     pub(crate) fn resume(&mut self, round: u32) -> Result<(), HtpError> {
-        self.shipped = 0;
         self.transport
             .reset()
             .map_err(|_| link_err(&self.cfg.name))?;
         self.hello(true, round).map(drop)
     }
 
-    /// Ships the frames `ring` gained since the last part as a
-    /// `RoundPart` of round `round`. The destination stages it without a
-    /// reply.
+    /// Ships the frames in `ring` as a `RoundPart` of round `round`. The
+    /// destination stages it without a reply.
     pub(crate) fn send_part(&mut self, ring: &FrameRing, round: u32) -> Result<(), HtpError> {
-        encode_part(&mut self.msg, ring, self.shipped, round);
-        self.shipped = ring.len_bytes();
+        encode_part(&mut self.msg, ring, round);
         send(&mut *self.transport, &self.msg, &self.cfg.name)
     }
 
-    /// Closes round `round` of `ring` with the frames no part carried —
-    /// the last of them corrupted in the outgoing copy when `truncate`
-    /// (the ring itself stays intact) — and returns the destination's
-    /// verdict: `true` on `Ack`, `false` on `Nak`.
+    /// Closes round `round` with the frames `ring` holds, the parts before
+    /// them already shipped — the last of them corrupted in the outgoing
+    /// copy when `truncate` (the ring itself stays intact) — and returns
+    /// the destination's verdict: `true` on `Ack`, `false` on `Nak`.
     pub(crate) fn send_round(
         &mut self,
         ring: &FrameRing,
         round: u32,
         truncate: bool,
     ) -> Result<bool, HtpError> {
-        let from = std::mem::take(&mut self.shipped);
-        encode_round(&mut self.msg, ring, from, round, truncate);
+        encode_round(&mut self.msg, ring, round, truncate);
         self.verdict(round)
     }
 
@@ -1074,7 +1068,7 @@ mod tests {
         let mut ring = FrameRing::new();
         frames(&mut ring);
         let mut msg = Vec::new();
-        encode_round(&mut msg, &ring, 0, round, corrupt);
+        encode_round(&mut msg, &ring, round, corrupt);
         msg
     }
 
@@ -1088,16 +1082,15 @@ mod tests {
         mut frames: impl FnMut(usize, &mut FrameRing),
     ) -> Vec<Vec<u8>> {
         let mut ring = FrameRing::new();
-        let mut shipped = 0;
         (0..parts)
             .map(|k| {
                 frames(k, &mut ring);
                 let mut msg = Vec::new();
                 if k + 1 < parts {
-                    encode_part(&mut msg, &ring, shipped, round);
-                    shipped = ring.len_bytes();
+                    encode_part(&mut msg, &ring, round);
+                    ring.drain();
                 } else {
-                    encode_round(&mut msg, &ring, shipped, round, corrupt);
+                    encode_round(&mut msg, &ring, round, corrupt);
                 }
                 msg
             })

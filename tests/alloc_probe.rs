@@ -8,8 +8,9 @@
 //! invariant across whole migrations, cut-over verification included,
 //! where pool threads and report construction put the raw counter out of
 //! reach. A cold round 0 of a busy 1 GiB guest, counted in bytes, bounds
-//! what a round's bookkeeping costs before anything is warm, and a whole
-//! proxy session, counted the same way, what its messages cost.
+//! what a round's bookkeeping costs before anything is warm; a whole
+//! proxy session and a whole cold busy migration, counted the same way,
+//! what their messages and round buffers cost.
 //!
 //! The same counter pins the control plane's two per-disclosure
 //! mechanisms: the synthetic fleet view derives a VM without allocating,
@@ -66,10 +67,14 @@ struct Landing {
     writes: Vec<(Gfn, u64)>,
 }
 
+/// Pages per part of a round: the engine's part size.
+const PART_PAGES: usize = 2048;
+
 /// One encode+apply round over the reusable buffers, exactly the shapes
-/// the engine's ring path uses: the destination half probes the guest's
-/// current words with one batched read and lands the changed pages with
-/// one `write_guest_many`, as `apply_ring` does.
+/// the engine's ring path uses: the round goes part by part, each part
+/// encoded into the ring and resolved against the guest's current words
+/// (one batched read per part), and the changed pages land with one
+/// `write_guest_many` once every part is resolved.
 fn round(
     cache: &TransferCache,
     ring: &mut FrameRing,
@@ -80,35 +85,39 @@ fn round(
 ) -> u64 {
     let (m, hv, id) = dst;
     cache.begin_round();
-    ring.restart();
-    ring.begin();
-    let wb = cache.encode_words_into(7, gfns, words, ring);
-    hv.read_guest_into(m, id, gfns, &mut landing.current)
-        .expect("mapped gfns");
     landing.writes.clear();
-    for (view, (&g, &cur)) in ring.iter().zip(gfns.iter().zip(&landing.current)) {
-        let word = cache.apply_view(&view, cur).expect("self-produced frame");
-        if word != cur {
-            landing.writes.push((g, word));
+    let mut wb = 0;
+    for (part, part_words) in gfns.chunks(PART_PAGES).zip(words.chunks(PART_PAGES)) {
+        ring.restart();
+        ring.begin();
+        wb += cache.encode_words_into(7, part, part_words, ring);
+        hv.read_guest_into(m, id, part, &mut landing.current)
+            .expect("mapped gfns");
+        for (view, (&g, &cur)) in ring.iter().zip(part.iter().zip(&landing.current)) {
+            let word = cache.apply_view(&view, cur).expect("self-produced frame");
+            if word != cur {
+                landing.writes.push((g, word));
+            }
         }
+        ring.commit();
     }
     hv.write_guest_many(m, id, &landing.writes)
         .expect("mapped gfns");
     cache.commit_round();
-    ring.commit();
     wb
 }
 
 /// Bytes one cold content-aware round 0 may request: midway between the
-/// 27.7 MiB it took when the dedup index was a hash map holding a second
-/// copy of every digest in 24-byte buckets, and the 25.1 MiB it takes
-/// with a 4-byte slot index. Half of what remains is the frame ring.
-const ROUND0_BYTES_BOUND: u64 = (264 << 20) / 10;
+/// 25.1 MiB it took when the round was staged whole (a 4.6 MiB frame ring
+/// and guest-sized probe and write buffers) and the 14.2 MiB it takes
+/// staged part by part.
+const ROUND0_BYTES_BOUND: u64 = (196 << 20) / 10;
 
 /// Part 1b — footprint: round 0 of a busy 1 GiB guest (262 144 pages, one
 /// in four non-zero, one in four of those a shared template word) through
-/// a cold cache, ring and landing buffers. What it asks the allocator for
-/// must scale with what the round changed, not with the guest.
+/// a cold cache, ring and landing buffers, part by part. What it asks the
+/// allocator for must scale with what the round changed and one part,
+/// not with the guest.
 fn footprint_probe() {
     const PAGES: u64 = 262_144;
     let gfns: Vec<Gfn> = (0..PAGES).map(Gfn).collect();
@@ -147,10 +156,10 @@ fn footprint_probe() {
     );
 }
 
-/// Bytes one proxy session may request: midway between the 46.4 MiB it
-/// took when every round travelled as one message (copied whole into
-/// transport buffers on both sides) and the 31.2 MiB it takes in parts.
-const PROXY_SESSION_BYTES_BOUND: u64 = (388 << 20) / 10;
+/// Bytes one proxy session may request: midway between the 31.1 MiB it
+/// took when the source's ring and gather buffers held a whole round and
+/// the 15.2 MiB it takes when they hold one part.
+const PROXY_SESSION_BYTES_BOUND: u64 = (231 << 20) / 10;
 
 /// Part 1c — a proxy session's footprint: one `run_source` ↔ `run_dest`
 /// session over the in-process transport, a 1 GiB guest with 16 384
@@ -192,6 +201,57 @@ fn proxy_session_probe() {
         "alloc_probe: ok (a proxy session of a 1 GiB guest requested {:.1} MiB, bound {:.1} MiB)",
         bytes as f64 / (1 << 20) as f64,
         PROXY_SESSION_BYTES_BOUND as f64 / (1 << 20) as f64
+    );
+}
+
+/// Bytes one cold busy-shape migration may request: midway between the
+/// 34.7 MiB it took when every round buffer was sized by the round and
+/// the 17.9 MiB it takes when they are sized by the part.
+const BUSY_MIGRATION_BYTES_BOUND: u64 = (263 << 20) / 10;
+
+/// Part 1d — one cold `MigrationTp::migrate` of the benchmark's
+/// `migrate_busy` shape: a 1 GiB Xen guest with 65 536 resident pages,
+/// one in four a shared template word, 5 000 pages/s, content-aware, to
+/// KVM with verification on. Every round buffer holds one part, so what
+/// it asks the allocator for must not come back to guest-sized buffers.
+fn busy_migration_probe() {
+    let registry = default_registry();
+    let clock = SimClock::new();
+    let mut src_m = Machine::with_clock(MachineSpec::m1(), clock.clone());
+    let mut dst_m = Machine::with_clock(MachineSpec::m1(), clock);
+    let mut src = registry.create(HypervisorKind::Xen, &mut src_m).unwrap();
+    let mut dst = registry.create(HypervisorKind::Kvm, &mut dst_m).unwrap();
+    let id = src
+        .create_vm(&mut src_m, &VmConfig::small("busy").with_memory_gb(1))
+        .unwrap();
+    for k in 0..65_536u64 {
+        let word = match k % 4 {
+            0 => 0x7e3a_91c0_0000_0001,
+            _ => k.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
+        };
+        src.write_guest(&mut src_m, id, Gfn(k * 4), word).unwrap();
+    }
+    let tp = MigrationTp::new().with_config(MigrationConfig {
+        wire_mode: WireMode::ContentAware,
+        dirty_rate_pages_per_sec: 5_000.0,
+        verify_contents: true,
+        ..MigrationConfig::default()
+    });
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let report = tp
+        .migrate(&mut src_m, src.as_mut(), id, &mut dst_m, dst.as_mut())
+        .unwrap();
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+    assert!(report.wire.cache_evictions() > 0, "the busy shape evicts");
+    assert!(
+        bytes < BUSY_MIGRATION_BYTES_BOUND,
+        "a busy migration requested {bytes} bytes (bound {BUSY_MIGRATION_BYTES_BOUND})"
+    );
+    println!(
+        "alloc_probe: ok (a cold busy migration of a 1 GiB guest requested {:.1} MiB, \
+         bound {:.1} MiB)",
+        bytes as f64 / (1 << 20) as f64,
+        BUSY_MIGRATION_BYTES_BOUND as f64 / (1 << 20) as f64
     );
 }
 
@@ -520,6 +580,7 @@ fn main() {
 
     footprint_probe();
     proxy_session_probe();
+    busy_migration_probe();
     control_plane_probe();
     planner_probe();
     hostile_count_probe();
