@@ -90,6 +90,19 @@ wait "${proxy_dest_pid}"
 # part loop both destinations share.
 cargo run -q --release --offline --bin hypertpctl -- migrate --mem 4
 
+echo "== hypertpctl transplant smoke (12 x 1 GiB on M1, both directions) =="
+# inplace_dense's maximum-density shape, end to end through the CLI: the
+# post-kexec tail reserves, adopts, checks and releases the frame runs of
+# twelve guests, and the command fails if any guest's memory changed or
+# was left unowned.
+for dir in "xen kvm KVM" "kvm xen Xen"; do
+  read -r from to shown <<<"${dir}"
+  out=$(cargo run -q --release --offline --bin hypertpctl -- \
+    transplant --machine m1 --vms 12 --mem 1 --from "${from}" --to "${to}")
+  grep -q "12 VM(s) of 1 vCPU / 1 GiB on M1" <<<"${out}"
+  grep -q "now running: ${shown}" <<<"${out}"
+done
+
 echo "== hypertpctl feed smoke (surface-aware vs blind planning) =="
 # The operator-facing feed replay: the --blind flag must switch the
 # planning mode shown in the output, and both runs must report the

@@ -27,9 +27,11 @@ use std::time::Instant;
 
 use hypertp_bench::registry;
 use hypertp_core::{uisr_store, HypervisorKind, InPlaceTransplant, VmConfig};
-use hypertp_machine::{Extent, Gfn, KexecImage, Machine, MachineSpec, PageOrder, PhysicalMemory};
+use hypertp_machine::{
+    frame_runs, Extent, Gfn, KexecImage, Machine, MachineSpec, PageOrder, PhysicalMemory,
+};
 use hypertp_migrate::{migrate_many, MigrationConfig, MigrationReport, MigrationTp, WireMode};
-use hypertp_pram::{PramBuilder, PramImage, PramStats};
+use hypertp_pram::{PramBuilder, PramFile, PramImage, PramStats};
 use hypertp_sim::json::{self, Json};
 use hypertp_sim::{SimClock, WorkerPool};
 
@@ -298,13 +300,11 @@ fn ownership_leg() -> (f64, f64) {
         assert_eq!(sum, *expected, "guest memory of {name} changed");
     }
     let t = Instant::now();
-    for file in guest_files() {
-        for (_, e) in &file.mappings {
-            machine
-                .ram_mut()
-                .unreserve_and_free(e.base, e.pages())
-                .expect("in range");
-        }
+    for (base, pages) in frame_runs(guest_files().flat_map(PramFile::extents)) {
+        machine
+            .ram_mut()
+            .unreserve_and_free(base, pages)
+            .expect("in range");
     }
     ownership += secs(t);
     (ownership, checksums)

@@ -9,7 +9,9 @@
 //! The §4.2.5 optimizations are individually toggleable through
 //! [`Optimizations`]; the ablation bench measures each one's contribution.
 
-use hypertp_machine::{combine_partials, Extent, Gfn, KexecImage, Machine, Mfn, PageOrder};
+use hypertp_machine::{
+    combine_partials, frame_runs, Extent, Gfn, KexecImage, Machine, Mfn, PageOrder,
+};
 use hypertp_pram::{PramBuilder, PramError, PramFile, PramHandle, PramImage, PramStats};
 use hypertp_sim::cost::{MachinePerf, VmShape};
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
@@ -516,6 +518,7 @@ pub(crate) fn kexec_and_adopt(
         .ok_or(HtpError::Pram(PramError::BadMagic { mfn: Mfn(0) }))?;
     let image = PramImage::parse(machine.ram(), pram_ptr)?;
     image.verify().map_err(HtpError::Pram)?;
+    refuse_shared_frames(&image)?;
     image.reserve_all(machine.ram_mut())?;
     let scrubbed = machine.ram_mut().scrub_unreserved();
 
@@ -557,7 +560,8 @@ pub(crate) fn kexec_and_adopt(
         // The target must have re-owned every guest frame; otherwise
         // dropping the PRAM reservations below would let the allocator
         // recycle live guest memory.
-        if !extents.iter().all(|e| machine.ram().is_allocated(e.base)) {
+        let ram = machine.ram();
+        if !frame_runs(extents).all(|(base, pages)| ram.all_allocated(base, pages)) {
             return Err(violation());
         }
     }
@@ -573,10 +577,9 @@ pub(crate) fn kexec_and_adopt(
     }
     image.release_metadata(machine.ram_mut())?;
     // Guest frames stay allocated (adopted); drop their reservations.
-    for file in image.files.iter().filter(|f| !uisr_store::is_uisr_file(f)) {
-        for (_, e) in &file.mappings {
-            machine.ram_mut().unreserve_and_free(e.base, e.pages())?;
-        }
+    let guests = image.files.iter().filter(|f| !uisr_store::is_uisr_file(f));
+    for (base, pages) in frame_runs(guests.flat_map(PramFile::extents)) {
+        machine.ram_mut().unreserve_and_free(base, pages)?;
     }
 
     // NIC re-initialization, reported separately (Fig. 6 "Network").
@@ -589,6 +592,25 @@ pub(crate) fn kexec_and_adopt(
         network,
         resumed_at,
     })
+}
+
+/// Refuses a PRAM directory in which two extents — of one file or of two,
+/// guest memory or UISR blob — claim the same machine frame, before any
+/// frame is reserved. Adopting it would hand one frame to two owners, and
+/// where the shared frames hold equal words the integrity checksums
+/// cannot tell.
+fn refuse_shared_frames(image: &PramImage) -> Result<(), HtpError> {
+    let mut runs: Vec<_> = frame_runs(image.files.iter().flat_map(PramFile::extents)).collect();
+    runs.sort_unstable_by_key(|&(base, _)| base);
+    // Sorted by base, a run that overlaps any earlier one overlaps the one
+    // just before it.
+    match runs.windows(2).find(|w| w[0].0 .0 + w[0].1 > w[1].0 .0) {
+        Some(w) => Err(HtpError::IncompatibleState {
+            section: "PRAM",
+            detail: format!("two PRAM extents claim {}", w[1].0),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Pairs every guest-memory file of a parsed PRAM directory with its UISR
@@ -1533,6 +1555,32 @@ mod tests {
             }
         );
         assert!(!adopted, "vm0 was adopted before the orphan was seen");
+    }
+
+    #[test]
+    fn two_files_claiming_one_frame_are_refused_before_any_vm_is_adopted() {
+        let mut shared = None;
+        let (err, adopted) = land_malformed(|m, b| {
+            let (map0, blob0) = saved_guest(m, "vm0");
+            let (mut map1, blob1) = saved_guest(m, "vm1");
+            // vm1's first extent is vm0's first extent.
+            map1[0].1 = map0[0].1;
+            shared = Some(map0[0].1.base);
+            let extents = map0.iter().chain(&map1).map(|(_, e)| *e).collect();
+            b.add_file("vm0", 0o600, map0);
+            uisr_store::store_blob(m.ram_mut(), b, "vm0", &blob0).unwrap();
+            b.add_file("vm1", 0o600, map1);
+            uisr_store::store_blob(m.ram_mut(), b, "vm1", &blob1).unwrap();
+            extents
+        });
+        assert_eq!(
+            err,
+            HtpError::IncompatibleState {
+                section: "PRAM",
+                detail: format!("two PRAM extents claim {}", shared.unwrap()),
+            }
+        );
+        assert!(!adopted, "a VM was adopted over a shared frame");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use hypertp_machine::{Extent, Gfn, Machine, PageOrder};
+use hypertp_machine::{frame_runs, Extent, Gfn, Machine, PageOrder};
 use hypertp_sim::SimRng;
 use hypertp_uisr::state::{KVM_IOAPIC_PINS, LAPIC_REGS_SIZE};
 use hypertp_uisr::{DeviceState, MemoryRegion, UisrVm, VcpuState};
@@ -302,8 +302,8 @@ impl Hypervisor for SimpleHv {
     ) -> Result<RestoredVm, HtpError> {
         // Re-own the in-place frames so the allocator cannot recycle them
         // once the engine drops the PRAM reservations.
-        for (_, e) in mappings {
-            machine.ram_mut().adopt_reserved(e.base, e.pages())?;
+        for (base, pages) in frame_runs(mappings.iter().map(|&(_, e)| e)) {
+            machine.ram_mut().adopt_reserved(base, pages)?;
         }
         let huge = mappings
             .first()

@@ -12,7 +12,7 @@
 //! continuation bytes. File GFNs are the sequential chunk index (the blob
 //! is a file, not guest-physical memory).
 
-use hypertp_machine::{Extent, Gfn, PageOrder, PhysicalMemory, PAGE_SIZE};
+use hypertp_machine::{frame_runs, Extent, Gfn, PageOrder, PhysicalMemory, PAGE_SIZE};
 use hypertp_pram::{PramBuilder, PramFile};
 
 use crate::error::HtpError;
@@ -101,8 +101,8 @@ pub fn load_blob(ram: &PhysicalMemory, file: &PramFile) -> Result<Vec<u8>, HtpEr
 
 /// Frees a UISR blob file's frames (cleanup step ❼).
 pub fn release_blob(ram: &mut PhysicalMemory, file: &PramFile) -> Result<(), HtpError> {
-    for (_, e) in &file.mappings {
-        ram.unreserve_and_free(e.base, e.pages())?;
+    for (base, pages) in frame_runs(file.extents()) {
+        ram.unreserve_and_free(base, pages)?;
     }
     Ok(())
 }

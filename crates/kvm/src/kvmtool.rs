@@ -9,7 +9,7 @@
 //! corresponding KVM IOCTL" (§4.2.1).
 
 use hypertp_core::{hypervisor::config_from_uisr, HtpError, VmConfig, VmState};
-use hypertp_machine::{Extent, Gfn, Machine, PageOrder};
+use hypertp_machine::{frame_runs, Extent, Gfn, Machine, PageOrder};
 use hypertp_sim::SimRng;
 use hypertp_uisr::{lapic_page, msr, DeviceState, MemoryRegion, UisrVm, VcpuState as UisrVcpu};
 
@@ -311,6 +311,9 @@ pub fn adopt_guest(
         .unwrap_or(true);
     let config = config_from_uisr(uisr, huge);
     let vm_fd = kvm.create_vm();
+    for (base, pages) in frame_runs(mappings.iter().map(|&(_, e)| e)) {
+        machine.ram_mut().adopt_reserved(base, pages)?;
+    }
     // Group mappings into contiguous GFN runs -> one slot each. The guest
     // memory is mapped into the VMM with mmap and handed to KVM (§4.2.2).
     let mut slot = 0u32;
@@ -330,7 +333,6 @@ pub fn adopt_guest(
         Ok(())
     };
     for (gfn, e) in mappings {
-        machine.ram_mut().adopt_reserved(e.base, e.pages())?;
         if run_start.is_none() || gfn.0 != next_gfn {
             flush(kvm, run_start.take(), &mut backing, &mut slot)?;
             run_start = Some(gfn.0);

@@ -142,6 +142,23 @@ impl Extent {
     }
 }
 
+/// Coalesces extents into physically contiguous `(first frame, pages)`
+/// runs, in sequence order: an extent that starts where the run before it
+/// ends joins that run. Only neighbours in the sequence merge, so a walk
+/// over the runs visits every frame in the order a walk over the extents
+/// does, with one call per run instead of one per extent.
+pub fn frame_runs(extents: impl IntoIterator<Item = Extent>) -> impl Iterator<Item = (Mfn, u64)> {
+    let mut extents = extents.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let first = extents.next()?;
+        let mut pages = first.pages();
+        while let Some(e) = extents.next_if(|e| e.base.0 == first.base.0 + pages) {
+            pages += e.pages();
+        }
+        Some((first.base, pages))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +192,20 @@ mod tests {
         assert!(e.contains(Mfn(10)));
         assert!(!e.contains(Mfn(12)));
         assert_eq!(e.bytes(), 4 * 4096);
+    }
+
+    #[test]
+    fn runs_merge_only_sequence_neighbours() {
+        let e = |base, order| Extent::new(Mfn(base), PageOrder(order));
+        let runs: Vec<_> =
+            frame_runs([e(0, 2), e(4, 2), e(8, 3), e(32, 0), e(16, 4), e(33, 0)]).collect();
+        // Frame 32 ends 16..32 and frame 33 follows frame 32 in memory,
+        // but neither is its sequence neighbour.
+        assert_eq!(
+            runs,
+            [(Mfn(0), 16), (Mfn(32), 1), (Mfn(16), 16), (Mfn(33), 1)]
+        );
+        assert_eq!(frame_runs([]).count(), 0);
     }
 
     #[test]

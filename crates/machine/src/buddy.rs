@@ -50,6 +50,7 @@ const ORDERS: usize = PageOrder::MAX.0 as usize + 1;
 /// bitmaps, and "lowest free block of order `k`" is the first set bit at or
 /// after a per-order hint word.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct BuddyAllocator {
     /// The ten bitmaps, back to back: order `k` is
     /// `bits[offset[k]..offset[k + 1]]`.
@@ -278,12 +279,34 @@ impl BuddyAllocator {
                 break;
             }
         }
+        // A shatter lowers the order-0 hint to the frames it puts back, and
+        // a later call may take them again. Lift the hint to the first word
+        // that holds a free frame, so reserving a run in one call and its
+        // pieces call by call leave the same hint.
+        if self.count[0] > 0 {
+            let first = self.hint[0];
+            self.hint[0] += self.order_bits(0)[first..]
+                .iter()
+                .position(|&w| w != 0)
+                .expect("a counted free frame has its bit set at or after the hint");
+        }
         reserved
     }
 
     /// Returns true if the frame is currently free.
     pub fn is_free(&self, mfn: Mfn) -> bool {
         self.overlaps_free(mfn.0, 1)
+    }
+
+    /// The free block holding frame `mfn`, as `(order, base)`.
+    #[cfg(test)]
+    pub(crate) fn block_of(&self, mfn: Mfn) -> Option<(usize, u64)> {
+        (0..ORDERS).find_map(|k| {
+            let base = mfn.0 >> k << k;
+            let free =
+                base + (1 << k) <= self.total_frames && bits::test(self.order_bits(k), base >> k);
+            free.then_some((k, base))
+        })
     }
 
     /// Free blocks as `(order, base)`, by order then address.

@@ -229,6 +229,13 @@ impl PhysicalMemory {
         bits::test(&self.allocated, mfn.0)
     }
 
+    /// Returns true if every frame of `base..base + pages` exists and is
+    /// allocated: one walk over the words the range overlaps.
+    pub fn all_allocated(&self, base: Mfn, pages: u64) -> bool {
+        let (in_ram, overhang) = self.clip(base, pages);
+        overhang.is_ok() && bits::first_clear(&self.allocated, in_ram).is_none()
+    }
+
     /// Kexec semantics: all ownership and reservations are forgotten (the
     /// new kernel starts with a fresh allocator), but contents survive.
     pub fn forget_ownership(&mut self) {
@@ -247,34 +254,44 @@ impl PhysicalMemory {
     /// A 64-frame block is eight lines, one byte of the zero-line summary:
     /// a block the summary proves zero is skipped unread, and a block with
     /// unowned frames has its byte recomputed from the words just zeroed.
+    /// A summary word covers a group of eight blocks, 512 frames; a group
+    /// whose word is zero, or whose every frame is owned or reserved — all
+    /// of a guest's memory after `reserve_all` — is skipped whole.
     pub fn scrub_unreserved(&mut self) -> u64 {
         let mut scrubbed = 0;
-        for (w, frames) in self.contents.chunks_mut(64).enumerate() {
-            // A summary word covers eight blocks.
-            let (summary, shift) = (&mut self.lines[w / 8], w % 8 * 8);
-            if *summary >> shift & 0xff == 0 {
+        for (g, group) in self.contents.chunks_mut(512).enumerate() {
+            let blocks = 8 * g..8 * g + group.len().div_ceil(64);
+            let owned = |w: usize| self.allocated[w] | self.reserved[w] == !0;
+            if self.lines[g] == 0 || (group.len() == 512 && blocks.clone().all(owned)) {
                 continue;
             }
-            // Neither bitmap ever has a bit past the last frame; the last
-            // chunk is as short as the frames that are left.
-            let mut unowned = !(self.allocated[w] | self.reserved[w]) & (!0 >> (64 - frames.len()));
-            if unowned == 0 {
-                continue;
-            }
-            while unowned != 0 {
-                let i = unowned.trailing_zeros() as usize;
-                unowned &= unowned - 1;
-                if frames[i] != 0 {
-                    frames[i] = 0;
-                    self.bytes.remove(&(w as u64 * 64 + i as u64));
-                    scrubbed += 1;
+            for (w, frames) in blocks.zip(group.chunks_mut(64)) {
+                let (summary, shift) = (&mut self.lines[g], w % 8 * 8);
+                if *summary >> shift & 0xff == 0 {
+                    continue;
                 }
+                // Neither bitmap ever has a bit past the last frame; the
+                // last chunk is as short as the frames that are left.
+                let mut unowned =
+                    !(self.allocated[w] | self.reserved[w]) & (!0 >> (64 - frames.len()));
+                if unowned == 0 {
+                    continue;
+                }
+                while unowned != 0 {
+                    let i = unowned.trailing_zeros() as usize;
+                    unowned &= unowned - 1;
+                    if frames[i] != 0 {
+                        frames[i] = 0;
+                        self.bytes.remove(&(w as u64 * 64 + i as u64));
+                        scrubbed += 1;
+                    }
+                }
+                let mut live = 0u64;
+                for (l, line) in frames.chunks(LINE as usize).enumerate() {
+                    live |= u64::from(line.iter().any(|&c| c != 0)) << l;
+                }
+                *summary = *summary & !(0xff << shift) | live << shift;
             }
-            let mut live = 0u64;
-            for (l, line) in frames.chunks(LINE as usize).enumerate() {
-                live |= u64::from(line.iter().any(|&c| c != 0)) << l;
-            }
-            *summary = *summary & !(0xff << shift) | live << shift;
         }
         scrubbed
     }
@@ -688,6 +705,175 @@ mod tests {
     }
 
     #[test]
+    fn all_allocated_reads_every_frame_of_the_range() {
+        let mut ram = PhysicalMemory::new(200);
+        let e = ram.alloc(PageOrder(7)).unwrap();
+        assert!(ram.all_allocated(e.base, e.pages()));
+        assert!(ram.all_allocated(e.base, 0));
+        // Free the last frame only: the base stays owned.
+        ram.free(e).unwrap();
+        ram.forget_ownership();
+        ram.reserve_range(e.base, e.pages()).unwrap();
+        ram.adopt_reserved(e.base, e.pages() - 1).unwrap();
+        assert!(ram.is_allocated(e.base));
+        assert!(!ram.all_allocated(e.base, e.pages()));
+        assert!(ram.all_allocated(e.base, e.pages() - 1));
+        // Past the end of RAM is never owned.
+        assert!(!ram.all_allocated(Mfn(199), 2));
+    }
+
+    /// The ownership books are equal, whole: the buddy allocator (free
+    /// blocks, counts, hints, free frames) and both bitmaps.
+    fn assert_same_books(a: &PhysicalMemory, b: &PhysicalMemory, what: &str) {
+        assert!(a.buddy == b.buddy, "{what}: the allocators differ");
+        assert!(a.allocated == b.allocated, "{what}: ownership differs");
+        assert!(a.reserved == b.reserved, "{what}: reservations differ");
+    }
+
+    /// A fragmented RAM of `total` frames: blocks of every order allocated,
+    /// about a third freed again, and on odd seeds a kexec followed by
+    /// scattered reservations and allocations, so free blocks of every
+    /// order sit next to owned and reserved frames. One seed in four keeps
+    /// the allocator a kexec leaves, all free, as `reserve_all` meets it.
+    /// Built from the seed alone, so two calls build the same RAM.
+    fn fragmented_ram(seed: u64, total: u64) -> PhysicalMemory {
+        let mut rng = hypertp_sim::SimRng::new(0x7275_6e00 + seed);
+        let mut ram = PhysicalMemory::new(total);
+        if seed % 4 == 3 {
+            return ram;
+        }
+        let mut owned = Vec::new();
+        while let Ok(e) = ram.alloc(PageOrder(rng.gen_range(10) as u8)) {
+            owned.push(e);
+            if ram.free_frames() < total / 4 {
+                break;
+            }
+        }
+        for e in owned {
+            if rng.gen_bool(0.35) {
+                ram.free(e).unwrap();
+            }
+        }
+        if seed % 2 == 1 {
+            ram.forget_ownership();
+            for _ in 0..8 {
+                let base = rng.gen_range(total);
+                let pages = rng.gen_range(300).min(total - base);
+                ram.reserve_range(Mfn(base), pages).unwrap();
+                ram.alloc(PageOrder(rng.gen_range(10) as u8)).ok();
+            }
+        }
+        ram
+    }
+
+    /// A physically contiguous run of 1–12 extents, each aligned to its
+    /// order, from a frame aligned to a random order: a run of small
+    /// extents usually lies inside, and straddles the edges of, larger
+    /// free blocks.
+    fn contiguous_extents(rng: &mut hypertp_sim::SimRng, total: u64) -> Vec<Extent> {
+        let align = rng.gen_range(10);
+        let mut at = rng.gen_range((total - 512) >> align) << align;
+        let mut run = Vec::new();
+        for _ in 0..1 + rng.gen_range(12) {
+            let aligned = at.trailing_zeros().min(9) as u64;
+            let order = PageOrder(rng.gen_range(aligned + 1) as u8);
+            if at + order.pages() > total {
+                break;
+            }
+            run.push(Extent::new(Mfn(at), order));
+            at += order.pages();
+        }
+        run
+    }
+
+    /// A bookkeeping call over `base..base + pages`; `Ok` carries a count.
+    type Op = dyn Fn(&mut PhysicalMemory, Mfn, u64) -> Result<u64, MemError>;
+
+    /// `op` once over the run `extents` make up on `one`, and extent by
+    /// extent on `each`: the results must agree, and on success the books.
+    fn compare(
+        (one, each): (&mut PhysicalMemory, &mut PhysicalMemory),
+        extents: &[Extent],
+        op: &Op,
+        what: &str,
+    ) -> Result<u64, MemError> {
+        let pages = extents.iter().map(|e| e.pages()).sum();
+        let got = op(one, extents[0].base, pages);
+        let want = extents
+            .iter()
+            .try_fold(0, |sum, e| Ok(sum + op(each, e.base, e.pages())?));
+        assert_eq!(got, want, "{what}");
+        if got.is_ok() {
+            assert_same_books(one, each, what);
+        }
+        got
+    }
+
+    /// One call over a run against a loop over its extents, on fragmented
+    /// layouts: `reserve_range`, `adopt_reserved` and `unreserve_and_free`
+    /// each return the same value and leave the same books — the buddy's
+    /// free blocks, counts, hints and free frames, and both bitmaps. A run
+    /// with an unreserved extent fails adoption with the same error both
+    /// ways (one call adopts nothing, where the loop has adopted the
+    /// extents before the failing one).
+    #[test]
+    fn one_call_per_run_equals_a_loop_over_its_extents() {
+        let reserve: &Op = &|ram, base, pages| ram.reserve_range(base, pages);
+        let adopt: &Op = &|ram, base, pages| ram.adopt_reserved(base, pages).map(|()| 0);
+        let release: &Op = &|ram, base, pages| ram.unreserve_and_free(base, pages).map(|()| 0);
+        let total = (1 << 14) + 37;
+        let mut straddled = 0;
+        for seed in 0..300u64 {
+            let (mut one, mut each) = (fragmented_ram(seed, total), fragmented_ram(seed, total));
+            let mut rng = hypertp_sim::SimRng::new(0x6c6f_6f70 + seed);
+            let extents = contiguous_extents(&mut rng, total);
+            let runs: Vec<_> = crate::frame_runs(extents.iter().copied()).collect();
+            let [(base, pages)] = runs[..] else {
+                panic!("seed {seed}: {extents:?} is not one run");
+            };
+            // A free block over either end of the run and past it: the
+            // reservation shatters it.
+            let (first, last) = (base.0, base.0 + pages - 1);
+            let block = |f| one.buddy.block_of(Mfn(f));
+            if block(first).is_some_and(|(_, b)| b < first)
+                || block(last).is_some_and(|(k, b)| b + (1 << k) > last + 1)
+            {
+                straddled += 1;
+            }
+            let both = (&mut one, &mut each);
+            compare(both, &extents, reserve, &format!("seed {seed}: reserve")).unwrap();
+            match seed % 3 {
+                0 => {
+                    // One extent's reservation dropped on both sides.
+                    let e = extents[rng.gen_range(extents.len() as u64) as usize];
+                    one.unreserve_and_free(e.base, e.pages()).unwrap();
+                    each.unreserve_and_free(e.base, e.pages()).unwrap();
+                    let both = (&mut one, &mut each);
+                    assert!(
+                        compare(both, &extents, adopt, &format!("seed {seed}: adopt")).is_err()
+                    );
+                    continue;
+                }
+                1 => {
+                    let both = (&mut one, &mut each);
+                    compare(both, &extents, adopt, &format!("seed {seed}: adopt")).unwrap();
+                }
+                _ => {
+                    // Only the first extent adopted: the release frees the
+                    // rest back to the allocator, frame by frame.
+                    let e = extents[0];
+                    one.adopt_reserved(e.base, e.pages()).unwrap();
+                    each.adopt_reserved(e.base, e.pages()).unwrap();
+                }
+            }
+            let both = (&mut one, &mut each);
+            compare(both, &extents, release, &format!("seed {seed}: release")).unwrap();
+            one.buddy.check_invariants().unwrap();
+        }
+        assert!(straddled > 50, "only {straddled} runs shatter a free block");
+    }
+
+    #[test]
     fn content_slice_borrows_extent_words() {
         let mut ram = PhysicalMemory::new(64);
         let e = ram.alloc(PageOrder(3)).unwrap();
@@ -814,6 +1000,57 @@ mod tests {
                 "seed {seed}: kexec scrubbed nothing"
             );
             check(&ram, "kexec");
+        }
+    }
+
+    /// The boot scrub against a per-frame reading of the books: every frame
+    /// neither owned nor reserved, and no other, reads zero afterwards, the
+    /// count is the frames among them that held a word, and the zero-line
+    /// summary stays sound. Freeing a third of the extents leaves 512-frame
+    /// groups that mix wholly owned blocks with free frames.
+    #[test]
+    fn scrub_zeroes_exactly_the_unowned_frames() {
+        let total = (1 << 13) + 37;
+        for seed in 0..8u64 {
+            let mut rng = hypertp_sim::SimRng::new(0x5c2b_0000 + seed);
+            let mut ram = PhysicalMemory::new(total);
+            let mut extents = Vec::new();
+            while let Ok(e) = ram.alloc(PageOrder(rng.gen_range(10) as u8)) {
+                for mfn in e.frames() {
+                    if rng.gen_bool(0.3) {
+                        ram.write(mfn, rng.next_u64() | 1).unwrap();
+                    }
+                }
+                extents.push(e);
+            }
+            for e in &extents {
+                if rng.gen_bool(0.3) {
+                    ram.free(*e).unwrap();
+                }
+            }
+            if seed % 2 == 1 {
+                ram.forget_ownership();
+                for e in extents.iter().step_by(3) {
+                    ram.reserve_range(e.base, e.pages()).unwrap();
+                }
+            }
+            let before: Vec<u64> = (0..total).map(|f| ram.read(Mfn(f)).unwrap()).collect();
+            let kept: Vec<bool> = (0..total)
+                .map(|f| ram.is_allocated(Mfn(f)) || ram.is_reserved(Mfn(f)))
+                .collect();
+            let lost = (0..total as usize).filter(|&f| !kept[f] && before[f] != 0);
+            assert_eq!(ram.scrub_unreserved(), lost.count() as u64, "seed {seed}");
+            for f in 0..total as usize {
+                let want = if kept[f] { before[f] } else { 0 };
+                assert_eq!(
+                    ram.read(Mfn(f as u64)).unwrap(),
+                    want,
+                    "seed {seed} frame {f}"
+                );
+            }
+            for e in &extents {
+                assert_eq!(ram.extent_partial(e), one_word_fold(&ram, e), "seed {seed}");
+            }
         }
     }
 

@@ -10,7 +10,9 @@
 
 use std::collections::HashSet;
 
-use hypertp_machine::{Extent, Gfn, MemError, Mfn, PageOrder, PhysicalMemory, PAGE_SIZE};
+use hypertp_machine::{
+    frame_runs, Extent, Gfn, MemError, Mfn, PageOrder, PhysicalMemory, PAGE_SIZE,
+};
 use hypertp_sim::WorkerPool;
 
 use crate::entry::{pack_entry, unpack_entry, PackedEntry, FLAG_GUEST};
@@ -157,6 +159,11 @@ impl PramFile {
     /// Total guest pages covered by the file.
     pub fn total_pages(&self) -> u64 {
         self.mappings.iter().map(|(_, e)| e.pages()).sum()
+    }
+
+    /// The file's machine extents, in mapping order.
+    pub fn extents(&self) -> impl Iterator<Item = Extent> + '_ {
+        self.mappings.iter().map(|&(_, e)| e)
     }
 
     /// Total number of 8-byte page entries the file encodes to.
@@ -605,16 +612,14 @@ impl PramImage {
     }
 
     /// Reserves every guest frame and metadata frame so the booting
-    /// hypervisor cannot recycle them (Fig. 3 step between ❹ and ❺).
+    /// hypervisor cannot recycle them (Fig. 3 step between ❹ and ❺): files
+    /// in directory order, then the metadata, one reservation per
+    /// physically contiguous run.
     pub fn reserve_all(&self, ram: &mut PhysicalMemory) -> Result<u64, PramError> {
+        let files = self.files.iter().flat_map(PramFile::extents);
         let mut reserved = 0;
-        for f in &self.files {
-            for (_, e) in &f.mappings {
-                reserved += ram.reserve_range(e.base, e.pages())?;
-            }
-        }
-        for &m in &self.meta_frames {
-            reserved += ram.reserve_range(m, 1)?;
+        for (base, pages) in frame_runs(files.chain(self.meta_extents())) {
+            reserved += ram.reserve_range(base, pages)?;
         }
         Ok(reserved)
     }
@@ -623,10 +628,17 @@ impl PramImage {
     /// "the portions of the RAM which were used to store ephemeral data are
     /// freed"). Guest frames stay reserved until the hypervisor adopts them.
     pub fn release_metadata(&self, ram: &mut PhysicalMemory) -> Result<(), PramError> {
-        for &m in &self.meta_frames {
-            ram.unreserve_and_free(m, 1)?;
+        for (base, pages) in frame_runs(self.meta_extents()) {
+            ram.unreserve_and_free(base, pages)?;
         }
         Ok(())
+    }
+
+    /// The metadata pages as single-frame extents, in walk order.
+    fn meta_extents(&self) -> impl Iterator<Item = Extent> + '_ {
+        self.meta_frames
+            .iter()
+            .map(|&m| Extent::new(m, PageOrder(0)))
     }
 
     /// Total 8-byte entries across all files.

@@ -11,11 +11,12 @@ use hypertp_core::{
     hypervisor::config_from_uisr, HtpError, Hypervisor, HypervisorKind, MemSepReport, RestoredVm,
     VmConfig, VmId, VmState,
 };
-use hypertp_machine::{Extent, Gfn, Machine, PageOrder};
+use hypertp_machine::{frame_runs, Extent, Gfn, Machine, PageOrder};
 use hypertp_uisr::{DeviceState, MemoryRegion, UisrVm};
 
 use crate::domain::Domain;
 use crate::hvm_context::load_context;
+use crate::p2m::{P2m, P2mError};
 use crate::sched::{CreditScheduler, DEFAULT_WEIGHT};
 use crate::xenstore::XenStore;
 use crate::xlate;
@@ -381,14 +382,16 @@ impl Hypervisor for XenHypervisor {
         // Integrate the in-place guest memory (the paper's "PRAM
         // filesystem API into Xen"): the frames are reserved by the early
         // boot parse; adopting marks them owned again without touching
-        // contents.
-        let mut p2m = crate::p2m::P2m::new();
-        for (gfn, e) in mappings {
-            machine.ram_mut().adopt_reserved(e.base, e.pages())?;
-            p2m.map(*gfn, *e).map_err(|_| HtpError::IncompatibleState {
+        // contents, one physically contiguous run at a time.
+        let p2m = P2m::from_mappings(mappings).map_err(|e| {
+            let (P2mError::Overlap { gfn } | P2mError::NotMapped { gfn }) = e;
+            HtpError::IncompatibleState {
                 section: "memory",
                 detail: format!("overlapping PRAM mappings at {gfn}"),
-            })?;
+            }
+        })?;
+        for (base, pages) in frame_runs(mappings.iter().map(|&(_, e)| e)) {
+            machine.ram_mut().adopt_reserved(base, pages)?;
         }
         let vcpus: Vec<_> = uisr.vcpus.iter().map(xlate::vcpu_from_uisr).collect();
         let ioapic = xlate::ioapic_from_uisr(&uisr.ioapic, &mut warnings);

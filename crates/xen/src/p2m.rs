@@ -70,6 +70,27 @@ impl P2m {
         Ok(())
     }
 
+    /// A table holding `mappings`, with the errors of mapping them one by
+    /// one, in order, with [`P2m::map`]. The leading run of mappings that
+    /// each start at or past the end of the one before — all of them, for
+    /// a memory map sorted by GFN — is one bulk build, without a probe per
+    /// entry; any mapping after it goes through [`P2m::map`].
+    pub fn from_mappings(mappings: &[(Gfn, Extent)]) -> Result<P2m, P2mError> {
+        let ascending = mappings
+            .windows(2)
+            .position(|w| w[0].0 .0 + w[0].1.pages() > w[1].0 .0)
+            .map_or(mappings.len(), |i| i + 1);
+        let (ascending, rest) = mappings.split_at(ascending);
+        let mut p2m = P2m {
+            entries: ascending.iter().map(|&(g, e)| (g.0, e)).collect(),
+            dirty: None,
+        };
+        for &(gfn, e) in rest {
+            p2m.map(gfn, e)?;
+        }
+        Ok(p2m)
+    }
+
     /// Translates a GFN to its machine frame.
     pub fn translate(&self, gfn: Gfn) -> Result<Mfn, P2mError> {
         let (base, e) = entry_of(&self.entries, gfn)?;
@@ -391,6 +412,57 @@ mod proptests {
     use super::*;
     use hypertp_machine::PageOrder;
     use hypertp_sim::SimRng;
+
+    /// `mappings` mapped one by one, in order, stopping at the first error.
+    fn map_loop(mappings: &[(Gfn, Extent)]) -> Result<Vec<(Gfn, Extent)>, P2mError> {
+        let mut p = P2m::new();
+        for &(gfn, e) in mappings {
+            p.map(gfn, e)?;
+        }
+        Ok(p.mappings())
+    }
+
+    /// The one-pass build equals a loop of `map` — the same entries, or the
+    /// same `Overlap` GFN — on memory maps sorted by GFN with holes, the
+    /// same maps shuffled, and either with an overlapping mapping put in.
+    #[test]
+    fn one_pass_build_equals_a_map_loop() {
+        let mut rng = SimRng::new(0x92a0_0002);
+        let (mut overlaps, mut unsorted) = (0, 0);
+        for case in 0..400 {
+            let mut sorted = Vec::new();
+            let mut gfn = 0u64;
+            for i in 0..rng.gen_range(40) {
+                gfn += rng.gen_range(3) * rng.gen_range(600);
+                let order = PageOrder(rng.gen_range(10) as u8);
+                sorted.push((Gfn(gfn), Extent::new(Mfn(i << 9), order)));
+                gfn += order.pages();
+            }
+            let mut shuffled = sorted.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(i as u64 + 1) as usize);
+            }
+            for mut input in [sorted, shuffled] {
+                if !input.is_empty() && rng.gen_bool(0.5) {
+                    // A page inside some mapping, mapped again anywhere.
+                    let (g, e) = input[rng.gen_range(input.len() as u64) as usize];
+                    let at = rng.gen_range(input.len() as u64 + 1) as usize;
+                    let inside = Gfn(g.0 + rng.gen_range(e.pages()));
+                    input.insert(at, (inside, Extent::new(Mfn(1 << 30), PageOrder(0))));
+                }
+                let want = map_loop(&input);
+                let got = P2m::from_mappings(&input).map(|p| p.mappings());
+                assert_eq!(got, want, "case {case}: {input:?}");
+                overlaps += u32::from(want.is_err());
+                let ascending = input.windows(2).all(|w| w[0].0 < w[1].0);
+                unsorted += u32::from(!ascending && want.is_ok());
+            }
+        }
+        assert!(
+            overlaps > 100 && unsorted > 100,
+            "{overlaps} overlaps, {unsorted} unsorted"
+        );
+    }
 
     /// Random non-overlapping maps translate every covered GFN to the
     /// right frame and reject every uncovered GFN.

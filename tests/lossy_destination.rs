@@ -8,7 +8,10 @@
 //! extents and holes in guest-physical space.
 //! Likewise InPlaceTP's post-adoption checksum fails a target that changes
 //! one guest page as it adopts it, where the zero-line summary lets the
-//! fold skip lines and where it does not, and so does crash recovery's.
+//! fold skip lines and where it does not, and so does crash recovery's;
+//! its ownership check fails a target that leaves one guest frame
+//! unowned. A fragmented guest survives an in-place round trip whose
+//! frame runs break at almost every extent.
 
 use hypertp::core::testing::SimpleHv;
 use hypertp::core::{
@@ -30,6 +33,9 @@ struct LossyHv {
     dropped: u64,
     /// The page and word written into every adopted VM.
     on_adopt: Option<(Gfn, u64)>,
+    /// Hands the last frame of every adopted VM's last extent back to the
+    /// allocator: a target that re-owns all of that extent but one frame.
+    disown_last_frame: bool,
 }
 
 impl LossyHv {
@@ -39,6 +45,7 @@ impl LossyHv {
             lost,
             dropped: 0,
             on_adopt: None,
+            disown_last_frame: false,
         }
     }
 }
@@ -148,6 +155,12 @@ impl Hypervisor for LossyHv {
         let restored = self.inner.adopt_vm(m, uisr, mappings)?;
         if let Some((gfn, word)) = self.on_adopt {
             self.inner.write_guest(m, restored.id, gfn, word)?;
+        }
+        if self.disown_last_frame {
+            let map = self.inner.guest_memory_map(restored.id)?;
+            let (_, e) = *map.last().expect("an adopted guest has memory");
+            let last = Extent::new(e.base + (e.pages() - 1), PageOrder(0));
+            m.ram_mut().free(last)?;
         }
         Ok(restored)
     }
@@ -535,6 +548,30 @@ fn inplace_adoption_check_catches_a_changed_page() {
         .unwrap();
 }
 
+/// A target that re-owns every frame of the guest's last extent but the
+/// last one fails the post-adoption check, though the guest's memory is
+/// unchanged: dropping the PRAM reservations would let the allocator
+/// recycle that frame.
+#[test]
+fn inplace_adoption_check_catches_an_unowned_frame() {
+    let mut registry = default_registry();
+    registry.register(HypervisorKind::Kvm, |m| {
+        let mut kvm = LossyHv::new(Box::new(KvmHypervisor::new(m)), Gfn(1 << 40));
+        kvm.disown_last_frame = true;
+        Box::new(kvm)
+    });
+    let (mut m, xen, _) = inplace_world();
+    let err = InPlaceTransplant::new(&registry)
+        .run(&mut m, xen, HypervisorKind::Kvm)
+        .err();
+    assert_eq!(
+        err,
+        Some(HtpError::IntegrityViolation {
+            vm_name: "adopted".into()
+        })
+    );
+}
+
 /// Crash recovery checks guest memory after adoption just as InPlaceTP
 /// does: a rescue target that changes one page as it adopts fails
 /// `recover`, whatever the checkpointer's pool.
@@ -581,4 +618,68 @@ fn unplanned_recovery_check_catches_a_changed_page() {
 
     // Recovering without the change verifies.
     recover(&default_registry(), 4).unwrap();
+}
+
+/// The allocator state an InPlaceTP round trip of `fragmented` guests ends
+/// in: free frames, then the next block of every order, twice.
+fn free_frame_digest(acc: &mut u64, m: &mut Machine) {
+    let mut fold = |v: u64| *acc = (acc.rotate_left(13) ^ v).wrapping_mul(0x100_0000_01b3);
+    fold(m.ram().free_frames());
+    for order in (0..10).chain(0..10) {
+        fold(m.ram_mut().alloc(PageOrder(order)).unwrap().base.0);
+    }
+}
+
+/// InPlaceTP Xen → KVM → Xen on fragmented guests — extents of orders 0–9
+/// in shuffled machine order, with and without gfn holes — so the frame
+/// runs break at almost every extent. Every leg keeps the guest checksum
+/// and the memory map, a further leg out builds the PRAM the first did,
+/// and the allocator ends where it did when the books were kept extent by
+/// extent.
+#[test]
+fn fragmented_guest_survives_an_inplace_round_trip() {
+    /// `free_frame_digest` over seeds 0–3, as an extent-by-extent
+    /// reservation, adoption and release leaves the allocator.
+    const FREE_FRAME_DIGEST: u64 = 0x92a6_091d_8674_f5cd;
+    let [(_, make_xen), ..] = TARGETS;
+    let registry = default_registry();
+    let engine = InPlaceTransplant::new(&registry);
+    let mut digest = 0;
+    for seed in 0..4 {
+        let (mut m, mut hv, _) = fragmented(make_xen, seed % 2 == 0, seed);
+        let id = hv.find_vm("fragmented").unwrap();
+        let map = hv.guest_memory_map(id).unwrap();
+        let breaks = map
+            .windows(2)
+            .filter(|w| w[0].1.base.0 + w[0].1.pages() != w[1].1.base.0)
+            .count();
+        assert!(4 * breaks >= 3 * map.len(), "seed {seed}: {breaks} breaks");
+        let checksum = vm_checksum(&m, hv.as_ref(), id).unwrap();
+        let mut stats = Vec::new();
+        // Out, back, and out again: the PRAM a Xen source builds before
+        // and after the round trip.
+        for target in [
+            HypervisorKind::Kvm,
+            HypervisorKind::Xen,
+            HypervisorKind::Kvm,
+        ] {
+            let (landed, report) = engine.run(&mut m, hv, target).unwrap();
+            hv = landed;
+            let id = hv.find_vm("fragmented").unwrap();
+            assert_eq!(
+                hv.guest_memory_map(id).unwrap(),
+                map,
+                "seed {seed} {target:?}"
+            );
+            assert_eq!(
+                vm_checksum(&m, hv.as_ref(), id).unwrap(),
+                checksum,
+                "seed {seed} {target:?}"
+            );
+            stats.push(report.pram_stats);
+        }
+        assert_eq!(stats[0], stats[2], "seed {seed}");
+        free_frame_digest(&mut digest, &mut m);
+    }
+    assert_eq!(digest, FREE_FRAME_DIGEST, "{digest:#x}");
 }
