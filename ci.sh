@@ -89,6 +89,10 @@ wait "${proxy_dest_pid}"
 # The same 4 GiB guest in process: round 0 is 512 parts, through the one
 # part loop both destinations share.
 cargo run -q --release --offline --bin hypertpctl -- migrate --mem 4
+# Onto Xen: round 0 reads the destination's current words by walking its
+# P2M's memory map, and the Xen source logs dirty pages in a bitmap over
+# the 4 GiB span.
+cargo run -q --release --offline --bin hypertpctl -- migrate --to xen --mem 4
 
 echo "== hypertpctl transplant smoke (12 x 1 GiB on M1, both directions) =="
 # inplace_dense's maximum-density shape, end to end through the CLI: the

@@ -128,13 +128,13 @@ pub trait Hypervisor: Send + Sync {
     /// hypervisors override it to resolve the VM and walk the mapping
     /// structure once per *batch* instead of once per *page*, and to copy
     /// whole physically-contiguous runs straight from RAM extent backing
-    /// ([`content_slice`]) instead of reading one word per page: migration
-    /// gathers, write-elision probes, content verification and checksums
-    /// are per-page hot loops. Implementations must preserve per-page
-    /// error behaviour and must leave `out`'s contents unspecified on
-    /// error.
+    /// ([`append_content`], which reads only the lines that can hold
+    /// data) instead of reading one word per page: migration gathers,
+    /// write-elision probes, content verification and checksums are
+    /// per-page hot loops. Implementations must preserve per-page error
+    /// behaviour and must leave `out`'s contents unspecified on error.
     ///
-    /// [`content_slice`]: hypertp_machine::ram::PhysicalMemory::content_slice
+    /// [`append_content`]: hypertp_machine::ram::PhysicalMemory::append_content
     fn read_guest_into(
         &self,
         machine: &Machine,

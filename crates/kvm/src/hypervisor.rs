@@ -134,9 +134,9 @@ impl Hypervisor for KvmHypervisor {
         gfns: &[Gfn],
         out: &mut Vec<u64>,
     ) -> Result<(), HtpError> {
-        // Zero-copy gather: the NPT walk delivers physically-contiguous
-        // (MFN, pages) runs and each run is borrowed straight from the
-        // RAM extent backing (see `Kvm::gfn_runs`).
+        // The NPT walk delivers physically-contiguous (MFN, pages) runs and
+        // each run is appended from the RAM extent backing through the
+        // zero-line summary (see `Kvm::gfn_runs`).
         let g = self.guest(id)?;
         let ram = machine.ram();
         out.clear();
@@ -147,9 +147,8 @@ impl Hypervisor for KvmHypervisor {
                 if mem_err.is_some() {
                     return;
                 }
-                match ram.content_slice(mfn, pages) {
-                    Ok(s) => out.extend_from_slice(s),
-                    Err(e) => mem_err = Some(e),
+                if let Err(e) = ram.append_content(mfn, pages, out) {
+                    mem_err = Some(e);
                 }
             })
             .map_err(ioctl_err)?;

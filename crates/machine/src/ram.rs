@@ -189,6 +189,42 @@ impl PhysicalMemory {
         })
     }
 
+    /// Appends the content words of `base..base + pages` to `out`: the
+    /// words [`PhysicalMemory::content_slice`] borrows, with the same
+    /// errors, but only the lines the zero-line summary marks are read. A
+    /// run of clear lines is appended as zeros without touching its words,
+    /// so gathering never-written memory — a fresh destination's — faults
+    /// none of it in before the writes that land there.
+    pub fn append_content(
+        &self,
+        base: Mfn,
+        pages: u64,
+        out: &mut Vec<u64>,
+    ) -> Result<(), MemError> {
+        let words = self.content_slice(base, pages)?;
+        let (start, end) = (base.0, base.0 + pages);
+        // The frames `start..at` are appended.
+        let mut at = start;
+        let lines = start / LINE..end.div_ceil(LINE);
+        for (w, mask) in bits::word_masks(lines) {
+            let mut marked = self.lines[w] & mask;
+            while marked != 0 {
+                // The next run of marked lines of this summary word.
+                let first = marked.trailing_zeros();
+                let run = (marked >> first).trailing_ones();
+                marked &= u64::MAX.checked_shl(first + run).unwrap_or(0);
+                let line = w as u64 * 64 + u64::from(first);
+                let from = (line * LINE).max(start);
+                let to = ((line + u64::from(run)) * LINE).min(end);
+                out.resize(out.len() + (from - at) as usize, 0);
+                out.extend_from_slice(&words[(from - start) as usize..(to - start) as usize]);
+                at = to;
+            }
+        }
+        out.resize(out.len() + (end - at) as usize, 0);
+        Ok(())
+    }
+
     /// Attaches a full 4 KiB byte buffer to an allocated frame. The content
     /// word becomes a hash of the bytes.
     pub fn write_bytes(&mut self, mfn: Mfn, data: &[u8]) -> Result<(), MemError> {
@@ -897,6 +933,75 @@ mod tests {
             ram.content_slice(Mfn(99), 1),
             Err(MemError::OutOfRange { .. })
         ));
+    }
+
+    /// `append_content` against the words `content_slice` borrows, on runs
+    /// that start and end anywhere in a line and straddle 512-frame summary
+    /// groups. The groups hold no marked line, every line marked, or some
+    /// (zero words written over live ones included), and the reads repeat
+    /// after a scrub has cleared the lines of the frames it zeroed.
+    #[test]
+    fn summary_read_equals_the_plain_read() {
+        let total = 6 * 512 + 37;
+        let mut partly_marked_reads = 0;
+        for seed in 0..24u64 {
+            let mut rng = hypertp_sim::SimRng::new(0x5e1d_0000 + seed);
+            let mut ram = PhysicalMemory::new(total);
+            let mut extents = Vec::new();
+            while let Ok(e) = ram.alloc(PageOrder(rng.gen_range(7) as u8)) {
+                extents.push(e);
+            }
+            while let Ok(e) = ram.alloc(PageOrder(0)) {
+                extents.push(e);
+            }
+            for f in 0..total {
+                // By group: nothing, every frame, or a few lines' worth.
+                let density = [0.0, 1.0, 0.02, 0.2][(f / 512 + seed) as usize % 4];
+                if rng.gen_bool(density) {
+                    ram.write(Mfn(f), rng.next_u64() | 1).unwrap();
+                }
+                if rng.gen_bool(0.05) {
+                    ram.write(Mfn(f), 0).unwrap();
+                }
+            }
+            let mut check = |ram: &PhysicalMemory, stage: &str| {
+                for _ in 0..64 {
+                    let base = rng.gen_range(total);
+                    let pages = rng.gen_range(1300).min(total - base);
+                    let want = ram.content_slice(Mfn(base), pages).unwrap();
+                    let mut got = vec![7, 7];
+                    ram.append_content(Mfn(base), pages, &mut got).unwrap();
+                    assert_eq!(got[..2], [7, 7], "seed {seed} {stage}: the prefix moved");
+                    assert!(
+                        got[2..] == *want,
+                        "seed {seed} {stage}: {pages} frames from {base}"
+                    );
+                    let groups = base / 512..(base + pages).div_ceil(512);
+                    partly_marked_reads += groups
+                        .filter(|&g| {
+                            let word = ram.lines[g as usize];
+                            let live = (g * 512..(g * 512 + 512).min(total)).any(|f| {
+                                f >= base && f < base + pages && ram.contents[f as usize] != 0
+                            });
+                            word != 0 && word != !0 && live
+                        })
+                        .count();
+                }
+                // Past the end of RAM, as `content_slice` fails.
+                let mut out = Vec::new();
+                assert_eq!(
+                    ram.append_content(Mfn(total - 3), 4, &mut out),
+                    Err(ram.content_slice(Mfn(total - 3), 4).unwrap_err())
+                );
+            };
+            check(&ram, "written");
+            for e in extents.iter().step_by(3) {
+                ram.free(*e).unwrap();
+            }
+            assert!(ram.scrub_unreserved() > 0, "seed {seed}: scrubbed nothing");
+            check(&ram, "scrubbed");
+        }
+        assert!(partly_marked_reads > 1000, "{partly_marked_reads}");
     }
 
     #[test]

@@ -163,10 +163,16 @@ impl WireStats {
     /// than [`WireFrame`] values. Accounting is identical to
     /// [`WireStats::record`] on the equivalent frame.
     pub fn record_parts(&mut self, kind: FrameKind, wire_bytes: u64) {
+        self.record_frames(kind, 1, wire_bytes);
+    }
+
+    /// Records `frames` frames of `kind` that take `wire_bytes` together:
+    /// what as many [`WireStats::record_parts`] calls add up to.
+    pub(crate) fn record_frames(&mut self, kind: FrameKind, frames: u64, wire_bytes: u64) {
         let k = kind.index();
-        self.counts[k] += 1;
+        self.counts[k] += frames;
         self.bytes[k] += wire_bytes;
-        self.raw_equivalent += PAGE_SIZE;
+        self.raw_equivalent += frames * PAGE_SIZE;
     }
 
     /// Frames of `kind` recorded.

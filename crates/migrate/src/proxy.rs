@@ -49,14 +49,14 @@
 use hypertp_core::{HtpError, Hypervisor, HypervisorKind, VmConfig, VmId};
 use hypertp_machine::Gfn;
 use hypertp_machine::Machine;
-use hypertp_sim::hash::{digest_words, Digest128, WordDigest};
+use hypertp_sim::hash::{Digest128, WordDigest};
 use hypertp_sim::SimDuration;
 
 use crate::engine::{integrity, Dest, MigrationConfig, MigrationTp, WireMode};
 use crate::framing::{FrameIter, FrameRing};
 use crate::network::{FrameKind, WireStats};
 use crate::transport::Transport;
-use crate::wire::{delta_apply_word, SlotIndex};
+use crate::wire::{content_key, delta_apply_word, SlotIndex};
 
 const MSG_HELLO: u8 = 0x10;
 const MSG_HELLO_ACK: u8 = 0x11;
@@ -498,30 +498,30 @@ fn session_name(vm: &Option<(VmId, VmConfig)>) -> &str {
 }
 
 /// The destination's copy of the content the source's dedup cache
-/// believes it holds: entries `(digest, word)` in arrival order, entry
-/// `i` indexed under slot id `i + 1` (0 marks an empty bucket). Entries
-/// from `committed` on are the in-flight round's staging: a `Dup` later
-/// in the round already resolves them, `Ack` commits them and `Nak`
-/// drops them. A digest already held keeps its first word, as the
-/// source's cache does.
+/// believes it holds: content words in arrival order, entry `i` indexed
+/// under slot id `i + 1` (0 marks an empty bucket) by its word's digest,
+/// which the index recomputes ([`content_key`]). Entries from `committed`
+/// on are the in-flight round's staging: a `Dup` later in the round
+/// already resolves them, `Ack` commits them and `Nak` drops them. Content
+/// already held is not staged again, as the source's cache does.
 #[derive(Debug, Default)]
 struct ContentMirror {
-    entries: Vec<(Digest128, u64)>,
+    entries: Vec<u64>,
     index: SlotIndex,
     /// Entries below this belong to acked rounds.
     committed: usize,
 }
 
-/// The index's `key`: the digest of the entry slot id `id` names.
-fn entry_digest(entries: &[(Digest128, u64)]) -> impl Fn(u32) -> Digest128 + '_ {
-    move |id| entries[id as usize - 1].0
+/// The index's `key`: the digest of the word slot id `id` names.
+fn entry_digest(entries: &[u64]) -> impl Fn(u32) -> Digest128 + '_ {
+    move |id| content_key(entries[id as usize - 1])
 }
 
 impl ContentMirror {
     /// The word held under `digest`, committed or staged.
     fn get(&self, digest: Digest128) -> Option<u64> {
         let id = self.index.find(digest, entry_digest(&self.entries))?;
-        Some(self.entries[id as usize - 1].1)
+        Some(self.entries[id as usize - 1])
     }
 
     /// Opens a round. Staging an earlier round left uncommitted — it
@@ -531,16 +531,17 @@ impl ContentMirror {
         self.rollback();
     }
 
-    /// Stages `digest → word` for the round. `false` when the mirror has
-    /// no slot id left to give: the round must be naked.
-    fn stage(&mut self, digest: Digest128, word: u64) -> bool {
+    /// Stages `word` for the round. `false` when the mirror has no slot id
+    /// left to give: the round must be naked.
+    fn stage(&mut self, word: u64) -> bool {
+        let digest = content_key(word);
         if self.get(digest).is_some() {
             return true;
         }
         let Ok(id) = u32::try_from(self.entries.len() + 1) else {
             return false;
         };
-        self.entries.push((digest, word));
+        self.entries.push(word);
         self.index.insert(digest, id, entry_digest(&self.entries));
         true
     }
@@ -552,9 +553,9 @@ impl ContentMirror {
 
     /// Drops the round's staging, newest first.
     fn rollback(&mut self) {
-        while self.entries.len() > self.committed {
-            let digest = self.entries[self.entries.len() - 1].0;
-            self.index.remove(digest, entry_digest(&self.entries));
+        while let Some(&word) = self.entries[self.committed..].last() {
+            self.index
+                .remove(content_key(word), entry_digest(&self.entries));
             self.entries.pop();
         }
     }
@@ -655,9 +656,7 @@ impl Staging {
             }
             // Mirror what the source's cache journalled: Raw and Delta
             // frames insert their content; Zero and Dup do not.
-            if matches!(view.kind, FrameKind::Raw | FrameKind::Delta)
-                && w != 0
-                && !mirror.stage(digest_words(&[w]), w)
+            if matches!(view.kind, FrameKind::Raw | FrameKind::Delta) && w != 0 && !mirror.stage(w)
             {
                 self.ok = false;
                 return Ok(());
@@ -846,14 +845,20 @@ impl DestProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::map_gfns;
     use crate::network::{WIRE_DIGEST_BYTES, WIRE_FRAME_HEADER};
     use crate::transport::{InProcTransport, TransportError};
     use hypertp_core::testing::SimpleHv;
     use hypertp_core::VmState;
-    use hypertp_machine::MachineSpec;
+    use hypertp_machine::{Extent, MachineSpec};
     use hypertp_sim::fault::{FaultPlan, InjectionPoint};
+    use hypertp_sim::hash::digest_words;
     use hypertp_sim::SimClock;
+
+    /// Every GFN a guest memory map covers, in map order.
+    fn map_gfns(map: &[(Gfn, Extent)]) -> impl Iterator<Item = Gfn> + '_ {
+        map.iter()
+            .flat_map(|&(gfn, e)| (gfn.0..gfn.0 + e.pages()).map(Gfn))
+    }
 
     fn machine() -> Machine {
         let mut spec = MachineSpec::m1();
@@ -1373,25 +1378,79 @@ mod tests {
         let d = |w: u64| digest_words(&[w]);
         let mut mirror = ContentMirror::default();
         mirror.begin_round();
-        assert!(mirror.stage(d(1), 1));
+        assert!(mirror.stage(1));
         mirror.commit();
         mirror.begin_round();
         for w in 2..40 {
-            assert!(mirror.stage(d(w), w));
+            assert!(mirror.stage(w));
         }
-        assert!(mirror.stage(d(1), 1), "already held");
+        assert!(mirror.stage(1), "already held");
         assert_eq!(mirror.get(d(39)), Some(39), "staged content resolves");
         // No verdict: the round errored out. The next one starts clean.
         mirror.begin_round();
         assert_eq!(mirror.get(d(2)), None);
         assert_eq!((mirror.entries.len(), mirror.index.len()), (1, 1));
-        assert!(mirror.stage(d(7), 7));
+        assert!(mirror.stage(7));
         mirror.rollback();
-        assert!(mirror.stage(d(8), 8));
+        assert!(mirror.stage(8));
         mirror.commit();
         mirror.begin_round();
         let held: Vec<_> = (1..40).filter(|&w| mirror.get(d(w)).is_some()).collect();
         assert_eq!(held, [1, 8]);
+    }
+
+    /// Rounds that stage content and are naked, between rounds that are
+    /// acked: a naked round's every staged word is gone, every acked word
+    /// still resolves, and the index holds exactly the acked entries.
+    #[test]
+    fn a_naked_round_drops_exactly_its_staging() {
+        let mut rng = hypertp_sim::SimRng::new(0x3a4e_0001);
+        let mut mirror = ContentMirror::default();
+        let mut acked: Vec<u64> = Vec::new();
+        let mut naked = 0;
+        for round in 0..300 {
+            mirror.begin_round();
+            let mut staged = Vec::new();
+            for _ in 0..rng.gen_range(40) {
+                // Mostly new content; some already acked or staged.
+                let w = match rng.gen_range(4) {
+                    0 if !acked.is_empty() => acked[rng.gen_range(acked.len() as u64) as usize],
+                    _ => 1 + rng.gen_range(5_000),
+                };
+                assert!(mirror.stage(w));
+                if !acked.contains(&w) && !staged.contains(&w) {
+                    staged.push(w);
+                }
+            }
+            if rng.gen_bool(0.5) {
+                mirror.commit();
+                acked.extend(staged);
+            } else {
+                mirror.rollback();
+                naked += staged.len();
+                for w in staged {
+                    assert_eq!(
+                        mirror.get(content_key(w)),
+                        None,
+                        "round {round}: {w} stayed"
+                    );
+                }
+            }
+            assert_eq!(mirror.entries, acked, "round {round}");
+            assert_eq!(mirror.index.len(), acked.len(), "round {round}");
+            for &w in &acked {
+                assert_eq!(
+                    mirror.get(content_key(w)),
+                    Some(w),
+                    "round {round}: lost {w}"
+                );
+            }
+        }
+        assert!(
+            naked > 1_000 && acked.len() > 1_000,
+            "{naked} naked, {} acked",
+            acked.len()
+        );
     }
 
     fn hello(cfg: &VmConfig) -> Vec<u8> {

@@ -22,7 +22,7 @@
 //! changes between [`TransferCache::begin_round`] and
 //! [`TransferCache::commit_round`], in proportion to what changed: an
 //! overwritten committed delta base as an undo record, a newly tracked
-//! base as one bit of a per-VM bitmap, a dedup insert as its digest. A
+//! base as one bit of a per-VM bitmap, a dedup insert as its slot id. A
 //! drop triggers [`TransferCache::rollback_round`], which restores the
 //! last committed state so the retry re-encodes against what the
 //! destination *actually* holds. An abandoned migration calls
@@ -36,7 +36,7 @@ use hypertp_machine::{Gfn, PAGE_SIZE};
 use hypertp_sim::hash::{digest_words, Digest128};
 
 use crate::framing::{reserve_doubling, FrameRing, FrameView};
-use crate::network::{FrameKind, WireFrame, WIRE_FRAME_HEADER};
+use crate::network::{FrameKind, WireFrame, WireStats, WIRE_FRAME_HEADER};
 
 /// RLE opcode: a run of zero bytes in the XOR image (`[0x00, len: u16le]`).
 pub(crate) const OP_ZERO_RUN: u8 = 0x00;
@@ -292,8 +292,9 @@ const MIN_BUCKETS: usize = 16;
 
 /// An open-addressed index from content digest to a non-zero `u32` slot
 /// id: the dedup index here, the dedup mirror in the destination proxy.
-/// The digest itself lives once, in the owner's storage, and every call
-/// passes `key`, which reads the digest of an id back from there.
+/// The owner stores each id's content word, not its digest, and every call
+/// passes `key`, which recomputes the digest of an id's word
+/// ([`content_key`]).
 ///
 /// A power-of-two bucket array holds the ids; 0 marks an empty bucket.
 /// Probing is linear from the digest's home bucket, and the table is kept
@@ -428,10 +429,10 @@ pub struct CacheStats {
 /// One dedup entry: the content word, the logical tick of its last touch
 /// (insert or dup hit), and its neighbours in the LRU ring. Slot 0 is the
 /// ring's sentinel (`next` = least, `prev` = most recently touched); a
-/// freed slot keeps only `next`, its link in the free list.
+/// freed slot keeps only `next`, its link in the free list. The entry's
+/// digest is its word's, recomputed where the index needs it.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    digest: Digest128,
     word: u64,
     touched: u64,
     prev: u32,
@@ -441,7 +442,6 @@ struct Slot {
 /// Slot 0. Its tick is never below `round_start_tick`, so an empty ring —
 /// the sentinel its own head — reads as pinned and stops a drain.
 const SENTINEL: Slot = Slot {
-    digest: Digest128 { hi: 0, lo: 0 },
     word: 0,
     touched: u64::MAX,
     prev: 0,
@@ -476,9 +476,17 @@ struct DedupLru {
     evictions: u64,
 }
 
-/// The index's `key`: the digest slab slot `i` holds.
+/// The digest a dedup table keys `word` under: the one the encoder
+/// computed when it inserted the word ([`TransferCache::encode_words_into`]
+/// digests the word itself, and [`TransferCache::encode_batch_into`]
+/// requires the same value), so a table keeps words and recomputes it.
+pub(crate) fn content_key(word: u64) -> Digest128 {
+    digest_words(&[word])
+}
+
+/// The index's `key`: the digest of the word slab slot `i` holds.
 fn slot_digest(slots: &[Slot]) -> impl Fn(u32) -> Digest128 + '_ {
-    move |i| slots[i as usize].digest
+    move |i| content_key(slots[i as usize].word)
 }
 
 impl DedupLru {
@@ -503,12 +511,13 @@ impl DedupLru {
         (slot.touched, slot.prev, slot.next) = (self.tick, tail, 0);
     }
 
-    /// Drops `digest`'s entry, if held, and recycles its slot.
-    fn remove(&mut self, digest: Digest128) {
-        if let Some(i) = self.index.remove(digest, slot_digest(&self.slots)) {
-            self.unlink(i);
-            self.slots[i as usize].next = std::mem::replace(&mut self.free, i);
-        }
+    /// Drops the entry in slot `i`, which must be held, and recycles the
+    /// slot.
+    fn remove(&mut self, i: u32) {
+        let digest = content_key(self.slots[i as usize].word);
+        self.index.remove(digest, slot_digest(&self.slots));
+        self.unlink(i);
+        self.slots[i as usize].next = std::mem::replace(&mut self.free, i);
     }
 
     /// Drops every entry; clock, cap and eviction count carry on.
@@ -529,38 +538,35 @@ impl DedupLru {
         self.slots.reserve(slots.saturating_sub(self.slots.len()));
     }
 
-    /// One dedup lookup. A hit refreshes the entry's LRU rank (pinning it
-    /// for the round) and returns `true`. A miss returns `false` after
-    /// inserting `digest → word`, first evicting from the head while the
-    /// cache is at its cap. A pinned head (`touched >= round_start_tick`)
-    /// means every entry is pinned, and the cap gives way instead.
+    /// One dedup lookup of `word`, whose digest is `digest`. A hit
+    /// refreshes the entry's LRU rank (pinning it for the round) and
+    /// returns `None`. A miss inserts `word`, first evicting from the head
+    /// while the cache is at its cap, and returns the new entry's slot. A
+    /// pinned head (`touched >= round_start_tick`) means every entry is
+    /// pinned, and the cap gives way instead.
     ///
     /// Eviction is safe by construction: losing a digest only downgrades
     /// a *future* `Dup` to `Raw`/`Delta`; it never invalidates delta bases
     /// (those live in the per-VM tables) or frames already on the wire.
-    fn touch_or_insert(&mut self, digest: Digest128, word: u64) -> bool {
+    fn touch_or_insert(&mut self, digest: Digest128, word: u64) -> Option<u32> {
         if let Some(i) = self.index.find(digest, slot_digest(&self.slots)) {
             self.unlink(i);
             self.link_newest(i);
-            return true;
+            return None;
         }
         if self.slots.is_empty() {
             self.slots.push(SENTINEL);
         }
         while self.index.len() >= self.capacity {
-            let head = self.slots[self.slots[0].next as usize];
-            if head.touched >= self.round_start_tick {
+            let head = self.slots[0].next;
+            if self.slots[head as usize].touched >= self.round_start_tick {
                 break;
             }
-            self.remove(head.digest);
+            self.remove(head);
             self.evictions += 1;
         }
         // `link_newest` fills in the tick and the links.
-        let slot = Slot {
-            digest,
-            word,
-            ..SENTINEL
-        };
+        let slot = Slot { word, ..SENTINEL };
         let i = match self.free {
             0 => {
                 self.slots.push(slot);
@@ -574,7 +580,7 @@ impl DedupLru {
         };
         self.index.insert(digest, i, slot_digest(&self.slots));
         self.link_newest(i);
-        false
+        Some(i)
     }
 }
 
@@ -733,9 +739,10 @@ struct CacheInner {
     sent: HashMap<u32, SentTable>,
     /// Delta bases tracked over all VMs.
     sent_len: usize,
-    /// Digests inserted into `dedup` since `begin_round` (rollback:
-    /// remove).
-    journal_dedup: Vec<Digest128>,
+    /// Slots of the entries inserted into `dedup` since `begin_round`
+    /// (rollback: remove). Entries the round touches are pinned, so no
+    /// slot is freed and reused before the round commits or rolls back.
+    journal_dedup: Vec<u32>,
     /// Committed delta bases overwritten since `begin_round` (rollback:
     /// restore). A gfn the round starts tracking is journaled by its
     /// table's `fresh` bit instead.
@@ -833,11 +840,11 @@ impl CacheInner {
         }
         let digest = digest();
         self.dup_lookups += 1;
-        if self.dedup.touch_or_insert(digest, word) {
+        let Some(slot) = self.dedup.touch_or_insert(digest, word) else {
             self.dup_hits += 1;
             return PageClass::Dup(digest);
-        }
-        self.journal_dedup.push(digest);
+        };
+        self.journal_dedup.push(slot);
         match prev {
             Some(base) if base != word => PageClass::Delta { base },
             // `base == word` reaches here only when the word's digest was
@@ -940,8 +947,8 @@ impl TransferCache {
     /// (what the destination actually holds).
     pub fn rollback_round(&self) {
         let c = &mut *self.lock();
-        for digest in c.journal_dedup.drain(..) {
-            c.dedup.remove(digest);
+        for slot in c.journal_dedup.drain(..) {
+            c.dedup.remove(slot);
         }
         for vm in c.journal_fresh.drain(..) {
             if let Some(table) = c.sent.get_mut(&vm) {
@@ -998,7 +1005,7 @@ impl TransferCache {
     /// that does not pay falls back to raw.
     pub fn encode_page(&self, vm: u32, gfn: u64, word: u64) -> WireFrame {
         let class = self.lock().with_table(vm, |c, table| {
-            c.classify(table, vm, gfn, word, || digest_words(&[word]))
+            c.classify(table, vm, gfn, word, || content_key(word))
         });
         match class {
             PageClass::Zero => WireFrame::Zero,
@@ -1060,7 +1067,22 @@ impl TransferCache {
         words: &[u64],
         ring: &mut FrameRing,
     ) -> u64 {
-        self.encode_extent(vm, gfns, words, ring, |_, word| digest_words(&[word]))
+        self.encode_tallied(vm, gfns, words, ring, &mut WireStats::new())
+    }
+
+    /// [`TransferCache::encode_words_into`] that also tallies each frame
+    /// it pushes into `stats`, as [`WireStats::record_parts`] of the
+    /// frame's view would: the engine's rounds count frames as they are
+    /// encoded instead of parsing the ring back.
+    pub(crate) fn encode_tallied(
+        &self,
+        vm: u32,
+        gfns: &[Gfn],
+        words: &[u64],
+        ring: &mut FrameRing,
+        stats: &mut WireStats,
+    ) -> u64 {
+        self.encode_extent(vm, gfns, words, ring, stats, |_, word| content_key(word))
     }
 
     /// [`TransferCache::encode_words_into`] with the digests precomputed
@@ -1075,17 +1097,20 @@ impl TransferCache {
         digests: &[Digest128],
         ring: &mut FrameRing,
     ) -> u64 {
-        self.encode_extent(vm, gfns, words, ring, |i, _| digests[i])
+        let stats = &mut WireStats::new();
+        self.encode_extent(vm, gfns, words, ring, stats, |i, _| digests[i])
     }
 
-    /// The loop both batch entries share; `digest(i, word)` fingerprints
-    /// page `i`, and is only called when `word` is non-zero.
+    /// The loop the batch entries share; `digest(i, word)` fingerprints
+    /// page `i`, and is only called when `word` is non-zero. Each push is
+    /// tallied into `stats`.
     fn encode_extent(
         &self,
         vm: u32,
         gfns: &[Gfn],
         words: &[u64],
         ring: &mut FrameRing,
+        stats: &mut WireStats,
         digest: impl Fn(usize, u64) -> Digest128,
     ) -> u64 {
         debug_assert_eq!(gfns.len(), words.len());
@@ -1101,16 +1126,22 @@ impl TransferCache {
                     // bitmap word and a ring reserve at a time.
                     let run = zero_run(g, &gfns[i..], &words[i..]);
                     c.classify_zeros(table, vm, g, run);
-                    wire_bytes += ring.push_zeros(g, run);
+                    let bytes = ring.push_zeros(g, run);
+                    stats.record_frames(FrameKind::Zero, run as u64, bytes);
+                    wire_bytes += bytes;
                     i += run;
                     continue;
                 }
-                wire_bytes += match c.classify(table, vm, g, word, || digest(i, word)) {
-                    PageClass::Zero => ring.push_zero(g),
-                    PageClass::Dup(digest) => ring.push_dup(g, digest),
-                    PageClass::Delta { base } => ring.push_delta_words(g, base, word),
-                    PageClass::Raw => ring.push_raw(g, word),
+                let (kind, bytes) = match c.classify(table, vm, g, word, || digest(i, word)) {
+                    PageClass::Zero => (FrameKind::Zero, ring.push_zero(g)),
+                    PageClass::Dup(digest) => (FrameKind::Dup, ring.push_dup(g, digest)),
+                    PageClass::Delta { base } => {
+                        (FrameKind::Delta, ring.push_delta_words(g, base, word))
+                    }
+                    PageClass::Raw => (FrameKind::Raw, ring.push_raw(g, word)),
                 };
+                stats.record_frames(kind, 1, bytes);
+                wire_bytes += bytes;
                 i += 1;
             }
             wire_bytes
@@ -1788,6 +1819,108 @@ mod tests {
         cache.begin_round();
         assert_eq!(cache.encode_page(0, 3, 0x33).kind(), FrameKind::Raw);
         cache.commit_round();
+    }
+
+    /// The words a dedup table holds, walking its LRU ring from the least
+    /// recently used: the ring's links must agree both ways, and every
+    /// word must resolve through the index, which holds nothing else.
+    fn held_words(dedup: &DedupLru) -> Vec<u64> {
+        let mut held = Vec::new();
+        let (mut prev, mut i) = (0, dedup.slots[0].next);
+        while i != 0 {
+            let slot = dedup.slots[i as usize];
+            assert_eq!(slot.prev, prev, "ring links disagree at slot {i}");
+            assert_eq!(dedup.word(content_key(slot.word)), Some(slot.word));
+            held.push(slot.word);
+            (prev, i) = (i, slot.next);
+        }
+        assert_eq!(dedup.slots[0].prev, prev);
+        assert_eq!(dedup.index.len(), held.len(), "the index holds other ids");
+        held
+    }
+
+    /// A capped cache's round evicts committed entries and hands their
+    /// slots to its own inserts, then rolls back: every entry the round
+    /// inserted is gone, every committed entry it did not evict still
+    /// resolves, and the next round sees exactly those.
+    #[test]
+    fn rollback_through_recycled_slots_keeps_the_committed_entries() {
+        let mut rng = hypertp_sim::SimRng::new(0x5107_0001);
+        let mut recycled = 0;
+        for case in 0..60 {
+            let cap = [4, 16, 64][case % 3];
+            let cache = TransferCache::with_capacity(cap);
+            let mut gfn = 0u64;
+            cache.begin_round();
+            for w in 1..=cap as u64 + rng.gen_range(cap as u64) {
+                cache.encode_page(0, gfn, w << 8);
+                gfn += 1;
+            }
+            cache.commit_round();
+            let committed = held_words(&cache.lock().dedup);
+            let (evictions, slab) = {
+                let c = cache.lock();
+                (c.dedup.evictions, c.dedup.slots.len())
+            };
+            // Touches of committed words and inserts of new ones, mixed.
+            cache.begin_round();
+            let mut inserted = Vec::new();
+            for _ in 0..rng.gen_range(2 * cap as u64) {
+                let w = if rng.gen_bool(0.3) {
+                    committed[rng.gen_range(committed.len() as u64) as usize]
+                } else {
+                    let w = (1 << 40) + gfn;
+                    inserted.push(w);
+                    w
+                };
+                cache.encode_page(0, gfn, w);
+                gfn += 1;
+            }
+            let (evicted, grown) = {
+                let c = cache.lock();
+                (c.dedup.evictions - evictions, c.dedup.slots.len() - slab)
+            };
+            recycled += inserted.len() - grown;
+            cache.rollback_round();
+            let held = held_words(&cache.lock().dedup);
+            assert!(held.iter().all(|w| committed.contains(w)), "case {case}");
+            assert_eq!(
+                held.len(),
+                committed.len() - evicted as usize,
+                "case {case}"
+            );
+            for &w in &inserted {
+                let dup = WireFrame::Dup {
+                    digest: content_key(w),
+                };
+                assert_eq!(
+                    cache.apply_frame(&dup, 0),
+                    None,
+                    "case {case}: {w:#x} stayed"
+                );
+            }
+            // The survivors first: once touched they are pinned, so the
+            // inserts after them cannot evict one before it is checked.
+            cache.begin_round();
+            let gone = committed
+                .iter()
+                .chain(&inserted)
+                .filter(|w| !held.contains(w));
+            for &w in held.iter().chain(gone) {
+                let kind = cache.encode_page(1, gfn, w).kind();
+                assert_eq!(
+                    kind == FrameKind::Dup,
+                    held.contains(&w),
+                    "case {case}: {w:#x}"
+                );
+                gfn += 1;
+            }
+            cache.commit_round();
+        }
+        assert!(
+            recycled > 500,
+            "only {recycled} inserts took a recycled slot"
+        );
     }
 
     #[test]

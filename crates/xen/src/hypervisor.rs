@@ -184,10 +184,10 @@ impl Hypervisor for XenHypervisor {
         gfns: &[Gfn],
         out: &mut Vec<u64>,
     ) -> Result<(), HtpError> {
-        // Zero-copy gather: the P2M hands back physically-contiguous
-        // (MFN, pages) runs and each run is borrowed straight from the
-        // RAM extent backing — no intermediate MFN vector, no per-page
-        // read call, and no allocation once `out` has warmed up.
+        // The P2M hands back physically-contiguous (MFN, pages) runs and
+        // each run is appended from the RAM extent backing through the
+        // zero-line summary — no intermediate MFN vector, no per-page read
+        // call, and no allocation once `out` has warmed up.
         let d = self.dom(id)?;
         let ram = machine.ram();
         out.clear();
@@ -198,9 +198,8 @@ impl Hypervisor for XenHypervisor {
                 if mem_err.is_some() {
                     return;
                 }
-                match ram.content_slice(mfn, pages) {
-                    Ok(s) => out.extend_from_slice(s),
-                    Err(e) => mem_err = Some(e),
+                if let Err(e) = ram.append_content(mfn, pages, out) {
+                    mem_err = Some(e);
                 }
             })
             .map_err(|_| HtpError::UnknownVm(id))?;

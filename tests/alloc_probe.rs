@@ -108,10 +108,10 @@ fn round(
 }
 
 /// Bytes one cold content-aware round 0 may request: midway between the
-/// 25.1 MiB it took when the round was staged whole (a 4.6 MiB frame ring
-/// and guest-sized probe and write buffers) and the 14.2 MiB it takes
-/// staged part by part.
-const ROUND0_BYTES_BOUND: u64 = (196 << 20) / 10;
+/// 14.2 MiB it took when the dedup slab kept a digest beside each word and
+/// the journal a digest per insert, and the 10.7 MiB it takes keeping
+/// words and slot ids.
+const ROUND0_BYTES_BOUND: u64 = (249 << 20) / 20;
 
 /// Part 1b — footprint: round 0 of a busy 1 GiB guest (262 144 pages, one
 /// in four non-zero, one in four of those a shared template word) through
@@ -156,10 +156,11 @@ fn footprint_probe() {
     );
 }
 
-/// Bytes one proxy session may request: midway between the 31.1 MiB it
-/// took when the source's ring and gather buffers held a whole round and
-/// the 15.2 MiB it takes when they hold one part.
-const PROXY_SESSION_BYTES_BOUND: u64 = (231 << 20) / 10;
+/// Bytes one proxy session may request: midway between the 15.2 MiB it
+/// took when both dedup tables kept digests and the source's log-dirty set
+/// was a tree, and the 12.9 MiB it takes with content-keyed tables and a
+/// log-dirty bitmap.
+const PROXY_SESSION_BYTES_BOUND: u64 = (281 << 20) / 20;
 
 /// Part 1c — a proxy session's footprint: one `run_source` ↔ `run_dest`
 /// session over the in-process transport, a 1 GiB guest with 16 384
@@ -205,9 +206,10 @@ fn proxy_session_probe() {
 }
 
 /// Bytes one cold busy-shape migration may request: midway between the
-/// 34.7 MiB it took when every round buffer was sized by the round and
-/// the 17.9 MiB it takes when they are sized by the part.
-const BUSY_MIGRATION_BYTES_BOUND: u64 = (263 << 20) / 10;
+/// 17.9 MiB it took when the dedup table kept digests and the source's
+/// log-dirty set was a tree, and the 14.4 MiB it takes with a
+/// content-keyed table and a log-dirty bitmap.
+const BUSY_MIGRATION_BYTES_BOUND: u64 = (323 << 20) / 20;
 
 /// Part 1d — one cold `MigrationTp::migrate` of the benchmark's
 /// `migrate_busy` shape: a 1 GiB Xen guest with 65 536 resident pages,
