@@ -35,6 +35,12 @@ if [ -n "${untracked}" ]; then
   exit 1
 fi
 
+echo "== mutation ledger snippets =="
+# Every row of mutants.tsv names a one-line mutation by its exact snippet;
+# a refactor that moves the line must update the row. No build here: the
+# full ledger (./mutants.sh) builds each mutant and runs its test.
+./mutants.sh --check
+
 echo "== chaos matrix (pinned seeds 0xc4a0_0001..3) =="
 # The matrix's CI-seed tests are pinned in-code; re-running the env
 # override test under each pinned seed additionally exercises the

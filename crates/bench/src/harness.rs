@@ -316,7 +316,7 @@ const fn field(path: &'static str, plus: f64, min: f64) -> Bound {
 /// The committed floor and ceiling of every beyond-paper headline. Each
 /// value lives here and nowhere else.
 #[rustfmt::skip]
-pub const GATES: [Gate; 20] = [
+pub const GATES: [Gate; 19] = [
     // The content-aware wire keeps at least 30 % of raw page bytes off the
     // fabric, on perf_smoke's migration batch and on the idle fleet.
     gate("perf_smoke", "migrate_many.wire_reduction_pct", Ge, Value(30.0), Sim),
@@ -325,8 +325,6 @@ pub const GATES: [Gate; 20] = [
     // over the memory it keeps (word-wise bitmaps read 0.4, per-frame flags
     // 1.5).
     gate("perf_smoke", "inplace_ownership.ratio", Le, Value(0.75), Wall),
-    // The batch encode into the frame ring beats the per-page path.
-    gate("wire_smoke", "encode.speedup", Ge, Value(1.5), Wall),
     // Encoding at 4× the dedup cap keeps a tenth of the 0.5× throughput
     // (measured 0.35–0.68; a victim search that scans the map reads 0.01).
     gate("wire_smoke", "eviction_sweep.throughput_ratio", Ge, Value(0.1), Wall),
@@ -657,13 +655,11 @@ mod tests {
     }
 
     #[test]
-    fn a_wire_run_without_its_encode_or_sweep_section_fails() {
-        for section in ["encode", "eviction_sweep"] {
-            let mut run = committed("wire_smoke");
-            set(&mut run, section, None);
-            let v = check(&run).1;
-            assert_eq!(v.len(), 1, "{v:?}");
-            assert!(v[0].starts_with(&format!("missing {section}.")), "{v:?}");
-        }
+    fn a_wire_run_without_its_sweep_section_fails() {
+        let mut run = committed("wire_smoke");
+        set(&mut run, "eviction_sweep", None);
+        let v = check(&run).1;
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("missing eviction_sweep."), "{v:?}");
     }
 }

@@ -1,12 +1,9 @@
 //! Serialized wire frames and the reusable frame ring.
 //!
-//! PR 3's wire path materialised every round as a `Vec<WireFrame>` — one
-//! heap `Vec` per round per VM, plus one boxed delta stream per `Delta`
-//! frame. This module replaces that with a *byte-serialized* stream in a
-//! [`FrameRing`]: the engine owns one ring, reuses it across rounds and
-//! across VMs, and both sides of the transfer operate on borrowed
-//! [`FrameView`]s into the ring — the steady-state hot path never touches
-//! the allocator.
+//! Frames exist only as a *byte-serialized* stream in a [`FrameRing`]:
+//! the engine owns one ring, reuses it across rounds and across VMs, and
+//! both sides of the transfer operate on borrowed [`FrameView`]s into the
+//! ring — the steady-state hot path never touches the allocator.
 //!
 //! **Wire format.** Every frame is a fixed 16-byte header followed by a
 //! payload ([`WIRE_FRAME_HEADER`] already accounted this header):
@@ -17,8 +14,7 @@
 //!
 //! Payloads by kind: `Raw` carries the page's 8-byte content word (the
 //! simulator ships the word standing in for the 4 KiB page — accounting
-//! still charges the full page, so `WireStats` match the per-page
-//! `encode_page` path byte for byte), `Zero` is empty, `Dup` carries the
+//! still charges the full page), `Zero` is empty, `Dup` carries the
 //! 16-byte content digest, `Delta` carries the XOR+RLE stream.
 //!
 //! **Transactional rounds.** The ring mirrors the `TransferCache`
@@ -31,11 +27,10 @@
 
 use hypertp_sim::hash::Digest128;
 
-use crate::network::{FrameKind, WireFrame, WIRE_DIGEST_BYTES, WIRE_FRAME_HEADER};
+use crate::network::{FrameKind, WIRE_DIGEST_BYTES, WIRE_FRAME_HEADER};
 use hypertp_machine::PAGE_SIZE;
 
-/// A parsed, borrowed view of one serialized frame — the zero-copy
-/// counterpart of [`WireFrame`].
+/// A parsed, borrowed view of one serialized frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameView<'a> {
     /// The frame kind.
@@ -93,9 +88,8 @@ impl<'a> FrameView<'a> {
         Some(Digest128 { hi, lo })
     }
 
-    /// Accounted wire bytes — identical to [`WireFrame::wire_bytes`] on
-    /// the equivalent frame (a `Raw` frame is charged the full page its
-    /// 8-byte word stands in for).
+    /// Accounted wire bytes: the header plus the payload, except that a
+    /// `Raw` frame is charged the full page its 8-byte word stands in for.
     pub fn wire_bytes(&self) -> u64 {
         WIRE_FRAME_HEADER
             + match self.kind {
@@ -109,24 +103,6 @@ impl<'a> FrameView<'a> {
     /// Physical bytes of the serialized frame (header + payload).
     pub fn frame_bytes(&self) -> usize {
         WIRE_FRAME_HEADER as usize + self.payload.len()
-    }
-
-    /// Materialises the equivalent owned [`WireFrame`] (slow path /
-    /// tests; the hot path never needs it). `None` on a payload that does
-    /// not decode for its kind.
-    pub fn to_frame(&self) -> Option<WireFrame> {
-        Some(match self.kind {
-            FrameKind::Raw => WireFrame::Raw {
-                word: self.raw_word()?,
-            },
-            FrameKind::Zero => WireFrame::Zero,
-            FrameKind::Dup => WireFrame::Dup {
-                digest: self.dup_digest()?,
-            },
-            FrameKind::Delta => WireFrame::Delta {
-                delta: self.payload.to_vec(),
-            },
-        })
     }
 }
 
@@ -430,16 +406,21 @@ mod tests {
     fn push_parse_roundtrip_all_kinds() {
         let mut ring = FrameRing::new();
         let digest = digest_words(&[0xbeef]);
-        assert_eq!(ring.push_raw(7, 0xbeef), WIRE_FRAME_HEADER + PAGE_SIZE);
-        assert_eq!(ring.push_zero(8), WIRE_FRAME_HEADER);
-        assert_eq!(
-            ring.push_dup(9, digest),
-            WIRE_FRAME_HEADER + WIRE_DIGEST_BYTES
-        );
         let delta = delta_encode(&expand_word(1), &expand_word(2));
-        assert_eq!(
+        let pushed = [
+            ring.push_raw(7, 0xbeef),
+            ring.push_zero(8),
+            ring.push_dup(9, digest),
             ring.push_delta(10, &delta),
-            WIRE_FRAME_HEADER + delta.len() as u64
+        ];
+        assert_eq!(
+            pushed,
+            [
+                WIRE_FRAME_HEADER + PAGE_SIZE,
+                WIRE_FRAME_HEADER,
+                WIRE_FRAME_HEADER + WIRE_DIGEST_BYTES,
+                WIRE_FRAME_HEADER + delta.len() as u64
+            ]
         );
         assert_eq!(ring.frame_count(), 4);
         let views: Vec<FrameView<'_>> = ring.iter().collect();
@@ -450,10 +431,9 @@ mod tests {
         assert_eq!(views[1].kind, FrameKind::Zero);
         assert_eq!(views[2].dup_digest(), Some(digest));
         assert_eq!(views[3].payload, &delta[..]);
-        // Accounted wire bytes match the owned-frame accounting exactly.
-        for v in &views {
-            assert_eq!(v.wire_bytes(), v.to_frame().unwrap().wire_bytes());
-        }
+        // A view accounts the bytes its push returned.
+        let accounted: Vec<u64> = views.iter().map(FrameView::wire_bytes).collect();
+        assert_eq!(accounted, pushed);
         // Physical stream length is the sum of frame_bytes.
         assert_eq!(
             ring.len_bytes(),

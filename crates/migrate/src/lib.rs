@@ -8,8 +8,8 @@
 //! implicitly rebuilt on the destination (§4.3).
 //!
 //! * [`network`] — the link model carrying pages and UISR blobs, plus the
-//!   wire-frame vocabulary ([`network::WireFrame`], [`network::WireStats`])
-//!   of the content-aware path.
+//!   frame kinds ([`network::FrameKind`]) and per-kind accounting
+//!   ([`network::WireStats`]) of the content-aware path.
 //! * [`wire`] — the XOR+RLE delta codec and the destination-synchronised
 //!   [`wire::TransferCache`] (zero elision, cross-round/cross-VM dedup,
 //!   transactional rollback under link faults).
@@ -24,10 +24,11 @@
 //!   downtime budgets and auto-converge throttling, plus the fleet
 //!   scheduler vocabulary ([`control::FleetPolicy`],
 //!   [`control::predict_migration`]).
-//! * [`framing`] — the serialized wire format: [`framing::FrameRing`], the
-//!   engine-owned reusable encode buffer (begin/commit/rollback watermarks
-//!   in lockstep with the [`wire::TransferCache`] journal), and
-//!   [`framing::FrameView`], the zero-copy parse of one frame.
+//! * [`framing`] — the serialized wire format, the only form a frame
+//!   takes: [`framing::FrameRing`], the engine-owned reusable encode
+//!   buffer (begin/commit/rollback watermarks in lockstep with the
+//!   [`wire::TransferCache`] journal), and [`framing::FrameView`], the
+//!   zero-copy parse of one frame.
 //! * [`transport`] — the pluggable byte transport: the deterministic
 //!   in-process pair used by tests and the engine-equivalence harness, and
 //!   a length-prefixed Unix-domain-socket backend for real two-process
@@ -55,7 +56,7 @@ pub use engine::{
     MigrationTp, RoundStats, ScratchStats, WireMode,
 };
 pub use framing::{FrameIter, FrameRing, FrameView};
-pub use network::{FrameKind, Link, WireFrame, WireStats};
+pub use network::{FrameKind, Link, WireStats};
 pub use proxy::{
     guest_checksum, run_dest, run_source, vm_checksum, DestProxy, DestReport, ProxyReport,
 };

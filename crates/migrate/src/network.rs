@@ -2,17 +2,17 @@
 //! wire-frame vocabulary of the content-aware migration path.
 //!
 //! The content-aware wire path (PR 3) never ships a page it can avoid
-//! shipping: all-zero pages become a 1-entry [`WireFrame::Zero`] marker,
-//! pages whose content the destination already holds (from an earlier
-//! round, or from another VM sharing the link in `migrate_many`) become a
-//! digest-only [`WireFrame::Dup`], and re-dirtied pages become an XOR+RLE
-//! [`WireFrame::Delta`] against the last version the destination acked —
-//! falling back to [`WireFrame::Raw`] whenever the delta would not pay.
+//! shipping: all-zero pages become a header-only [`FrameKind::Zero`]
+//! marker, pages whose content the destination already holds (from an
+//! earlier round, or from another VM sharing the link in `migrate_many`)
+//! become a digest-only [`FrameKind::Dup`], and re-dirtied pages become an
+//! XOR+RLE [`FrameKind::Delta`] against the last version the destination
+//! acked — falling back to [`FrameKind::Raw`] whenever the delta would not
+//! pay. Frames exist only serialized, in a [`crate::framing::FrameRing`].
 //! [`WireStats`] accounts bytes per frame kind so reports and benches can
 //! state exactly where the savings came from.
 
 use hypertp_machine::PAGE_SIZE;
-use hypertp_sim::hash::Digest128;
 use hypertp_sim::SimDuration;
 
 /// Framing metadata per wire frame: kind tag, GFN addressing and payload
@@ -20,7 +20,8 @@ use hypertp_sim::SimDuration;
 /// marker.
 pub const WIRE_FRAME_HEADER: u64 = 16;
 
-/// Bytes of the 128-bit content digest carried by a [`WireFrame::Dup`].
+/// Bytes of the 128-bit content digest carried by a [`FrameKind::Dup`]
+/// frame.
 pub const WIRE_DIGEST_BYTES: u64 = 16;
 
 /// The kind tag of a wire frame (accounting key).
@@ -78,54 +79,6 @@ impl FrameKind {
     }
 }
 
-/// One page's representation on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireFrame {
-    /// Full page payload (the page's content word in the simulator's
-    /// one-word-per-page memory model; accounted as a full page).
-    Raw {
-        /// The page's content word.
-        word: u64,
-    },
-    /// All-zero page; the destination materialises zeros locally.
-    Zero,
-    /// The destination already holds this content (earlier round or
-    /// another VM); it copies from its dedup cache.
-    Dup {
-        /// 128-bit content digest keying the destination's cache.
-        digest: Digest128,
-    },
-    /// XOR+RLE delta against the destination's current version of this
-    /// page (see [`crate::wire::delta_encode`]).
-    Delta {
-        /// Encoded delta stream.
-        delta: Vec<u8>,
-    },
-}
-
-impl WireFrame {
-    /// The frame's accounting kind.
-    pub fn kind(&self) -> FrameKind {
-        match self {
-            WireFrame::Raw { .. } => FrameKind::Raw,
-            WireFrame::Zero => FrameKind::Zero,
-            WireFrame::Dup { .. } => FrameKind::Dup,
-            WireFrame::Delta { .. } => FrameKind::Delta,
-        }
-    }
-
-    /// Bytes this frame occupies on the wire (header + payload).
-    pub fn wire_bytes(&self) -> u64 {
-        WIRE_FRAME_HEADER
-            + match self {
-                WireFrame::Raw { .. } => PAGE_SIZE,
-                WireFrame::Zero => 0,
-                WireFrame::Dup { .. } => WIRE_DIGEST_BYTES,
-                WireFrame::Delta { delta } => delta.len() as u64,
-            }
-    }
-}
-
 /// Per-kind frame and byte accounting for one migration (or an aggregate
 /// across migrations — see [`WireStats::merge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -153,22 +106,9 @@ impl WireStats {
         WireStats::default()
     }
 
-    /// Records one frame.
-    pub fn record(&mut self, frame: &WireFrame) {
-        self.record_parts(frame.kind(), frame.wire_bytes());
-    }
-
-    /// Records one frame by kind and accounted wire bytes — the ring
-    /// path's entry point, where frames exist as serialized views rather
-    /// than [`WireFrame`] values. Accounting is identical to
-    /// [`WireStats::record`] on the equivalent frame.
-    pub fn record_parts(&mut self, kind: FrameKind, wire_bytes: u64) {
-        self.record_frames(kind, 1, wire_bytes);
-    }
-
-    /// Records `frames` frames of `kind` that take `wire_bytes` together:
-    /// what as many [`WireStats::record_parts`] calls add up to.
-    pub(crate) fn record_frames(&mut self, kind: FrameKind, frames: u64, wire_bytes: u64) {
+    /// Records `frames` frames of `kind` that take `wire_bytes` together
+    /// (each a page of the raw-equivalent volume).
+    pub fn record_frames(&mut self, kind: FrameKind, frames: u64, wire_bytes: u64) {
         let k = kind.index();
         self.counts[k] += frames;
         self.bytes[k] += wire_bytes;
@@ -392,31 +332,31 @@ mod tests {
 
     #[test]
     fn frame_wire_bytes_by_kind() {
-        use hypertp_sim::hash::digest_words;
-        let raw = WireFrame::Raw { word: 7 };
-        let zero = WireFrame::Zero;
-        let dup = WireFrame::Dup {
-            digest: digest_words(&[7]),
+        let bytes = |kind, payload: &[u8]| {
+            crate::framing::FrameView {
+                kind,
+                gfn: 0,
+                payload,
+            }
+            .wire_bytes()
         };
-        let delta = WireFrame::Delta {
-            delta: vec![0u8; 100],
-        };
-        assert_eq!(raw.wire_bytes(), WIRE_FRAME_HEADER + PAGE_SIZE);
-        assert_eq!(zero.wire_bytes(), WIRE_FRAME_HEADER);
-        assert_eq!(dup.wire_bytes(), WIRE_FRAME_HEADER + WIRE_DIGEST_BYTES);
-        assert_eq!(delta.wire_bytes(), WIRE_FRAME_HEADER + 100);
-        assert!(zero.wire_bytes() < dup.wire_bytes());
-        assert!(dup.wire_bytes() < raw.wire_bytes());
-        assert_eq!(raw.kind().name(), "raw");
+        let raw = bytes(FrameKind::Raw, &7u64.to_le_bytes());
+        let zero = bytes(FrameKind::Zero, &[]);
+        let dup = bytes(FrameKind::Dup, &[0; WIRE_DIGEST_BYTES as usize]);
+        assert_eq!(raw, WIRE_FRAME_HEADER + PAGE_SIZE, "a raw word is a page");
+        assert_eq!(zero, WIRE_FRAME_HEADER);
+        assert_eq!(dup, WIRE_FRAME_HEADER + WIRE_DIGEST_BYTES);
+        assert_eq!(bytes(FrameKind::Delta, &[0; 100]), WIRE_FRAME_HEADER + 100);
+        assert!(zero < dup && dup < raw);
+        assert_eq!(FrameKind::Raw.name(), "raw");
         assert_eq!(FrameKind::ALL.len(), 4);
     }
 
     #[test]
     fn wire_stats_account_per_kind_and_merge() {
         let mut s = WireStats::new();
-        s.record(&WireFrame::Zero);
-        s.record(&WireFrame::Zero);
-        s.record(&WireFrame::Raw { word: 3 });
+        s.record_frames(FrameKind::Zero, 2, 2 * WIRE_FRAME_HEADER);
+        s.record_frames(FrameKind::Raw, 1, WIRE_FRAME_HEADER + PAGE_SIZE);
         assert_eq!(s.frames(), 3);
         assert_eq!(s.count(FrameKind::Zero), 2);
         assert_eq!(s.count(FrameKind::Raw), 1);

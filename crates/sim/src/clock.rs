@@ -67,73 +67,6 @@ impl SimClock {
     }
 }
 
-/// A named span of simulated time, used to report phase breakdowns
-/// (e.g. the PRAM / Translation / Reboot / Restoration phases of Fig. 6).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// Phase label.
-    pub name: String,
-    /// Instant the phase began.
-    pub start: SimTime,
-    /// Instant the phase ended.
-    pub end: SimTime,
-}
-
-impl Span {
-    /// Returns the duration of the span.
-    pub fn duration(&self) -> SimDuration {
-        self.end.duration_since(self.start)
-    }
-}
-
-/// Records a sequence of named spans against a clock.
-#[derive(Debug, Clone, Default)]
-pub struct SpanRecorder {
-    spans: Vec<Span>,
-}
-
-impl SpanRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        SpanRecorder::default()
-    }
-
-    /// Runs `f`, recording the clock time it spans under `name`.
-    pub fn record<T>(&mut self, clock: &SimClock, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = clock.now();
-        let out = f();
-        self.spans.push(Span {
-            name: name.to_string(),
-            start,
-            end: clock.now(),
-        });
-        out
-    }
-
-    /// Pushes an explicit span.
-    pub fn push(&mut self, name: &str, start: SimTime, end: SimTime) {
-        self.spans.push(Span {
-            name: name.to_string(),
-            start,
-            end,
-        });
-    }
-
-    /// Returns the recorded spans in recording order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Returns the total duration of all spans named `name`.
-    pub fn total(&self, name: &str) -> SimDuration {
-        self.spans
-            .iter()
-            .filter(|s| s.name == name)
-            .map(Span::duration)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,24 +100,5 @@ mod tests {
         });
         assert_eq!(v, 42);
         assert_eq!(d, SimDuration::from_millis(10));
-    }
-
-    #[test]
-    fn span_recorder_totals() {
-        let c = SimClock::new();
-        let mut r = SpanRecorder::new();
-        r.record(&c, "reboot", || {
-            c.advance(SimDuration::from_millis(5));
-        });
-        r.record(&c, "reboot", || {
-            c.advance(SimDuration::from_millis(7));
-        });
-        r.record(&c, "restore", || {
-            c.advance(SimDuration::from_millis(3));
-        });
-        assert_eq!(r.total("reboot"), SimDuration::from_millis(12));
-        assert_eq!(r.total("restore"), SimDuration::from_millis(3));
-        assert_eq!(r.spans().len(), 3);
-        assert_eq!(r.spans()[0].duration(), SimDuration::from_millis(5));
     }
 }

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use hypertp::prelude::*;
 use hypertp_cluster::{plan_upgrade, Cluster, ClusterView, ExposureConfig, ExposurePlanner};
-use hypertp_migrate::{run_dest, run_source, FrameRing, InProcTransport, TransferCache};
+use hypertp_migrate::{run_dest, run_source, FrameRing, InProcTransport, TransferCache, WireStats};
 use hypertp_sim::SimDuration;
 use hypertp_vulndb::VulnFeed;
 
@@ -90,7 +90,7 @@ fn round(
     for (part, part_words) in gfns.chunks(PART_PAGES).zip(words.chunks(PART_PAGES)) {
         ring.restart();
         ring.begin();
-        wb += cache.encode_words_into(7, part, part_words, ring);
+        wb += cache.encode_words_into(7, part, part_words, ring, &mut WireStats::new());
         hv.read_guest_into(m, id, part, &mut landing.current)
             .expect("mapped gfns");
         for (view, (&g, &cur)) in ring.iter().zip(part.iter().zip(&landing.current)) {
