@@ -132,6 +132,26 @@ cargo run -q --release --offline --bin hypertpctl -- fleet --vms 3 \
 cargo run -q --release --offline --bin hypertpctl -- fleet --vms 3 --slo-aware \
   | grep -q "slo admission"
 
+echo "== hypertpctl malformed command lines (must exit 1) =="
+# A flag takes no value and a valued option needs one: `--blind false`
+# must not plan blind, and a bare `--socket` must not bind a socket file
+# named after a placeholder. Run from the scratch dir, under a timeout,
+# so a regression that binds cannot block CI or leave a file in the tree.
+root=$(pwd)
+rejects() {
+  local status=0
+  local before
+  before=$(ls -A "${gate_dir}")
+  (cd "${gate_dir}" && timeout 30 cargo run -q --release --offline \
+    --manifest-path "${root}/Cargo.toml" --bin hypertpctl -- "$@") || status=$?
+  if [ "${status}" -ne 1 ] || [ "$(ls -A "${gate_dir}")" != "${before}" ]; then
+    echo "error: hypertpctl $* exited ${status} (expected 1) or created a file" >&2
+    exit 1
+  fi
+}
+rejects feed --hosts 30 --days 30 --blind false
+rejects proxy dest --socket
+
 echo "== repo benchmark checks (fmt, clippy, unit tests, --check fingerprints) =="
 # The benchmark is a package of its own (benchmark/Cargo.toml, own
 # target dir), so the workspace steps above never see it. Its --check

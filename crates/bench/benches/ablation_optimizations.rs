@@ -30,7 +30,6 @@ fn run(opts: Optimizations) {
 fn main() {
     harness::header();
     let mut g = Group::new("ablation_optimizations");
-    g.sample_size(10);
     let configs: [(&str, Optimizations); 4] = [
         ("all", Optimizations::default()),
         (

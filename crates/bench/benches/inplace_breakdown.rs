@@ -26,7 +26,6 @@ fn transplant(n_vms: u32, source: HypervisorKind, target: HypervisorKind) {
 fn main() {
     harness::header();
     let mut g = Group::new("inplace_transplant");
-    g.sample_size(10);
     for n in [1u32, 4, 12] {
         g.bench(format!("xen_to_kvm/{n}"), || {
             transplant(n, HypervisorKind::Xen, HypervisorKind::Kvm)

@@ -24,7 +24,6 @@ fn build_map(
 fn main() {
     harness::header();
     let mut g = Group::new("pram");
-    g.sample_size(10);
     for (label, gib, huge) in [
         ("1GiB_huge", 1u64, true),
         ("1GiB_4k", 1, false),

@@ -115,9 +115,10 @@ fn base_config() -> MigrationConfig {
 }
 
 fn adaptive_config() -> MigrationConfig {
-    let mut cfg = base_config();
-    cfg.control.auto_converge = true;
-    cfg
+    MigrationConfig {
+        auto_converge: true,
+        ..base_config()
+    }
 }
 
 fn ms(d: SimDuration) -> f64 {

@@ -4,13 +4,9 @@
 //! The workspace builds fully offline, so the four `[[bench]]` targets
 //! (`inplace_breakdown`, `pram_encode`, `uisr_codec`,
 //! `ablation_optimizations`) run on this ~100-line harness instead of
-//! Criterion. It keeps the familiar group/bench-id shape, prints a small
-//! table of min/median/mean per benchmark, and honors two environment
-//! knobs:
-//!
-//! * `HYPERTP_BENCH_SAMPLES` — iteration count per benchmark (default 10).
-//! * `HYPERTP_BENCH_FAST=1` — one warmup-free iteration per benchmark, for
-//!   smoke-testing `cargo bench` in CI.
+//! Criterion. It keeps the familiar group/bench-id shape and prints a
+//! small table of min/median/mean per benchmark over ten timed
+//! iterations after one warmup.
 //!
 //! Every smoke bin ends in [`finish`], which checks the artifact where the
 //! numbers are made: each `identical`/`*_identical` field must read
@@ -38,25 +34,13 @@ pub struct BenchResult {
     pub mean: Duration,
 }
 
+/// Timed iterations per benchmark.
+const SAMPLES: usize = 10;
+
 /// A named group of benchmarks, mirroring Criterion's `benchmark_group`.
 pub struct Group {
     name: String,
-    samples: usize,
     results: Vec<BenchResult>,
-}
-
-fn env_samples() -> usize {
-    if std::env::var("HYPERTP_BENCH_FAST")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        return 1;
-    }
-    std::env::var("HYPERTP_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(10)
 }
 
 impl Group {
@@ -64,31 +48,15 @@ impl Group {
     pub fn new(name: impl Into<String>) -> Self {
         Group {
             name: name.into(),
-            samples: env_samples(),
             results: Vec::new(),
         }
     }
 
-    /// Overrides the per-benchmark sample count (environment still wins
-    /// under `HYPERTP_BENCH_FAST`).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        if !std::env::var("HYPERTP_BENCH_FAST")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            self.samples = n.max(1);
-        }
-        self
-    }
-
-    /// Times `f` for the configured number of samples (plus one warmup
-    /// iteration when sampling more than once).
+    /// Times `f` for `SAMPLES` iterations after one warmup iteration.
     pub fn bench(&mut self, id: impl Into<String>, mut f: impl FnMut()) {
         let id = format!("{}/{}", self.name, id.into());
-        if self.samples > 1 {
-            f(); // warmup
-        }
-        let mut times: Vec<Duration> = (0..self.samples)
+        f(); // warmup
+        let mut times: Vec<Duration> = (0..SAMPLES)
             .map(|_| {
                 let t = Instant::now();
                 f();
@@ -126,10 +94,8 @@ impl Group {
         mut run: impl FnMut(T),
     ) {
         let id = format!("{}/{}", self.name, id.into());
-        if self.samples > 1 {
-            run(setup()); // warmup
-        }
-        let mut times: Vec<Duration> = (0..self.samples)
+        run(setup()); // warmup
+        let mut times: Vec<Duration> = (0..SAMPLES)
             .map(|_| {
                 let input = setup();
                 let t = Instant::now();
@@ -482,15 +448,14 @@ mod tests {
 
     #[test]
     fn bench_collects_results() {
-        std::env::set_var("HYPERTP_BENCH_FAST", "1");
         let mut g = Group::new("t");
         g.bench("noop", || {});
         g.bench_with_setup("setup", || 41u32, |x| assert_eq!(x + 1, 42));
         let rs = g.finish();
-        std::env::remove_var("HYPERTP_BENCH_FAST");
         assert_eq!(rs.len(), 2);
         assert_eq!(rs[0].id, "t/noop");
-        assert_eq!(rs[0].samples, 1);
+        assert_eq!(rs[0].samples, SAMPLES);
+        assert_eq!(rs[1].samples, SAMPLES);
     }
 
     #[test]
@@ -629,6 +594,28 @@ mod tests {
 
     #[test]
     fn committed_artifacts_pass_and_every_row_fails_past_its_bound() {
+        // Each gated bench's committed artifact stores exactly its bench's
+        // rows, in table order: a row deleted from GATES (or added to it)
+        // must not linger in (or be missing from) the artifact.
+        for &(bench, file) in &ARTIFACTS {
+            let rows: Vec<String> = GATES
+                .iter()
+                .filter(|r| r.bench == bench)
+                .map(Gate::to_string)
+                .collect();
+            if rows.is_empty() {
+                continue;
+            }
+            let artifact = committed(bench);
+            let stored: Vec<&str> = artifact
+                .get("gates")
+                .and_then(Json::as_arr)
+                .unwrap_or_default()
+                .iter()
+                .map(|g| g.get("row").and_then(Json::as_str).unwrap_or_default())
+                .collect();
+            assert_eq!(stored, rows, "{file}: stored gate rows");
+        }
         for row in &GATES {
             let artifact = committed(row.bench);
             let (gates, v) = check(&artifact);

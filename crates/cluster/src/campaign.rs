@@ -20,6 +20,7 @@ use hypertp_sim::SimDuration;
 use hypertp_vulndb::policy::{decide, Decision};
 use hypertp_vulndb::{HypervisorId, Vulnerability};
 
+use crate::exec::MAX_HOST_RETRIES;
 use crate::openstack::NovaManager;
 
 /// Maps the vulnerability database's hypervisor identity onto the
@@ -40,24 +41,12 @@ pub fn to_id(kind: HypervisorKind) -> HypervisorId {
 }
 
 /// Knobs for campaign orchestration under faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CampaignConfig {
-    /// How many times a failed host upgrade is requeued to the back of
-    /// the wave before the host is excluded from the campaign.
-    pub max_host_retries: u32,
     /// If set, the patch ships after this many hosts have completed the
     /// transplant-out wave: the remaining hosts patch in place and never
     /// visit the refuge hypervisor.
     pub patch_after_hosts: Option<usize>,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            max_host_retries: 2,
-            patch_after_hosts: None,
-        }
-    }
 }
 
 /// Bucketing of each wave's per-host downtime histogram: 30 × 1 s bins
@@ -337,7 +326,8 @@ struct WaveOutcome {
 /// keep running on the old hypervisor, and the host is requeued at the
 /// back of the wave
 /// ([`hypertp_sim::fault::RecoveryAction::RequeuedHost`]). After
-/// `max_host_retries` requeues the host is excluded
+/// `MAX_HOST_RETRIES` requeues (the executor's default budget, so the
+/// two cannot drift apart) the host is excluded
 /// ([`hypertp_sim::fault::RecoveryAction::ExcludedHost`]) and the
 /// campaign continues without it, accounting its VMs as residual
 /// exposure. The retry/exclude verdict comes from the shared
@@ -352,7 +342,6 @@ fn upgrade_wave(
     hosts: &[usize],
     target: HypervisorKind,
     faults: &FaultPlan,
-    cfg: &CampaignConfig,
     wave: &str,
     stop_after: Option<usize>,
 ) -> Result<WaveOutcome, CampaignError> {
@@ -369,7 +358,7 @@ fn upgrade_wave(
             continue;
         }
         let site = format!("{wave} host c{host}");
-        match host_failure_gate(faults, &site, attempts, cfg.max_host_retries) {
+        match host_failure_gate(faults, &site, attempts, MAX_HOST_RETRIES) {
             HostGate::Proceed => {
                 // The hypervisor can crash right as the host's turn
                 // comes: the unplanned path recovers it onto the same
@@ -391,7 +380,7 @@ fn upgrade_wave(
 }
 
 /// [`run_campaign`] with fault injection and recovery knobs: failed host
-/// upgrades are requeued then excluded per [`CampaignConfig`], every
+/// upgrades are requeued then excluded (see `upgrade_wave`), every
 /// decision is recorded in `faults`' log, and the report accounts the
 /// exposure left on excluded hosts.
 pub fn run_campaign_with(
@@ -424,7 +413,6 @@ pub fn run_campaign_with(
         &all_hosts,
         refuge,
         faults,
-        cfg,
         "transplant-out",
         cfg.patch_after_hosts,
     )?;
@@ -440,7 +428,6 @@ pub fn run_campaign_with(
         &wave_out.upgraded,
         home,
         faults,
-        cfg,
         "transplant-back",
         None,
     )?;
@@ -692,7 +679,6 @@ mod tests {
         }
         let cfg = CampaignConfig {
             patch_after_hosts: Some(1),
-            ..CampaignConfig::default()
         };
         let report = run_campaign_with(
             &mut nova,

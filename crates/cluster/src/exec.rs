@@ -42,14 +42,20 @@ use hypertp_sim::{CostModel, EventQueue, SimDuration, SimTime};
 use crate::model::{ClusterView, VmView};
 use crate::planner::{Action, Plan};
 
+/// Per-migration orchestration overhead (scheduling, pre/post hooks —
+/// dominated by the cloud manager, not the data path).
+const PER_MIGRATION_OVERHEAD: SimDuration = SimDuration::from_millis(3500);
+
+/// Retries granted to a host whose upgrade faults before it is dropped:
+/// the default of [`ExecConfig::max_host_retries`] and the campaign's
+/// fixed budget, one value so the two cannot drift apart.
+pub(crate) const MAX_HOST_RETRIES: u32 = 2;
+
 /// Timing knobs for plan execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
     /// The cluster fabric.
     pub link: Link,
-    /// Per-migration orchestration overhead (scheduling, pre/post hooks —
-    /// dominated by the cloud manager, not the data path).
-    pub per_migration_overhead: SimDuration,
     /// Target hypervisor of the upgrade.
     pub target: HypervisorKind,
     /// Maximum concurrent migrations the operator allows on the fabric
@@ -151,10 +157,9 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             link: Link::ten_gigabit(),
-            per_migration_overhead: SimDuration::from_millis(3500),
             target: HypervisorKind::Kvm,
             max_concurrent_migrations: 1,
-            max_host_retries: 2,
+            max_host_retries: MAX_HOST_RETRIES,
             wire_compression_ratio: 1.0,
             fleet_order: FleetOrder::Fifo,
             inplace_dirty_fraction: 1.0,
@@ -337,7 +342,7 @@ fn migration_estimate(
     let dirty_bytes = (raw_dirty as f64 * ratio) as u64;
     let blackout = cfg.link.transfer(dirty_bytes, sharers);
     MigrationEstimate {
-        time: cfg.per_migration_overhead + copy + blackout,
+        time: PER_MIGRATION_OVERHEAD + copy + blackout,
         blackout,
         raw_bytes: raw + raw_dirty,
         wire_bytes: bytes + dirty_bytes,
@@ -377,8 +382,8 @@ fn contention_stretch(cfg: &ExecConfig, estimate: SimDuration, workload_bps: f64
     if share >= 1.0 {
         return estimate;
     }
-    let transfer = estimate.saturating_sub(cfg.per_migration_overhead);
-    cfg.per_migration_overhead + SimDuration::from_secs_f64(transfer.as_secs_f64() / share)
+    let transfer = estimate.saturating_sub(PER_MIGRATION_OVERHEAD);
+    PER_MIGRATION_OVERHEAD + SimDuration::from_secs_f64(transfer.as_secs_f64() / share)
 }
 
 /// The executor's VM as the in-place pricer sees it: 4 GiB, one vCPU,

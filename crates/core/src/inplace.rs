@@ -93,26 +93,24 @@ pub struct IncrementalConfig {
     /// simulated workload; each warm round ticks every guest with
     /// `rate × previous round duration` pages).
     pub dirty_rate_pages_per_sec: f64,
-    /// EWMA smoothing factor for the per-round redirty page count.
-    pub ewma_alpha: f64,
     /// Hard cap on warm refresh rounds after the initial snapshot.
     pub max_warm_rounds: u32,
-    /// Pause as soon as the observed dirty fraction of guest memory drops
-    /// to or below this value.
-    pub stop_dirty_fraction: f64,
-    /// Stop refreshing when the redirty EWMA improves by less than this
-    /// relative amount between rounds (diminishing returns).
-    pub min_improvement: f64,
 }
+
+/// The warm-translate loop pauses as soon as the observed dirty fraction
+/// of guest memory drops to or below this value.
+const STOP_DIRTY_FRACTION: f64 = 0.01;
+
+/// The warm-translate loop stops refreshing when the redirty EWMA
+/// improves by less than this relative amount between rounds
+/// (diminishing returns).
+const MIN_IMPROVEMENT: f64 = 0.10;
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
         IncrementalConfig {
             dirty_rate_pages_per_sec: 0.0,
-            ewma_alpha: 0.5,
             max_warm_rounds: 8,
-            stop_dirty_fraction: 0.01,
-            min_improvement: 0.10,
         }
     }
 }
@@ -858,7 +856,7 @@ impl<'r> InPlaceTransplant<'r> {
         // pause or the redirty EWMA stops shrinking (the same shape of
         // stop rule as the MigrationTP pre-copy controller).
         let rate = self.incremental.dirty_rate_pages_per_sec.max(0.0);
-        let mut ewma = Ewma::new(self.incremental.ewma_alpha);
+        let mut ewma = Ewma::default();
         let mut prev_ewma: Option<f64> = None;
         for round in 1..=self.incremental.max_warm_rounds {
             let tick = (rate * round_cost.as_secs_f64()).round() as u64;
@@ -904,11 +902,11 @@ impl<'r> InPlaceTransplant<'r> {
                 redirty_ewma: smoothed,
                 duration: round_cost,
             });
-            if fraction <= self.incremental.stop_dirty_fraction {
+            if fraction <= STOP_DIRTY_FRACTION {
                 break;
             }
             if let Some(prev) = prev_ewma {
-                if smoothed >= prev * (1.0 - self.incremental.min_improvement) {
+                if smoothed >= prev * (1.0 - MIN_IMPROVEMENT) {
                     break;
                 }
             }

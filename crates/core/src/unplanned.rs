@@ -53,11 +53,6 @@ pub struct CheckpointConfig {
     /// derives from this: at the end of every completed tick each VM's
     /// un-persisted count is strictly below the bound.
     pub staleness_bound_pages: u64,
-    /// EWMA smoothing factor for the per-VM per-tick dirty page count. The
-    /// smoothed rate paces refreshes *proactively*: a VM is refreshed as
-    /// soon as its staleness plus its predicted next-tick dirt would reach
-    /// the bound, instead of waiting to exceed it.
-    pub ewma_alpha: f64,
     /// Watchdog window between the hypervisor dying and the rescue kexec
     /// being taken.
     pub detection: SimDuration,
@@ -67,7 +62,6 @@ impl Default for CheckpointConfig {
     fn default() -> Self {
         CheckpointConfig {
             staleness_bound_pages: 512,
-            ewma_alpha: 0.5,
             detection: SimDuration::from_millis(100),
         }
     }
@@ -254,7 +248,7 @@ impl WarmCheckpointer {
                 persisted_staleness: 0,
                 staleness_at_tick_end: 0,
                 pending: Vec::new(),
-                ewma: Ewma::new(cfg.ewma_alpha),
+                ewma: Ewma::default(),
                 last_ewma: 0.0,
             });
         }

@@ -66,50 +66,29 @@ use crate::{MigrationConfig, WireMode};
 /// only makes the budget→pages conversion more conservative.
 pub const UISR_BYTES_ALLOWANCE: u64 = 4096;
 
-/// Controller tuning. Nested in [`MigrationConfig`]; the defaults leave
-/// the controller **disabled** so default-config migrations stay
-/// byte-identical to the pre-controller engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControlConfig {
-    /// Throttle the guest when pre-copy is not converging (QEMU-style
-    /// auto-converge). Off by default.
-    pub auto_converge: bool,
-    /// Smoothing factor of every per-round EWMA estimator.
-    pub ewma_alpha: f64,
-    /// Consecutive non-convergent rounds (dirtying ≥ 90% of the drain)
-    /// before the detector acts.
-    pub nonconvergence_rounds: u32,
-    /// Multiplier applied to the guest's dirty rate each time the
-    /// detector fires (auto-converge enabled or a downtime budget set).
-    pub throttle_step: f64,
-    /// Throttle floor; at the floor a still-non-convergent guest forces
-    /// an early stop-and-copy instead.
-    pub min_throttle: f64,
-    /// Safety factor on the observed per-page wire cost when converting a
-    /// downtime budget into pages (guards against the stop set encoding
-    /// worse than the rounds the estimate was trained on).
-    pub budget_safety: f64,
-}
+/// Consecutive non-convergent rounds (dirtying ≥ 90% of the drain)
+/// before the detector acts.
+const NONCONVERGENCE_ROUNDS: u32 = 2;
 
-impl Default for ControlConfig {
-    fn default() -> Self {
-        ControlConfig {
-            auto_converge: false,
-            ewma_alpha: 0.5,
-            nonconvergence_rounds: 2,
-            throttle_step: 0.25,
-            min_throttle: 1.0 / 256.0,
-            budget_safety: 2.0,
-        }
-    }
-}
+/// Multiplier applied to the guest's dirty rate each time the detector
+/// fires (auto-converge enabled or a downtime budget set).
+const THROTTLE_STEP: f64 = 0.25;
+
+/// Throttle floor; at the floor a still-non-convergent guest forces an
+/// early stop-and-copy instead.
+const MIN_THROTTLE: f64 = 1.0 / 256.0;
+
+/// Safety factor on the observed per-page wire cost when converting a
+/// downtime budget into pages (guards against the stop set encoding worse
+/// than the rounds the estimate was trained on).
+const BUDGET_SAFETY: f64 = 2.0;
 
 /// Per-migration feedback controller. Constructed by the engine at the
 /// start of every migration; observes each round; decides the stop
 /// threshold, the guest throttle and forced stops.
 #[derive(Debug, Clone)]
 pub struct PrecopyController {
-    control: ControlConfig,
+    auto_converge: bool,
     budget: Option<SimDuration>,
     static_threshold: u64,
     link: Link,
@@ -138,20 +117,19 @@ impl PrecopyController {
     /// incompressible part of the stop-and-copy (activation + UISR +
     /// latency), subtracted from the budget before converting to pages.
     pub fn new(config: &MigrationConfig, sharers: u32, stop_fixed: SimDuration) -> Self {
-        let control = config.control;
         PrecopyController {
-            control,
+            auto_converge: config.auto_converge,
             budget: config.downtime_budget,
             static_threshold: config.stop_threshold_pages,
             link: config.link,
             sharers,
             stop_fixed,
-            active: config.downtime_budget.is_some() || control.auto_converge,
-            dirty_rate: Ewma::new(control.ewma_alpha),
-            drain_rate: Ewma::new(control.ewma_alpha),
-            throughput: Ewma::new(control.ewma_alpha),
-            per_page_wire: Ewma::new(control.ewma_alpha),
-            compression: Ewma::new(control.ewma_alpha),
+            active: config.downtime_budget.is_some() || config.auto_converge,
+            dirty_rate: Ewma::default(),
+            drain_rate: Ewma::default(),
+            throughput: Ewma::default(),
+            per_page_wire: Ewma::default(),
+            compression: Ewma::default(),
             throttle: 1.0,
             streak: 0,
             force_stop: false,
@@ -216,17 +194,16 @@ impl PrecopyController {
         } else {
             self.streak = 0;
         }
-        if self.active && self.streak >= self.control.nonconvergence_rounds {
+        if self.active && self.streak >= NONCONVERGENCE_ROUNDS {
             // A budget implies permission to throttle even when
             // auto-converge was not explicitly requested: a steady-state
             // dirty set above the budget threshold can never shrink on
             // its own, so forcing an early stop there would ship an
             // over-budget stop set. Throttling is the only mechanism
             // that makes the budget reachable.
-            let may_throttle = self.control.auto_converge || self.budget.is_some();
-            if may_throttle && self.throttle > self.control.min_throttle {
-                self.throttle =
-                    (self.throttle * self.control.throttle_step).max(self.control.min_throttle);
+            let may_throttle = self.auto_converge || self.budget.is_some();
+            if may_throttle && self.throttle > MIN_THROTTLE {
+                self.throttle = (self.throttle * THROTTLE_STEP).max(MIN_THROTTLE);
                 self.streak = 0;
             } else {
                 // Throttle exhausted (or disabled): every further round
@@ -253,7 +230,7 @@ impl PrecopyController {
     /// `budget − stop_fixed` seconds of transfer at the observed
     /// throughput gives the byte allowance; pages follow from the *worse*
     /// of (a) full raw frames — always safe — and (b) the observed
-    /// per-page wire cost inflated by [`ControlConfig::budget_safety`].
+    /// per-page wire cost inflated by `BUDGET_SAFETY` (2×).
     /// Taking the max lets good compression raise the allowance (cheap
     /// pages ⇒ more pages per millisecond) while (a) guarantees the
     /// conversion never goes below what raw frames could deliver.
@@ -269,8 +246,7 @@ impl PrecopyController {
         let budget_bytes = avail.as_secs_f64() * bps;
         let raw_frame = (WIRE_FRAME_HEADER + PAGE_SIZE) as f64;
         let safe = budget_bytes / raw_frame;
-        let per_page =
-            self.per_page_wire.get_or(raw_frame).max(1.0) * self.control.budget_safety.max(1.0);
+        let per_page = self.per_page_wire.get_or(raw_frame).max(1.0) * BUDGET_SAFETY;
         let refined = budget_bytes / per_page.max(1.0);
         safe.max(refined).floor() as u64
     }
@@ -848,8 +824,10 @@ mod tests {
 
     #[test]
     fn auto_converge_throttles_then_forces_stop() {
-        let mut cfg = MigrationConfig::default();
-        cfg.control.auto_converge = true;
+        let cfg = MigrationConfig {
+            auto_converge: true,
+            ..MigrationConfig::default()
+        };
         let mut c = PrecopyController::new(&cfg, 1, SimDuration::ZERO);
         assert!(c.active());
         let hammer = |c: &mut PrecopyController| {
@@ -870,14 +848,16 @@ mod tests {
         for _ in 0..20 {
             hammer(&mut c);
         }
-        assert_eq!(c.throttle(), cfg.control.min_throttle);
+        assert_eq!(c.throttle(), MIN_THROTTLE);
         assert!(c.force_stop());
     }
 
     #[test]
     fn convergent_rounds_reset_the_streak() {
-        let mut cfg = MigrationConfig::default();
-        cfg.control.auto_converge = true;
+        let cfg = MigrationConfig {
+            auto_converge: true,
+            ..MigrationConfig::default()
+        };
         let mut c = PrecopyController::new(&cfg, 1, SimDuration::ZERO);
         c.observe_round(
             1000,
@@ -949,8 +929,10 @@ mod tests {
 
     #[test]
     fn reset_estimators_clears_observations_keeps_throttle() {
-        let mut cfg = MigrationConfig::default();
-        cfg.control.auto_converge = true;
+        let cfg = MigrationConfig {
+            auto_converge: true,
+            ..MigrationConfig::default()
+        };
         let mut c = PrecopyController::new(&cfg, 1, SimDuration::ZERO);
         for _ in 0..4 {
             c.observe_round(

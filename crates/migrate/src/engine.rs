@@ -8,8 +8,8 @@ use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
 use hypertp_sim::{CostModel, SimDuration, SimTime, WorkerPool};
 
 use crate::control::{
-    dirtied_pages, predict_migration, ControlConfig, FleetOrder, FleetPolicy, FleetVm,
-    LinkContention, MigrationPrediction, PrecopyController, PredictInput, RoundModel, VmSloOutcome,
+    dirtied_pages, predict_migration, FleetOrder, FleetPolicy, FleetVm, LinkContention,
+    MigrationPrediction, PrecopyController, PredictInput, RoundModel, VmSloOutcome,
     UISR_BYTES_ALLOWANCE,
 };
 use crate::framing::{reserve_doubling, FrameRing};
@@ -20,6 +20,10 @@ use crate::wire::TransferCache;
 /// Extra one-way delay modelled for an injected link latency spike
 /// (transient congestion); the engine absorbs it into the round time.
 const LATENCY_SPIKE: SimDuration = SimDuration::from_millis(150);
+
+/// Base backoff after a link failure; doubles on each consecutive retry
+/// of the same round (exponential backoff).
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(50);
 
 /// Exponential backoff for retry `attempt` (1-based): `base << (attempt-1)`,
 /// capped at 16 doublings so the shift cannot overflow.
@@ -200,9 +204,6 @@ pub struct MigrationConfig {
     /// Maximum consecutive link-failure retries per round before the
     /// migration is abandoned with [`HtpError::LinkFailure`].
     pub max_link_retries: u32,
-    /// Base backoff after a link failure; doubles on each consecutive
-    /// retry of the same round (exponential backoff).
-    pub retry_backoff: SimDuration,
     /// Wire representation of guest pages (raw or content-aware).
     pub wire_mode: WireMode,
     /// Target ceiling for VM downtime. When set, the adaptive controller
@@ -212,9 +213,11 @@ pub struct MigrationConfig {
     /// `None` (the default) keeps the static threshold and the pinned
     /// §5.2 timings byte-identical.
     pub downtime_budget: Option<SimDuration>,
-    /// Adaptive-controller tuning ([`ControlConfig`]); defaults leave the
-    /// controller disabled.
-    pub control: ControlConfig,
+    /// Throttle the guest when pre-copy is not converging (QEMU-style
+    /// auto-converge). Off by default: without a
+    /// [`MigrationConfig::downtime_budget`] the adaptive controller then
+    /// stays disabled.
+    pub auto_converge: bool,
 }
 
 impl Default for MigrationConfig {
@@ -226,10 +229,9 @@ impl Default for MigrationConfig {
             dirty_rate_pages_per_sec: 10.0,
             verify_contents: false,
             max_link_retries: 4,
-            retry_backoff: SimDuration::from_millis(50),
             wire_mode: WireMode::Raw,
             downtime_budget: None,
-            control: ControlConfig::default(),
+            auto_converge: false,
         }
     }
 }
@@ -773,7 +775,7 @@ impl MigrationTp {
                         retries: self.config.max_link_retries,
                     });
                 }
-                let wait = backoff_delay(self.config.retry_backoff, drops);
+                let wait = backoff_delay(RETRY_BACKOFF, drops);
                 // Half the round was on the wire before the drop, plus the
                 // backoff before reconnecting.
                 duration += model.transfer(encoded / 2) + wait;
@@ -1870,8 +1872,8 @@ mod tests {
                 clean.rounds[0].duration
                     + half_round
                     + half_round
-                    + backoff_delay(config.retry_backoff, 1)
-                    + backoff_delay(config.retry_backoff, 2),
+                    + backoff_delay(RETRY_BACKOFF, 1)
+                    + backoff_delay(RETRY_BACKOFF, 2),
                 "{mode:?}"
             );
             assert_eq!(
@@ -2141,11 +2143,11 @@ mod tests {
             let mut src = SimpleHv::new(HypervisorKind::Xen);
             let mut dst = SimpleHv::new(HypervisorKind::Kvm);
             let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
-            let mut cfg = MigrationConfig {
+            let cfg = MigrationConfig {
                 dirty_rate_pages_per_sec: 1e6,
+                auto_converge,
                 ..MigrationConfig::default()
             };
-            cfg.control.auto_converge = auto_converge;
             let tp = MigrationTp::new().with_config(cfg);
             tp.migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
                 .unwrap()

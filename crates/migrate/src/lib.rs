@@ -47,9 +47,8 @@ pub mod transport;
 pub mod wire;
 
 pub use control::{
-    predict_migration, ControlConfig, FleetOrder, FleetPolicy, FleetVm, LinkContention,
-    MigrationPrediction, PrecopyController, PredictInput, SloVm, TrafficCurve, VmSloOutcome,
-    UISR_BYTES_ALLOWANCE,
+    predict_migration, FleetOrder, FleetPolicy, FleetVm, LinkContention, MigrationPrediction,
+    PrecopyController, PredictInput, SloVm, TrafficCurve, VmSloOutcome, UISR_BYTES_ALLOWANCE,
 };
 pub use engine::{
     migrate_fleet, migrate_many, EngineScratch, FleetReport, MigrationConfig, MigrationReport,

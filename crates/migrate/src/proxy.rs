@@ -903,8 +903,10 @@ mod tests {
             downtime_budget: Some(SimDuration::from_millis(10)),
             ..config()
         };
-        let mut auto_converge = config();
-        auto_converge.control.auto_converge = true;
+        let auto_converge = MigrationConfig {
+            auto_converge: true,
+            ..config()
+        };
         let inputs = [
             ("default", config()),
             ("budget", budget),

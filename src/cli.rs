@@ -25,7 +25,8 @@ pub struct Command {
     pub name: String,
     /// Positional arguments after the subcommand.
     pub positional: Vec<String>,
-    /// `--key value` and `--flag` options (flags map to "true").
+    /// `--key value` options; a `--key` with no value after it (a flag)
+    /// maps to the empty string.
     pub options: HashMap<String, String>,
 }
 
@@ -36,7 +37,8 @@ pub enum CliError {
     NoCommand,
     /// Unknown subcommand.
     UnknownCommand(String),
-    /// A required option is missing.
+    /// A required option (named without its `--`) or positional argument
+    /// (`<CVE-ID>`) is missing.
     MissingOption(&'static str),
     /// The subcommand does not read this option (a typo, or a flag that
     /// no longer exists): rejected rather than silently ignored.
@@ -46,7 +48,7 @@ pub enum CliError {
         /// Offending option name, without the leading `--`.
         option: String,
     },
-    /// An option value could not be parsed.
+    /// An option value is missing (empty) or could not be parsed.
     BadValue {
         /// Option name.
         option: String,
@@ -62,9 +64,15 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::NoCommand => write!(f, "no subcommand; try `hypertpctl help`"),
             CliError::UnknownCommand(c) => write!(f, "unknown subcommand '{c}'"),
+            CliError::MissingOption(a) if a.starts_with('<') => {
+                write!(f, "missing required argument {a}")
+            }
             CliError::MissingOption(o) => write!(f, "missing required option --{o}"),
             CliError::UnknownOption { command, option } => {
                 write!(f, "unknown option --{option} for '{command}'")
+            }
+            CliError::BadValue { option, value } if value.is_empty() => {
+                write!(f, "missing value for --{option}")
             }
             CliError::BadValue { option, value } => {
                 write!(f, "bad value '{value}' for --{option}")
@@ -95,7 +103,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 options.insert(key.to_string(), rest[i + 1].clone());
                 i += 2;
             } else {
-                options.insert(key.to_string(), "true".to_string());
+                options.insert(key.to_string(), String::new());
                 i += 1;
             }
         } else {
@@ -177,7 +185,7 @@ pub fn help() -> String {
         "  decide <CVE-ID> [--running HV]  policy decision for a disclosed CVE\n",
         "  transplant [--machine m1|m2] [--vms N] [--vcpus N] [--mem GB]\n",
         "             [--from HV] [--to HV] [--no-prepare] [--no-parallel]\n",
-        "             [--no-early-restore]\n",
+        "             [--no-early-restore] [--strict] [--incremental]\n",
         "                                  run InPlaceTP and print the breakdown\n",
         "  migrate    [--machine m1|m2] [--mem GB] [--dirty-rate P/S] [--to HV]\n",
         "                                  run MigrationTP and print the report\n",
@@ -214,56 +222,92 @@ pub fn help() -> String {
     .to_string()
 }
 
-/// Executes a parsed command, returning its printable output. Each
-/// subcommand is listed with the options it reads (space-separated); any
-/// other `--option` is an error.
-pub fn run(cmd: &Command) -> Result<String, CliError> {
-    type Handler = fn(&Command) -> Result<String, CliError>;
-    let (options, handler): (&str, Handler) = match cmd.name.as_str() {
-        "help" => ("", |_| Ok(help())),
-        "analyze" => ("", |_| run_analyze()),
-        "decide" => ("running", run_decide),
+type Handler = fn(&Command) -> Result<String, CliError>;
+
+/// What subcommand `name` reads: its valued options and its flags (each
+/// space-separated), how many positionals it takes, and its handler.
+/// `proxy`'s options depend on its role, the first positional.
+fn spec(name: &str, role: Option<&str>) -> Option<(&'static str, &'static str, usize, Handler)> {
+    Some(match name {
+        "help" => ("", "", 0, |_| Ok(help())),
+        "analyze" => ("", "", 0, |_| run_analyze()),
+        "decide" => ("running", "", 1, run_decide),
         "transplant" => (
-            "machine vms vcpus mem from to no-prepare no-parallel no-early-restore strict \
-             incremental",
+            "machine vms vcpus mem from to",
+            "no-prepare no-parallel no-early-restore strict incremental",
+            0,
             run_transplant,
         ),
-        "migrate" => ("machine mem dirty-rate to", run_migrate),
+        "migrate" => ("machine mem dirty-rate to", "", 0, run_migrate),
         "proxy" => (
-            match cmd.positional.first().map(String::as_str) {
+            match role {
                 Some("dest") => "socket machine to",
                 _ => "socket machine mem dirty-rate",
             },
+            "",
+            1,
             run_proxy,
         ),
-        "cluster" => ("compat group hosts shards", run_cluster),
+        "cluster" => ("compat group hosts shards", "", 0, run_cluster),
         "fleet" => (
-            "vms mem dirty-rate max-concurrent seed slo-aware",
+            "vms mem dirty-rate max-concurrent seed",
+            "slo-aware",
+            0,
             run_fleet_cmd,
         ),
-        "campaign" => ("hosts vms", run_campaign_cmd),
+        "campaign" => ("hosts vms", "", 1, run_campaign_cmd),
         "feed" => (
-            "hosts seed events-per-year days budget shards blind",
+            "hosts seed events-per-year days budget shards",
+            "blind",
+            0,
             run_feed,
         ),
         "recover" => (
             "machine vms vcpus mem from to ticks workload bound",
+            "",
+            0,
             run_recover,
         ),
-        other => return Err(CliError::UnknownCommand(other.to_string())),
-    };
-    // The option map iterates in random order: name the alphabetically
-    // first offender so the error is the same on every run.
-    let unknown = cmd
-        .options
-        .keys()
-        .filter(|k| !options.split_whitespace().any(|o| o == k.as_str()))
-        .min();
-    if let Some(option) = unknown {
-        return Err(CliError::UnknownOption {
-            command: cmd.name.clone(),
-            option: option.clone(),
-        });
+        _ => return None,
+    })
+}
+
+/// Executes a parsed command, returning its printable output. Any option
+/// the subcommand does not read, a flag given a value, a valued option
+/// given none, and any positional past the subcommand's count is an
+/// error.
+pub fn run(cmd: &Command) -> Result<String, CliError> {
+    let (valued, flags, positionals, handler) =
+        spec(&cmd.name, cmd.positional.first().map(String::as_str))
+            .ok_or_else(|| CliError::UnknownCommand(cmd.name.clone()))?;
+    let unexpected =
+        |arg: &str| CliError::Failed(format!("unexpected argument '{arg}' for '{}'", cmd.name));
+    // The option map iterates in random order: check the options in name
+    // order so the error names the same offender on every run.
+    let mut names: Vec<&String> = cmd.options.keys().collect();
+    names.sort();
+    for name in names {
+        let value = &cmd.options[name];
+        let lists = |list: &str| list.split_whitespace().any(|o| o == name.as_str());
+        if lists(flags) {
+            // `parse` gave the flag the next word: it was a stray argument.
+            if !value.is_empty() {
+                return Err(unexpected(value));
+            }
+        } else if !lists(valued) {
+            return Err(CliError::UnknownOption {
+                command: cmd.name.clone(),
+                option: name.clone(),
+            });
+        } else if value.is_empty() {
+            return Err(CliError::BadValue {
+                option: name.clone(),
+                value: String::new(),
+            });
+        }
+    }
+    if let Some(extra) = cmd.positional.get(positionals) {
+        return Err(unexpected(extra));
     }
     handler(cmd)
 }
@@ -429,7 +473,7 @@ fn run_proxy(cmd: &Command) -> Result<String, CliError> {
     let socket = cmd
         .options
         .get("socket")
-        .ok_or(CliError::MissingOption("--socket"))?;
+        .ok_or(CliError::MissingOption("socket"))?;
     let spec = opt_spec(cmd, "machine")?;
     let registry = crate::default_registry();
     match role.as_str() {
@@ -865,7 +909,7 @@ mod tests {
         assert_eq!(c.name, "decide");
         assert_eq!(c.positional, vec!["CVE-2016-6258"]);
         assert_eq!(c.options.get("running").map(String::as_str), Some("xen"));
-        assert_eq!(c.options.get("verbose").map(String::as_str), Some("true"));
+        assert_eq!(c.options.get("verbose").map(String::as_str), Some(""));
     }
 
     #[test]
@@ -1110,9 +1154,51 @@ mod tests {
         let r = run(&parse(&argv("proxy")).unwrap());
         assert_eq!(r, Err(CliError::MissingOption("<source|dest>")));
         let r = run(&parse(&argv("proxy source")).unwrap());
-        assert_eq!(r, Err(CliError::MissingOption("--socket")));
+        assert_eq!(r, Err(CliError::MissingOption("socket")));
         let r = run(&parse(&argv("proxy upside-down --socket /tmp/s")).unwrap());
         assert!(matches!(r, Err(CliError::BadValue { .. })));
+    }
+
+    #[test]
+    fn malformed_command_lines_name_their_offending_token() {
+        // A flag takes no value, a valued option needs one, and a
+        // subcommand takes only its own positionals. The `proxy` line
+        // stops at the bare `--socket` before touching the socket.
+        for (line, message) in [
+            (
+                "feed --hosts 30 --days 30 --blind false",
+                "unexpected argument 'false' for 'feed'",
+            ),
+            (
+                "fleet --slo-aware no",
+                "unexpected argument 'no' for 'fleet'",
+            ),
+            (
+                "proxy dest --socket --machine m9",
+                "missing value for --socket",
+            ),
+            ("migrate bogus", "unexpected argument 'bogus' for 'migrate'"),
+            (
+                "decide CVE-2016-6258 CVE-2015-3456",
+                "unexpected argument 'CVE-2015-3456' for 'decide'",
+            ),
+        ] {
+            let err = run(&parse(&argv(line)).unwrap()).unwrap_err();
+            assert_eq!(err.to_string(), message, "{line}");
+        }
+    }
+
+    #[test]
+    fn missing_arguments_are_named_once() {
+        for (line, message) in [
+            ("proxy source", "missing required option --socket"),
+            ("proxy", "missing required argument <source|dest>"),
+            ("decide", "missing required argument <CVE-ID>"),
+            ("campaign", "missing required argument <CVE-ID>"),
+        ] {
+            let err = run(&parse(&argv(line)).unwrap()).unwrap_err();
+            assert_eq!(err.to_string(), message, "{line}");
+        }
     }
 
     #[test]
@@ -1182,6 +1268,51 @@ mod tests {
             assert!(line.chars().count() <= 80, "too wide: {line:?}");
         }
         assert_eq!(subcommands, 12, "ten subcommands, proxy twice, help");
+    }
+
+    #[test]
+    fn help_names_every_option_a_subcommand_reads() {
+        let out = help();
+        let (_, list) = out.split_once("subcommands:\n").expect("subcommand list");
+        // Each block runs from a two-space-indented line to the next.
+        let mut blocks: Vec<String> = Vec::new();
+        for line in list.lines() {
+            match blocks.last_mut() {
+                Some(block) if line.starts_with("   ") => block.push_str(line),
+                _ => blocks.push(line.to_string()),
+            }
+        }
+        for (name, role) in [
+            ("help", None),
+            ("analyze", None),
+            ("decide", None),
+            ("transplant", None),
+            ("migrate", None),
+            ("proxy", Some("dest")),
+            ("proxy", Some("source")),
+            ("cluster", None),
+            ("fleet", None),
+            ("campaign", None),
+            ("feed", None),
+            ("recover", None),
+        ] {
+            let head: Vec<&str> = [name].into_iter().chain(role).collect();
+            let block = blocks
+                .iter()
+                .find(|b| {
+                    b.split_whitespace()
+                        .take(head.len())
+                        .eq(head.iter().copied())
+                })
+                .unwrap_or_else(|| panic!("{head:?} has no help entry"));
+            let (valued, flags, _, _) = spec(name, role).expect("known subcommand");
+            for option in valued.split_whitespace().chain(flags.split_whitespace()) {
+                assert!(
+                    block.contains(&format!("--{option}")),
+                    "{head:?}: --{option}"
+                );
+            }
+        }
     }
 
     #[test]

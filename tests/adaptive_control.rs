@@ -50,13 +50,13 @@ fn one_migration(
         src.write_guest(&mut src_m, id, Gfn(k * 101), k ^ 0x9e37_79b9)
             .unwrap();
     }
-    let mut cfg = MigrationConfig {
+    let cfg = MigrationConfig {
         dirty_rate_pages_per_sec: dirty_rate,
         downtime_budget: budget,
         wire_mode,
+        auto_converge,
         ..MigrationConfig::default()
     };
-    cfg.control.auto_converge = auto_converge;
     let tp = MigrationTp::new().with_config(cfg);
     tp.migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
         .unwrap()

@@ -155,7 +155,6 @@ fn incremental_off_is_inert() {
         let incremental = IncrementalConfig {
             dirty_rate_pages_per_sec: 1.0 + rng.gen_range(10_000) as f64,
             max_warm_rounds: 1 + rng.gen_range(8) as u32,
-            ..IncrementalConfig::default()
         };
         let run = |with_cfg: bool| {
             let registry = default_registry();
@@ -208,7 +207,6 @@ fn incremental_matches_full_translate_state_and_bytes() {
         let incremental = IncrementalConfig {
             dirty_rate_pages_per_sec: 200.0 + rng.gen_range(4800) as f64,
             max_warm_rounds: 1 + rng.gen_range(6) as u32,
-            ..IncrementalConfig::default()
         };
         let registry = default_registry();
 
