@@ -224,47 +224,40 @@ pub fn help() -> String {
 
 type Handler = fn(&Command) -> Result<String, CliError>;
 
-/// What subcommand `name` reads: its valued options and its flags (each
-/// space-separated), how many positionals it takes, and its handler.
-/// `proxy`'s options depend on its role, the first positional.
-fn spec(name: &str, role: Option<&str>) -> Option<(&'static str, &'static str, usize, Handler)> {
+/// What subcommand `name` reads: its options, space-separated, with a
+/// trailing `:` on each that takes a value (getopt's mark; the others are
+/// flags), how many positionals it takes, and its handler. `proxy`'s
+/// options depend on its role, the first positional.
+fn spec(name: &str, role: Option<&str>) -> Option<(&'static str, usize, Handler)> {
     Some(match name {
-        "help" => ("", "", 0, |_| Ok(help())),
-        "analyze" => ("", "", 0, |_| run_analyze()),
-        "decide" => ("running", "", 1, run_decide),
+        "help" => ("", 0, |_| Ok(help())),
+        "analyze" => ("", 0, |_| run_analyze()),
+        "decide" => ("running:", 1, run_decide),
         "transplant" => (
-            "machine vms vcpus mem from to",
-            "no-prepare no-parallel no-early-restore strict incremental",
+            "machine: vms: vcpus: mem: from: to: no-prepare no-parallel no-early-restore strict \
+             incremental",
             0,
             run_transplant,
         ),
-        "migrate" => ("machine mem dirty-rate to", "", 0, run_migrate),
-        "proxy" => (
-            match role {
-                Some("dest") => "socket machine to",
-                _ => "socket machine mem dirty-rate",
-            },
-            "",
-            1,
-            run_proxy,
-        ),
-        "cluster" => ("compat group hosts shards", "", 0, run_cluster),
+        "migrate" => ("machine: mem: dirty-rate: to:", 0, run_migrate),
+        "proxy" => match role {
+            Some("dest") => ("socket: machine: to:", 1, run_proxy),
+            _ => ("socket: machine: mem: dirty-rate:", 1, run_proxy),
+        },
+        "cluster" => ("compat: group: hosts: shards:", 0, run_cluster),
         "fleet" => (
-            "vms mem dirty-rate max-concurrent seed",
-            "slo-aware",
+            "vms: mem: dirty-rate: max-concurrent: seed: slo-aware",
             0,
             run_fleet_cmd,
         ),
-        "campaign" => ("hosts vms", "", 1, run_campaign_cmd),
+        "campaign" => ("hosts: vms:", 1, run_campaign_cmd),
         "feed" => (
-            "hosts seed events-per-year days budget shards",
-            "blind",
+            "hosts: seed: events-per-year: days: budget: shards: blind",
             0,
             run_feed,
         ),
         "recover" => (
-            "machine vms vcpus mem from to ticks workload bound",
-            "",
+            "machine: vms: vcpus: mem: from: to: ticks: workload: bound:",
             0,
             run_recover,
         ),
@@ -272,12 +265,11 @@ fn spec(name: &str, role: Option<&str>) -> Option<(&'static str, &'static str, u
     })
 }
 
-/// Executes a parsed command, returning its printable output. Any option
+/// Executes a parsed command, returning its printable output. An option
 /// the subcommand does not read, a flag given a value, a valued option
-/// given none, and any positional past the subcommand's count is an
-/// error.
+/// given none, and a positional past the subcommand's count are errors.
 pub fn run(cmd: &Command) -> Result<String, CliError> {
-    let (valued, flags, positionals, handler) =
+    let (options, positionals, handler) =
         spec(&cmd.name, cmd.positional.first().map(String::as_str))
             .ok_or_else(|| CliError::UnknownCommand(cmd.name.clone()))?;
     let unexpected =
@@ -288,22 +280,25 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
     names.sort();
     for name in names {
         let value = &cmd.options[name];
-        let lists = |list: &str| list.split_whitespace().any(|o| o == name.as_str());
-        if lists(flags) {
-            // `parse` gave the flag the next word: it was a stray argument.
-            if !value.is_empty() {
-                return Err(unexpected(value));
-            }
-        } else if !lists(valued) {
+        let Some(entry) = options
+            .split_whitespace()
+            .find(|o| o.trim_end_matches(':') == name)
+        else {
             return Err(CliError::UnknownOption {
                 command: cmd.name.clone(),
                 option: name.clone(),
             });
-        } else if value.is_empty() {
-            return Err(CliError::BadValue {
-                option: name.clone(),
-                value: String::new(),
-            });
+        };
+        match (entry.ends_with(':'), value.is_empty()) {
+            (true, true) => {
+                return Err(CliError::BadValue {
+                    option: name.clone(),
+                    value: String::new(),
+                })
+            }
+            // `parse` gave the flag the next word: it was a stray argument.
+            (false, false) => return Err(unexpected(value)),
+            _ => {}
         }
     }
     if let Some(extra) = cmd.positional.get(positionals) {
@@ -1305,8 +1300,9 @@ mod tests {
                         .eq(head.iter().copied())
                 })
                 .unwrap_or_else(|| panic!("{head:?} has no help entry"));
-            let (valued, flags, _, _) = spec(name, role).expect("known subcommand");
-            for option in valued.split_whitespace().chain(flags.split_whitespace()) {
+            let (options, _, _) = spec(name, role).expect("known subcommand");
+            for option in options.split_whitespace() {
+                let option = option.trim_end_matches(':');
                 assert!(
                     block.contains(&format!("--{option}")),
                     "{head:?}: --{option}"
