@@ -25,11 +25,12 @@ const LATENCY_SPIKE: SimDuration = SimDuration::from_millis(150);
 /// of the same round (exponential backoff).
 const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(50);
 
-/// Exponential backoff for retry `attempt` (1-based): `base << (attempt-1)`,
-/// capped at 16 doublings so the shift cannot overflow.
-fn backoff_delay(base: SimDuration, attempt: u32) -> SimDuration {
+/// Exponential backoff for retry `attempt` (1-based):
+/// `RETRY_BACKOFF << (attempt-1)`, capped at 16 doublings so the shift
+/// cannot overflow.
+fn backoff_delay(attempt: u32) -> SimDuration {
     let doublings = attempt.saturating_sub(1).min(16);
-    SimDuration::from_nanos(base.as_nanos().saturating_mul(1u64 << doublings))
+    SimDuration::from_nanos(RETRY_BACKOFF.as_nanos().saturating_mul(1u64 << doublings))
 }
 
 /// The pages one round sends, in order: round 0's every mapped gfn, read
@@ -775,7 +776,7 @@ impl MigrationTp {
                         retries: self.config.max_link_retries,
                     });
                 }
-                let wait = backoff_delay(RETRY_BACKOFF, drops);
+                let wait = backoff_delay(drops);
                 // Half the round was on the wire before the drop, plus the
                 // backoff before reconnecting.
                 duration += model.transfer(encoded / 2) + wait;
@@ -1872,8 +1873,8 @@ mod tests {
                 clean.rounds[0].duration
                     + half_round
                     + half_round
-                    + backoff_delay(RETRY_BACKOFF, 1)
-                    + backoff_delay(RETRY_BACKOFF, 2),
+                    + RETRY_BACKOFF
+                    + RETRY_BACKOFF * 2,
                 "{mode:?}"
             );
             assert_eq!(
