@@ -135,7 +135,9 @@ cargo run -q --release --offline --bin hypertpctl -- fleet --vms 3 --slo-aware \
 echo "== hypertpctl malformed command lines (must exit 1) =="
 # A flag takes no value and a valued option needs one: `--blind false`
 # must not plan blind, and a bare `--socket` must not bind a socket file
-# named after a placeholder. Run from the scratch dir, under a timeout,
+# named after a placeholder. A zero count runs nothing, so it must be
+# refused rather than report a transplant of no VM or a plan of no host.
+# Run from the scratch dir, under a timeout,
 # so a regression that binds cannot block CI or leave a file in the tree.
 root=$(pwd)
 rejects() {
@@ -151,6 +153,8 @@ rejects() {
 }
 rejects feed --hosts 30 --days 30 --blind false
 rejects proxy dest --socket
+rejects transplant --vms 0
+rejects cluster --hosts 0
 
 echo "== repo benchmark checks (fmt, clippy, unit tests, --check fingerprints) =="
 # The benchmark is a package of its own (benchmark/Cargo.toml, own

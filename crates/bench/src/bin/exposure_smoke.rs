@@ -33,7 +33,7 @@
 use std::time::Instant;
 
 use hypertp_cluster::exec::{execute_sharded_with, ExecConfig};
-use hypertp_cluster::exposure::{replay_feed, ExposureConfig, ExposurePlanner, FeedReport};
+use hypertp_cluster::exposure::{ExposureConfig, ExposurePlanner, FeedReport};
 use hypertp_cluster::{plan_upgrade, Cluster, ClusterView};
 use hypertp_sim::fault::FaultPlan;
 use hypertp_sim::json::{self, Json};
@@ -137,8 +137,8 @@ fn main() {
         events.len()
     );
 
-    let aware = replay_feed(&view, &events, &aware_cfg, shards, &pool);
-    let blind = replay_feed(&view, &events, &blind_cfg, shards, &pool);
+    let aware = ExposurePlanner::with_pool(&view, aware_cfg, shards, &pool).replay(&events);
+    let blind = ExposurePlanner::with_pool(&view, blind_cfg, shards, &pool).replay(&events);
     let cut_pct = (1.0 - aware.exposure_vm_days / blind.exposure_vm_days) * 100.0;
     let disruption_ratio =
         aware.disruption.as_secs_f64() / blind.disruption.as_secs_f64().max(1e-9);
@@ -188,17 +188,21 @@ fn main() {
     );
 
     println!("== identity contracts ==");
-    let again = replay_feed(&view, &events, &aware_cfg, shards, &pool);
+    let again = ExposurePlanner::with_pool(&view, aware_cfg, shards, &pool).replay(&events);
     let deterministic = aware.render() == again.render();
     println!("  deterministic rerun:  {deterministic}");
-    let base = replay_feed(&view, &events, &aware_cfg, 1, &WorkerPool::serial());
+    let base =
+        ExposurePlanner::with_pool(&view, aware_cfg, 1, &WorkerPool::serial()).replay(&events);
     let sharded = [(1usize, 4usize), (3, 1), (8, 4)].iter().all(|&(s, w)| {
-        replay_feed(&view, &events, &aware_cfg, s, &WorkerPool::new(w)).render() == base.render()
+        ExposurePlanner::with_pool(&view, aware_cfg, s, &WorkerPool::new(w))
+            .replay(&events)
+            .render()
+            == base.render()
     }) && base.render() == aware.render();
     println!("  shard x worker:       {sharded}");
     let feed_off = feed_off_identical(&pool, shards);
     println!("  feed-off exec render: {feed_off}");
-    let empty = replay_feed(&view, &[], &aware_cfg, shards, &pool);
+    let empty = ExposurePlanner::with_pool(&view, aware_cfg, shards, &pool).replay(&[]);
     let empty_ok =
         empty.events == 0 && empty.exposure_vm_days == 0.0 && empty.disruption == SimDuration::ZERO;
     println!("  empty feed no-op:     {empty_ok}");

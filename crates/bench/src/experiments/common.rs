@@ -29,7 +29,7 @@ pub fn populate(
 }
 
 /// Runs one InPlaceTP transplant and returns its report.
-pub fn run_inplace(
+pub(crate) fn run_inplace(
     spec: MachineSpec,
     source: HypervisorKind,
     target: HypervisorKind,
@@ -48,7 +48,7 @@ pub fn run_inplace(
 
 /// Runs one MigrationTP migration of a single VM between two machines of
 /// the same spec and returns its report.
-pub fn run_migration(
+pub(crate) fn run_migration(
     spec: MachineSpec,
     target: HypervisorKind,
     vcpus: u32,
@@ -71,7 +71,7 @@ pub fn run_migration(
 }
 
 /// Migrates `n` VMs concurrently and returns the per-VM reports.
-pub fn run_migration_many(
+pub(crate) fn run_migration_many(
     spec: MachineSpec,
     target: HypervisorKind,
     n: u32,
@@ -106,6 +106,6 @@ pub fn s2(d: hypertp_sim::SimDuration) -> String {
 }
 
 /// Milliseconds with 2 decimals.
-pub fn ms2(d: hypertp_sim::SimDuration) -> String {
+pub(crate) fn ms2(d: hypertp_sim::SimDuration) -> String {
     format!("{:.2}", d.as_millis_f64())
 }

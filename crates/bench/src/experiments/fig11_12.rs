@@ -93,12 +93,12 @@ fn impact_pair(profile: &WorkloadProfile, title: &str, seed: u64) -> String {
 }
 
 /// Fig. 11: Redis QPS.
-pub fn fig11() -> String {
+pub(crate) fn fig11() -> String {
     impact_pair(&WorkloadProfile::redis(), "Redis QPS", 11)
 }
 
 /// Fig. 12: MySQL QPS and latency.
-pub fn fig12() -> String {
+pub(crate) fn fig12() -> String {
     let mut out = impact_pair(&WorkloadProfile::mysql(), "MySQL QPS", 12);
     out.push_str(&impact_pair(
         &WorkloadProfile::mysql_latency(),

@@ -72,12 +72,12 @@ fn row(point: String, r: &hypertp_core::InPlaceReport) -> Vec<String> {
 }
 
 /// Fig. 7: Xen→KVM.
-pub fn fig7() -> String {
+pub(crate) fn fig7() -> String {
     sweep(HypervisorKind::Xen, HypervisorKind::Kvm)
 }
 
 /// Fig. 10: KVM→Xen.
-pub fn fig10() -> String {
+pub(crate) fn fig10() -> String {
     sweep(HypervisorKind::Kvm, HypervisorKind::Xen)
 }
 

@@ -30,7 +30,7 @@ fn single_vm_points() -> Vec<(String, u32, u64)> {
 /// Each sweep point's baseline/HyperTP migration pair runs on its own
 /// worker of the pool (every point boots fresh machine pairs); row order
 /// is the sweep order for any worker count.
-pub fn fig8() -> String {
+pub(crate) fn fig8() -> String {
     let pool = WorkerPool::from_env();
     let mut out = String::new();
     let rows = pool
@@ -81,7 +81,7 @@ pub fn fig8() -> String {
 }
 
 /// Fig. 9: total migration time (s). Pooled like [`fig8`].
-pub fn fig9() -> String {
+pub(crate) fn fig9() -> String {
     let pool = WorkerPool::from_env();
     let rows = pool
         .map(single_vm_points(), |(label, vcpus, mem)| {

@@ -2,16 +2,16 @@
 
 pub mod ablation;
 pub mod common;
-pub mod fig11_12;
-pub mod fig13;
+mod fig11_12;
+mod fig13;
 pub mod fig14;
-pub mod fig6;
-pub mod fig7_10;
-pub mod fig8_9;
+mod fig6;
+mod fig7_10;
+mod fig8_9;
 pub mod sensitivity;
-pub mod table1_2_3;
-pub mod table4;
-pub mod table5_6;
+mod table1_2_3;
+mod table4;
+mod table5_6;
 
 /// Runs every experiment in paper order, returning the combined output.
 pub fn run_all() -> String {
@@ -24,7 +24,7 @@ pub fn run_all() -> String {
 }
 
 /// An experiment entry point.
-pub type Runner = fn() -> String;
+pub(crate) type Runner = fn() -> String;
 
 /// The experiment registry: (id, runner) in paper order.
 pub fn all() -> Vec<(&'static str, Runner)> {

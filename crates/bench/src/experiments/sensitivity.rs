@@ -44,7 +44,7 @@ pub fn dirty_rate() -> String {
 }
 
 /// Cluster upgrade time vs the operator's concurrent-migration cap.
-pub fn migration_concurrency() -> String {
+pub(crate) fn migration_concurrency() -> String {
     let cluster = Cluster::paper_testbed(0, 42);
     let plan = plan_upgrade(&cluster, 2).expect("plan");
     let mut rows = Vec::new();

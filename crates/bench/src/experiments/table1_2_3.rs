@@ -84,7 +84,7 @@ pub fn table2() -> String {
 }
 
 /// Table 3: the experimental environment.
-pub fn table3() -> String {
+pub(crate) fn table3() -> String {
     let rows: Vec<Vec<String>> = [
         MachineSpec::m1(),
         MachineSpec::m2(),

@@ -69,7 +69,7 @@ pub fn table5() -> String {
 }
 
 /// Table 6: Darknet training iterations.
-pub fn table6() -> String {
+pub(crate) fn table6() -> String {
     let p = WorkloadProfile::darknet();
     let inplace_downtime = measured_inplace_downtime();
     let copy_secs = 74.0; // 8 GB over 1 Gbps.

@@ -155,7 +155,7 @@ fn fmt_dur(d: Duration) -> String {
 
 /// Every bench bin that writes an artifact, with the file it writes by
 /// default; `<BENCH>_OUT` (e.g. `PERF_SMOKE_OUT`) overrides the path.
-pub const ARTIFACTS: [(&str, &str); 9] = [
+pub(crate) const ARTIFACTS: [(&str, &str); 9] = [
     ("perf_smoke", "BENCH_parallel.json"),
     ("wire_smoke", "BENCH_wire.json"),
     ("adaptive_smoke", "BENCH_adaptive.json"),

@@ -102,37 +102,6 @@ pub struct ExecConfig {
     /// to the group's start, so sharded execution remains
     /// byte-identical for every shard/worker count.
     pub slo: Option<SloExecConfig>,
-    /// Opt-in vulnerability-window accounting. `None` (the default)
-    /// keeps every report byte-identical to the exposure-unaware
-    /// executor. `Some` treats the campaign as the remediation of one
-    /// disclosure: every VM's exposure — criticality × time until its
-    /// group finished, capped at the patch window — accrues through the
-    /// workspace's single [`crate::exposure::ExposureIntegrator`] into
-    /// [`ExecReport::exposure_vm_secs`] and a bounded per-group time
-    /// series ([`ExecReport::exposure`],
-    /// [`ExecReport::exposure_hist`]).
-    pub exposure: Option<ExposureExecConfig>,
-}
-
-/// Parameters of the executor's opt-in exposure accounting: the
-/// disclosure the campaign remediates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExposureExecConfig {
-    /// Surface-calibrated criticality of the disclosure (weighted CVSS /
-    /// 10, see [`hypertp_vulndb::SurfaceWeights::criticality`]).
-    pub criticality: f64,
-    /// Patch window: exposure stops accruing after this long whether or
-    /// not the fleet remediated.
-    pub window: SimDuration,
-}
-
-impl Default for ExposureExecConfig {
-    fn default() -> Self {
-        ExposureExecConfig {
-            criticality: 1.0,
-            window: SimDuration::from_secs(30 * 24 * 3600),
-        }
-    }
 }
 
 /// Parameters of the executor's opt-in SLO accounting.
@@ -164,7 +133,6 @@ impl Default for ExecConfig {
             fleet_order: FleetOrder::Fifo,
             inplace_dirty_fraction: 1.0,
             slo: None,
-            exposure: None,
         }
     }
 }
@@ -173,7 +141,7 @@ impl Default for ExecConfig {
 /// [`ExecReport::vm_ready_hist`]: 36 × 50 s bins over `[0, 1800 s)` —
 /// wide enough for the paper testbed's worst group drains, with the
 /// overflow counter absorbing pathological fleets.
-pub const READY_HIST_BUCKETS: usize = 36;
+pub(crate) const READY_HIST_BUCKETS: usize = 36;
 const READY_HIST_LO: f64 = 0.0;
 const READY_HIST_HI: f64 = 1800.0;
 
@@ -217,8 +185,8 @@ pub struct ExecReport {
     /// Streaming aggregate (seconds) of every migrating VM's ready
     /// offset from its group's start.
     pub vm_ready: Streaming,
-    /// Fixed-bucket histogram of the same ready offsets (see
-    /// [`READY_HIST_BUCKETS`]).
+    /// Fixed-bucket histogram of the same ready offsets: 36 × 50 s bins
+    /// over `[0, 1800 s)`.
     pub vm_ready_hist: Histogram,
     /// Streaming aggregate (seconds) of per-group migration-phase drain
     /// times.
@@ -233,23 +201,6 @@ pub struct ExecReport {
     /// Worst per-VM error-budget burn (1.0 = a VM spent its entire
     /// daily violation allowance on this campaign).
     pub slo_max_budget_burn: f64,
-    /// VMs whose vulnerability exposure was accounted under
-    /// [`ExecConfig::exposure`] (remediated + excluded). Zero when the
-    /// accounting is off.
-    pub exposure_vms: usize,
-    /// Integrated exposure of the campaign:
-    /// Σ VMs × criticality × min(remediation time, window), in
-    /// VM·criticality·seconds.
-    pub exposure_vm_secs: f64,
-    /// Per-group time series of the per-VM exposure accrued when that
-    /// group finished (criticality·seconds), in campaign order — the
-    /// vulnerability-window metric as a first-class bounded aggregate.
-    pub exposure: Streaming,
-    /// The same per-group samples as exposed fraction of the patch
-    /// window, bucketed on `[0, 1)` (see [`EXPOSURE_HIST_BUCKETS`]).
-    ///
-    /// [`EXPOSURE_HIST_BUCKETS`]: crate::exposure::EXPOSURE_HIST_BUCKETS
-    pub exposure_hist: Histogram,
 }
 
 impl ExecReport {
@@ -268,7 +219,7 @@ impl ExecReport {
     /// report iff their renders match. Floats use `{:?}` (shortest
     /// round-trip), so even last-ulp divergence shows.
     pub fn render(&self) -> String {
-        let mut out = format!(
+        format!(
             "migrations={} upgrades={} total_ns={} migration_ns={} inplace_ns={} \
              retries={} excluded={} crashes={} wire_sent={} wire_saved={} mean_ready_ns={} \
              slo_vms={} slo_violation_ns={} slo_burn={:?} \
@@ -290,20 +241,7 @@ impl ExecReport {
             self.vm_ready.render(),
             self.group_drain.render(),
             self.vm_ready_hist.render(),
-        );
-        // Exposure accounting is opt-in: reports that never accrued a VM
-        // render exactly as before the metric existed, which is what the
-        // feed-free byte-identity tests pin.
-        if self.exposure_vms > 0 {
-            out.push_str(&format!(
-                " exposure_vms={} exposure_vm_secs={:?} exposure{{{}}} exposure_hist{{{}}}",
-                self.exposure_vms,
-                self.exposure_vm_secs,
-                self.exposure.render(),
-                self.exposure_hist.render(),
-            ));
-        }
-        out
+        )
     }
 }
 
@@ -511,11 +449,6 @@ struct GroupOutcome {
     slo_vms: usize,
     slo_violation: SimDuration,
     slo_burn_max: f64,
-    /// VMs the group actually remediated (migrated, or carried through an
-    /// in-place upgrade / crash recovery).
-    vms_done: u64,
-    /// VMs stranded on hosts the group dropped from the plan.
-    vms_excluded: u64,
 }
 
 /// Admits the next migration from `queue` at instant `now` (relative to
@@ -606,8 +539,6 @@ fn run_group<V: ClusterView + ?Sized>(
         slo_vms: 0,
         slo_violation: SimDuration::ZERO,
         slo_burn_max: 0.0,
-        vms_done: 0,
-        vms_excluded: 0,
     };
 
     // Phase 1: drain the group's migrations through the slot pool. All
@@ -650,7 +581,6 @@ fn run_group<V: ClusterView + ?Sized>(
         now = t;
         let offset = now.duration_since(SimTime::ZERO);
         out.ready_acc += offset;
-        out.vms_done += 1;
         out.vm_ready.push(offset.as_secs_f64());
         out.vm_ready_hist.record(offset.as_secs_f64());
         if let Some((time, vm)) = admit_next(view, cfg, memo, &mut out, &mut queue, now, sharers) {
@@ -673,7 +603,6 @@ fn run_group<V: ClusterView + ?Sized>(
             None => {
                 host_time += attempt_cost;
                 out.upgrades += 1;
-                out.vms_done += *vm_count as u64;
             }
             Some(faults) => {
                 let site = format!("exec upgrade h{host}");
@@ -694,7 +623,6 @@ fn run_group<V: ClusterView + ?Sized>(
                         + price.restoration
                         + pricer.resume(*vm_count);
                     out.upgrades += 1;
-                    out.vms_done += *vm_count as u64;
                     out.crash_recoveries += 1;
                     faults.record_recovery(
                         InjectionPoint::HypervisorCrash,
@@ -712,7 +640,6 @@ fn run_group<V: ClusterView + ?Sized>(
                         match host_failure_gate(faults, &site, failures, cfg.max_host_retries) {
                             HostGate::Proceed => {
                                 out.upgrades += 1;
-                                out.vms_done += *vm_count as u64;
                                 break;
                             }
                             HostGate::Retry => {
@@ -721,7 +648,6 @@ fn run_group<V: ClusterView + ?Sized>(
                             }
                             HostGate::Exclude => {
                                 out.hosts_excluded += 1;
-                                out.vms_excluded += *vm_count as u64;
                                 break;
                             }
                         }
@@ -736,11 +662,8 @@ fn run_group<V: ClusterView + ?Sized>(
 }
 
 /// Folds per-group outcomes — in group order — into the report the
-/// sequential walk produces. Under [`ExecConfig::exposure`] the fold also
-/// runs the campaign's exposure integrator: a group's VMs stop being
-/// exposed when the group finishes on the campaign clock (the running
-/// `total`), VMs on excluded hosts stay exposed for the whole window.
-fn fold_outcomes(cfg: &ExecConfig, outcomes: impl Iterator<Item = GroupOutcome>) -> ExecReport {
+/// sequential walk produces.
+fn fold_outcomes(outcomes: impl Iterator<Item = GroupOutcome>) -> ExecReport {
     let mut report = ExecReport {
         migrations: 0,
         inplace_upgrades: 0,
@@ -759,16 +682,9 @@ fn fold_outcomes(cfg: &ExecConfig, outcomes: impl Iterator<Item = GroupOutcome>)
         slo_vms: 0,
         slo_violation: SimDuration::ZERO,
         slo_max_budget_burn: 0.0,
-        exposure_vms: 0,
-        exposure_vm_secs: 0.0,
-        exposure: Streaming::new(),
-        exposure_hist: Histogram::new(0.0, 1.0, crate::exposure::EXPOSURE_HIST_BUCKETS),
     };
     let mut raw_bytes = 0u64;
     let mut ready_acc = SimDuration::ZERO;
-    let mut integ = cfg
-        .exposure
-        .map(|e| crate::exposure::ExposureIntegrator::new(e.criticality, e.window));
     for g in outcomes {
         report.migrations += g.migrations;
         report.inplace_upgrades += g.upgrades;
@@ -787,23 +703,6 @@ fn fold_outcomes(cfg: &ExecConfig, outcomes: impl Iterator<Item = GroupOutcome>)
         report.slo_vms += g.slo_vms;
         report.slo_violation += g.slo_violation;
         report.slo_max_budget_burn = report.slo_max_budget_burn.max(g.slo_burn_max);
-        if let Some(integ) = integ.as_mut() {
-            if g.vms_done > 0 {
-                let per_vm = integ.remediated(g.vms_done as f64, report.total);
-                report.exposure.push(per_vm);
-                report.exposure_hist.record(integ.fraction(per_vm));
-                report.exposure_vms += g.vms_done as usize;
-            }
-            if g.vms_excluded > 0 {
-                let per_vm = integ.deferred(g.vms_excluded as f64);
-                report.exposure.push(per_vm);
-                report.exposure_hist.record(integ.fraction(per_vm));
-                report.exposure_vms += g.vms_excluded as usize;
-            }
-        }
-    }
-    if let Some(integ) = integ {
-        report.exposure_vm_secs = integ.integral();
     }
     report.wire_bytes_saved = raw_bytes.saturating_sub(report.wire_bytes_sent);
     report.mean_vm_ready = if report.migrations == 0 {
@@ -860,20 +759,17 @@ pub fn execute_sharded_with<V: ClusterView + ?Sized>(
     let uniform_perf = view.uniform_spec().map(|s| s.perf());
     if faults.armed() {
         let mut memo = ClassMemo::new();
-        return fold_outcomes(
-            cfg,
-            plan.groups.iter().map(|g| {
-                run_group(
-                    view,
-                    cfg,
-                    &cost,
-                    g,
-                    Some(faults),
-                    &mut memo,
-                    uniform_perf.as_ref(),
-                )
-            }),
-        );
+        return fold_outcomes(plan.groups.iter().map(|g| {
+            run_group(
+                view,
+                cfg,
+                &cost,
+                g,
+                Some(faults),
+                &mut memo,
+                uniform_perf.as_ref(),
+            )
+        }));
     }
     let batch = pool.map_chunks(plan.groups.len(), shards.max(1), |range| {
         let mut memo = ClassMemo::new();
@@ -891,7 +787,7 @@ pub fn execute_sharded_with<V: ClusterView + ?Sized>(
             })
             .collect::<Vec<GroupOutcome>>()
     });
-    fold_outcomes(cfg, batch.results.into_iter().flatten())
+    fold_outcomes(batch.results.into_iter().flatten())
 }
 
 #[cfg(test)]
@@ -1371,87 +1267,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn exposure_accounting_defaults_off_and_renders_identically() {
-        // The metric is opt-in: with no feed attached the report — and
-        // its byte-stable render — must be indistinguishable from an
-        // executor that has never heard of exposure.
-        let c = Cluster::paper_testbed(40, 42);
-        let plan = plan_upgrade(&c, 2).unwrap();
-        let r = execute(&c, &plan, &ExecConfig::default());
-        assert_eq!(r.exposure_vms, 0);
-        assert_eq!(r.exposure_vm_secs, 0.0);
-        assert_eq!(r.exposure.count, 0);
-        assert!(!r.render().contains("exposure"));
-    }
-
-    #[test]
-    fn exposure_accounting_integrates_per_group_and_stays_sharded_identical() {
-        let c = Cluster::paper_testbed(40, 42);
-        let plan = plan_upgrade(&c, 2).unwrap();
-        let cfg = ExecConfig {
-            exposure: Some(ExposureExecConfig {
-                criticality: 0.8,
-                window: SimDuration::from_secs(7 * 24 * 3600),
-            }),
-            ..ExecConfig::default()
-        };
-        let r = execute(&c, &plan, &cfg);
-        // Every planned VM is accounted at least once (a VM that migrates
-        // onto a host whose own in-place slot comes later rides two
-        // remediation events), the series carries one sample per group,
-        // and the integral is bounded by crit × window × accounted VMs.
-        assert!(r.exposure_vms >= c.vm_count());
-        assert_eq!(r.exposure.count, plan.groups.len() as u64);
-        assert!(r.exposure_vm_secs > 0.0);
-        let cap = 0.8 * (7 * 24 * 3600) as f64 * r.exposure_vms as f64;
-        assert!(r.exposure_vm_secs < cap);
-        assert!(r.render().contains("exposure_vms="));
-        // Later groups finish later on the campaign clock, so the last
-        // group's per-VM sample is the campaign total at its criticality.
-        assert!(r.exposure.min <= r.exposure.max);
-        assert!((r.exposure.max - 0.8 * r.total.as_secs_f64()).abs() < 1e-6);
-        for shards in [2usize, 5, 11] {
-            for workers in [1usize, 4] {
-                let s = execute_sharded_with(
-                    &c,
-                    &plan,
-                    &cfg,
-                    &FaultPlan::disarmed(),
-                    shards,
-                    &WorkerPool::new(workers),
-                );
-                assert_eq!(s.render(), r.render(), "shards={shards} workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn excluded_hosts_accrue_the_full_window() {
-        // A host dropped from the plan strands its VMs on the vulnerable
-        // hypervisor: each must accrue criticality × the whole window.
-        let c = Cluster::paper_testbed(100, 42);
-        let plan = plan_upgrade(&c, 2).unwrap();
-        let window = SimDuration::from_secs(7 * 24 * 3600);
-        let cfg = ExecConfig {
-            max_host_retries: 0,
-            exposure: Some(ExposureExecConfig {
-                criticality: 1.0,
-                window,
-            }),
-            ..ExecConfig::default()
-        };
-        let faults = FaultPlan::new(0xe4_05);
-        faults.arm(InjectionPoint::HostFailure, 1.0, 1);
-        let r = execute_sharded_with(&c, &plan, &cfg, &faults, 1, &WorkerPool::serial());
-        assert_eq!(r.hosts_excluded, 1);
-        // The excluded host's VMs dominate the integral: their share is
-        // window seconds each, dwarfing the seconds-scale campaign.
-        let full_window_vms = (r.exposure_vm_secs / window.as_secs_f64()).round() as usize;
-        assert!(full_window_vms >= 1, "integral {:?}", r.exposure_vm_secs);
-        assert!(r.render().contains("exposure_vms="));
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! ```
 //!
 //! under the per-VM downtime budget. All exposure accounting in the
-//! workspace flows through one [`ExposureIntegrator`] — the campaign
-//! report's `exposure_avoided`/`residual_exposure`, the executor's
-//! exposure time series, and this planner all accrue through it, so the
-//! numbers can never drift apart.
+//! workspace flows through one `ExposureIntegrator` — this planner's
+//! plans and the campaign report's residual exposure (read by its tests)
+//! both accrue through it, so the numbers can never drift apart.
 //!
 //! # The schedule
 //!
@@ -62,11 +61,10 @@ use crate::model::ClusterView;
 /// criticality, so the integral is the planner's objective
 /// ∫ affected-VMs × criticality dt evaluated exactly.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExposureIntegrator {
+pub(crate) struct ExposureIntegrator {
     criticality: f64,
     window_secs: f64,
     integral: f64,
-    vms: f64,
 }
 
 impl ExposureIntegrator {
@@ -77,7 +75,6 @@ impl ExposureIntegrator {
             criticality,
             window_secs: window.as_secs_f64(),
             integral: 0.0,
-            vms: 0.0,
         }
     }
 
@@ -86,7 +83,6 @@ impl ExposureIntegrator {
     pub fn remediated(&mut self, vms: f64, at: SimDuration) -> f64 {
         let per_vm = self.criticality * at.as_secs_f64().min(self.window_secs);
         self.integral += vms * per_vm;
-        self.vms += vms;
         per_vm
     }
 
@@ -95,32 +91,12 @@ impl ExposureIntegrator {
     pub fn deferred(&mut self, vms: f64) -> f64 {
         let per_vm = self.criticality * self.window_secs;
         self.integral += vms * per_vm;
-        self.vms += vms;
         per_vm
     }
 
     /// The integral so far, in VM·criticality·seconds.
     pub fn integral(&self) -> f64 {
         self.integral
-    }
-
-    /// VMs accrued so far.
-    pub fn vms(&self) -> f64 {
-        self.vms
-    }
-
-    /// The window this integrator caps exposure at, in seconds.
-    pub fn window_secs(&self) -> f64 {
-        self.window_secs
-    }
-
-    /// A remediated VM's exposed fraction of the window (for bounded
-    /// histograms); 0 when the window is empty.
-    pub fn fraction(&self, per_vm_secs: f64) -> f64 {
-        if self.window_secs <= 0.0 || self.criticality <= 0.0 {
-            return 0.0;
-        }
-        per_vm_secs / (self.criticality * self.window_secs)
     }
 }
 
@@ -249,7 +225,7 @@ pub struct FeedReport {
 }
 
 /// Buckets of [`FeedReport::per_event_hist`]: 20 × 5% bins of the window.
-pub const EXPOSURE_HIST_BUCKETS: usize = 20;
+pub(crate) const EXPOSURE_HIST_BUCKETS: usize = 20;
 
 impl Default for FeedReport {
     fn default() -> Self {
@@ -581,18 +557,6 @@ impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
     }
 }
 
-/// Replays `events` against `view` in one call: builds the planner
-/// (sharded host-cost evaluation) and runs the incremental replay.
-pub fn replay_feed<V: ClusterView + ?Sized>(
-    view: &V,
-    events: &[FeedEvent],
-    cfg: &ExposureConfig,
-    shards: usize,
-    pool: &WorkerPool,
-) -> FeedReport {
-    ExposurePlanner::with_pool(view, *cfg, shards, pool).replay(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,8 +820,6 @@ mod tests {
         assert_eq!(i.remediated(1.0, SimDuration::from_secs(1000)), 50.0);
         assert_eq!(i.deferred(1.0), 50.0);
         assert_eq!(i.integral(), 2.0 * 5.0 + 50.0 + 50.0);
-        assert_eq!(i.vms(), 4.0);
-        assert_eq!(i.fraction(5.0), 0.1);
     }
 
     #[test]
@@ -875,12 +837,12 @@ mod tests {
             ..aware_cfg
         };
         let pool = WorkerPool::serial();
-        let aware = replay_feed(&view, &events, &aware_cfg, 1, &pool);
-        let blind = replay_feed(&view, &events, &blind_cfg, 1, &pool);
+        let aware = ExposurePlanner::with_pool(&view, aware_cfg, 1, &pool).replay(&events);
+        let blind = ExposurePlanner::with_pool(&view, blind_cfg, 1, &pool).replay(&events);
         assert!(aware.exposure_vm_days <= blind.exposure_vm_days);
         assert!(aware.remediated_events >= blind.remediated_events);
         assert_eq!(blind.escalated_events, 0);
-        let again = replay_feed(&view, &events, &aware_cfg, 1, &pool);
+        let again = ExposurePlanner::with_pool(&view, aware_cfg, 1, &pool).replay(&events);
         assert_eq!(aware.render(), again.render());
     }
 
@@ -892,9 +854,12 @@ mod tests {
             weights: SurfaceWeights::calibrated(&dataset()),
             ..ExposureConfig::default()
         };
-        let base = replay_feed(&view, &events, &cfg, 1, &WorkerPool::serial()).render();
+        let base = ExposurePlanner::with_pool(&view, cfg, 1, &WorkerPool::serial())
+            .replay(&events)
+            .render();
         for (shards, workers) in [(3, 2), (8, 4), (40, 1)] {
-            let r = replay_feed(&view, &events, &cfg, shards, &WorkerPool::new(workers));
+            let r = ExposurePlanner::with_pool(&view, cfg, shards, &WorkerPool::new(workers))
+                .replay(&events);
             assert_eq!(base, r.render(), "shards={shards} workers={workers}");
         }
     }
@@ -919,13 +884,9 @@ mod tests {
     #[test]
     fn empty_feed_is_a_no_op() {
         let view = Cluster::synthetic(10, 3);
-        let r = replay_feed(
-            &view,
-            &[],
-            &ExposureConfig::default(),
-            1,
-            &WorkerPool::serial(),
-        );
+        let r =
+            ExposurePlanner::with_pool(&view, ExposureConfig::default(), 1, &WorkerPool::serial())
+                .replay(&[]);
         assert_eq!(r.events, 0);
         assert_eq!(r.exposure_vm_days, 0.0);
         assert_eq!(r.disruption, SimDuration::ZERO);

@@ -21,8 +21,8 @@
 //! * [`exposure`] — the exposure-minimizing planner over a live
 //!   vulnerability feed: per-host InPlace/Migrate/Defer choices that
 //!   minimize integrated exposure ∫ affected-VMs × criticality dt, and
-//!   the single [`exposure::ExposureIntegrator`] every exposure figure
-//!   in the workspace accrues through.
+//!   the single integrator every exposure figure in the workspace
+//!   accrues through.
 
 pub mod campaign;
 pub mod exec;
@@ -31,13 +31,8 @@ pub mod model;
 pub mod openstack;
 pub mod planner;
 
-pub use campaign::{run_campaign, run_campaign_with, CampaignConfig, CampaignReport, WaveReport};
-pub use exec::{
-    execute, execute_sharded_with, ExecConfig, ExecReport, ExposureExecConfig, SloExecConfig,
-};
-pub use exposure::{
-    replay_feed, EventPlan, ExposureConfig, ExposureIntegrator, ExposurePlanner, FeedReport,
-    HostAction, HostCost,
-};
-pub use model::{Cluster, ClusterView, ClusterVm, HostState, SyntheticCluster, VmView};
-pub use planner::{plan_upgrade, plan_upgrade_excluding, Action, Plan};
+pub use campaign::{run_campaign, run_campaign_with, CampaignConfig};
+pub use exec::{execute, execute_sharded_with, ExecConfig, ExecReport, SloExecConfig};
+pub use exposure::{ExposureConfig, ExposurePlanner, FeedReport, HostAction};
+pub use model::{Cluster, ClusterView, SyntheticCluster, VmView};
+pub use planner::{plan_upgrade, Action, Plan};

@@ -94,29 +94,6 @@ impl Cluster {
         }
     }
 
-    /// GiB currently used by VMs on a host.
-    pub fn host_used_gb(&self, host: usize) -> u64 {
-        self.vms
-            .iter()
-            .filter(|v| v.host == host)
-            .map(|v| v.config.memory_gb)
-            .sum()
-    }
-
-    /// Free GiB on a host: [`ClusterView::host_capacity_gb`] (0 for a host
-    /// with less RAM than the reserve) less what its VMs use.
-    pub fn host_free_gb(&self, host: usize) -> u64 {
-        self.host_capacity_gb(host)
-            .saturating_sub(self.host_used_gb(host))
-    }
-
-    /// Indices of the VMs on a host.
-    pub fn vms_on(&self, host: usize) -> Vec<usize> {
-        (0..self.vms.len())
-            .filter(|&i| self.vms[i].host == host)
-            .collect()
-    }
-
     /// A lazy datacenter-scale fleet: `n_hosts` G5K-class hosts with 10
     /// VMs each, derived on demand from `seed` (see [`SyntheticCluster`]).
     /// No host or VM is ever materialized: the view is a few words plus
@@ -413,6 +390,31 @@ impl ClusterView for SyntheticCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cluster {
+        /// GiB currently used by VMs on a host.
+        pub(crate) fn host_used_gb(&self, host: usize) -> u64 {
+            self.vms
+                .iter()
+                .filter(|v| v.host == host)
+                .map(|v| v.config.memory_gb)
+                .sum()
+        }
+
+        /// Free GiB on a host: [`ClusterView::host_capacity_gb`] (0 for a host
+        /// with less RAM than the reserve) less what its VMs use.
+        pub(crate) fn host_free_gb(&self, host: usize) -> u64 {
+            self.host_capacity_gb(host)
+                .saturating_sub(self.host_used_gb(host))
+        }
+
+        /// Indices of the VMs on a host.
+        pub(crate) fn vms_on(&self, host: usize) -> Vec<usize> {
+            (0..self.vms.len())
+                .filter(|&i| self.vms[i].host == host)
+                .collect()
+        }
+    }
 
     #[test]
     fn testbed_shape() {

@@ -76,14 +76,6 @@ impl LibvirtDriver {
         hv.create_vm(&mut self.machine, config)
     }
 
-    /// Nova `suspend` (the paper likens HyperTP's guest state saving to
-    /// this existing operation).
-    pub fn suspend(&mut self, name: &str) -> Result<(), HtpError> {
-        let hv = self.hv.as_deref_mut().expect("hypervisor running");
-        let id = hv.find_vm(name).ok_or(HtpError::UnknownVm(VmId(0)))?;
-        hv.pause_vm(id)
-    }
-
     /// Nova `resume`.
     pub fn resume(&mut self, name: &str) -> Result<(), HtpError> {
         let hv = self.hv.as_deref_mut().expect("hypervisor running");
@@ -101,7 +93,7 @@ impl LibvirtDriver {
     }
 
     /// Whether a VM on this host supports riding through InPlaceTP.
-    pub fn vm_inplace_compatible(&self, name: &str) -> Option<bool> {
+    pub(crate) fn vm_inplace_compatible(&self, name: &str) -> Option<bool> {
         let hv = self.hv();
         let id = hv.find_vm(name)?;
         hv.vm_config(id).ok().map(|c| c.inplace_compatible)
@@ -130,7 +122,7 @@ impl LibvirtDriver {
     /// checkpointer is materialized here, ticked once so it has realistic
     /// dirty state, then handed the dying hypervisor), and recovery
     /// micro-reboots into `target` from the freshest persisted checkpoint.
-    pub fn host_crash_recover(
+    pub(crate) fn host_crash_recover(
         &mut self,
         registry: &HypervisorRegistry,
         target: HypervisorKind,
@@ -195,7 +187,7 @@ impl NovaManager {
     /// with room, prefer one whose resident VMs have the same
     /// InPlaceTP-compatibility as the new VM, so transplantable VMs stay
     /// together and a host can be upgraded with a single operation.
-    pub fn pick_host(&self, config: &VmConfig) -> Option<usize> {
+    pub(crate) fn pick_host(&self, config: &VmConfig) -> Option<usize> {
         (0..self.computes.len()).max_by_key(|&h| {
             let names = self.computes[h].vm_names();
             let matching = names
@@ -220,7 +212,7 @@ impl NovaManager {
     }
 
     /// Nova's live migration between two hosts.
-    pub fn live_migration(
+    pub(crate) fn live_migration(
         &mut self,
         vm: &str,
         from: usize,
@@ -277,7 +269,7 @@ impl NovaManager {
     /// hypervisor could not adopt them), so any still resident are drained
     /// first — modeling the pre-arranged state, not a crash-time action —
     /// and the recovery itself only ever sees compatible VMs.
-    pub fn host_crash_recover(
+    pub(crate) fn host_crash_recover(
         &mut self,
         host: usize,
         target: HypervisorKind,

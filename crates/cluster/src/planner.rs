@@ -209,7 +209,7 @@ impl Arrivals {
 /// used as migration targets. VMs resident on an excluded host stay put —
 /// the host keeps serving on its old hypervisor and its exposure is
 /// accounted at the campaign level, not the plan level.
-pub fn plan_upgrade_excluding<V: ClusterView + ?Sized>(
+pub(crate) fn plan_upgrade_excluding<V: ClusterView + ?Sized>(
     view: &V,
     group_size: usize,
     excluded: &[usize],

@@ -26,11 +26,11 @@ pub const NOTIFY_RTT: SimDuration = SimDuration::from_millis(5);
 /// Cost of draining one in-flight block request.
 pub const DRAIN_PER_REQUEST: SimDuration = SimDuration::from_micros(800);
 /// Cost of a guest-side network unplug.
-pub const NET_UNPLUG: SimDuration = SimDuration::from_millis(20);
+pub(crate) const NET_UNPLUG: SimDuration = SimDuration::from_millis(20);
 /// Cost of pausing a pass-through device through its guest driver.
-pub const PASSTHROUGH_PAUSE: SimDuration = SimDuration::from_millis(50);
+pub(crate) const PASSTHROUGH_PAUSE: SimDuration = SimDuration::from_millis(50);
 /// Cost of flushing a console transmit buffer.
-pub const CONSOLE_FLUSH: SimDuration = SimDuration::from_millis(1);
+pub(crate) const CONSOLE_FLUSH: SimDuration = SimDuration::from_millis(1);
 
 /// Quiesces every device in place and returns the simulated time the
 /// guest took (runs before the VM is paused, so this is preparation time,

@@ -40,14 +40,6 @@ impl HypervisorKind {
             HypervisorKind::Kvm => BootTarget::LinuxKvm,
         }
     }
-
-    /// The userspace VMM managing guests on this hypervisor.
-    pub fn vmm_name(self) -> &'static str {
-        match self {
-            HypervisorKind::Xen => "libxl/QEMU",
-            HypervisorKind::Kvm => "kvmtool",
-        }
-    }
 }
 
 impl std::fmt::Display for HypervisorKind {
@@ -296,7 +288,6 @@ mod tests {
         assert_eq!(HypervisorKind::Xen.name(), "Xen");
         assert_eq!(HypervisorKind::Xen.boot_target(), BootTarget::XenDom0);
         assert_eq!(HypervisorKind::Kvm.boot_target(), BootTarget::LinuxKvm);
-        assert_eq!(HypervisorKind::Kvm.vmm_name(), "kvmtool");
         assert_eq!(HypervisorKind::Kvm.to_string(), "KVM");
     }
 

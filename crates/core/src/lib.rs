@@ -40,17 +40,13 @@ pub mod vm;
 pub use error::HtpError;
 pub use hypervisor::{Hypervisor, HypervisorKind, RestoredVm};
 pub use inplace::{
-    InPlacePrice, InPlacePricer, InPlaceReport, InPlaceTransplant, IncrementalConfig,
-    Optimizations, WarmRound,
+    InPlacePricer, InPlaceReport, InPlaceTransplant, IncrementalConfig, Optimizations, WarmRound,
 };
 pub use memsep::{MemSepReport, StateCategory};
-pub use recovery::{
-    host_failure_gate, migrate_or_inplace, migration_error_is_recoverable, FallbackOutcome,
-    HostGate,
-};
+pub use recovery::{host_failure_gate, migrate_or_inplace, FallbackOutcome, HostGate};
 pub use registry::HypervisorRegistry;
 pub use unplanned::{
     crash_gate, CheckpointConfig, CrashPhase, RecoveryReport, TickReport, UnplannedRecovery,
-    VmLoss, WarmCheckpointer,
+    WarmCheckpointer,
 };
 pub use vm::{VmConfig, VmId, VmState};

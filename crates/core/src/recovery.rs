@@ -47,12 +47,12 @@ impl<M, I> FallbackOutcome<M, I> {
 /// down the half-built destination shell and never pauses the source.
 /// Anything else (integrity violations, codec errors after pause, …) may
 /// have partially consumed the source state and must propagate.
-pub fn migration_error_is_recoverable(err: &HtpError) -> bool {
+pub(crate) fn migration_error_is_recoverable(err: &HtpError) -> bool {
     matches!(err, HtpError::LinkFailure { .. })
 }
 
-/// Attempts `migrate`; on a recoverable failure (see
-/// [`migration_error_is_recoverable`]) runs `inplace` instead and records
+/// Attempts `migrate`; on a recoverable failure (a
+/// [`HtpError::LinkFailure`]) runs `inplace` instead and records
 /// a [`RecoveryAction::FellBackToInPlace`] in `faults`' log.
 ///
 /// Non-recoverable migration errors and in-place errors propagate

@@ -16,13 +16,13 @@ use crate::hypervisor::{Hypervisor, HypervisorKind};
 
 /// Constructor for a hypervisor: runs at (simulated) boot time and may
 /// allocate HV State from the machine's RAM.
-pub type HvFactory = Box<dyn Fn(&mut Machine) -> Box<dyn Hypervisor> + Send + Sync>;
+pub(crate) type HvFactory = Box<dyn Fn(&mut Machine) -> Box<dyn Hypervisor> + Send + Sync>;
 
 /// A pre-flight compatibility validator: inspects a UISR description and
 /// returns the issues the target hypervisor would have restoring it
 /// (lossy fixes, unsupported topology). Used by the engine's strict mode
 /// to abort *before* the micro-reboot's point of no return.
-pub type UisrValidator = Box<dyn Fn(&UisrVm) -> Vec<String> + Send + Sync>;
+pub(crate) type UisrValidator = Box<dyn Fn(&UisrVm) -> Vec<String> + Send + Sync>;
 
 /// A pool of bootable hypervisors.
 #[derive(Default)]
@@ -59,7 +59,7 @@ impl HypervisorRegistry {
 
     /// Runs `kind`'s pre-flight validator over a UISR description.
     /// Returns no issues when no validator is registered.
-    pub fn validate(&self, kind: HypervisorKind, uisr: &UisrVm) -> Vec<String> {
+    pub(crate) fn validate(&self, kind: HypervisorKind, uisr: &UisrVm) -> Vec<String> {
         self.validators
             .get(&kind)
             .map(|v| v(uisr))

@@ -19,7 +19,7 @@ use crate::error::HtpError;
 
 /// Name prefix distinguishing UISR blob files from guest-memory files
 /// inside the same PRAM directory.
-pub const UISR_FILE_PREFIX: &str = "uisr/";
+pub(crate) const UISR_FILE_PREFIX: &str = "uisr/";
 
 /// Returns the PRAM file name for a VM's UISR blob.
 pub fn uisr_file_name(vm_name: &str) -> String {
@@ -35,7 +35,7 @@ pub fn is_uisr_file(file: &PramFile) -> bool {
 /// [`uisr_file_name`]), or `None` for guest-memory files. The post-kexec
 /// tail pairs each blob with its guest file by this name — after a
 /// hypervisor crash there is no live source left to ask.
-pub fn vm_name_from_uisr_file(file: &PramFile) -> Option<&str> {
+pub(crate) fn vm_name_from_uisr_file(file: &PramFile) -> Option<&str> {
     file.name.strip_prefix(UISR_FILE_PREFIX)
 }
 
@@ -43,7 +43,10 @@ pub fn vm_name_from_uisr_file(file: &PramFile) -> Option<&str> {
 /// mappings (without recording a PRAM file). The warm checkpointer reuses
 /// this to re-encode one VM's blob while keeping the other VMs' existing
 /// frames in place.
-pub fn write_blob(ram: &mut PhysicalMemory, blob: &[u8]) -> Result<Vec<(Gfn, Extent)>, HtpError> {
+pub(crate) fn write_blob(
+    ram: &mut PhysicalMemory,
+    blob: &[u8],
+) -> Result<Vec<(Gfn, Extent)>, HtpError> {
     let total = 8 + blob.len();
     let pages = total.div_ceil(PAGE_SIZE as usize);
     let mut mappings = Vec::with_capacity(pages);

@@ -308,15 +308,6 @@ impl WarmCheckpointer {
         self.background
     }
 
-    /// Un-persisted dirty pages currently accumulated against `name`'s
-    /// checkpoint.
-    pub fn checkpoint_lag(&self, name: &str) -> Option<u64> {
-        self.vms
-            .iter()
-            .find(|v| v.name == name)
-            .map(|v| v.persisted_staleness)
-    }
-
     /// Names of the checkpointed VMs, in VM-id order.
     pub fn vm_names(&self) -> Vec<String> {
         self.vms.iter().map(|v| v.name.clone()).collect()

@@ -47,11 +47,6 @@ impl KvmHypervisor {
     fn guest_mut(&mut self, id: VmId) -> Result<&mut GuestVm, HtpError> {
         self.guests.get_mut(&id.0).ok_or(HtpError::UnknownVm(id))
     }
-
-    /// Access to the kernel module (tests).
-    pub fn kvm(&self) -> &Kvm {
-        &self.kvm
-    }
 }
 
 impl Hypervisor for KvmHypervisor {

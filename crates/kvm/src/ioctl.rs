@@ -8,27 +8,27 @@
 
 /// Errno-style ioctl errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Errno {
+pub(crate) enum Errno {
     /// Bad file descriptor.
-    EBADF,
+    Ebadf,
     /// Invalid argument.
-    EINVAL,
+    Einval,
     /// Object already exists.
-    EEXIST,
+    Eexist,
     /// Resource unavailable or address fault.
-    EFAULT,
+    Efault,
     /// No such device (irqchip/PIT not created).
-    ENODEV,
+    Enodev,
 }
 
 impl std::fmt::Display for Errno {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            Errno::EBADF => "EBADF",
-            Errno::EINVAL => "EINVAL",
-            Errno::EEXIST => "EEXIST",
-            Errno::EFAULT => "EFAULT",
-            Errno::ENODEV => "ENODEV",
+            Errno::Ebadf => "EBADF",
+            Errno::Einval => "EINVAL",
+            Errno::Eexist => "EEXIST",
+            Errno::Efault => "EFAULT",
+            Errno::Enodev => "ENODEV",
         };
         f.write_str(s)
     }
@@ -39,7 +39,7 @@ impl std::error::Error for Errno {}
 /// `kvm_regs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs)]
-pub struct KvmRegs {
+pub(crate) struct KvmRegs {
     /// GPRs in KVM order: rax rbx rcx rdx rsi rdi rsp rbp r8..r15.
     pub gprs: [u64; 16],
     pub rip: u64,
@@ -49,7 +49,7 @@ pub struct KvmRegs {
 /// `kvm_segment`: exploded attribute fields (no packed arbytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs)]
-pub struct KvmSegment {
+pub(crate) struct KvmSegment {
     pub base: u64,
     pub limit: u32,
     pub selector: u16,
@@ -67,7 +67,7 @@ pub struct KvmSegment {
 /// `kvm_dtable`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs)]
-pub struct KvmDtable {
+pub(crate) struct KvmDtable {
     pub base: u64,
     pub limit: u16,
 }
@@ -75,7 +75,7 @@ pub struct KvmDtable {
 /// `kvm_sregs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs)]
-pub struct KvmSregs {
+pub(crate) struct KvmSregs {
     pub cs: KvmSegment,
     pub ds: KvmSegment,
     pub es: KvmSegment,
@@ -97,7 +97,7 @@ pub struct KvmSregs {
 
 /// One `kvm_msr_entry`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KvmMsrEntry {
+pub(crate) struct KvmMsrEntry {
     /// MSR index.
     pub index: u32,
     /// MSR data.
@@ -107,7 +107,7 @@ pub struct KvmMsrEntry {
 /// `kvm_fpu`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub struct KvmFpu {
+pub(crate) struct KvmFpu {
     pub fpr: [[u8; 16]; 8],
     pub fcw: u16,
     pub fsw: u16,
@@ -137,21 +137,21 @@ impl Default for KvmFpu {
 
 /// `kvm_xsave` (raw region).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct KvmXsave {
+pub(crate) struct KvmXsave {
     /// Raw XSAVE region bytes.
     pub region: Vec<u8>,
 }
 
 /// `kvm_xcrs`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct KvmXcrs {
+pub(crate) struct KvmXcrs {
     /// (xcr index, value) pairs; index 0 is XCR0.
     pub xcrs: Vec<(u32, u64)>,
 }
 
 /// `kvm_lapic_state` (the 1 KiB register page image).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvmLapicState {
+pub(crate) struct KvmLapicState {
     /// Register page image.
     pub regs: Vec<u8>,
 }
@@ -165,11 +165,11 @@ impl Default for KvmLapicState {
 }
 
 /// Number of pins on KVM's in-kernel IOAPIC.
-pub const KVM_IOAPIC_NUM_PINS: usize = 24;
+pub(crate) const KVM_IOAPIC_NUM_PINS: usize = 24;
 
 /// The in-kernel IOAPIC half of `kvm_irqchip`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvmIoapicState {
+pub(crate) struct KvmIoapicState {
     /// MMIO base.
     pub base_address: u64,
     /// IOAPIC ID.
@@ -191,7 +191,7 @@ impl Default for KvmIoapicState {
 /// One channel of `kvm_pit_state2`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs)]
-pub struct KvmPitChannelState {
+pub(crate) struct KvmPitChannelState {
     pub count: u32,
     pub latched_count: u16,
     pub count_latched: u8,
@@ -208,7 +208,7 @@ pub struct KvmPitChannelState {
 
 /// `kvm_pit_state2`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KvmPitState2 {
+pub(crate) struct KvmPitState2 {
     /// The three PIT channels.
     pub channels: [KvmPitChannelState; 3],
     /// Flags (speaker state in bit 0 for this model).
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn errno_display() {
-        assert_eq!(Errno::EBADF.to_string(), "EBADF");
-        assert_eq!(Errno::ENODEV.to_string(), "ENODEV");
+        assert_eq!(Errno::Ebadf.to_string(), "EBADF");
+        assert_eq!(Errno::Enodev.to_string(), "ENODEV");
     }
 }

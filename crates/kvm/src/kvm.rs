@@ -23,7 +23,7 @@ use crate::ioctl::{
 
 /// A guest memory slot (`kvm_userspace_memory_region`).
 #[derive(Debug, Clone)]
-pub struct MemSlot {
+pub(crate) struct MemSlot {
     /// Slot number.
     pub slot: u32,
     /// First guest-physical byte address.
@@ -164,22 +164,22 @@ impl Kvm {
     }
 
     fn vm(&self, vm_fd: u32) -> Result<&VmState, Errno> {
-        self.vms.get(&vm_fd).ok_or(Errno::EBADF)
+        self.vms.get(&vm_fd).ok_or(Errno::Ebadf)
     }
 
     fn vm_mut(&mut self, vm_fd: u32) -> Result<&mut VmState, Errno> {
-        self.vms.get_mut(&vm_fd).ok_or(Errno::EBADF)
+        self.vms.get_mut(&vm_fd).ok_or(Errno::Ebadf)
     }
 
     fn vcpu(&self, vm_fd: u32, vcpu_fd: u32) -> Result<&VcpuState, Errno> {
-        self.vm(vm_fd)?.vcpus.get(&vcpu_fd).ok_or(Errno::EBADF)
+        self.vm(vm_fd)?.vcpus.get(&vcpu_fd).ok_or(Errno::Ebadf)
     }
 
     fn vcpu_mut(&mut self, vm_fd: u32, vcpu_fd: u32) -> Result<&mut VcpuState, Errno> {
         self.vm_mut(vm_fd)?
             .vcpus
             .get_mut(&vcpu_fd)
-            .ok_or(Errno::EBADF)
+            .ok_or(Errno::Ebadf)
     }
 
     /// `KVM_CREATE_VM`.
@@ -193,7 +193,7 @@ impl Kvm {
     /// Destroys a VM (closing its fd). Returns its backing extents so the
     /// VMM can unmap them.
     pub fn destroy_vm(&mut self, vm_fd: u32) -> Result<Vec<Extent>, Errno> {
-        let vm = self.vms.remove(&vm_fd).ok_or(Errno::EBADF)?;
+        let vm = self.vms.remove(&vm_fd).ok_or(Errno::Ebadf)?;
         Ok(vm
             .slots
             .into_values()
@@ -202,7 +202,7 @@ impl Kvm {
     }
 
     /// `KVM_CREATE_VCPU`.
-    pub fn create_vcpu(&mut self, vm_fd: u32) -> Result<u32, Errno> {
+    pub(crate) fn create_vcpu(&mut self, vm_fd: u32) -> Result<u32, Errno> {
         let fd = self.next_fd;
         self.next_fd += 1;
         self.vm_mut(vm_fd)?.vcpus.insert(fd, VcpuState::default());
@@ -210,7 +210,7 @@ impl Kvm {
     }
 
     /// `KVM_SET_USER_MEMORY_REGION`.
-    pub fn set_user_memory_region(
+    pub(crate) fn set_user_memory_region(
         &mut self,
         vm_fd: u32,
         slot: u32,
@@ -218,7 +218,7 @@ impl Kvm {
         backing: Vec<Extent>,
     ) -> Result<(), Errno> {
         if !guest_phys_addr.is_multiple_of(4096) {
-            return Err(Errno::EINVAL);
+            return Err(Errno::Einval);
         }
         let memory_size: u64 = backing.iter().map(|e| e.bytes()).sum();
         let vm = self.vm_mut(vm_fd)?;
@@ -228,7 +228,7 @@ impl Kvm {
                 && guest_phys_addr < s.guest_phys_addr + s.memory_size
                 && s.guest_phys_addr < guest_phys_addr + memory_size
             {
-                return Err(Errno::EEXIST);
+                return Err(Errno::Eexist);
             }
         }
         let mut next = 0;
@@ -263,7 +263,7 @@ impl Kvm {
     /// Per-page translations and `EFAULT` behaviour match
     /// [`Kvm::gfn_to_mfn`] exactly; runs before a faulting GFN may
     /// already have been delivered.
-    pub fn gfn_runs(
+    pub(crate) fn gfn_runs(
         &self,
         vm_fd: u32,
         gfns: &[Gfn],
@@ -281,10 +281,10 @@ impl Kvm {
                         slot = vm.slots.values().find(|s| s.holds(g.0));
                         next = 0;
                     }
-                    let s = slot.ok_or(Errno::EFAULT)?;
-                    let (i, found) = s.span_at(g.0, next).ok_or(Errno::EFAULT)?;
+                    let s = slot.ok_or(Errno::Efault)?;
+                    let (i, found) = s.span_at(g.0, next).ok_or(Errno::Efault)?;
                     (next, span) = (i + 1, found);
-                    span.frame(g.0).ok_or(Errno::EFAULT)?
+                    span.frame(g.0).ok_or(Errno::Efault)?
                 }
             };
             run = match run {
@@ -303,12 +303,12 @@ impl Kvm {
     }
 
     /// Translates a guest frame to a machine frame (the NPT walk).
-    pub fn gfn_to_mfn(&self, vm_fd: u32, gfn: Gfn) -> Result<Mfn, Errno> {
+    pub(crate) fn gfn_to_mfn(&self, vm_fd: u32, gfn: Gfn) -> Result<Mfn, Errno> {
         let vm = self.vm(vm_fd)?;
         let s = vm.slots.values().find(|s| s.holds(gfn.0));
         s.and_then(|s| s.span_at(gfn.0, 0))
             .and_then(|(_, span)| span.frame(gfn.0))
-            .ok_or(Errno::EFAULT)
+            .ok_or(Errno::Efault)
     }
 
     /// Guest writes through the NPT, in order: translates each
@@ -334,10 +334,10 @@ impl Kvm {
                         slot = vm.slots.values_mut().find(|s| s.holds(g.0));
                         next = 0;
                     }
-                    let s = slot.as_deref().ok_or(Errno::EFAULT)?;
-                    let (i, found) = s.span_at(g.0, next).ok_or(Errno::EFAULT)?;
+                    let s = slot.as_deref().ok_or(Errno::Efault)?;
+                    let (i, found) = s.span_at(g.0, next).ok_or(Errno::Efault)?;
                     (next, span) = (i + 1, found);
-                    span.frame(g.0).ok_or(Errno::EFAULT)?
+                    span.frame(g.0).ok_or(Errno::Efault)?
                 }
             };
             if !store(mfn, word) {
@@ -366,7 +366,7 @@ impl Kvm {
 
     /// `KVM_GET_DIRTY_LOG` over all slots: returns dirty GFNs and clears
     /// the bitmaps.
-    pub fn get_dirty_log(&mut self, vm_fd: u32) -> Result<Vec<Gfn>, Errno> {
+    pub(crate) fn get_dirty_log(&mut self, vm_fd: u32) -> Result<Vec<Gfn>, Errno> {
         let vm = self.vm_mut(vm_fd)?;
         let mut out = Vec::new();
         for s in vm.slots.values_mut() {
@@ -386,79 +386,89 @@ impl Kvm {
     }
 
     /// `KVM_CREATE_IRQCHIP`.
-    pub fn create_irqchip(&mut self, vm_fd: u32) -> Result<(), Errno> {
+    pub(crate) fn create_irqchip(&mut self, vm_fd: u32) -> Result<(), Errno> {
         let vm = self.vm_mut(vm_fd)?;
         if vm.irqchip.is_some() {
-            return Err(Errno::EEXIST);
+            return Err(Errno::Eexist);
         }
         vm.irqchip = Some(KvmIoapicState::default());
         Ok(())
     }
 
     /// `KVM_GET_IRQCHIP`.
-    pub fn get_irqchip(&self, vm_fd: u32) -> Result<KvmIoapicState, Errno> {
-        self.vm(vm_fd)?.irqchip.clone().ok_or(Errno::ENODEV)
+    pub(crate) fn get_irqchip(&self, vm_fd: u32) -> Result<KvmIoapicState, Errno> {
+        self.vm(vm_fd)?.irqchip.clone().ok_or(Errno::Enodev)
     }
 
     /// `KVM_SET_IRQCHIP`.
-    pub fn set_irqchip(&mut self, vm_fd: u32, state: KvmIoapicState) -> Result<(), Errno> {
+    pub(crate) fn set_irqchip(&mut self, vm_fd: u32, state: KvmIoapicState) -> Result<(), Errno> {
         let vm = self.vm_mut(vm_fd)?;
         if vm.irqchip.is_none() {
-            return Err(Errno::ENODEV);
+            return Err(Errno::Enodev);
         }
         vm.irqchip = Some(state);
         Ok(())
     }
 
     /// `KVM_CREATE_PIT2`.
-    pub fn create_pit2(&mut self, vm_fd: u32) -> Result<(), Errno> {
+    pub(crate) fn create_pit2(&mut self, vm_fd: u32) -> Result<(), Errno> {
         let vm = self.vm_mut(vm_fd)?;
         if vm.pit.is_some() {
-            return Err(Errno::EEXIST);
+            return Err(Errno::Eexist);
         }
         vm.pit = Some(KvmPitState2::default());
         Ok(())
     }
 
     /// `KVM_GET_PIT2`.
-    pub fn get_pit2(&self, vm_fd: u32) -> Result<KvmPitState2, Errno> {
-        self.vm(vm_fd)?.pit.ok_or(Errno::ENODEV)
+    pub(crate) fn get_pit2(&self, vm_fd: u32) -> Result<KvmPitState2, Errno> {
+        self.vm(vm_fd)?.pit.ok_or(Errno::Enodev)
     }
 
     /// `KVM_SET_PIT2`.
-    pub fn set_pit2(&mut self, vm_fd: u32, state: KvmPitState2) -> Result<(), Errno> {
+    pub(crate) fn set_pit2(&mut self, vm_fd: u32, state: KvmPitState2) -> Result<(), Errno> {
         let vm = self.vm_mut(vm_fd)?;
         if vm.pit.is_none() {
-            return Err(Errno::ENODEV);
+            return Err(Errno::Enodev);
         }
         vm.pit = Some(state);
         Ok(())
     }
 
     /// `KVM_GET_REGS` / `KVM_SET_REGS`.
-    pub fn get_regs(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmRegs, Errno> {
+    pub(crate) fn get_regs(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmRegs, Errno> {
         Ok(self.vcpu(vm_fd, vcpu_fd)?.regs)
     }
 
     /// Sets general-purpose registers.
-    pub fn set_regs(&mut self, vm_fd: u32, vcpu_fd: u32, regs: KvmRegs) -> Result<(), Errno> {
+    pub(crate) fn set_regs(
+        &mut self,
+        vm_fd: u32,
+        vcpu_fd: u32,
+        regs: KvmRegs,
+    ) -> Result<(), Errno> {
         self.vcpu_mut(vm_fd, vcpu_fd)?.regs = regs;
         Ok(())
     }
 
     /// `KVM_GET_SREGS` / `KVM_SET_SREGS`.
-    pub fn get_sregs(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmSregs, Errno> {
+    pub(crate) fn get_sregs(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmSregs, Errno> {
         Ok(self.vcpu(vm_fd, vcpu_fd)?.sregs)
     }
 
     /// Sets special registers.
-    pub fn set_sregs(&mut self, vm_fd: u32, vcpu_fd: u32, sregs: KvmSregs) -> Result<(), Errno> {
+    pub(crate) fn set_sregs(
+        &mut self,
+        vm_fd: u32,
+        vcpu_fd: u32,
+        sregs: KvmSregs,
+    ) -> Result<(), Errno> {
         self.vcpu_mut(vm_fd, vcpu_fd)?.sregs = sregs;
         Ok(())
     }
 
     /// `KVM_SET_MSRS`; returns the number of MSRs set (KVM semantics).
-    pub fn set_msrs(
+    pub(crate) fn set_msrs(
         &mut self,
         vm_fd: u32,
         vcpu_fd: u32,
@@ -472,7 +482,7 @@ impl Kvm {
     }
 
     /// `KVM_GET_MSRS` for the requested indices; unknown MSRs read as 0.
-    pub fn get_msrs(
+    pub(crate) fn get_msrs(
         &self,
         vm_fd: u32,
         vcpu_fd: u32,
@@ -489,65 +499,65 @@ impl Kvm {
     }
 
     /// `KVM_GET_FPU` / `KVM_SET_FPU`.
-    pub fn get_fpu(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmFpu, Errno> {
+    pub(crate) fn get_fpu(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmFpu, Errno> {
         Ok(self.vcpu(vm_fd, vcpu_fd)?.fpu.clone())
     }
 
     /// Sets FPU state.
-    pub fn set_fpu(&mut self, vm_fd: u32, vcpu_fd: u32, fpu: KvmFpu) -> Result<(), Errno> {
+    pub(crate) fn set_fpu(&mut self, vm_fd: u32, vcpu_fd: u32, fpu: KvmFpu) -> Result<(), Errno> {
         self.vcpu_mut(vm_fd, vcpu_fd)?.fpu = fpu;
         Ok(())
     }
 
     /// `KVM_GET_XSAVE` / `KVM_SET_XSAVE`.
-    pub fn get_xsave(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmXsave, Errno> {
+    pub(crate) fn get_xsave(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmXsave, Errno> {
         Ok(self.vcpu(vm_fd, vcpu_fd)?.xsave.clone())
     }
 
     /// Sets the XSAVE region.
-    pub fn set_xsave(&mut self, vm_fd: u32, vcpu_fd: u32, x: KvmXsave) -> Result<(), Errno> {
+    pub(crate) fn set_xsave(&mut self, vm_fd: u32, vcpu_fd: u32, x: KvmXsave) -> Result<(), Errno> {
         self.vcpu_mut(vm_fd, vcpu_fd)?.xsave = x;
         Ok(())
     }
 
     /// `KVM_GET_XCRS` / `KVM_SET_XCRS`.
-    pub fn get_xcrs(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmXcrs, Errno> {
+    pub(crate) fn get_xcrs(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmXcrs, Errno> {
         Ok(self.vcpu(vm_fd, vcpu_fd)?.xcrs.clone())
     }
 
     /// Sets extended control registers.
-    pub fn set_xcrs(&mut self, vm_fd: u32, vcpu_fd: u32, x: KvmXcrs) -> Result<(), Errno> {
+    pub(crate) fn set_xcrs(&mut self, vm_fd: u32, vcpu_fd: u32, x: KvmXcrs) -> Result<(), Errno> {
         self.vcpu_mut(vm_fd, vcpu_fd)?.xcrs = x;
         Ok(())
     }
 
     /// `KVM_GET_LAPIC` / `KVM_SET_LAPIC`.
-    pub fn get_lapic(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmLapicState, Errno> {
+    pub(crate) fn get_lapic(&self, vm_fd: u32, vcpu_fd: u32) -> Result<KvmLapicState, Errno> {
         Ok(self.vcpu(vm_fd, vcpu_fd)?.lapic.clone())
     }
 
     /// Sets the LAPIC register page.
-    pub fn set_lapic(&mut self, vm_fd: u32, vcpu_fd: u32, l: KvmLapicState) -> Result<(), Errno> {
+    pub(crate) fn set_lapic(
+        &mut self,
+        vm_fd: u32,
+        vcpu_fd: u32,
+        l: KvmLapicState,
+    ) -> Result<(), Errno> {
         if l.regs.len() != 1024 {
-            return Err(Errno::EINVAL);
+            return Err(Errno::Einval);
         }
         self.vcpu_mut(vm_fd, vcpu_fd)?.lapic = l;
         Ok(())
     }
 
     /// vCPU fds of a VM, in creation order.
-    pub fn vcpu_fds(&self, vm_fd: u32) -> Result<Vec<u32>, Errno> {
+    pub(crate) fn vcpu_fds(&self, vm_fd: u32) -> Result<Vec<u32>, Errno> {
         Ok(self.vm(vm_fd)?.vcpus.keys().copied().collect())
     }
 
     /// Memory-slot view (for accounting and tests).
     pub fn slots(&self, vm_fd: u32) -> Result<Vec<&MemSlot>, Errno> {
         Ok(self.vm(vm_fd)?.slots.values().collect())
-    }
-
-    /// Number of live VMs.
-    pub fn vm_count(&self) -> usize {
-        self.vms.len()
     }
 }
 
@@ -568,9 +578,9 @@ mod tests {
         let v1 = k.create_vcpu(vm).unwrap();
         assert_ne!(v0, v1);
         assert_eq!(k.vcpu_fds(vm).unwrap(), vec![v0, v1]);
-        assert_eq!(k.create_vcpu(999), Err(Errno::EBADF));
+        assert_eq!(k.create_vcpu(999), Err(Errno::Ebadf));
         k.destroy_vm(vm).unwrap();
-        assert_eq!(k.get_regs(vm, v0), Err(Errno::EBADF));
+        assert_eq!(k.get_regs(vm, v0), Err(Errno::Ebadf));
     }
 
     #[test]
@@ -582,7 +592,7 @@ mod tests {
         assert_eq!(k.gfn_to_mfn(vm, Gfn(0)).unwrap(), Mfn(512));
         assert_eq!(k.gfn_to_mfn(vm, Gfn(511)).unwrap(), Mfn(1023));
         assert_eq!(k.gfn_to_mfn(vm, Gfn(512)).unwrap(), Mfn(2048));
-        assert_eq!(k.gfn_to_mfn(vm, Gfn(1024)), Err(Errno::EFAULT));
+        assert_eq!(k.gfn_to_mfn(vm, Gfn(1024)), Err(Errno::Efault));
     }
 
     /// Flattens `gfn_runs` back to one MFN per page.
@@ -618,7 +628,7 @@ mod tests {
         }
         // Unmapped GFNs fault exactly like the per-page walk (the slots
         // end at page 2048).
-        assert_eq!(flat_runs(&k, vm, &[Gfn(0), Gfn(2048)]), Err(Errno::EFAULT));
+        assert_eq!(flat_runs(&k, vm, &[Gfn(0), Gfn(2048)]), Err(Errno::Efault));
         assert_eq!(flat_runs(&k, vm, &[]), Ok(vec![]));
     }
 
@@ -662,7 +672,7 @@ mod tests {
             // Faults match.
             assert_eq!(
                 k.gfn_runs(vm, &[Gfn(4096)], &mut |_, _| {}),
-                Err(Errno::EFAULT)
+                Err(Errno::Efault)
             );
         }
     }
@@ -683,7 +693,7 @@ mod tests {
                     page += e.pages();
                 }
             }
-            Err(Errno::EFAULT)
+            Err(Errno::Efault)
         };
         let mut rng = hypertp_sim::SimRng::new(0xf4a3_e0a7);
         for case in 0..24 {
@@ -742,7 +752,7 @@ mod tests {
         k.set_user_memory_region(vm, 0, 0, vec![ext(0, 9)]).unwrap();
         assert_eq!(
             k.set_user_memory_region(vm, 1, 4096, vec![ext(512, 9)]),
-            Err(Errno::EEXIST)
+            Err(Errno::Eexist)
         );
         // Replacing the same slot is fine.
         k.set_user_memory_region(vm, 0, 0, vec![ext(1024, 9)])
@@ -755,7 +765,7 @@ mod tests {
         let vm = k.create_vm();
         assert_eq!(
             k.set_user_memory_region(vm, 0, 17, vec![ext(0, 0)]),
-            Err(Errno::EINVAL)
+            Err(Errno::Einval)
         );
     }
 
@@ -778,9 +788,9 @@ mod tests {
     fn irqchip_and_pit_lifecycle() {
         let mut k = Kvm::new();
         let vm = k.create_vm();
-        assert_eq!(k.get_irqchip(vm), Err(Errno::ENODEV));
+        assert_eq!(k.get_irqchip(vm), Err(Errno::Enodev));
         k.create_irqchip(vm).unwrap();
-        assert_eq!(k.create_irqchip(vm), Err(Errno::EEXIST));
+        assert_eq!(k.create_irqchip(vm), Err(Errno::Eexist));
         let mut io = k.get_irqchip(vm).unwrap();
         io.redirtbl[3] = 0x31;
         k.set_irqchip(vm, io.clone()).unwrap();
@@ -827,7 +837,7 @@ mod tests {
         let v = k.create_vcpu(vm).unwrap();
         assert_eq!(
             k.set_lapic(vm, v, KvmLapicState { regs: vec![0; 100] }),
-            Err(Errno::EINVAL)
+            Err(Errno::Einval)
         );
     }
 }

@@ -18,7 +18,7 @@ use crate::kvm::Kvm;
 use crate::xlate;
 
 /// Converts an ioctl errno into a framework error.
-pub fn ioctl_err(e: Errno) -> HtpError {
+pub(crate) fn ioctl_err(e: Errno) -> HtpError {
     HtpError::IncompatibleState {
         section: "ioctl",
         detail: e.to_string(),
@@ -27,7 +27,7 @@ pub fn ioctl_err(e: Errno) -> HtpError {
 
 /// One guest as kvmtool sees it.
 #[derive(Debug)]
-pub struct GuestVm {
+pub(crate) struct GuestVm {
     /// Cross-hypervisor configuration.
     pub config: VmConfig,
     /// Lifecycle state.
@@ -92,7 +92,7 @@ fn devices_for(config: &VmConfig) -> Vec<DeviceState> {
 
 /// Creates a guest: VM fd, memory slot, irqchip, PIT, vCPUs with
 /// architectural initial state.
-pub fn create_guest(
+pub(crate) fn create_guest(
     kvm: &mut Kvm,
     machine: &mut Machine,
     config: &VmConfig,
@@ -299,7 +299,7 @@ pub fn restore_uisr(
 /// InPlaceTP adoption: registers the in-place PRAM frames as memory slots
 /// (one per contiguous GFN run), creates the vCPU shells, and applies the
 /// UISR state.
-pub fn adopt_guest(
+pub(crate) fn adopt_guest(
     kvm: &mut Kvm,
     machine: &mut Machine,
     uisr: &UisrVm,

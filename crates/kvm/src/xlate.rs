@@ -53,7 +53,7 @@ fn rte_unpack(v: u64) -> hypertp_uisr::RedirectionEntry {
 }
 
 /// UISR GPRs → `kvm_regs`.
-pub fn regs_to_kvm(r: &CpuRegisters) -> KvmRegs {
+pub(crate) fn regs_to_kvm(r: &CpuRegisters) -> KvmRegs {
     KvmRegs {
         gprs: [
             r.rax, r.rbx, r.rcx, r.rdx, r.rsi, r.rdi, r.rsp, r.rbp, r.r8, r.r9, r.r10, r.r11,
@@ -65,7 +65,7 @@ pub fn regs_to_kvm(r: &CpuRegisters) -> KvmRegs {
 }
 
 /// `kvm_regs` → UISR GPRs.
-pub fn regs_from_kvm(k: &KvmRegs) -> CpuRegisters {
+pub(crate) fn regs_from_kvm(k: &KvmRegs) -> CpuRegisters {
     CpuRegisters {
         rax: k.gprs[0],
         rbx: k.gprs[1],
@@ -122,7 +122,7 @@ fn seg_from_kvm(k: &KvmSegment) -> SegmentRegister {
 }
 
 /// UISR special registers → `kvm_sregs`.
-pub fn sregs_to_kvm(s: &SpecialRegisters) -> KvmSregs {
+pub(crate) fn sregs_to_kvm(s: &SpecialRegisters) -> KvmSregs {
     KvmSregs {
         cs: seg_to_kvm(&s.cs),
         ds: seg_to_kvm(&s.ds),
@@ -151,7 +151,7 @@ pub fn sregs_to_kvm(s: &SpecialRegisters) -> KvmSregs {
 }
 
 /// `kvm_sregs` → UISR special registers.
-pub fn sregs_from_kvm(k: &KvmSregs) -> SpecialRegisters {
+pub(crate) fn sregs_from_kvm(k: &KvmSregs) -> SpecialRegisters {
     SpecialRegisters {
         cs: seg_from_kvm(&k.cs),
         ds: seg_from_kvm(&k.ds),
@@ -180,7 +180,7 @@ pub fn sregs_from_kvm(k: &KvmSregs) -> SpecialRegisters {
 }
 
 /// UISR FPU → `kvm_fpu`.
-pub fn fpu_to_kvm(f: &FpuState) -> KvmFpu {
+pub(crate) fn fpu_to_kvm(f: &FpuState) -> KvmFpu {
     KvmFpu {
         fpr: f.st,
         fcw: f.fcw,
@@ -196,7 +196,7 @@ pub fn fpu_to_kvm(f: &FpuState) -> KvmFpu {
 
 /// `kvm_fpu` → UISR FPU. `kvm_fpu` has no `mxcsr_mask`; the architectural
 /// default is restored (documented lossy fix).
-pub fn fpu_from_kvm(k: &KvmFpu) -> FpuState {
+pub(crate) fn fpu_from_kvm(k: &KvmFpu) -> FpuState {
     FpuState {
         fcw: k.fcw,
         fsw: k.fsw,
@@ -212,7 +212,7 @@ pub fn fpu_from_kvm(k: &KvmFpu) -> FpuState {
 }
 
 /// UISR XSAVE → (`kvm_xsave`, `kvm_xcrs`) — Table 2's "XCRS, XSAVE".
-pub fn xsave_to_kvm(x: &XsaveState) -> (KvmXsave, KvmXcrs) {
+pub(crate) fn xsave_to_kvm(x: &XsaveState) -> (KvmXsave, KvmXcrs) {
     (
         KvmXsave {
             region: x.area.clone(),
@@ -224,7 +224,7 @@ pub fn xsave_to_kvm(x: &XsaveState) -> (KvmXsave, KvmXcrs) {
 }
 
 /// (`kvm_xsave`, `kvm_xcrs`) → UISR XSAVE.
-pub fn xsave_from_kvm(x: &KvmXsave, xcrs: &KvmXcrs) -> XsaveState {
+pub(crate) fn xsave_from_kvm(x: &KvmXsave, xcrs: &KvmXcrs) -> XsaveState {
     XsaveState {
         xcr0: xcrs
             .xcrs
@@ -237,7 +237,7 @@ pub fn xsave_from_kvm(x: &KvmXsave, xcrs: &KvmXcrs) -> XsaveState {
 }
 
 /// The MSR indices kvmtool saves on the KVM→UISR path.
-pub fn saved_msr_indices() -> Vec<u32> {
+pub(crate) fn saved_msr_indices() -> Vec<u32> {
     let mut v = vec![
         msr::IA32_TSC,
         msr::IA32_APIC_BASE,
@@ -265,7 +265,7 @@ pub fn saved_msr_indices() -> Vec<u32> {
 
 /// UISR (MSR list + MTRR section) → the `KVM_SET_MSRS` payload. On KVM the
 /// MTRRs are just MSRs (Table 2).
-pub fn msrs_to_kvm(msrs: &[MsrEntry], mtrr: &MtrrState) -> Vec<KvmMsrEntry> {
+pub(crate) fn msrs_to_kvm(msrs: &[MsrEntry], mtrr: &MtrrState) -> Vec<KvmMsrEntry> {
     let mut out: Vec<KvmMsrEntry> = msrs
         .iter()
         .map(|m| KvmMsrEntry {
@@ -302,7 +302,7 @@ pub fn msrs_to_kvm(msrs: &[MsrEntry], mtrr: &MtrrState) -> Vec<KvmMsrEntry> {
 
 /// `KVM_GET_MSRS` result → UISR (MSR list, MTRR section): the inverse
 /// split.
-pub fn msrs_from_kvm(entries: &[KvmMsrEntry]) -> (Vec<MsrEntry>, MtrrState) {
+pub(crate) fn msrs_from_kvm(entries: &[KvmMsrEntry]) -> (Vec<MsrEntry>, MtrrState) {
     let mut msrs = Vec::new();
     let mut mtrr = MtrrState {
         def_type: 0,
@@ -335,7 +335,7 @@ pub fn msrs_from_kvm(entries: &[KvmMsrEntry]) -> (Vec<MsrEntry>, MtrrState) {
 
 /// UISR IOAPIC → KVM's 24-pin in-kernel IOAPIC, truncating if needed (the
 /// §4.2.1 compatibility fix).
-pub fn ioapic_to_kvm(io: &IoApicState, warnings: &mut Vec<String>) -> KvmIoapicState {
+pub(crate) fn ioapic_to_kvm(io: &IoApicState, warnings: &mut Vec<String>) -> KvmIoapicState {
     let mut redirtbl = [1u64 << 16; KVM_IOAPIC_NUM_PINS];
     if io.pins() > KVM_IOAPIC_NUM_PINS {
         let dropped_active = io.redirection[KVM_IOAPIC_NUM_PINS..]
@@ -360,7 +360,7 @@ pub fn ioapic_to_kvm(io: &IoApicState, warnings: &mut Vec<String>) -> KvmIoapicS
 }
 
 /// KVM's IOAPIC → the UISR section (24 pins; Xen's `from_uisr` expands).
-pub fn ioapic_from_kvm(k: &KvmIoapicState) -> IoApicState {
+pub(crate) fn ioapic_from_kvm(k: &KvmIoapicState) -> IoApicState {
     IoApicState {
         id: k.id,
         base: k.base_address,
@@ -369,7 +369,7 @@ pub fn ioapic_from_kvm(k: &KvmIoapicState) -> IoApicState {
 }
 
 /// UISR PIT → `kvm_pit_state2`.
-pub fn pit_to_kvm(p: &PitState) -> KvmPitState2 {
+pub(crate) fn pit_to_kvm(p: &PitState) -> KvmPitState2 {
     let mut channels = [KvmPitChannelState::default(); 3];
     for (i, c) in p.channels.iter().enumerate() {
         channels[i] = KvmPitChannelState {
@@ -391,7 +391,7 @@ pub fn pit_to_kvm(p: &PitState) -> KvmPitState2 {
 }
 
 /// `kvm_pit_state2` → UISR PIT.
-pub fn pit_from_kvm(k: &KvmPitState2) -> PitState {
+pub(crate) fn pit_from_kvm(k: &KvmPitState2) -> PitState {
     let mut p = PitState::default();
     for (i, c) in k.channels.iter().enumerate() {
         p.channels[i] = hypertp_uisr::PitChannel {
@@ -436,7 +436,7 @@ pub fn preflight_validate(uisr: &hypertp_uisr::UisrVm) -> Vec<String> {
 }
 
 /// Asserts pin-count invariant for documentation purposes.
-pub const _PIN_ASSERT: () = assert!(KVM_IOAPIC_NUM_PINS == KVM_IOAPIC_PINS);
+pub(crate) const _PIN_ASSERT: () = assert!(KVM_IOAPIC_NUM_PINS == KVM_IOAPIC_PINS);
 
 #[cfg(test)]
 mod tests {

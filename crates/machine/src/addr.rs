@@ -14,11 +14,8 @@ pub const PAGE_SIZE: u64 = 4096;
 /// Size of a huge page in bytes (2 MiB).
 pub const HUGE_PAGE_SIZE: u64 = 2 * 1024 * 1024;
 
-/// One GiB in bytes.
-pub const GIB: u64 = 1 << 30;
-
 /// Page order of a 2 MiB huge page (2^9 base pages).
-pub const HUGE_PAGE_ORDER: PageOrder = PageOrder(9);
+pub(crate) const HUGE_PAGE_ORDER: PageOrder = PageOrder(9);
 
 /// A machine (host-physical) frame number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -293,11 +293,6 @@ impl BuddyAllocator {
         reserved
     }
 
-    /// Returns true if the frame is currently free.
-    pub fn is_free(&self, mfn: Mfn) -> bool {
-        self.overlaps_free(mfn.0, 1)
-    }
-
     /// The free block holding frame `mfn`, as `(order, base)`.
     #[cfg(test)]
     pub(crate) fn block_of(&self, mfn: Mfn) -> Option<(usize, u64)> {
@@ -365,6 +360,13 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BuddyAllocator {
+        /// True if the frame is currently free.
+        pub(crate) fn is_free(&self, mfn: Mfn) -> bool {
+            self.overlaps_free(mfn.0, 1)
+        }
+    }
 
     #[test]
     fn full_range_starts_free() {

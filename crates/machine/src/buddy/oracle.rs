@@ -158,12 +158,12 @@ impl BuddyAllocator {
     }
 
     /// Returns true if the frame is currently free.
-    pub fn is_free(&self, mfn: Mfn) -> bool {
+    pub(crate) fn is_free(&self, mfn: Mfn) -> bool {
         self.overlaps_free(mfn.0, 1)
     }
 
     /// Free blocks as `(order, base)`, by order then address.
-    pub fn free_blocks(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    pub(crate) fn free_blocks(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.free
             .iter()
             .enumerate()

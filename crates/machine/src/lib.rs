@@ -24,7 +24,7 @@ pub mod machine;
 pub mod ram;
 pub mod spec;
 
-pub use addr::{frame_runs, Extent, Gfn, Mfn, PageOrder, GIB, HUGE_PAGE_SIZE, PAGE_SIZE};
-pub use machine::{KexecImage, Machine, NicState};
+pub use addr::{frame_runs, Extent, Gfn, Mfn, PageOrder, HUGE_PAGE_SIZE, PAGE_SIZE};
+pub use machine::{KexecImage, Machine};
 pub use ram::{combine_partials, MemError, PhysicalMemory};
 pub use spec::MachineSpec;

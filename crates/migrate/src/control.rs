@@ -7,7 +7,7 @@
 //! ignore everything the migration *observes* while it runs. This module
 //! closes the loop:
 //!
-//! * [`PrecopyController`] keeps per-round EWMA estimators (dirty rate,
+//! * `PrecopyController` keeps per-round EWMA estimators (dirty rate,
 //!   drain rate, effective link throughput, wire compression) and turns a
 //!   [`crate::MigrationConfig::downtime_budget`] into a max stop-and-copy
 //!   page count using the *observed* per-page wire cost — compressed
@@ -22,7 +22,7 @@
 //!   and orders a fleet: FIFO (the legacy `migrate_many` behaviour) or
 //!   shortest-predicted-downtime-first, with bounded concurrency so the
 //!   link is shared by at most `max_concurrent` streams at a time.
-//! * [`predict_migration`] is the shared analytic round model used for
+//! * `predict_migration` is the shared analytic round model used for
 //!   scheduler ordering and the predicted-vs-actual telemetry in
 //!   [`crate::engine::FleetReport`].
 //!
@@ -37,7 +37,7 @@
 //!   NIC: the pre-copy stream only gets what the guests leave over (with
 //!   a TCP-fairness floor), so transfers stretch — and because the
 //!   engine feeds the stretched transfers straight into
-//!   [`PrecopyController::observe_round`], the throughput/drain
+//!   `PrecopyController::observe_round`, the throughput/drain
 //!   estimators and the budget→pages conversion degrade honestly under
 //!   contention instead of assuming an idle link.
 //! * [`TrafficCurve`] is the scheduler's view of one VM's deterministic
@@ -64,7 +64,7 @@ use crate::{MigrationConfig, WireMode};
 /// Bytes budgeted for the UISR blob in the stop-and-copy fixed-cost
 /// estimate. Real blobs for the simulated VMs are smaller; overestimating
 /// only makes the budget→pages conversion more conservative.
-pub const UISR_BYTES_ALLOWANCE: u64 = 4096;
+pub(crate) const UISR_BYTES_ALLOWANCE: u64 = 4096;
 
 /// Consecutive non-convergent rounds (dirtying ≥ 90% of the drain)
 /// before the detector acts.
@@ -87,7 +87,7 @@ const BUDGET_SAFETY: f64 = 2.0;
 /// start of every migration; observes each round; decides the stop
 /// threshold, the guest throttle and forced stops.
 #[derive(Debug, Clone)]
-pub struct PrecopyController {
+pub(crate) struct PrecopyController {
     auto_converge: bool,
     budget: Option<SimDuration>,
     static_threshold: u64,
@@ -156,7 +156,7 @@ impl PrecopyController {
 
     /// True when the non-convergence detector decided further rounds are
     /// pointless: go to stop-and-copy now.
-    pub fn force_stop(&self) -> bool {
+    pub(crate) fn force_stop(&self) -> bool {
         self.active && self.force_stop
     }
 
@@ -164,7 +164,7 @@ impl PrecopyController {
     /// non-convergence detector. `pages` were shipped as `wire_bytes`
     /// taking `transfer` on the link out of `duration` total; the guest
     /// dirtied `dirtied` pages meanwhile.
-    pub fn observe_round(
+    pub(crate) fn observe_round(
         &mut self,
         pages: u64,
         wire_bytes: u64,
@@ -234,7 +234,7 @@ impl PrecopyController {
     /// Taking the max lets good compression raise the allowance (cheap
     /// pages ⇒ more pages per millisecond) while (a) guarantees the
     /// conversion never goes below what raw frames could deliver.
-    pub fn budget_pages(&self) -> u64 {
+    pub(crate) fn budget_pages(&self) -> u64 {
         let Some(budget) = self.budget else {
             return self.static_threshold;
         };
@@ -260,7 +260,7 @@ impl PrecopyController {
     /// Resets every estimator and the non-convergence streak. Called when
     /// a link fault invalidated what the samples were measuring; the
     /// throttle is kept (it reflects state already applied to the guest).
-    pub fn reset_estimators(&mut self) {
+    pub(crate) fn reset_estimators(&mut self) {
         self.dirty_rate.reset();
         self.drain_rate.reset();
         self.throughput.reset();
@@ -399,7 +399,7 @@ impl TrafficCurve {
 
     /// Utilization (0..=1, fraction of peak) at `t` from the curve's
     /// epoch; wraps modulo the period.
-    pub fn utilization_at(&self, t: SimDuration) -> f64 {
+    pub(crate) fn utilization_at(&self, t: SimDuration) -> f64 {
         if self.peak_qps <= 0.0 {
             return 0.0;
         }
@@ -424,29 +424,6 @@ impl TrafficCurve {
     /// NIC bytes/second the workload puts on the shared link at `t`.
     pub fn bps_at(&self, t: SimDuration) -> f64 {
         self.qps_at(t) * self.bytes_per_query
-    }
-
-    /// Start offset (within one period, stepped at `step`) of the
-    /// `window`-long interval with the lowest mean utilization — the
-    /// VM's predicted low-QPS window. Deterministic first-minimum rule.
-    pub fn min_window_start(&self, window: SimDuration, step: SimDuration) -> SimDuration {
-        let p = self.period.as_nanos();
-        let s = step.as_nanos().max(1);
-        let mut best = (f64::INFINITY, SimDuration::ZERO);
-        let mut t = 0u64;
-        while t < p.max(1) {
-            let start = SimDuration::from_nanos(t);
-            let mid = start + SimDuration::from_nanos(window.as_nanos() / 2);
-            let u = (self.utilization_at(start)
-                + self.utilization_at(mid)
-                + self.utilization_at(start + window))
-                / 3.0;
-            if u < best.0 {
-                best = (u, start);
-            }
-            t += s;
-        }
-        best.1
     }
 }
 
@@ -484,7 +461,7 @@ pub struct SloVm {
 impl SloVm {
     /// True when migrating at `t` would violate the SLO: the offered
     /// load exceeds what the degraded guest can serve.
-    pub fn violates_at(&self, t: SimDuration) -> bool {
+    pub(crate) fn violates_at(&self, t: SimDuration) -> bool {
         self.traffic.utilization_at(t) > self.degraded_capacity.clamp(0.0, 1.0)
     }
 
@@ -643,7 +620,7 @@ impl FleetVm {
 
 /// Inputs of the analytic pre-copy round model.
 #[derive(Debug, Clone, Copy)]
-pub struct PredictInput<'a> {
+pub(crate) struct PredictInput<'a> {
     /// Guest pages of the VM.
     pub pages: u64,
     /// Guest dirty rate, pages/second.
@@ -670,7 +647,7 @@ pub struct PredictInput<'a> {
     pub contention: LinkContention,
 }
 
-/// Output of [`predict_migration`].
+/// Output of `predict_migration`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationPrediction {
     /// Predicted pre-copy rounds.
@@ -741,7 +718,7 @@ pub(crate) fn dirtied_pages(rate: f64, duration: SimDuration, pages: u64) -> u64
 /// Under [`WireMode::ContentAware`] page bytes scale by
 /// `compression_hint`. Used for scheduler ordering and predicted-vs-
 /// actual telemetry — a cheap model, not a promise.
-pub fn predict_migration(input: &PredictInput<'_>) -> MigrationPrediction {
+pub(crate) fn predict_migration(input: &PredictInput<'_>) -> MigrationPrediction {
     let cfg = input.config;
     let model = RoundModel {
         link: input.contention.contended(&cfg.link),
@@ -1101,10 +1078,6 @@ mod tests {
             sharp.utilization_at(SimDuration::from_secs(9 * 3600))
                 < c.utilization_at(SimDuration::from_secs(9 * 3600))
         );
-        // The min window lands in the trough.
-        let w = c.min_window_start(SimDuration::from_secs(600), SimDuration::from_secs(900));
-        let hours = w.as_secs_f64() / 3600.0;
-        assert!((16.0..20.0).contains(&hours), "min window at {hours}h");
         assert_eq!(TrafficCurve::IDLE.utilization_at(SimDuration::ZERO), 0.0);
     }
 

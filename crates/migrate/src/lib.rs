@@ -20,10 +20,10 @@
 //!   [`engine::migrate_fleet`], its convergence-aware generalisation
 //!   (bounded concurrency, predicted-downtime admission ordering).
 //! * [`control`] — the adaptive pre-copy control plane (PR 4):
-//!   [`control::PrecopyController`] with per-round EWMA estimators,
+//!   `control::PrecopyController` with per-round EWMA estimators,
 //!   downtime budgets and auto-converge throttling, plus the fleet
 //!   scheduler vocabulary ([`control::FleetPolicy`],
-//!   [`control::predict_migration`]).
+//!   `control::predict_migration`).
 //! * [`framing`] — the serialized wire format, the only form a frame
 //!   takes: [`framing::FrameRing`], the engine-owned reusable encode
 //!   buffer (begin/commit/rollback watermarks in lockstep with the
@@ -46,20 +46,13 @@ pub mod proxy;
 pub mod transport;
 pub mod wire;
 
-pub use control::{
-    predict_migration, FleetOrder, FleetPolicy, FleetVm, LinkContention, MigrationPrediction,
-    PrecopyController, PredictInput, SloVm, TrafficCurve, VmSloOutcome, UISR_BYTES_ALLOWANCE,
-};
+pub use control::{FleetOrder, FleetPolicy, FleetVm, LinkContention, SloVm, TrafficCurve};
 pub use engine::{
     migrate_fleet, migrate_many, EngineScratch, FleetReport, MigrationConfig, MigrationReport,
-    MigrationTp, RoundStats, ScratchStats, WireMode,
+    MigrationTp, ScratchStats, WireMode,
 };
-pub use framing::{FrameIter, FrameRing, FrameView};
+pub use framing::{FrameRing, FrameView};
 pub use network::{FrameKind, Link, WireStats};
-pub use proxy::{
-    guest_checksum, run_dest, run_source, vm_checksum, DestProxy, DestReport, ProxyReport,
-};
-pub use transport::{
-    InProcTransport, Transport, TransportError, UdsServerTransport, UdsTransport, MAX_FRAME_BYTES,
-};
+pub use proxy::{guest_checksum, run_dest, run_source, vm_checksum, DestProxy, ProxyReport};
+pub use transport::{InProcTransport, Transport, TransportError, UdsServerTransport, UdsTransport};
 pub use wire::{CacheStats, TransferCache, DEFAULT_CACHE_CAPACITY};

@@ -22,7 +22,7 @@ pub const WIRE_FRAME_HEADER: u64 = 16;
 
 /// Bytes of the 128-bit content digest carried by a [`FrameKind::Dup`]
 /// frame.
-pub const WIRE_DIGEST_BYTES: u64 = 16;
+pub(crate) const WIRE_DIGEST_BYTES: u64 = 16;
 
 /// The kind tag of a wire frame (accounting key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -74,7 +74,7 @@ impl FrameKind {
 
     /// Parses an on-wire tag byte; `None` for unknown tags (a corrupted
     /// or truncated frame, surfaced as an integrity fault, not a panic).
-    pub fn from_tag(tag: u8) -> Option<FrameKind> {
+    pub(crate) fn from_tag(tag: u8) -> Option<FrameKind> {
         FrameKind::ALL.get(tag as usize).copied()
     }
 }
@@ -158,7 +158,7 @@ impl WireStats {
     /// Records the dedup cache's state for this migration: final
     /// occupancy/capacity plus the eviction and hit/lookup deltas
     /// attributable to the migration.
-    pub fn record_cache(
+    pub(crate) fn record_cache(
         &mut self,
         occupancy: u64,
         capacity: u64,
@@ -261,19 +261,19 @@ impl Link {
     /// (~31 years). Finite so schedule arithmetic cannot overflow, but
     /// large enough that any plan preferring it over an alternative is
     /// obviously wrong.
-    pub const DEAD: SimDuration = SimDuration::from_secs(1_000_000_000);
+    pub(crate) const DEAD: SimDuration = SimDuration::from_secs(1_000_000_000);
 
     /// True when the link can actually move bytes (positive, finite
     /// effective rate). A zero-bandwidth or zero-efficiency link is
     /// unusable: planners must fall back to in-place upgrades.
-    pub fn is_usable(&self) -> bool {
+    pub(crate) fn is_usable(&self) -> bool {
         let rate = self.gbps * self.efficiency;
         rate.is_finite() && rate > 0.0
     }
 
     /// Time to transfer `bytes` when `sharers` flows share the link.
     ///
-    /// An unusable link (see [`Link::is_usable`]) returns [`Link::DEAD`]
+    /// An unusable link (see `Link::is_usable`) returns `Link::DEAD`
     /// instead of the silent zero that `f64` division would produce.
     pub fn transfer(&self, bytes: u64, sharers: u32) -> SimDuration {
         if !self.is_usable() {

@@ -33,14 +33,14 @@ use std::time::Duration;
 
 /// Defensive ceiling on a single frame (16 MiB): a corrupt length prefix
 /// fails fast instead of attempting a huge allocation.
-pub const MAX_FRAME_BYTES: u32 = 16 << 20;
+pub(crate) const MAX_FRAME_BYTES: u32 = 16 << 20;
 
 /// Transport failure modes.
 #[derive(Debug)]
 pub enum TransportError {
     /// The peer hung up (EOF / channel closed).
     Closed,
-    /// A length prefix exceeded [`MAX_FRAME_BYTES`].
+    /// A length prefix exceeded `MAX_FRAME_BYTES`.
     FrameTooLarge(u32),
     /// Underlying socket error.
     Io(std::io::Error),

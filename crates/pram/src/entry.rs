@@ -18,7 +18,7 @@
 use hypertp_machine::{Mfn, PageOrder};
 
 /// A packed page entry as stored in a node page.
-pub type PackedEntry = u64;
+pub(crate) type PackedEntry = u64;
 
 /// Number of bits reserved for the MFN (52 bits covers 2^52 frames —
 /// 16 EiB of physical memory, same headroom as x86-64 page tables).
@@ -32,7 +32,7 @@ const FLAGS_MASK: u64 = (1 << 6) - 1;
 
 /// Entry flag: the frame run holds guest memory (as opposed to reserved
 /// scratch used during restoration).
-pub const FLAG_GUEST: u8 = 1 << 0;
+pub(crate) const FLAG_GUEST: u8 = 1 << 0;
 
 /// Packs an (mfn, order, flags) triple into an 8-byte entry.
 ///
@@ -40,7 +40,7 @@ pub const FLAG_GUEST: u8 = 1 << 0;
 ///
 /// Panics if the MFN exceeds 52 bits, the order exceeds 6 bits, or the
 /// flags exceed the 6-bit flag field.
-pub fn pack_entry(mfn: Mfn, order: PageOrder, flags: u8) -> PackedEntry {
+pub(crate) fn pack_entry(mfn: Mfn, order: PageOrder, flags: u8) -> PackedEntry {
     assert!(mfn.0 <= MFN_MASK, "mfn {mfn} exceeds 52 bits");
     assert!((order.0 as u64) <= ORDER_MASK, "order exceeds 6 bits");
     assert!((flags as u64) <= FLAGS_MASK, "flags exceed 6 bits");
@@ -48,7 +48,7 @@ pub fn pack_entry(mfn: Mfn, order: PageOrder, flags: u8) -> PackedEntry {
 }
 
 /// Unpacks an 8-byte entry into (mfn, order, flags).
-pub fn unpack_entry(e: PackedEntry) -> (Mfn, PageOrder, u8) {
+pub(crate) fn unpack_entry(e: PackedEntry) -> (Mfn, PageOrder, u8) {
     let mfn = Mfn(e & MFN_MASK);
     let order = PageOrder(((e >> ORDER_SHIFT) & ORDER_MASK) as u8);
     let flags = (e >> FLAGS_SHIFT) as u8;

@@ -341,11 +341,6 @@ impl PramBuilder {
         self
     }
 
-    /// Number of files added so far.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Encodes the structure into metadata pages allocated from `ram` and
     /// returns the handle carrying the PRAM pointer.
     ///
@@ -646,11 +641,6 @@ impl PramImage {
         self.files.iter().map(PramFile::total_entries).sum()
     }
 
-    /// Total guest bytes covered by all files.
-    pub fn total_guest_bytes(&self) -> u64 {
-        self.files.iter().map(PramFile::total_bytes).sum()
-    }
-
     /// Looks up a file by name.
     pub fn file(&self, name: &str) -> Option<&PramFile> {
         self.files.iter().find(|f| f.name == name)
@@ -690,7 +680,7 @@ mod tests {
         assert_eq!(img.files[0].mode, 0o600);
         assert_eq!(img.files[0].mappings, map);
         assert_eq!(img.total_entries(), 8);
-        assert_eq!(img.total_guest_bytes(), 8 * HUGE_PAGE_SIZE);
+        assert_eq!(img.files[0].total_bytes(), 8 * HUGE_PAGE_SIZE);
     }
 
     #[test]

@@ -26,5 +26,4 @@
 pub mod entry;
 pub mod fs;
 
-pub use entry::{pack_entry, unpack_entry, PackedEntry};
 pub use fs::{PramBuilder, PramError, PramFile, PramHandle, PramImage, PramStats};

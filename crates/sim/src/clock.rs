@@ -60,16 +60,18 @@ impl SimClock {
         let out = f();
         (out, self.now().duration_since(start))
     }
-
-    /// Returns true if both handles reference the same underlying clock.
-    pub fn same_clock(&self, other: &SimClock) -> bool {
-        Arc::ptr_eq(&self.now_ns, &other.now_ns)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimClock {
+        /// True if both handles reference the same underlying clock.
+        fn same_clock(&self, other: &SimClock) -> bool {
+            Arc::ptr_eq(&self.now_ns, &other.now_ns)
+        }
+    }
 
     #[test]
     fn clones_share_time() {

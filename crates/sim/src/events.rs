@@ -95,11 +95,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|s| (s.at, s.payload))
     }
 
-    /// Returns the instant of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -109,20 +104,18 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drains all events scheduled at or before `t`, in order.
-    pub fn pop_until(&mut self, t: SimTime) -> Vec<(SimTime, E)> {
-        let mut out = Vec::new();
-        while self.peek_time().is_some_and(|at| at <= t) {
-            out.push(self.pop().expect("peeked event must pop"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<E> EventQueue<E> {
+        /// The instant of the earliest event, without removing it.
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|s| s.at)
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -143,18 +136,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pop_until_respects_bound() {
-        let mut q = EventQueue::new();
-        for i in 1..=10u64 {
-            q.schedule(SimTime::from_nanos(i * 10), i);
-        }
-        let drained = q.pop_until(SimTime::from_nanos(50));
-        assert_eq!(drained.len(), 5);
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(60)));
     }
 
     #[test]

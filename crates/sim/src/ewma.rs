@@ -60,11 +60,6 @@ impl Ewma {
         self.value.unwrap_or(default)
     }
 
-    /// True once at least one sample has been observed.
-    pub fn is_warm(&self) -> bool {
-        self.value.is_some()
-    }
-
     /// Discards the estimate (keeps alpha). Used when the underlying
     /// signal changed regime — e.g. a link drop invalidated what the
     /// samples were measuring.
@@ -88,11 +83,11 @@ mod tests {
     #[test]
     fn first_sample_initialises_directly() {
         let mut e = Ewma::new(0.25);
-        assert!(!e.is_warm());
+        assert!(e.value().is_none());
         assert_eq!(e.value(), None);
         assert_eq!(e.get_or(7.0), 7.0);
         assert_eq!(e.observe(100.0), 100.0);
-        assert!(e.is_warm());
+        assert!(e.value().is_some());
         assert_eq!(e.value(), Some(100.0));
     }
 
@@ -127,7 +122,7 @@ mod tests {
         // Even as the first sample.
         let mut f = Ewma::new(0.5);
         f.observe(f64::NAN);
-        assert!(!f.is_warm());
+        assert!(f.value().is_none());
     }
 
     #[test]
@@ -135,7 +130,7 @@ mod tests {
         let mut e = Ewma::new(0.125);
         e.observe(5.0);
         e.reset();
-        assert!(!e.is_warm());
+        assert!(e.value().is_none());
         assert_eq!(e.alpha(), 0.125);
         assert_eq!(e.observe(11.0), 11.0, "re-initialises directly");
     }

@@ -213,13 +213,6 @@ pub enum FaultEvent {
 }
 
 impl FaultEvent {
-    /// Global sequence number (order of occurrence across all points).
-    pub fn seq(&self) -> u64 {
-        match self {
-            FaultEvent::Injected { seq, .. } | FaultEvent::Recovered { seq, .. } => *seq,
-        }
-    }
-
     /// The injection point this event concerns.
     pub fn point(&self) -> InjectionPoint {
         match self {

@@ -14,7 +14,7 @@
 //! * [`events`] — a deterministic discrete-event queue.
 //! * [`rng`] — a small deterministic random number generator (SplitMix64)
 //!   so experiments are reproducible without external crates.
-//! * [`par`] — a model of parallel work execution (LPT makespan) used to
+//! * [`makespan`] — a model of parallel work execution (LPT makespan) used to
 //!   simulate the worker pools of the paper's "Parallelization" optimization.
 //! * [`cost`] — the calibrated cost model mapping operations to simulated
 //!   time (constants documented against the paper's reported numbers).
@@ -23,7 +23,7 @@
 //! * [`json`] — a dependency-free JSON encoder/decoder used for the UISR
 //!   debug codec and experiment output files.
 //! * [`pool`] — a real scoped worker pool executing batches of closures on
-//!   OS threads; the wall-clock counterpart of the [`par`] model.
+//!   OS threads; the wall-clock counterpart of the [`makespan`] model.
 //! * [`fault`] — seeded deterministic fault injection ([`fault::FaultPlan`])
 //!   with a structured [`fault::FaultLog`], used by the chaos test matrix
 //!   to exercise every recovery path in the transplant stack.
@@ -38,7 +38,7 @@ pub mod ewma;
 pub mod fault;
 pub mod hash;
 pub mod json;
-pub mod par;
+mod par;
 pub mod pool;
 pub mod rng;
 pub mod series;
@@ -52,7 +52,7 @@ pub use ewma::Ewma;
 pub use fault::{FaultEvent, FaultLog, FaultPlan, InjectionPoint, RecoveryAction};
 pub use hash::{digest_bytes, digest_pages_into, digest_words, Digest128};
 pub use json::Json;
-pub use par::{lpt_loads, makespan};
+pub use par::makespan;
 pub use pool::WorkerPool;
 pub use rng::SimRng;
 pub use series::TimeSeries;

@@ -49,7 +49,7 @@ pub fn makespan(tasks: &[SimDuration], workers: usize) -> SimDuration {
 /// # Panics
 ///
 /// Panics if `workers` is zero.
-pub fn lpt_loads(tasks: &[SimDuration], workers: usize) -> Vec<SimDuration> {
+pub(crate) fn lpt_loads(tasks: &[SimDuration], workers: usize) -> Vec<SimDuration> {
     assert!(workers > 0, "makespan requires at least one worker");
     if tasks.is_empty() {
         return Vec::new();
@@ -67,25 +67,6 @@ pub fn lpt_loads(tasks: &[SimDuration], workers: usize) -> Vec<SimDuration> {
         loads[idx] += t;
     }
     loads
-}
-
-/// Computes the makespan of `n` identical tasks of duration `each` over
-/// `workers` workers: `ceil(n / workers) * each`.
-pub fn makespan_uniform(n: usize, each: SimDuration, workers: usize) -> SimDuration {
-    assert!(workers > 0, "makespan requires at least one worker");
-    let rounds = n.div_ceil(workers) as u64;
-    each * rounds
-}
-
-/// Models the speedup of a partially parallel job (Amdahl's law): a fraction
-/// `serial` of `total` cannot be parallelized, the rest divides over
-/// `workers` workers.
-pub fn amdahl(total: SimDuration, serial: f64, workers: usize) -> SimDuration {
-    assert!(workers > 0, "amdahl requires at least one worker");
-    let serial = serial.clamp(0.0, 1.0);
-    let s = total.as_secs_f64() * serial;
-    let p = total.as_secs_f64() * (1.0 - serial) / workers as f64;
-    SimDuration::from_secs_f64(s + p)
 }
 
 #[cfg(test)]
@@ -167,26 +148,5 @@ mod tests {
             assert_eq!(sum, SimDuration::from_secs(17));
             assert_eq!(loads.iter().copied().max(), Some(makespan(&tasks, w)));
         }
-    }
-
-    #[test]
-    fn uniform_rounds() {
-        assert_eq!(
-            makespan_uniform(10, SimDuration::from_secs(1), 4),
-            SimDuration::from_secs(3)
-        );
-        assert_eq!(
-            makespan_uniform(0, SimDuration::from_secs(1), 4),
-            SimDuration::ZERO
-        );
-    }
-
-    #[test]
-    fn amdahl_limits() {
-        let t = SimDuration::from_secs(10);
-        assert_eq!(amdahl(t, 0.0, 1), t);
-        assert_eq!(amdahl(t, 1.0, 64), t);
-        // 20% serial, 8 workers: 2 + 1 = 3s.
-        assert_eq!(amdahl(t, 0.2, 8), SimDuration::from_secs(3));
     }
 }

@@ -1,7 +1,7 @@
 //! Real parallel execution for the transplant hot paths.
 //!
 //! The paper's §4.2.5 "Parallelization" optimization translates each VM's
-//! state on a separate thread. [`crate::par`] *models* that speedup in
+//! state on a separate thread. [`crate::makespan`] *models* that speedup in
 //! simulated time (LPT makespan); this module is its wall-clock
 //! counterpart: a scoped worker pool over [`std::thread::scope`] that runs
 //! a batch of independent tasks across the machine's hardware threads and

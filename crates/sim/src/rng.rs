@@ -61,11 +61,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Returns a normal sample with the given mean and standard deviation.
-    pub fn gen_normal_with(&mut self, mean: f64, stddev: f64) -> f64 {
-        mean + stddev * self.gen_normal()
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p.clamp(0.0, 1.0)
@@ -74,14 +69,6 @@ impl SimRng {
     /// Splits off an independent generator (for per-VM streams).
     pub fn split(&mut self) -> SimRng {
         SimRng::new(self.next_u64())
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 
     /// Samples `k` distinct indices from `0..n` (floyd's algorithm order is
@@ -166,17 +153,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "variance {var}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(5);
-        let mut xs: Vec<u32> = (0..64).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
-        assert_ne!(xs, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

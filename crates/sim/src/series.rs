@@ -100,15 +100,6 @@ impl TimeSeries {
         }
         best
     }
-
-    /// Renders the series as `time_s value` lines (gnuplot-friendly).
-    pub fn to_rows(&self) -> String {
-        let mut out = String::new();
-        for &(t, v) in &self.samples {
-            out.push_str(&format!("{:.3} {:.4}\n", t.as_secs_f64(), v));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -156,12 +147,5 @@ mod tests {
         s.push(t(1), 0.0);
         s.push(t(4), 0.0);
         assert_eq!(s.longest_run_below(0.5), SimDuration::from_secs(3));
-    }
-
-    #[test]
-    fn rows_format() {
-        let mut s = TimeSeries::new("x");
-        s.push(t(1), 2.5);
-        assert_eq!(s.to_rows(), "1.000 2.5000\n");
     }
 }

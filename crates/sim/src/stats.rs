@@ -1,61 +1,7 @@
 //! Summary statistics for experiment results.
 //!
 //! The paper reports averages when standard deviation is low and box plots
-//! otherwise (§5.2.1); [`Summary`] and [`BoxPlot`] implement both reductions.
-
-use crate::time::SimDuration;
-
-/// Mean / standard deviation / min / max of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub stddev: f64,
-    /// Minimum sample.
-    pub min: f64,
-    /// Maximum sample.
-    pub max: f64,
-    /// Number of samples.
-    pub n: usize,
-}
-
-impl Summary {
-    /// Computes a summary of `xs`. Returns `None` for an empty slice.
-    pub fn of(xs: &[f64]) -> Option<Summary> {
-        if xs.is_empty() {
-            return None;
-        }
-        let n = xs.len();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Some(Summary {
-            mean,
-            stddev: var.sqrt(),
-            min,
-            max,
-            n,
-        })
-    }
-
-    /// Computes a summary of durations, in seconds.
-    pub fn of_durations(ds: &[SimDuration]) -> Option<Summary> {
-        let xs: Vec<f64> = ds.iter().map(|d| d.as_secs_f64()).collect();
-        Summary::of(&xs)
-    }
-
-    /// Returns the coefficient of variation (stddev / mean), or 0 when the
-    /// mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean
-        }
-    }
-}
+//! otherwise (§5.2.1); [`Streaming`] and [`BoxPlot`] implement both reductions.
 
 /// Bounded-memory running aggregate: count / sum / min / max.
 ///
@@ -258,11 +204,6 @@ impl BoxPlot {
             max: v[v.len() - 1],
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Returns the `p`-th percentile (0..=100) of an already-sorted slice using
@@ -271,7 +212,7 @@ impl BoxPlot {
 /// # Panics
 ///
 /// Panics if `xs` is empty or `p` is outside `[0, 100]`.
-pub fn percentile_sorted(xs: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile p out of range");
     if xs.len() == 1 {
@@ -284,44 +225,13 @@ pub fn percentile_sorted(xs: &[f64], p: f64) -> f64 {
     xs[lo] + (xs[hi] - xs[lo]) * frac
 }
 
-/// Returns the `p`-th percentile of an unsorted slice.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
-    percentile_sorted(&v, p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn summary_basics() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.mean, 2.5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.n, 4);
-        assert!((s.stddev - 1.118033988749895).abs() < 1e-12);
-    }
-
-    #[test]
     fn summary_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
         assert!(BoxPlot::of(&[]).is_none());
-    }
-
-    #[test]
-    fn summary_of_durations() {
-        let ds = [SimDuration::from_secs(1), SimDuration::from_secs(3)];
-        let s = Summary::of_durations(&ds).unwrap();
-        assert_eq!(s.mean, 2.0);
-    }
-
-    #[test]
-    fn cv_handles_zero_mean() {
-        let s = Summary::of(&[0.0, 0.0]).unwrap();
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]
@@ -332,26 +242,25 @@ mod tests {
         assert_eq!(b.median, 3.0);
         assert_eq!(b.q3, 4.0);
         assert_eq!(b.max, 5.0);
-        assert_eq!(b.iqr(), 2.0);
     }
 
     #[test]
     fn percentile_interpolates() {
         let xs = [10.0, 20.0];
-        assert_eq!(percentile(&xs, 0.0), 10.0);
-        assert_eq!(percentile(&xs, 50.0), 15.0);
-        assert_eq!(percentile(&xs, 100.0), 20.0);
+        assert_eq!(percentile_sorted(&xs, 0.0), 10.0);
+        assert_eq!(percentile_sorted(&xs, 50.0), 15.0);
+        assert_eq!(percentile_sorted(&xs, 100.0), 20.0);
     }
 
     #[test]
     fn percentile_single_element() {
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
+        assert_eq!(percentile_sorted(&[7.0], 99.0), 7.0);
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
-        percentile(&[], 50.0);
+        percentile_sorted(&[], 50.0);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Returns true if the duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))

@@ -91,7 +91,7 @@ impl std::error::Error for CodecError {}
 ///
 /// Used by [`encode_into`] to pre-size the destination so the hot
 /// per-VM encode path performs at most one allocation.
-pub fn encoded_size(vm: &UisrVm) -> usize {
+pub(crate) fn encoded_size(vm: &UisrVm) -> usize {
     MAGIC.len() + VERSION.size() + vm.size()
 }
 
@@ -104,7 +104,7 @@ pub fn encode(vm: &UisrVm) -> Vec<u8> {
 
 /// Encodes into a caller-provided buffer, clearing it first.
 ///
-/// The buffer is grown at most once (to [`encoded_size`]), so a worker
+/// The buffer is grown at most once (to `encoded_size`), so a worker
 /// that encodes many VMs can reuse one allocation across calls.
 pub fn encode_into(vm: &UisrVm, buf: &mut Vec<u8>) {
     buf.clear();

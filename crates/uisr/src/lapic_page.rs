@@ -8,17 +8,17 @@
 //! page image.
 
 /// APIC ID register offset.
-pub const OFF_ID: usize = 0x20;
+pub(crate) const OFF_ID: usize = 0x20;
 /// Task priority register offset.
-pub const OFF_TPR: usize = 0x80;
+pub(crate) const OFF_TPR: usize = 0x80;
 /// Spurious interrupt vector register offset.
 pub const OFF_SVR: usize = 0xf0;
 /// LVT timer register offset.
-pub const OFF_LVT_TIMER: usize = 0x320;
+pub(crate) const OFF_LVT_TIMER: usize = 0x320;
 /// Timer initial count register offset.
 pub const OFF_TMICT: usize = 0x380;
 /// Timer current count register offset.
-pub const OFF_TMCCT: usize = 0x390;
+pub(crate) const OFF_TMCCT: usize = 0x390;
 /// Timer divide configuration register offset.
 pub const OFF_TDCR: usize = 0x3e0;
 
@@ -27,7 +27,7 @@ pub const OFF_TDCR: usize = 0x3e0;
 /// # Panics
 ///
 /// Panics if the page is shorter than `offset + 4`.
-pub fn read32(page: &[u8], offset: usize) -> u32 {
+pub(crate) fn read32(page: &[u8], offset: usize) -> u32 {
     u32::from_le_bytes(
         page[offset..offset + 4]
             .try_into()

@@ -71,11 +71,6 @@ pub fn state_mapping() -> &'static [MappingRow] {
     ]
 }
 
-/// Returns the UISR section names, in table order.
-pub fn uisr_sections() -> Vec<&'static str> {
-    state_mapping().iter().map(|r| r.uisr).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +119,7 @@ mod tests {
 
     #[test]
     fn sections_are_unique() {
-        let mut s = uisr_sections();
+        let mut s: Vec<&str> = state_mapping().iter().map(|r| r.uisr).collect();
         s.sort_unstable();
         s.dedup();
         assert_eq!(s.len(), state_mapping().len());

@@ -6,7 +6,7 @@
 
 /// Access vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessVector {
+pub(crate) enum AccessVector {
     /// Local access required.
     Local,
     /// Adjacent network.
@@ -17,7 +17,7 @@ pub enum AccessVector {
 
 /// Access complexity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessComplexity {
+pub(crate) enum AccessComplexity {
     /// High complexity.
     High,
     /// Medium complexity.
@@ -28,7 +28,7 @@ pub enum AccessComplexity {
 
 /// Authentication requirement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Authentication {
+pub(crate) enum Authentication {
     /// Multiple authentications.
     Multiple,
     /// Single authentication.
@@ -39,7 +39,7 @@ pub enum Authentication {
 
 /// Impact level for confidentiality/integrity/availability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Impact {
+pub(crate) enum Impact {
     /// No impact.
     None,
     /// Partial impact.
@@ -52,17 +52,17 @@ pub enum Impact {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CvssV2 {
     /// AV.
-    pub av: AccessVector,
+    pub(crate) av: AccessVector,
     /// AC.
-    pub ac: AccessComplexity,
+    pub(crate) ac: AccessComplexity,
     /// Au.
-    pub au: Authentication,
+    pub(crate) au: Authentication,
     /// C.
-    pub c: Impact,
+    pub(crate) c: Impact,
     /// I.
-    pub i: Impact,
+    pub(crate) i: Impact,
     /// A.
-    pub a: Impact,
+    pub(crate) a: Impact,
 }
 
 /// Severity bands used throughout the paper (§2).
@@ -131,7 +131,7 @@ impl CvssV2 {
 }
 
 /// Maps a numeric score to the paper's bands.
-pub fn severity_of(score: f64) -> Severity {
+pub(crate) fn severity_of(score: f64) -> Severity {
     if score >= 7.0 {
         Severity::Critical
     } else if score >= 4.0 {

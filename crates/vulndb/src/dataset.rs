@@ -94,7 +94,7 @@ impl Vulnerability {
 /// Table 1 counts: (year, xen_crit, xen_med, kvm_crit, kvm_med,
 /// common_crit, common_med). Common entries are included in both sides'
 /// counts.
-pub const TABLE1_COUNTS: [(u16, u32, u32, u32, u32, u32, u32); 7] = [
+pub(crate) const TABLE1_COUNTS: [(u16, u32, u32, u32, u32, u32, u32); 7] = [
     (2013, 3, 38, 3, 21, 0, 0),
     (2014, 4, 27, 1, 12, 0, 0),
     (2015, 11, 20, 1, 4, 1, 2),
@@ -115,7 +115,7 @@ const MED_VECTOR: &str = "AV:L/AC:L/Au:N/C:N/I:N/A:C";
 /// The KVM vulnerability windows reconstructed from the Red Hat tracker
 /// (§2.2): 24 values, mean 71 days, 15/24 (62.5%) above 60 days, max 180,
 /// min 8.
-pub const KVM_WINDOWS: [u32; 24] = [
+pub(crate) const KVM_WINDOWS: [u32; 24] = [
     8, 14, 21, 30, 35, 40, 45, 52, 58, 61, 63, 65, 70, 75, 77, 80, 85, 90, 95, 100, 110, 120, 130,
     180,
 ];
@@ -130,12 +130,12 @@ fn med() -> CvssV2 {
 
 /// The canonical critical vector (score 7.2), parsed — the scorer the
 /// synthesized records and the [`crate::feed`] stream share.
-pub fn critical_cvss() -> CvssV2 {
+pub(crate) fn critical_cvss() -> CvssV2 {
     crit()
 }
 
 /// The canonical medium vector (score 4.9), parsed.
-pub fn medium_cvss() -> CvssV2 {
+pub(crate) fn medium_cvss() -> CvssV2 {
     med()
 }
 
@@ -143,7 +143,7 @@ pub fn medium_cvss() -> CvssV2 {
 /// critical), parsed — the [`crate::feed`] stream's contested middle:
 /// surface weighting decides which side of the critical cutoff these
 /// land on.
-pub fn high_cvss() -> CvssV2 {
+pub(crate) fn high_cvss() -> CvssV2 {
     CvssV2::parse(HIGH_VECTOR).expect("valid vector")
 }
 

@@ -143,7 +143,7 @@ impl SurfaceWeights {
 
     /// CVSS base score adjusted by the surface weight, clamped to the
     /// CVSS scale. With uniform weights this is exactly the base score.
-    pub fn effective_score(&self, cvss: &CvssV2, surface: AttackSurface) -> f64 {
+    pub(crate) fn effective_score(&self, cvss: &CvssV2, surface: AttackSurface) -> f64 {
         (cvss.base_score() * self.weight(surface)).clamp(0.0, 10.0)
     }
 

@@ -17,7 +17,7 @@
 //! ≈37% faster on KVM than Xen for the fig. 11 configuration; MySQL
 //! latency +252% during migration).
 //!
-//! Modules: [`profiles`] (per-workload parameters), [`timeline`]
+//! Modules: [`WorkloadProfile`] (per-workload parameters), [`timeline`]
 //! (QPS/latency series for Figs. 11–12), [`spec`] (Table 5),
 //! [`darknet`] (Table 6), [`runner`] (drives a real transplant/migration
 //! on the simulated machines and assembles the series), [`slo`] (per-VM
@@ -25,7 +25,7 @@
 //! SLO-aware fleet scheduler).
 
 pub mod darknet;
-pub mod profiles;
+mod profiles;
 pub mod runner;
 pub mod slo;
 pub mod spec;
@@ -33,4 +33,3 @@ pub mod timeline;
 
 pub use profiles::WorkloadProfile;
 pub use slo::{derive_curve, SloSpec, TrafficModel, VmTraffic};
-pub use timeline::{latency_series, qps_series, Disruption};

@@ -15,13 +15,13 @@
 //!   aggregate over a simulated 24 h day.
 //!
 //! The model distills to the scheduler-facing types in
-//! `hypertp-migrate` ([`TrafficCurve`], [`SloVm`]): `workloads` knows
+//! `hypertp-migrate` ([`TrafficCurve`], [`SloVm`](hypertp_migrate::SloVm)): `workloads` knows
 //! *why* a VM is hot (its workload class), `migrate` only needs to know
 //! *when* and *how much*. Everything is pure arithmetic over the seed —
 //! no wall clock, no global state — so fleets, schedules and benchmarks
 //! built on it are byte-identical across runs and worker counts.
 
-use hypertp_migrate::{SloVm, TrafficCurve};
+use hypertp_migrate::TrafficCurve;
 use hypertp_sim::{SimDuration, SimRng};
 
 use crate::profiles::{MetricKind, WorkloadProfile};
@@ -41,7 +41,7 @@ pub struct SloSpec {
 
 impl SloSpec {
     /// Daily error budget of the default objective (0.25% of 24 h).
-    pub const DEFAULT_BUDGET: SimDuration = SimDuration::from_secs(216);
+    pub(crate) const DEFAULT_BUDGET: SimDuration = SimDuration::from_secs(216);
 
     /// Derives the SLO a workload class would realistically sign up
     /// for. Latency-metric workloads target 3× their calibrated
@@ -50,7 +50,7 @@ impl SloSpec {
     /// `migration_degradation` leaves, tightened another 10% when the
     /// p99 target is strict (< 10 ms) — a latency SLO blows before the
     /// throughput knee is reached.
-    pub fn for_profile(profile: &WorkloadProfile) -> Self {
+    pub(crate) fn for_profile(profile: &WorkloadProfile) -> Self {
         let p99 = match profile.metric {
             MetricKind::Latency => profile.baseline_xen * 3.0,
             MetricKind::Throughput => 50.0,
@@ -110,24 +110,6 @@ pub struct VmTraffic {
     pub spec: SloSpec,
 }
 
-impl VmTraffic {
-    /// Distills this VM's traffic + SLO into the scheduler-facing form
-    /// consumed by `migrate_fleet`.
-    pub fn slo_vm(&self) -> SloVm {
-        SloVm {
-            traffic: self.curve,
-            degraded_capacity: self.spec.degraded_capacity,
-            error_budget: self.spec.error_budget,
-        }
-    }
-
-    /// True when the VM serves any traffic at all (idle-class VMs get a
-    /// flat zero curve and need no SLO attachment).
-    pub fn serves_traffic(&self) -> bool {
-        self.curve.peak_qps > 0.0
-    }
-}
-
 /// The fleet's deterministic diurnal traffic mix: one [`VmTraffic`] per
 /// VM, every parameter drawn from the construction seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,7 +127,7 @@ impl TrafficModel {
     /// small HTTP response with headers; at video-stream peak
     /// (≈4 kQPS × multiplier) that is an appreciable slice of a
     /// gigabit link — the contention the scheduler must respect.
-    pub const BYTES_PER_QUERY: f64 = 20_000.0;
+    pub(crate) const BYTES_PER_QUERY: f64 = 20_000.0;
 
     /// An empty mix over a 24 h day.
     pub fn new(seed: u64) -> Self {
@@ -154,12 +136,6 @@ impl TrafficModel {
             seed,
             vms: Vec::new(),
         }
-    }
-
-    /// Builder-style: override the day length (tests compress it).
-    pub fn with_day(mut self, day: SimDuration) -> Self {
-        self.day = day;
-        self
     }
 
     /// Appends one VM running `profile`. Every curve parameter is a
@@ -187,26 +163,47 @@ impl TrafficModel {
         }
         model
     }
-
-    /// Aggregate offered load at `t`, queries/second.
-    pub fn total_qps_at(&self, t: SimDuration) -> f64 {
-        self.vms.iter().map(|v| v.curve.qps_at(t)).sum()
-    }
-
-    /// Aggregate peak capacity (the "million users" scale check).
-    pub fn total_peak_qps(&self) -> f64 {
-        self.vms.iter().map(|v| v.curve.peak_qps).sum()
-    }
-
-    /// Number of VMs serving measurable traffic.
-    pub fn serving_count(&self) -> usize {
-        self.vms.iter().filter(|v| v.serves_traffic()).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypertp_migrate::SloVm;
+
+    impl VmTraffic {
+        /// Distills this VM's traffic + SLO into the scheduler-facing form
+        /// consumed by `migrate_fleet`.
+        fn slo_vm(&self) -> SloVm {
+            SloVm {
+                traffic: self.curve,
+                degraded_capacity: self.spec.degraded_capacity,
+                error_budget: self.spec.error_budget,
+            }
+        }
+
+        /// True when the VM serves any traffic at all (idle-class VMs get a
+        /// flat zero curve and need no SLO attachment).
+        fn serves_traffic(&self) -> bool {
+            self.curve.peak_qps > 0.0
+        }
+    }
+
+    impl TrafficModel {
+        /// Aggregate offered load at `t`, queries/second.
+        fn total_qps_at(&self, t: SimDuration) -> f64 {
+            self.vms.iter().map(|v| v.curve.qps_at(t)).sum()
+        }
+
+        /// Aggregate peak capacity (the "million users" scale check).
+        fn total_peak_qps(&self) -> f64 {
+            self.vms.iter().map(|v| v.curve.peak_qps).sum()
+        }
+
+        /// Number of VMs serving measurable traffic.
+        fn serving_count(&self) -> usize {
+            self.vms.iter().filter(|v| v.serves_traffic()).count()
+        }
+    }
 
     #[test]
     fn slo_spec_follows_the_profile() {

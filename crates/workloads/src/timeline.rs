@@ -110,7 +110,7 @@ fn series(
 }
 
 /// Generates a once-per-second throughput (QPS) series.
-pub fn qps_series(
+pub(crate) fn qps_series(
     profile: &WorkloadProfile,
     hv_before: HypervisorKind,
     hv_after: HypervisorKind,
@@ -130,7 +130,7 @@ pub fn qps_series(
 }
 
 /// Generates a once-per-second latency series (milliseconds).
-pub fn latency_series(
+pub(crate) fn latency_series(
     profile: &WorkloadProfile,
     hv_before: HypervisorKind,
     hv_after: HypervisorKind,

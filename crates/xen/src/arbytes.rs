@@ -39,7 +39,7 @@ pub fn pack(seg: &SegmentRegister) -> u32 {
 /// Unpacks a VMX access-rights word into segment attribute fields,
 /// returning a segment with zeroed base/limit/selector (the caller fills
 /// those from the adjacent record fields).
-pub fn unpack(ar: u32) -> SegmentRegister {
+pub(crate) fn unpack(ar: u32) -> SegmentRegister {
     SegmentRegister {
         base: 0,
         limit: 0,
@@ -56,10 +56,10 @@ pub fn unpack(ar: u32) -> SegmentRegister {
 }
 
 /// The access-rights word of a flat 64-bit kernel code segment.
-pub const AR_CODE64: u32 = 0xa09b;
+pub(crate) const AR_CODE64: u32 = 0xa09b;
 
 /// The access-rights word of a flat data segment.
-pub const AR_DATA: u32 = 0xc093;
+pub(crate) const AR_DATA: u32 = 0xc093;
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,7 @@ use crate::p2m::P2m;
 
 /// One virtual CPU with Xen's state containers.
 #[derive(Debug, Clone)]
-pub struct XenVcpu {
+pub(crate) struct XenVcpu {
     /// The CPU save record.
     pub hw: HvmHwCpu,
     /// LAPIC bookkeeping.
@@ -80,27 +80,27 @@ impl XenVcpu {
 #[derive(Debug)]
 pub struct Domain {
     /// Domain id.
-    pub domid: u32,
+    pub(crate) domid: u32,
     /// Cross-hypervisor configuration.
-    pub config: VmConfig,
+    pub(crate) config: VmConfig,
     /// Lifecycle state.
-    pub state: VmState,
+    pub(crate) state: VmState,
     /// Virtual CPUs.
-    pub vcpus: Vec<XenVcpu>,
+    pub(crate) vcpus: Vec<XenVcpu>,
     /// Physical-to-machine table.
-    pub p2m: P2m,
+    pub(crate) p2m: P2m,
     /// Virtual IOAPIC (48 pins).
     pub ioapic: HvmHwIoapic,
     /// Virtual PIT.
-    pub pit: HvmHwPit,
+    pub(crate) pit: HvmHwPit,
     /// Event channels.
-    pub evtchn: EventChannels,
+    pub(crate) evtchn: EventChannels,
     /// Grant table.
-    pub grants: GrantTable,
+    pub(crate) grants: GrantTable,
     /// Emulated/pass-through devices.
-    pub devices: Vec<DeviceState>,
+    pub(crate) devices: Vec<DeviceState>,
     /// Per-domain deterministic stream for guest activity.
-    pub rng: SimRng,
+    pub(crate) rng: SimRng,
 }
 
 impl Domain {
@@ -138,7 +138,7 @@ impl Domain {
                 mac: [0x00, 0x16, 0x3e, 0, 0, domid as u8], // Xen OUI.
                 unplugged: false,
             });
-            grants.grant_access(0, Gfn(1), false); // vif ring page.
+            grants.grant_access(); // vif ring page.
         }
         devices.push(DeviceState::Block {
             backend: config.storage_backend.clone(),
@@ -163,7 +163,7 @@ impl Domain {
 
     /// Serializes the domain's platform state as an HVM context stream
     /// (`xc_domain_hvm_getcontext`).
-    pub fn hvm_context_save(&self) -> Vec<u8> {
+    pub(crate) fn hvm_context_save(&self) -> Vec<u8> {
         let mut records = Vec::new();
         for (i, v) in self.vcpus.iter().enumerate() {
             let inst = i as u16;
@@ -180,7 +180,7 @@ impl Domain {
 
     /// VMi State footprint in bytes (Fig. 2 accounting): platform state
     /// containers plus P2M metadata plus per-VM PV machinery.
-    pub fn vmi_state_bytes(&self) -> u64 {
+    pub(crate) fn vmi_state_bytes(&self) -> u64 {
         let per_vcpu = 1024
             + 32
             + LAPIC_REGS_SIZE as u64

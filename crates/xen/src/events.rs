@@ -3,69 +3,16 @@
 //! §2.1 notes that 38.4% of Xen's critical vulnerabilities live in PV
 //! mechanisms such as event channels and hypercalls — which is much of why
 //! transplanting *away* from Xen during a vulnerability window is
-//! attractive. The model implements the allocate/bind/send/close port
-//! lifecycle; ports are per-domain *VMi State* that is re-established by
-//! device reconnection rather than translated (the §4.2.3 unplug/replug
-//! strategy).
+//! attractive. The model allocates the unbound ports a domain is created
+//! with; ports are per-domain *VMi State* that is re-established by device
+//! reconnection rather than translated (the §4.2.3 unplug/replug strategy).
 
-/// State of one event channel port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PortState {
-    /// Allocated, waiting for a remote domain to bind.
-    Unbound {
-        /// Domain allowed to bind.
-        remote_domid: u32,
-    },
-    /// Connected to a remote domain's port.
-    Interdomain {
-        /// Peer domain.
-        remote_domid: u32,
-        /// Peer port number.
-        remote_port: u32,
-    },
-    /// Bound to a virtual IRQ.
-    Virq {
-        /// VIRQ number.
-        virq: u32,
-    },
-}
-
-/// A domain's event channel table.
+/// A domain's event channel table: the ports libxl allocates unbound at
+/// domain creation, each naming the remote domain allowed to bind it.
 #[derive(Debug, Clone, Default)]
-pub struct EventChannels {
-    ports: Vec<Option<PortState>>,
-    pending: Vec<bool>,
+pub(crate) struct EventChannels {
+    ports: Vec<u32>,
 }
-
-/// Errors from event channel operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvtchnError {
-    /// Port number out of range or closed.
-    InvalidPort(u32),
-    /// Bind attempted by a domain other than the designated remote.
-    BadRemote {
-        /// The designated remote.
-        expected: u32,
-        /// The caller.
-        got: u32,
-    },
-    /// Port is not in a bindable state.
-    NotUnbound(u32),
-}
-
-impl std::fmt::Display for EvtchnError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EvtchnError::InvalidPort(p) => write!(f, "invalid event channel port {p}"),
-            EvtchnError::BadRemote { expected, got } => {
-                write!(f, "bind from domain {got}, expected {expected}")
-            }
-            EvtchnError::NotUnbound(p) => write!(f, "port {p} is not unbound"),
-        }
-    }
-}
-
-impl std::error::Error for EvtchnError {}
 
 impl EventChannels {
     /// Creates an empty table.
@@ -75,88 +22,15 @@ impl EventChannels {
 
     /// Allocates an unbound port that `remote_domid` may bind
     /// (`EVTCHNOP_alloc_unbound`).
-    pub fn alloc_unbound(&mut self, remote_domid: u32) -> u32 {
+    pub(crate) fn alloc_unbound(&mut self, remote_domid: u32) -> u32 {
         let port = self.ports.len() as u32;
-        self.ports.push(Some(PortState::Unbound { remote_domid }));
-        self.pending.push(false);
+        self.ports.push(remote_domid);
         port
-    }
-
-    /// Completes an interdomain binding (`EVTCHNOP_bind_interdomain`).
-    pub fn bind_interdomain(
-        &mut self,
-        port: u32,
-        caller_domid: u32,
-        remote_port: u32,
-    ) -> Result<(), EvtchnError> {
-        let slot = self
-            .ports
-            .get_mut(port as usize)
-            .and_then(|s| s.as_mut())
-            .ok_or(EvtchnError::InvalidPort(port))?;
-        match *slot {
-            PortState::Unbound { remote_domid } if remote_domid == caller_domid => {
-                *slot = PortState::Interdomain {
-                    remote_domid,
-                    remote_port,
-                };
-                Ok(())
-            }
-            PortState::Unbound { remote_domid } => Err(EvtchnError::BadRemote {
-                expected: remote_domid,
-                got: caller_domid,
-            }),
-            _ => Err(EvtchnError::NotUnbound(port)),
-        }
-    }
-
-    /// Binds a port to a virtual IRQ (`EVTCHNOP_bind_virq`).
-    pub fn bind_virq(&mut self, virq: u32) -> u32 {
-        let port = self.ports.len() as u32;
-        self.ports.push(Some(PortState::Virq { virq }));
-        self.pending.push(false);
-        port
-    }
-
-    /// Raises an event on a port (`EVTCHNOP_send`).
-    pub fn send(&mut self, port: u32) -> Result<(), EvtchnError> {
-        if self.ports.get(port as usize).and_then(|s| *s).is_none() {
-            return Err(EvtchnError::InvalidPort(port));
-        }
-        self.pending[port as usize] = true;
-        Ok(())
-    }
-
-    /// Consumes a pending event, returning whether one was pending.
-    pub fn consume(&mut self, port: u32) -> Result<bool, EvtchnError> {
-        if self.ports.get(port as usize).and_then(|s| *s).is_none() {
-            return Err(EvtchnError::InvalidPort(port));
-        }
-        Ok(std::mem::take(&mut self.pending[port as usize]))
-    }
-
-    /// Closes a port (`EVTCHNOP_close`).
-    pub fn close(&mut self, port: u32) -> Result<(), EvtchnError> {
-        let slot = self
-            .ports
-            .get_mut(port as usize)
-            .ok_or(EvtchnError::InvalidPort(port))?;
-        if slot.is_none() {
-            return Err(EvtchnError::InvalidPort(port));
-        }
-        *slot = None;
-        self.pending[port as usize] = false;
-        Ok(())
-    }
-
-    /// Number of open ports.
-    pub fn open_ports(&self) -> usize {
-        self.ports.iter().flatten().count()
     }
 
     /// Approximate memory footprint in bytes (VM Management State
     /// accounting).
-    pub fn footprint_bytes(&self) -> u64 {
+    pub(crate) fn footprint_bytes(&self) -> u64 {
         (self.ports.len() * 16) as u64
     }
 }
@@ -165,51 +39,10 @@ impl EventChannels {
 mod tests {
     use super::*;
 
-    #[test]
-    fn alloc_bind_send_consume() {
-        let mut e = EventChannels::new();
-        let p = e.alloc_unbound(5);
-        e.bind_interdomain(p, 5, 9).unwrap();
-        e.send(p).unwrap();
-        assert!(e.consume(p).unwrap());
-        assert!(!e.consume(p).unwrap());
-        assert_eq!(e.open_ports(), 1);
-    }
-
-    #[test]
-    fn wrong_remote_rejected() {
-        let mut e = EventChannels::new();
-        let p = e.alloc_unbound(5);
-        assert_eq!(
-            e.bind_interdomain(p, 6, 0),
-            Err(EvtchnError::BadRemote {
-                expected: 5,
-                got: 6
-            })
-        );
-    }
-
-    #[test]
-    fn double_bind_rejected() {
-        let mut e = EventChannels::new();
-        let p = e.alloc_unbound(5);
-        e.bind_interdomain(p, 5, 0).unwrap();
-        assert_eq!(e.bind_interdomain(p, 5, 0), Err(EvtchnError::NotUnbound(p)));
-    }
-
-    #[test]
-    fn closed_port_invalid() {
-        let mut e = EventChannels::new();
-        let p = e.bind_virq(3);
-        e.close(p).unwrap();
-        assert_eq!(e.send(p), Err(EvtchnError::InvalidPort(p)));
-        assert_eq!(e.close(p), Err(EvtchnError::InvalidPort(p)));
-        assert_eq!(e.open_ports(), 0);
-    }
-
-    #[test]
-    fn out_of_range_port() {
-        let mut e = EventChannels::new();
-        assert_eq!(e.send(42), Err(EvtchnError::InvalidPort(42)));
+    impl EventChannels {
+        /// Number of open ports.
+        pub(crate) fn open_ports(&self) -> usize {
+            self.ports.len()
+        }
     }
 }

@@ -7,55 +7,11 @@
 //! translation. The model tracks grants and refuses transplant-time
 //! teardown while any mapping is active.
 
-use hypertp_machine::Gfn;
-
-/// One grant table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrantEntry {
-    /// Domain allowed to map the page.
-    pub domid: u32,
-    /// The granted guest frame.
-    pub gfn: Gfn,
-    /// Whether the peer may only read.
-    pub readonly: bool,
-    /// Active mapping count.
-    pub mapped: u32,
-}
-
-/// Errors from grant operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrantError {
-    /// Reference out of range or revoked.
-    BadRef(u32),
-    /// Mapping attempted by a domain the grant doesn't name.
-    NotPermitted {
-        /// The domain the grant names.
-        expected: u32,
-        /// The caller.
-        got: u32,
-    },
-    /// End-access attempted while mappings are active.
-    StillMapped(u32),
-}
-
-impl std::fmt::Display for GrantError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GrantError::BadRef(r) => write!(f, "bad grant reference {r}"),
-            GrantError::NotPermitted { expected, got } => {
-                write!(f, "grant map by domain {got}, granted to {expected}")
-            }
-            GrantError::StillMapped(r) => write!(f, "grant {r} still mapped"),
-        }
-    }
-}
-
-impl std::error::Error for GrantError {}
-
-/// A domain's grant table.
+/// A domain's grant table: the active mapping count of each grant
+/// reference.
 #[derive(Debug, Clone, Default)]
-pub struct GrantTable {
-    entries: Vec<Option<GrantEntry>>,
+pub(crate) struct GrantTable {
+    mapped: Vec<u32>,
 }
 
 impl GrantTable {
@@ -64,94 +20,34 @@ impl GrantTable {
         GrantTable::default()
     }
 
-    /// Grants `domid` access to `gfn`, returning the grant reference.
-    pub fn grant_access(&mut self, domid: u32, gfn: Gfn, readonly: bool) -> u32 {
-        let gref = self.entries.len() as u32;
-        self.entries.push(Some(GrantEntry {
-            domid,
-            gfn,
-            readonly,
-            mapped: 0,
-        }));
+    /// Grants dom0's backends access to a guest page, returning the grant
+    /// reference.
+    pub(crate) fn grant_access(&mut self) -> u32 {
+        let gref = self.mapped.len() as u32;
+        self.mapped.push(0);
         gref
-    }
-
-    /// Maps a granted page from `caller_domid`, returning the GFN.
-    pub fn map(&mut self, gref: u32, caller_domid: u32) -> Result<Gfn, GrantError> {
-        let e = self
-            .entries
-            .get_mut(gref as usize)
-            .and_then(|e| e.as_mut())
-            .ok_or(GrantError::BadRef(gref))?;
-        if e.domid != caller_domid {
-            return Err(GrantError::NotPermitted {
-                expected: e.domid,
-                got: caller_domid,
-            });
-        }
-        e.mapped += 1;
-        Ok(e.gfn)
-    }
-
-    /// Unmaps a previously mapped grant.
-    pub fn unmap(&mut self, gref: u32) -> Result<(), GrantError> {
-        let e = self
-            .entries
-            .get_mut(gref as usize)
-            .and_then(|e| e.as_mut())
-            .ok_or(GrantError::BadRef(gref))?;
-        if e.mapped == 0 {
-            return Err(GrantError::BadRef(gref));
-        }
-        e.mapped -= 1;
-        Ok(())
-    }
-
-    /// Revokes a grant (`gnttab_end_foreign_access`); fails while mapped.
-    pub fn end_access(&mut self, gref: u32) -> Result<(), GrantError> {
-        let slot = self
-            .entries
-            .get_mut(gref as usize)
-            .ok_or(GrantError::BadRef(gref))?;
-        match slot {
-            Some(e) if e.mapped > 0 => Err(GrantError::StillMapped(gref)),
-            Some(_) => {
-                *slot = None;
-                Ok(())
-            }
-            None => Err(GrantError::BadRef(gref)),
-        }
     }
 
     /// Forcibly unmaps every active mapping (backend teardown during the
     /// §4.2.3 device pause). Returns the number of mappings released.
-    pub fn unmap_all(&mut self) -> usize {
+    pub(crate) fn unmap_all(&mut self) -> usize {
         let mut released = 0;
-        for e in self.entries.iter_mut().flatten() {
-            released += e.mapped as usize;
-            e.mapped = 0;
+        for m in &mut self.mapped {
+            released += *m as usize;
+            *m = 0;
         }
         released
     }
 
     /// Number of grants with active mappings — must be zero before a
     /// transplant may proceed past device pause.
-    pub fn active_mappings(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| e.mapped > 0)
-            .count()
-    }
-
-    /// Number of live grant entries.
-    pub fn live_entries(&self) -> usize {
-        self.entries.iter().flatten().count()
+    pub(crate) fn active_mappings(&self) -> usize {
+        self.mapped.iter().filter(|&&m| m > 0).count()
     }
 
     /// Approximate footprint in bytes.
-    pub fn footprint_bytes(&self) -> u64 {
-        (self.entries.len() * 24) as u64
+    pub(crate) fn footprint_bytes(&self) -> u64 {
+        (self.mapped.len() * 24) as u64
     }
 }
 
@@ -159,37 +55,10 @@ impl GrantTable {
 mod tests {
     use super::*;
 
-    #[test]
-    fn grant_map_unmap_end() {
-        let mut g = GrantTable::new();
-        let r = g.grant_access(0, Gfn(42), false);
-        assert_eq!(g.map(r, 0).unwrap(), Gfn(42));
-        assert_eq!(g.active_mappings(), 1);
-        assert_eq!(g.end_access(r), Err(GrantError::StillMapped(r)));
-        g.unmap(r).unwrap();
-        assert_eq!(g.active_mappings(), 0);
-        g.end_access(r).unwrap();
-        assert_eq!(g.live_entries(), 0);
-        assert_eq!(g.map(r, 0), Err(GrantError::BadRef(r)));
-    }
-
-    #[test]
-    fn wrong_domain_rejected() {
-        let mut g = GrantTable::new();
-        let r = g.grant_access(3, Gfn(1), true);
-        assert_eq!(
-            g.map(r, 4),
-            Err(GrantError::NotPermitted {
-                expected: 3,
-                got: 4
-            })
-        );
-    }
-
-    #[test]
-    fn unmap_without_map_rejected() {
-        let mut g = GrantTable::new();
-        let r = g.grant_access(0, Gfn(1), false);
-        assert_eq!(g.unmap(r), Err(GrantError::BadRef(r)));
+    impl GrantTable {
+        /// A backend maps the granted page.
+        pub(crate) fn map(&mut self, gref: u32) {
+            self.mapped[gref as usize] += 1;
+        }
     }
 }

@@ -12,9 +12,9 @@ use crate::hvm_types::{
 };
 
 /// Record typecodes (Xen's `HVM_SAVE_CODE(...)` values).
-pub mod typecode {
+pub(crate) mod typecode {
     /// Stream header.
-    pub const HEADER: u16 = 1;
+    pub(crate) const HEADER: u16 = 1;
     /// Per-vCPU CPU state.
     pub const CPU: u16 = 2;
     /// Virtual IOAPIC.
@@ -30,12 +30,12 @@ pub mod typecode {
     /// Per-vCPU XSAVE area.
     pub const XSAVE: u16 = 16;
     /// End of stream.
-    pub const END: u16 = 0;
+    pub(crate) const END: u16 = 0;
 }
 
 /// Stream header (Xen's `hvm_save_header`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HvmSaveHeader {
+pub(crate) struct HvmSaveHeader {
     /// Magic value ("HVM2" little-endian).
     pub magic: u32,
     /// Xen version that produced the stream.
@@ -49,7 +49,7 @@ pub struct HvmSaveHeader {
 }
 
 /// The header magic: "HVM2".
-pub const HVM_MAGIC: u32 = 0x3254_4d48;
+pub(crate) const HVM_MAGIC: u32 = 0x3254_4d48;
 
 impl Default for HvmSaveHeader {
     fn default() -> Self {
@@ -65,7 +65,7 @@ impl Default for HvmSaveHeader {
 
 /// One parsed record from an HVM context stream.
 #[derive(Debug, Clone, PartialEq)]
-pub enum HvmRecord {
+pub(crate) enum HvmRecord {
     /// Stream header.
     Header(HvmSaveHeader),
     /// Per-vCPU CPU state; the `u16` is the vCPU instance.
@@ -86,7 +86,7 @@ pub enum HvmRecord {
 
 /// Errors from HVM context parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ContextError {
+pub(crate) enum ContextError {
     /// Stream shorter than a descriptor or record body.
     Truncated,
     /// Missing or malformed header.
@@ -212,7 +212,7 @@ fn put_cpu(w: &mut W, c: &HvmHwCpu) {
 }
 
 /// Byte length of an encoded `hvm_hw_cpu` record body.
-pub const CPU_RECORD_LEN: u32 =
+pub(crate) const CPU_RECORD_LEN: u32 =
     (16 + 2 + 4 + 6) as u32 * 8 + 8 * 20 + (8 + 4 + 8 + 4) + 3 * 8 + 8 + 8 * 8 + 512 + 8;
 
 fn get_cpu(r: &mut R) -> Result<HvmHwCpu, ContextError> {
@@ -271,7 +271,7 @@ fn put_record(w: &mut W, typecode: u16, instance: u16, body: impl FnOnce(&mut W)
 
 /// Serializes records into an HVM context byte stream (with header and END
 /// record).
-pub fn save_context(header: &HvmSaveHeader, records: &[HvmRecord]) -> Vec<u8> {
+pub(crate) fn save_context(header: &HvmSaveHeader, records: &[HvmRecord]) -> Vec<u8> {
     let mut w = W(Vec::new());
     put_record(&mut w, typecode::HEADER, 0, |w| {
         w.u32(header.magic);
@@ -347,7 +347,7 @@ pub fn save_context(header: &HvmSaveHeader, records: &[HvmRecord]) -> Vec<u8> {
 
 /// Parses an HVM context byte stream into records. The header is returned
 /// as the first record.
-pub fn load_context(buf: &[u8]) -> Result<Vec<HvmRecord>, ContextError> {
+pub(crate) fn load_context(buf: &[u8]) -> Result<Vec<HvmRecord>, ContextError> {
     let mut r = R { b: buf, p: 0 };
     let mut out = Vec::new();
     let mut saw_header = false;

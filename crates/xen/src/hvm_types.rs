@@ -10,26 +10,26 @@
 use hypertp_uisr::{FpuState, PitChannel, RedirectionEntry};
 
 /// Segment index within [`HvmHwCpu::segs`].
-pub const SEG_CS: usize = 0;
+pub(crate) const SEG_CS: usize = 0;
 /// Data segment index.
-pub const SEG_DS: usize = 1;
+pub(crate) const SEG_DS: usize = 1;
 /// Extra segment index.
-pub const SEG_ES: usize = 2;
+pub(crate) const SEG_ES: usize = 2;
 /// FS segment index.
-pub const SEG_FS: usize = 3;
+pub(crate) const SEG_FS: usize = 3;
 /// GS segment index.
-pub const SEG_GS: usize = 4;
+pub(crate) const SEG_GS: usize = 4;
 /// Stack segment index.
-pub const SEG_SS: usize = 5;
+pub(crate) const SEG_SS: usize = 5;
 /// Task register index.
-pub const SEG_TR: usize = 6;
+pub(crate) const SEG_TR: usize = 6;
 /// Local descriptor table register index.
-pub const SEG_LDTR: usize = 7;
+pub(crate) const SEG_LDTR: usize = 7;
 
 /// One segment as Xen saves it: selector/limit/base plus the VMX
 /// access-rights word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HvmSegment {
+pub(crate) struct HvmSegment {
     /// Selector (Xen widens to 32 bits in the save record).
     pub sel: u32,
     /// Segment limit.
@@ -42,7 +42,7 @@ pub struct HvmSegment {
 
 /// Xen's per-vCPU CPU save record (`hvm_hw_cpu`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HvmHwCpu {
+pub(crate) struct HvmHwCpu {
     /// General-purpose registers: rax, rbx, rcx, rdx, rbp, rsi, rdi, rsp,
     /// r8..r15 (Xen's field order).
     pub gprs: [u64; 16],
@@ -126,7 +126,7 @@ impl Default for HvmHwCpu {
 /// Xen's LAPIC bookkeeping record (`hvm_hw_lapic`). The register page is a
 /// separate `LAPIC_REGS` record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HvmHwLapic {
+pub(crate) struct HvmHwLapic {
     /// APIC base MSR value.
     pub apic_base_msr: u64,
     /// Non-zero if the LAPIC is hardware-disabled.
@@ -139,7 +139,7 @@ pub struct HvmHwLapic {
 
 /// Xen's MTRR record (`hvm_hw_mtrr`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HvmHwMtrr {
+pub(crate) struct HvmHwMtrr {
     /// PAT MSR.
     pub msr_pat_cr: u64,
     /// Variable-range MTRRs, interleaved base/mask (16 slots = 8 pairs).
@@ -166,7 +166,7 @@ impl Default for HvmHwMtrr {
 
 /// Xen's XSAVE record (`hvm_hw_cpu_xsave`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HvmHwXsave {
+pub(crate) struct HvmHwXsave {
     /// XCR0.
     pub xcr0: u64,
     /// Accumulated XCR0 (all components ever enabled).
@@ -204,7 +204,7 @@ impl Default for HvmHwIoapic {
 /// One PIT channel as Xen saves it (`hvm_hw_pit.channels[i]`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs)]
-pub struct HvmPitChannel {
+pub(crate) struct HvmPitChannel {
     pub count: u32,
     pub latched_count: u16,
     pub count_latched: u8,
@@ -221,7 +221,7 @@ pub struct HvmPitChannel {
 
 /// Xen's PIT record (`hvm_hw_pit`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HvmHwPit {
+pub(crate) struct HvmHwPit {
     /// The three 8254 channels.
     pub channels: [HvmPitChannel; 3],
     /// Speaker data bit.
@@ -231,7 +231,7 @@ pub struct HvmHwPit {
 // --- FXSAVE image packing (Intel SDM Vol. 1, 10.5.1) ---
 
 /// Packs UISR FPU state into a 512-byte FXSAVE image.
-pub fn fxsave_pack(f: &FpuState) -> [u8; 512] {
+pub(crate) fn fxsave_pack(f: &FpuState) -> [u8; 512] {
     let mut img = [0u8; 512];
     img[0..2].copy_from_slice(&f.fcw.to_le_bytes());
     img[2..4].copy_from_slice(&f.fsw.to_le_bytes());
@@ -251,7 +251,7 @@ pub fn fxsave_pack(f: &FpuState) -> [u8; 512] {
 }
 
 /// Unpacks a 512-byte FXSAVE image into UISR FPU state.
-pub fn fxsave_unpack(img: &[u8; 512]) -> FpuState {
+pub(crate) fn fxsave_unpack(img: &[u8; 512]) -> FpuState {
     let mut f = FpuState {
         fcw: u16::from_le_bytes(img[0..2].try_into().expect("2")),
         fsw: u16::from_le_bytes(img[2..4].try_into().expect("2")),
@@ -300,7 +300,7 @@ pub fn rte_unpack(v: u64) -> RedirectionEntry {
 }
 
 /// Converts a Xen PIT channel to the UISR channel shape.
-pub fn pit_channel_to_uisr(c: &HvmPitChannel) -> PitChannel {
+pub(crate) fn pit_channel_to_uisr(c: &HvmPitChannel) -> PitChannel {
     PitChannel {
         count: c.count,
         latched_count: c.latched_count,
@@ -314,7 +314,7 @@ pub fn pit_channel_to_uisr(c: &HvmPitChannel) -> PitChannel {
 }
 
 /// Converts a UISR PIT channel back to Xen's shape.
-pub fn pit_channel_from_uisr(c: &PitChannel) -> HvmPitChannel {
+pub(crate) fn pit_channel_from_uisr(c: &PitChannel) -> HvmPitChannel {
     HvmPitChannel {
         count: c.count,
         latched_count: c.latched_count,

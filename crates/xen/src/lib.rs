@@ -5,32 +5,31 @@
 //! transplant path touches, with Xen's *own* representation choices so the
 //! UISR translation layer has real format conversion to do:
 //!
-//! * [`hvm_types`] / [`hvm_context`] — Xen's HVM save records
+//! * `hvm_types` / `hvm_context` — Xen's HVM save records
 //!   (`hvm_hw_cpu`, `hvm_hw_lapic`, ...) and the typed record stream
 //!   produced by `xc_domain_hvm_getcontext`. Segment attributes are packed
 //!   VMX-style `arbytes`; syscall MSRs live inline in the CPU record.
-//! * [`p2m`] — the per-domain physical-to-machine table with 2 MiB
+//! * `p2m` — the per-domain physical-to-machine table with 2 MiB
 //!   superpage support and log-dirty tracking (used by live migration).
-//! * [`events`] — event channels (interdomain notification ports).
-//! * [`grant`] — grant tables (page sharing with dom0 backends).
-//! * [`sched`] — the Credit scheduler's run queues: pure *VM Management
+//! * `events` — event channels (interdomain notification ports).
+//! * `grant` — grant tables (page sharing with dom0 backends).
+//! * `sched` — the Credit scheduler's run queues: pure *VM Management
 //!   State* that a transplant rebuilds instead of translating.
-//! * [`xenstore`] — the xenstored hierarchical configuration store.
-//! * [`domain`] — the per-domain container tying the above together.
-//! * [`hypervisor`] — [`XenHypervisor`], the `hypertp_core::Hypervisor`
+//! * `xenstore` — the xenstored hierarchical configuration store.
+//! * `domain` — the per-domain container tying the above together.
+//! * `hypervisor` — [`XenHypervisor`], the `hypertp_core::Hypervisor`
 //!   implementation (the dom0 toolstack view: libxl + libxenctrl).
 
-pub mod arbytes;
-pub mod domain;
-pub mod events;
-pub mod grant;
-pub mod hvm_context;
-pub mod hvm_types;
-pub mod hypervisor;
-pub mod p2m;
-pub mod sched;
-pub mod xenstore;
-pub mod xl;
-pub mod xlate;
+mod arbytes;
+mod domain;
+mod events;
+mod grant;
+mod hvm_context;
+mod hvm_types;
+mod hypervisor;
+mod p2m;
+mod sched;
+mod xenstore;
+mod xlate;
 
 pub use hypervisor::XenHypervisor;

@@ -3,54 +3,23 @@
 //! The vCPU scheduler's queues are the paper's canonical example of *VM
 //! Management State* (§3.1): hypervisor-dependent, but never translated —
 //! the target hypervisor rebuilds them from the VMi States of all VMs. The
-//! model implements Xen's Credit accounting (weights, credit burn,
-//! UNDER/OVER priorities, round-robin within a priority) and a `rebuild`
-//! entry point used after transplant.
+//! model keeps one run queue per physical CPU, places each new vCPU on the
+//! least-loaded one, and accounts the queues' footprint.
 
 use std::collections::VecDeque;
 
-/// Scheduling priority derived from remaining credit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Priority {
-    /// Positive credit remaining.
-    Under,
-    /// Credit exhausted.
-    Over,
-}
-
 /// A schedulable vCPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedVcpu {
+pub(crate) struct SchedVcpu {
     /// Owning domain.
     pub domid: u32,
     /// vCPU index within the domain.
     pub vcpu: u32,
-    /// Remaining credit.
-    pub credit: i32,
-    /// Weight (share of CPU relative to other domains).
-    pub weight: u32,
 }
-
-impl SchedVcpu {
-    /// Current priority band.
-    pub fn priority(&self) -> Priority {
-        if self.credit > 0 {
-            Priority::Under
-        } else {
-            Priority::Over
-        }
-    }
-}
-
-/// Default weight (Xen's default is 256).
-pub const DEFAULT_WEIGHT: u32 = 256;
-
-/// Credit grant per accounting period per weight unit.
-const CREDIT_PER_PERIOD: i32 = 300;
 
 /// The Credit scheduler: one run queue per physical CPU.
 #[derive(Debug, Clone)]
-pub struct CreditScheduler {
+pub(crate) struct CreditScheduler {
     queues: Vec<VecDeque<SchedVcpu>>,
 }
 
@@ -67,101 +36,28 @@ impl CreditScheduler {
         }
     }
 
-    /// Number of physical CPUs.
-    pub fn pcpus(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Inserts a vCPU on the least-loaded run queue.
-    pub fn insert(&mut self, domid: u32, vcpu: u32, weight: u32) {
+    pub fn insert(&mut self, domid: u32, vcpu: u32) {
         let q = self
             .queues
             .iter_mut()
             .min_by_key(|q| q.len())
             .expect("at least one queue");
-        q.push_back(SchedVcpu {
-            domid,
-            vcpu,
-            credit: CREDIT_PER_PERIOD,
-            weight,
-        });
+        q.push_back(SchedVcpu { domid, vcpu });
     }
 
     /// Removes all vCPUs of a domain.
-    pub fn remove_domain(&mut self, domid: u32) {
+    pub(crate) fn remove_domain(&mut self, domid: u32) {
         for q in &mut self.queues {
             q.retain(|v| v.domid != domid);
         }
     }
 
-    /// Picks the next vCPU to run on `pcpu`: the head-most UNDER vCPU,
-    /// else the head OVER vCPU. The picked vCPU burns credit and rotates
-    /// to the tail.
-    pub fn pick_next(&mut self, pcpu: usize) -> Option<SchedVcpu> {
-        let q = self.queues.get_mut(pcpu)?;
-        if q.is_empty() {
-            return None;
-        }
-        let idx = q
-            .iter()
-            .position(|v| v.priority() == Priority::Under)
-            .unwrap_or(0);
-        let mut v = q.remove(idx).expect("index in range");
-        v.credit -= 100;
-        let picked = v;
-        q.push_back(v);
-        Some(picked)
-    }
-
-    /// Accounting tick: redistributes credit proportionally to weights
-    /// (Xen's 30 ms accounting period).
-    pub fn account(&mut self) {
-        let total_weight: u64 = self.queues.iter().flatten().map(|v| v.weight as u64).sum();
-        if total_weight == 0 {
-            return;
-        }
-        let n: u64 = self.queues.iter().map(|q| q.len() as u64).sum();
-        for q in &mut self.queues {
-            for v in q.iter_mut() {
-                let share = (CREDIT_PER_PERIOD as u64 * n * v.weight as u64 / total_weight) as i32;
-                v.credit = (v.credit + share).min(2 * CREDIT_PER_PERIOD);
-            }
-        }
-    }
-
-    /// Rebuilds the queues from scratch after a transplant: the defining
-    /// operation on VM Management State. `domains` lists
-    /// `(domid, vcpus, weight)` triples recovered from the VMi States.
-    pub fn rebuild(&mut self, domains: &[(u32, u32, u32)]) {
-        for q in &mut self.queues {
-            q.clear();
-        }
-        for &(domid, vcpus, weight) in domains {
-            for v in 0..vcpus {
-                self.insert(domid, v, weight);
-            }
-        }
-    }
-
-    /// All queued vCPUs as `(domid, vcpu)` pairs, sorted (for set
-    /// comparison in tests).
-    pub fn queued_vcpus(&self) -> Vec<(u32, u32)> {
-        let mut v: Vec<(u32, u32)> = self
-            .queues
-            .iter()
-            .flatten()
-            .map(|s| (s.domid, s.vcpu))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Approximate footprint in bytes (VM Management State accounting).
-    pub fn footprint_bytes(&self) -> u64 {
-        self.queues
-            .iter()
-            .map(|q| 64 + q.len() as u64 * std::mem::size_of::<SchedVcpu>() as u64)
-            .sum()
+    /// Approximate footprint in bytes (VM Management State accounting):
+    /// 64 per queue, and 16 per queued vCPU, since Xen's `csched_unit`
+    /// carries its credit and weight beside the two ids.
+    pub(crate) fn footprint_bytes(&self) -> u64 {
+        self.queues.iter().map(|q| 64 + q.len() as u64 * 16).sum()
     }
 }
 
@@ -169,11 +65,26 @@ impl CreditScheduler {
 mod tests {
     use super::*;
 
+    impl CreditScheduler {
+        /// All queued vCPUs as `(domid, vcpu)` pairs, sorted (for set
+        /// comparison in tests).
+        pub(crate) fn queued_vcpus(&self) -> Vec<(u32, u32)> {
+            let mut v: Vec<(u32, u32)> = self
+                .queues
+                .iter()
+                .flatten()
+                .map(|s| (s.domid, s.vcpu))
+                .collect();
+            v.sort_unstable();
+            v
+        }
+    }
+
     #[test]
     fn insert_balances_queues() {
         let mut s = CreditScheduler::new(4);
         for i in 0..8 {
-            s.insert(1, i, DEFAULT_WEIGHT);
+            s.insert(1, i);
         }
         for q in &s.queues {
             assert_eq!(q.len(), 2);
@@ -181,67 +92,11 @@ mod tests {
     }
 
     #[test]
-    fn pick_prefers_under() {
-        let mut s = CreditScheduler::new(1);
-        s.insert(1, 0, DEFAULT_WEIGHT);
-        s.insert(2, 0, DEFAULT_WEIGHT);
-        // Burn domain 1's credit to OVER.
-        for _ in 0..6 {
-            while let Some(v) = s.pick_next(0) {
-                if v.domid == 2 {
-                    break;
-                }
-            }
-        }
-        // Force: set credits directly through accounting behaviour.
-        let q = &mut s.queues[0];
-        for v in q.iter_mut() {
-            v.credit = if v.domid == 1 { -100 } else { 50 };
-        }
-        let picked = s.pick_next(0).unwrap();
-        assert_eq!(picked.domid, 2, "UNDER vCPU preferred");
-    }
-
-    #[test]
-    fn account_respects_weights() {
-        let mut s = CreditScheduler::new(1);
-        s.insert(1, 0, 256);
-        s.insert(2, 0, 512);
-        for v in s.queues[0].iter_mut() {
-            v.credit = 0;
-        }
-        s.account();
-        let c1 = s.queues[0].iter().find(|v| v.domid == 1).unwrap().credit;
-        let c2 = s.queues[0].iter().find(|v| v.domid == 2).unwrap().credit;
-        assert!(c2 > c1, "heavier weight earns more credit: {c1} vs {c2}");
-        assert_eq!(c2, 2 * c1);
-    }
-
-    #[test]
-    fn rebuild_restores_same_vcpu_set() {
-        let mut a = CreditScheduler::new(2);
-        a.insert(1, 0, 256);
-        a.insert(1, 1, 256);
-        a.insert(7, 0, 512);
-        let before = a.queued_vcpus();
-        let mut b = CreditScheduler::new(8); // Different pcpu count on target.
-        b.rebuild(&[(1, 2, 256), (7, 1, 512)]);
-        assert_eq!(b.queued_vcpus(), before);
-    }
-
-    #[test]
     fn remove_domain() {
         let mut s = CreditScheduler::new(2);
-        s.insert(1, 0, 256);
-        s.insert(2, 0, 256);
+        s.insert(1, 0);
+        s.insert(2, 0);
         s.remove_domain(1);
         assert_eq!(s.queued_vcpus(), vec![(2, 0)]);
-    }
-
-    #[test]
-    fn empty_queue_picks_none() {
-        let mut s = CreditScheduler::new(1);
-        assert_eq!(s.pick_next(0), None);
-        assert_eq!(s.pick_next(9), None);
     }
 }

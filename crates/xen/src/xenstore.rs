@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 /// A hierarchical key/value store with `/`-separated paths.
 #[derive(Debug, Clone, Default)]
-pub struct XenStore {
+pub(crate) struct XenStore {
     entries: BTreeMap<String, String>,
 }
 
@@ -24,14 +24,9 @@ impl XenStore {
         self.entries.insert(normalize(path), value.into());
     }
 
-    /// Reads a value.
-    pub fn read(&self, path: &str) -> Option<&str> {
-        self.entries.get(&normalize(path)).map(String::as_str)
-    }
-
     /// Removes a path and everything beneath it. Returns the number of
     /// entries removed.
-    pub fn rm(&mut self, path: &str) -> usize {
+    pub(crate) fn rm(&mut self, path: &str) -> usize {
         let p = normalize(path);
         let prefix = format!("{p}/");
         let keys: Vec<String> = self
@@ -46,27 +41,8 @@ impl XenStore {
         keys.len()
     }
 
-    /// Lists the immediate children of a directory.
-    pub fn ls(&self, path: &str) -> Vec<String> {
-        let p = normalize(path);
-        let prefix = if p.is_empty() {
-            String::new()
-        } else {
-            format!("{p}/")
-        };
-        let mut out: Vec<String> = self
-            .entries
-            .keys()
-            .filter_map(|k| k.strip_prefix(&prefix))
-            .map(|rest| rest.split('/').next().unwrap_or(rest).to_string())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Publishes the standard paths for a domain.
-    pub fn register_domain(&mut self, domid: u32, name: &str, memory_kb: u64, vcpus: u32) {
+    pub(crate) fn register_domain(&mut self, domid: u32, name: &str, memory_kb: u64, vcpus: u32) {
         let base = format!("/local/domain/{domid}");
         self.write(&format!("{base}/name"), name);
         self.write(&format!("{base}/memory/target"), memory_kb.to_string());
@@ -75,22 +51,12 @@ impl XenStore {
     }
 
     /// Removes a domain's subtree.
-    pub fn unregister_domain(&mut self, domid: u32) -> usize {
+    pub(crate) fn unregister_domain(&mut self, domid: u32) -> usize {
         self.rm(&format!("/local/domain/{domid}"))
     }
 
-    /// Number of entries (tests + footprint accounting).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Approximate footprint in bytes.
-    pub fn footprint_bytes(&self) -> u64 {
+    pub(crate) fn footprint_bytes(&self) -> u64 {
         self.entries
             .iter()
             .map(|(k, v)| (k.len() + v.len() + 32) as u64)
@@ -110,6 +76,18 @@ fn normalize(path: &str) -> String {
 mod tests {
     use super::*;
 
+    impl XenStore {
+        /// Reads a value.
+        pub(crate) fn read(&self, path: &str) -> Option<&str> {
+            self.entries.get(&normalize(path)).map(String::as_str)
+        }
+
+        /// True if the store is empty.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.entries.is_empty()
+        }
+    }
+
     #[test]
     fn write_read_rm() {
         let mut s = XenStore::new();
@@ -118,18 +96,6 @@ mod tests {
         assert_eq!(s.read("local/domain/1/name"), Some("vm0"));
         assert_eq!(s.rm("/local/domain/1"), 1);
         assert_eq!(s.read("/local/domain/1/name"), None);
-    }
-
-    #[test]
-    fn ls_lists_children() {
-        let mut s = XenStore::new();
-        s.register_domain(1, "a", 1 << 20, 1);
-        s.register_domain(2, "b", 1 << 20, 2);
-        let doms = s.ls("/local/domain");
-        assert_eq!(doms, vec!["1", "2"]);
-        let keys = s.ls("/local/domain/1");
-        assert!(keys.contains(&"name".to_string()));
-        assert!(keys.contains(&"memory".to_string()));
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn seg_from_uisr(s: &SegmentRegister) -> HvmSegment {
 
 /// Translates one vCPU's Xen containers into the UISR vCPU section
 /// (`to_uisr_vCPU`).
-pub fn vcpu_to_uisr(id: u32, v: &XenVcpu) -> VcpuState {
+pub(crate) fn vcpu_to_uisr(id: u32, v: &XenVcpu) -> VcpuState {
     let hw = &v.hw;
     let regs = CpuRegisters {
         rax: hw.gprs[0],
@@ -132,7 +132,7 @@ pub fn vcpu_to_uisr(id: u32, v: &XenVcpu) -> VcpuState {
 }
 
 /// Rebuilds a Xen vCPU from a UISR vCPU section (`from_uisr_vCPU`).
-pub fn vcpu_from_uisr(v: &VcpuState) -> XenVcpu {
+pub(crate) fn vcpu_from_uisr(v: &VcpuState) -> XenVcpu {
     let mut hw = HvmHwCpu::default();
     let r = &v.regs;
     hw.gprs = [
@@ -205,7 +205,7 @@ pub fn vcpu_from_uisr(v: &VcpuState) -> XenVcpu {
 }
 
 /// Translates Xen's IOAPIC record to the UISR section.
-pub fn ioapic_to_uisr(io: &HvmHwIoapic) -> IoApicState {
+pub(crate) fn ioapic_to_uisr(io: &HvmHwIoapic) -> IoApicState {
     IoApicState {
         id: io.id,
         base: io.base_address,
@@ -219,7 +219,7 @@ pub fn ioapic_to_uisr(io: &HvmHwIoapic) -> IoApicState {
 
 /// Rebuilds Xen's 48-pin IOAPIC from UISR, applying the §4.2.1
 /// compatibility fix when the source hypervisor had fewer pins.
-pub fn ioapic_from_uisr(io: &IoApicState, warnings: &mut Vec<String>) -> HvmHwIoapic {
+pub(crate) fn ioapic_from_uisr(io: &IoApicState, warnings: &mut Vec<String>) -> HvmHwIoapic {
     let mut entries = io.redirection.clone();
     if entries.len() != XEN_IOAPIC_PINS {
         warnings.push(format!(
@@ -244,7 +244,7 @@ pub fn ioapic_from_uisr(io: &IoApicState, warnings: &mut Vec<String>) -> HvmHwIo
 }
 
 /// Translates Xen's PIT record to the UISR section.
-pub fn pit_to_uisr(p: &HvmHwPit) -> PitState {
+pub(crate) fn pit_to_uisr(p: &HvmHwPit) -> PitState {
     PitState {
         channels: [
             hvm_types::pit_channel_to_uisr(&p.channels[0]),
@@ -256,7 +256,7 @@ pub fn pit_to_uisr(p: &HvmHwPit) -> PitState {
 }
 
 /// Rebuilds Xen's PIT record from UISR.
-pub fn pit_from_uisr(p: &PitState) -> HvmHwPit {
+pub(crate) fn pit_from_uisr(p: &PitState) -> HvmHwPit {
     HvmHwPit {
         channels: [
             hvm_types::pit_channel_from_uisr(&p.channels[0]),
@@ -269,7 +269,7 @@ pub fn pit_from_uisr(p: &PitState) -> HvmHwPit {
 
 /// Assembles a UISR VM description from parsed HVM context records
 /// (platform part of `to_uisr_*`; the caller adds devices and memory).
-pub fn records_to_uisr(name: &str, records: &[HvmRecord]) -> UisrVm {
+pub(crate) fn records_to_uisr(name: &str, records: &[HvmRecord]) -> UisrVm {
     let mut vm = UisrVm::new(name);
     // Group per-vCPU records by instance.
     let mut per_vcpu: std::collections::BTreeMap<u16, XenVcpu> = std::collections::BTreeMap::new();

@@ -363,7 +363,7 @@ fn run_decide(cmd: &Command) -> Result<String, CliError> {
 
 fn run_transplant(cmd: &Command) -> Result<String, CliError> {
     let spec = opt_spec(cmd, "machine")?;
-    let n_vms: u32 = opt(cmd, "vms", 1)?;
+    let n_vms: u32 = opt_where(cmd, "vms", 1, |n| *n >= 1)?;
     let vcpus: u32 = opt(cmd, "vcpus", 1)?;
     let mem: u64 = opt(cmd, "mem", 1)?;
     let from = opt_hv(cmd, "from", HypervisorKind::Xen)?;
@@ -557,7 +557,7 @@ fn run_cluster(cmd: &Command) -> Result<String, CliError> {
     let hosts: Option<usize> = cmd
         .options
         .contains_key("hosts")
-        .then(|| opt(cmd, "hosts", 0))
+        .then(|| opt_where(cmd, "hosts", 0, |h: &usize| *h >= 1))
         .transpose()?;
     let (fleet, report) = match hosts {
         Some(hosts) => {
@@ -592,7 +592,7 @@ fn run_cluster(cmd: &Command) -> Result<String, CliError> {
 /// plain and once with `--slo-aware` compares admission policies under
 /// identical conditions.
 fn run_fleet_cmd(cmd: &Command) -> Result<String, CliError> {
-    let n_vms: usize = opt(cmd, "vms", 4)?;
+    let n_vms: usize = opt_where(cmd, "vms", 4, |n| *n >= 1)?;
     let mem: u64 = opt(cmd, "mem", 1)?;
     let rate = opt_amount(cmd, "dirty-rate", 1_000.0)?;
     let max_concurrent: usize = opt(cmd, "max-concurrent", 1)?;
@@ -687,7 +687,7 @@ fn run_campaign_cmd(cmd: &Command) -> Result<String, CliError> {
         .positional
         .first()
         .ok_or(CliError::MissingOption("<CVE-ID>"))?;
-    let hosts: usize = opt(cmd, "hosts", 2)?;
+    let hosts: usize = opt_where(cmd, "hosts", 2, |h| *h >= 1)?;
     let vms: u32 = opt(cmd, "vms", 4)?;
     let ds = hypertp_vulndb::dataset::dataset();
     let cve = ds
@@ -736,7 +736,7 @@ fn run_campaign_cmd(cmd: &Command) -> Result<String, CliError> {
 /// exposure the chosen schedule leaves on the table; the footer totals
 /// the integrated exposure in VM·criticality·days.
 fn run_feed(cmd: &Command) -> Result<String, CliError> {
-    let hosts: usize = opt(cmd, "hosts", 100)?;
+    let hosts: usize = opt_where(cmd, "hosts", 100, |h| *h >= 1)?;
     let seed: u64 = opt(cmd, "seed", 42)?;
     let rate: u32 = opt(cmd, "events-per-year", 37)?;
     let days = opt_where(cmd, "days", 365, |d: &u64| d.checked_mul(86_400).is_some())?;
@@ -821,7 +821,7 @@ fn feed_footer(report: &hypertp_cluster::FeedReport) -> String {
 
 fn run_recover(cmd: &Command) -> Result<String, CliError> {
     let spec = opt_spec(cmd, "machine")?;
-    let n_vms: u32 = opt(cmd, "vms", 1)?;
+    let n_vms: u32 = opt_where(cmd, "vms", 1, |n| *n >= 1)?;
     let vcpus: u32 = opt(cmd, "vcpus", 1)?;
     let mem: u64 = opt(cmd, "mem", 1)?;
     let from = opt_hv(cmd, "from", HypervisorKind::Xen)?;
@@ -1233,6 +1233,14 @@ mod tests {
             ("cluster --compat 200", "compat", "200"),
             ("cluster --compat 101", "compat", "101"),
             ("cluster --group 2.5", "group", "2.5"),
+            // A zero count runs nothing: no VM to transplant, recover or
+            // drain, no host to plan.
+            ("transplant --vms 0", "vms", "0"),
+            ("recover --vms 0", "vms", "0"),
+            ("fleet --vms 0", "vms", "0"),
+            ("cluster --hosts 0", "hosts", "0"),
+            ("feed --hosts 0", "hosts", "0"),
+            ("campaign CVE-2016-6258 --hosts 0", "hosts", "0"),
         ] {
             assert_eq!(
                 run(&parse(&argv(line)).unwrap()),
