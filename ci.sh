@@ -136,7 +136,8 @@ echo "== hypertpctl malformed command lines (must exit 1) =="
 # A flag takes no value and a valued option needs one: `--blind false`
 # must not plan blind, and a bare `--socket` must not bind a socket file
 # named after a placeholder. A zero count runs nothing, so it must be
-# refused rather than report a transplant of no VM or a plan of no host.
+# refused rather than report a transplant of no VM or a plan of no host,
+# and so must a guest of no memory.
 # Run from the scratch dir, under a timeout,
 # so a regression that binds cannot block CI or leave a file in the tree.
 root=$(pwd)
@@ -155,6 +156,13 @@ rejects feed --hosts 30 --days 30 --blind false
 rejects proxy dest --socket
 rejects transplant --vms 0
 rejects cluster --hosts 0
+rejects transplant --mem 0
+rejects migrate --mem 0
+
+echo "== golden outputs (exp all and the hypertpctl lines above) =="
+# stdout, stderr and exit status of each line, compared with golden/ under
+# HYPERTP_WORKERS=1 and the default pool. ./golden.sh --record re-records.
+./golden.sh
 
 echo "== repo benchmark checks (fmt, clippy, unit tests, --check fingerprints) =="
 # The benchmark is a package of its own (benchmark/Cargo.toml, own
