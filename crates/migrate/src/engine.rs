@@ -2776,7 +2776,8 @@ mod tests {
         });
         let (mut ta, mut tb) = crate::transport::InProcTransport::pair();
         std::thread::scope(|s| {
-            let dest = s.spawn(|| crate::proxy::run_dest(&mut dst_m, &mut dst, &mut tb));
+            let dest =
+                s.spawn(|| crate::proxy::DestProxy::new().serve(&mut dst_m, &mut dst, &mut tb));
             crate::proxy::run_source(&tp, &mut src_m, &mut src, id, &mut ta).unwrap();
             dest.join().unwrap().unwrap();
         });

@@ -53,6 +53,6 @@ pub use engine::{
 };
 pub use framing::{FrameRing, FrameView};
 pub use network::{FrameKind, Link, WireStats};
-pub use proxy::{guest_checksum, run_dest, run_source, vm_checksum, DestProxy, ProxyReport};
+pub use proxy::{guest_checksum, run_source, vm_checksum, DestProxy, ProxyReport};
 pub use transport::{InProcTransport, Transport, TransportError, UdsServerTransport, UdsTransport};
 pub use wire::{CacheStats, TransferCache, DEFAULT_CACHE_CAPACITY};

@@ -29,7 +29,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use hypertp::prelude::*;
 use hypertp_cluster::{plan_upgrade, Cluster, ClusterView, ExposureConfig, ExposurePlanner};
-use hypertp_migrate::{run_dest, run_source, FrameRing, InProcTransport, TransferCache, WireStats};
+use hypertp_migrate::{
+    run_source, DestProxy, FrameRing, InProcTransport, TransferCache, WireStats,
+};
 use hypertp_sim::SimDuration;
 use hypertp_vulndb::VulnFeed;
 
@@ -162,7 +164,7 @@ fn footprint_probe() {
 /// log-dirty bitmap.
 const PROXY_SESSION_BYTES_BOUND: u64 = (281 << 20) / 20;
 
-/// Part 1c — a proxy session's footprint: one `run_source` ↔ `run_dest`
+/// Part 1c — a proxy session's footprint: one `run_source` ↔ `DestProxy::serve`
 /// session over the in-process transport, a 1 GiB guest with 16 384
 /// unique resident pages, 2 000 pages/s. Every message buffer is bounded
 /// by one part of a round, so what the pair asks the allocator for must
@@ -188,7 +190,7 @@ fn proxy_session_probe() {
     let (mut ta, mut tb) = InProcTransport::pair();
     let before = ALLOC_BYTES.load(Ordering::Relaxed);
     let (src_report, dst_report) = std::thread::scope(|s| {
-        let dest = s.spawn(|| run_dest(&mut dst_m, dst.as_mut(), &mut tb));
+        let dest = s.spawn(|| DestProxy::new().serve(&mut dst_m, dst.as_mut(), &mut tb));
         let source = run_source(&tp, &mut src_m, src.as_mut(), id, &mut ta).unwrap();
         (source, dest.join().unwrap().unwrap())
     });

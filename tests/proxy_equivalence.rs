@@ -212,7 +212,7 @@ fn proxy_recovers_over_real_socket() {
     let (mut client, mut server) = uds_pair("chaos");
     let (src_report, dst_report) = std::thread::scope(|s| {
         let dest = s.spawn(move || {
-            let r = hypertp_migrate::run_dest(&mut dst_m, dst.as_mut(), &mut server);
+            let r = hypertp_migrate::DestProxy::new().serve(&mut dst_m, dst.as_mut(), &mut server);
             (r, dst_m, dst)
         });
         let srcr = run_source(&tp, &mut src_m, src.as_mut(), id, &mut client).unwrap();
