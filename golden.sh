@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Golden outputs: the stdout, stderr and exit status of `exp all` and of each
-# hypertpctl command line that ci.sh runs, one file per line under golden/.
+# Golden outputs: the stdout, stderr and exit status of `exp all`, of the
+# hypertpctl command lines below and of the four examples, one file per line
+# under golden/.
 #
 #   ./golden.sh            runs every line twice, under HYPERTP_WORKERS=1 and
 #                          under the default pool, and compares each output
@@ -20,7 +21,7 @@ case "${1:-}" in
   *) echo "usage: $0 [--record]" >&2; exit 2 ;;
 esac
 
-cargo build -q --release --offline --workspace
+cargo build -q --release --offline --workspace --bins --examples
 bin="${CARGO_TARGET_DIR:-${root}/target}/release"
 work=$(mktemp -d)
 trap 'rm -rf "${work}"' EXIT
@@ -68,26 +69,55 @@ pair() {
   block "${out}/${name}.txt" "${work}/src" "${src_status}" hypertpctl proxy source --socket SOCKET "$@"
 }
 
-# Every golden line. ci.sh runs each of these hypertpctl lines itself too.
+# Every golden line, each checked more strictly than a grep for one of its
+# lines: exact stdout, stderr and exit status, in a scratch cwd that must stay
+# empty, under both worker counts.
 all_lines() {
   line exp_all exp all
+  # The §4.2 proxy pair over a real Unix-domain socket: the source exits 0
+  # only after verifying the destination's echoed RAM checksum.
   pair proxy_pair
+  # A 4 GiB guest: its round 0 is more frame bytes than the 16 MiB cap on
+  # one message (MAX_FRAME_BYTES), so only the part stream can carry it.
   pair proxy_pair_mem4 --mem 4
+  # The same 4 GiB guest in process: round 0 is 512 parts, through the one
+  # part loop both destinations share.
   line migrate_mem4 hypertpctl migrate --mem 4
+  # Onto Xen: round 0 reads the destination's current words by walking its
+  # P2M's memory map, and the Xen source logs dirty pages in a bitmap over
+  # the 4 GiB span.
   line migrate_to_xen_mem4 hypertpctl migrate --to xen --mem 4
+  # inplace_dense's maximum-density shape, both directions: the post-kexec
+  # tail reserves, adopts, checks and releases the frame runs of twelve
+  # guests, and the command fails if any guest's memory changed or was left
+  # unowned.
   line transplant_xen_kvm hypertpctl transplant --machine m1 --vms 12 --mem 1 --from xen --to kvm
   line transplant_kvm_xen hypertpctl transplant --machine m1 --vms 12 --mem 1 --from kvm --to xen
+  # The feed replay: --blind switches the planning mode shown, and both runs
+  # print the integrated-exposure footer.
   line feed hypertpctl feed --hosts 30 --days 90
   line feed_blind hypertpctl feed --hosts 30 --days 90 --blind
+  # The path to SLO-aware admission: --slo-aware switches the admission
+  # policy shown.
   line fleet hypertpctl fleet --vms 3
   line fleet_slo_aware hypertpctl fleet --vms 3 --slo-aware
-  # ci.sh's `rejects` list: each must exit 1.
+  # Malformed command lines, each must exit 1 and create no file. A flag
+  # takes no value and a valued option needs one: `--blind false` must not
+  # plan blind, and a bare `--socket` must not bind a socket file named after
+  # a placeholder. A zero count runs nothing, so it must be refused rather
+  # than report a transplant of no VM or a plan of no host, and so must a
+  # guest of no memory.
   line reject_blind_false hypertpctl feed --hosts 30 --days 30 --blind false
   line reject_bare_socket hypertpctl proxy dest --socket
   line reject_transplant_vms0 hypertpctl transplant --vms 0
   line reject_cluster_hosts0 hypertpctl cluster --hosts 0
   line reject_transplant_mem0 hypertpctl transplant --mem 0
   line reject_migrate_mem0 hypertpctl migrate --mem 0
+  # The examples: they keep compiling and running, and print what they did.
+  line example_quickstart examples/quickstart
+  line example_migration_vs_inplace examples/migration_vs_inplace
+  line example_datacenter_upgrade examples/datacenter_upgrade
+  line example_vulnerability_response examples/vulnerability_response
 }
 
 # Runs every line into a fresh directory $out.
