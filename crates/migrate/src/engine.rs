@@ -1,21 +1,25 @@
-//! The pre-copy migration engine with UISR proxies.
+//! The pre-copy migration engine with UISR proxies: [`MigrationTp`], its
+//! configuration and reports, and the pre-copy driver — the one round
+//! loop, which lands a VM through a destination sink (the machine in this
+//! process, or a [`crate::DestProxy`] across a transport). The fleet
+//! scheduler ([`migrate_fleet`], [`migrate_many`]) runs it VM by VM.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use hypertp_core::{HtpError, Hypervisor, HypervisorKind, VmConfig, VmId};
-use hypertp_machine::{Extent, Gfn, Machine, Mfn, PAGE_SIZE};
+use hypertp_machine::{Extent, Gfn, Machine, PAGE_SIZE};
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
 use hypertp_sim::{CostModel, SimDuration, SimTime, WorkerPool};
 
 use crate::control::{
-    dirtied_pages, predict_migration, FleetOrder, FleetPolicy, FleetVm, LinkContention,
-    MigrationPrediction, PrecopyController, PredictInput, RoundModel, VmSloOutcome,
-    UISR_BYTES_ALLOWANCE,
+    dirtied_pages, FleetPolicy, FleetVm, PrecopyController, RoundModel, UISR_BYTES_ALLOWANCE,
 };
-use crate::framing::{reserve_doubling, FrameRing};
-use crate::network::{FrameKind, Link, WireStats};
-use crate::proxy::{RemoteDest, PART_PAGES};
+use crate::network::{Link, WireStats};
+use crate::proxy::PART_PAGES;
+use crate::sink::{RoundScratch, Sink};
 use crate::wire::TransferCache;
+
+pub use crate::fleet::{migrate_fleet, migrate_many, FleetReport};
 
 /// Extra one-way delay modelled for an injected link latency spike
 /// (transient congestion); the engine absorbs it into the round time.
@@ -58,105 +62,10 @@ impl<'a> RoundPages<'a> {
     }
 }
 
-/// The stretches of the gfns `gfn..gfn + pages` in a gfn-sorted memory
-/// map, in gfn order: `(first gfn, Some(first frame), pages)` for a
-/// stretch one extent backs, `(gfn, None, 1)` for a gfn the map does not
-/// cover. The two maps of a migration need not share extent boundaries,
-/// so the walk finds, for each stretch, the extent holding its first gfn.
-fn map_runs(
-    map: &[(Gfn, Extent)],
-    gfn: u64,
-    pages: u64,
-) -> impl Iterator<Item = (u64, Option<Mfn>, u64)> + '_ {
-    let (mut at, end) = (gfn, gfn + pages);
-    std::iter::from_fn(move || {
-        if at >= end {
-            return None;
-        }
-        let k = map.partition_point(|&(g, d)| g.0 + d.pages() <= at);
-        let run = match map.get(k).filter(|(g, _)| g.0 <= at) {
-            Some(&(g, d)) => {
-                let off = at - g.0;
-                (at, Some(d.base + off), (d.pages() - off).min(end - at))
-            }
-            None => (at, None, 1),
-        };
-        at += run.2;
-        Some(run)
-    })
-}
-
-/// A VM's memory map sorted by gfn, as [`map_runs`] walks it.
-fn sorted_map(hv: &dyn Hypervisor, id: VmId) -> Result<Vec<(Gfn, Extent)>, HtpError> {
-    let mut map = hv.guest_memory_map(id)?;
-    map.sort_unstable_by_key(|&(g, _)| g.0);
-    Ok(map)
-}
-
 /// The error a destination that disagrees with the source raises.
 pub(crate) fn integrity(vm_name: &str) -> HtpError {
     HtpError::IntegrityViolation {
         vm_name: vm_name.to_string(),
-    }
-}
-
-/// Where [`MigrationTp::migrate_data`] lands a VM: the two destination
-/// kinds of the one pre-copy driver.
-pub(crate) enum Dest<'a> {
-    /// The destination machine in this process, under either
-    /// [`WireMode`]; verified by reading both sides
-    /// ([`MigrationConfig::verify_contents`]).
-    Local(LocalDest<'a>),
-    /// A [`crate::DestProxy`] across a transport: always content-aware
-    /// (the frame ring is its wire format), verified by the `DoneAck`
-    /// checksum.
-    Remote(RemoteDest<'a>),
-}
-
-/// The destination machine of a [`Dest::Local`] and its incoming VM.
-pub(crate) struct LocalDest<'a> {
-    machine: &'a mut Machine,
-    hv: &'a mut dyn Hypervisor,
-    /// The prepared incoming shell.
-    id: VmId,
-    /// Its memory map, sorted by gfn and fetched once: round 0 reads the
-    /// current words through it.
-    map: Vec<(Gfn, Extent)>,
-}
-
-impl<'a> Dest<'a> {
-    /// The local destination `id` on `hv`.
-    pub(crate) fn local(
-        machine: &'a mut Machine,
-        hv: &'a mut dyn Hypervisor,
-        id: VmId,
-    ) -> Result<Self, HtpError> {
-        let map = sorted_map(&*hv, id)?;
-        Ok(Dest::Local(LocalDest {
-            machine,
-            hv,
-            id,
-            map,
-        }))
-    }
-
-    fn kind(&self) -> HypervisorKind {
-        match self {
-            Dest::Local(l) => l.hv.kind(),
-            Dest::Remote(r) => r.kind,
-        }
-    }
-
-    /// Hands the destination a UISR blob: the restore's compatibility
-    /// warnings, or `None` when its decode rejected the blob.
-    fn deliver_uisr(&mut self, blob: &[u8]) -> Result<Option<Vec<String>>, HtpError> {
-        match self {
-            Dest::Local(l) => match hypertp_uisr::decode(blob) {
-                Ok(vm) => Ok(Some(l.hv.restore_uisr(l.machine, l.id, &vm)?.warnings)),
-                Err(_) => Ok(None),
-            },
-            Dest::Remote(r) => Ok(r.send_uisr(blob)?.then(Vec::new)),
-        }
     }
 }
 
@@ -245,52 +154,11 @@ impl Default for MigrationConfig {
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     round: Mutex<RoundScratch>,
-    stats: Mutex<ScratchStats>,
 }
 
 impl EngineScratch {
     pub(crate) fn round(&self) -> MutexGuard<'_, RoundScratch> {
         self.round.lock().expect("engine scratch poisoned")
-    }
-
-    fn stats(&self) -> MutexGuard<'_, ScratchStats> {
-        self.stats.lock().expect("engine scratch stats poisoned")
-    }
-}
-
-/// The buffers themselves, cleared and refilled per round, never shrunk.
-/// The ring and the gfn, gather and probe vectors hold one part of a
-/// round ([`PART_PAGES`] pages) whatever the guest's size; `writes` holds
-/// the pages a round changes on a local destination.
-#[derive(Debug, Default)]
-pub(crate) struct RoundScratch {
-    /// Serialized frames of the part in flight; its frame count spans the
-    /// round.
-    ring: FrameRing,
-    /// The part's gfns, in round order.
-    gfns: Vec<Gfn>,
-    /// Source content words of the part's gfns.
-    words: Vec<u64>,
-    /// A local destination's current words at the part's gfns (write
-    /// elision and delta bases).
-    current: Vec<u64>,
-    /// The round's changed pages on a local destination, landed with one
-    /// [`Hypervisor::write_guest_many`] once the round is accepted.
-    writes: Vec<(Gfn, u64)>,
-    /// The round's wire accounting, merged into the report once the round
-    /// is accepted.
-    stats: WireStats,
-}
-
-impl RoundScratch {
-    /// Capacities of the vectors; a change is a growth event.
-    fn capacities(&self) -> [usize; 4] {
-        [
-            self.gfns.capacity(),
-            self.words.capacity(),
-            self.current.capacity(),
-            self.writes.capacity(),
-        ]
     }
 }
 
@@ -446,12 +314,13 @@ impl MigrationTp {
 
     /// Snapshot of the reusable-buffer counters (allocation probe).
     pub fn scratch_stats(&self) -> ScratchStats {
-        let mut s = *self.scratch.stats();
-        let round = self.scratch.round();
-        s.grows += round.ring.grows();
-        s.ring_capacity = round.ring.capacity() as u64;
-        s.ring_high_water = round.ring.high_water() as u64;
-        s
+        let s = self.scratch.round();
+        ScratchStats {
+            grows: s.probe.grows + s.ring.grows(),
+            ring_capacity: s.ring.capacity() as u64,
+            ring_high_water: s.ring.high_water() as u64,
+            ..s.probe
+        }
     }
 
     /// Migrates one VM from `src_hv` on `src_machine` to `dst_hv` on
@@ -480,15 +349,20 @@ impl MigrationTp {
 
     /// Activation on a `dst_kind` host plus a conservative UISR transfer:
     /// the stop-and-copy cost no residual page count shrinks.
-    fn stop_fixed(&self, dst_kind: HypervisorKind, vcpus: u32, sharers: u32) -> SimDuration {
+    pub(crate) fn stop_fixed(
+        &self,
+        dst_kind: HypervisorKind,
+        vcpus: u32,
+        sharers: u32,
+    ) -> SimDuration {
         self.cost.activate(dst_kind.boot_target(), vcpus)
             + self.config.link.transfer(UISR_BYTES_ALLOWANCE, sharers)
     }
 
-    /// The pre-copy driver — the only round loop, for both destination
-    /// kinds: transfers every page and the state of `src_id` (configured
-    /// `cfg`) into `dst` and computes durations, without advancing clocks
-    /// or cutting over (the caller schedules). `sharers` concurrent
+    /// The pre-copy driver — the only round loop, for every destination:
+    /// transfers every page and the state of `src_id` (configured `cfg`)
+    /// into the sink `dst` and computes durations, without advancing
+    /// clocks or cutting over (the caller schedules). `sharers` concurrent
     /// streams divide the link; `dirty_rate_override` replaces the
     /// config's dirty rate for this VM ([`FleetVm::dirty_rate`]).
     #[allow(clippy::too_many_arguments)]
@@ -498,7 +372,7 @@ impl MigrationTp {
         src_hv: &mut dyn Hypervisor,
         src_id: VmId,
         cfg: &VmConfig,
-        dst: &mut Dest<'_>,
+        dst: &mut dyn Sink,
         sharers: u32,
         dirty_rate_override: Option<f64>,
     ) -> Result<DataPhase, HtpError> {
@@ -535,9 +409,7 @@ impl MigrationTp {
                 .map_or(RoundPages::Map(&src_map), RoundPages::Dirty);
             let pages = to_send.len();
             let outcome = self.send_round(
-                src_machine,
-                src_hv,
-                src_id,
+                (src_machine, src_hv, src_id),
                 dst,
                 to_send,
                 round,
@@ -609,13 +481,10 @@ impl MigrationTp {
         precopy += src_hv.notify_prepare_transplant(src_machine, src_id)?;
         src_hv.pause_vm(src_id)?;
         let final_bytes = self.encode_round(
-            src_machine,
-            src_hv,
-            src_id,
+            (src_machine, src_hv, src_id),
             dst,
             round,
             RoundPages::Dirty(&stop_set),
-            &cfg.name,
         )?;
         if !self.deliver_round(dst, round, false, &mut wire)? {
             self.rollback_round();
@@ -637,7 +506,7 @@ impl MigrationTp {
         {
             let mut damaged = blob.clone();
             damaged[0] ^= 0xff; // magic byte flipped in flight
-            let rejected = dst.deliver_uisr(&damaged)?.is_none();
+            let rejected = dst.uisr(&damaged)?.is_none();
             debug_assert!(rejected, "corrupted magic must not decode");
             if rejected {
                 uisr_sends = 2;
@@ -653,9 +522,7 @@ impl MigrationTp {
             }
         }
         // Destination proxy.
-        let warnings = dst
-            .deliver_uisr(&blob)?
-            .ok_or_else(|| integrity(&cfg.name))?;
+        let warnings = dst.uisr(&blob)?.ok_or_else(|| integrity(&cfg.name))?;
 
         let stop_copy = model.stop_copy(
             final_bytes,
@@ -663,12 +530,8 @@ impl MigrationTp {
                 + self.cost.activate(dst.kind().boot_target(), cfg.vcpus),
         );
 
-        // A remote destination is verified by its `DoneAck` checksum
-        // instead, which the proxy exchanges at cut-over.
-        if let (true, Dest::Local(l)) = (self.config.verify_contents, &*dst) {
-            if !same_contents(src_machine, &src_map, l.machine, &*l.hv, l.id)? {
-                return Err(integrity(&cfg.name));
-            }
+        if self.config.verify_contents && !dst.verify(src_machine, &src_map)? {
+            return Err(integrity(&cfg.name));
         }
 
         if self.config.wire_mode == WireMode::ContentAware {
@@ -676,14 +539,7 @@ impl MigrationTp {
             // capacity as of now, counters as deltas over this migration
             // (the cache is shared across engine clones, so absolute
             // counters would double-count in merged fleet stats).
-            let cs = self.cache.stats();
-            wire.record_cache(
-                cs.occupancy,
-                cs.capacity,
-                cs.evictions - cache_before.evictions,
-                cs.dup_hits - cache_before.dup_hits,
-                cs.dup_lookups - cache_before.dup_lookups,
-            );
+            wire.record_cache(self.cache.stats(), cache_before);
         }
 
         let report = MigrationReport {
@@ -708,21 +564,19 @@ impl MigrationTp {
     }
 
     /// Sends one pre-copy round and owns the round fault policy for both
-    /// wire modes and both destination kinds: a link drop retries the
-    /// round with exponential backoff (earlier rounds stay acked, so the
-    /// migration resumes rather than restarts) until the retry budget is
-    /// spent, first rolling a content-aware round's cache journal and
-    /// frame ring back so no `Dup` references content the destination lost
-    /// with the round; a latency spike stretches the round; a truncated
-    /// page is re-sent — alone to a local destination, which echoes it
-    /// back, with its whole round to a remote one, which naks.
+    /// wire modes and every sink: a link drop retries the round with
+    /// exponential backoff (earlier rounds stay acked, so the migration
+    /// resumes rather than restarts) until the retry budget is spent,
+    /// first rolling a content-aware round's cache journal and frame ring
+    /// back so no `Dup` references content the destination lost with the
+    /// round; a latency spike stretches the round; a truncated page is
+    /// re-sent — with its whole round to a sink that naks the damaged
+    /// close, alone to one that echoes the page back.
     #[allow(clippy::too_many_arguments)]
     fn send_round(
         &self,
-        src_machine: &Machine,
-        src_hv: &dyn Hypervisor,
-        src_id: VmId,
-        dst: &mut Dest<'_>,
+        (src_machine, src_hv, src_id): (&Machine, &dyn Hypervisor, VmId),
+        dst: &mut dyn Sink,
         to_send: RoundPages<'_>,
         round: u32,
         model: &RoundModel,
@@ -730,13 +584,13 @@ impl MigrationTp {
         wire: &mut WireStats,
     ) -> Result<RoundOutcome, HtpError> {
         let content_aware = self.config.wire_mode == WireMode::ContentAware;
+        let src = (src_machine, src_hv, src_id);
         let mut duration = SimDuration::ZERO;
         let mut drops = 0u32;
         let mut naks = 0u32;
         let mut lost_bytes = 0u64;
         let round_bytes = loop {
-            let encoded =
-                self.encode_round(src_machine, src_hv, src_id, dst, round, to_send, vm_name)?;
+            let encoded = self.encode_round(src, dst, round, to_send)?;
             if self.faults.should_inject(
                 InjectionPoint::LinkDrop,
                 &format!("{vm_name} round {round}"),
@@ -761,16 +615,14 @@ impl MigrationTp {
                         ),
                     );
                     // The source VM keeps running untouched; only the
-                    // half-built destination shell is torn down — and with
-                    // it every page the wire cache believed the destination
-                    // held, so the VM's delta bases (and, conservatively,
-                    // the dedup map) go too.
+                    // destination gives up the VM — and with it every page
+                    // the wire cache believed the destination held, so the
+                    // VM's delta bases (and, conservatively, the dedup map)
+                    // go too.
                     if content_aware {
                         self.cache.forget_vm(src_id.0);
                     }
-                    if let Dest::Local(l) = dst {
-                        l.hv.destroy_vm(l.machine, l.id)?;
-                    }
+                    dst.abandon()?;
                     return Err(HtpError::LinkFailure {
                         vm_name: vm_name.to_string(),
                         retries: self.config.max_link_retries,
@@ -788,15 +640,14 @@ impl MigrationTp {
                         wait.as_millis_f64()
                     ),
                 );
-                if let Dest::Remote(r) = dst {
-                    r.resume(round)?;
-                }
+                dst.reconnect(round)?;
                 continue;
             }
-            // A frame truncated in flight costs a remote destination the
-            // whole attempt (a local one catches it page by page, below).
-            let truncate = matches!(dst, Dest::Remote(_))
-                && self.truncated_page(vm_name, round, to_send).is_some();
+            // A frame truncated in flight costs a sink that naks it the
+            // whole attempt (one that echoes it is checked page by page,
+            // below).
+            let truncate =
+                !dst.echoes_damage() && self.truncated_page(vm_name, round, to_send).is_some();
             if self.deliver_round(dst, round, truncate, wire)? {
                 break encoded;
             }
@@ -845,19 +696,17 @@ impl MigrationTp {
             );
         }
 
-        // Truncated page on a local destination: one page of this round
+        // Truncated page on a sink that echoes it: one page of this round
         // lands corrupted. The destination echoes it back; the mismatch
         // triggers a single-page re-send.
-        if let Dest::Local(l) = dst {
+        if dst.echoes_damage() {
             if let Some(bad_gfn) = self.truncated_page(vm_name, round, to_send) {
                 let good = src_hv.read_guest(src_machine, src_id, bad_gfn)?;
-                l.hv.write_guest(l.machine, l.id, bad_gfn, !good)?;
-                let echoed = l.hv.read_guest(l.machine, l.id, bad_gfn)?;
+                let echoed = dst.echo(bad_gfn, good)?;
                 debug_assert_ne!(echoed, good, "truncation must be observable");
                 if echoed != good {
-                    let (word, resent_bytes, resent_as) =
-                        self.resend_page(src_id, bad_gfn, good, echoed, vm_name, wire)?;
-                    l.hv.write_guest(l.machine, l.id, bad_gfn, word)?;
+                    let (resent_bytes, resent_as) =
+                        self.resend_page(dst, src_id, bad_gfn, good, round, wire)?;
                     duration += model.transfer(2 * resent_bytes);
                     bytes_sent += resent_bytes;
                     self.faults.record_recovery(
@@ -890,101 +739,64 @@ impl MigrationTp {
     }
 
     /// Destination half of a round, after [`MigrationTp::encode_round`]:
-    /// returns whether the destination accepted the round. A local one
-    /// always does, and lands the round's changed pages with one
-    /// [`Hypervisor::write_guest_many`], the round's first write to its
-    /// guest memory. A remote one acks or naks the round's closing part,
-    /// sent with its last frame corrupted if `truncate`. An accepted
-    /// round's wire accounting joins `wire`.
+    /// closes round `round` on `dst` with the ring's tail, damaged if
+    /// `truncate`, which then leaves the ring, and returns whether the
+    /// destination accepted the round. An accepted round's wire accounting
+    /// joins `wire`; a close that fails rolls the round back.
     fn deliver_round(
         &self,
-        dst: &mut Dest<'_>,
+        dst: &mut dyn Sink,
         round: u32,
         truncate: bool,
         wire: &mut WireStats,
     ) -> Result<bool, HtpError> {
-        let s = self.scratch.round();
-        match dst {
-            Dest::Local(l) => {
-                l.hv.write_guest_many(l.machine, l.id, &s.writes)
-                    .inspect_err(|_| self.cache.rollback_round())?
-            }
-            Dest::Remote(r) => {
-                if !r.send_round(&s.ring, round, truncate)? {
-                    return Ok(false);
-                }
-            }
+        let mut s = self.scratch.round();
+        let caps = s.capacities();
+        let closed = dst.close(&mut s, round, truncate);
+        s.ring.drain();
+        s.probe.grows += s.grown_since(caps);
+        if let Ok(true) = closed {
+            wire.merge(&s.stats);
         }
-        wire.merge(&s.stats);
-        Ok(true)
+        drop(s);
+        closed.inspect_err(|_| self.rollback_round())
     }
 
-    /// Re-sends the one page whose echo came back as `echoed` instead of
-    /// `good`, as a part of one page, after the round's last part has left
-    /// the ring: a content-aware re-send is encoded into the ring, tallied
-    /// into `wire`, and resolved against `echoed` like any local part
-    /// ([`MigrationTp::resolve_part`]). The cache by now holds the page's
+    /// Re-sends the one page whose echo came back damaged, as a part of
+    /// one page that closes at once on `dst`, after round `round` has
+    /// landed: a content-aware re-send is encoded into the round's drained
+    /// ring and tallied into `wire`. The cache by now holds the page's
     /// content, so the correction usually ships as a digest-sized `Dup`
-    /// frame rather than a full page. Returns the word the destination
-    /// reconstructs, the bytes the correction put on the wire and how the
-    /// recovery log names it.
+    /// frame rather than a full page. Returns the bytes the correction put
+    /// on the wire and how the recovery log names it.
     fn resend_page(
         &self,
+        dst: &mut dyn Sink,
         src_id: VmId,
         gfn: Gfn,
         good: u64,
-        echoed: u64,
-        vm_name: &str,
+        round: u32,
         wire: &mut WireStats,
-    ) -> Result<(u64, u64, String), HtpError> {
-        let mut s = self.scratch.round();
-        let ring = &mut s.ring;
+    ) -> Result<(u64, String), HtpError> {
+        let mut guard = self.scratch.round();
+        let s = &mut *guard;
         let (bytes, resent_as) = match self.config.wire_mode {
             WireMode::Raw => (PAGE_SIZE, format!("gfn {}", gfn.0)),
             WireMode::ContentAware => {
-                let bytes = self
-                    .cache
-                    .encode_words_into(src_id.0, &[gfn], &[good], ring, wire);
-                let kind = ring.iter().next().map_or("", |view| view.kind.name());
+                let bytes =
+                    self.cache
+                        .encode_words_into(src_id.0, &[gfn], &[good], &mut s.ring, wire);
+                let kind = s.ring.iter().next().map_or("", |view| view.kind.name());
                 (bytes, format!("gfn {} as {kind} frame", gfn.0))
             }
         };
-        let mut word = echoed;
-        let resolved = self.resolve_part(ring, (&[gfn], &[good], &[echoed]), vm_name, |_, w| {
-            word = w;
-        });
-        ring.drain();
-        resolved.map(|()| (word, bytes, resent_as))
-    }
-
-    /// Resolves a part against a local destination: for each page of
-    /// `(gfns, words, current)` — its gfn, the source's word and the
-    /// destination's current word — the word the destination lands, taken
-    /// as sent in Raw mode and applied from the part's frames in `ring` in
-    /// content-aware mode. `changed(gfn, word)` gets each page whose word
-    /// changes.
-    fn resolve_part(
-        &self,
-        ring: &FrameRing,
-        (gfns, words, current): (&[Gfn], &[u64], &[u64]),
-        vm_name: &str,
-        mut changed: impl FnMut(Gfn, u64),
-    ) -> Result<(), HtpError> {
-        let content_aware = self.config.wire_mode == WireMode::ContentAware;
-        let mut views = ring.iter();
-        for ((&g, &word), &cur) in gfns.iter().zip(words).zip(current) {
-            let word = match (content_aware, views.next()) {
-                (false, _) => word,
-                (true, Some(view)) if view.kind == FrameKind::Zero => 0,
-                (true, view) => view
-                    .and_then(|view| self.cache.apply_view(&view, cur))
-                    .ok_or_else(|| integrity(vm_name))?,
-            };
-            if word != cur {
-                changed(g, word);
-            }
-        }
-        Ok(())
+        s.gfns.clear();
+        s.gfns.push(gfn);
+        s.words.clear();
+        s.words.push(good);
+        let landed = dst.close(s, round, false);
+        s.ring.drain();
+        landed.map(|_| (bytes, resent_as))
     }
 
     /// The destination acked the round: whatever the round staged becomes
@@ -1003,98 +815,73 @@ impl MigrationTp {
         self.scratch.round().ring.rollback();
     }
 
-    /// Source half of a round, and the one loop both destinations take it
+    /// Source half of a round, and the one loop every sink takes it
     /// through: returns the bytes the round puts on the wire. The round's
     /// gfns go in parts of [`PART_PAGES`], each gathered by
     /// [`gather_part`]. A content-aware part is serialized into the shared
     /// scratch ring under one cache lock, which digests each non-zero word
     /// as it classifies it and tallies each frame into the round's
     /// [`WireStats`]; a Raw part ships every page as a full payload (the
-    /// paper-faithful accounting). The destination then takes the part. A
-    /// remote one takes every part but the last as a `RoundPart` of round
-    /// `round` ([`crate::proxy`]), staging it while the next is encoded;
-    /// the last closes the round in [`MigrationTp::deliver_round`]. A
-    /// local one resolves the part at once against its current words
-    /// ([`MigrationTp::resolve_part`]) and keeps the pages that change for
-    /// [`MigrationTp::deliver_round`] to land: nothing here writes a destination's guest memory. A
-    /// handed-off part leaves the ring, so every buffer but `writes` holds
-    /// one part and is reused (no heap allocation once warm). The round's
-    /// cache and ring transaction opens before the first gather; a part
-    /// that fails rolls it back, otherwise the caller commits or rolls
-    /// back.
-    #[allow(clippy::too_many_arguments)]
+    /// paper-faithful accounting). Every part but the last then goes to
+    /// `dst` ([`Sink::part`]) and leaves the ring, so every buffer but
+    /// `writes` holds one part and is reused (no heap allocation once
+    /// warm); the last stays for [`MigrationTp::deliver_round`] to close
+    /// the round with. The round's cache and ring transaction opens before
+    /// the first gather; a part that fails rolls it back, otherwise the
+    /// caller commits or rolls back.
     fn encode_round(
         &self,
-        src_machine: &Machine,
-        src_hv: &dyn Hypervisor,
-        src_id: VmId,
-        dst: &mut Dest<'_>,
+        src @ (_, _, src_id): (&Machine, &dyn Hypervisor, VmId),
+        dst: &mut dyn Sink,
         round: u32,
         pages: RoundPages<'_>,
-        vm_name: &str,
     ) -> Result<u64, HtpError> {
         let content_aware = self.config.wire_mode == WireMode::ContentAware;
-        let mut s = self.scratch.round();
+        let mut guard = self.scratch.round();
+        let s = &mut *guard;
         let caps = s.capacities();
-        let RoundScratch {
-            ring,
-            gfns,
-            words,
-            current,
-            writes,
-            stats,
-        } = &mut *s;
         if content_aware {
             self.cache.begin_round();
         }
-        ring.restart();
-        ring.begin();
-        writes.clear();
-        *stats = WireStats::new();
+        s.ring.restart();
+        s.ring.begin();
+        s.gfns.clear();
+        s.words.clear();
+        s.writes.clear();
+        s.stats = WireStats::new();
         let total = pages.len();
         let (mut at, mut taken, mut wire_bytes) = (PartCursor::default(), 0u64, 0u64);
-        let src = (src_machine, src_hv, src_id);
         while taken < total {
             let handed =
-                gather_part(src, &*dst, pages, &mut at, (gfns, words, current)).and_then(|()| {
-                    taken += gfns.len() as u64;
-                    if content_aware {
-                        wire_bytes += self
-                            .cache
-                            .encode_words_into(src_id.0, gfns, words, ring, stats);
+                gather_part(src, pages, &mut at, (&mut s.gfns, &mut s.words)).and_then(|()| {
+                    taken += s.gfns.len() as u64;
+                    wire_bytes += if content_aware {
+                        self.cache.encode_words_into(
+                            src_id.0,
+                            &s.gfns,
+                            &s.words,
+                            &mut s.ring,
+                            &mut s.stats,
+                        )
                     } else {
-                        wire_bytes += gfns.len() as u64 * PAGE_SIZE;
+                        s.gfns.len() as u64 * PAGE_SIZE
+                    };
+                    if taken < total {
+                        dst.part(s, round)?;
+                        s.ring.drain();
                     }
-                    match &mut *dst {
-                        Dest::Remote(r) if taken < total => r.send_part(ring, round)?,
-                        Dest::Remote(_) => return Ok(()),
-                        Dest::Local(_) => {
-                            // Room for the whole part, so the capacity moves
-                            // only a part at a time, not with each change.
-                            reserve_doubling(writes, writes.len() + gfns.len());
-                            let part = (&gfns[..], &words[..], &current[..]);
-                            self.resolve_part(ring, part, vm_name, |g, w| writes.push((g, w)))?;
-                        }
-                    }
-                    ring.drain();
                     Ok(())
                 });
             if let Err(e) = handed {
                 if content_aware {
                     self.cache.rollback_round();
                 }
-                ring.rollback();
+                s.ring.rollback();
                 return Err(e);
             }
         }
-        let grown = caps
-            .iter()
-            .zip(s.capacities())
-            .filter(|&(a, b)| *a != b)
-            .count();
-        let mut st = self.scratch.stats();
-        st.rounds += 1;
-        st.grows += grown as u64;
+        s.probe.rounds += 1;
+        s.probe.grows += s.grown_since(caps);
         Ok(wire_bytes)
     }
 }
@@ -1108,25 +895,22 @@ struct PartCursor {
 }
 
 /// Gathers the part of `pages` that starts at `at`, at most [`PART_PAGES`]
-/// pages, and moves `at` past it: into `(gfns, words, current)`, the
-/// part's gfns, the source's words at them and, for a local destination,
-/// its current words there. Round 0 takes both sides' words extent by
-/// extent, the source's from its memory map and a local destination's
-/// through its own ([`map_runs`]), translating no gfn. A dirty round reads
-/// both sides through [`Hypervisor::read_guest_into`]. Either way RAM is
-/// read through the zero-line summary.
+/// pages, and moves `at` past it: into `(gfns, words)`, the part's gfns and
+/// the source's words at them. Round 0 takes the words extent by extent
+/// off the source's memory map, translating no gfn; a dirty round reads
+/// them through [`Hypervisor::read_guest_into`]. Either way RAM is read
+/// through the zero-line summary. The destination's words are the sink's
+/// to read.
 fn gather_part(
     (src_machine, src_hv, src_id): (&Machine, &dyn Hypervisor, VmId),
-    dst: &Dest<'_>,
     pages: RoundPages<'_>,
     at: &mut PartCursor,
-    (gfns, words, current): (&mut Vec<Gfn>, &mut Vec<u64>, &mut Vec<u64>),
+    (gfns, words): (&mut Vec<Gfn>, &mut Vec<u64>),
 ) -> Result<(), HtpError> {
     gfns.clear();
     match pages {
         RoundPages::Map(map) => {
             words.clear();
-            current.clear();
             let mut room = PART_PAGES as u64;
             while let (true, Some(&(gfn, e))) = (room > 0, map.get(at.k)) {
                 let (first, n) = (gfn.0 + at.off, (e.pages() - at.off).min(room));
@@ -1134,14 +918,6 @@ fn gather_part(
                 src_machine
                     .ram()
                     .append_content(e.base + at.off, n, words)?;
-                if let Dest::Local(l) = dst {
-                    for (g, backing, k) in map_runs(&l.map, first, n) {
-                        match backing {
-                            Some(mfn) => l.machine.ram().append_content(mfn, k, current)?,
-                            None => current.push(l.hv.read_guest(l.machine, l.id, Gfn(g))?),
-                        }
-                    }
-                }
                 (room, at.off) = (room - n, at.off + n);
                 if at.off == e.pages() {
                     (at.k, at.off) = (at.k + 1, 0);
@@ -1153,44 +929,9 @@ fn gather_part(
             gfns.extend_from_slice(part);
             at.k += part.len();
             src_hv.read_guest_into(src_machine, src_id, gfns, words)?;
-            if let Dest::Local(l) = dst {
-                l.hv.read_guest_into(l.machine, l.id, gfns, current)?;
-            }
         }
     }
     Ok(())
-}
-
-/// Whether the destination VM `dst_id` holds the source's word at every
-/// gfn the source's memory map `src_map` covers — the
-/// [`MigrationConfig::verify_contents`] check. Walks the source's extents
-/// and, for each, the destination extents over the same gfns
-/// ([`map_runs`]), comparing the RAM backing slice by slice; a gfn the
-/// destination's map does not cover is read through its hypervisor, which
-/// fails as a gather of it would.
-fn same_contents(
-    src_machine: &Machine,
-    src_map: &[(Gfn, Extent)],
-    dst_machine: &Machine,
-    dst_hv: &dyn Hypervisor,
-    dst_id: VmId,
-) -> Result<bool, HtpError> {
-    let dst_map = sorted_map(dst_hv, dst_id)?;
-    let (src_ram, dst_ram) = (src_machine.ram(), dst_machine.ram());
-    for &(gfn, e) in src_map {
-        let src = src_ram.content_slice(e.base, e.pages())?;
-        for (at, backing, n) in map_runs(&dst_map, gfn.0, e.pages()) {
-            let words = &src[(at - gfn.0) as usize..][..n as usize];
-            let same = match backing {
-                Some(mfn) => *words == *dst_ram.content_slice(mfn, n)?,
-                None => words[0] == dst_hv.read_guest(dst_machine, dst_id, Gfn(at))?,
-            };
-            if !same {
-                return Ok(false);
-            }
-        }
-    }
-    Ok(true)
 }
 
 /// Per-round result of [`MigrationTp::send_round`].
@@ -1206,396 +947,11 @@ struct RoundOutcome {
     drops: u32,
 }
 
-/// Result of a fleet migration ([`migrate_fleet`]).
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    /// Per-VM reports, **in input order** (downtime/total reflect the
-    /// fleet schedule, measured from the fleet start).
-    pub reports: Vec<MigrationReport>,
-    /// The scheduler's cold-start per-VM predictions, in input order
-    /// (predicted-vs-actual telemetry).
-    pub predictions: Vec<MigrationPrediction>,
-    /// The prediction in force when each VM was actually admitted, in
-    /// input order. Equal to [`FleetReport::predictions`] under
-    /// [`FleetOrder::Fifo`] and [`FleetOrder::ShortestPredictedFirst`];
-    /// under [`FleetOrder::SloAware`] these are the contended predictions
-    /// priced at the slot each VM got.
-    pub admission_predictions: Vec<MigrationPrediction>,
-    /// Policy the fleet ran under.
-    pub policy: FleetPolicy,
-    /// Admission order chosen by the scheduler (indices into the input).
-    pub admission: Vec<usize>,
-    /// Per-VM pre-copy start instants (from fleet start), in input order
-    /// — the schedule the SLO accounting prices.
-    pub starts: Vec<SimDuration>,
-    /// Per-VM SLO outcomes, in input order: `Some` for every
-    /// [`FleetVm`] that carried an [`crate::SloVm`] attachment (priced
-    /// against its actual schedule — start, contended pre-copy, real
-    /// downtime), `None` for traffic-free VMs.
-    pub slo: Vec<Option<VmSloOutcome>>,
-    /// Instant (from fleet start) the last VM became ready.
-    pub makespan: SimDuration,
-}
-
-impl FleetReport {
-    fn mean(iter: impl Iterator<Item = SimDuration>, n: usize) -> SimDuration {
-        if n == 0 {
-            return SimDuration::ZERO;
-        }
-        let total: u64 = iter.map(|d| d.as_nanos()).sum();
-        SimDuration::from_nanos(total / n as u64)
-    }
-
-    /// Mean VM downtime across the fleet.
-    pub fn mean_downtime(&self) -> SimDuration {
-        Self::mean(self.reports.iter().map(|r| r.downtime), self.reports.len())
-    }
-
-    /// Mean VM-ready time (time from fleet start until each VM resumed on
-    /// the destination) — the per-VM exposure window the scheduler
-    /// minimises.
-    pub fn mean_ready(&self) -> SimDuration {
-        Self::mean(self.reports.iter().map(|r| r.total), self.reports.len())
-    }
-
-    /// Total wire bytes across the fleet.
-    pub fn total_bytes(&self) -> u64 {
-        self.reports.iter().map(|r| r.bytes_sent).sum()
-    }
-
-    /// Total SLO violation-seconds across the fleet (zero when no VM
-    /// carried an SLO).
-    pub fn total_violation(&self) -> SimDuration {
-        self.slo
-            .iter()
-            .flatten()
-            .map(|o| o.violation)
-            .sum::<SimDuration>()
-    }
-
-    /// Worst per-VM error-budget burn (fraction of the daily budget one
-    /// migration consumed; 0.0 when no VM carried an SLO).
-    pub fn max_budget_burn(&self) -> f64 {
-        self.slo
-            .iter()
-            .flatten()
-            .map(|o| o.budget_burn)
-            .fold(0.0, f64::max)
-    }
-
-    /// Number of fleet members that carried an SLO attachment.
-    pub fn slo_vm_count(&self) -> usize {
-        self.slo.iter().flatten().count()
-    }
-}
-
-/// Migrates a fleet of VMs under a [`FleetPolicy`]: convergence-aware
-/// admission/ordering plus shared-link accounting.
-///
-/// * **Admission**: at most `policy.max_concurrent` pre-copy streams run
-///   at once (0 = everyone, the legacy behaviour); a stream's slot frees
-///   when its pre-copy ends. Bounding concurrency shortens rounds, which
-///   shrinks per-round dirtying — the fleet-level convergence win.
-/// * **Ordering**: [`FleetOrder::Fifo`] admits in input order;
-///   [`FleetOrder::ShortestPredictedFirst`] admits by predicted
-///   stop-and-copy time (`predict_migration`), so small/idle VMs clear
-///   the (sequential) receiver before the heavyweights park on it;
-///   [`FleetOrder::SloAware`] admits by predicted SLO harm at the slot's
-///   current time, steering hot-traffic VMs toward their low-QPS windows.
-/// * **SLO physics**: a [`FleetVm`] carrying an [`crate::SloVm`]
-///   contends its traffic against its pre-copy stream
-///   ([`LinkContention`]) and has its violation-seconds and error-budget
-///   burn accounted in [`FleetReport::slo`] — under *every* order, so
-///   SLO-blind baselines feel the same contention they ignore.
-/// * **Receive side**: sequential when the destination is Xen (each
-///   stop-and-copy queues behind the previous one, §5.2.2), parallel for
-///   kvmtool — as in [`migrate_many`].
-///
-/// With the default policy (FIFO, unlimited concurrency) the schedule is
-/// byte-identical to the legacy [`migrate_many`], which is now a thin
-/// wrapper over this function.
-pub fn migrate_fleet(
-    tp: &MigrationTp,
-    src_machine: &mut Machine,
-    src_hv: &mut dyn Hypervisor,
-    vms: &[FleetVm],
-    dst_machine: &mut Machine,
-    dst_hv: &mut dyn Hypervisor,
-    policy: FleetPolicy,
-) -> Result<FleetReport, HtpError> {
-    let n = vms.len();
-    let slots = if policy.max_concurrent == 0 {
-        n
-    } else {
-        policy.max_concurrent.min(n)
-    };
-    let sharers = slots as u32;
-    let sequential_receive = dst_hv.kind() == HypervisorKind::Xen;
-    let perf = src_machine.spec().perf();
-
-    // Per-VM model inputs, in input order: (pages, dirty rate, stop_fixed).
-    let inputs = vms
-        .iter()
-        .map(|vm| {
-            let cfg = src_hv.vm_config(vm.id)?;
-            let rate = vm.dirty_rate.unwrap_or(tp.config.dirty_rate_pages_per_sec);
-            Ok((
-                cfg.pages(),
-                rate,
-                tp.stop_fixed(dst_hv.kind(), cfg.vcpus, sharers),
-            ))
-        })
-        .collect::<Result<Vec<(u64, f64, SimDuration)>, HtpError>>()?;
-    let predict = |i: usize, contention: LinkContention| {
-        let (pages, dirty_rate, stop_fixed) = inputs[i];
-        predict_migration(&PredictInput {
-            pages,
-            dirty_rate,
-            config: &tp.config,
-            sharers,
-            perf,
-            ghz_s_per_page: tp.cost.migrate_ghz_s_per_page,
-            round_overhead_s: tp.cost.migrate_round_overhead_s,
-            compression_hint: policy.compression_hint,
-            stop_fixed,
-            contention,
-        })
-    };
-    // The cold-start predictions: ordering + telemetry.
-    let predictions: Vec<MigrationPrediction> =
-        (0..n).map(|i| predict(i, LinkContention::NONE)).collect();
-    let mut waiting: Vec<usize> = (0..n).collect();
-    if policy.order == FleetOrder::ShortestPredictedFirst {
-        waiting.sort_by_key(|&i| (predictions[i].stop_copy, i));
-    }
-
-    // Run the data phases in admission order (the shared wire cache sees
-    // VMs in the same order the link does), assigning each stream to the
-    // earliest-free slot. Each entry is (destination VM, phase, start).
-    let mut admission = Vec::with_capacity(n);
-    let mut phases: Vec<Option<(VmId, DataPhase, SimDuration)>> = (0..n).map(|_| None).collect();
-    let mut slot_free = vec![SimDuration::ZERO; slots];
-    let mut admission_predictions = predictions.clone();
-    while !waiting.is_empty() {
-        let next = if policy.order == FleetOrder::SloAware {
-            // Least-predicted-harm admission: at each free slot, re-price
-            // every waiting VM's migration *at the slot's current time* —
-            // the pre-copy prediction contended by the VM's own traffic,
-            // priced in violation-seconds by its SLO — and admit the
-            // cheapest (predicted stop-and-copy, then input index, break
-            // ties: harmless VMs drain in SPDF order). Hot-traffic VMs are
-            // pushed back and picked up when the advancing fleet clock
-            // reaches their low-QPS window. Work-conserving: a slot never
-            // idles waiting for a window.
-            let now = slot_free.iter().copied().min().expect("slots >= 1");
-            let (_, k, pred) = waiting
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| {
-                    let slo = vms[i].slo;
-                    let pred = predict(
-                        i,
-                        slo.map_or(LinkContention::NONE, |s| {
-                            LinkContention::new(s.traffic.bps_at(now))
-                        }),
-                    );
-                    let harm = slo.map_or(SimDuration::ZERO, |s| {
-                        s.outcome(now, pred.precopy, pred.stop_copy).violation
-                    });
-                    ((harm, pred.stop_copy, i), k, pred)
-                })
-                .min_by_key(|&(key, _, _)| key)
-                .expect("waiting is non-empty");
-            admission_predictions[waiting[k]] = pred;
-            k
-        } else {
-            0
-        };
-        let i = waiting.remove(next);
-        admission.push(i);
-        phases[i] = Some(run_fleet_phase(
-            tp,
-            src_machine,
-            src_hv,
-            vms[i],
-            dst_machine,
-            dst_hv,
-            sharers,
-            &mut slot_free,
-        )?);
-    }
-
-    // Schedule the receive side: stop-and-copies queue on a sequential
-    // receiver in pre-copy completion order (admission order breaks
-    // ties, via the stable sort).
-    let mut recv_order: Vec<(usize, SimDuration)> = admission
-        .iter()
-        .map(|&i| {
-            let (_, phase, start) = phases[i].as_ref().expect("admitted");
-            (i, *start + phase.precopy)
-        })
-        .collect();
-    recv_order.sort_by_key(|&(_, end)| end);
-    let mut receiver_free = SimDuration::ZERO;
-    let mut makespan = SimDuration::ZERO;
-    let mut out: Vec<Option<MigrationReport>> = (0..n).map(|_| None).collect();
-    for &(i, precopy_end) in &recv_order {
-        let (_, phase, _) = phases[i].as_ref().expect("admitted");
-        let (finish, downtime) = if sequential_receive {
-            let begin = precopy_end.max(receiver_free);
-            let finish = begin + phase.stop_copy;
-            receiver_free = finish;
-            (finish, finish - precopy_end)
-        } else {
-            (precopy_end + phase.stop_copy, phase.stop_copy)
-        };
-        makespan = makespan.max(finish);
-        let mut report = phase.report.clone();
-        report.downtime = downtime;
-        report.total = finish;
-        out[i] = Some(report);
-    }
-
-    src_machine.clock().advance(makespan);
-    dst_machine.clock().advance_to(src_machine.clock().now());
-    for (vm, slot) in vms.iter().zip(&phases) {
-        let (dst_id, _, _) = slot.as_ref().expect("all scheduled");
-        dst_hv.resume_vm(*dst_id)?;
-        src_hv.destroy_vm(src_machine, vm.id)?;
-    }
-    let reports: Vec<MigrationReport> =
-        out.into_iter().map(|r| r.expect("all scheduled")).collect();
-    // Price every SLO-carrying VM's migration against the schedule it
-    // actually got: its start, its (contention-stretched) pre-copy and
-    // the real downtime including receiver queuing. The accounting runs
-    // under every order — the baseline schedulers are *blind* to the
-    // harm, not exempt from it.
-    let starts: Vec<SimDuration> = phases
-        .iter()
-        .map(|p| p.as_ref().expect("all scheduled").2)
-        .collect();
-    let slo: Vec<Option<VmSloOutcome>> = (0..n)
-        .map(|i| {
-            vms[i].slo.map(|s| {
-                let (_, phase, start) = phases[i].as_ref().expect("all scheduled");
-                s.outcome(*start, phase.precopy, reports[i].downtime)
-            })
-        })
-        .collect();
-    Ok(FleetReport {
-        reports,
-        predictions,
-        admission_predictions,
-        policy,
-        admission,
-        starts,
-        slo,
-        makespan,
-    })
-}
-
-/// Runs one fleet member's data phase on the earliest-free slot and
-/// advances that slot's clock; returns the destination VM, the phase and
-/// its start. Shared by the static (FIFO/SPDF) and
-/// [`FleetOrder::SloAware`] admission loops so all schedule identically
-/// given the same admission order.
-///
-/// **Tie-breaking rule**: among equally-early free slots the
-/// *lowest-indexed* slot wins — the key is the `(free_time, slot_index)`
-/// pair, so the choice is a total order independent of iteration
-/// quirks. Identical predicted durations therefore produce identical
-/// slot assignments on every run and under every `HYPERTP_WORKERS`
-/// setting (the schedule is simulated time; worker count only changes
-/// wall-clock). Regression-tested by
-/// `equal_duration_fleet_schedule_is_deterministic`.
-///
-/// A [`FleetVm`] carrying an [`crate::SloVm`] contends its own traffic
-/// (sampled at the slot's start instant) against the pre-copy stream:
-/// the engine runs the data phase over the contention-scaled link, so
-/// round transfers stretch and the controller's estimators observe the
-/// stretched reality.
-#[allow(clippy::too_many_arguments)]
-fn run_fleet_phase(
-    tp: &MigrationTp,
-    src_machine: &mut Machine,
-    src_hv: &mut dyn Hypervisor,
-    vm: FleetVm,
-    dst_machine: &mut Machine,
-    dst_hv: &mut dyn Hypervisor,
-    sharers: u32,
-    slot_free: &mut [SimDuration],
-) -> Result<(VmId, DataPhase, SimDuration), HtpError> {
-    let slot = slot_free
-        .iter()
-        .enumerate()
-        .min_by_key(|&(s, &t)| (t, s))
-        .map(|(s, _)| s)
-        .expect("slots >= 1 when vms is non-empty");
-    let start = slot_free[slot];
-    let workload_bps = vm.slo.map(|s| s.traffic.bps_at(start)).unwrap_or(0.0);
-    let contended_tp;
-    let tp = if workload_bps > 0.0 {
-        let mut config = tp.config;
-        config.link = LinkContention::new(workload_bps).contended(&config.link);
-        contended_tp = tp.clone().with_config(config);
-        &contended_tp
-    } else {
-        tp
-    };
-    let cfg = src_hv.vm_config(vm.id)?.clone();
-    let dst_id = dst_hv.prepare_incoming(dst_machine, &cfg)?;
-    let mut dst = Dest::local(dst_machine, dst_hv, dst_id)?;
-    let phase = tp.migrate_data(
-        src_machine,
-        src_hv,
-        vm.id,
-        &cfg,
-        &mut dst,
-        sharers,
-        vm.dirty_rate,
-    )?;
-    slot_free[slot] = start + phase.precopy;
-    Ok((dst_id, phase, start))
-}
-
-/// Migrates several VMs from one host to another, reproducing §5.2.2's
-/// multi-VM behaviour: sends run in parallel and share the link; the
-/// receive side is **sequential** when the destination is Xen (each VM's
-/// stop-and-copy queues behind the previous one, inflating later VMs'
-/// downtime) and parallel when it is kvmtool.
-///
-/// Wall-clock execution: each VM's rounds, applies and verification run
-/// on the calling thread, so the Xen receive queue stays serial. The
-/// simulated schedule and every report are identical for any worker
-/// count.
-///
-/// This is [`migrate_fleet`] under the legacy default policy (FIFO
-/// admission, unlimited concurrency); the schedule is byte-identical to
-/// the pre-scheduler implementation.
-pub fn migrate_many(
-    tp: &MigrationTp,
-    src_machine: &mut Machine,
-    src_hv: &mut dyn Hypervisor,
-    vm_ids: &[VmId],
-    dst_machine: &mut Machine,
-    dst_hv: &mut dyn Hypervisor,
-) -> Result<Vec<MigrationReport>, HtpError> {
-    let vms: Vec<FleetVm> = vm_ids.iter().map(|&id| FleetVm::new(id)).collect();
-    let fleet = migrate_fleet(
-        tp,
-        src_machine,
-        src_hv,
-        &vms,
-        dst_machine,
-        dst_hv,
-        FleetPolicy::default(),
-    )?;
-    Ok(fleet.reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::{FleetOrder, FleetPolicy, FleetVm};
+    use crate::sink::{sorted_map, LocalSink};
     use hypertp_core::testing::SimpleHv;
     use hypertp_core::VmConfig;
     use hypertp_machine::MachineSpec;
@@ -1830,6 +1186,84 @@ mod tests {
             let want = stop_copy.as_secs_f64() * (k + 1) as f64;
             assert!((d.as_secs_f64() - want).abs() < 1e-9, "vm{k}");
         }
+    }
+
+    /// A destination that naks every round it is asked to close, and
+    /// counts the closes. Past a few times the retry budget it fails the
+    /// test rather than let a driver without a nak budget loop forever.
+    #[derive(Default)]
+    struct NakSink {
+        closes: u32,
+    }
+
+    impl Sink for NakSink {
+        fn kind(&self) -> HypervisorKind {
+            HypervisorKind::Kvm
+        }
+
+        fn part(&mut self, _: &mut RoundScratch, _: u32) -> Result<(), HtpError> {
+            Ok(())
+        }
+
+        fn close(&mut self, _: &mut RoundScratch, _: u32, _: bool) -> Result<bool, HtpError> {
+            self.closes += 1;
+            assert!(self.closes <= 16, "the driver closed past its nak budget");
+            Ok(false)
+        }
+
+        fn uisr(&mut self, _: &[u8]) -> Result<Option<Vec<String>>, HtpError> {
+            Ok(Some(Vec::new()))
+        }
+    }
+
+    /// A destination that naks every round spends the retry budget on
+    /// round 0 and fails the migration as an integrity violation. Every
+    /// attempt after the first is a logged re-send, and each nak rolls its
+    /// attempt back: the wire cache, warmed by an earlier migration, ends
+    /// as it began.
+    #[test]
+    fn a_destination_that_naks_every_round_spends_the_retry_budget() {
+        let (mut src_m, mut dst_m) = pair();
+        let mut src = SimpleHv::new(HypervisorKind::Xen);
+        let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+        let plan = FaultPlan::new(0x66);
+        let tp = MigrationTp::new()
+            .with_config(MigrationConfig {
+                wire_mode: WireMode::ContentAware,
+                ..MigrationConfig::default()
+            })
+            .with_faults(plan.clone());
+        let warm = src.create_vm(&mut src_m, &VmConfig::small("warm")).unwrap();
+        src.write_guest(&mut src_m, warm, Gfn(5), 0x5eed).unwrap();
+        tp.migrate(&mut src_m, &mut src, warm, &mut dst_m, &mut dst)
+            .unwrap();
+        let before = (tp.cache.dedup_len(), tp.cache.sent_len());
+        assert!(before.0 > 0 && before.1 > 0, "the cache is warm");
+
+        let id = seeded_guest(&mut src_m, &mut src, 4_096, 4);
+        let cfg = src.vm_config(id).unwrap().clone();
+        let mut sink = NakSink::default();
+        let phase = tp.migrate_data(&mut src_m, &mut src, id, &cfg, &mut sink, 1, None);
+        assert_eq!(phase.err(), Some(integrity("vm0")));
+        let budget = tp.config.max_link_retries;
+        assert_eq!(sink.closes, budget + 1, "one close per attempt");
+        assert_eq!((tp.cache.dedup_len(), tp.cache.sent_len()), before);
+        let resent: Vec<String> = plan
+            .log()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                hypertp_sim::fault::FaultEvent::Recovered {
+                    point: InjectionPoint::TruncatedPage,
+                    action: RecoveryAction::ResentPages,
+                    detail,
+                    ..
+                } => Some(detail.clone()),
+                _ => None,
+            })
+            .collect();
+        let line = "vm0 round 0: destination nak, re-sent 262144 page(s)";
+        assert_eq!(resent, vec![line; budget as usize]);
     }
 
     /// Both wire representations: the round fault policy is shared, so
@@ -2806,15 +2240,15 @@ mod tests {
         let pages = RoundPages::Map(&map);
         assert!(pages.len() >= 3 * PART_PAGES as u64);
         let fresh = crate::proxy::vm_checksum(&dst_m, &dst, dst_id).unwrap();
-        let mut to = Dest::local(&mut dst_m, &mut dst, dst_id).unwrap();
-        tp.encode_round(&src_m, &src, id, &mut to, 0, pages, "vm0")
+        let mut to = LocalSink::new(&tp, &mut dst_m, &mut dst, dst_id, "vm0").unwrap();
+        tp.encode_round((&src_m, &src, id), &mut to, 0, pages)
             .unwrap();
         let encoded = crate::proxy::vm_checksum(&dst_m, &dst, dst_id).unwrap();
         assert_eq!(encoded, fresh, "encoding wrote the destination");
         tp.rollback_round();
 
-        let mut to = Dest::local(&mut dst_m, &mut dst, dst_id).unwrap();
-        tp.encode_round(&src_m, &src, id, &mut to, 0, pages, "vm0")
+        let mut to = LocalSink::new(&tp, &mut dst_m, &mut dst, dst_id, "vm0").unwrap();
+        tp.encode_round((&src_m, &src, id), &mut to, 0, pages)
             .unwrap();
         let mut wire = WireStats::new();
         assert!(tp.deliver_round(&mut to, 0, false, &mut wire).unwrap());
@@ -2824,6 +2258,6 @@ mod tests {
             pages.len(),
             "the dropped attempt is not counted"
         );
-        assert!(same_contents(&src_m, &map, &dst_m, &dst, dst_id).unwrap());
+        assert!(to.verify(&src_m, &map).unwrap());
     }
 }

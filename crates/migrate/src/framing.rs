@@ -28,6 +28,7 @@
 use hypertp_sim::hash::Digest128;
 
 use crate::network::{FrameKind, WIRE_DIGEST_BYTES, WIRE_FRAME_HEADER};
+use crate::wire::delta_apply_word;
 use hypertp_machine::PAGE_SIZE;
 
 /// A parsed, borrowed view of one serialized frame.
@@ -86,6 +87,24 @@ impl<'a> FrameView<'a> {
         let hi = u64::from_le_bytes(self.payload.get(..8)?.try_into().ok()?);
         let lo = u64::from_le_bytes(self.payload.get(8..16)?.try_into().ok()?);
         Some(Digest128 { hi, lo })
+    }
+
+    /// The word the destination lands for this frame at a page whose word
+    /// is `current`, with `dup` looking a `Dup` frame's digest up in the
+    /// content the destination holds. `None` when the frame is
+    /// inconsistent with the destination's state: a dup for unknown
+    /// content, or a delta that does not decode to a uniform page.
+    pub(crate) fn resolve(
+        &self,
+        current: u64,
+        dup: impl FnOnce(Digest128) -> Option<u64>,
+    ) -> Option<u64> {
+        match self.kind {
+            FrameKind::Raw => self.raw_word(),
+            FrameKind::Zero => Some(0),
+            FrameKind::Dup => dup(self.dup_digest()?),
+            FrameKind::Delta => delta_apply_word(current, self.payload),
+        }
     }
 
     /// Accounted wire bytes: the header plus the payload, except that a
@@ -293,18 +312,23 @@ impl FrameRing {
         WIRE_FRAME_HEADER + delta.len() as u64
     }
 
-    /// Delta-encodes two uniform pages straight into the ring — no
-    /// intermediate stream buffer. Byte-identical payload to
-    /// `wire`'s reference `delta_encode_words_into`; returns the accounted
-    /// wire bytes.
+    /// Delta-encodes two uniform pages into the ring through a stack
+    /// buffer: the stream of `wire`'s reference `delta_encode_words_into`
+    /// (byte-for-byte equality is pinned by a test below), at most 11
+    /// bytes. Returns the accounted wire bytes.
     pub(crate) fn push_delta_words(&mut self, gfn: u64, old_word: u64, new_word: u64) -> u64 {
         let mut stream = [0u8; 11];
-        let mut scratch = ElevenBytes {
-            buf: &mut stream,
-            len: 0,
+        let x = old_word ^ new_word;
+        let len = if x == 0 {
+            stream[0] = crate::wire::OP_ZERO_RUN;
+            stream[1..3].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
+            3
+        } else {
+            stream[0] = crate::wire::OP_PATTERN8;
+            stream[1..3].copy_from_slice(&((PAGE_SIZE / 8) as u16).to_le_bytes());
+            stream[3..11].copy_from_slice(&x.to_le_bytes());
+            11
         };
-        delta_encode_words_into_buf(old_word, new_word, &mut scratch);
-        let len = scratch.len;
         self.push_delta(gfn, &stream[..len])
     }
 
@@ -343,32 +367,6 @@ impl FrameRing {
     /// Largest byte length the ring ever reached.
     pub(crate) fn high_water(&self) -> usize {
         self.high_water
-    }
-}
-
-/// Minimal fixed-buffer sink for the 3/11-byte word-level delta streams.
-struct ElevenBytes<'a> {
-    buf: &'a mut [u8; 11],
-    len: usize,
-}
-
-/// Writes the stream of `wire`'s reference `delta_encode_words_into` into
-/// a stack buffer.
-fn delta_encode_words_into_buf(old_word: u64, new_word: u64, out: &mut ElevenBytes<'_>) {
-    // Reuse the Vec encoder via a tiny thread-free shim would still
-    // allocate; the stream is at most 11 bytes, so mirror it directly.
-    // Byte-for-byte equality with `delta_encode_words_into` is pinned by
-    // a test below.
-    let x = old_word ^ new_word;
-    if x == 0 {
-        out.buf[0] = crate::wire::OP_ZERO_RUN;
-        out.buf[1..3].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
-        out.len = 3;
-    } else {
-        out.buf[0] = crate::wire::OP_PATTERN8;
-        out.buf[1..3].copy_from_slice(&((PAGE_SIZE / 8) as u16).to_le_bytes());
-        out.buf[3..11].copy_from_slice(&x.to_le_bytes());
-        out.len = 11;
     }
 }
 

@@ -40,9 +40,11 @@
 
 pub mod control;
 pub mod engine;
+mod fleet;
 pub mod framing;
 pub mod network;
 pub mod proxy;
+mod sink;
 pub mod transport;
 pub mod wire;
 

@@ -15,6 +15,8 @@
 use hypertp_machine::PAGE_SIZE;
 use hypertp_sim::SimDuration;
 
+use crate::wire::CacheStats;
+
 /// Framing metadata per wire frame: kind tag, GFN addressing and payload
 /// length — the fixed cost of *any* frame, including the 1-entry zero
 /// marker.
@@ -56,14 +58,10 @@ impl FrameKind {
         }
     }
 
-    /// Dense index for accounting arrays.
+    /// Dense index for accounting arrays: the declaration order, which is
+    /// also the order of [`FrameKind::ALL`] and of the wire tags.
     fn index(self) -> usize {
-        match self {
-            FrameKind::Raw => 0,
-            FrameKind::Zero => 1,
-            FrameKind::Dup => 2,
-            FrameKind::Delta => 3,
-        }
+        self as usize
     }
 
     /// The kind's on-wire tag byte (the first byte of a serialized frame
@@ -155,22 +153,15 @@ impl WireStats {
         }
     }
 
-    /// Records the dedup cache's state for this migration: final
-    /// occupancy/capacity plus the eviction and hit/lookup deltas
-    /// attributable to the migration.
-    pub(crate) fn record_cache(
-        &mut self,
-        occupancy: u64,
-        capacity: u64,
-        evictions: u64,
-        dup_hits: u64,
-        dup_lookups: u64,
-    ) {
-        self.cache_occupancy = occupancy;
-        self.cache_capacity = capacity;
-        self.cache_evictions = evictions;
-        self.cache_dup_hits = dup_hits;
-        self.cache_dup_lookups = dup_lookups;
+    /// Records the dedup cache's state for this migration from its stats
+    /// `now` and `before` the migration: final occupancy/capacity plus the
+    /// eviction and hit/lookup deltas attributable to the migration.
+    pub(crate) fn record_cache(&mut self, now: CacheStats, before: CacheStats) {
+        self.cache_occupancy = now.occupancy;
+        self.cache_capacity = now.capacity;
+        self.cache_evictions = now.evictions - before.evictions;
+        self.cache_dup_hits = now.dup_hits - before.dup_hits;
+        self.cache_dup_lookups = now.dup_lookups - before.dup_lookups;
     }
 
     /// Dedup-cache entries held when the migration finished.
@@ -377,18 +368,34 @@ mod tests {
         assert_eq!(WireStats::new().compression_ratio(), 1.0);
     }
 
+    /// Records a cache whose stats went from empty to `occupancy`,
+    /// `capacity`, `evictions`, `dup_hits` and `dup_lookups`.
+    fn record(
+        s: &mut WireStats,
+        [occupancy, capacity, evictions, dup_hits, dup_lookups]: [u64; 5],
+    ) {
+        let now = CacheStats {
+            occupancy,
+            capacity,
+            evictions,
+            dup_hits,
+            dup_lookups,
+        };
+        s.record_cache(now, CacheStats::default());
+    }
+
     #[test]
     fn cache_stats_record_and_merge() {
         let mut s = WireStats::new();
         assert_eq!(s.dedup_hit_rate(), 0.0, "no lookups yet");
-        s.record_cache(10, 64, 2, 3, 12);
+        record(&mut s, [10, 64, 2, 3, 12]);
         assert_eq!(s.cache_occupancy(), 10);
         assert_eq!(s.cache_capacity(), 64);
         assert_eq!(s.cache_evictions(), 2);
         assert_eq!(s.dedup_hit_rate(), 0.25);
 
         let mut later = WireStats::new();
-        later.record_cache(20, 64, 1, 5, 8);
+        record(&mut later, [20, 64, 1, 5, 8]);
         let mut agg = WireStats::new();
         agg.merge(&s);
         agg.merge(&later);

@@ -5,7 +5,7 @@
 //! materialises them and translates the VMi State through UISR. Here the
 //! source proxy is the engine's own pre-copy driver
 //! ([`crate::engine::MigrationTp`]) landing the VM through a
-//! `RemoteDest` — same rounds, controller, stop rule, fault policy and
+//! `RemoteSink` — same rounds, controller, stop rule, fault policy and
 //! encode path — so a fault-free proxy run produces a destination RAM
 //! image, [`WireStats`] and timings **byte-identical** to the in-process
 //! engine. This module holds only the protocol.
@@ -56,11 +56,12 @@ use hypertp_machine::{Gfn, Machine};
 use hypertp_sim::hash::{Digest128, WordDigest};
 use hypertp_sim::SimDuration;
 
-use crate::engine::{integrity, Dest, MigrationConfig, MigrationTp, WireMode};
+use crate::engine::{integrity, MigrationConfig, MigrationTp, WireMode};
 use crate::framing::{FrameIter, FrameRing};
 use crate::network::{FrameKind, WireStats};
+use crate::sink::{RoundScratch, Sink};
 use crate::transport::Transport;
-use crate::wire::{content_key, delta_apply_word, SlotIndex};
+use crate::wire::{content_key, SlotIndex};
 
 mod msg;
 use msg::Msg;
@@ -196,8 +197,6 @@ pub fn vm_checksum(machine: &Machine, hv: &dyn Hypervisor, id: VmId) -> Result<u
 
 /// Runs the source proxy: opens a session with the destination proxy
 /// across `transport`, lands VM `id` through the engine's pre-copy driver
-/// Runs the source proxy: opens a session with the destination proxy
-/// across `transport`, lands VM `id` through the engine's pre-copy driver
 /// — rounds, stop rule, controller and fault recovery are
 /// [`MigrationTp::migrate`]'s — then cuts over: `Done` carries the
 /// source's pause-time RAM checksum, the destination resumes the VM and
@@ -223,7 +222,7 @@ pub fn run_source(
         ..tp.config
     });
     let cfg = hv.vm_config(id)?.clone();
-    let mut dst = Dest::Remote(RemoteDest::open(transport, &cfg)?);
+    let mut dst = RemoteSink::open(transport, &cfg)?;
     let phase = tp.migrate_data(machine, hv, id, &cfg, &mut dst, 1, None)?;
     drop(dst); // Frees the session's message buffer before the checksum pass.
     let report = phase.report;
@@ -255,20 +254,22 @@ pub fn run_source(
 }
 
 /// The source's end of a session with a [`DestProxy`] across a
-/// [`Transport`]: the remote destination kind of the engine's pre-copy
-/// driver. It speaks the protocol and nothing else; every decision —
-/// rounds, stop, retries, re-sends — is the driver's.
-pub(crate) struct RemoteDest<'a> {
+/// [`Transport`]: the remote sink of the engine's pre-copy driver. It
+/// speaks the protocol and nothing else; every decision — rounds, stop,
+/// retries, re-sends — is the driver's. It naks a damaged round rather
+/// than echo the page, and is verified by the `DoneAck` checksum at
+/// cut-over.
+pub(crate) struct RemoteSink<'a> {
     transport: &'a mut dyn Transport,
     /// The migrating VM (re-sent in resume `Hello`s).
     cfg: VmConfig,
     /// The destination hypervisor, from `HelloAck`.
-    pub(crate) kind: HypervisorKind,
+    kind: HypervisorKind,
     /// Message scratch, reused for every exchange.
     msg: Vec<u8>,
 }
 
-impl<'a> RemoteDest<'a> {
+impl<'a> RemoteSink<'a> {
     /// Opens a session: `Hello` → `HelloAck`, which names the destination
     /// hypervisor. A name or storage backend longer than `Hello`'s `u16`
     /// length prefix is refused, not sent for the peer to misparse.
@@ -278,7 +279,7 @@ impl<'a> RemoteDest<'a> {
                 "Hello string longer than 65535 bytes",
             ));
         }
-        let mut dst = RemoteDest {
+        let mut dst = RemoteSink {
             transport,
             cfg: cfg.clone(),
             kind: HypervisorKind::Xen, // until the `HelloAck` names it
@@ -297,44 +298,6 @@ impl<'a> RemoteDest<'a> {
         }
     }
 
-    /// Reconnects after a mid-stream disconnect: tears the transport down
-    /// and re-establishes it, then a resume `Hello` tells the destination
-    /// which round is re-sent, so it drops any staged state.
-    pub(crate) fn resume(&mut self, round: u32) -> Result<(), HtpError> {
-        self.transport
-            .reset()
-            .map_err(|_| link_err(&self.cfg.name))?;
-        self.hello(true, round).map(drop)
-    }
-
-    /// Ships the frames in `ring` as a `RoundPart` of round `round`. The
-    /// destination stages it without a reply.
-    pub(crate) fn send_part(&mut self, ring: &FrameRing, round: u32) -> Result<(), HtpError> {
-        Msg::RoundPart(round, ring.bytes_from(0)).write(&mut self.msg);
-        send(&mut *self.transport, &self.msg, &self.cfg.name)
-    }
-
-    /// Closes round `round` with the frames `ring` holds, the parts before
-    /// them already shipped — the last of them corrupted in the outgoing
-    /// copy when `truncate` (the ring itself stays intact) — and returns
-    /// the destination's verdict: `true` on `Ack`, `false` on `Nak`.
-    pub(crate) fn send_round(
-        &mut self,
-        ring: &FrameRing,
-        round: u32,
-        truncate: bool,
-    ) -> Result<bool, HtpError> {
-        encode_round(&mut self.msg, ring, round, truncate);
-        self.verdict(round)
-    }
-
-    /// Ships an encoded UISR blob: `true` when the destination decoded
-    /// and restored it, `false` when its decode rejected the blob.
-    pub(crate) fn send_uisr(&mut self, blob: &[u8]) -> Result<bool, HtpError> {
-        Msg::Uisr(blob).write(&mut self.msg);
-        self.verdict(UISR_ROUND)
-    }
-
     /// Sends the message built in `msg` and reads the verdict on `round`.
     fn verdict(&mut self, round: u32) -> Result<bool, HtpError> {
         exchange(&mut *self.transport, &mut self.msg, &self.cfg.name)?;
@@ -343,6 +306,43 @@ impl<'a> RemoteDest<'a> {
             Some(Msg::Nak(r)) if r == round => Ok(false),
             _ => Err(integrity(&self.cfg.name)),
         }
+    }
+}
+
+impl Sink for RemoteSink<'_> {
+    fn kind(&self) -> HypervisorKind {
+        self.kind
+    }
+
+    /// Ships the part as a `RoundPart`; the destination stages it without
+    /// a reply.
+    fn part(&mut self, s: &mut RoundScratch, round: u32) -> Result<(), HtpError> {
+        Msg::RoundPart(round, s.ring.bytes_from(0)).write(&mut self.msg);
+        send(&mut *self.transport, &self.msg, &self.cfg.name)
+    }
+
+    /// Ships the tail as the closing `Round` — its last frame corrupted in
+    /// the outgoing copy when `damaged` (the ring itself stays intact) —
+    /// and returns the verdict: `true` on `Ack`, `false` on `Nak`.
+    fn close(&mut self, s: &mut RoundScratch, round: u32, damaged: bool) -> Result<bool, HtpError> {
+        encode_round(&mut self.msg, &s.ring, round, damaged);
+        self.verdict(round)
+    }
+
+    /// Ships the blob; the destination acks it once decoded and restored.
+    fn uisr(&mut self, blob: &[u8]) -> Result<Option<Vec<String>>, HtpError> {
+        Msg::Uisr(blob).write(&mut self.msg);
+        Ok(self.verdict(UISR_ROUND)?.then(Vec::new))
+    }
+
+    /// Tears the transport down and re-establishes it, then a resume
+    /// `Hello` tells the destination which round is re-sent, so it drops
+    /// any staged state.
+    fn reconnect(&mut self, round: u32) -> Result<(), HtpError> {
+        self.transport
+            .reset()
+            .map_err(|_| link_err(&self.cfg.name))?;
+        self.hello(true, round).map(drop)
     }
 }
 
@@ -489,13 +489,7 @@ impl Staging {
         }
         hv.read_guest_into(machine, id, &self.gfns, &mut self.current)?;
         for (view, &cur) in FrameIter::over(stream).zip(&self.current) {
-            let word = match view.kind {
-                FrameKind::Raw => view.raw_word(),
-                FrameKind::Zero => Some(0),
-                FrameKind::Dup => view.dup_digest().and_then(|d| mirror.get(d)),
-                FrameKind::Delta => delta_apply_word(cur, view.payload),
-            };
-            let Some(w) = word else {
+            let Some(w) = view.resolve(cur, |digest| mirror.get(digest)) else {
                 self.ok = false;
                 return Ok(());
             };

@@ -77,7 +77,7 @@ impl<'a> Msg<'a> {
     }
 
     /// Clears `out` and writes the message into it. A `Hello`'s strings
-    /// must fit their `u16` lengths, which `RemoteDest::open` checks.
+    /// must fit their `u16` lengths, which `RemoteSink::open` checks.
     pub(super) fn write(&self, out: &mut Vec<u8>) {
         out.clear();
         let mut put = |fields: &[&[u8]]| fields.iter().for_each(|f| out.extend_from_slice(f));

@@ -123,20 +123,13 @@ impl InProcTransport {
     pub fn pair() -> (InProcTransport, InProcTransport) {
         let (a_tx, b_rx) = std::sync::mpsc::channel();
         let (b_tx, a_rx) = std::sync::mpsc::channel();
-        (
-            InProcTransport {
-                tx: a_tx,
-                rx: a_rx,
-                queued: Vec::new(),
-                closed: false,
-            },
-            InProcTransport {
-                tx: b_tx,
-                rx: b_rx,
-                queued: Vec::new(),
-                closed: false,
-            },
-        )
+        let end = |tx, rx| InProcTransport {
+            tx,
+            rx,
+            queued: Vec::new(),
+            closed: false,
+        };
+        (end(a_tx, a_rx), end(b_tx, b_rx))
     }
 }
 

@@ -994,12 +994,7 @@ impl TransferCache {
     /// not decode to a uniform page) — an integrity violation for the
     /// engine to surface. Deltas apply word-level, so no page is expanded.
     pub fn apply_view(&self, view: &FrameView<'_>, dst_current: u64) -> Option<u64> {
-        match view.kind {
-            FrameKind::Raw => view.raw_word(),
-            FrameKind::Zero => Some(0),
-            FrameKind::Dup => self.lock().dedup.word(view.dup_digest()?),
-            FrameKind::Delta => delta_apply_word(dst_current, view.payload),
-        }
+        view.resolve(dst_current, |digest| self.lock().dedup.word(digest))
     }
 }
 
