@@ -2,15 +2,16 @@
 //!
 //! Runs each fault scenario against its clean twin across a spread of
 //! seeds and reports what recovery *costs*: the extra simulated time a
-//! migration spends retrying a dropped link, re-sending a truncated page
-//! or a corrupted UISR blob, and the extra wall-clock a cluster plan
-//! burns requeuing failed host upgrades. The same seed always produces
-//! the same faults (see `hypertp_sim::fault`), so the distributions here
-//! are reproducible — only scenario 4's wall-clock numbers depend on the
-//! machine.
+//! migration spends retrying a dropped link, re-sending a round whose
+//! truncated page the destination naked, or a corrupted UISR blob, and
+//! the extra wall-clock a cluster plan burns requeuing failed host
+//! upgrades. The same seed always produces the same faults (see
+//! `hypertp_sim::fault`), so the distributions here are reproducible —
+//! only scenario 4's wall-clock numbers depend on the machine.
 //!
 //! 1. MigrationTP link drops (retry + backoff + round resume).
-//! 2. MigrationTP truncated final page (detect + re-send).
+//! 2. MigrationTP truncated final page (destination nak + whole-round
+//!    re-send).
 //! 3. MigrationTP corrupted UISR blob (decode reject + re-send) and
 //!    latency spikes (absorbed into the round).
 //! 4. InPlaceTP PRAM checksum mismatch (verify + rebuild) and worker
@@ -156,7 +157,8 @@ fn main() {
         drop_dist.mean
     );
 
-    // 2. Truncated final page: detect on the receiver, re-send.
+    // 2. Truncated final page: the receiver naks the round, which is
+    //    re-sent whole.
     let (trunc_over, trunc_inj) = migration_overheads(InjectionPoint::TruncatedPage, 0.5);
     let trunc_dist = Dist::of(&trunc_over);
     println!(

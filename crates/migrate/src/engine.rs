@@ -109,7 +109,8 @@ pub struct MigrationConfig {
     /// After the stop-and-copy set lands on a local destination, compare
     /// its guest memory with the paused source's, walking both sides'
     /// memory-map extents (one read of each guest's RAM). A remote
-    /// destination is verified by its `DoneAck` checksum instead.
+    /// destination is always checked at cut-over, by its `DoneAck`
+    /// checksum.
     pub verify_contents: bool,
     /// Maximum consecutive link-failure retries per round before the
     /// migration is abandoned with [`HtpError::LinkFailure`].
@@ -530,7 +531,7 @@ impl MigrationTp {
                 + self.cost.activate(dst.kind().boot_target(), cfg.vcpus),
         );
 
-        if self.config.verify_contents && !dst.verify(src_machine, &src_map)? {
+        if !dst.verify(src_machine, &src_map, precopy + stop_copy)? {
             return Err(integrity(&cfg.name));
         }
 
@@ -569,13 +570,13 @@ impl MigrationTp {
     /// resumes rather than restarts) until the retry budget is spent,
     /// first rolling a content-aware round's cache journal and frame ring
     /// back so no `Dup` references content the destination lost with the
-    /// round; a latency spike stretches the round; a truncated page is
-    /// re-sent — with its whole round to a sink that naks the damaged
-    /// close, alone to one that echoes the page back.
+    /// round; a truncated page damages the round's close, which the sink
+    /// naks, and the round is re-sent whole; a latency spike stretches the
+    /// round.
     #[allow(clippy::too_many_arguments)]
     fn send_round(
         &self,
-        (src_machine, src_hv, src_id): (&Machine, &dyn Hypervisor, VmId),
+        src @ (_, _, src_id): (&Machine, &dyn Hypervisor, VmId),
         dst: &mut dyn Sink,
         to_send: RoundPages<'_>,
         round: u32,
@@ -584,7 +585,6 @@ impl MigrationTp {
         wire: &mut WireStats,
     ) -> Result<RoundOutcome, HtpError> {
         let content_aware = self.config.wire_mode == WireMode::ContentAware;
-        let src = (src_machine, src_hv, src_id);
         let mut duration = SimDuration::ZERO;
         let mut drops = 0u32;
         let mut naks = 0u32;
@@ -643,11 +643,14 @@ impl MigrationTp {
                 dst.reconnect(round)?;
                 continue;
             }
-            // A frame truncated in flight costs a sink that naks it the
-            // whole attempt (one that echoes it is checked page by page,
-            // below).
-            let truncate =
-                !dst.echoes_damage() && self.truncated_page(vm_name, round, to_send).is_some();
+            // The round's last page truncated in flight: the sink naks the
+            // round, and the whole attempt is lost.
+            let truncate = to_send.last().is_some_and(|g| {
+                self.faults.should_inject(
+                    InjectionPoint::TruncatedPage,
+                    &format!("{vm_name} round {round} gfn {}", g.0),
+                )
+            });
             if self.deliver_round(dst, round, truncate, wire)? {
                 break encoded;
             }
@@ -677,7 +680,6 @@ impl MigrationTp {
         }
         let (transfer, round_time) = model.round(round_bytes, to_send.len());
         duration += round_time;
-        let mut bytes_sent = round_bytes + lost_bytes;
 
         // Latency spike: transient congestion stretches the round; the
         // engine absorbs the extra time rather than failing over.
@@ -696,45 +698,12 @@ impl MigrationTp {
             );
         }
 
-        // Truncated page on a sink that echoes it: one page of this round
-        // lands corrupted. The destination echoes it back; the mismatch
-        // triggers a single-page re-send.
-        if dst.echoes_damage() {
-            if let Some(bad_gfn) = self.truncated_page(vm_name, round, to_send) {
-                let good = src_hv.read_guest(src_machine, src_id, bad_gfn)?;
-                let echoed = dst.echo(bad_gfn, good)?;
-                debug_assert_ne!(echoed, good, "truncation must be observable");
-                if echoed != good {
-                    let (resent_bytes, resent_as) =
-                        self.resend_page(dst, src_id, bad_gfn, good, round, wire)?;
-                    duration += model.transfer(2 * resent_bytes);
-                    bytes_sent += resent_bytes;
-                    self.faults.record_recovery(
-                        InjectionPoint::TruncatedPage,
-                        RecoveryAction::ResentPages,
-                        &format!("{vm_name} round {round}: re-sent {resent_as}"),
-                    );
-                }
-            }
-        }
-
         self.commit_round();
         Ok(RoundOutcome {
             duration,
-            bytes_sent,
+            bytes_sent: round_bytes + lost_bytes,
             transfer,
             drops,
-        })
-    }
-
-    /// Consults the truncated-page fault for a round: the round's last
-    /// page when it is damaged in flight.
-    fn truncated_page(&self, vm_name: &str, round: u32, to_send: RoundPages<'_>) -> Option<Gfn> {
-        to_send.last().filter(|g| {
-            self.faults.should_inject(
-                InjectionPoint::TruncatedPage,
-                &format!("{vm_name} round {round} gfn {}", g.0),
-            )
         })
     }
 
@@ -760,43 +729,6 @@ impl MigrationTp {
         }
         drop(s);
         closed.inspect_err(|_| self.rollback_round())
-    }
-
-    /// Re-sends the one page whose echo came back damaged, as a part of
-    /// one page that closes at once on `dst`, after round `round` has
-    /// landed: a content-aware re-send is encoded into the round's drained
-    /// ring and tallied into `wire`. The cache by now holds the page's
-    /// content, so the correction usually ships as a digest-sized `Dup`
-    /// frame rather than a full page. Returns the bytes the correction put
-    /// on the wire and how the recovery log names it.
-    fn resend_page(
-        &self,
-        dst: &mut dyn Sink,
-        src_id: VmId,
-        gfn: Gfn,
-        good: u64,
-        round: u32,
-        wire: &mut WireStats,
-    ) -> Result<(u64, String), HtpError> {
-        let mut guard = self.scratch.round();
-        let s = &mut *guard;
-        let (bytes, resent_as) = match self.config.wire_mode {
-            WireMode::Raw => (PAGE_SIZE, format!("gfn {}", gfn.0)),
-            WireMode::ContentAware => {
-                let bytes =
-                    self.cache
-                        .encode_words_into(src_id.0, &[gfn], &[good], &mut s.ring, wire);
-                let kind = s.ring.iter().next().map_or("", |view| view.kind.name());
-                (bytes, format!("gfn {} as {kind} frame", gfn.0))
-            }
-        };
-        s.gfns.clear();
-        s.gfns.push(gfn);
-        s.words.clear();
-        s.words.push(good);
-        let landed = dst.close(s, round, false);
-        s.ring.drain();
-        landed.map(|_| (bytes, resent_as))
     }
 
     /// The destination acked the round: whatever the round staged becomes
@@ -1214,6 +1146,15 @@ mod tests {
         fn uisr(&mut self, _: &[u8]) -> Result<Option<Vec<String>>, HtpError> {
             Ok(Some(Vec::new()))
         }
+
+        fn verify(
+            &mut self,
+            _: &Machine,
+            _: &[(Gfn, Extent)],
+            _: SimDuration,
+        ) -> Result<bool, HtpError> {
+            Ok(true)
+        }
     }
 
     /// A destination that naks every round spends the retry budget on
@@ -1412,90 +1353,71 @@ mod tests {
         }
     }
 
-    /// A truncated page on a local destination is caught by its echo and
-    /// re-sent alone, in round 0 here, where it is the memory map's last
-    /// page. The recovery log names how the page went back and the
-    /// correction's bytes are counted exactly: a full page in Raw mode; in
-    /// content-aware mode a `Zero` marker for a zero page, and a `Dup` for
-    /// a page whose content the round has just shipped.
+    /// A truncated page on a local destination damages its round's close,
+    /// which the sink naks before any guest write: the driver re-sends the
+    /// whole round, here round 0, within the retry budget. The one lost
+    /// attempt is counted on the wire, and the destination ends with the
+    /// source's words, `verify_contents` passing. The guest is idle, so
+    /// the faulted run's later rounds are the clean run's.
     #[test]
     fn truncated_page_is_detected_and_resent() {
         use hypertp_sim::fault::{FaultEvent, FaultPlan, InjectionPoint, RecoveryAction};
         for mode in WIRE_MODES {
-            for last_word in [0, 0x1a57_0001] {
-                let run = |faults: FaultPlan| {
-                    let (mut src_m, mut dst_m) = pair();
-                    let mut src = SimpleHv::new(HypervisorKind::Xen);
-                    let mut dst = SimpleHv::new(HypervisorKind::Kvm);
-                    let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
-                    let (gfn, e) = *sorted_map(&src, id).unwrap().last().unwrap();
-                    let last = Gfn(gfn.0 + e.pages() - 1);
-                    src.write_guest(&mut src_m, id, Gfn(42), 0x4242).unwrap();
-                    src.write_guest(&mut src_m, id, last, last_word).unwrap();
-                    let tp = MigrationTp::new()
-                        .with_config(MigrationConfig {
-                            dirty_rate_pages_per_sec: 1.0,
-                            verify_contents: true, // full check would fail without the re-send
-                            wire_mode: mode,
-                            ..MigrationConfig::default()
-                        })
-                        .with_faults(faults);
-                    let r = tp
-                        .migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
-                        .unwrap();
-                    let new_id = dst.find_vm("vm0").unwrap();
-                    assert_eq!(dst.read_guest(&dst_m, new_id, Gfn(42)).unwrap(), 0x4242);
-                    assert_eq!(dst.read_guest(&dst_m, new_id, last).unwrap(), last_word);
-                    (r, last)
-                };
-                let (clean, _) = run(FaultPlan::disarmed());
-                let plan = FaultPlan::new(0x33);
-                plan.arm_once(InjectionPoint::TruncatedPage);
-                let (faulted, last) = run(plan.clone());
-                let resent: Vec<String> = plan
-                    .log()
-                    .events()
-                    .iter()
-                    .filter_map(|e| match e {
-                        FaultEvent::Recovered {
-                            point: InjectionPoint::TruncatedPage,
-                            action: RecoveryAction::ResentPages,
-                            detail,
-                            ..
-                        } => Some(detail.clone()),
-                        _ => None,
+            let run = |faults: FaultPlan| {
+                let (mut src_m, mut dst_m) = pair();
+                let mut src = SimpleHv::new(HypervisorKind::Xen);
+                let mut dst = SimpleHv::new(HypervisorKind::Kvm);
+                let id = src.create_vm(&mut src_m, &VmConfig::small("vm0")).unwrap();
+                let (gfn, e) = *sorted_map(&src, id).unwrap().last().unwrap();
+                let last = Gfn(gfn.0 + e.pages() - 1);
+                src.write_guest(&mut src_m, id, Gfn(42), 0x4242).unwrap();
+                src.write_guest(&mut src_m, id, last, 0x1a57_0001).unwrap();
+                let tp = MigrationTp::new()
+                    .with_config(MigrationConfig {
+                        dirty_rate_pages_per_sec: 0.0,
+                        verify_contents: true,
+                        wire_mode: mode,
+                        ..MigrationConfig::default()
                     })
-                    .collect();
-                let (kind, bytes) = match (mode, last_word) {
-                    (WireMode::Raw, _) => ("", PAGE_SIZE),
-                    (WireMode::ContentAware, 0) => (" as zero frame", 16),
-                    (WireMode::ContentAware, _) => (" as dup frame", 32),
-                };
-                let ctx = format!("{mode:?}, last word {last_word:#x}");
-                assert_eq!(
-                    resent,
-                    [format!("vm0 round 0: re-sent gfn {}{kind}", last.0)],
-                    "{ctx}"
-                );
-                // The re-send is real traffic: it is counted, and the round
-                // waits for the echo plus the corrected page.
-                assert!(
-                    faulted.rounds[0].duration > clean.rounds[0].duration,
-                    "{ctx}"
-                );
-                assert_eq!(faulted.bytes_sent, clean.bytes_sent + bytes, "{ctx}");
-                match mode {
-                    WireMode::Raw => assert_eq!(faulted.wire, WireStats::new(), "{ctx}"),
-                    WireMode::ContentAware => {
-                        assert_eq!(faulted.wire.frames(), clean.wire.frames() + 1, "{ctx}");
-                        assert_eq!(
-                            faulted.wire.wire_bytes(),
-                            clean.wire.wire_bytes() + bytes,
-                            "{ctx}"
-                        );
-                    }
-                }
-            }
+                    .with_faults(faults);
+                let r = tp
+                    .migrate(&mut src_m, &mut src, id, &mut dst_m, &mut dst)
+                    .unwrap();
+                let new_id = dst.find_vm("vm0").unwrap();
+                assert_eq!(dst.read_guest(&dst_m, new_id, Gfn(42)).unwrap(), 0x4242);
+                assert_eq!(dst.read_guest(&dst_m, new_id, last).unwrap(), 0x1a57_0001);
+                r
+            };
+            let clean = run(FaultPlan::disarmed());
+            let plan = FaultPlan::new(0x33);
+            plan.arm_once(InjectionPoint::TruncatedPage);
+            let faulted = run(plan.clone());
+            let resent: Vec<String> = plan
+                .log()
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    FaultEvent::Recovered {
+                        point: InjectionPoint::TruncatedPage,
+                        action: RecoveryAction::ResentPages,
+                        detail,
+                        ..
+                    } => Some(detail.clone()),
+                    _ => None,
+                })
+                .collect();
+            let pages = VmConfig::small("vm0").pages();
+            let line = format!("vm0 round 0: destination nak, re-sent {pages} page(s)");
+            assert_eq!(resent, [line], "{mode:?}");
+            // The lost attempt is real traffic: it is counted, and round 0
+            // waits for it; the accepted rounds' accounting is the clean
+            // run's.
+            let lost = clean.rounds[0].wire_bytes;
+            assert_eq!(faulted.bytes_sent, clean.bytes_sent + lost, "{mode:?}");
+            assert_eq!(faulted.rounds[0].wire_bytes, 2 * lost, "{mode:?}");
+            assert!(faulted.rounds[0].duration > clean.rounds[0].duration);
+            let frames = |r: &MigrationReport| (r.wire.frames(), r.wire.wire_bytes());
+            assert_eq!(frames(&faulted), frames(&clean), "{mode:?}");
         }
     }
 
@@ -2221,8 +2143,9 @@ mod tests {
 
     /// A local destination's guest memory is untouched until its round is
     /// accepted: encoding a round of several parts resolves them without
-    /// writing, a rollback as a `LinkDrop` makes leaves nothing behind,
-    /// and the re-encoded round lands whole when it is delivered.
+    /// writing, a rollback as a `LinkDrop` makes leaves nothing behind, a
+    /// damaged close is naked and lands nothing, and the re-encoded round
+    /// lands whole when it is delivered.
     #[test]
     fn a_local_round_writes_nothing_before_it_is_accepted() {
         let (mut src_m, mut dst_m) = pair();
@@ -2234,6 +2157,7 @@ mod tests {
             .unwrap();
         let tp = MigrationTp::new().with_config(MigrationConfig {
             wire_mode: WireMode::ContentAware,
+            verify_contents: true,
             ..MigrationConfig::default()
         });
         let map = src.guest_memory_map(id).unwrap();
@@ -2247,17 +2171,25 @@ mod tests {
         assert_eq!(encoded, fresh, "encoding wrote the destination");
         tp.rollback_round();
 
+        let mut wire = WireStats::new();
         let mut to = LocalSink::new(&tp, &mut dst_m, &mut dst, dst_id, "vm0").unwrap();
         tp.encode_round((&src_m, &src, id), &mut to, 0, pages)
             .unwrap();
-        let mut wire = WireStats::new();
+        assert!(!tp.deliver_round(&mut to, 0, true, &mut wire).unwrap());
+        let naked = crate::proxy::vm_checksum(&dst_m, &dst, dst_id).unwrap();
+        assert_eq!(naked, fresh, "a damaged close wrote the destination");
+        tp.rollback_round();
+
+        let mut to = LocalSink::new(&tp, &mut dst_m, &mut dst, dst_id, "vm0").unwrap();
+        tp.encode_round((&src_m, &src, id), &mut to, 0, pages)
+            .unwrap();
         assert!(tp.deliver_round(&mut to, 0, false, &mut wire).unwrap());
         tp.commit_round();
         assert_eq!(
             wire.frames(),
             pages.len(),
-            "the dropped attempt is not counted"
+            "neither lost attempt is counted"
         );
-        assert!(to.verify(&src_m, &map).unwrap());
+        assert!(to.verify(&src_m, &map, SimDuration::ZERO).unwrap());
     }
 }

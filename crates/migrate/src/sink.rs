@@ -6,6 +6,7 @@
 
 use hypertp_core::{HtpError, Hypervisor, HypervisorKind, VmId};
 use hypertp_machine::{Extent, Gfn, Machine, Mfn};
+use hypertp_sim::SimDuration;
 
 use crate::engine::{integrity, MigrationTp, ScratchStats, WireMode};
 use crate::framing::{reserve_doubling, FrameRing};
@@ -29,7 +30,8 @@ pub(crate) trait Sink {
 
     /// Closes round `round` with the part still in `s` (the ring's tail),
     /// its last frame damaged in flight when `damaged`, and returns
-    /// whether the destination accepted the round.
+    /// whether the destination accepted the round. A damaged round is
+    /// naked: nothing of it lands.
     fn close(&mut self, s: &mut RoundScratch, round: u32, damaged: bool) -> Result<bool, HtpError>;
 
     /// Hands the destination a UISR blob: the restore's compatibility
@@ -46,26 +48,16 @@ pub(crate) trait Sink {
         Ok(())
     }
 
-    /// Whether a frame damaged in flight lands and comes back in the
-    /// page's echo once its round is accepted ([`Sink::echo`]), rather
-    /// than failing the round's close.
-    fn echoes_damage(&self) -> bool {
-        false
-    }
-
-    /// Page `gfn` of the round just accepted, whose word is `good`,
-    /// landed damaged: returns the word the destination echoes back.
-    fn echo(&mut self, _gfn: Gfn, good: u64) -> Result<u64, HtpError> {
-        Ok(good)
-    }
-
-    /// The cut-over check of [`crate::MigrationConfig::verify_contents`]:
-    /// whether the destination holds the source's word at every gfn the
-    /// source's memory map `src_map` covers. A sink verified otherwise
-    /// (the remote one, by its `DoneAck` checksum) passes.
-    fn verify(&mut self, _src: &Machine, _src_map: &[(Gfn, Extent)]) -> Result<bool, HtpError> {
-        Ok(true)
-    }
+    /// The cut-over check, once the VM's state has landed: whether the
+    /// destination holds the source's word at every gfn the paused
+    /// source's memory map `src_map` covers. `total` is the migration's
+    /// simulated time.
+    fn verify(
+        &mut self,
+        src: &Machine,
+        src_map: &[(Gfn, Extent)],
+        total: SimDuration,
+    ) -> Result<bool, HtpError>;
 }
 
 /// The round buffers the driver lends a sink with each part, kept in the
@@ -117,8 +109,8 @@ impl RoundScratch {
 /// The destination machine in this process and its incoming VM, under
 /// either [`WireMode`]. Each part resolves at once against the current
 /// words, into the pages it changes; the round's close lands them with
-/// one [`Hypervisor::write_guest_many`] and accepts. A damaged page is
-/// echoed back after the round lands.
+/// one [`Hypervisor::write_guest_many`] and accepts, or naks a damaged
+/// round and drops them.
 pub(crate) struct LocalSink<'a> {
     machine: &'a mut Machine,
     hv: &'a mut dyn Hypervisor,
@@ -132,6 +124,9 @@ pub(crate) struct LocalSink<'a> {
     cache: Option<&'a TransferCache>,
     /// The VM's name, for an integrity error.
     vm_name: &'a str,
+    /// Whether the cut-over compares the guests
+    /// ([`crate::MigrationConfig::verify_contents`]).
+    verify: bool,
 }
 
 impl<'a> LocalSink<'a> {
@@ -151,6 +146,7 @@ impl<'a> LocalSink<'a> {
             id,
             cache: content_aware.then_some(&tp.cache),
             vm_name,
+            verify: tp.config.verify_contents,
         })
     }
 
@@ -215,8 +211,13 @@ impl Sink for LocalSink<'_> {
     }
 
     /// Resolves the tail, then lands the round's changed pages: its first
-    /// write to the guest's memory.
-    fn close(&mut self, s: &mut RoundScratch, round: u32, _: bool) -> Result<bool, HtpError> {
+    /// write to the guest's memory. A damaged round drops them instead, as
+    /// a [`crate::DestProxy`] naks a corrupt `Round`.
+    fn close(&mut self, s: &mut RoundScratch, round: u32, damaged: bool) -> Result<bool, HtpError> {
+        if damaged {
+            s.writes.clear();
+            return Ok(false);
+        }
         self.resolve(s, round)?;
         self.hv.write_guest_many(self.machine, self.id, &s.writes)?;
         s.writes.clear();
@@ -237,20 +238,20 @@ impl Sink for LocalSink<'_> {
         self.hv.destroy_vm(self.machine, self.id)
     }
 
-    fn echoes_damage(&self) -> bool {
-        true
-    }
-
-    fn echo(&mut self, gfn: Gfn, good: u64) -> Result<u64, HtpError> {
-        self.hv.write_guest(self.machine, self.id, gfn, !good)?;
-        self.hv.read_guest(self.machine, self.id, gfn)
-    }
-
-    /// Walks the source's extents and, for each, the destination extents
-    /// over the same gfns ([`map_runs`]), comparing the RAM backing slice
-    /// by slice; a gfn the destination's map does not cover is read
-    /// through its hypervisor, which fails as a gather of it would.
-    fn verify(&mut self, src: &Machine, src_map: &[(Gfn, Extent)]) -> Result<bool, HtpError> {
+    /// Under `verify_contents`, walks the source's extents and, for each,
+    /// the destination extents over the same gfns ([`map_runs`]),
+    /// comparing the RAM backing slice by slice; a gfn the destination's
+    /// map does not cover is read through its hypervisor, which fails as a
+    /// gather of it would. Otherwise passes.
+    fn verify(
+        &mut self,
+        src: &Machine,
+        src_map: &[(Gfn, Extent)],
+        _: SimDuration,
+    ) -> Result<bool, HtpError> {
+        if !self.verify {
+            return Ok(true);
+        }
         let dst_map = sorted_map(&*self.hv, self.id)?;
         let (src_ram, dst_ram) = (src.ram(), self.machine.ram());
         for &(gfn, e) in src_map {
