@@ -7,10 +7,15 @@
 //! [`SyntheticCluster`] must behave exactly like its materialized twin.
 
 use hypertp_cluster::exec::{execute, execute_sharded_with, ExecConfig, ExecReport};
-use hypertp_cluster::{plan_upgrade, Action, Cluster, ClusterView, Plan};
+use hypertp_cluster::{
+    plan_upgrade, Action, Cluster, ClusterView, ExposureConfig, ExposurePlanner, Plan,
+};
 use hypertp_sim::fault::FaultPlan;
 use hypertp_sim::hash::digest_bytes;
 use hypertp_sim::pool::WorkerPool;
+use hypertp_sim::SimDuration;
+use hypertp_vulndb::dataset::dataset;
+use hypertp_vulndb::{SurfaceWeights, VulnFeed};
 
 fn fleet_plan(hosts: usize, seed: u64) -> (impl ClusterView, Plan) {
     let view = Cluster::synthetic(hosts, seed).with_compat_percent(80);
@@ -176,4 +181,32 @@ fn campaign_feed_fleet_plan_is_pinned() {
     assert_eq!(plan.inplace_count(), 10_000);
     let digest = digest_bytes(&plan_bytes(&plan)).as_u128();
     assert_eq!(digest, FEED_PLAN_DIGEST, "plan digest {digest:#034x}");
+}
+
+/// Digest of the `campaign_feed` replay's rendered `FeedReport`, recorded
+/// while `plan_event` still walked the schedule slot by slot: at 10 000
+/// hosts the per-event oracle is too slow to compare against, so this pin
+/// holds every per-disclosure exposure sum, bit for bit, at scale.
+const FEED_REPLAY_DIGEST: u128 = 0x36c7_82c7_9bbf_d3fc_4653_44b9_a97c_b19a;
+
+#[test]
+fn campaign_feed_replay_is_pinned() {
+    // The benchmark's `campaign_feed` planner: the same fleet, the pinned
+    // disclosure year, calibrated surface weights, surface-aware, with
+    // the cost table built over 8 shards.
+    let view = Cluster::synthetic(10_000, 42).with_compat_percent(70);
+    let events = VulnFeed::new(42).replay(SimDuration::from_secs(365 * 86_400));
+    assert_eq!(events.len(), 37);
+    let cfg = ExposureConfig {
+        weights: SurfaceWeights::calibrated(&dataset()),
+        surface_aware: true,
+        ..ExposureConfig::default()
+    };
+    let planner = ExposurePlanner::with_pool(&view, cfg, 8, &WorkerPool::new(2));
+    let render = planner.replay(&events).render();
+    let digest = digest_bytes(render.as_bytes()).as_u128();
+    assert_eq!(
+        digest, FEED_REPLAY_DIGEST,
+        "replay digest {digest:#034x}: {render}"
+    );
 }
