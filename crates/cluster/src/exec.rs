@@ -26,6 +26,7 @@
 //! byte-identical to the unsharded path.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use hypertp_core::{
@@ -37,7 +38,7 @@ use hypertp_sim::cost::{MachinePerf, VmShape};
 use hypertp_sim::fault::{FaultPlan, InjectionPoint, RecoveryAction};
 use hypertp_sim::pool::WorkerPool;
 use hypertp_sim::stats::{Histogram, Streaming};
-use hypertp_sim::{CostModel, EventQueue, SimDuration, SimTime};
+use hypertp_sim::{CostModel, SimDuration};
 
 use crate::model::{ClusterView, VmView};
 use crate::planner::{Action, Plan};
@@ -451,63 +452,6 @@ struct GroupOutcome {
     slo_burn_max: f64,
 }
 
-/// Admits the next migration from `queue` at instant `now` (relative to
-/// the group's start): picks the VM, accounts its bytes and — under
-/// [`ExecConfig::slo`] — its contention-stretched duration and SLO
-/// outcome, and returns `(duration, vm)` for the event queue.
-///
-/// Order: [`FleetOrder::SloAware`] re-prices every waiting VM at this
-/// instant and admits the least predicted SLO harm (ties fall to the
-/// shorter migration, then the lower VM index — deterministic); every
-/// other order takes the queue front (FIFO/SPDF pre-ordering happened at
-/// queue build time).
-fn admit_next<V: ClusterView + ?Sized>(
-    view: &V,
-    cfg: &ExecConfig,
-    memo: &mut ClassMemo,
-    out: &mut GroupOutcome,
-    queue: &mut std::collections::VecDeque<usize>,
-    now: SimTime,
-    sharers: u32,
-) -> Option<(SimDuration, usize)> {
-    let start = now.duration_since(SimTime::ZERO);
-    let pos = if cfg.fleet_order == FleetOrder::SloAware {
-        let mut best: Option<(SimDuration, SimDuration, usize, usize)> = None;
-        for (pos, &vm) in queue.iter().enumerate() {
-            let time = memo.migration(cfg, &view.vm(vm), sharers).time;
-            let (time, harm) = match cfg.slo.and_then(|s| vm_slo(view, &s, vm)) {
-                Some(slo) => {
-                    let t = contention_stretch(cfg, time, slo.traffic.bps_at(start));
-                    (t, slo.outcome(start, t, SimDuration::ZERO).violation)
-                }
-                None => (time, SimDuration::ZERO),
-            };
-            if best.is_none_or(|(h, t, v, _)| (harm, time, vm) < (h, t, v)) {
-                best = Some((harm, time, vm, pos));
-            }
-        }
-        best?.3
-    } else {
-        0
-    };
-    let vm = queue.remove(pos)?;
-    let est = memo.migration(cfg, &view.vm(vm), sharers);
-    out.raw_bytes += est.raw_bytes;
-    out.wire_bytes += est.wire_bytes;
-    let time = match cfg.slo.and_then(|s| vm_slo(view, &s, vm)) {
-        Some(slo) => {
-            let stretched = contention_stretch(cfg, est.time, slo.traffic.bps_at(start));
-            let o = slo.outcome(start, stretched, SimDuration::ZERO);
-            out.slo_vms += 1;
-            out.slo_violation += o.violation;
-            out.slo_burn_max = out.slo_burn_max.max(o.budget_burn);
-            stretched
-        }
-        None => est.time,
-    };
-    Some((time, vm))
-}
-
 /// Simulates one group: drain its migrations through the slot pool, then
 /// run its in-place upgrades in parallel. Pure in `(view, cfg, group)`
 /// when `faults` is `None`; with faults the caller must invoke groups
@@ -543,51 +487,57 @@ fn run_group<V: ClusterView + ?Sized>(
 
     // Phase 1: drain the group's migrations through the slot pool. All
     // times are relative to the group's start.
-    let mut pending: Vec<usize> = group
+    let migrating: Vec<usize> = group
         .iter()
         .filter_map(|a| match a {
             Action::Migrate { vm, .. } => Some(*vm),
             _ => None,
         })
         .collect();
-    out.migrations = pending.len();
-    let sharers = pending.len().min(slots) as u32;
-    if cfg.fleet_order == FleetOrder::ShortestPredictedFirst {
-        // Convergence-aware admission: the analytic model's predicted
-        // migration time orders the queue (VM index breaks ties, so the
-        // schedule is deterministic).
-        let keyed: Vec<(SimDuration, usize)> = pending
-            .iter()
-            .map(|&vm| (memo.migration(cfg, &view.vm(vm), sharers).time, vm))
-            .collect();
-        let mut keyed = keyed;
-        keyed.sort_unstable();
-        pending = keyed.into_iter().map(|(_, vm)| vm).collect();
-    }
-    let mut queue: std::collections::VecDeque<usize> = pending.into();
-    let mut events: EventQueue<usize> = EventQueue::with_capacity(slots + 1);
-    let mut now = SimTime::ZERO;
-    let mut in_flight = 0usize;
-    while in_flight < slots {
-        match admit_next(view, cfg, memo, &mut out, &mut queue, now, sharers) {
-            Some((time, vm)) => {
-                events.schedule(now + time, vm);
-                in_flight += 1;
+    out.migrations = migrating.len();
+    let sharers = migrating.len().min(slots) as u32;
+    let est: Vec<MigrationEstimate> = migrating
+        .iter()
+        .map(|&vm| memo.migration(cfg, &view.vm(vm), sharers))
+        .collect();
+    // Under [`ExecConfig::slo`] a serving VM's migration stretches by its
+    // workload's share of the fabric at `start`: its SLO outcome, if it
+    // serves, and its migration time.
+    let priced = |k: usize, start: SimDuration| {
+        let slo = cfg.slo.and_then(|s| vm_slo(view, &s, migrating[k]));
+        slo.map_or((None, est[k].time), |slo| {
+            let time = contention_stretch(cfg, est[k].time, slo.traffic.bps_at(start));
+            (Some(slo.outcome(start, time, SimDuration::ZERO)), time)
+        })
+    };
+    let Ok(schedule) = cfg.fleet_order.drain(
+        &migrating,
+        slots,
+        |k, now| match now.map(|now| priced(k, now)) {
+            None => (SimDuration::ZERO, est[k].time),
+            Some((o, time)) => (o.map_or(SimDuration::ZERO, |o| o.violation), time),
+        },
+        |k, start| {
+            let (o, time) = priced(k, start);
+            out.raw_bytes += est[k].raw_bytes;
+            out.wire_bytes += est[k].wire_bytes;
+            if let Some(o) = o {
+                out.slo_vms += 1;
+                out.slo_violation += o.violation;
+                out.slo_burn_max = out.slo_burn_max.max(o.budget_burn);
             }
-            None => break,
-        }
+            Ok::<_, Infallible>(time)
+        },
+    );
+    // Ready offsets stream in end order: the `Streaming` sums depend on it.
+    for &(_, _, end) in &schedule {
+        out.ready_acc += end;
+        out.vm_ready.push(end.as_secs_f64());
+        out.vm_ready_hist.record(end.as_secs_f64());
     }
-    while let Some((t, _done)) = events.pop() {
-        now = t;
-        let offset = now.duration_since(SimTime::ZERO);
-        out.ready_acc += offset;
-        out.vm_ready.push(offset.as_secs_f64());
-        out.vm_ready_hist.record(offset.as_secs_f64());
-        if let Some((time, vm)) = admit_next(view, cfg, memo, &mut out, &mut queue, now, sharers) {
-            events.schedule(now + time, vm);
-        }
-    }
-    out.drain = now.duration_since(SimTime::ZERO);
+    out.drain = schedule
+        .last()
+        .map_or(SimDuration::ZERO, |&(_, _, end)| end);
 
     // Phase 2: the group's in-place upgrades, in parallel. A faulted
     // upgrade burns its attempt's time and retries on the same host;
@@ -713,7 +663,7 @@ fn fold_outcomes(outcomes: impl Iterator<Item = GroupOutcome>) -> ExecReport {
     report
 }
 
-/// Executes a plan with a discrete-event scheduler. Within a group, up to
+/// Executes a plan on a slot calendar. Within a group, up to
 /// `max_concurrent_migrations` migrations run at once (sharing the link);
 /// the group's in-place upgrades run in parallel once its migrations have
 /// drained; groups run one after another (the rolling-offline structure).

@@ -104,7 +104,8 @@ impl FleetReport {
 ///   at once (0 = everyone, the legacy behaviour); a stream's slot frees
 ///   when its pre-copy ends. Bounding concurrency shortens rounds, which
 ///   shrinks per-round dirtying — the fleet-level convergence win.
-/// * **Ordering**: [`FleetOrder::Fifo`] admits in input order;
+/// * **Ordering** ([`FleetOrder::drain`]): [`FleetOrder::Fifo`] admits
+///   in input order;
 ///   [`FleetOrder::ShortestPredictedFirst`] admits by predicted
 ///   stop-and-copy time (`predict_migration`), so small/idle VMs clear
 ///   the (sequential) receiver before the heavyweights park on it;
@@ -172,112 +173,77 @@ pub fn migrate_fleet(
     // The cold-start predictions: ordering + telemetry.
     let predictions: Vec<MigrationPrediction> =
         (0..n).map(|i| predict(i, LinkContention::NONE)).collect();
-    let mut waiting: Vec<usize> = (0..n).collect();
-    if policy.order == FleetOrder::ShortestPredictedFirst {
-        waiting.sort_by_key(|&i| (predictions[i].stop_copy, i));
-    }
+    // An SLO-carrying VM's traffic at `now` contends its pre-copy stream.
+    let contention = |i: usize, now: SimDuration| {
+        vms[i].slo.map_or(LinkContention::NONE, |s| {
+            LinkContention::new(s.traffic.bps_at(now))
+        })
+    };
 
     // Run the data phases in admission order (the shared wire cache sees
-    // VMs in the same order the link does), assigning each stream to the
-    // earliest-free slot. Each entry is (destination VM, phase, start).
+    // VMs in the same order the link does); each stream holds its slot
+    // for its pre-copy. SPDF orders by the cold predicted stop-and-copy;
+    // SLO-aware by the violation-seconds of the migration contended at
+    // each free slot, so hot-traffic VMs wait for their low-QPS windows.
+    let items: Vec<usize> = (0..n).collect();
     let mut admission = Vec::with_capacity(n);
-    let mut phases: Vec<Option<(VmId, DataPhase, SimDuration)>> = (0..n).map(|_| None).collect();
-    let mut slot_free = vec![SimDuration::ZERO; slots];
     let mut admission_predictions = predictions.clone();
-    while !waiting.is_empty() {
-        let next = if policy.order == FleetOrder::SloAware {
-            // Least-predicted-harm admission: at each free slot, re-price
-            // every waiting VM's migration *at the slot's current time* —
-            // the pre-copy prediction contended by the VM's own traffic,
-            // priced in violation-seconds by its SLO — and admit the
-            // cheapest (predicted stop-and-copy, then input index, break
-            // ties: harmless VMs drain in SPDF order). Hot-traffic VMs are
-            // pushed back and picked up when the advancing fleet clock
-            // reaches their low-QPS window. Work-conserving: a slot never
-            // idles waiting for a window.
-            let now = slot_free.iter().copied().min().expect("slots >= 1");
-            let (_, k, pred) = waiting
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| {
-                    let slo = vms[i].slo;
-                    let pred = predict(
-                        i,
-                        slo.map_or(LinkContention::NONE, |s| {
-                            LinkContention::new(s.traffic.bps_at(now))
-                        }),
-                    );
-                    let harm = slo.map_or(SimDuration::ZERO, |s| {
-                        s.outcome(now, pred.precopy, pred.stop_copy).violation
-                    });
-                    ((harm, pred.stop_copy, i), k, pred)
-                })
-                .min_by_key(|&(key, _, _)| key)
-                .expect("waiting is non-empty");
-            admission_predictions[waiting[k]] = pred;
-            k
-        } else {
-            0
-        };
-        let i = waiting.remove(next);
-        admission.push(i);
-        // The stream takes the earliest-free slot, the lowest-indexed among
-        // equally early ones: the key is the `(free_time, slot_index)`
-        // pair, a total order, so identical predicted durations produce
-        // identical slot assignments on every run and under every
-        // `HYPERTP_WORKERS` setting (the schedule is simulated time; worker
-        // count only changes wall-clock). Regression-tested by
-        // `equal_duration_fleet_schedule_is_deterministic`.
-        let slot = (0..slots)
-            .min_by_key(|&s| (slot_free[s], s))
-            .expect("slots >= 1");
-        let (vm, start) = (vms[i], slot_free[slot]);
-        // A VM carrying an SLO contends its own traffic (sampled at the
-        // slot's start instant) against the pre-copy stream: the data phase
-        // runs over the contention-scaled link, so round transfers stretch
-        // and the controller's estimators observe the stretched reality.
-        let workload_bps = vm.slo.map(|s| s.traffic.bps_at(start)).unwrap_or(0.0);
-        let contended_tp;
-        let tp = if workload_bps > 0.0 {
-            let mut config = tp.config;
-            config.link = LinkContention::new(workload_bps).contended(&config.link);
-            contended_tp = tp.clone().with_config(config);
-            &contended_tp
-        } else {
-            tp
-        };
-        let cfg = src_hv.vm_config(vm.id)?.clone();
-        let dst_id = dst_hv.prepare_incoming(dst_machine, &cfg)?;
-        let mut dst = LocalSink::new(tp, dst_machine, dst_hv, dst_id, &cfg.name)?;
-        let phase = tp.migrate_data(
-            src_machine,
-            src_hv,
-            vm.id,
-            &cfg,
-            &mut dst,
-            sharers,
-            vm.dirty_rate,
-        )?;
-        slot_free[slot] = start + phase.precopy;
-        phases[i] = Some((dst_id, phase, start));
-    }
-
-    let phases: Vec<(VmId, DataPhase, SimDuration)> =
-        phases.into_iter().map(|p| p.expect("admitted")).collect();
+    let mut phases: Vec<Option<(VmId, DataPhase)>> = (0..n).map(|_| None).collect();
+    let schedule = policy.order.drain(
+        &items,
+        slots,
+        |i, now| match now {
+            None => (SimDuration::ZERO, predictions[i].stop_copy),
+            Some(now) => {
+                let pred = predict(i, contention(i, now));
+                let harm = vms[i].slo.map_or(SimDuration::ZERO, |s| {
+                    s.outcome(now, pred.precopy, pred.stop_copy).violation
+                });
+                (harm, pred.stop_copy)
+            }
+        },
+        |i, start| {
+            admission.push(i);
+            if policy.order == FleetOrder::SloAware {
+                admission_predictions[i] = predict(i, contention(i, start));
+            }
+            // The data phase runs over the contention-scaled link, so
+            // round transfers stretch and the controller's estimators
+            // observe the stretched reality.
+            let (vm, contention) = (vms[i], contention(i, start));
+            let contended_tp;
+            let tp = if contention.workload_bps > 0.0 {
+                let mut config = tp.config;
+                config.link = contention.contended(&config.link);
+                contended_tp = tp.clone().with_config(config);
+                &contended_tp
+            } else {
+                tp
+            };
+            let cfg = src_hv.vm_config(vm.id)?.clone();
+            let dst_id = dst_hv.prepare_incoming(dst_machine, &cfg)?;
+            let mut dst = LocalSink::new(tp, dst_machine, dst_hv, dst_id, &cfg.name)?;
+            let phase = tp.migrate_data(
+                src_machine,
+                src_hv,
+                vm.id,
+                &cfg,
+                &mut dst,
+                sharers,
+                vm.dirty_rate,
+            )?;
+            Ok::<_, HtpError>(phases[i].insert((dst_id, phase)).1.precopy)
+        },
+    )?;
+    let phases: Vec<(VmId, DataPhase)> = phases.into_iter().map(|p| p.expect("admitted")).collect();
 
     // Schedule the receive side: stop-and-copies queue on a sequential
-    // receiver in pre-copy completion order (admission order breaks
-    // ties, via the stable sort).
-    let mut recv_order: Vec<(usize, SimDuration)> = admission
-        .iter()
-        .map(|&i| (i, phases[i].2 + phases[i].1.precopy))
-        .collect();
-    recv_order.sort_by_key(|&(_, end)| end);
+    // receiver in pre-copy completion order, the drain's end order.
     let mut receiver_free = SimDuration::ZERO;
     let mut makespan = SimDuration::ZERO;
-    let mut reports: Vec<MigrationReport> =
-        phases.iter().map(|(_, p, _)| p.report.clone()).collect();
-    for &(i, precopy_end) in &recv_order {
+    let mut starts = vec![SimDuration::ZERO; n];
+    let mut reports: Vec<MigrationReport> = phases.iter().map(|(_, p)| p.report.clone()).collect();
+    for &(i, start, precopy_end) in &schedule {
         let phase = &phases[i].1;
         let (finish, downtime) = if sequential_receive {
             let begin = precopy_end.max(receiver_free);
@@ -288,12 +254,13 @@ pub fn migrate_fleet(
             (precopy_end + phase.stop_copy, phase.stop_copy)
         };
         makespan = makespan.max(finish);
+        starts[i] = start;
         (reports[i].downtime, reports[i].total) = (downtime, finish);
     }
 
     src_machine.clock().advance(makespan);
     dst_machine.clock().advance_to(src_machine.clock().now());
-    for (vm, &(dst_id, _, _)) in vms.iter().zip(&phases) {
+    for (vm, &(dst_id, _)) in vms.iter().zip(&phases) {
         dst_hv.resume_vm(dst_id)?;
         src_hv.destroy_vm(src_machine, vm.id)?;
     }
@@ -302,13 +269,11 @@ pub fn migrate_fleet(
     // the real downtime including receiver queuing. The accounting runs
     // under every order — the baseline schedulers are *blind* to the
     // harm, not exempt from it.
-    let starts: Vec<SimDuration> = phases.iter().map(|p| p.2).collect();
     let slo: Vec<Option<VmSloOutcome>> = (0..n)
         .map(|i| {
-            let (_, phase, start) = &phases[i];
             vms[i]
                 .slo
-                .map(|s| s.outcome(*start, phase.precopy, reports[i].downtime))
+                .map(|s| s.outcome(starts[i], phases[i].1.precopy, reports[i].downtime))
         })
         .collect();
     Ok(FleetReport {

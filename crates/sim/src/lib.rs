@@ -11,11 +11,12 @@
 //!
 //! * [`time`] — nanosecond-resolution simulated instants and durations.
 //! * [`clock`] — a shareable monotonic simulated clock.
-//! * [`events`] — a deterministic discrete-event queue.
 //! * [`rng`] — a small deterministic random number generator (SplitMix64)
 //!   so experiments are reproducible without external crates.
 //! * [`makespan`] — a model of parallel work execution (LPT makespan) used to
-//!   simulate the worker pools of the paper's "Parallelization" optimization.
+//!   simulate the worker pools of the paper's "Parallelization" optimization,
+//!   over [`Slots`], the one k-slot calendar that the fleet's migration
+//!   streams and the rolling upgrade's group drains also take slots from.
 //! * [`cost`] — the calibrated cost model mapping operations to simulated
 //!   time (constants documented against the paper's reported numbers).
 //! * [`series`] — time-series recording for workload metrics (QPS, latency).
@@ -33,7 +34,6 @@
 
 pub mod clock;
 pub mod cost;
-pub mod events;
 pub mod ewma;
 pub mod fault;
 pub mod hash;
@@ -47,12 +47,11 @@ pub mod time;
 
 pub use clock::SimClock;
 pub use cost::CostModel;
-pub use events::EventQueue;
 pub use ewma::Ewma;
 pub use fault::{FaultEvent, FaultLog, FaultPlan, InjectionPoint, RecoveryAction};
 pub use hash::{digest_bytes, digest_pages_into, digest_words, Digest128};
 pub use json::Json;
-pub use par::makespan;
+pub use par::{makespan, Slots};
 pub use pool::WorkerPool;
 pub use rng::SimRng;
 pub use series::TimeSeries;
