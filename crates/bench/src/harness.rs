@@ -1,12 +1,4 @@
-//! Minimal in-tree timing harness replacing the Criterion benches, and the
-//! one gate table every `*_smoke` artifact is checked against.
-//!
-//! The workspace builds fully offline, so the four `[[bench]]` targets
-//! (`inplace_breakdown`, `pram_encode`, `uisr_codec`,
-//! `ablation_optimizations`) run on this ~100-line harness instead of
-//! Criterion. It keeps the familiar group/bench-id shape and prints a
-//! small table of min/median/mean per benchmark over ten timed
-//! iterations after one warmup.
+//! The one gate table every `*_smoke` artifact is checked against.
 //!
 //! Every smoke bin ends in [`finish`], which checks the artifact where the
 //! numbers are made: each `identical`/`*_identical` field must read
@@ -15,143 +7,8 @@
 //! `gates`; any violation exits non-zero, one line each.
 
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use hypertp_sim::json::{self, Json};
-
-/// One benchmark's timing summary.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// `group/id` label.
-    pub id: String,
-    /// Number of measured iterations.
-    pub samples: usize,
-    /// Fastest iteration.
-    pub min: Duration,
-    /// Median iteration.
-    pub median: Duration,
-    /// Mean iteration.
-    pub mean: Duration,
-}
-
-/// Timed iterations per benchmark.
-const SAMPLES: usize = 10;
-
-/// A named group of benchmarks, mirroring Criterion's `benchmark_group`.
-pub struct Group {
-    name: String,
-    results: Vec<BenchResult>,
-}
-
-impl Group {
-    /// Starts a new group.
-    pub fn new(name: impl Into<String>) -> Self {
-        Group {
-            name: name.into(),
-            results: Vec::new(),
-        }
-    }
-
-    /// Times `f` for `SAMPLES` iterations after one warmup iteration.
-    pub fn bench(&mut self, id: impl Into<String>, mut f: impl FnMut()) {
-        let id = format!("{}/{}", self.name, id.into());
-        f(); // warmup
-        let mut times: Vec<Duration> = (0..SAMPLES)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed()
-            })
-            .collect();
-        times.sort_unstable();
-        let min = times[0];
-        let median = times[times.len() / 2];
-        let mean = times.iter().sum::<Duration>() / times.len() as u32;
-        let r = BenchResult {
-            id,
-            samples: times.len(),
-            min,
-            median,
-            mean,
-        };
-        println!(
-            "{:<44} {:>10} {:>10} {:>10}  ({} samples)",
-            r.id,
-            fmt_dur(r.min),
-            fmt_dur(r.median),
-            fmt_dur(r.mean),
-            r.samples
-        );
-        self.results.push(r);
-    }
-
-    /// Times `run` over a fresh `setup()` product per iteration, excluding
-    /// setup time — Criterion's `iter_batched` for owned inputs.
-    pub fn bench_with_setup<T>(
-        &mut self,
-        id: impl Into<String>,
-        mut setup: impl FnMut() -> T,
-        mut run: impl FnMut(T),
-    ) {
-        let id = format!("{}/{}", self.name, id.into());
-        run(setup()); // warmup
-        let mut times: Vec<Duration> = (0..SAMPLES)
-            .map(|_| {
-                let input = setup();
-                let t = Instant::now();
-                run(input);
-                t.elapsed()
-            })
-            .collect();
-        times.sort_unstable();
-        let min = times[0];
-        let median = times[times.len() / 2];
-        let mean = times.iter().sum::<Duration>() / times.len() as u32;
-        let r = BenchResult {
-            id,
-            samples: times.len(),
-            min,
-            median,
-            mean,
-        };
-        println!(
-            "{:<44} {:>10} {:>10} {:>10}  ({} samples)",
-            r.id,
-            fmt_dur(r.min),
-            fmt_dur(r.median),
-            fmt_dur(r.mean),
-            r.samples
-        );
-        self.results.push(r);
-    }
-
-    /// Finishes the group, returning the collected results.
-    pub fn finish(self) -> Vec<BenchResult> {
-        self.results
-    }
-}
-
-/// Prints the standard table header. Call once per bench binary.
-pub fn header() {
-    println!(
-        "{:<44} {:>10} {:>10} {:>10}",
-        "benchmark", "min", "median", "mean"
-    );
-    println!("{}", "-".repeat(80));
-}
-
-fn fmt_dur(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
 
 /// Every bench bin that writes an artifact, with the file it writes by
 /// default; `<BENCH>_OUT` (e.g. `PERF_SMOKE_OUT`) overrides the path.
@@ -445,26 +302,6 @@ pub fn finish(artifact: Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_collects_results() {
-        let mut g = Group::new("t");
-        g.bench("noop", || {});
-        g.bench_with_setup("setup", || 41u32, |x| assert_eq!(x + 1, 42));
-        let rs = g.finish();
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs[0].id, "t/noop");
-        assert_eq!(rs[0].samples, SAMPLES);
-        assert_eq!(rs[1].samples, SAMPLES);
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_dur(Duration::from_nanos(12)), "12 ns");
-        assert_eq!(fmt_dur(Duration::from_micros(3)), "3.00 µs");
-        assert_eq!(fmt_dur(Duration::from_millis(7)), "7.00 ms");
-        assert_eq!(fmt_dur(Duration::from_secs(2)), "2.00 s");
-    }
 
     /// A `wire_smoke` artifact holding `{"a": {"x": x, "b": b}}` and one
     /// true identity field.

@@ -826,6 +826,37 @@ mod tests {
     }
 
     #[test]
+    fn budget_deferred_hosts_match_the_oracle_at_scale() {
+        // The `campaign_feed` fleet and year under a 100 ms budget: the
+        // hosts whose worst VM blacks out 104 or 166 ms fit no path and
+        // defer, so remediated disclosures accrue the deferred column at
+        // 10 000 hosts, which the 300 s default never reaches.
+        let view = Cluster::synthetic(10_000, 42).with_compat_percent(70);
+        let events = year_feed(42);
+        let cfg = ExposureConfig {
+            downtime_budget: SimDuration::from_millis(100),
+            weights: SurfaceWeights::calibrated(&dataset()),
+            ..ExposureConfig::default()
+        };
+        let planner = ExposurePlanner::new(&view, cfg);
+        let mut deferring = 0;
+        for ev in &events {
+            let plan = planner.plan_event(ev);
+            assert_eq!(
+                plan,
+                oracle::plan_event(&planner.costs, &planner.cfg, ev),
+                "event {}",
+                ev.vuln.id
+            );
+            if plan.remediated && plan.deferred_vms > 0 {
+                assert!(plan.remediated_vms > 0, "event {}", ev.vuln.id);
+                deferring += 1;
+            }
+        }
+        assert!(deferring > 0, "no remediated disclosure deferred a host");
+    }
+
+    #[test]
     fn content_aware_blackout_honours_the_compression_ratio() {
         let view = Cluster::synthetic(60, 7).with_compat_percent(50);
         let costs = |wire_compression_ratio| {
