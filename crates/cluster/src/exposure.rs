@@ -30,23 +30,22 @@
 //! # Incremental re-planning
 //!
 //! Host remediation costs depend on the fleet, not the disclosure, so
-//! [`ExposurePlanner`] evaluates them once — sharded over a
-//! [`WorkerPool`] with per-class memoization, exactly like the executor.
-//! Neither does the schedule: which path each host takes, the Smith-rule
-//! order and every completion instant are functions of the cost table and
-//! the planner's configuration alone, so construction derives them once
-//! too. A disclosure contributes only its criticality, its window and
-//! whether it is remediated at all, so the schedule keeps everything a
-//! disclosure accrues as `f64` columns: each drained host's VMs and
-//! completion second in drain order, and the VM counts of the deferred
-//! hosts and of every populated host, both in host order. Re-planning feeds
-//! whole columns to the integrator, converting no duration and filtering
-//! no cost table; at 10k hosts that is under 10 µs per disclosure on a
-//! 2-thread Xeon.
+//! [`ExposurePlanner`] evaluates them once, in one pass over VM index
+//! ranges sharded on a [`WorkerPool`] that folds each run of VMs sharing
+//! a home, memoizing per VM class as the executor does. Neither does the
+//! schedule: which path each host takes, the Smith-rule order and every
+//! completion instant are functions of the cost table and the planner's
+//! configuration alone, so construction derives them once too. A
+//! disclosure contributes only its criticality, its window and whether it
+//! is remediated at all, so the schedule keeps everything a disclosure
+//! accrues as `f64` columns: each drained host's VMs and completion second
+//! in drain order, and the VM counts of the deferred hosts and of every
+//! populated host, both in host order. Re-planning feeds whole columns to
+//! the integrator, converting no duration and filtering no cost table; at
+//! 10k hosts that is under 10 µs per disclosure on a 2-thread Xeon.
 
 use std::sync::Arc;
 
-use hypertp_sim::cost::MachinePerf;
 use hypertp_sim::pool::WorkerPool;
 use hypertp_sim::stats::{Histogram, Streaming};
 use hypertp_sim::{CostModel, SimDuration};
@@ -121,7 +120,7 @@ pub enum HostAction {
 }
 
 /// The remediation economics of one host, independent of any disclosure.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HostCost {
     /// Resident VMs.
     pub vms: u64,
@@ -297,38 +296,23 @@ impl FeedReport {
     }
 }
 
-/// One host's remediation economics; each VM migrates alone on the
-/// fabric, and the per-VM blackout is the estimate's stop-and-copy.
-fn host_cost<V: ClusterView + ?Sized>(
-    view: &V,
-    cfg: &ExposureConfig,
-    host: usize,
-    vms: &[usize],
-    cost_model: &CostModel,
-    uniform_perf: Option<&MachinePerf>,
-    memo: &mut ClassMemo,
-) -> HostCost {
-    let mut inplace_ok = !vms.is_empty();
-    let mut migrate_cost = SimDuration::ZERO;
-    let mut migrate_blackout = SimDuration::ZERO;
-    for &vm in vms {
-        let info = view.vm(vm);
-        inplace_ok &= info.inplace_compatible;
-        let est = memo.migration(&cfg.exec, &info, 1);
-        migrate_cost += est.time;
-        migrate_blackout = migrate_blackout.max(est.blackout);
+impl HostCost {
+    /// Folds in more VMs of the same host: a `u64` sum, an AND and a max,
+    /// so any split of the host's VMs folds to the same cost.
+    fn absorb(&mut self, more: &HostCost) {
+        self.vms += more.vms;
+        self.inplace_ok &= more.inplace_ok;
+        self.migrate_cost += more.migrate_cost;
+        self.migrate_blackout = self.migrate_blackout.max(more.migrate_blackout);
     }
-    let inplace_cost = if inplace_ok {
-        memo.inplace(view, cost_model, &cfg.exec, host, vms.len(), uniform_perf)
-    } else {
-        SimDuration::ZERO
-    };
-    HostCost {
-        vms: vms.len() as u64,
-        inplace_ok,
-        inplace_cost,
-        migrate_cost,
-        migrate_blackout,
+
+    /// Length of the path `action` takes on this host; zero to defer.
+    fn path_cost(&self, action: HostAction) -> SimDuration {
+        match action {
+            HostAction::InPlace => self.inplace_cost,
+            HostAction::Migrate => self.migrate_cost,
+            HostAction::Defer => SimDuration::ZERO,
+        }
     }
 }
 
@@ -380,48 +364,44 @@ fn verdict(c: &HostCost, budget: SimDuration) -> HostAction {
 impl Schedule {
     fn new(costs: &[HostCost], cfg: &ExposureConfig) -> Schedule {
         let mut actions = vec![HostAction::Defer; costs.len()];
-        // (cost per exposed VM, host, cost) of every host that drains.
-        let mut active: Vec<(f64, usize, SimDuration)> = Vec::new();
+        // (bits of the cost per exposed VM, host) of every host that drains.
+        let mut active: Vec<(u64, usize)> = Vec::with_capacity(costs.len());
         let mut deferred = Vec::new();
         let mut deferred_vms = 0;
+        let mut populated = Vec::with_capacity(costs.len());
         for (h, c) in costs.iter().enumerate() {
             if c.vms == 0 {
                 continue;
             }
+            populated.push(c.vms as f64);
             actions[h] = verdict(c, cfg.downtime_budget);
-            let cost = match actions[h] {
-                HostAction::InPlace => c.inplace_cost,
-                HostAction::Migrate => c.migrate_cost,
-                HostAction::Defer => {
-                    deferred.push(c.vms as f64);
-                    deferred_vms += c.vms;
-                    continue;
-                }
-            };
-            active.push((cost.as_secs_f64() / c.vms as f64, h, cost));
+            if actions[h] == HostAction::Defer {
+                deferred.push(c.vms as f64);
+                deferred_vms += c.vms;
+                continue;
+            }
+            let per_vm = c.path_cost(actions[h]).as_secs_f64() / c.vms as f64;
+            active.push((per_vm.to_bits(), h));
         }
         if cfg.surface_aware {
             // Smith's rule: ascending cost per exposed VM minimizes
             // Σ weight × completion on the fluid drain. Keys are finite
-            // and non-negative, so `total_cmp` is the numeric order; ties
-            // fall to the host index, so the schedule is deterministic.
-            active.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            // and non-negative, so their bits order as the numbers do;
+            // ties fall to the host index, so the schedule is
+            // deterministic.
+            active.sort_unstable();
         }
         let rate = cfg.concurrent_hosts.max(1) as f64;
         let mut running = SimDuration::ZERO;
         let mut remediated_vms = 0;
         let drain: Vec<(f64, f64)> = active
             .iter()
-            .map(|&(_, h, cost)| {
+            .map(|&(_, h)| {
+                let cost = costs[h].path_cost(actions[h]);
                 running += SimDuration::from_secs_f64(cost.as_secs_f64() / rate);
                 remediated_vms += costs[h].vms;
                 (costs[h].vms as f64, running.as_secs_f64())
             })
-            .collect();
-        let populated = costs
-            .iter()
-            .filter(|c| c.vms > 0)
-            .map(|c| c.vms as f64)
             .collect();
         Schedule {
             actions: actions.into(),
@@ -452,11 +432,12 @@ impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
         ExposurePlanner::with_pool(view, cfg, 1, &WorkerPool::serial())
     }
 
-    /// Builds the planner with host-cost evaluation fanned over `shards`
-    /// contiguous host ranges on `pool`. The cost table — and therefore
-    /// the schedule, every plan and every report — is byte-identical for
-    /// every `(shards, workers)` combination: each host's cost is a pure
-    /// function of the view and config.
+    /// Builds the planner with the host-cost table folded in one pass over
+    /// `shards` contiguous VM index ranges on `pool`: each VM migrates
+    /// alone on the fabric, its blackout the estimate's stop-and-copy.
+    /// Every fold is a `u64` sum, a max or an AND, so the table — and
+    /// therefore the schedule, every plan and every report — is
+    /// byte-identical for any shard cut, worker count and VM order.
     pub fn with_pool(
         view: &'a V,
         cfg: ExposureConfig,
@@ -464,29 +445,47 @@ impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
         pool: &WorkerPool,
     ) -> ExposurePlanner<'a, V> {
         let hosts = view.host_count();
-        let mut by_host: Vec<Vec<usize>> = vec![Vec::new(); hosts];
-        for vm in 0..view.vm_count() {
-            by_host[view.vm(vm).home].push(vm);
+        // Each shard folds every run of consecutive VMs sharing a home into
+        // one partial cost; the partials merge in shard order.
+        let batch = pool.map_chunks(view.vm_count(), shards.max(1), |range| {
+            let mut memo = ClassMemo::new();
+            // A view that lists VMs host by host has at most one run per host.
+            let mut runs: Vec<(usize, HostCost)> = Vec::with_capacity(range.len().min(hosts));
+            for i in range {
+                let vm = view.vm(i);
+                let est = memo.migration(&cfg.exec, &vm, 1);
+                let one = HostCost {
+                    vms: 1,
+                    inplace_ok: vm.inplace_compatible,
+                    inplace_cost: SimDuration::ZERO,
+                    migrate_cost: est.time,
+                    migrate_blackout: est.blackout,
+                };
+                match runs.last_mut() {
+                    Some((home, run)) if *home == vm.home => run.absorb(&one),
+                    _ => runs.push((vm.home, one)),
+                }
+            }
+            runs
+        });
+        // A host no VM names keeps the default: no VMs, not in-place.
+        let mut costs = vec![HostCost::default(); hosts];
+        for &(home, run) in batch.results.iter().flatten() {
+            match costs[home].vms {
+                0 => costs[home] = run,
+                _ => costs[home].absorb(&run),
+            }
         }
+        // In-place pricing needs a host's whole VM count: once per
+        // compatible host, after the merge.
         let cost_model = CostModel::paper_calibrated();
         let uniform_perf = view.uniform_spec().map(|s| s.perf());
-        let batch = pool.map_chunks(hosts, shards.max(1), |range| {
-            let mut memo = ClassMemo::new();
-            range
-                .map(|h| {
-                    host_cost(
-                        view,
-                        &cfg,
-                        h,
-                        &by_host[h],
-                        &cost_model,
-                        uniform_perf.as_ref(),
-                        &mut memo,
-                    )
-                })
-                .collect::<Vec<HostCost>>()
-        });
-        let costs: Vec<HostCost> = batch.results.into_iter().flatten().collect();
+        let mut memo = ClassMemo::new();
+        for (h, c) in costs.iter_mut().enumerate().filter(|(_, c)| c.inplace_ok) {
+            let vms = c.vms as usize;
+            c.inplace_cost =
+                memo.inplace(view, &cost_model, &cfg.exec, h, vms, uniform_perf.as_ref());
+        }
         let schedule = Schedule::new(&costs, &cfg);
         ExposurePlanner {
             view,
@@ -571,6 +570,7 @@ mod tests {
     use crate::model::{Cluster, HostState};
     use hypertp_core::HypervisorKind;
     use hypertp_machine::MachineSpec;
+    use hypertp_sim::SimRng;
     use hypertp_vulndb::{dataset::dataset, VulnFeed};
 
     fn year_feed(seed: u64) -> Vec<FeedEvent> {
@@ -601,8 +601,80 @@ mod tests {
     /// The original per-event planner — classify every host, sort the
     /// active ones, walk the prefix — kept verbatim as an oracle: the
     /// cached schedule must reproduce its plans and reports bit for bit.
+    ///
+    /// Beside it, the original host-cost table build — a per-host VM
+    /// index, then each host priced from its list — kept verbatim: the
+    /// one-pass fold must reproduce its table.
     mod oracle {
         use super::super::*;
+        use hypertp_sim::cost::MachinePerf;
+
+        pub fn costs<V: ClusterView + ?Sized>(
+            view: &V,
+            cfg: ExposureConfig,
+            shards: usize,
+            pool: &WorkerPool,
+        ) -> Vec<HostCost> {
+            let hosts = view.host_count();
+            let mut by_host: Vec<Vec<usize>> = vec![Vec::new(); hosts];
+            for vm in 0..view.vm_count() {
+                by_host[view.vm(vm).home].push(vm);
+            }
+            let cost_model = CostModel::paper_calibrated();
+            let uniform_perf = view.uniform_spec().map(|s| s.perf());
+            let batch = pool.map_chunks(hosts, shards.max(1), |range| {
+                let mut memo = ClassMemo::new();
+                range
+                    .map(|h| {
+                        host_cost(
+                            view,
+                            &cfg,
+                            h,
+                            &by_host[h],
+                            &cost_model,
+                            uniform_perf.as_ref(),
+                            &mut memo,
+                        )
+                    })
+                    .collect::<Vec<HostCost>>()
+            });
+            batch.results.into_iter().flatten().collect()
+        }
+
+        /// One host's remediation economics; each VM migrates alone on the
+        /// fabric, and the per-VM blackout is the estimate's stop-and-copy.
+        fn host_cost<V: ClusterView + ?Sized>(
+            view: &V,
+            cfg: &ExposureConfig,
+            host: usize,
+            vms: &[usize],
+            cost_model: &CostModel,
+            uniform_perf: Option<&MachinePerf>,
+            memo: &mut ClassMemo,
+        ) -> HostCost {
+            let mut inplace_ok = !vms.is_empty();
+            let mut migrate_cost = SimDuration::ZERO;
+            let mut migrate_blackout = SimDuration::ZERO;
+            for &vm in vms {
+                let info = view.vm(vm);
+                inplace_ok &= info.inplace_compatible;
+                let est = memo.migration(&cfg.exec, &info, 1);
+                migrate_cost += est.time;
+                migrate_blackout = migrate_blackout.max(est.blackout);
+            }
+            let inplace_cost = if inplace_ok {
+                memo.inplace(view, cost_model, &cfg.exec, host, vms.len(), uniform_perf)
+            } else {
+                SimDuration::ZERO
+            };
+            HostCost {
+                vms: vms.len() as u64,
+                inplace_ok,
+                inplace_cost,
+                migrate_cost,
+                migrate_blackout,
+            }
+        }
 
         pub fn plan_event(costs: &[HostCost], cfg: &ExposureConfig, ev: &FeedEvent) -> EventPlan {
             let criticality = cfg.weights.criticality(&ev.vuln.cvss, ev.surface);
@@ -773,6 +845,22 @@ mod tests {
         }
     }
 
+    /// Host `h` keeps `h % 7` of its VMs, so per-host VM counts differ,
+    /// every seventh host is empty, and the order the columns are summed
+    /// in shows in the bits (with equal counts every order gives the same
+    /// sum).
+    fn uneven(seed: u64) -> Cluster {
+        let mut uneven = Cluster::synthetic(120, seed)
+            .with_compat_percent(70)
+            .materialize();
+        let mut kept = vec![0usize; uneven.hosts.len()];
+        uneven.vms.retain(|vm| {
+            kept[vm.host] += 1;
+            kept[vm.host] <= vm.host % 7
+        });
+        uneven
+    }
+
     #[test]
     fn cached_schedule_matches_the_per_event_oracle() {
         let mut seen = Vec::new();
@@ -796,17 +884,7 @@ mod tests {
                 mixed.hosts[h].spec = MachineSpec::m2();
             }
             assert!(mixed.uniform_spec().is_none());
-            // Host `h` keeps `h % 7` of its VMs, so per-host VM counts
-            // differ and the order the columns are summed in shows in the
-            // bits (with equal counts every order gives the same sum).
-            let mut uneven = Cluster::synthetic(120, seed)
-                .with_compat_percent(70)
-                .materialize();
-            let mut kept = vec![0usize; uneven.hosts.len()];
-            uneven.vms.retain(|vm| {
-                kept[vm.host] += 1;
-                kept[vm.host] <= vm.host % 7
-            });
+            let uneven = uneven(seed);
 
             let events = year_feed(seed);
             let fleets: [(&str, &dyn ClusterView); 5] = [
@@ -823,6 +901,60 @@ mod tests {
         for action in [HostAction::InPlace, HostAction::Migrate, HostAction::Defer] {
             assert!(seen.contains(&action), "sweep never produced {action:?}");
         }
+    }
+
+    #[test]
+    fn one_pass_table_matches_the_per_host_index_oracle() {
+        let cfg = ExposureConfig::default();
+        let table = |view: &dyn ClusterView, shards: usize, workers: usize| {
+            ExposurePlanner::with_pool(view, cfg, shards, &WorkerPool::new(workers))
+                .costs()
+                .to_vec()
+        };
+        let want = |view: &dyn ClusterView| oracle::costs(view, cfg, 1, &WorkerPool::serial());
+
+        let syn = Cluster::synthetic(40, 7).with_compat_percent(70);
+        let past_vms = syn.vm_count() + 3;
+        for (shards, workers) in [(0, 1), (1, 1), (3, 2), (8, 2), (past_vms, 4)] {
+            assert_eq!(
+                table(&syn, shards, workers),
+                want(&syn),
+                "synthetic shards={shards} workers={workers}"
+            );
+        }
+
+        // A materialized fleet whose VM list is shuffled: a host's VMs
+        // straddle shards and arrive in many runs.
+        let mut shuffled = syn.materialize();
+        let mut rng = SimRng::new(0x5eed);
+        for i in (1..shuffled.vms.len()).rev() {
+            let j = rng.gen_range(i as u64 + 1) as usize;
+            shuffled.vms.swap(i, j);
+        }
+        let runs = 1
+            + (1..shuffled.vm_count())
+                .filter(|&i| shuffled.vm(i).home != shuffled.vm(i - 1).home)
+                .count();
+        assert!(runs > 2 * shuffled.host_count(), "{runs} runs");
+
+        let mut empty = syn.materialize();
+        empty.vms.clear();
+        let fleets: [(&str, &dyn ClusterView); 3] = [
+            ("shuffled", &shuffled),
+            ("uneven", &uneven(7)),
+            ("zero-VM", &empty),
+        ];
+        for (name, view) in fleets {
+            let want = want(view);
+            for (shards, workers) in [(1, 1), (3, 2), (8, 2)] {
+                assert_eq!(
+                    table(view, shards, workers),
+                    want,
+                    "{name} shards={shards} workers={workers}"
+                );
+            }
+        }
+        assert!(want(&empty).iter().all(|c| c.vms == 0 && !c.inplace_ok));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! The same counter pins the control plane's two per-disclosure
 //! mechanisms: the synthetic fleet view derives a VM without allocating,
 //! and re-planning a disclosure year allocates once per disclosure plus
-//! once for the report, at 1k and 10k hosts alike.
+//! once for the report, at 1k and 10k hosts alike; building the planner
+//! that re-plans them allocates a bounded number of times at both sizes.
 //! A rolling-upgrade plan allocates per offline group, not per host.
 //!
 //! A byte counter beside it bounds what the UISR decoder requests on the
@@ -309,6 +310,32 @@ fn control_plane_probe() {
         "alloc_probe: ok (0 allocations over 100000 vm() calls, \
          {allocs} per 37-event replay at 1k and 10k hosts)"
     );
+    let (small, large) = (table_probe(1_000), table_probe(10_000));
+    println!(
+        "alloc_probe: ok (a planner build made {small} allocations at 1k hosts \
+         and {large} at 10k, bound {TABLE_ALLOCS_BOUND})"
+    );
+}
+
+/// Allocations building the exposure planner — cost table and schedule —
+/// may make at any size of the synthetic fleet: it makes 25 at 1k and at
+/// 10k hosts. A per-host VM index made about three per host, 30 000 at
+/// 10k hosts.
+const TABLE_ALLOCS_BOUND: u64 = 32;
+
+/// Part 3a — the exposure planner's table: building it over a `hosts`-host
+/// synthetic fleet allocates a bounded number of times, never per host or
+/// per VM.
+fn table_probe(hosts: usize) -> u64 {
+    let view = Cluster::synthetic(hosts, 42).with_compat_percent(70);
+    let (allocs, planner) =
+        allocs_during(|| ExposurePlanner::new(&view, ExposureConfig::default()));
+    assert_eq!(planner.costs().len(), hosts);
+    assert!(
+        allocs <= TABLE_ALLOCS_BOUND,
+        "a {hosts}-host planner build made {allocs} allocations (bound {TABLE_ALLOCS_BOUND})"
+    );
+    allocs
 }
 
 /// Allocations one rolling plan of the 10 000-host fleet may make beyond
