@@ -13,11 +13,12 @@
 //! The run replays one seeded year (37 disclosures) over a 1k-host /
 //! 10k-VM synthetic fleet twice — surface-aware and surface-blind, both
 //! reporting exposure in the same calibrated metric — and times the
-//! incremental replay against a per-event full re-plan. The incremental
-//! replay is timed again at 10k hosts: its per-event cost and the
-//! 10k : 1k ratio are recorded, ungated, so a planner whose re-plan grows
-//! faster than the fleet shows in the artifact. Alongside the comparison
-//! it pins the identity contracts:
+//! incremental replay against a per-event full re-plan, recording the
+//! cost-table build (`table_ms`) beside the replay it serves. The
+//! incremental replay is timed again at 10k hosts: its per-event cost and
+//! the 10k : 1k ratio are recorded, ungated, so a planner whose re-plan
+//! grows faster than the fleet shows in the artifact. Alongside the
+//! comparison it pins the identity contracts:
 //!
 //! * **deterministic** — the aware replay, twice: one byte string.
 //! * **sharded** — shard × worker probes fold to the serial render.
@@ -77,27 +78,28 @@ fn feed_section(r: &FeedReport) -> Json {
 }
 
 /// Wall-clock of one incremental replay — build the planner once, plan
-/// every event against it — as `(total, replay alone)` milliseconds, each
-/// the minimum over [`REPS`].
+/// every event against it — as `(table build alone, total, replay alone)`
+/// milliseconds, each the minimum over [`REPS`].
 fn time_incremental(
     view: &impl ClusterView,
     events: &[FeedEvent],
     cfg: ExposureConfig,
     shards: usize,
     pool: &WorkerPool,
-) -> (f64, f64, FeedReport) {
-    let (mut total_ms, mut replay_ms) = (f64::INFINITY, f64::INFINITY);
+) -> (f64, f64, f64, FeedReport) {
+    let (mut table_ms, mut total_ms, mut replay_ms) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     let mut report = None;
     for _ in 0..REPS {
         let t = Instant::now();
         let planner = ExposurePlanner::with_pool(view, cfg, shards, pool);
+        table_ms = table_ms.min(ms(t));
         let built = Instant::now();
         let r = planner.replay(events);
         total_ms = total_ms.min(ms(t));
         replay_ms = replay_ms.min(ms(built));
         report = Some(r);
     }
-    (total_ms, replay_ms, report.expect("REPS > 0"))
+    (table_ms, total_ms, replay_ms, report.expect("REPS > 0"))
 }
 
 /// The executor without an exposure attachment must render the exact
@@ -155,7 +157,8 @@ fn main() {
     // Incremental re-plan (one cached cost table) vs full re-plan (the
     // table rebuilt per disclosure — what a planner without the cache
     // would do on every feed event).
-    let (incremental_ms, replay_ms, r) = time_incremental(&view, &events, aware_cfg, shards, &pool);
+    let (table_ms, incremental_ms, replay_ms, r) =
+        time_incremental(&view, &events, aware_cfg, shards, &pool);
     assert_eq!(r.render(), aware.render(), "incremental replay diverged");
     let mut full_ms = f64::INFINITY;
     for _ in 0..REPS {
@@ -169,14 +172,14 @@ fn main() {
     let speedup = full_ms / incremental_ms.max(1e-6);
     let per_event_ms = incremental_ms / events.len().max(1) as f64;
     println!(
-        "  replan: incremental {incremental_ms:.2} ms ({per_event_ms:.3} ms/event) vs \
-         full {full_ms:.2} ms — speedup {speedup:.1}x"
+        "  replan: incremental {incremental_ms:.2} ms ({per_event_ms:.3} ms/event; table \
+         {table_ms:.2} ms, replay {replay_ms:.2} ms) vs full {full_ms:.2} ms — speedup {speedup:.1}x"
     );
 
     // The same incremental replay over ten times the fleet: recorded, not
     // gated (a wall-clock ratio across fleet sizes is too noisy to floor).
     let large = Cluster::synthetic(LARGE_HOSTS, SEED).with_compat_percent(COMPAT_PCT);
-    let (large_ms, large_replay_ms, large_report) =
+    let (large_table_ms, large_ms, large_replay_ms, large_report) =
         time_incremental(&large, &events, aware_cfg, shards, &pool);
     assert_eq!(large_report.events, events.len());
     let large_per_event_ms = large_ms / events.len().max(1) as f64;
@@ -184,7 +187,7 @@ fn main() {
     println!(
         "  replan at {LARGE_HOSTS} hosts: incremental {large_ms:.2} ms \
          ({large_per_event_ms:.3} ms/event, {per_event_ratio:.1}x the {HOSTS}-host cost; \
-         replay alone {large_replay_ms:.2} ms vs {replay_ms:.2} ms)"
+         table {large_table_ms:.2} ms, replay alone {large_replay_ms:.2} ms vs {replay_ms:.2} ms)"
     );
 
     println!("== identity contracts ==");
@@ -229,6 +232,7 @@ fn main() {
             Json::obj()
                 .with("incremental_ms", json::f(incremental_ms))
                 .with("per_event_ms", json::f(per_event_ms))
+                .with("table_ms", json::f(table_ms))
                 .with("replay_ms", json::f(replay_ms))
                 .with("full_ms", json::f(full_ms))
                 .with("speedup", json::f(speedup))
@@ -241,6 +245,7 @@ fn main() {
                 .with("hosts", json::u(LARGE_HOSTS as u64))
                 .with("incremental_ms", json::f(large_ms))
                 .with("per_event_ms", json::f(large_per_event_ms))
+                .with("table_ms", json::f(large_table_ms))
                 .with("replay_ms", json::f(large_replay_ms))
                 .with("per_event_ratio", json::f(per_event_ratio)),
         )
