@@ -115,7 +115,7 @@ fn sweep_point(hosts: usize, pool: &WorkerPool, shards: usize) -> (SweepPoint, S
     let point = SweepPoint {
         hosts,
         vms: view.vm_count(),
-        groups: plan.groups.len(),
+        groups: plan.group_count(),
         migrations: report.migrations,
         upgrades: report.inplace_upgrades,
         plan_ms: best_plan,

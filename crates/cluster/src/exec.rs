@@ -41,7 +41,7 @@ use hypertp_sim::stats::{Histogram, Streaming};
 use hypertp_sim::{CostModel, SimDuration};
 
 use crate::model::{ClusterView, VmView};
-use crate::planner::{Action, Plan};
+use crate::planner::{Migration, Plan, Upgrade};
 
 /// Per-migration orchestration overhead (scheduling, pre/post hooks —
 /// dominated by the cloud manager, not the data path).
@@ -339,6 +339,7 @@ const HOST_VM: VmShape = VmShape {
 /// their keys, so memoized and recomputed runs are bit-identical; the
 /// memo just collapses a fleet's thousands of same-class evaluations into
 /// a handful.
+#[derive(Default)]
 pub(crate) struct ClassMemo {
     /// `(memory_gb, dirty_rate bits, sharers)` → migration estimate.
     /// Host-independent, so always valid.
@@ -379,13 +380,6 @@ impl Hasher for ClassHasher {
 type ClassMap<K, V> = HashMap<K, V, BuildHasherDefault<ClassHasher>>;
 
 impl ClassMemo {
-    pub(crate) fn new() -> ClassMemo {
-        ClassMemo {
-            migration: ClassMap::default(),
-            inplace: ClassMap::default(),
-        }
-    }
-
     /// [`migration_estimate`] of `vm` with `sharers` flows on the fabric.
     pub(crate) fn migration(
         &mut self,
@@ -452,6 +446,16 @@ struct GroupOutcome {
     slo_burn_max: f64,
 }
 
+/// What one shard (or the armed sequential walk) keeps across its groups:
+/// the cost-model memo, and the group's migrating VMs and their estimates,
+/// cleared and refilled per group.
+#[derive(Default)]
+struct Shard {
+    memo: ClassMemo,
+    migrating: Vec<usize>,
+    est: Vec<MigrationEstimate>,
+}
+
 /// Simulates one group: drain its migrations through the slot pool, then
 /// run its in-place upgrades in parallel. Pure in `(view, cfg, group)`
 /// when `faults` is `None`; with faults the caller must invoke groups
@@ -461,9 +465,9 @@ fn run_group<V: ClusterView + ?Sized>(
     view: &V,
     cfg: &ExecConfig,
     cost: &CostModel,
-    group: &[Action],
+    (migrations, upgrades): (&[Migration], &[Upgrade]),
     faults: Option<&FaultPlan>,
-    memo: &mut ClassMemo,
+    shard: &mut Shard,
     uniform_perf: Option<&MachinePerf>,
 ) -> GroupOutcome {
     let slots = cfg.max_concurrent_migrations.max(1);
@@ -487,19 +491,17 @@ fn run_group<V: ClusterView + ?Sized>(
 
     // Phase 1: drain the group's migrations through the slot pool. All
     // times are relative to the group's start.
-    let migrating: Vec<usize> = group
-        .iter()
-        .filter_map(|a| match a {
-            Action::Migrate { vm, .. } => Some(*vm),
-            _ => None,
-        })
-        .collect();
+    let (memo, migrating, est) = (&mut shard.memo, &mut shard.migrating, &mut shard.est);
+    migrating.clear();
+    migrating.extend(migrations.iter().map(|m| m.vm as usize));
     out.migrations = migrating.len();
     let sharers = migrating.len().min(slots) as u32;
-    let est: Vec<MigrationEstimate> = migrating
-        .iter()
-        .map(|&vm| memo.migration(cfg, &view.vm(vm), sharers))
-        .collect();
+    est.clear();
+    est.extend(
+        migrating
+            .iter()
+            .map(|&vm| memo.migration(cfg, &view.vm(vm), sharers)),
+    );
     // Under [`ExecConfig::slo`] a serving VM's migration stretches by its
     // workload's share of the fabric at `start`: its SLO outcome, if it
     // serves, and its migration time.
@@ -511,7 +513,7 @@ fn run_group<V: ClusterView + ?Sized>(
         })
     };
     let Ok(schedule) = cfg.fleet_order.drain(
-        &migrating,
+        migrating,
         slots,
         |k, now| match now.map(|now| priced(k, now)) {
             None => (SimDuration::ZERO, est[k].time),
@@ -543,11 +545,9 @@ fn run_group<V: ClusterView + ?Sized>(
     // upgrade burns its attempt's time and retries on the same host;
     // past the retry budget the host is dropped from the plan.
     let mut group_inplace = SimDuration::ZERO;
-    for a in group {
-        let Action::InPlaceUpgrade { host, vm_count } = a else {
-            continue;
-        };
-        let attempt_cost = memo.inplace(view, cost, cfg, *host, *vm_count, uniform_perf);
+    for u in upgrades {
+        let (host, vm_count) = (u.host as usize, u.vm_count as usize);
+        let attempt_cost = memo.inplace(view, cost, cfg, host, vm_count, uniform_perf);
         let mut host_time = SimDuration::ZERO;
         match faults {
             None => {
@@ -564,14 +564,14 @@ fn run_group<V: ClusterView + ?Sized>(
                     // instead of a planned upgrade attempt.
                     let perf = uniform_perf
                         .copied()
-                        .unwrap_or_else(|| view.host_spec(*host).perf());
+                        .unwrap_or_else(|| view.host_spec(host).perf());
                     let pricer = InPlacePricer::new(cost, perf, Optimizations::default());
-                    let entries = *vm_count as u64 * HOST_VM.entries;
-                    let price = pricer.price(&vec![HOST_VM; *vm_count], cfg.target, entries, false);
+                    let entries = vm_count as u64 * HOST_VM.entries;
+                    let price = pricer.price(&vec![HOST_VM; vm_count], cfg.target, entries, false);
                     host_time += CheckpointConfig::default().detection
                         + price.reboot
                         + price.restoration
-                        + pricer.resume(*vm_count);
+                        + pricer.resume(vm_count);
                     out.upgrades += 1;
                     out.crash_recoveries += 1;
                     faults.record_recovery(
@@ -708,30 +708,30 @@ pub fn execute_sharded_with<V: ClusterView + ?Sized>(
     let cost = CostModel::paper_calibrated();
     let uniform_perf = view.uniform_spec().map(|s| s.perf());
     if faults.armed() {
-        let mut memo = ClassMemo::new();
-        return fold_outcomes(plan.groups.iter().map(|g| {
+        let mut shard = Shard::default();
+        return fold_outcomes((0..plan.group_count()).map(|g| {
             run_group(
                 view,
                 cfg,
                 &cost,
-                g,
+                plan.group(g),
                 Some(faults),
-                &mut memo,
+                &mut shard,
                 uniform_perf.as_ref(),
             )
         }));
     }
-    let batch = pool.map_chunks(plan.groups.len(), shards.max(1), |range| {
-        let mut memo = ClassMemo::new();
+    let batch = pool.map_chunks(plan.group_count(), shards.max(1), |range| {
+        let mut shard = Shard::default();
         range
-            .map(|gi| {
+            .map(|g| {
                 run_group(
                     view,
                     cfg,
                     &cost,
-                    &plan.groups[gi],
+                    plan.group(g),
                     None,
-                    &mut memo,
+                    &mut shard,
                     uniform_perf.as_ref(),
                 )
             })
@@ -1067,7 +1067,7 @@ mod tests {
         let r = execute(&c, &plan, &ExecConfig::default());
         assert_eq!(r.vm_ready.count as usize, r.migrations);
         assert_eq!(r.vm_ready_hist.total() as usize, r.migrations);
-        assert_eq!(r.group_drain.count as usize, plan.groups.len());
+        assert_eq!(r.group_drain.count as usize, plan.group_count());
         // The streamed mean reproduces mean_vm_ready (integer-truncated).
         let mean_ns = (r.vm_ready.mean() * 1e9) as u64;
         let diff = mean_ns.abs_diff(r.mean_vm_ready.as_nanos());
@@ -1225,7 +1225,7 @@ mod tests {
         let plan = plan_upgrade(&c, 2).unwrap();
         let r = execute(&c, &plan, &ExecConfig::default());
         // "hypervisor host upgrades using InPlaceTP take only seconds"
-        let per_group = r.total.as_secs_f64() / plan.groups.len() as f64;
+        let per_group = r.total.as_secs_f64() / plan.group_count() as f64;
         assert!(per_group < 30.0, "per-group upgrade = {per_group}s");
         assert_eq!(r.migrations, 0);
     }

@@ -448,7 +448,7 @@ impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
         // Each shard folds every run of consecutive VMs sharing a home into
         // one partial cost; the partials merge in shard order.
         let batch = pool.map_chunks(view.vm_count(), shards.max(1), |range| {
-            let mut memo = ClassMemo::new();
+            let mut memo = ClassMemo::default();
             // A view that lists VMs host by host has at most one run per host.
             let mut runs: Vec<(usize, HostCost)> = Vec::with_capacity(range.len().min(hosts));
             for i in range {
@@ -480,7 +480,7 @@ impl<'a, V: ClusterView + ?Sized> ExposurePlanner<'a, V> {
         // compatible host, after the merge.
         let cost_model = CostModel::paper_calibrated();
         let uniform_perf = view.uniform_spec().map(|s| s.perf());
-        let mut memo = ClassMemo::new();
+        let mut memo = ClassMemo::default();
         for (h, c) in costs.iter_mut().enumerate().filter(|(_, c)| c.inplace_ok) {
             let vms = c.vms as usize;
             c.inplace_cost =
@@ -623,7 +623,7 @@ mod tests {
             let cost_model = CostModel::paper_calibrated();
             let uniform_perf = view.uniform_spec().map(|s| s.perf());
             let batch = pool.map_chunks(hosts, shards.max(1), |range| {
-                let mut memo = ClassMemo::new();
+                let mut memo = ClassMemo::default();
                 range
                     .map(|h| {
                         host_cost(

@@ -154,9 +154,9 @@ const FEED_PLAN_DIGEST: u128 = 0xbc3a_3e12_9bac_572f_bc8c_90c2_ed62_53f0;
 /// Every action as little-endian words, with a marker closing each group.
 fn plan_bytes(plan: &Plan) -> Vec<u8> {
     let mut words: Vec<u64> = Vec::new();
-    for group in &plan.groups {
-        for action in group {
-            match *action {
+    for g in 0..plan.group_count() {
+        for action in plan.group_actions(g) {
+            match action {
                 Action::Migrate { vm, from, to } => {
                     words.extend([0, vm as u64, from as u64, to as u64])
                 }
@@ -176,7 +176,7 @@ fn campaign_feed_fleet_plan_is_pinned() {
     // InPlaceTP-compatible, rolled in offline groups of 25.
     let view = Cluster::synthetic(10_000, 42).with_compat_percent(70);
     let plan = plan_upgrade(&view, 25).expect("the feed fleet plans");
-    assert_eq!(plan.groups.len(), 400);
+    assert_eq!(plan.group_count(), 400);
     assert_eq!(plan.migration_count(), 30_044);
     assert_eq!(plan.inplace_count(), 10_000);
     let digest = digest_bytes(&plan_bytes(&plan)).as_u128();

@@ -36,13 +36,10 @@ const FLEET_DIGEST: u128 = 0x6a8c_45bb_4604_b44b_68de_001a_ab5c_c136;
 fn exec_renders() -> String {
     let cluster = Cluster::paper_testbed(0, 42);
     let plan = plan_upgrade(&cluster, 2).expect("the testbed plans");
-    let reversed = Plan {
-        groups: plan
-            .groups
-            .iter()
-            .map(|g| g.iter().rev().cloned().collect())
-            .collect(),
-    };
+    let reversed = Plan::from_groups(
+        (0..plan.group_count())
+            .map(|g| plan.group_actions(g).collect::<Vec<_>>().into_iter().rev()),
+    );
     let mut out = String::new();
     for (name, plan) in [("planner", &plan), ("reversed", &reversed)] {
         for link in [Link::ten_gigabit(), Link::gigabit()] {
