@@ -525,6 +525,11 @@ mod tests {
         // Header record: 8 desc + 24 body. CPU descriptor at offset 32.
         let len = u32::from_le_bytes(buf[36..40].try_into().unwrap());
         assert_eq!(len, CPU_RECORD_LEN);
+        // Xen's `hvm_hw_cpu`, counted by hand: 40 words of registers and
+        // syscall MSRs, 8 segments of 20 bytes, GDTR/IDTR (24), the
+        // 512-byte FXSAVE image and the pending event (8).
+        assert_eq!(CPU_RECORD_LEN, 40 * 8 + 8 * 20 + 24 + 512 + 8);
+        assert_eq!(CPU_RECORD_LEN, 1_024);
     }
 
     #[test]
@@ -585,6 +590,179 @@ mod tests {
                 other => panic!("unexpected record {other:?}"),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod pinned {
+    //! Pins the record stream itself: `save_context`'s bytes, and
+    //! `load_context`'s verdict on damaged streams (the records' `Debug`
+    //! when one parses, the error text when not). A round trip passes
+    //! under any symmetric encode/decode mistake; these digests do not.
+
+    use super::*;
+    use hypertp_sim::hash::digest_bytes;
+    use hypertp_sim::SimRng;
+    use std::array::from_fn;
+
+    fn fold(acc: &mut u64, bytes: &[u8]) {
+        let d = digest_bytes(bytes);
+        *acc = (acc.rotate_left(7) ^ d.hi).wrapping_add(d.lo);
+    }
+
+    fn gen_cpu(rng: &mut SimRng) -> HvmHwCpu {
+        let mut w = || rng.next_u64();
+        HvmHwCpu {
+            gprs: from_fn(|_| w()),
+            rip: w(),
+            rflags: w(),
+            crs: from_fn(|_| w()),
+            drs: from_fn(|_| w()),
+            segs: from_fn(|_| HvmSegment {
+                sel: w() as u32,
+                limit: w() as u32,
+                base: w(),
+                arbytes: w() as u32,
+            }),
+            gdtr_base: w(),
+            gdtr_limit: w() as u32,
+            idtr_base: w(),
+            idtr_limit: w() as u32,
+            sysenter: from_fn(|_| w()),
+            shadow_gs: w(),
+            msr_flags: w(),
+            msr_lstar: w(),
+            msr_star: w(),
+            msr_cstar: w(),
+            msr_syscall_mask: w(),
+            msr_efer: w(),
+            msr_tsc_aux: w(),
+            tsc: w(),
+            fpu_regs: from_fn(|_| w() as u8),
+            pending_event: w() as u32,
+            error_code: w() as u32,
+        }
+    }
+
+    fn gen_pit_channel(rng: &mut SimRng) -> HvmPitChannel {
+        let mut w = || rng.next_u64();
+        HvmPitChannel {
+            count: w() as u32,
+            latched_count: w() as u16,
+            count_latched: w() as u8,
+            status_latched: w() as u8,
+            status: w() as u8,
+            read_state: w() as u8,
+            write_state: w() as u8,
+            write_latch: w() as u8,
+            rw_mode: w() as u8,
+            mode: w() as u8,
+            bcd: w() as u8,
+            gate: w() as u8,
+        }
+    }
+
+    /// A seeded domain's stream: every field random (the magic aside), one
+    /// record of each per-vCPU kind per vCPU, 48 random RTEs and an XSAVE
+    /// area whose length varies from vCPU to vCPU.
+    fn gen_stream(rng: &mut SimRng, vcpus: u16) -> Vec<u8> {
+        let header = HvmSaveHeader {
+            magic: HVM_MAGIC,
+            version: rng.next_u64() as u32,
+            changeset: rng.next_u64(),
+            cpuid: rng.next_u64() as u32,
+            gtsc_khz: rng.next_u64() as u32,
+        };
+        let mut records = Vec::new();
+        for i in 0..vcpus {
+            records.push(HvmRecord::Cpu(i, Box::new(gen_cpu(rng))));
+            let lapic = HvmHwLapic {
+                apic_base_msr: rng.next_u64(),
+                disabled: rng.next_u64() as u32,
+                timer_divisor: rng.next_u64() as u32,
+                tdt_msr: rng.next_u64(),
+            };
+            records.push(HvmRecord::Lapic(i, lapic));
+            let page = (0..1024).map(|_| rng.next_u64() as u8).collect();
+            records.push(HvmRecord::LapicRegs(i, page));
+            let mtrr = HvmHwMtrr {
+                msr_pat_cr: rng.next_u64(),
+                msr_mtrr_var: from_fn(|_| rng.next_u64()),
+                msr_mtrr_fixed: from_fn(|_| rng.next_u64()),
+                msr_mtrr_cap: rng.next_u64(),
+                msr_mtrr_def_type: rng.next_u64(),
+            };
+            records.push(HvmRecord::Mtrr(i, Box::new(mtrr)));
+            let len = [0, 1, 64, 576, 833, 2_696][rng.gen_range(6) as usize];
+            let xsave = HvmHwXsave {
+                xcr0: rng.next_u64(),
+                xcr0_accum: rng.next_u64(),
+                area: (0..len).map(|_| rng.next_u64() as u8).collect(),
+            };
+            records.push(HvmRecord::Xsave(i, xsave));
+        }
+        records.push(HvmRecord::Ioapic(HvmHwIoapic {
+            base_address: rng.next_u64(),
+            ioregsel: rng.next_u64() as u32,
+            id: rng.next_u64() as u8,
+            redirtbl: (0..48).map(|_| rng.next_u64()).collect(),
+        }));
+        records.push(HvmRecord::Pit(HvmHwPit {
+            channels: from_fn(|_| gen_pit_channel(rng)),
+            speaker_data_on: rng.next_u64() as u8,
+        }));
+        let buf = save_context(&header, &records);
+        let back = load_context(&buf).expect("a saved stream loads");
+        assert_eq!(
+            (&back[0], &back[1..]),
+            (&HvmRecord::Header(header), &records[..])
+        );
+        buf
+    }
+
+    fn verdict(acc: &mut u64, buf: &[u8]) {
+        match load_context(buf) {
+            Ok(records) => fold(acc, format!("{records:?}").as_bytes()),
+            Err(e) => fold(acc, e.to_string().as_bytes()),
+        }
+    }
+
+    /// The streams of eight seeded domains, 1 to 8 vCPUs.
+    fn streams() -> impl Iterator<Item = (SimRng, Vec<u8>)> {
+        (1..=8u16).map(|vcpus| {
+            let mut rng = SimRng::new(0x4856_4d00 + u64::from(vcpus));
+            let buf = gen_stream(&mut rng, vcpus);
+            (rng, buf)
+        })
+    }
+
+    #[test]
+    fn saved_bytes_are_pinned() {
+        let mut bytes = 0u64;
+        for (_, buf) in streams() {
+            fold(&mut bytes, &buf);
+        }
+        assert_eq!(bytes, 0x9b75_1298_e213_d9a4, "HVM context layout moved");
+    }
+
+    #[test]
+    fn load_verdicts_are_pinned() {
+        let mut verdicts = 0u64;
+        for (mut rng, buf) in streams() {
+            for cut in (0..buf.len()).step_by(7) {
+                verdict(&mut verdicts, &buf[..cut]);
+            }
+            for _ in 0..64 {
+                let mut mutant = buf.clone();
+                let pos = rng.gen_range(mutant.len() as u64) as usize;
+                mutant[pos] = rng.next_u64() as u8;
+                verdict(&mut verdicts, &mutant);
+            }
+        }
+        assert_eq!(
+            verdicts, 0x0b0a_bece_9074_3ea0,
+            "HVM context loader's verdicts moved"
+        );
     }
 }
 
