@@ -5,6 +5,7 @@
 use std::borrow::Cow;
 
 use hypertp_core::{HypervisorKind, VmConfig};
+use hypertp_uisr::layout::{Layout, Reader};
 
 const MSG_HELLO: u8 = 0x10;
 const MSG_HELLO_ACK: u8 = 0x11;
@@ -35,16 +36,17 @@ pub(super) enum Msg<'a> {
 
 impl<'a> Msg<'a> {
     /// Parses one message: `None` unless `buf` is exactly what `write`
-    /// writes for some message. A flag byte holds only its defined bits,
-    /// `Round`'s stop byte is 0 and nothing trails a message.
+    /// writes for some message. A bool is 0 or 1, a flag byte holds only
+    /// its defined bits, `Round`'s stop byte is 0 and nothing trails a
+    /// message.
     pub(super) fn parse(buf: &'a [u8]) -> Option<Msg<'a>> {
-        let mut r = Reader { buf, pos: 0 };
-        let msg = match r.u8()? {
+        let r = &mut Reader::new(buf);
+        let msg = match get(r)? {
             MSG_HELLO => {
-                let resume = r.bool()?;
-                let (round, vcpus, memory_gb) = (r.u32()?, r.u32()?, r.u64()?);
-                let flags = r.u8().filter(|f| f & !7 == 0)?;
-                let (name, storage_backend) = (r.str()?, r.str()?);
+                let resume = get::<u8>(r).filter(|&b| b <= 1)? == 1;
+                let (round, vcpus, memory_gb) = get(r)?;
+                let flags = get::<u8>(r).filter(|f| f & !7 == 0)?;
+                let (name, storage_backend) = get(r)?;
                 let cfg = VmConfig {
                     name,
                     vcpus,
@@ -56,106 +58,73 @@ impl<'a> Msg<'a> {
                 };
                 Msg::Hello(resume, round, Cow::Owned(cfg))
             }
-            MSG_HELLO_ACK => match r.u8()? {
-                0 => Msg::HelloAck(HypervisorKind::Xen),
+            MSG_HELLO_ACK => match get(r)? {
+                0u8 => Msg::HelloAck(HypervisorKind::Xen),
                 1 => Msg::HelloAck(HypervisorKind::Kvm),
                 _ => return None,
             },
-            MSG_ROUND_PART => Msg::RoundPart(r.u32()?, r.rest()),
+            MSG_ROUND_PART => Msg::RoundPart(get(r)?, r.rest()),
             MSG_ROUND => {
-                r.u8().filter(|&stop| stop == 0)?;
-                Msg::Round(r.u32()?, r.u64()?, r.rest())
+                get::<u8>(r).filter(|&stop| stop == 0)?;
+                let (round, count) = get(r)?;
+                Msg::Round(round, count, r.rest())
             }
-            MSG_ACK => Msg::Ack(r.u32()?),
-            MSG_NAK => Msg::Nak(r.u32()?),
+            MSG_ACK => Msg::Ack(get(r)?),
+            MSG_NAK => Msg::Nak(get(r)?),
             MSG_UISR => Msg::Uisr(r.rest()),
-            MSG_DONE => Msg::Done(r.u64()?, r.u64()?),
-            MSG_DONE_ACK => Msg::DoneAck(r.u64()?, r.u64()?, r.u64()?),
+            MSG_DONE => {
+                let (sum, ns) = get(r)?;
+                Msg::Done(sum, ns)
+            }
+            MSG_DONE_ACK => {
+                let (sum, bytes, frames) = get(r)?;
+                Msg::DoneAck(sum, bytes, frames)
+            }
             _ => return None,
         };
-        (r.pos == buf.len()).then_some(msg)
+        r.is_empty().then_some(msg)
     }
 
     /// Clears `out` and writes the message into it. A `Hello`'s strings
     /// must fit their `u16` lengths, which `RemoteSink::open` checks.
     pub(super) fn write(&self, out: &mut Vec<u8>) {
         out.clear();
-        let mut put = |fields: &[&[u8]]| fields.iter().for_each(|f| out.extend_from_slice(f));
         match self {
             Msg::Hello(resume, round, cfg) => {
                 let flags = (cfg.huge_pages as u8)
                     | ((cfg.inplace_compatible as u8) << 1)
                     | ((cfg.has_network as u8) << 2);
-                put(&[&[MSG_HELLO, *resume as u8], &round.to_le_bytes()]);
-                put(&[&cfg.vcpus.to_le_bytes(), &cfg.memory_gb.to_le_bytes()]);
-                put(&[&[flags]]);
-                for s in [&cfg.name, &cfg.storage_backend] {
-                    put(&[&(s.len() as u16).to_le_bytes(), s.as_bytes()]);
-                }
+                (MSG_HELLO, *resume, *round).put(out);
+                (cfg.vcpus, cfg.memory_gb, flags).put(out);
+                cfg.name.put(out);
+                cfg.storage_backend.put(out);
             }
-            Msg::HelloAck(HypervisorKind::Xen) => put(&[&[MSG_HELLO_ACK, 0]]),
-            Msg::HelloAck(HypervisorKind::Kvm) => put(&[&[MSG_HELLO_ACK, 1]]),
+            Msg::HelloAck(HypervisorKind::Xen) => (MSG_HELLO_ACK, 0u8).put(out),
+            Msg::HelloAck(HypervisorKind::Kvm) => (MSG_HELLO_ACK, 1u8).put(out),
             Msg::RoundPart(round, frames) => {
-                put(&[&[MSG_ROUND_PART], &round.to_le_bytes(), frames])
+                (MSG_ROUND_PART, *round).put(out);
+                out.extend_from_slice(frames);
             }
             Msg::Round(round, count, frames) => {
                 // The byte after the tag is the stop byte, always 0.
-                put(&[
-                    &[MSG_ROUND, 0],
-                    &round.to_le_bytes(),
-                    &count.to_le_bytes(),
-                    frames,
-                ])
+                (MSG_ROUND, 0u8, *round, *count).put(out);
+                out.extend_from_slice(frames);
             }
-            Msg::Ack(round) => put(&[&[MSG_ACK], &round.to_le_bytes()]),
-            Msg::Nak(round) => put(&[&[MSG_NAK], &round.to_le_bytes()]),
-            Msg::Uisr(blob) => put(&[&[MSG_UISR], blob]),
-            Msg::Done(sum, ns) => put(&[&[MSG_DONE], &sum.to_le_bytes(), &ns.to_le_bytes()]),
-            Msg::DoneAck(sum, bytes, frames) => {
-                put(&[&[MSG_DONE_ACK], &sum.to_le_bytes()]);
-                put(&[&bytes.to_le_bytes(), &frames.to_le_bytes()]);
+            Msg::Ack(round) => (MSG_ACK, *round).put(out),
+            Msg::Nak(round) => (MSG_NAK, *round).put(out),
+            Msg::Uisr(blob) => {
+                MSG_UISR.put(out);
+                out.extend_from_slice(blob);
             }
+            Msg::Done(sum, ns) => (MSG_DONE, *sum, *ns).put(out),
+            Msg::DoneAck(sum, bytes, frames) => (MSG_DONE_ACK, *sum, *bytes, *frames).put(out),
         }
     }
 }
 
-/// Little-endian cursor over a received message.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let b = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(b)
-    }
-    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.bytes(N)?.try_into().ok()
-    }
-    fn u8(&mut self) -> Option<u8> {
-        self.array().map(u8::from_le_bytes)
-    }
-    fn bool(&mut self) -> Option<bool> {
-        self.u8().filter(|&b| b <= 1).map(|b| b == 1)
-    }
-    fn u32(&mut self) -> Option<u32> {
-        self.array().map(u32::from_le_bytes)
-    }
-    fn u64(&mut self) -> Option<u64> {
-        self.array().map(u64::from_le_bytes)
-    }
-    /// A UTF-8 string after its `u16` length.
-    fn str(&mut self) -> Option<String> {
-        let n = u16::from_le_bytes(self.array()?) as usize;
-        String::from_utf8(self.bytes(n)?.to_vec()).ok()
-    }
-    fn rest(&mut self) -> &'a [u8] {
-        let b = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        b
-    }
+/// Reads one scalar, string or tuple through the shared layout codec.
+fn get<T: Layout>(r: &mut Reader<'_>) -> Option<T> {
+    T::get(r).ok()
 }
 
 #[cfg(test)]

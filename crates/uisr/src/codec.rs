@@ -7,33 +7,16 @@
 //! additional vCPU, matching the paper's 5 KB → 38 KB range over 1–10
 //! vCPUs.
 //!
-//! A JSON encoding ([`to_json`]/[`from_json`]) is provided for debugging
-//! and for the codec-cost ablation bench.
-//!
 //! # One description per type
 //!
 //! Every [`crate::state`] type is described once, by a field table at the
-//! bottom of this file that names its fields in wire order. The binary
-//! encoder, the decoder, the exact size and both JSON directions are all
-//! derived from that table through the private `Wire` trait, which is
-//! implemented by hand only for the scalars and containers below. A blob
-//! is `b"UISR"`, the `u16` `VERSION`, then the [`UisrVm`]:
-//!
-//! | Rust type              | binary                                         | JSON                       |
-//! |------------------------|------------------------------------------------|----------------------------|
-//! | `u8 u16 u32 u64`       | little-endian, natural width                   | unsigned integer           |
-//! | `bool`                 | one byte, written 0/1, any non-zero reads true | `true`/`false`             |
-//! | `String`               | `u16` byte length, then UTF-8                  | string                     |
-//! | `Option<T>`            | presence byte (1 = some, else none), then `T`  | `null` or `T`              |
-//! | `[T; N]`               | the `N` items, no prefix                       | array of `N`               |
-//! | `Vec<T>`               | `u32` count, then the items                    | array                      |
-//! | `(u64, u64)`           | the two words                                  | `[a, b]`                   |
-//! | struct                 | its fields, in table order                     | object keyed by field name |
-//! | enum ([`DeviceState`]) | `u8` tag, then the variant's fields            | object, `"kind"` key first |
-//!
-//! A field name's trailing underscore (Rust's keyword escape) is dropped
-//! from its JSON key: `type_` is `"type"`. The device tags and kinds are
-//! the rows of the `DeviceState` table.
+//! bottom of this file that names its fields in wire order. The encoder,
+//! the decoder and the exact size are derived from that table by
+//! [`crate::layout`], the one field-table codec, which also describes
+//! Xen's HVM context records and the migration proxy's messages; its doc
+//! gives the bytes of each Rust type. A blob is `b"UISR"`, the `u16`
+//! `VERSION`, then the [`UisrVm`]. The one enum, [`DeviceState`], is a `u8`
+//! tag, then the variant's fields; the tags are the rows of its table.
 //!
 //! **To add a field:** add it to the struct in `state.rs` and name it in
 //! the struct's table here; leaving it out of the table is a compile
@@ -41,8 +24,7 @@
 //! if blobs written before the change must stay readable — readers reject
 //! any other version.
 
-use hypertp_sim::json::Json;
-
+use crate::layout::{Layout, Reader};
 use crate::state::{
     CpuRegisters, DescriptorTable, DeviceState, FpuState, IoApicState, LapicState, MemoryRegion,
     MemorySpec, MsrEntry, MtrrState, PitChannel, PitState, RedirectionEntry, SegmentRegister,
@@ -52,7 +34,8 @@ use crate::state::{
 const MAGIC: &[u8; 4] = b"UISR";
 const VERSION: u16 = 1;
 
-/// Errors from UISR decoding.
+/// Errors from decoding with [`crate::layout`]: a UISR blob, an HVM
+/// context record or a proxy message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// Buffer ended before the structure was complete.
@@ -67,8 +50,6 @@ pub enum CodecError {
     TrailingBytes(usize),
     /// A string field was not valid UTF-8.
     BadUtf8,
-    /// The JSON debug encoding was malformed.
-    BadJson(String),
 }
 
 impl std::fmt::Display for CodecError {
@@ -80,7 +61,6 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown device tag {t}"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after UISR"),
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in UISR string"),
-            CodecError::BadJson(msg) => write!(f, "malformed UISR JSON: {msg}"),
         }
     }
 }
@@ -117,7 +97,7 @@ pub fn encode_into(vm: &UisrVm, buf: &mut Vec<u8>) {
 
 /// Decodes a binary UISR blob.
 pub fn decode(buf: &[u8]) -> Result<UisrVm, CodecError> {
-    let mut r = Reader(buf);
+    let mut r = Reader::new(buf);
     if r.take(MAGIC.len())? != MAGIC {
         return Err(CodecError::BadMagic);
     }
@@ -126,315 +106,17 @@ pub fn decode(buf: &[u8]) -> Result<UisrVm, CodecError> {
         return Err(CodecError::BadVersion(ver));
     }
     let vm = UisrVm::get(&mut r)?;
-    if !r.0.is_empty() {
-        return Err(CodecError::TrailingBytes(r.0.len()));
-    }
-    Ok(vm)
-}
-
-/// Encodes a VM's UISR to JSON (debugging / ablation bench).
-pub fn to_json(vm: &UisrVm) -> String {
-    Wire::to_json(vm).encode()
-}
-
-/// Decodes a VM's UISR from JSON.
-pub fn from_json(text: &str) -> Result<UisrVm, CodecError> {
-    Json::parse(text)
-        .map_err(|e| e.to_string())
-        .and_then(|v| Wire::from_json(&v))
-        .map_err(CodecError::BadJson)
-}
-
-/// The bytes of a blob not yet decoded.
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if n > self.0.len() {
-            return Err(CodecError::Truncated);
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head)
+    match r.rest().len() {
+        0 => Ok(vm),
+        n => Err(CodecError::TrailingBytes(n)),
     }
 }
 
-/// Most bytes a decoder reserves on the strength of a count it has read
-/// but not yet verified by decoding that many items.
-const RESERVE_BUDGET: usize = 64 << 10;
-
-/// The five passes over one UISR type. Scalars and containers implement
-/// it below; structs and [`DeviceState`] get it from their field tables.
-trait Wire: Sized {
-    /// Appends the binary encoding.
-    fn put(&self, out: &mut Vec<u8>);
-    /// Decodes one value from the front of `r`.
-    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError>;
-    /// Exact number of bytes [`Wire::put`] appends.
-    fn size(&self) -> usize;
-    /// The JSON debug form.
-    fn to_json(&self) -> Json;
-    /// Parses the JSON debug form; the error is [`CodecError::BadJson`]'s
-    /// message.
-    fn from_json(v: &Json) -> Result<Self, String>;
-
-    // Slice hooks, in the style of `Hash::hash_slice`: containers move
-    // their items through these, and `u8` overrides them so a byte run
-    // (the XSAVE area, the LAPIC page, an XMM register) is one copy
-    // rather than a call per byte.
-
-    /// Appends every item of `items`.
-    fn put_slice(items: &[Self], out: &mut Vec<u8>) {
-        items.iter().for_each(|item| item.put(out));
-    }
-    /// Decodes `items.len()` values into `items`.
-    fn get_slice(r: &mut Reader<'_>, items: &mut [Self]) -> Result<(), CodecError> {
-        items.iter_mut().try_for_each(|item| {
-            *item = Self::get(r)?;
-            Ok(())
-        })
-    }
-    /// Decodes `n` values, `n` being a count read from the blob. Reserves
-    /// no more than `n`, the bytes still unread (an item is at least one)
-    /// and [`RESERVE_BUDGET`] allow; a longer run grows as it is verified.
-    fn get_vec(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, CodecError> {
-        let budget = RESERVE_BUDGET / std::mem::size_of::<Self>();
-        let mut items = Vec::with_capacity(n.min(r.0.len()).min(budget));
-        for _ in 0..n {
-            items.push(Self::get(r)?);
-        }
-        Ok(items)
-    }
-}
-
-/// The JSON key of a field: its name less the keyword-escape underscore.
-fn json_key(field: &str) -> &str {
-    field.trim_end_matches('_')
-}
-
-/// Parses the member of object `v` that holds `field`, prefixing any
-/// error with the key so a failure names its path.
-fn json_field<T: Wire>(v: &Json, field: &str) -> Result<T, String> {
-    let key = json_key(field);
-    let slot = v.get(key).ok_or_else(|| format!("missing key {key}"))?;
-    T::from_json(slot).map_err(|msg| format!("{key}: {msg}"))
-}
-
-fn json_items(v: &Json) -> Result<&[Json], String> {
-    Ok(v.as_arr().ok_or("expected array")?)
-}
-
-/// Little-endian unsigned integers; `$hooks` are slice-hook overrides.
-macro_rules! wire_uint {
-    ($ty:ty $(, $($hooks:tt)+)?) => {
-        impl Wire for $ty {
-            fn put(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-                let bytes = r.take(std::mem::size_of::<$ty>())?;
-                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("take(n) is n bytes")))
-            }
-            fn size(&self) -> usize {
-                std::mem::size_of::<$ty>()
-            }
-            fn to_json(&self) -> Json {
-                Json::U64(u64::from(*self))
-            }
-            fn from_json(v: &Json) -> Result<Self, String> {
-                let n = v.as_u64().ok_or("expected unsigned integer")?;
-                Ok(<$ty>::try_from(n).map_err(|_| concat!("out of ", stringify!($ty), " range"))?)
-            }
-            $($($hooks)+)?
-        }
-    };
-}
-
-wire_uint!(u16);
-wire_uint!(u32);
-wire_uint!(u64);
-wire_uint! {
-    u8,
-    fn put_slice(items: &[u8], out: &mut Vec<u8>) {
-        out.extend_from_slice(items);
-    }
-    fn get_slice(r: &mut Reader<'_>, items: &mut [u8]) -> Result<(), CodecError> {
-        items.copy_from_slice(r.take(items.len())?);
-        Ok(())
-    }
-    fn get_vec(r: &mut Reader<'_>, n: usize) -> Result<Vec<u8>, CodecError> {
-        Ok(r.take(n)?.to_vec())
-    }
-}
-
-impl Wire for bool {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(u8::get(r)? != 0)
-    }
-    fn size(&self) -> usize {
-        1
-    }
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(v.as_bool().ok_or("expected bool")?)
-    }
-}
-
-impl Wire for String {
-    fn put(&self, out: &mut Vec<u8>) {
-        (self.len() as u16).put(out);
-        out.extend_from_slice(self.as_bytes());
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = usize::from(u16::get(r)?);
-        String::from_utf8(r.take(n)?.to_vec()).map_err(|_| CodecError::BadUtf8)
-    }
-    fn size(&self) -> usize {
-        2 + self.len()
-    }
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(v.as_str().ok_or("expected string")?.to_string())
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.is_some().put(out);
-        if let Some(value) = self {
-            value.put(out);
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(if u8::get(r)? == 1 {
-            Some(T::get(r)?)
-        } else {
-            None
-        })
-    }
-    fn size(&self) -> usize {
-        1 + self.as_ref().map_or(0, T::size)
-    }
-    fn to_json(&self) -> Json {
-        self.as_ref().map_or(Json::Null, T::to_json)
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Null => Ok(None),
-            v => T::from_json(v).map(Some),
-        }
-    }
-}
-
-impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
-    fn put(&self, out: &mut Vec<u8>) {
-        T::put_slice(self, out);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let mut items = [T::default(); N];
-        T::get_slice(r, &mut items)?;
-        Ok(items)
-    }
-    fn size(&self) -> usize {
-        self.iter().map(T::size).sum()
-    }
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(T::to_json).collect())
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let slots = json_items(v)?;
-        if slots.len() != N {
-            return Err(format!("expected {N} entries"));
-        }
-        let mut items = [T::default(); N];
-        for (item, slot) in items.iter_mut().zip(slots) {
-            *item = T::from_json(slot)?;
-        }
-        Ok(items)
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).put(out);
-        T::put_slice(self, out);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = u32::get(r)? as usize;
-        T::get_vec(r, n)
-    }
-    fn size(&self) -> usize {
-        4 + self.iter().map(T::size).sum::<usize>()
-    }
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(T::to_json).collect())
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        json_items(v)?.iter().map(T::from_json).collect()
-    }
-}
-
-impl Wire for (u64, u64) {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-        self.1.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok((u64::get(r)?, u64::get(r)?))
-    }
-    fn size(&self) -> usize {
-        self.0.size() + self.1.size()
-    }
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match json_items(v)? {
-            [a, b] => Ok((u64::from_json(a)?, u64::from_json(b)?)),
-            _ => Err("expected a pair".to_string()),
-        }
-    }
-}
-
-/// Derives [`Wire`] for a struct from its field names, in wire order.
-/// The field types come from `state.rs`; a field missing here fails to
-/// compile in the struct literals below.
-macro_rules! wire_struct {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
-        impl Wire for $ty {
-            fn put(&self, out: &mut Vec<u8>) {
-                $(self.$field.put(out);)+
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-                Ok($ty { $($field: Wire::get(r)?),+ })
-            }
-            fn size(&self) -> usize {
-                0 $(+ self.$field.size())+
-            }
-            fn to_json(&self) -> Json {
-                Json::Obj(vec![
-                    $((json_key(stringify!($field)).to_string(), self.$field.to_json())),+
-                ])
-            }
-            fn from_json(v: &Json) -> Result<Self, String> {
-                Ok($ty { $($field: json_field(v, stringify!($field))?),+ })
-            }
-        }
-    };
-}
-
-/// Derives [`Wire`] for an enum of struct-like variants from one row per
-/// variant: binary tag, JSON `"kind"`, variant name and field names.
-macro_rules! wire_enum {
-    ($ty:ident { $($tag:literal, $kind:literal, $variant:ident { $($field:ident),+ });+ $(;)? }) => {
-        impl Wire for $ty {
+/// Derives [`Layout`] for an enum of struct-like variants from one row per
+/// variant: tag, variant name and field names.
+macro_rules! layout_enum {
+    ($ty:ident { $($tag:literal, $variant:ident { $($field:ident),+ });+ $(;)? }) => {
+        impl Layout for $ty {
             fn put(&self, out: &mut Vec<u8>) {
                 match self {
                     $($ty::$variant { $($field),+ } => {
@@ -445,29 +127,13 @@ macro_rules! wire_enum {
             }
             fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
                 match u8::get(r)? {
-                    $($tag => Ok($ty::$variant { $($field: Wire::get(r)?),+ }),)+
+                    $($tag => Ok($ty::$variant { $($field: Layout::get(r)?),+ }),)+
                     tag => Err(CodecError::BadTag(tag)),
                 }
             }
             fn size(&self) -> usize {
                 match self {
                     $($ty::$variant { $($field),+ } => 1 $(+ $field.size())+,)+
-                }
-            }
-            fn to_json(&self) -> Json {
-                match self {
-                    $($ty::$variant { $($field),+ } => Json::Obj(vec![
-                        ("kind".to_string(), Json::Str($kind.to_string())),
-                        $((json_key(stringify!($field)).to_string(), $field.to_json())),+
-                    ]),)+
-                }
-            }
-            fn from_json(v: &Json) -> Result<Self, String> {
-                match json_field::<String>(v, "kind")?.as_str() {
-                    $($kind => Ok($ty::$variant {
-                        $($field: json_field(v, stringify!($field))?),+
-                    }),)+
-                    other => Err(format!("unknown device kind {other:?}")),
                 }
             }
         }
@@ -478,41 +144,41 @@ macro_rules! wire_enum {
 // order (which is declaration order). Brace-delimited so rustfmt keeps
 // one table to a line or two.
 
-wire_struct! { CpuRegisters {
+crate::layout_struct! { CpuRegisters {
     rax, rbx, rcx, rdx, rsi, rdi, rsp, rbp, r8, r9, r10, r11, r12, r13, r14, r15, rip, rflags,
 } }
-wire_struct! { SegmentRegister { base, limit, selector, type_, present, dpl, db, s, l, g, avl } }
-wire_struct! { DescriptorTable { base, limit } }
-wire_struct! { SpecialRegisters {
+crate::layout_struct! { SegmentRegister { base, limit, selector, type_, present, dpl, db, s, l, g, avl } }
+crate::layout_struct! { DescriptorTable { base, limit } }
+crate::layout_struct! { SpecialRegisters {
     cs, ds, es, fs, gs, ss, tr, ldt, gdt, idt, cr0, cr2, cr3, cr4, cr8, efer, apic_base,
 } }
-wire_struct! { FpuState {
+crate::layout_struct! { FpuState {
     fcw, fsw, ftw, last_opcode, last_ip, last_dp, mxcsr, mxcsr_mask, st, xmm,
 } }
-wire_struct! { MsrEntry { index, data } }
-wire_struct! { XsaveState { xcr0, area } }
-wire_struct! { LapicState {
+crate::layout_struct! { MsrEntry { index, data } }
+crate::layout_struct! { XsaveState { xcr0, area } }
+crate::layout_struct! { LapicState {
     apic_id, apic_base_msr, tpr, timer_divide, timer_initial, timer_current, timer_pending,
 } }
-wire_struct! { MtrrState { def_type, fixed, variable } }
-wire_struct! { VcpuState { id, regs, sregs, fpu, msrs, xsave, lapic, lapic_regs, mtrr } }
-wire_struct! { RedirectionEntry {
+crate::layout_struct! { MtrrState { def_type, fixed, variable } }
+crate::layout_struct! { VcpuState { id, regs, sregs, fpu, msrs, xsave, lapic, lapic_regs, mtrr } }
+crate::layout_struct! { RedirectionEntry {
     vector, delivery_mode, dest_mode, masked, trigger_level, remote_irr, dest,
 } }
-wire_struct! { IoApicState { id, base, redirection } }
-wire_struct! { PitChannel {
+crate::layout_struct! { IoApicState { id, base, redirection } }
+crate::layout_struct! { PitChannel {
     count, latched_count, status, read_state, write_state, mode, bcd, gate,
 } }
-wire_struct! { PitState { channels, speaker } }
-wire_enum! { DeviceState {
-    1, "network", Network { mac, unplugged };
-    2, "block", Block { backend, sectors, pending_requests };
-    3, "console", Console { tx_buffered };
-    4, "pass_through", PassThrough { bdf, guest_paused };
+crate::layout_struct! { PitState { channels, speaker } }
+layout_enum! { DeviceState {
+    1, Network { mac, unplugged };
+    2, Block { backend, sectors, pending_requests };
+    3, Console { tx_buffered };
+    4, PassThrough { bdf, guest_paused };
 } }
-wire_struct! { MemoryRegion { gfn_start, pages } }
-wire_struct! { MemorySpec { regions, pram_file } }
-wire_struct! { UisrVm { name, vcpus, ioapic, pit, devices, memory } }
+crate::layout_struct! { MemoryRegion { gfn_start, pages } }
+crate::layout_struct! { MemorySpec { regions, pram_file } }
+crate::layout_struct! { UisrVm { name, vcpus, ioapic, pit, devices, memory } }
 
 #[cfg(test)]
 mod tests {
@@ -606,21 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let vm = sample_vm(2);
-        let back = from_json(&to_json(&vm)).unwrap();
-        assert_eq!(back, vm);
-    }
-
-    #[test]
-    fn binary_encoding_is_much_smaller_than_json() {
-        let vm = sample_vm(4);
-        let bin = encode(&vm).len();
-        let json = to_json(&vm).len();
-        assert!(json > 2 * bin, "bin={bin} json={json}");
-    }
-
-    #[test]
     fn randomized_roundtrip_register_values() {
         // Deterministic randomized loop (formerly proptest, 32 cases).
         let mut rng = hypertp_sim::SimRng::new(0x5eed_0001);
@@ -638,8 +289,8 @@ mod tests {
         }
     }
 
-    /// Pins the wire format itself: the binary bytes, the JSON text and
-    /// the decoder's verdict (error text included) on damaged blobs, over
+    /// Pins the wire format itself: the bytes and the decoder's verdict
+    /// (error text included) on damaged blobs, over
     /// 3 seeds x 256 generated VMs. Round-trip tests pass under any
     /// symmetric encode/decode mistake; these digests do not.
     #[test]
@@ -656,7 +307,7 @@ mod tests {
                 Err(e) => fold(acc, e.to_string().as_bytes()),
             }
         }
-        let (mut bytes, mut text, mut verdicts) = (0u64, 0u64, 0u64);
+        let (mut bytes, mut verdicts) = (0u64, 0u64);
         let mut kinds = [false; 4];
         for seed in [7, 42, 0x0150_c0de] {
             let mut rng = SimRng::new(seed);
@@ -676,7 +327,6 @@ mod tests {
                 let blob = encode(&vm);
                 assert_eq!(blob.len(), encoded_size(&vm));
                 fold(&mut bytes, &blob);
-                fold(&mut text, to_json(&vm).as_bytes());
                 for cut in (0..blob.len()).step_by(97) {
                     verdict(&mut verdicts, &blob[..cut]);
                 }
@@ -690,12 +340,8 @@ mod tests {
         }
         assert_eq!(kinds, [true; 4], "every device kind is generated");
         assert_eq!(
-            (bytes, text, verdicts),
-            (
-                0xe6ff_279b_bd95_04d6,
-                0x46bc_b4fc_eb98_11a1,
-                0xe37b_8336_bff4_ee86
-            ),
+            (bytes, verdicts),
+            (0xe6ff_279b_bd95_04d6, 0xe37b_8336_bff4_ee86),
             "wire format moved: bump VERSION or undo the change"
         );
     }
@@ -942,23 +588,6 @@ mod props {
             let back = decode(&blob)
                 .unwrap_or_else(|e| panic!("seed {SEED:#x} case {case}: decode failed: {e}"));
             assert_eq!(back, vm, "seed {SEED:#x} case {case}");
-        }
-    }
-
-    /// The JSON codec agrees with the binary codec on the same VMs.
-    #[test]
-    fn json_codec_roundtrips_random_vms() {
-        let mut rng = SimRng::new(SEED ^ 0x150);
-        for case in 0..CASES / 4 {
-            let vm = gen_vm(&mut rng);
-            let text = to_json(&vm);
-            let back = from_json(&text).unwrap_or_else(|e| {
-                panic!(
-                    "seed {:#x} case {case}: from_json failed: {e}",
-                    SEED ^ 0x150
-                )
-            });
-            assert_eq!(back, vm, "seed {:#x} case {case}", SEED ^ 0x150);
         }
     }
 

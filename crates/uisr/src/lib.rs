@@ -13,16 +13,18 @@
 //!   XSAVE, LAPIC (+ register page), MTRR, IOAPIC, PIT — plus emulated
 //!   device state and the guest memory map.
 //! * [`codec`] — a compact, versioned binary encoding (the format saved in
-//!   RAM by InPlaceTP and sent over the wire by MigrationTP) and a JSON
-//!   debug encoding, both derived (with the decoders and the exact size)
-//!   from one table of field names per state type. The binary sizes drive
-//!   Fig. 14's "UISR formats" series (~5 KB for a 1-vCPU VM up to ~38 KB at
-//!   10 vCPUs).
+//!   RAM by InPlaceTP and sent over the wire by MigrationTP), derived (with
+//!   the decoder and the exact size) from one table of field names per
+//!   state type. The sizes drive Fig. 14's "UISR formats" series (~5 KB
+//!   for a 1-vCPU VM up to ~38 KB at 10 vCPUs).
+//! * [`layout`] — the field-table codec behind it, which Xen's HVM context
+//!   records and the migration proxy's messages are derived from too.
 //! * [`mapping`] — the Xen ↔ UISR ↔ KVM state-mapping registry
 //!   reproducing Table 2, checked against the state the codec carries.
 
 pub mod codec;
 pub mod lapic_page;
+pub mod layout;
 pub mod mapping;
 pub mod msr;
 pub mod state;

@@ -461,17 +461,4 @@ mod tests {
         assert_eq!(m.total_pages(), 128);
         assert_eq!(m.total_bytes(), 128 * 4096);
     }
-
-    #[test]
-    fn json_debug_codec_roundtrip() {
-        let mut vm = UisrVm::new("vm0");
-        vm.vcpus.push(VcpuState::reset(0));
-        vm.devices.push(DeviceState::Network {
-            mac: [0xde, 0xad, 0xbe, 0xef, 0, 1],
-            unplugged: false,
-        });
-        let json = crate::codec::to_json(&vm);
-        let back: UisrVm = crate::codec::from_json(&json).unwrap();
-        assert_eq!(back, vm);
-    }
 }

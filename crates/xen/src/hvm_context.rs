@@ -7,6 +7,9 @@
 //! from this byte stream, exactly as the prototype's userspace tooling does
 //! via libxenctrl.
 
+use hypertp_uisr::layout::{Layout, Reader};
+use hypertp_uisr::{layout_struct, CodecError};
+
 use crate::hvm_types::{
     HvmHwCpu, HvmHwIoapic, HvmHwLapic, HvmHwMtrr, HvmHwPit, HvmHwXsave, HvmPitChannel, HvmSegment,
 };
@@ -120,348 +123,145 @@ impl std::fmt::Display for ContextError {
 
 impl std::error::Error for ContextError {}
 
-struct W(Vec<u8>);
-
-impl W {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.0.extend_from_slice(b);
+/// The record bodies here hold only fixed-width fields, so the one error
+/// the shared decoder can return for them is running out of bytes.
+impl From<CodecError> for ContextError {
+    fn from(_: CodecError) -> Self {
+        ContextError::Truncated
     }
 }
 
-struct R<'a> {
-    b: &'a [u8],
-    p: usize,
-}
+// The field tables of the fixed-layout records, in Xen's wire order
+// (declaration order). LAPIC_REGS (a raw page), XSAVE (a raw area filling
+// the rest of its body) and IOAPIC (a `u8` pin count) are framed by hand.
 
-impl<'a> R<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ContextError> {
-        if self.p + n > self.b.len() {
-            return Err(ContextError::Truncated);
-        }
-        let s = &self.b[self.p..self.p + n];
-        self.p += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ContextError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ContextError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-    fn u32(&mut self) -> Result<u32, ContextError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> Result<u64, ContextError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-}
+layout_struct! { HvmSaveHeader { magic, version, changeset, cpuid, gtsc_khz } }
+layout_struct! { HvmSegment { sel, limit, base, arbytes } }
+layout_struct! { HvmHwCpu {
+    gprs, rip, rflags, crs, drs, segs, gdtr_base, gdtr_limit, idtr_base, idtr_limit, sysenter,
+    shadow_gs, msr_flags, msr_lstar, msr_star, msr_cstar, msr_syscall_mask, msr_efer,
+    msr_tsc_aux, tsc, fpu_regs, pending_event, error_code,
+} }
+layout_struct! { HvmHwLapic { apic_base_msr, disabled, timer_divisor, tdt_msr } }
+layout_struct! { HvmHwMtrr {
+    msr_pat_cr, msr_mtrr_var, msr_mtrr_fixed, msr_mtrr_cap, msr_mtrr_def_type,
+} }
+layout_struct! { HvmPitChannel {
+    count, latched_count, count_latched, status_latched, status, read_state, write_state,
+    write_latch, rw_mode, mode, bcd, gate,
+} }
+layout_struct! { HvmHwPit { channels, speaker_data_on } }
 
-fn put_cpu(w: &mut W, c: &HvmHwCpu) {
-    for g in c.gprs {
-        w.u64(g);
-    }
-    w.u64(c.rip);
-    w.u64(c.rflags);
-    for cr in c.crs {
-        w.u64(cr);
-    }
-    for dr in c.drs {
-        w.u64(dr);
-    }
-    for s in &c.segs {
-        w.u32(s.sel);
-        w.u32(s.limit);
-        w.u64(s.base);
-        w.u32(s.arbytes);
-    }
-    w.u64(c.gdtr_base);
-    w.u32(c.gdtr_limit);
-    w.u64(c.idtr_base);
-    w.u32(c.idtr_limit);
-    for v in c.sysenter {
-        w.u64(v);
-    }
-    w.u64(c.shadow_gs);
-    for v in [
-        c.msr_flags,
-        c.msr_lstar,
-        c.msr_star,
-        c.msr_cstar,
-        c.msr_syscall_mask,
-        c.msr_efer,
-        c.msr_tsc_aux,
-        c.tsc,
-    ] {
-        w.u64(v);
-    }
-    w.bytes(&c.fpu_regs);
-    w.u32(c.pending_event);
-    w.u32(c.error_code);
-}
-
-/// Byte length of an encoded `hvm_hw_cpu` record body.
-pub(crate) const CPU_RECORD_LEN: u32 =
-    (16 + 2 + 4 + 6) as u32 * 8 + 8 * 20 + (8 + 4 + 8 + 4) + 3 * 8 + 8 + 8 * 8 + 512 + 8;
-
-fn get_cpu(r: &mut R) -> Result<HvmHwCpu, ContextError> {
-    let mut c = HvmHwCpu::default();
-    for g in &mut c.gprs {
-        *g = r.u64()?;
-    }
-    c.rip = r.u64()?;
-    c.rflags = r.u64()?;
-    for cr in &mut c.crs {
-        *cr = r.u64()?;
-    }
-    for dr in &mut c.drs {
-        *dr = r.u64()?;
-    }
-    for s in &mut c.segs {
-        *s = HvmSegment {
-            sel: r.u32()?,
-            limit: r.u32()?,
-            base: r.u64()?,
-            arbytes: r.u32()?,
-        };
-    }
-    c.gdtr_base = r.u64()?;
-    c.gdtr_limit = r.u32()?;
-    c.idtr_base = r.u64()?;
-    c.idtr_limit = r.u32()?;
-    for v in &mut c.sysenter {
-        *v = r.u64()?;
-    }
-    c.shadow_gs = r.u64()?;
-    c.msr_flags = r.u64()?;
-    c.msr_lstar = r.u64()?;
-    c.msr_star = r.u64()?;
-    c.msr_cstar = r.u64()?;
-    c.msr_syscall_mask = r.u64()?;
-    c.msr_efer = r.u64()?;
-    c.msr_tsc_aux = r.u64()?;
-    c.tsc = r.u64()?;
-    c.fpu_regs = r.take(512)?.try_into().expect("512");
-    c.pending_event = r.u32()?;
-    c.error_code = r.u32()?;
-    Ok(c)
-}
-
-fn put_record(w: &mut W, typecode: u16, instance: u16, body: impl FnOnce(&mut W)) {
-    w.u16(typecode);
-    w.u16(instance);
-    let len_pos = w.0.len();
-    w.u32(0);
-    let start = w.0.len();
-    body(w);
-    let len = (w.0.len() - start) as u32;
-    w.0[len_pos..len_pos + 4].copy_from_slice(&len.to_le_bytes());
+/// Appends one record: its descriptor, then the body `body` writes, whose
+/// length goes back into the descriptor.
+fn put_record(out: &mut Vec<u8>, typecode: u16, instance: u16, body: impl FnOnce(&mut Vec<u8>)) {
+    typecode.put(out);
+    instance.put(out);
+    let len_pos = out.len();
+    0u32.put(out);
+    body(out);
+    let len = (out.len() - len_pos - 4) as u32;
+    out[len_pos..len_pos + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Serializes records into an HVM context byte stream (with header and END
 /// record).
 pub(crate) fn save_context(header: &HvmSaveHeader, records: &[HvmRecord]) -> Vec<u8> {
-    let mut w = W(Vec::new());
-    put_record(&mut w, typecode::HEADER, 0, |w| {
-        w.u32(header.magic);
-        w.u32(header.version);
-        w.u64(header.changeset);
-        w.u32(header.cpuid);
-        w.u32(header.gtsc_khz);
-    });
+    let mut out = Vec::new();
+    put_record(&mut out, typecode::HEADER, 0, |o| header.put(o));
     for rec in records {
+        let o = &mut out;
         match rec {
             HvmRecord::Header(_) => {} // Header is written once, above.
-            HvmRecord::Cpu(inst, c) => put_record(&mut w, typecode::CPU, *inst, |w| {
-                put_cpu(w, c);
-            }),
-            HvmRecord::Lapic(inst, l) => put_record(&mut w, typecode::LAPIC, *inst, |w| {
-                w.u64(l.apic_base_msr);
-                w.u32(l.disabled);
-                w.u32(l.timer_divisor);
-                w.u64(l.tdt_msr);
-            }),
-            HvmRecord::LapicRegs(inst, page) => {
-                put_record(&mut w, typecode::LAPIC_REGS, *inst, |w| {
-                    w.bytes(page);
-                })
+            HvmRecord::Cpu(i, c) => put_record(o, typecode::CPU, *i, |o| c.put(o)),
+            HvmRecord::Lapic(i, l) => put_record(o, typecode::LAPIC, *i, |o| l.put(o)),
+            HvmRecord::LapicRegs(i, page) => {
+                put_record(o, typecode::LAPIC_REGS, *i, |o| o.extend_from_slice(page))
             }
-            HvmRecord::Mtrr(inst, m) => put_record(&mut w, typecode::MTRR, *inst, |w| {
-                w.u64(m.msr_pat_cr);
-                for v in m.msr_mtrr_var {
-                    w.u64(v);
-                }
-                for v in m.msr_mtrr_fixed {
-                    w.u64(v);
-                }
-                w.u64(m.msr_mtrr_cap);
-                w.u64(m.msr_mtrr_def_type);
+            HvmRecord::Mtrr(i, m) => put_record(o, typecode::MTRR, *i, |o| m.put(o)),
+            HvmRecord::Xsave(i, x) => put_record(o, typecode::XSAVE, *i, |o| {
+                (x.xcr0, x.xcr0_accum).put(o);
+                o.extend_from_slice(&x.area);
             }),
-            HvmRecord::Xsave(inst, x) => put_record(&mut w, typecode::XSAVE, *inst, |w| {
-                w.u64(x.xcr0);
-                w.u64(x.xcr0_accum);
-                w.bytes(&x.area);
+            HvmRecord::Ioapic(io) => put_record(o, typecode::IOAPIC, 0, |o| {
+                let pins = io.redirtbl.len() as u8;
+                (io.base_address, io.ioregsel, io.id, pins).put(o);
+                u64::put_slice(&io.redirtbl, o);
             }),
-            HvmRecord::Ioapic(io) => put_record(&mut w, typecode::IOAPIC, 0, |w| {
-                w.u64(io.base_address);
-                w.u32(io.ioregsel);
-                w.u8(io.id);
-                w.u8(io.redirtbl.len() as u8);
-                for rte in &io.redirtbl {
-                    w.u64(*rte);
-                }
-            }),
-            HvmRecord::Pit(p) => put_record(&mut w, typecode::PIT, 0, |w| {
-                for ch in &p.channels {
-                    w.u32(ch.count);
-                    w.u16(ch.latched_count);
-                    w.u8(ch.count_latched);
-                    w.u8(ch.status_latched);
-                    w.u8(ch.status);
-                    w.u8(ch.read_state);
-                    w.u8(ch.write_state);
-                    w.u8(ch.write_latch);
-                    w.u8(ch.rw_mode);
-                    w.u8(ch.mode);
-                    w.u8(ch.bcd);
-                    w.u8(ch.gate);
-                }
-                w.u8(p.speaker_data_on);
-            }),
+            HvmRecord::Pit(p) => put_record(o, typecode::PIT, 0, |o| p.put(o)),
         }
     }
-    put_record(&mut w, typecode::END, 0, |_| {});
-    w.0
+    put_record(&mut out, typecode::END, 0, |_| {});
+    out
+}
+
+/// Decodes a fixed-layout record body that must fill exactly its
+/// descriptor's `length`.
+fn exact<T: Layout>(typecode: u16, body: &[u8]) -> Result<T, ContextError> {
+    let mut r = Reader::new(body);
+    match T::get(&mut r) {
+        Ok(value) if r.is_empty() => Ok(value),
+        _ => Err(ContextError::BadLength {
+            typecode,
+            length: body.len() as u32,
+        }),
+    }
 }
 
 /// Parses an HVM context byte stream into records. The header is returned
 /// as the first record.
 pub(crate) fn load_context(buf: &[u8]) -> Result<Vec<HvmRecord>, ContextError> {
-    let mut r = R { b: buf, p: 0 };
+    let mut r = Reader::new(buf);
     let mut out = Vec::new();
     let mut saw_header = false;
     let mut saw_end = false;
-    while r.p < r.b.len() {
-        let typecode = r.u16()?;
-        let instance = r.u16()?;
-        let length = r.u32()?;
+    while !r.is_empty() {
+        let (typecode, instance) = (u16::get(&mut r)?, u16::get(&mut r)?);
+        let length = u32::get(&mut r)?;
         let body = r.take(length as usize)?;
-        let mut br = R { b: body, p: 0 };
-        match typecode {
+        let mut br = Reader::new(body);
+        out.push(match typecode {
             typecode::END => {
                 saw_end = true;
                 break;
             }
             typecode::HEADER => {
-                let h = HvmSaveHeader {
-                    magic: br.u32()?,
-                    version: br.u32()?,
-                    changeset: br.u64()?,
-                    cpuid: br.u32()?,
-                    gtsc_khz: br.u32()?,
-                };
+                let h = HvmSaveHeader::get(&mut br)?;
                 if h.magic != HVM_MAGIC {
                     return Err(ContextError::BadHeader);
                 }
                 saw_header = true;
-                out.push(HvmRecord::Header(h));
+                HvmRecord::Header(h)
             }
-            typecode::CPU => {
-                if length != CPU_RECORD_LEN {
-                    return Err(ContextError::BadLength { typecode, length });
-                }
-                out.push(HvmRecord::Cpu(instance, Box::new(get_cpu(&mut br)?)));
-            }
-            typecode::LAPIC => out.push(HvmRecord::Lapic(
-                instance,
-                HvmHwLapic {
-                    apic_base_msr: br.u64()?,
-                    disabled: br.u32()?,
-                    timer_divisor: br.u32()?,
-                    tdt_msr: br.u64()?,
-                },
-            )),
-            typecode::LAPIC_REGS => {
-                out.push(HvmRecord::LapicRegs(instance, body.to_vec()));
-            }
-            typecode::MTRR => {
-                let mut m = HvmHwMtrr {
-                    msr_pat_cr: br.u64()?,
-                    ..HvmHwMtrr::default()
-                };
-                for v in &mut m.msr_mtrr_var {
-                    *v = br.u64()?;
-                }
-                for v in &mut m.msr_mtrr_fixed {
-                    *v = br.u64()?;
-                }
-                m.msr_mtrr_cap = br.u64()?;
-                m.msr_mtrr_def_type = br.u64()?;
-                out.push(HvmRecord::Mtrr(instance, Box::new(m)));
-            }
+            typecode::CPU => HvmRecord::Cpu(instance, Box::new(exact(typecode, body)?)),
+            typecode::LAPIC => HvmRecord::Lapic(instance, HvmHwLapic::get(&mut br)?),
+            typecode::LAPIC_REGS => HvmRecord::LapicRegs(instance, body.to_vec()),
+            typecode::MTRR => HvmRecord::Mtrr(instance, Box::new(HvmHwMtrr::get(&mut br)?)),
             typecode::XSAVE => {
-                let xcr0 = br.u64()?;
-                let xcr0_accum = br.u64()?;
-                let area = br.b[br.p..].to_vec();
-                out.push(HvmRecord::Xsave(
+                let (xcr0, xcr0_accum) = <(u64, u64)>::get(&mut br)?;
+                let area = br.rest().to_vec();
+                HvmRecord::Xsave(
                     instance,
                     HvmHwXsave {
                         xcr0,
                         xcr0_accum,
                         area,
                     },
-                ));
+                )
             }
             typecode::IOAPIC => {
-                let base_address = br.u64()?;
-                let ioregsel = br.u32()?;
-                let id = br.u8()?;
-                let pins = br.u8()? as usize;
-                let mut redirtbl = Vec::with_capacity(pins);
-                for _ in 0..pins {
-                    redirtbl.push(br.u64()?);
-                }
-                out.push(HvmRecord::Ioapic(HvmHwIoapic {
+                let (base_address, ioregsel, id, pins) = <(u64, u32, u8, u8)>::get(&mut br)?;
+                let redirtbl = u64::get_vec(&mut br, usize::from(pins))?;
+                HvmRecord::Ioapic(HvmHwIoapic {
                     base_address,
                     ioregsel,
                     id,
                     redirtbl,
-                }));
+                })
             }
-            typecode::PIT => {
-                let mut p = HvmHwPit::default();
-                for ch in &mut p.channels {
-                    *ch = HvmPitChannel {
-                        count: br.u32()?,
-                        latched_count: br.u16()?,
-                        count_latched: br.u8()?,
-                        status_latched: br.u8()?,
-                        status: br.u8()?,
-                        read_state: br.u8()?,
-                        write_state: br.u8()?,
-                        write_latch: br.u8()?,
-                        rw_mode: br.u8()?,
-                        mode: br.u8()?,
-                        bcd: br.u8()?,
-                        gate: br.u8()?,
-                    };
-                }
-                p.speaker_data_on = br.u8()?;
-                out.push(HvmRecord::Pit(p));
-            }
+            typecode::PIT => HvmRecord::Pit(HvmHwPit::get(&mut br)?),
             t => return Err(ContextError::UnknownTypecode(t)),
-        }
+        });
     }
     if !saw_header {
         return Err(ContextError::BadHeader);
@@ -524,12 +324,12 @@ mod tests {
         let buf = save_context(&HvmSaveHeader::default(), &recs);
         // Header record: 8 desc + 24 body. CPU descriptor at offset 32.
         let len = u32::from_le_bytes(buf[36..40].try_into().unwrap());
-        assert_eq!(len, CPU_RECORD_LEN);
+        assert_eq!(len as usize, HvmHwCpu::default().size());
         // Xen's `hvm_hw_cpu`, counted by hand: 40 words of registers and
         // syscall MSRs, 8 segments of 20 bytes, GDTR/IDTR (24), the
         // 512-byte FXSAVE image and the pending event (8).
-        assert_eq!(CPU_RECORD_LEN, 40 * 8 + 8 * 20 + 24 + 512 + 8);
-        assert_eq!(CPU_RECORD_LEN, 1_024);
+        assert_eq!(len, 40 * 8 + 8 * 20 + 24 + 512 + 8);
+        assert_eq!(len, 1_024);
     }
 
     #[test]
@@ -557,17 +357,12 @@ mod tests {
 
     #[test]
     fn unknown_typecode_rejected() {
-        let mut w = W(Vec::new());
-        put_record(&mut w, typecode::HEADER, 0, |w| {
-            let h = HvmSaveHeader::default();
-            w.u32(h.magic);
-            w.u32(h.version);
-            w.u64(h.changeset);
-            w.u32(h.cpuid);
-            w.u32(h.gtsc_khz);
+        let mut buf = Vec::new();
+        put_record(&mut buf, typecode::HEADER, 0, |o| {
+            HvmSaveHeader::default().put(o)
         });
-        put_record(&mut w, 99, 0, |_| {});
-        assert_eq!(load_context(&w.0), Err(ContextError::UnknownTypecode(99)));
+        put_record(&mut buf, 99, 0, |_| {});
+        assert_eq!(load_context(&buf), Err(ContextError::UnknownTypecode(99)));
     }
 
     #[test]
