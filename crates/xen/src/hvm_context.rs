@@ -195,11 +195,17 @@ pub(crate) fn save_context(header: &HvmSaveHeader, records: &[HvmRecord]) -> Vec
     out
 }
 
-/// Decodes a fixed-layout record body that must fill exactly its
-/// descriptor's `length`.
-fn exact<T: Layout>(typecode: u16, body: &[u8]) -> Result<T, ContextError> {
+/// Decodes a record body with `get`, which must take exactly the body: a
+/// fixed-layout record is exactly its size and an IOAPIC exactly
+/// `14 + 8 × pins`, and a body short or long of that is
+/// [`ContextError::BadLength`].
+fn exact<T>(
+    typecode: u16,
+    body: &[u8],
+    get: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<T, ContextError> {
     let mut r = Reader::new(body);
-    match T::get(&mut r) {
+    match get(&mut r) {
         Ok(value) if r.is_empty() => Ok(value),
         _ => Err(ContextError::BadLength {
             typecode,
@@ -219,25 +225,29 @@ pub(crate) fn load_context(buf: &[u8]) -> Result<Vec<HvmRecord>, ContextError> {
         let (typecode, instance) = (u16::get(&mut r)?, u16::get(&mut r)?);
         let length = u32::get(&mut r)?;
         let body = r.take(length as usize)?;
-        let mut br = Reader::new(body);
         out.push(match typecode {
             typecode::END => {
                 saw_end = true;
                 break;
             }
             typecode::HEADER => {
-                let h = HvmSaveHeader::get(&mut br)?;
+                let h = exact(typecode, body, HvmSaveHeader::get)?;
                 if h.magic != HVM_MAGIC {
                     return Err(ContextError::BadHeader);
                 }
                 saw_header = true;
                 HvmRecord::Header(h)
             }
-            typecode::CPU => HvmRecord::Cpu(instance, Box::new(exact(typecode, body)?)),
-            typecode::LAPIC => HvmRecord::Lapic(instance, HvmHwLapic::get(&mut br)?),
+            typecode::CPU => {
+                HvmRecord::Cpu(instance, Box::new(exact(typecode, body, Layout::get)?))
+            }
+            typecode::LAPIC => HvmRecord::Lapic(instance, exact(typecode, body, Layout::get)?),
             typecode::LAPIC_REGS => HvmRecord::LapicRegs(instance, body.to_vec()),
-            typecode::MTRR => HvmRecord::Mtrr(instance, Box::new(HvmHwMtrr::get(&mut br)?)),
+            typecode::MTRR => {
+                HvmRecord::Mtrr(instance, Box::new(exact(typecode, body, Layout::get)?))
+            }
             typecode::XSAVE => {
+                let mut br = Reader::new(body);
                 let (xcr0, xcr0_accum) = <(u64, u64)>::get(&mut br)?;
                 let area = br.rest().to_vec();
                 HvmRecord::Xsave(
@@ -249,17 +259,17 @@ pub(crate) fn load_context(buf: &[u8]) -> Result<Vec<HvmRecord>, ContextError> {
                     },
                 )
             }
-            typecode::IOAPIC => {
-                let (base_address, ioregsel, id, pins) = <(u64, u32, u8, u8)>::get(&mut br)?;
-                let redirtbl = u64::get_vec(&mut br, usize::from(pins))?;
-                HvmRecord::Ioapic(HvmHwIoapic {
+            typecode::IOAPIC => HvmRecord::Ioapic(exact(typecode, body, |r| {
+                let (base_address, ioregsel, id, pins) = <(u64, u32, u8, u8)>::get(r)?;
+                let redirtbl = u64::get_vec(r, usize::from(pins))?;
+                Ok(HvmHwIoapic {
                     base_address,
                     ioregsel,
                     id,
                     redirtbl,
                 })
-            }
-            typecode::PIT => HvmRecord::Pit(HvmHwPit::get(&mut br)?),
+            })?),
+            typecode::PIT => HvmRecord::Pit(exact(typecode, body, Layout::get)?),
             t => return Err(ContextError::UnknownTypecode(t)),
         });
     }
@@ -330,6 +340,44 @@ mod tests {
         // 512-byte FXSAVE image and the pending event (8).
         assert_eq!(len, 40 * 8 + 8 * 20 + 24 + 512 + 8);
         assert_eq!(len, 1_024);
+    }
+
+    /// A record body one byte longer or shorter than its layout (a fixed
+    /// record's size, IOAPIC's `14 + 8 × pins`) is refused with its length,
+    /// the header's included.
+    #[test]
+    fn a_record_a_byte_off_its_layout_is_bad_length() {
+        let cases = [
+            (typecode::HEADER, None),
+            (typecode::CPU, Some(HvmRecord::Cpu(0, Box::default()))),
+            (
+                typecode::LAPIC,
+                Some(HvmRecord::Lapic(0, HvmHwLapic::default())),
+            ),
+            (typecode::MTRR, Some(HvmRecord::Mtrr(0, Box::default()))),
+            (typecode::PIT, Some(HvmRecord::Pit(HvmHwPit::default()))),
+            (
+                typecode::IOAPIC,
+                Some(HvmRecord::Ioapic(HvmHwIoapic::default())),
+            ),
+        ];
+        for (typecode, record) in cases {
+            let clean = save_context(&HvmSaveHeader::default(), record.as_slice());
+            // The header record is first; any other follows its 32 bytes.
+            let at = if record.is_some() { 32 } else { 0 };
+            let len = u32::from_le_bytes(clean[at + 4..at + 8].try_into().unwrap());
+            for length in [len + 1, len - 1] {
+                let mut buf = clean.clone();
+                buf[at + 4..at + 8].copy_from_slice(&length.to_le_bytes());
+                if length > len {
+                    buf.insert(at + 8 + len as usize, 0);
+                } else {
+                    buf.remove(at + 8 + length as usize);
+                }
+                let verdict = load_context(&buf);
+                assert_eq!(verdict, Err(ContextError::BadLength { typecode, length }));
+            }
+        }
     }
 
     #[test]
@@ -555,7 +603,7 @@ mod pinned {
             }
         }
         assert_eq!(
-            verdicts, 0x0b0a_bece_9074_3ea0,
+            verdicts, 0xe456_f1b3_d5c1_ca35,
             "HVM context loader's verdicts moved"
         );
     }
