@@ -420,7 +420,8 @@ pub fn preflight_validate(uisr: &hypertp_uisr::UisrVm) -> Vec<String> {
         .count();
     if active_high > 0 {
         issues.push(format!(
-            "{active_high} unmasked IOAPIC pin(s) above pin {KVM_IOAPIC_NUM_PINS}              would be disconnected"
+            "{active_high} unmasked IOAPIC pin(s) above pin {KVM_IOAPIC_NUM_PINS} \
+             would be disconnected"
         ));
     }
     for v in &uisr.vcpus {
