@@ -12,22 +12,12 @@ pub mod experiments;
 pub mod harness;
 pub mod table;
 
-use hypertp_core::{HypervisorKind, HypervisorRegistry};
 use hypertp_migrate::MigrationReport;
 use hypertp_sim::json::{self, Json};
 
-/// The standard two-hypervisor pool used by every experiment.
-pub fn registry() -> HypervisorRegistry {
-    let mut registry = HypervisorRegistry::new();
-    registry.register(HypervisorKind::Xen, |machine| {
-        Box::new(hypertp_xen::XenHypervisor::new(machine))
-    });
-    registry.register(HypervisorKind::Kvm, |machine| {
-        Box::new(hypertp_kvm::KvmHypervisor::new(machine))
-    });
-    registry.register_validator(HypervisorKind::Kvm, hypertp_kvm::xlate::preflight_validate);
-    registry
-}
+/// The standard two-hypervisor pool used by every experiment (the one
+/// builder, [`hypertp_cluster::openstack::pool`]).
+pub use hypertp_cluster::openstack::pool as registry;
 
 /// Per-round controller telemetry of every report, as a JSON array: the
 /// EWMA trajectory (dirty rate, drain rate, effective throughput,

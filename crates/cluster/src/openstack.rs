@@ -22,7 +22,9 @@ use hypertp_machine::{Machine, MachineSpec};
 use hypertp_migrate::{MigrationConfig, MigrationReport, MigrationTp};
 use hypertp_sim::{CostModel, FaultPlan, SimClock, WorkerPool};
 
-/// Builds the two-hypervisor pool the drivers boot from.
+/// Builds the two-hypervisor pool the drivers boot from: Xen and KVM, with
+/// KVM's pre-flight validator. The facade's `default_registry` and the
+/// experiment harness's `registry` are this builder.
 pub fn pool() -> HypervisorRegistry {
     let mut registry = HypervisorRegistry::new();
     registry.register(HypervisorKind::Xen, |machine| {

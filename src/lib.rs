@@ -37,21 +37,10 @@ pub use hypertp_vulndb as vulndb;
 pub use hypertp_workloads as workloads;
 pub use hypertp_xen as xen;
 
-use hypertp_core::{HypervisorKind, HypervisorRegistry};
-
 /// Builds the paper's hypervisor pool: Xen 4.12-style and Linux 5.3/KVM +
-/// kvmtool, both HyperTP-compliant.
-pub fn default_registry() -> HypervisorRegistry {
-    let mut registry = HypervisorRegistry::new();
-    registry.register(HypervisorKind::Xen, |machine| {
-        Box::new(hypertp_xen::XenHypervisor::new(machine))
-    });
-    registry.register(HypervisorKind::Kvm, |machine| {
-        Box::new(hypertp_kvm::KvmHypervisor::new(machine))
-    });
-    registry.register_validator(HypervisorKind::Kvm, hypertp_kvm::xlate::preflight_validate);
-    registry
-}
+/// kvmtool, both HyperTP-compliant (the one builder,
+/// [`cluster::openstack::pool`]).
+pub use hypertp_cluster::openstack::pool as default_registry;
 
 /// Common imports for examples and downstream users.
 pub mod prelude {
@@ -71,6 +60,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypertp_core::HypervisorKind;
 
     #[test]
     fn default_registry_has_both_hypervisors() {
