@@ -27,7 +27,6 @@
 use crate::CodecError;
 
 /// The bytes of a buffer not yet decoded.
-#[derive(Debug)]
 pub struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
